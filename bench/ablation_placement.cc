@@ -8,6 +8,9 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "src/core/builder.h"
+#include "src/core/runtime.h"
+#include "src/spec/parser.h"
 #include "src/ir/codegen_c.h"
 #include "src/ir/lowering.h"
 

@@ -1,25 +1,21 @@
 // Shared setup for the experiment binaries: the Section 5 testbed
-// parameters and helpers to run the health benchmark under ARTEMIS or
-// Mayfly on a given power supply.
+// parameters and a helper to run the health benchmark under ARTEMIS or
+// Mayfly on a given charging schedule.
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "src/apps/health_app.h"
 #include "src/base/status.h"
-#include "src/core/builder.h"
-#include "src/core/runtime.h"
+#include "src/core/device.h"
 #include "src/core/stats.h"
 #include "src/kernel/kernel.h"
-#include "src/mayfly/mayfly.h"
 #include "src/monitor/shared_spec.h"
 #include "src/obs/bus.h"
-#include "src/spec/parser.h"
 #include "src/sweep/sweep.h"
 
 namespace artemis::bench {
@@ -36,78 +32,38 @@ inline SimDuration ChargeTime(int minutes) {
   return static_cast<SimDuration>(minutes) * kMinute - 1 * kSecond;
 }
 
-struct RunOutput {
-  KernelRunResult result;
-  std::string label;
-};
-
-// Runs the health app under ARTEMIS on the given power model. When
-// `observer` is set, the sim/kernel/monitor layers publish into it
-// (src/obs) — fig13/fig16 consume the exported event stream instead of the
-// kernel-local ExecutionTrace. When `artifact` is set (a pre-built shared
-// spec artifact, e.g. from a CompiledSpecCache), `spec_text` is ignored and
-// no parse/lower/compile work happens per run. Setup failures come back as
-// a Status instead of killing the process, so sweep grids can report them
-// as error rows.
-inline StatusOr<RunOutput> RunArtemis(std::unique_ptr<Mcu> mcu, SimDuration max_wall,
-                                      const std::string& spec_text = HealthAppSpec(),
-                                      MonitorBackend backend = MonitorBackend::kBuiltin,
-                                      obs::EventBus* observer = nullptr,
-                                      const SharedSpecArtifactPtr& artifact = nullptr) {
-  HealthApp app = BuildHealthApp();
-  ArtemisConfig config;
-  config.backend = backend;
-  config.kernel.max_wall_time = max_wall;
-  config.kernel.record_trace = false;
-  config.observer = observer;
-  StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
-      artifact != nullptr
-          ? ArtemisRuntime::CreateFromArtifact(&app.graph, artifact, mcu.get(), config)
-          : ArtemisRuntime::Create(&app.graph, spec_text, mcu.get(), config);
-  if (!runtime.ok()) {
-    return runtime.status();
-  }
-  return RunOutput{runtime.value()->Run(), "ARTEMIS"};
-}
-
-// Runs the health app under the Mayfly baseline (MITD/collect subset, no
-// maxAttempt) on the given power model. As above, a set `artifact` skips
-// the per-run spec parse.
-inline StatusOr<RunOutput> RunMayfly(std::unique_ptr<Mcu> mcu, SimDuration max_wall,
-                                     obs::EventBus* observer = nullptr,
-                                     const SharedSpecArtifactPtr& artifact = nullptr) {
-  HealthApp app = BuildHealthApp();
-  KernelOptions options;
-  options.max_wall_time = max_wall;
-  options.record_trace = false;
-  options.observer = observer;
-  if (observer != nullptr) {
-    mcu->set_observer(observer);
-  }
-  StatusOr<std::unique_ptr<MayflyRuntime>> runtime = [&] {
-    if (artifact != nullptr) {
-      return MayflyRuntime::Create(&app.graph, artifact->ast, mcu.get(), options);
-    }
-    StatusOr<SpecAst> parsed = SpecParser::Parse(HealthAppSpec());
-    if (!parsed.ok()) {
-      return StatusOr<std::unique_ptr<MayflyRuntime>>(parsed.status());
-    }
-    return MayflyRuntime::Create(&app.graph, parsed.value(), mcu.get(), options);
-  }();
-  if (!runtime.ok()) {
-    return runtime.status();
-  }
-  return RunOutput{runtime.value()->Run(), "Mayfly"};
-}
-
-// Unwraps a run or aborts the bench: for binaries where a setup failure is
-// a bug in the bench itself, not a data point.
-inline RunOutput Require(StatusOr<RunOutput> output) {
-  if (!output.ok()) {
-    std::fprintf(stderr, "bench setup failed: %s\n", output.status().ToString().c_str());
+// Runs the health app with its embedded spec under `system` — ARTEMIS with
+// builtin monitors, or the Mayfly baseline (MITD/collect subset, no
+// maxAttempt) — with kOnBudgetUj per on-period and `charge` recharge time
+// (0 = continuous power). When `observer` is set, the sim/kernel/monitor
+// layers publish into it (src/obs): fig13 reads the exported event stream
+// instead of the kernel-local ExecutionTrace. A setup failure is a bug in
+// the bench itself, not a data point, so it aborts the bench.
+inline KernelRunResult RunHealth(MonitorSystem system, SimDuration charge, SimDuration max_wall,
+                                 obs::EventBus* observer = nullptr) {
+  const auto fail = [](const Status& status) {
+    std::fprintf(stderr, "bench setup failed: %s\n", status.ToString().c_str());
     std::exit(1);
+  };
+  DeviceRecipe recipe;
+  recipe.graph = BuildHealthApp().graph;
+  StatusOr<SharedSpecArtifactPtr> artifact =
+      BuildSpecArtifact(HealthAppSpec(), recipe.graph, SpecArtifactStage::kAst);
+  if (!artifact.ok()) {
+    fail(artifact.status());
   }
-  return std::move(output).value();
+  recipe.charge = charge;
+  recipe.budget = kOnBudgetUj;
+  recipe.system = system;
+  recipe.artifact = artifact.value();
+  recipe.kernel.max_wall_time = max_wall;
+  recipe.kernel.record_trace = false;
+  recipe.observer = observer;
+  DeviceRun device(std::move(recipe));
+  if (!device.status().ok()) {
+    fail(device.status());
+  }
+  return device.Run();
 }
 
 // The Figure 12 grid: ARTEMIS and Mayfly across 1..10 minute charging bins

@@ -21,8 +21,7 @@ int main() {
   obs::EventBus bus;
   obs::CollectingSink sink;
   bus.AddSink(&sink);
-  auto run = Require(RunArtemis(PlatformBuilder().WithFixedCharge(kOnBudgetUj, ChargeTime(6)).Build(),
-                        8 * kHour, HealthAppSpec(), MonitorBackend::kBuiltin, &bus));
+  const KernelRunResult run = RunHealth(MonitorSystem::kArtemis, ChargeTime(6), 8 * kHour, &bus);
 
   // Print the path-#2 portion of the stream: attempts, violations, the skip.
   int attempt = 0;
@@ -41,6 +40,6 @@ int main() {
     }
   }
   std::printf("\ncompleted=%s  MITD violations=%d (expect 3: 2 restarts + 1 skip)\n",
-              run.result.completed ? "yes" : "no", attempt);
-  return run.result.completed && attempt == 3 ? 0 : 1;
+              run.completed ? "yes" : "no", attempt);
+  return run.completed && attempt == 3 ? 0 : 1;
 }

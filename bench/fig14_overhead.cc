@@ -14,11 +14,8 @@ using namespace artemis::bench;
 int main() {
   std::printf("=== Figure 14: execution time on continuous power ===\n\n");
 
-  auto artemis_run = Require(RunArtemis(PlatformBuilder().WithContinuousPower().Build(), 0));
-  auto mayfly_run = Require(RunMayfly(PlatformBuilder().WithContinuousPower().Build(), 0));
-
-  const OverheadBreakdown a = BreakdownFromStats(artemis_run.result.stats);
-  const OverheadBreakdown m = BreakdownFromStats(mayfly_run.result.stats);
+  const OverheadBreakdown a = BreakdownFromStats(RunHealth(MonitorSystem::kArtemis, 0, 0).stats);
+  const OverheadBreakdown m = BreakdownFromStats(RunHealth(MonitorSystem::kMayfly, 0, 0).stats);
 
   std::printf("%-10s %-14s %-16s %-16s %-14s\n", "system", "app logic", "runtime overhead",
               "monitor overhead", "total");

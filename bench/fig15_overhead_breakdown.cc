@@ -20,11 +20,8 @@ double Ms(SimDuration d) { return static_cast<double>(d) / static_cast<double>(k
 int main() {
   std::printf("=== Figure 15: overhead breakdown (milliseconds) ===\n\n");
 
-  auto artemis_run = Require(RunArtemis(PlatformBuilder().WithContinuousPower().Build(), 0));
-  auto mayfly_run = Require(RunMayfly(PlatformBuilder().WithContinuousPower().Build(), 0));
-
-  const OverheadBreakdown a = BreakdownFromStats(artemis_run.result.stats);
-  const OverheadBreakdown m = BreakdownFromStats(mayfly_run.result.stats);
+  const OverheadBreakdown a = BreakdownFromStats(RunHealth(MonitorSystem::kArtemis, 0, 0).stats);
+  const OverheadBreakdown m = BreakdownFromStats(RunHealth(MonitorSystem::kMayfly, 0, 0).stats);
 
   std::printf("%-28s %10s %10s\n", "component (ms)", "ARTEMIS", "Mayfly");
   std::printf("%-28s %10.3f %10.3f\n", "runtime overhead", Ms(a.runtime_overhead),

@@ -13,6 +13,10 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "src/core/builder.h"
+#include "src/core/runtime.h"
+#include "src/mayfly/mayfly.h"
+#include "src/spec/parser.h"
 #include "src/ir/codegen_c.h"
 #include "src/ir/lowering.h"
 #include "src/spec/validator.h"

@@ -45,7 +45,8 @@ struct ArtemisConfig {
 class ArtemisRuntime {
  public:
   // Parses + validates `spec_source`, generates the monitors, and prepares
-  // the kernel. `graph` and `mcu` must outlive the runtime.
+  // the kernel. `graph` and `mcu` must outlive the runtime. Builds the spec
+  // artifact `config.backend` needs and calls CreateFromArtifact.
   static StatusOr<std::unique_ptr<ArtemisRuntime>> Create(const AppGraph* graph,
                                                           std::string_view spec_source,
                                                           Mcu* mcu,
@@ -56,10 +57,11 @@ class ArtemisRuntime {
                                                                  const SpecAst& spec, Mcu* mcu,
                                                                  const ArtemisConfig& config);
 
-  // From a pre-built shared spec artifact (src/monitor/shared_spec.h): no
-  // parse / validate / lower / compile work happens here — the monitors are
-  // per-run state over the artifact's immutable programs. This is the sweep
-  // engine's per-point setup path: cost is arena allocation, not pipeline.
+  // The one construction path. From a pre-built shared spec artifact
+  // (src/monitor/shared_spec.h): no parse / validate / lower / compile work
+  // happens here — the monitors are per-run state over the artifact's
+  // immutable programs, and the runtime shares the artifact instead of
+  // copying it. Cost is arena allocation, not pipeline.
   static StatusOr<std::unique_ptr<ArtemisRuntime>> CreateFromArtifact(
       const AppGraph* graph, const SharedSpecArtifactPtr& artifact, Mcu* mcu,
       const ArtemisConfig& config);
@@ -73,25 +75,21 @@ class ArtemisRuntime {
   // Mutable access, for the hot-swap controller (src/swap/hotswap.h) which
   // replaces the set's monitors when a new image commits.
   MonitorSet& monitors() { return *monitors_; }
-  const SpecAst& spec() const { return spec_; }
-  const std::vector<std::string>& validation_warnings() const { return warnings_; }
-  Mcu& mcu() { return *mcu_; }
+  const std::vector<std::string>& validation_warnings() const {
+    return artifact_->validation_warnings;
+  }
 
   // Registered ARTEMIS runtime .text proxy (Table 2); the monitor text proxy
   // comes from CCodeGenerator::EstimateTextBytes.
   static std::size_t RuntimeTextBytes();
 
  private:
-  ArtemisRuntime(const AppGraph* graph, SpecAst spec, Mcu* mcu,
-                 std::unique_ptr<MonitorSet> monitors, std::vector<std::string> warnings,
-                 const ArtemisConfig& config);
+  ArtemisRuntime(const AppGraph* graph, SharedSpecArtifactPtr artifact, Mcu* mcu,
+                 std::unique_ptr<MonitorSet> monitors, const ArtemisConfig& config);
 
-  const AppGraph* graph_;
-  SpecAst spec_;
-  Mcu* mcu_;
+  SharedSpecArtifactPtr artifact_;
   std::unique_ptr<MonitorSet> monitors_;
   std::unique_ptr<IntermittentKernel> kernel_;
-  std::vector<std::string> warnings_;
 };
 
 }  // namespace artemis

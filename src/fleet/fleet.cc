@@ -7,9 +7,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/apps/ar_app.h"
-#include "src/apps/greenhouse_app.h"
-#include "src/apps/health_app.h"
+#include "src/base/json.h"
 #include "src/base/thread_pool.h"
 #include "src/monitor/arbitration.h"
 #include "src/monitor/compiled_batch.h"
@@ -17,43 +15,6 @@
 
 namespace artemis::fleet {
 namespace {
-
-StatusOr<std::string> DefaultSpecForApp(const std::string& app) {
-  if (app == "health") {
-    return HealthAppSpec();
-  }
-  if (app == "greenhouse") {
-    return GreenhouseSpec();
-  }
-  if (app == "ar") {
-    return ArAppSpec();
-  }
-  return Status::Invalid("fleet: unknown app '" + app + "' (health|greenhouse|ar)");
-}
-
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 std::string U64(std::uint64_t v) {
   char buf[32];
@@ -625,7 +586,7 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
 
   std::string spec_text = spec.spec_text;
   if (spec_text.empty()) {
-    StatusOr<std::string> fallback = DefaultSpecForApp(spec.app);
+    StatusOr<std::string> fallback = sweep::DefaultSpecForApp(spec.app);
     if (!fallback.ok()) {
       return fallback.status();
     }

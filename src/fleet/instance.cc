@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "src/core/builder.h"
+#include "src/core/device.h"
 #include "src/sim/cost_model.h"
 #include "src/sweep/sweep.h"
 
@@ -123,11 +123,46 @@ void CaptureChecker::OnPathRestart(PathId path, Mcu& mcu) {
 DeviceInstance::DeviceInstance(const FleetContext& ctx, const DeviceConfig& config)
     : ctx_(ctx), config_(config) {}
 
-DeviceResult DeviceInstance::Finish(const KernelRunResult& run,
-                                    const IntermittentKernel& kernel,
-                                    std::uint64_t monitor_events, std::uint64_t violations,
-                                    const ObsStatsAggregator* agg) const {
+DeviceResult DeviceInstance::RunScalar() { return Run(nullptr); }
+
+DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
+  CaptureChecker checker(CompiledStepCycles(*ctx_.artifact, DefaultCostModel()),
+                         MirroredFramBytes(*ctx_.artifact));
+  DeviceResult r = Run(&checker);
+  *records = checker.TakeRecords();
+  return r;
+}
+
+DeviceResult DeviceInstance::Run(CaptureChecker* capture) {
+  obs::EventBus bus;
+  ObsStatsAggregator aggregator;
+  DeviceRecipe recipe;
+  if (config_.collect_obs) {
+    bus.AddSink(&aggregator);
+    recipe.observer = &bus;
+  }
+  recipe.graph = sweep::BuildAppGraphByName(ctx_.app);
+  recipe.charge = config_.charge;
+  recipe.budget = config_.budget;
+  if (capture != nullptr) {
+    recipe.system = MonitorSystem::kExternal;
+    recipe.checker = capture;
+  } else {
+    recipe.artifact = ctx_.artifact;
+    recipe.backend = config_.backend;
+  }
+  recipe.kernel.seed = config_.seed;
+  recipe.kernel.max_wall_time = config_.horizon;
+  recipe.kernel.app_iterations = config_.iterations == 0 ? UINT64_MAX : config_.iterations;
+  recipe.kernel.max_steps = config_.max_steps;
+  recipe.kernel.record_trace = false;  // host memory; a fleet never wants it
+  DeviceRun device(std::move(recipe));
   DeviceResult r;
+  if (!device.status().ok()) {
+    r.error = device.status().ToString();
+    return r;
+  }
+  const KernelRunResult run = device.Run();
   r.ok = true;
   r.completed = run.completed;
   r.starved = run.starved;
@@ -138,9 +173,12 @@ DeviceResult DeviceInstance::Finish(const KernelRunResult& run,
   r.charging_us = run.stats.charging_time;
   r.energy_nj = EnergyNj(run.stats.TotalEnergy());
   r.monitor_energy_nj = EnergyNj(run.stats.energy[static_cast<int>(CostTag::kMonitor)]);
-  r.monitor_events = monitor_events;
-  r.violations = violations;
-  for (const TaskProfile& profile : kernel.profiles()) {
+  // In capture mode monitor_events/violations stay 0: the batch pass owns them.
+  if (device.artemis() != nullptr) {
+    r.monitor_events = device.artemis()->monitors().events_processed();
+    r.violations = device.artemis()->monitors().violations_reported();
+  }
+  for (const TaskProfile& profile : device.kernel().profiles()) {
     r.commits += profile.commits;
     r.aborts += profile.aborts;
     r.skips += profile.skips;
@@ -150,91 +188,17 @@ DeviceResult DeviceInstance::Finish(const KernelRunResult& run,
       r.max_attempts_per_commit = std::max(r.max_attempts_per_commit, attempts);
     }
   }
-  if (agg != nullptr) {
+  if (config_.collect_obs) {
     r.has_obs = true;
     for (int k = 0; k < obs::kNumKinds; ++k) {
-      r.obs_counts[static_cast<std::size_t>(k)] = agg->CountFor(static_cast<obs::Kind>(k));
+      r.obs_counts[static_cast<std::size_t>(k)] =
+          aggregator.CountFor(static_cast<obs::Kind>(k));
     }
-    r.obs_total = agg->total_events();
-    r.obs_completed_paths = agg->completed_paths();
-    r.obs_committed_bytes = agg->committed_bytes();
+    r.obs_total = aggregator.total_events();
+    r.obs_completed_paths = aggregator.completed_paths();
+    r.obs_committed_bytes = aggregator.committed_bytes();
   }
   return r;
-}
-
-DeviceResult DeviceInstance::RunScalar() {
-  AppGraph graph = sweep::BuildAppGraphByName(ctx_.app);
-  PlatformBuilder builder;
-  if (config_.charge == 0) {
-    builder.WithContinuousPower();
-  } else {
-    builder.WithFixedCharge(config_.budget, config_.charge);
-  }
-  std::unique_ptr<Mcu> mcu = builder.Build();
-
-  obs::EventBus bus;
-  ObsStatsAggregator aggregator;
-  obs::EventBus* observer = nullptr;
-  if (config_.collect_obs) {
-    bus.AddSink(&aggregator);
-    observer = &bus;
-  }
-
-  ArtemisConfig config;
-  config.backend = config_.backend;
-  config.kernel.seed = config_.seed;
-  config.kernel.max_wall_time = config_.horizon;
-  config.kernel.app_iterations = config_.iterations == 0 ? UINT64_MAX : config_.iterations;
-  config.kernel.max_steps = config_.max_steps;
-  config.kernel.record_trace = false;  // host memory; a fleet never wants it
-  config.observer = observer;
-  StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
-      ArtemisRuntime::CreateFromArtifact(&graph, ctx_.artifact, mcu.get(), config);
-  if (!runtime.ok()) {
-    DeviceResult r;
-    r.error = runtime.status().ToString();
-    return r;
-  }
-  const KernelRunResult run = runtime.value()->Run();
-  return Finish(run, runtime.value()->kernel(),
-                runtime.value()->monitors().events_processed(),
-                runtime.value()->monitors().violations_reported(),
-                config_.collect_obs ? &aggregator : nullptr);
-}
-
-DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
-  AppGraph graph = sweep::BuildAppGraphByName(ctx_.app);
-  PlatformBuilder builder;
-  if (config_.charge == 0) {
-    builder.WithContinuousPower();
-  } else {
-    builder.WithFixedCharge(config_.budget, config_.charge);
-  }
-  std::unique_ptr<Mcu> mcu = builder.Build();
-
-  obs::EventBus bus;
-  ObsStatsAggregator aggregator;
-  obs::EventBus* observer = nullptr;
-  if (config_.collect_obs) {
-    bus.AddSink(&aggregator);
-    observer = &bus;
-    mcu->set_observer(observer);
-  }
-
-  CaptureChecker checker(CompiledStepCycles(*ctx_.artifact, mcu->costs()),
-                         MirroredFramBytes(*ctx_.artifact));
-  KernelOptions options;
-  options.seed = config_.seed;
-  options.max_wall_time = config_.horizon;
-  options.app_iterations = config_.iterations == 0 ? UINT64_MAX : config_.iterations;
-  options.max_steps = config_.max_steps;
-  options.record_trace = false;
-  options.observer = observer;
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), options);
-  const KernelRunResult run = kernel.Run();
-  *records = checker.TakeRecords();
-  // monitor_events/violations stay 0 here: the batch pass owns them.
-  return Finish(run, kernel, 0, 0, config_.collect_obs ? &aggregator : nullptr);
 }
 
 }  // namespace artemis::fleet

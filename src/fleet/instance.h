@@ -177,9 +177,10 @@ class DeviceInstance {
   DeviceResult RunCapture(std::vector<CapturedRecord>* records);
 
  private:
-  DeviceResult Finish(const KernelRunResult& run, const IntermittentKernel& kernel,
-                      std::uint64_t monitor_events, std::uint64_t violations,
-                      const ObsStatsAggregator* agg) const;
+  // Assembles the device as a DeviceRun (src/core/device.h) — with the
+  // artifact's MonitorSet, or with `capture` as its checker when set — runs
+  // it, and reduces the run to a DeviceResult.
+  DeviceResult Run(CaptureChecker* capture);
 
   const FleetContext& ctx_;
   DeviceConfig config_;

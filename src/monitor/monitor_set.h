@@ -145,12 +145,13 @@ class MonitorSet : public PropertyChecker {
   std::uint64_t violations_reported_ = 0;
 };
 
-// Builds a MonitorSet from a validated spec with the chosen backend.
-// kInterpreted lowers each property to an intermediate-language machine and
-// interprets it; kBuiltin instantiates the Figure 10 style structures;
-// kCompiled lowers and then flattens each machine into slot-indexed
-// bytecode (src/ir/compile.h) for fast host-side sweeps — see
-// docs/monitor-backends.md.
+// Builds a MonitorSet from a spec with the chosen backend, through the
+// shared artifact pipeline (BuildSpecArtifactFromAst, then
+// BuildMonitorSetFromArtifact in src/monitor/shared_spec.h): the spec is
+// validated, kInterpreted lowers each property to an intermediate-language
+// machine and interprets it; kBuiltin instantiates the Figure 10 style
+// structures; kCompiled lowers and then flattens each machine into
+// slot-indexed bytecode (src/ir/compile.h) — see docs/monitor-backends.md.
 StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
                                                       MonitorBackend backend,
                                                       const LoweringOptions& lowering = {},

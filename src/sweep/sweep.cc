@@ -9,9 +9,10 @@
 #include "src/apps/ar_app.h"
 #include "src/apps/greenhouse_app.h"
 #include "src/apps/health_app.h"
+#include "src/base/json.h"
 #include "src/base/thread_pool.h"
 #include "src/base/units.h"
-#include "src/core/builder.h"
+#include "src/core/device.h"
 #include "src/flight/recorder.h"
 #include "src/obs/bus.h"
 #include "src/sim/timekeeper.h"
@@ -34,8 +35,6 @@ AppGraph BuildAppGraphByName(const std::string& app) {
   return std::move(BuildHealthApp().graph);
 }
 
-namespace {
-
 StatusOr<std::string> DefaultSpecForApp(const std::string& app) {
   if (app == "health") {
     return HealthAppSpec();
@@ -46,8 +45,10 @@ StatusOr<std::string> DefaultSpecForApp(const std::string& app) {
   if (app == "ar") {
     return ArAppSpec();
   }
-  return Status::Invalid("sweep: unknown app '" + app + "' (health|greenhouse|ar)");
+  return Status::Invalid("unknown app '" + app + "' (health|greenhouse|ar)");
 }
+
+namespace {
 
 StatusOr<MonitorBackend> ParseBackend(const std::string& name) {
   if (name == "builtin") {
@@ -115,29 +116,6 @@ StatusOr<std::unique_ptr<OutageTimekeeper>> MakeTimekeeper(const std::string& te
   }
   return Status::Invalid("sweep: unknown timekeeper '" + text +
                          "' (default|ideal|rtc:<err>|remanence:<max>:<err>)");
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string FormatFixed(double value, int digits) {
@@ -212,11 +190,11 @@ StatusOr<SimDuration> ParseChargeSchedule(const std::string& text) {
   }
   const std::optional<SimDuration> period = ParseDuration(text);
   if (!period.has_value()) {
-    return Status::Invalid("sweep: bad charge schedule '" + text +
+    return Status::Invalid("bad charge schedule '" + text +
                            "' (continuous or a duration like 6min)");
   }
   if (*period <= 1 * kSecond) {
-    return Status::Invalid("sweep: charge schedule '" + text +
+    return Status::Invalid("charge schedule '" + text +
                            "' must exceed the 1s boot margin");
   }
   return *period - 1 * kSecond;
@@ -320,23 +298,16 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
   row.budget = point.budget;
   row.seed = point.seed;
 
-  AppGraph graph = BuildAppGraphByName(point.app);
-
-  PlatformBuilder builder;
-  if (point.charge == 0) {
-    builder.WithContinuousPower();
-  } else {
-    builder.WithFixedCharge(point.budget, point.charge);
-  }
+  DeviceRecipe recipe;
+  recipe.graph = BuildAppGraphByName(point.app);
+  recipe.charge = point.charge;
+  recipe.budget = point.budget;
   StatusOr<std::unique_ptr<OutageTimekeeper>> timekeeper = MakeTimekeeper(point.timekeeper);
   if (!timekeeper.ok()) {
     row.error = timekeeper.status().ToString();
     return row;
   }
-  if (timekeeper.value() != nullptr) {
-    builder.WithTimekeeper(std::move(timekeeper).value());
-  }
-  std::unique_ptr<Mcu> mcu = builder.Build();
+  recipe.timekeeper = std::move(timekeeper).value();
 
   // A non-"off" flight axis attaches a per-point recorder: the ring lives in
   // this point's NVM arena and every append is charged to this point's MCU,
@@ -346,125 +317,74 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
     row.error = flight_level.status().ToString();
     return row;
   }
-  std::unique_ptr<flight::FlightRecorder> recorder;
-  if (flight_level.value() != flight::FlightLevel::kOff) {
-    recorder =
-        std::make_unique<flight::FlightRecorder>(spec.flight_bytes, flight_level.value());
-    if (const Status attached = mcu->AttachFlightRecorder(recorder.get()); !attached.ok()) {
-      row.error = attached.ToString();
-      return row;
-    }
-  }
+  recipe.flight = flight_level.value();
+  recipe.flight_bytes = spec.flight_bytes;
 
   // Per-point bus + aggregator: attaching costs zero simulated cycles, so
   // collect_stats never perturbs the simulated results.
   obs::EventBus bus;
   ObsStatsAggregator aggregator;
-  obs::EventBus* observer = nullptr;
   if (spec.collect_stats) {
     bus.AddSink(&aggregator);
-    observer = &bus;
+    recipe.observer = &bus;
   }
 
   // Mayfly derives its rules from the AST, so it shares kAst-stage cache
   // entries with the builtin backend.
-  const SpecArtifactStage stage = point.system == "mayfly"
-                                      ? SpecArtifactStage::kAst
-                                      : StageForBackend(point.backend);
+  const bool mayfly = point.system == "mayfly";
   StatusOr<SharedSpecArtifactPtr> artifact =
-      cache.Get(point.app, point.spec_text, graph, stage);
+      cache.Get(point.app, point.spec_text, recipe.graph,
+                mayfly ? SpecArtifactStage::kAst : StageForBackend(point.backend));
   if (!artifact.ok()) {
     row.error = artifact.status().ToString();
     return row;
   }
+  recipe.system = mayfly ? MonitorSystem::kMayfly : MonitorSystem::kArtemis;
+  recipe.artifact = artifact.value();
+  recipe.backend = point.backend;
+  recipe.kernel.seed = point.seed;
+  recipe.kernel.max_wall_time = spec.max_wall;
+  recipe.kernel.record_trace = spec.record_trace;
 
-  SweepRunArtifacts artifacts;
-  artifacts.graph = &graph;
-  if (point.system == "artemis") {
-    ArtemisConfig config;
-    config.backend = point.backend;
-    config.kernel.seed = point.seed;
-    config.kernel.max_wall_time = spec.max_wall;
-    config.kernel.record_trace = spec.record_trace;
-    config.observer = observer;
-    config.flight = recorder.get();
-    StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
-        ArtemisRuntime::CreateFromArtifact(&graph, artifact.value(), mcu.get(), config);
-    if (!runtime.ok()) {
-      row.error = runtime.status().ToString();
+  // Hot-swap axis: queue spec2 as the epoch-2 replacement image before the
+  // first boot; the kernel delivers it at quiescence (docs/hotswap.md).
+  if (!spec.spec2.text.empty()) {
+    StatusOr<SharedSpecArtifactPtr> next = cache.Get(point.app, spec.spec2.text, recipe.graph,
+                                                     SpecArtifactStage::kCompiled);
+    if (!next.ok()) {
+      row.error = next.status().ToString();
       return row;
     }
-    // Hot-swap axis: queue spec2 as the epoch-2 replacement image before the
-    // first boot; the kernel delivers it at quiescence (docs/hotswap.md).
-    std::unique_ptr<HotSwapController> swap;
-    if (!spec.spec2.text.empty()) {
-      StatusOr<SharedSpecArtifactPtr> next_artifact =
-          cache.Get(point.app, spec.spec2.text, graph, SpecArtifactStage::kCompiled);
-      if (!next_artifact.ok()) {
-        row.error = next_artifact.status().ToString();
-        return row;
-      }
-      MonitorImage installed;
-      installed.header = {SpecHash(point.spec_text), 1};
-      installed.artifact = artifact.value();
-      MonitorImage next;
-      next.header = {SpecHash(spec.spec2.text), 2};
-      next.artifact = next_artifact.value();
-      swap = std::make_unique<HotSwapController>(&runtime.value()->monitors(),
-                                                 std::move(installed), &graph);
-      swap->set_flight(recorder.get());
-      if (const Status queued = swap->RequestSwap(std::move(next), spec.swap_at);
-          !queued.ok()) {
-        row.error = queued.ToString();
-        return row;
-      }
-      runtime.value()->kernel().set_swap_hook(swap.get());
-    }
-    row.result = runtime.value()->Run();
-    row.monitor_events = runtime.value()->monitors().events_processed();
-    row.violations = runtime.value()->monitors().violations_reported();
-    artifacts.artemis = runtime.value().get();
-    row.ok = true;
-    if (swap != nullptr) {
-      const SwapStats& ss = swap->stats();
-      row.metrics.emplace_back("swap_applied", static_cast<double>(ss.swaps_applied));
-      row.metrics.emplace_back("swap_attempts", static_cast<double>(ss.attempts_started));
-      row.metrics.emplace_back("swap_staged_bytes", static_cast<double>(ss.bytes_staged));
-      row.metrics.emplace_back("swap_epoch", static_cast<double>(swap->installed().epoch));
-    }
-    if (spec.collect_stats) {
-      row.stats = aggregator;
-    }
-    if (spec.post_run) {
-      spec.post_run(point, artifacts, &row);
-    }
-  } else {
-    KernelOptions options;
-    options.seed = point.seed;
-    options.max_wall_time = spec.max_wall;
-    options.record_trace = spec.record_trace;
-    options.observer = observer;
-    options.flight = recorder.get();
-    if (observer != nullptr) {
-      mcu->set_observer(observer);
-    }
-    StatusOr<std::unique_ptr<MayflyRuntime>> runtime =
-        MayflyRuntime::Create(&graph, artifact.value()->ast, mcu.get(), options);
-    if (!runtime.ok()) {
-      row.error = runtime.status().ToString();
-      return row;
-    }
-    row.result = runtime.value()->Run();
-    artifacts.mayfly = runtime.value().get();
-    row.ok = true;
-    if (spec.collect_stats) {
-      row.stats = aggregator;
-    }
-    if (spec.post_run) {
-      spec.post_run(point, artifacts, &row);
-    }
+    recipe.swap_image = MonitorImage{{SpecHash(spec.spec2.text), 2}, next.value()};
+    recipe.swap_at = spec.swap_at;
   }
-  if (recorder != nullptr && row.ok) {
+
+  DeviceRun device(std::move(recipe));
+  if (!device.status().ok()) {
+    row.error = device.status().ToString();
+    return row;
+  }
+  row.result = device.Run();
+  row.ok = true;
+  if (device.artemis() != nullptr) {
+    row.monitor_events = device.artemis()->monitors().events_processed();
+    row.violations = device.artemis()->monitors().violations_reported();
+  }
+  if (const HotSwapController* swap = device.swap(); swap != nullptr) {
+    const SwapStats& ss = swap->stats();
+    row.metrics.emplace_back("swap_applied", static_cast<double>(ss.swaps_applied));
+    row.metrics.emplace_back("swap_attempts", static_cast<double>(ss.attempts_started));
+    row.metrics.emplace_back("swap_staged_bytes", static_cast<double>(ss.bytes_staged));
+    row.metrics.emplace_back("swap_epoch", static_cast<double>(swap->installed().epoch));
+  }
+  if (spec.collect_stats) {
+    row.stats = aggregator;
+  }
+  if (spec.post_run) {
+    spec.post_run(point, SweepRunArtifacts{device.artemis(), device.mayfly(), &device.graph()},
+                  &row);
+  }
+  if (const flight::FlightRecorder* recorder = device.flight(); recorder != nullptr) {
     const flight::FlightStats& fs = recorder->stats();
     row.flight_enabled = true;
     row.flight_sealed = fs.records_sealed;

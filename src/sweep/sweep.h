@@ -5,9 +5,10 @@
 // engine expands their cartesian product into SweepPoints and executes them
 // across N worker threads. Determinism contract (docs/sweep.md):
 //
-//  * every point is an isolated simulation — its own AppGraph, Mcu, kernel,
-//    monitor state, and observability bus — whose result depends only on
-//    the point's coordinates, never on scheduling;
+//  * every point is an isolated simulation — its own DeviceRun
+//    (src/core/device.h: AppGraph, Mcu, kernel, monitor state, flight
+//    recorder) and observability bus — whose result depends only on the
+//    point's coordinates, never on scheduling;
 //  * results land in a pre-sized table slot indexed by the point's grid
 //    index, so the collected table (and the JSON/CSV/console renderings of
 //    it) is byte-identical for --jobs 1 and --jobs N;
@@ -167,9 +168,13 @@ struct SweepOutcome {
 };
 
 // Builds a fresh per-run AppGraph ("health" | "greenhouse" | "ar";
-// anything else falls back to health). Exposed for the fleet engine,
-// which shares the sweep's one-graph-per-simulation isolation rule.
+// anything else falls back to health). Exposed for the fleet engine and
+// artemisc, which share the sweep's one-graph-per-simulation isolation
+// rule.
 AppGraph BuildAppGraphByName(const std::string& app);
+
+// The embedded property spec of a demo app; Invalid for an unknown name.
+StatusOr<std::string> DefaultSpecForApp(const std::string& app);
 
 // Validates the axes and expands the cartesian grid.
 StatusOr<std::vector<SweepPoint>> ExpandGrid(const SweepSpec& spec);
@@ -212,9 +217,10 @@ StatusOr<SweepSpec> ParseGridJson(
     const std::string& text,
     const std::function<StatusOr<std::string>(const std::string&)>& read_file = nullptr);
 
-// Charge-bin convention shared with `artemisc trace --schedule` and the
-// benches: a named period ("6min") means period minus the 1 s boot margin
-// of stored charge; "continuous" means always-on power.
+// Charge-bin convention shared by the sweep and fleet charge axes and
+// `artemisc trace|forensics|swap --schedule`: a named period ("6min") means
+// period minus the 1 s boot margin of stored charge; "continuous" means
+// always-on power.
 StatusOr<SimDuration> ParseChargeSchedule(const std::string& text);
 
 }  // namespace artemis::sweep

@@ -1,10 +1,11 @@
 // Unit tests for src/base: duration parsing/formatting, status types,
-// deterministic RNG, and the logging hooks.
+// deterministic RNG, JSON string escaping, and the logging hooks.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
+#include "src/base/json.h"
 #include "src/base/log.h"
 #include "src/base/rng.h"
 #include "src/base/status.h"
@@ -177,6 +178,26 @@ TEST(RngTest, GaussianMoments) {
   const double var = sq / kSamples - mean * mean;
   EXPECT_NEAR(mean, 5.0, 0.1);
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
+}
+
+// ----------------------------------------------------------------- json --
+
+TEST(JsonEscapeTest, EscapesControlBytesQuoteAndBackslash) {
+  const char* hex = "0123456789abcdef";
+  for (int c = 0; c < 0x20; ++c) {
+    std::string want;
+    if (c == '\n') {
+      want = "\\n";
+    } else if (c == '\t') {
+      want = "\\t";
+    } else {
+      want = std::string("\\u00") + hex[c >> 4] + hex[c & 0xf];
+    }
+    EXPECT_EQ(JsonEscape(std::string(1, static_cast<char>(c))), want) << "byte " << c;
+  }
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  // Bytes from 0x20 up, UTF-8 included, pass through untouched.
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9 \x7f"), "caf\xc3\xa9 \x7f");
 }
 
 // ------------------------------------------------------------------ log --

@@ -1,11 +1,16 @@
-// Tests for the ARTEMIS runtime facade, the platform builder, and the
-// reporting helpers.
+// Tests for the ARTEMIS runtime facade, the device recipe, the platform
+// builder, and the reporting helpers.
 #include <gtest/gtest.h>
 
 #include "src/apps/health_app.h"
 #include "src/core/builder.h"
+#include "src/core/device.h"
+#include "src/core/obs_stats.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
+#include "src/mayfly/mayfly.h"
+#include "src/monitor/shared_spec.h"
+#include "src/spec/parser.h"
 
 namespace artemis {
 namespace {
@@ -118,6 +123,97 @@ TEST(ArtemisRuntimeTest, FeverTriggersCompletePath) {
                        r.detail.find("dpData") != std::string::npos);
   }
   EXPECT_TRUE(saw_dpdata);
+}
+
+// Create(text) is BuildSpecArtifact + CreateFromArtifact: both paths must
+// run the same monitors, with and without warnings_are_errors.
+TEST(ArtemisRuntimeTest, CreateMatchesCreateFromArtifact) {
+  // The second spec carries a validation warning (maxDuration below accel's
+  // work time).
+  for (const std::string& spec :
+       {HealthAppSpec(), std::string("accel: { maxDuration: 1ms onFail: skipTask; }")}) {
+    for (const MonitorBackend backend :
+         {MonitorBackend::kBuiltin, MonitorBackend::kInterpreted, MonitorBackend::kCompiled}) {
+      for (const bool strict : {false, true}) {
+        ArtemisConfig config;
+        config.backend = backend;
+        config.kernel.max_wall_time = 8 * kHour;
+        config.warnings_are_errors = strict;
+        HealthApp direct_app = BuildHealthApp();
+        auto direct_mcu = PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute).Build();
+        auto direct = ArtemisRuntime::Create(&direct_app.graph, spec, direct_mcu.get(), config);
+        HealthApp shared_app = BuildHealthApp();
+        auto shared_mcu = PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute).Build();
+        auto artifact = BuildSpecArtifact(spec, shared_app.graph, StageForBackend(backend));
+        ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+        auto shared = ArtemisRuntime::CreateFromArtifact(&shared_app.graph, artifact.value(),
+                                                         shared_mcu.get(), config);
+        ASSERT_EQ(direct.ok(), shared.ok()) << MonitorBackendName(backend);
+        if (!direct.ok()) {
+          EXPECT_TRUE(strict);
+          EXPECT_EQ(direct.status().ToString(), shared.status().ToString());
+          continue;
+        }
+        EXPECT_EQ(direct.value()->validation_warnings(), shared.value()->validation_warnings());
+        const KernelRunResult a = direct.value()->Run();
+        const KernelRunResult b = shared.value()->Run();
+        EXPECT_EQ(a.completed, b.completed);
+        EXPECT_EQ(a.finished_at, b.finished_at);
+        EXPECT_EQ(a.stats.reboots, b.stats.reboots);
+        EXPECT_EQ(a.stats.TotalEnergy(), b.stats.TotalEnergy());
+        EXPECT_EQ(direct.value()->monitors().events_processed(),
+                  shared.value()->monitors().events_processed());
+        EXPECT_EQ(direct.value()->monitors().violations_reported(),
+                  shared.value()->monitors().violations_reported());
+      }
+    }
+  }
+}
+
+// ----------------------------------------------------------------- device --
+
+// A Mayfly device's MCU publishes into the recipe's observer exactly as the
+// old hand wiring did with Mcu::set_observer next to KernelOptions::observer.
+TEST(DeviceRunTest, MayflyObserverMatchesHandWiring) {
+  constexpr SimDuration kCharge = 2 * kMinute - kSecond;
+  HealthApp app = BuildHealthApp();
+  auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, kCharge).Build();
+  obs::EventBus hand_bus;
+  ObsStatsAggregator hand;
+  hand_bus.AddSink(&hand);
+  mcu->set_observer(&hand_bus);
+  KernelOptions options;
+  options.max_wall_time = 2 * kHour;
+  options.observer = &hand_bus;
+  auto parsed = SpecParser::Parse(HealthAppSpec());
+  ASSERT_TRUE(parsed.ok());
+  auto mayfly = MayflyRuntime::Create(&app.graph, parsed.value(), mcu.get(), options);
+  ASSERT_TRUE(mayfly.ok());
+  mayfly.value()->Run();
+
+  obs::EventBus bus;
+  ObsStatsAggregator recipe_stats;
+  bus.AddSink(&recipe_stats);
+  DeviceRecipe recipe;
+  recipe.graph = BuildHealthApp().graph;
+  auto artifact = BuildSpecArtifact(HealthAppSpec(), recipe.graph, SpecArtifactStage::kAst);
+  ASSERT_TRUE(artifact.ok());
+  recipe.charge = kCharge;
+  recipe.budget = 19'500.0;
+  recipe.system = MonitorSystem::kMayfly;
+  recipe.artifact = artifact.value();
+  recipe.kernel.max_wall_time = 2 * kHour;
+  recipe.observer = &bus;
+  DeviceRun device(std::move(recipe));
+  ASSERT_TRUE(device.status().ok()) << device.status().ToString();
+  device.Run();
+
+  EXPECT_GT(recipe_stats.CountFor(obs::Kind::kSimPowerFail), 0u);
+  for (int k = 0; k < obs::kNumKinds; ++k) {
+    EXPECT_EQ(recipe_stats.CountFor(static_cast<obs::Kind>(k)),
+              hand.CountFor(static_cast<obs::Kind>(k)))
+        << obs::KindName(static_cast<obs::Kind>(k));
+  }
 }
 
 // ---------------------------------------------------------------- builder --

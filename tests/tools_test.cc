@@ -1,6 +1,7 @@
 // CLI-level tests for the artemisc toolchain binary: exit codes and key
-// output fragments across the check / pretty / codegen / dot / simulate
-// verbs. The binary path comes from CMake via ARTEMISC_BIN.
+// output fragments across the check / pretty / codegen / dot / simulate /
+// trace / forensics / swap verbs. The binary path comes from CMake via
+// ARTEMISC_BIN, the example specs from ARTEMIS_SOURCE_DIR.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +14,9 @@ namespace {
 
 #ifndef ARTEMISC_BIN
 #define ARTEMISC_BIN "artemisc"
+#endif
+#ifndef ARTEMIS_SOURCE_DIR
+#define ARTEMIS_SOURCE_DIR "."
 #endif
 
 std::string WriteTempSpec(const std::string& name, const std::string& content) {
@@ -260,9 +264,29 @@ TEST(ArtemiscTest, TraceDiffMissingFileExitTwo) {
   EXPECT_EQ(diff.exit_code, 2);
 }
 
+const std::string kHealthSpec = std::string(ARTEMIS_SOURCE_DIR) + "/examples/specs/health.prop";
+
 TEST(ArtemiscTest, TraceRejectsBadScheduleAndFormat) {
-  EXPECT_EQ(RunCli("trace --app health --schedule nonsense").exit_code, 2);
+  // trace, forensics and swap share the sweep's charge-bin parser: a period
+  // must exceed the 1 s boot margin.
+  for (const std::string& command :
+       {std::string("trace --app health"), std::string("forensics dump --app health"),
+        "swap " + kHealthSpec + " " + kHealthSpec + " --app health"}) {
+    EXPECT_EQ(RunCli(command + " --schedule nonsense").exit_code, 2) << command;
+    EXPECT_EQ(RunCli(command + " --schedule 1s").exit_code, 2) << command;
+  }
   EXPECT_EQ(RunCli("trace --app health --format xml").exit_code, 2);
+}
+
+// ------------------------------------------------------------- forensics --
+
+TEST(ArtemiscTest, ForensicsDumpNamesTheBackendThatRan) {
+  // --spec2 runs the compiled backend (the only versioned image) whatever
+  // --backend says; the dump header must report it.
+  const RunResult result = RunCli("forensics dump --spec " + kHealthSpec + " --spec2 " +
+                                  kHealthSpec + " --schedule 6min");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("\"backend\":\"compiled\""), std::string::npos) << result.output;
 }
 
 }  // namespace

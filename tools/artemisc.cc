@@ -80,13 +80,9 @@
 #include <vector>
 
 #include "src/analysis/analyzer.h"
-#include "src/apps/ar_app.h"
-#include "src/apps/greenhouse_app.h"
-#include "src/apps/health_app.h"
 #include "src/base/units.h"
-#include "src/core/builder.h"
+#include "src/core/device.h"
 #include "src/core/obs_stats.h"
-#include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/flight/decoder.h"
 #include "src/flight/forensics.h"
@@ -94,7 +90,6 @@
 #include "src/ir/codegen_c.h"
 #include "src/ir/codegen_dot.h"
 #include "src/ir/lowering.h"
-#include "src/mayfly/mayfly.h"
 #include "src/obs/bus.h"
 #include "src/obs/jsonl_sink.h"
 #include "src/obs/perfetto_sink.h"
@@ -568,27 +563,14 @@ std::optional<DemoApp> MakeApp(const Args& args) {
     app.default_spec = "";  // Properties must come from --spec / the argument.
     return app;
   }
-  const std::string& name = args.app;
-  if (name == "health") {
-    HealthApp health = BuildHealthApp();
-    app.graph = std::move(health.graph);
-    app.default_spec = HealthAppSpec();
-    return app;
+  StatusOr<std::string> spec = sweep::DefaultSpecForApp(args.app);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "artemisc: %s\n", spec.status().message().c_str());
+    return std::nullopt;
   }
-  if (name == "greenhouse") {
-    GreenhouseApp greenhouse = BuildGreenhouseApp();
-    app.graph = std::move(greenhouse.graph);
-    app.default_spec = GreenhouseSpec();
-    return app;
-  }
-  if (name == "ar") {
-    ArApp ar = BuildArApp();
-    app.graph = std::move(ar.graph);
-    app.default_spec = ArAppSpec();
-    return app;
-  }
-  std::fprintf(stderr, "artemisc: unknown app '%s' (health|greenhouse|ar)\n", name.c_str());
-  return std::nullopt;
+  app.graph = sweep::BuildAppGraphByName(args.app);
+  app.default_spec = std::move(spec).value();
+  return app;
 }
 
 StatusOr<SpecAst> ParseSpec(const Args& args, const std::string& source) {
@@ -789,6 +771,71 @@ int RunCodegen(const Args& args, const std::string& source, bool dot) {
   return kExitClean;
 }
 
+// Reports a device that failed to assemble: an NVM arena too small for the
+// flight ring is a usage error, anything else (spec, validation, swap plan)
+// a setup finding.
+int SetupFailure(const Status& status) {
+  if (status.code() == StatusCode::kResourceExhausted) {
+    std::fprintf(stderr, "artemisc: %s\n", status.ToString().c_str());
+    return kExitUsage;
+  }
+  std::fprintf(stderr, "setup error: %s\n", status.ToString().c_str());
+  return kExitFindings;
+}
+
+// The spec a run-style subcommand monitors: --spec when given, else the
+// app's embedded spec; nullopt (after a message) when the file is
+// unreadable.
+std::optional<std::string> RunSpecSource(const Args& args, const DemoApp& app) {
+  if (args.spec_path.empty()) {
+    return app.default_spec;
+  }
+  std::optional<std::string> file = ReadFile(args.spec_path);
+  if (!file.has_value()) {
+    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
+  }
+  return file;
+}
+
+// --schedule through the shared charge-bin convention
+// (sweep::ParseChargeSchedule); nullopt (after a message) on a bad value.
+std::optional<SimDuration> ScheduleCharge(const Args& args) {
+  StatusOr<SimDuration> charge = sweep::ParseChargeSchedule(args.schedule);
+  if (!charge.ok()) {
+    std::fprintf(stderr, "artemisc: %s\n", charge.status().ToString().c_str());
+    return std::nullopt;
+  }
+  return charge.value();
+}
+
+SimDuration SwapAt(const Args& args) {
+  return args.swap_at.empty() ? 0 : *ParseDuration(args.swap_at);  // Validated in ParseArgs.
+}
+
+std::vector<std::string> TaskNames(const AppGraph& graph) {
+  std::vector<std::string> names;
+  for (TaskId t = 0; t < graph.task_count(); ++t) {
+    names.push_back(graph.TaskName(t));
+  }
+  return names;
+}
+
+// The device every run-style subcommand simulates: the app on --budget
+// microjoules per on-period with `charge` recharge time (0 = continuous
+// power), monitored by `artifact` under --backend, and given up as
+// non-terminating after 12 h of simulated time. Takes the app's graph.
+DeviceRecipe AppDevice(DemoApp& app, const Args& args, SimDuration charge,
+                       SharedSpecArtifactPtr artifact) {
+  DeviceRecipe recipe;
+  recipe.graph = std::move(app.graph);
+  recipe.charge = charge;
+  recipe.budget = args.budget;
+  recipe.artifact = std::move(artifact);
+  recipe.backend = args.backend;
+  recipe.kernel.max_wall_time = 12 * kHour;
+  return recipe;
+}
+
 // Per-task energy/time profile on continuous power — the Section 5.1
 // measurement methodology ("According to our measurements, the accel task
 // is the highest power-consuming among other tasks").
@@ -797,21 +844,22 @@ int RunProfile(const Args& args) {
   if (!app.has_value()) {
     return 2;
   }
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
-  ArtemisConfig config;
-  config.backend = args.backend;
-  config.kernel.record_trace = false;
-  auto runtime =
-      ArtemisRuntime::Create(&app->graph, app->default_spec, mcu.get(), config);
-  if (!runtime.ok()) {
-    std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-    return 1;
+  StatusOr<SharedSpecArtifactPtr> artifact =
+      BuildSpecArtifact(app->default_spec, app->graph, StageForBackend(args.backend));
+  if (!artifact.ok()) {
+    return SetupFailure(artifact.status());
   }
-  const KernelRunResult result = runtime.value()->Run();
-  const std::vector<TaskProfile>& profiles = runtime.value()->kernel().profiles();
+  DeviceRecipe recipe = AppDevice(*app, args, 0, artifact.value());
+  recipe.kernel.record_trace = false;
+  DeviceRun device(std::move(recipe));
+  if (!device.status().ok()) {
+    return SetupFailure(device.status());
+  }
+  const KernelRunResult result = device.Run();
+  const std::vector<TaskProfile>& profiles = device.kernel().profiles();
 
   std::vector<TaskId> order;
-  for (TaskId t = 0; t < app->graph.task_count(); ++t) {
+  for (TaskId t = 0; t < device.graph().task_count(); ++t) {
     order.push_back(t);
   }
   std::sort(order.begin(), order.end(), [&profiles](TaskId a, TaskId b) {
@@ -821,7 +869,7 @@ int RunProfile(const Args& args) {
               "busy", "energy");
   for (const TaskId t : order) {
     const TaskProfile& p = profiles[t];
-    std::printf("%-12s %10llu %8llu %8llu %12s %12s\n", app->graph.TaskName(t).c_str(),
+    std::printf("%-12s %10llu %8llu %8llu %12s %12s\n", device.graph().TaskName(t).c_str(),
                 static_cast<unsigned long long>(p.commits),
                 static_cast<unsigned long long>(p.aborts),
                 static_cast<unsigned long long>(p.skips), FormatDuration(p.busy_time).c_str(),
@@ -835,66 +883,37 @@ int RunSimulate(const Args& args) {
   if (!app.has_value()) {
     return 2;
   }
-  std::string source = app->default_spec;
-  if (!args.spec_path.empty()) {
-    const std::optional<std::string> file = ReadFile(args.spec_path);
-    if (!file.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
-      return 2;
-    }
-    source = *file;
+  const std::optional<std::string> source = RunSpecSource(args, *app);
+  if (!source.has_value()) {
+    return 2;
   }
-  PlatformBuilder platform;
-  if (args.charge != 0) {
-    platform.WithFixedCharge(args.budget, args.charge);
-  } else {
-    platform.WithContinuousPower();
-  }
-  auto mcu = platform.Build();
-
-  KernelRunResult result;
-  const ExecutionTrace* trace = nullptr;
-  std::unique_ptr<ArtemisRuntime> artemis_runtime;
-  std::unique_ptr<MayflyRuntime> mayfly_runtime;
+  StatusOr<SharedSpecArtifactPtr> artifact = Status::Internal("unset");
   if (args.system == "artemis") {
-    ArtemisConfig config;
-    config.backend = args.backend;
-    config.kernel.max_wall_time = 12 * kHour;
-    auto runtime = ArtemisRuntime::Create(&app->graph, source, mcu.get(), config);
-    if (!runtime.ok()) {
-      std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-      return 1;
-    }
-    artemis_runtime = std::move(runtime).value();
-    result = artemis_runtime->Run();
-    trace = &artemis_runtime->kernel().trace();
+    artifact = BuildSpecArtifact(*source, app->graph, StageForBackend(args.backend));
   } else if (args.system == "mayfly") {
-    auto parsed = ParseSpec(args, source);
+    auto parsed = ParseSpec(args, *source);
     if (!parsed.ok()) {
       std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
       return 1;
     }
-    KernelOptions options;
-    options.max_wall_time = 12 * kHour;
-    auto runtime = MayflyRuntime::Create(&app->graph, parsed.value(), mcu.get(), options);
-    if (!runtime.ok()) {
-      std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-      return 1;
-    }
-    mayfly_runtime = std::move(runtime).value();
-    result = mayfly_runtime->Run();
-    trace = &mayfly_runtime->kernel().trace();
+    artifact = BuildSpecArtifactFromAst(parsed.value(), app->graph, SpecArtifactStage::kAst);
   } else {
     std::fprintf(stderr, "artemisc: unknown system '%s'\n", args.system.c_str());
     return 2;
   }
+  if (!artifact.ok()) {
+    return SetupFailure(artifact.status());
+  }
+  DeviceRecipe recipe = AppDevice(*app, args, args.charge, artifact.value());
+  recipe.system = args.system == "mayfly" ? MonitorSystem::kMayfly : MonitorSystem::kArtemis;
+  DeviceRun device(std::move(recipe));
+  if (!device.status().ok()) {
+    return SetupFailure(device.status());
+  }
+  const KernelRunResult result = device.Run();
 
-  if (args.trace && trace != nullptr) {
-    std::vector<std::string> names;
-    for (TaskId t = 0; t < app->graph.task_count(); ++t) {
-      names.push_back(app->graph.TaskName(t));
-    }
-    std::printf("%s", trace->ToString(names).c_str());
+  if (args.trace) {
+    std::printf("%s", device.kernel().trace().ToString(TaskNames(device.graph())).c_str());
   }
   std::printf("system=%s app=%s completed=%s wall=%s reboots=%llu energy=%s\n",
               args.system.c_str(),
@@ -916,39 +935,15 @@ int RunTrace(const Args& args) {
   if (!app.has_value()) {
     return kExitUsage;
   }
-  std::string source = app->default_spec;
-  if (!args.spec_path.empty()) {
-    const std::optional<std::string> file = ReadFile(args.spec_path);
-    if (!file.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
-      return kExitUsage;
-    }
-    source = *file;
+  const std::optional<std::string> source = RunSpecSource(args, *app);
+  if (!source.has_value()) {
+    return kExitUsage;
   }
-  // "--schedule Nmin" follows the canonical charge-bin convention used by
-  // the benches: the named period minus a 1 s boot margin of stored charge.
-  SimDuration charge = 0;
-  if (args.schedule != "continuous") {
-    const std::optional<SimDuration> period = ParseDuration(args.schedule);
-    if (!period.has_value() || *period <= 1 * kSecond) {
-      std::fprintf(stderr, "artemisc: bad schedule '%s' (a duration > 1s, or 'continuous')\n",
-                   args.schedule.c_str());
-      return kExitUsage;
-    }
-    charge = *period - 1 * kSecond;
+  const std::optional<SimDuration> charge = ScheduleCharge(args);
+  if (!charge.has_value()) {
+    return kExitUsage;
   }
-  PlatformBuilder platform;
-  if (charge != 0) {
-    platform.WithFixedCharge(args.budget, charge);
-  } else {
-    platform.WithContinuousPower();
-  }
-  auto mcu = platform.Build();
-
-  std::vector<std::string> names;
-  for (TaskId t = 0; t < app->graph.task_count(); ++t) {
-    names.push_back(app->graph.TaskName(t));
-  }
+  const std::vector<std::string> names = TaskNames(app->graph);
 
   std::ostringstream trace_out;
   obs::EventBus bus;
@@ -958,7 +953,7 @@ int RunTrace(const Args& args) {
   if (args.format == "jsonl") {
     obs::JsonlOptions options;
     options.app = args.app_file.empty() ? args.app : args.app_file;
-    options.power = charge != 0 ? "fixed-charge" : "always-on";
+    options.power = *charge != 0 ? "fixed-charge" : "always-on";
     options.schedule = args.schedule;
     options.backend = MonitorBackendName(args.backend);
     options.task_names = names;
@@ -975,16 +970,18 @@ int RunTrace(const Args& args) {
     return kExitUsage;
   }
 
-  ArtemisConfig config;
-  config.backend = args.backend;
-  config.kernel.max_wall_time = 12 * kHour;
-  config.observer = &bus;
-  auto runtime = ArtemisRuntime::Create(&app->graph, source, mcu.get(), config);
-  if (!runtime.ok()) {
-    std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-    return kExitFindings;
+  StatusOr<SharedSpecArtifactPtr> artifact =
+      BuildSpecArtifact(*source, app->graph, StageForBackend(args.backend));
+  if (!artifact.ok()) {
+    return SetupFailure(artifact.status());
   }
-  const KernelRunResult result = runtime.value()->Run();
+  DeviceRecipe recipe = AppDevice(*app, args, *charge, artifact.value());
+  recipe.observer = &bus;
+  DeviceRun device(std::move(recipe));
+  if (!device.status().ok()) {
+    return SetupFailure(device.status());
+  }
+  const KernelRunResult result = device.Run();
   bus.Flush();
   if (args.format == "stats") {
     trace_out << stats.Render();
@@ -1034,14 +1031,9 @@ int RunForensics(const Args& args) {
   if (!app.has_value()) {
     return kExitUsage;
   }
-  std::string source = app->default_spec;
-  if (!args.spec_path.empty()) {
-    const std::optional<std::string> file = ReadFile(args.spec_path);
-    if (!file.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
-      return kExitUsage;
-    }
-    source = *file;
+  const std::optional<std::string> source = RunSpecSource(args, *app);
+  if (!source.has_value()) {
+    return kExitUsage;
   }
   flight::FlightLevel level = flight::FlightLevel::kFull;
   if (!flight::ParseFlightLevel(args.flight_level, &level) ||
@@ -1063,46 +1055,24 @@ int RunForensics(const Args& args) {
     }
     source2 = *file;
   }
-  SimDuration charge = 0;
-  if (args.schedule != "continuous") {
-    const std::optional<SimDuration> period = ParseDuration(args.schedule);
-    if (!period.has_value() || *period <= 1 * kSecond) {
-      std::fprintf(stderr, "artemisc: bad schedule '%s' (a duration > 1s, or 'continuous')\n",
-                   args.schedule.c_str());
-      return kExitUsage;
-    }
-    charge = *period - 1 * kSecond;
-  }
-  PlatformBuilder platform;
-  if (charge != 0) {
-    platform.WithFixedCharge(args.budget, charge);
-  } else {
-    platform.WithContinuousPower();
-  }
-  auto mcu = platform.Build();
-
-  flight::FlightRecorder recorder(args.flight_bytes, level);
-  if (const Status attached = mcu->AttachFlightRecorder(&recorder); !attached.ok()) {
-    std::fprintf(stderr, "artemisc: %s\n", attached.ToString().c_str());
+  const std::optional<SimDuration> charge = ScheduleCharge(args);
+  if (!charge.has_value()) {
     return kExitUsage;
   }
-  obs::EventBus bus;
-  obs::CollectingSink capture;
-  bus.AddSink(&capture);
 
-  ArtemisConfig config;
   // The swap path needs the versioned on-device image, i.e. the compiled
   // backend; without --spec2 the user's --backend choice stands.
-  config.backend = args.spec2_path.empty() ? args.backend : MonitorBackend::kCompiled;
-  config.kernel.max_wall_time = 12 * kHour;
-  config.observer = &bus;
-  config.flight = &recorder;
-  StatusOr<std::unique_ptr<ArtemisRuntime>> runtime = Status::Internal("unset");
-  std::optional<HotSwapController> controller;
+  const MonitorBackend backend =
+      args.spec2_path.empty() ? args.backend : MonitorBackend::kCompiled;
+  StatusOr<SharedSpecArtifactPtr> artifact = Status::Internal("unset");
+  std::optional<MonitorImage> swap_image;
   if (args.spec2_path.empty()) {
-    runtime = ArtemisRuntime::Create(&app->graph, source, mcu.get(), config);
+    artifact = BuildSpecArtifact(*source, app->graph, StageForBackend(backend));
+    if (!artifact.ok()) {
+      return SetupFailure(artifact.status());
+    }
   } else {
-    StatusOr<MonitorImage> old_image = BuildMonitorImage(source, app->graph, 1);
+    StatusOr<MonitorImage> old_image = BuildMonitorImage(*source, app->graph, 1);
     if (!old_image.ok()) {
       std::fprintf(stderr, "spec error: %s\n", old_image.status().ToString().c_str());
       return kExitFindings;
@@ -1112,31 +1082,28 @@ int RunForensics(const Args& args) {
       std::fprintf(stderr, "spec2 error: %s\n", new_image.status().ToString().c_str());
       return kExitFindings;
     }
-    runtime = ArtemisRuntime::CreateFromArtifact(&app->graph, old_image.value().artifact,
-                                                 mcu.get(), config);
-    if (runtime.ok()) {
-      controller.emplace(&runtime.value()->monitors(), std::move(old_image).value(),
-                         &app->graph);
-      controller->set_flight(&recorder);
-      SimDuration swap_at = 0;
-      if (!args.swap_at.empty()) {
-        swap_at = *ParseDuration(args.swap_at);  // Validated in ParseArgs.
-      }
-      if (const Status queued = controller->RequestSwap(std::move(new_image).value(), swap_at);
-          !queued.ok()) {
-        std::fprintf(stderr, "artemisc: %s\n", queued.ToString().c_str());
-        return kExitFindings;
-      }
-      runtime.value()->kernel().set_swap_hook(&*controller);
-    }
+    artifact = old_image.value().artifact;
+    swap_image = std::move(new_image).value();
   }
-  if (!runtime.ok()) {
-    std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-    return kExitFindings;
+
+  obs::EventBus bus;
+  obs::CollectingSink capture;
+  bus.AddSink(&capture);
+  DeviceRecipe recipe = AppDevice(*app, args, *charge, artifact.value());
+  recipe.backend = backend;
+  recipe.observer = &bus;
+  recipe.flight = level;
+  recipe.flight_bytes = args.flight_bytes;
+  recipe.swap_image = std::move(swap_image);
+  recipe.swap_at = SwapAt(args);
+  DeviceRun device(std::move(recipe));
+  if (!device.status().ok()) {
+    return SetupFailure(device.status());
   }
-  const KernelRunResult result = runtime.value()->Run();
+  const KernelRunResult result = device.Run();
   bus.Flush();
 
+  const flight::FlightRecorder& recorder = *device.flight();
   StatusOr<std::vector<flight::FlightRecord>> records = flight::DecodeRing(recorder.Image());
   if (!records.ok()) {
     std::fprintf(stderr, "artemisc: flight log corrupt: %s\n",
@@ -1146,12 +1113,10 @@ int RunForensics(const Args& args) {
 
   flight::FlightMeta meta = flight::MetaFromRecorder(recorder);
   meta.app = args.app_file.empty() ? args.app : args.app_file;
-  meta.power = charge != 0 ? "fixed-charge" : "always-on";
+  meta.power = *charge != 0 ? "fixed-charge" : "always-on";
   meta.schedule = args.schedule;
-  meta.backend = MonitorBackendName(args.backend);
-  for (TaskId t = 0; t < app->graph.task_count(); ++t) {
-    meta.task_names.push_back(app->graph.TaskName(t));
-  }
+  meta.backend = MonitorBackendName(backend);
+  meta.task_names = TaskNames(device.graph());
 
   std::string rendered;
   bool clean = true;
@@ -1190,7 +1155,7 @@ int RunForensics(const Args& args) {
                static_cast<unsigned long long>(result.stats.reboots),
                static_cast<unsigned long long>(recorder.stats().records_sealed),
                records.value().size());
-  if (controller.has_value()) {
+  if (const HotSwapController* controller = device.swap(); controller != nullptr) {
     const SwapStats& swap_stats = controller->stats();
     std::fprintf(stderr, "forensics: swap epoch=%u %s attempts=%llu failed=%llu\n",
                  controller->installed().epoch,
@@ -1259,66 +1224,32 @@ int RunSwapCmd(const Args& args) {
     }
   }
 
-  SimDuration charge = 0;
-  if (args.schedule != "continuous") {
-    const std::optional<SimDuration> period = ParseDuration(args.schedule);
-    if (!period.has_value() || *period <= 1 * kSecond) {
-      std::fprintf(stderr, "artemisc: bad schedule '%s' (a duration > 1s, or 'continuous')\n",
-                   args.schedule.c_str());
-      return kExitUsage;
-    }
-    charge = *period - 1 * kSecond;
+  const std::optional<SimDuration> charge = ScheduleCharge(args);
+  if (!charge.has_value()) {
+    return kExitUsage;
   }
-  PlatformBuilder platform;
-  if (charge != 0) {
-    platform.WithFixedCharge(args.budget, charge);
-  } else {
-    platform.WithContinuousPower();
-  }
-  auto mcu = platform.Build();
-
-  std::unique_ptr<flight::FlightRecorder> recorder;
-  if (!args.sweep_flight.empty() && args.sweep_flight != "off") {
-    flight::FlightLevel level = flight::FlightLevel::kOff;
-    if (!flight::ParseFlightLevel(args.sweep_flight, &level)) {
-      std::fprintf(stderr, "artemisc: bad --flight '%s' (off|verdicts|full)\n",
-                   args.sweep_flight.c_str());
-      return kExitUsage;
-    }
-    recorder = std::make_unique<flight::FlightRecorder>(args.flight_bytes, level);
-    if (const Status attached = mcu->AttachFlightRecorder(recorder.get()); !attached.ok()) {
-      std::fprintf(stderr, "artemisc: %s\n", attached.ToString().c_str());
-      return kExitUsage;
-    }
-  }
-  SimDuration swap_at = 0;
-  if (!args.swap_at.empty()) {
-    swap_at = *ParseDuration(args.swap_at);  // Validated in ParseArgs.
+  flight::FlightLevel level = flight::FlightLevel::kOff;
+  if (!args.sweep_flight.empty() && !flight::ParseFlightLevel(args.sweep_flight, &level)) {
+    std::fprintf(stderr, "artemisc: bad --flight '%s' (off|verdicts|full)\n",
+                 args.sweep_flight.c_str());
+    return kExitUsage;
   }
 
-  ArtemisConfig config;
-  config.backend = MonitorBackend::kCompiled;  // The only versioned backend.
-  config.kernel.max_wall_time = 12 * kHour;
-  config.flight = recorder.get();
   const std::uint64_t old_hash = old_image.value().header.spec_hash;
   const std::uint64_t new_hash = new_image.value().header.spec_hash;
-  auto runtime = ArtemisRuntime::CreateFromArtifact(&app->graph, old_image.value().artifact,
-                                                    mcu.get(), config);
-  if (!runtime.ok()) {
-    std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-    return kExitFindings;
+  DeviceRecipe recipe = AppDevice(*app, args, *charge, old_image.value().artifact);
+  recipe.backend = MonitorBackend::kCompiled;  // The only versioned backend.
+  recipe.flight = level;
+  recipe.flight_bytes = args.flight_bytes;
+  recipe.swap_image = std::move(new_image).value();
+  recipe.swap_at = SwapAt(args);
+  DeviceRun device(std::move(recipe));
+  if (!device.status().ok()) {
+    return SetupFailure(device.status());
   }
-  HotSwapController controller(&runtime.value()->monitors(), std::move(old_image).value(),
-                               &app->graph);
-  controller.set_flight(recorder.get());
-  if (const Status queued = controller.RequestSwap(std::move(new_image).value(), swap_at);
-      !queued.ok()) {
-    std::fprintf(stderr, "artemisc: %s\n", queued.ToString().c_str());
-    return kExitFindings;
-  }
-  runtime.value()->kernel().set_swap_hook(&controller);
-  const KernelRunResult result = runtime.value()->Run();
+  const KernelRunResult result = device.Run();
 
+  const HotSwapController& controller = *device.swap();
   const SwapStats& stats = controller.stats();
   std::fprintf(chatter, "swap: %016llx (epoch 1) -> %016llx (epoch %u): %s\n",
                static_cast<unsigned long long>(old_hash),

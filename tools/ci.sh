@@ -34,10 +34,15 @@
 #      differential fuzz and the hotswap ApplyMigrationFrom
 #      permutation-correctness regression — and `artemisc fleet` output
 #      must be byte-identical between the SIMD and portable builds.
-#   9. clang-tidy (bugprone-*/performance-*/concurrency-*, .clang-tidy at
+#   9. Benchmark smoke: perfbench/ (the repo's benchmark, its own CMake
+#      package over src/) must build against the engine's public API, pass
+#      `run.py --self-test`, and each workload's smoke-size traced run must
+#      pass its digest and parity checks — so a refactor that breaks the
+#      API perfbench compiles against fails here, not in the benchmark.
+#  10. clang-tidy (bugprone-*/performance-*/concurrency-*, .clang-tidy at
 #      the repo root) over src/ and tools/; skipped with a notice when
 #      clang-tidy is not installed.
-#  10. ThreadSanitizer build + tier-1 ctest suite, via
+#  11. ThreadSanitizer build + tier-1 ctest suite, via
 #      tools/run_tsan_tests.sh (races in the sweep engine's thread pool,
 #      the compiled-spec cache, and the fleet engine's shard workers —
 #      fleet_test runs its sharded configurations under TSan here).
@@ -52,15 +57,15 @@ sanitize_dir="${2:-${repo_root}/build-sanitize}"
 tsan_dir="${3:-${repo_root}/build-tsan}"
 simd_dir="${4:-${repo_root}/build-simd}"
 
-echo "== [1/10] Release build + tests =="
+echo "== [1/11] Release build + tests =="
 cmake -B "${release_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${release_dir}" -j "$(nproc)"
 ctest --test-dir "${release_dir}" --output-on-failure
 
-echo "== [2/10] Sanitized build + tests =="
+echo "== [2/11] Sanitized build + tests =="
 "${repo_root}/tools/run_sanitized_tests.sh" "${sanitize_dir}"
 
-echo "== [3/10] Static analysis over example specs =="
+echo "== [3/11] Static analysis over example specs =="
 artemisc="${release_dir}/tools/artemisc"
 
 check_clean() {
@@ -122,7 +127,7 @@ check_dirty "bad/swap_unknown_rule.prop (swap)" ART015 "${specs}/health.prop" \
 check_dirty "health.prop (swap, 1 uJ window)" ART016 "${specs}/health.prop" \
   --app health --spec2 "${specs}/health.prop" --budgets 1
 
-echo "== [4/10] Golden-trace regression =="
+echo "== [4/11] Golden-trace regression =="
 # The exported observability stream is deterministic: a fresh run of the
 # canonical scenario must reproduce the checked-in golden byte-for-byte.
 trace_tmp="$(mktemp /tmp/artemis_trace.XXXXXX.jsonl)"
@@ -176,7 +181,7 @@ if ! "${artemisc}" forensics audit --app health --spec "${specs}/health.prop" \
 fi
 echo "ok: flight log audits clean across the swap epoch"
 
-echo "== [5/10] Docs link check =="
+echo "== [5/11] Docs link check =="
 # Every relative .md link in the top-level docs and docs/ must resolve.
 # Matches [text](path.md) and [text](path.md#anchor); external http(s)
 # links are skipped.
@@ -202,7 +207,7 @@ if [[ "${link_errors}" -ne 0 ]]; then
 fi
 echo "ok: all relative .md links resolve"
 
-echo "== [6/10] Sweep determinism smoke =="
+echo "== [6/11] Sweep determinism smoke =="
 # The parallel sweep engine's export must not depend on the worker count.
 sweep_j1="$(mktemp /tmp/artemis_sweep_j1.XXXXXX.json)"
 sweep_j4="$(mktemp /tmp/artemis_sweep_j4.XXXXXX.json)"
@@ -230,7 +235,7 @@ if [[ "${rc}" -ne 2 ]]; then
 fi
 echo "ok: infeasible sweep deployment refused with exit 2"
 
-echo "== [7/10] Fleet determinism smoke =="
+echo "== [7/11] Fleet determinism smoke =="
 # The sharded fleet engine's export must not depend on the shard count.
 fleet_s1="$(mktemp /tmp/artemis_fleet_s1.XXXXXX.json)"
 fleet_s4="$(mktemp /tmp/artemis_fleet_s4.XXXXXX.json)"
@@ -257,7 +262,7 @@ if [[ "${rc}" -ne 2 ]]; then
 fi
 echo "ok: infeasible fleet deployment refused with exit 2"
 
-echo "== [8/10] SIMD parity gate =="
+echo "== [8/11] SIMD parity gate =="
 # Same sources, explicit SSE2/NEON batch kernels: the full tier-1 suite
 # must pass (the batch-VM differential fuzz in compiled_monitor_test runs
 # per-class and lane-list parity under SIMD here, and hotswap_test re-runs
@@ -282,7 +287,19 @@ if ! diff -q "${fleet_portable}" "${fleet_simd}" > /dev/null; then
 fi
 echo "ok: fleet JSON is byte-identical between SIMD and portable builds"
 
-echo "== [9/10] clang-tidy static analysis =="
+echo "== [9/11] Benchmark smoke =="
+(cd "${repo_root}" && python3 perfbench/run.py --self-test)
+for workload in fleet-outage fleet-fresh sweep-grid; do
+  result="$(cd "${repo_root}" && python3 perfbench/run.py --workload "${workload}" --seed 1 \
+    --seconds 1 --trace 1 --size smoke | tail -n 1)"
+  if ! grep -q '"correct": true' <<< "${result}"; then
+    echo "CI FAIL: perfbench ${workload} smoke run failed its digest or parity checks" >&2
+    exit 1
+  fi
+  echo "ok: perfbench ${workload} smoke run passes its digest and parity checks"
+done
+
+echo "== [10/11] clang-tidy static analysis =="
 if command -v clang-tidy > /dev/null 2>&1; then
   # Reuse the release build's compile commands; .clang-tidy at the repo
   # root scopes the checks (bugprone-*, performance-*, concurrency-*).
@@ -303,7 +320,7 @@ else
   echo "skip: clang-tidy not installed (stage runs where the toolchain provides it)"
 fi
 
-echo "== [10/10] ThreadSanitizer build + tests =="
+echo "== [11/11] ThreadSanitizer build + tests =="
 "${repo_root}/tools/run_tsan_tests.sh" "${tsan_dir}"
 
 echo "CI: all stages passed"
