@@ -35,10 +35,10 @@ inline SimDuration ChargeTime(int minutes) {
 // Runs the health app with its embedded spec under `system` — ARTEMIS with
 // builtin monitors, or the Mayfly baseline (MITD/collect subset, no
 // maxAttempt) — with kOnBudgetUj per on-period and `charge` recharge time
-// (0 = continuous power). When `observer` is set, the sim/kernel/monitor
-// layers publish into it (src/obs): fig13 reads the exported event stream
-// instead of the kernel-local ExecutionTrace. A setup failure is a bug in
-// the bench itself, not a data point, so it aborts the bench.
+// (0 = continuous power). When `observer` is set, it becomes the MCU's bus
+// and the sim/kernel/monitor layers publish into it (src/obs): fig13 reads
+// its timeline off that event stream. A setup failure is a bug in the bench
+// itself, not a data point, so it aborts the bench.
 inline KernelRunResult RunHealth(MonitorSystem system, SimDuration charge, SimDuration max_wall,
                                  obs::EventBus* observer = nullptr) {
   const auto fail = [](const Status& status) {
@@ -57,7 +57,6 @@ inline KernelRunResult RunHealth(MonitorSystem system, SimDuration charge, SimDu
   recipe.system = system;
   recipe.artifact = artifact.value();
   recipe.kernel.max_wall_time = max_wall;
-  recipe.kernel.record_trace = false;
   recipe.observer = observer;
   DeviceRun device(std::move(recipe));
   if (!device.status().ok()) {

@@ -53,14 +53,17 @@ Outcome RunWith(const char* spec) {
   auto mcu = PlatformBuilder().WithFixedCharge(7'000.0, 10 * kSecond).Build();
   ArtemisConfig config;
   config.kernel.max_wall_time = kHour;
+  config.kernel.record_trace = true;
   auto runtime = ArtemisRuntime::Create(&graph, spec, mcu.get(), config);
   if (!runtime.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", runtime.status().ToString().c_str());
     std::exit(1);
   }
   KernelRunResult result = runtime.value()->Run();
-  const std::size_t skips =
-      runtime.value()->kernel().trace().Count(TraceKind::kTaskSkipped);
+  std::size_t skips = 0;
+  for (const obs::Event& e : runtime.value()->kernel().trace()) {
+    skips += e.kind == obs::Kind::kTaskSkipped ? 1 : 0;
+  }
   return Outcome{std::move(result), skips};
 }
 

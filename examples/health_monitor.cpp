@@ -11,6 +11,7 @@
 #include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
+#include "src/obs/jsonl_sink.h"
 
 using namespace artemis;  // Example code; library code never does this.
 
@@ -30,6 +31,7 @@ int main(int argc, char** argv) {
 
   ArtemisConfig config;
   config.kernel.max_wall_time = 4 * kHour;
+  config.kernel.record_trace = true;  // Keep the kernel's events to print.
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   if (!runtime.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", runtime.status().ToString().c_str());
@@ -46,7 +48,9 @@ int main(int argc, char** argv) {
     names.push_back(app.graph.TaskName(t));
   }
   std::printf("== health monitor, %d min charging ==\n", minutes);
-  std::printf("%s\n", runtime.value()->kernel().trace().ToString(names).c_str());
+  for (const obs::Event& e : runtime.value()->kernel().trace()) {
+    std::printf("%s\n", obs::JsonlSink::EventLine(e, names).c_str());
+  }
   std::printf("completed=%s reboots=%llu wall=%s energy=%s\n",
               result.completed ? "yes" : "NO (non-termination)",
               static_cast<unsigned long long>(result.stats.reboots),

@@ -45,6 +45,7 @@ int main() {
   config.kernel.app_iterations = 12;             // A dozen sampling rounds.
   config.kernel.inter_iteration_gap = 4 * kSecond;  // Duty-cycle sleep.
   config.kernel.max_wall_time = kHour;
+  config.kernel.record_trace = true;
   auto runtime = ArtemisRuntime::Create(&graph, spec, mcu.get(), config);
   if (!runtime.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", runtime.status().ToString().c_str());
@@ -53,8 +54,8 @@ int main() {
   const KernelRunResult result = runtime.value()->Run();
 
   int period_violations = 0;
-  for (const TraceRecord& r : runtime.value()->kernel().trace().records()) {
-    if (r.kind == TraceKind::kViolation && r.detail.find("period") != std::string::npos) {
+  for (const obs::Event& e : runtime.value()->kernel().trace()) {
+    if (e.kind == obs::Kind::kViolation && e.detail.find("period") != std::string::npos) {
       ++period_violations;
     }
   }

@@ -12,6 +12,7 @@
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/kernel/channel.h"
+#include "src/obs/jsonl_sink.h"
 
 using namespace artemis;  // Example code; library code never does this.
 
@@ -47,8 +48,10 @@ int main() {
       PlatformBuilder().WithFixedCharge(/*on_budget=*/5'000.0, /*charge_time=*/3 * kSecond)
           .Build();
 
-  // 4. Assemble and run.
-  auto runtime = ArtemisRuntime::Create(&graph, spec, mcu.get());
+  // 4. Assemble and run, keeping the kernel's events for the printout.
+  ArtemisConfig config;
+  config.kernel.record_trace = true;
+  auto runtime = ArtemisRuntime::Create(&graph, spec, mcu.get(), config);
   if (!runtime.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", runtime.status().ToString().c_str());
     return 1;
@@ -60,7 +63,9 @@ int main() {
               static_cast<unsigned long long>(result.stats.reboots),
               FormatDuration(result.finished_at).c_str());
   std::printf("energy: %s\n", FormatEnergy(result.stats.TotalEnergy()).c_str());
-  std::printf("\nexecution trace:\n%s",
-              runtime.value()->kernel().trace().ToString({"sense", "transmit"}).c_str());
+  std::printf("\nexecution trace (artemis-trace/1 kernel events):\n");
+  for (const obs::Event& e : runtime.value()->kernel().trace()) {
+    std::printf("%s\n", obs::JsonlSink::EventLine(e, {"sense", "transmit"}).c_str());
+  }
   return result.completed ? 0 : 1;
 }

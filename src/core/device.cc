@@ -31,14 +31,12 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
   }
 
   KernelOptions options = recipe.kernel;
-  options.observer = recipe.observer;
   options.flight = recorder_.get();
   switch (recipe.system) {
     case MonitorSystem::kArtemis: {
       ArtemisConfig config;
       config.backend = recipe.backend;
       config.kernel = options;
-      config.observer = recipe.observer;
       config.flight = recorder_.get();
       StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
           ArtemisRuntime::CreateFromArtifact(&graph_, recipe.artifact, mcu_.get(), config);

@@ -54,10 +54,11 @@ struct DeviceRecipe {
   MonitorBackend backend = MonitorBackend::kBuiltin;  // kArtemis
   PropertyChecker* checker = nullptr;                 // kExternal; outlives the run
 
-  // Seed, horizon and trace recording. DeviceRun fills in the observer,
-  // flight and swap_hook fields from the ones below.
+  // Seed, horizon and trace recording. DeviceRun fills in the flight and
+  // swap_hook fields from the ones below.
   KernelOptions kernel;
-  // Bus the MCU, kernel and monitors publish into; nullptr = off.
+  // The MCU's bus (Mcu::set_observer); the kernel and monitors publish into
+  // it too. nullptr = off.
   obs::EventBus* observer = nullptr;
   // On-device flight recorder of `flight_bytes` ring capacity; kOff
   // attaches none.

@@ -10,11 +10,6 @@ ArtemisRuntime::ArtemisRuntime(const AppGraph* graph, SharedSpecArtifactPtr arti
                                std::unique_ptr<MonitorSet> monitors, const ArtemisConfig& config)
     : artifact_(std::move(artifact)), monitors_(std::move(monitors)) {
   KernelOptions kernel_options = config.kernel;
-  if (config.observer != nullptr) {
-    kernel_options.observer = config.observer;
-    monitors_->set_observer(config.observer);
-    mcu->set_observer(config.observer);
-  }
   if (config.flight != nullptr) {
     kernel_options.flight = config.flight;
     monitors_->set_flight(config.flight);

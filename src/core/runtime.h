@@ -16,7 +16,6 @@
 #include "src/kernel/kernel.h"
 #include "src/monitor/monitor_set.h"
 #include "src/monitor/shared_spec.h"
-#include "src/obs/bus.h"
 #include "src/sim/mcu.h"
 
 namespace artemis {
@@ -31,10 +30,6 @@ struct ArtemisConfig {
   KernelOptions kernel;
   // Reject specs with validation warnings (strict mode for CI-style use).
   bool warnings_are_errors = false;
-  // Cross-layer observability bus (src/obs): when set, the MCU, kernel, and
-  // monitor set all publish into it (docs/tracing.md). Equivalent to setting
-  // kernel.observer plus MonitorSet/Mcu::set_observer by hand.
-  obs::EventBus* observer = nullptr;
   // On-device flight recorder (src/flight, docs/forensics.md): when set, the
   // kernel and monitor set seal records into it. The caller must have
   // attached the recorder to the MCU first (Mcu::AttachFlightRecorder), which

@@ -155,7 +155,6 @@ DeviceResult DeviceInstance::Run(CaptureChecker* capture) {
   recipe.kernel.max_wall_time = config_.horizon;
   recipe.kernel.app_iterations = config_.iterations == 0 ? UINT64_MAX : config_.iterations;
   recipe.kernel.max_steps = config_.max_steps;
-  recipe.kernel.record_trace = false;  // host memory; a fleet never wants it
   DeviceRun device(std::move(recipe));
   DeviceResult r;
   if (!device.status().ok()) {

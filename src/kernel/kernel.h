@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -29,7 +30,6 @@
 #include "src/kernel/channel.h"
 #include "src/kernel/checker.h"
 #include "src/flight/recorder.h"
-#include "src/kernel/trace.h"
 #include "src/obs/bus.h"
 #include "src/sim/mcu.h"
 
@@ -55,18 +55,15 @@ struct KernelOptions {
   SimDuration max_wall_time = 0;
   // Safety valve on boundary crossings, against bugs in checkers.
   std::uint64_t max_steps = 2'000'000;
-  // Record an execution trace (costs host memory only).
-  bool record_trace = true;
+  // Keep the kernel's own events in memory for trace() (costs host memory
+  // only). Off by default: only callers that read the trace pay for it.
+  bool record_trace = false;
   // How many times to run the whole path sequence (continuous sensing
   // applications loop forever; benches pick a finite horizon). 0 == 1.
   std::uint64_t app_iterations = 1;
   // Idle (harvest-only) time inserted between iterations, modelling the
   // duty-cycled sleep between sampling rounds.
   SimDuration inter_iteration_gap = 0;
-  // Cross-layer observability bus (src/obs): when set, the kernel publishes
-  // task/path lifecycle and checkpoint-commit events, independent of
-  // record_trace. nullptr = publishing off (a single null check per site).
-  obs::EventBus* observer = nullptr;
   // On-device flight recorder (src/flight): when set, the kernel seals
   // task-boundary and commit records into the FRAM black box. Unlike the
   // obs bus this costs simulated cycles and can itself be interrupted by a
@@ -115,7 +112,10 @@ class IntermittentKernel {
   // be threaded through KernelOptions at construction time.
   void set_swap_hook(SwapHook* hook) { options_.swap_hook = hook; }
 
-  const ExecutionTrace& trace() const { return trace_; }
+  // The kernel's task/path lifecycle and commit events in publish order,
+  // kept when KernelOptions::record_trace is set: the same events it
+  // publishes on the MCU's bus (Mcu::observer).
+  const std::vector<obs::Event>& trace() const { return trace_.events(); }
   const std::vector<TaskProfile>& profiles() const { return profiles_; }
   const ChannelStore& channels() const { return channels_; }
   ChannelStore& channels() { return channels_; }
@@ -150,9 +150,11 @@ class IntermittentKernel {
   ExecStatus EnsureStartEvent(TaskId task);
   ExecStatus EnsureEndEvent(TaskId task);
 
-  void Trace(TraceKind kind, TaskId task, ActionType action = ActionType::kNone,
-             const std::string& detail = "");
-  void PublishCommit(TaskId task, std::size_t bytes);
+  // Builds one kernel event and hands it to the MCU's bus and, with
+  // record_trace, to trace(). When neither listens it returns before
+  // building anything. `value` is the kind-specific scalar (commit bytes).
+  void Publish(obs::Kind kind, TaskId task, ActionType action = ActionType::kNone,
+               std::string_view detail = {}, double value = 0.0);
 
   const AppGraph* graph_;
   PropertyChecker* checker_;
@@ -174,7 +176,7 @@ class IntermittentKernel {
   std::uint64_t iterations_done_ = 0;
 
   ChannelStore channels_;
-  ExecutionTrace trace_;
+  obs::CollectingSink trace_;
   std::vector<TaskProfile> profiles_;
 };
 

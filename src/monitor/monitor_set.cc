@@ -94,7 +94,8 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
     return mcu.stats().busy_time[static_cast<int>(CostTag::kMonitor)] +
            mcu.stats().busy_time[static_cast<int>(CostTag::kRuntime)];
   };
-  const SimDuration busy_before = obs_ != nullptr ? busy_now() : 0;
+  obs::EventBus* const bus = mcu.observer();
+  const SimDuration busy_before = bus != nullptr ? busy_now() : 0;
   // Interface-crossing cost depends on where the monitors live: inlined
   // checks pay nothing; remote monitors pay the radio round-trip; the
   // separate component pays the callMonitor call.
@@ -124,18 +125,18 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
     return outcome;
   }
 
-  if (obs_ != nullptr) {
+  if (bus != nullptr) {
     // The event has crossed into the monitor component; value = the resume
     // cursor (non-zero when completing an interrupted delivery).
-    obs_->Publish(obs::Event{.kind = obs::Kind::kMonitorDelivery,
-                             .time = mcu.Now(),
-                             .true_time = mcu.TrueNow(),
-                             .task = event.task,
-                             .path = event.path,
-                             .seq = event.seq,
-                             .value = static_cast<double>(continuation_.InProgress() ? 1 : 0),
-                             .energy_fraction = event.energy_fraction,
-                             .detail = EventKindName(event.kind)});
+    bus->Publish(obs::Event{.kind = obs::Kind::kMonitorDelivery,
+                            .time = mcu.Now(),
+                            .true_time = mcu.TrueNow(),
+                            .task = event.task,
+                            .path = event.path,
+                            .seq = event.seq,
+                            .value = static_cast<double>(continuation_.InProgress() ? 1 : 0),
+                            .energy_fraction = event.energy_fraction,
+                            .detail = EventKindName(event.kind)});
   }
 
   const std::uint32_t first = continuation_.Begin(event.seq);
@@ -169,7 +170,7 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
   if (verdict.violated()) {
     ++violations_reported_;
   }
-  if (obs_ != nullptr) {
+  if (bus != nullptr) {
     // Arbitration outcome: value = how many monitors reported a failure on
     // this event (the candidates), duration = the per-event cycle cost.
     obs::Event out{.kind = obs::Kind::kMonitorVerdict,
@@ -185,7 +186,7 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
     if (verdict.violated()) {
       out.action = ActionTypeName(verdict.action);
     }
-    obs_->Publish(out);
+    bus->Publish(out);
   }
   // Black-box the violation before retiring the event: the continuation
   // cursor is still at the end and the verdict cache is not yet written, so
@@ -215,12 +216,12 @@ void MonitorSet::OnPathRestart(PathId path, Mcu& mcu) {
   for (const auto& monitor : monitors_) {
     monitor->OnPathRestart(path);
   }
-  if (obs_ != nullptr) {
-    obs_->Publish(obs::Event{.kind = obs::Kind::kMonitorReset,
-                             .time = mcu.Now(),
-                             .true_time = mcu.TrueNow(),
-                             .path = path,
-                             .value = static_cast<double>(monitors_.size())});
+  if (obs::EventBus* const bus = mcu.observer(); bus != nullptr) {
+    bus->Publish(obs::Event{.kind = obs::Kind::kMonitorReset,
+                            .time = mcu.Now(),
+                            .true_time = mcu.TrueNow(),
+                            .path = path,
+                            .value = static_cast<double>(monitors_.size())});
   }
 }
 

@@ -12,7 +12,9 @@
 //    against the seq, so the kernel can retry boundary transitions
 //    idempotently;
 //  * verdict arbitration across simultaneously failing properties;
-//  * FRAM byte accounting under MemOwner::kMonitor for Table 2.
+//  * FRAM byte accounting under MemOwner::kMonitor for Table 2;
+//  * publishing event deliveries, arbitrated verdicts (with per-event
+//    cycle cost) and path resets on the MCU's bus (Mcu::observer).
 #ifndef SRC_MONITOR_MONITOR_SET_H_
 #define SRC_MONITOR_MONITOR_SET_H_
 
@@ -94,11 +96,6 @@ class MonitorSet : public PropertyChecker {
 
   MonitorPlacement placement() const { return placement_; }
 
-  // Cross-layer observability bus (src/obs): when set, the monitor set
-  // publishes event deliveries, arbitrated verdicts (with per-event cycle
-  // cost), and path-reset propagation. nullptr = off.
-  void set_observer(obs::EventBus* bus) { obs_ = bus; }
-
   // On-device flight recorder (src/flight): when set, violated verdicts are
   // sealed into the FRAM black box before the verdict cache is written, so
   // an interrupted append replays the whole arbitration and retries.
@@ -128,7 +125,6 @@ class MonitorSet : public PropertyChecker {
   MonitorPlacement placement_ = MonitorPlacement::kSeparate;
   RadioProfile radio_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
-  obs::EventBus* obs_ = nullptr;
   flight::FlightRecorder* flight_ = nullptr;
 
   // ---- FRAM-resident progress state (ImmortalThreads-backed) ----

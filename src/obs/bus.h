@@ -1,6 +1,7 @@
-// The cross-layer event bus. Publishers (Mcu, IntermittentKernel,
-// MonitorSet) hold a nullable EventBus pointer and publish only when it is
-// set, so with tracing off the whole observability layer costs one null
+// The cross-layer event bus. The Mcu holds a nullable EventBus pointer
+// (Mcu::set_observer) and its publishers (the Mcu itself, the
+// IntermittentKernel and the MonitorSet running on it) publish only when it
+// is set, so with tracing off the whole observability layer costs one null
 // check per site — no simulated cycles are ever charged, which keeps the
 // Figure 14/15 overhead numbers bit-identical whether tracing is on or off.
 //

@@ -1,10 +1,10 @@
-// The unified observability event: one record type that the sim, kernel,
-// and monitor layers all publish into the cross-layer EventBus
-// (src/obs/bus.h). This is the exportable superset of the kernel-local
-// ExecutionTrace: it additionally carries sim-layer power events (brownout,
-// recharge segments) and monitor internals (event delivery, verdicts,
-// per-event cycle cost), plus cumulative energy / stored-charge samples so
-// exporters can render counter tracks.
+// The unified observability event: the one record type that the sim,
+// kernel, and monitor layers all publish into the cross-layer EventBus
+// (src/obs/bus.h), and the type of the kernel's in-memory trace. Besides
+// the kernel's task/path lifecycle it carries sim-layer power events
+// (brownout, recharge segments) and monitor internals (event delivery,
+// verdicts, per-event cycle cost), plus cumulative energy / stored-charge
+// samples so exporters can render counter tracks.
 //
 // Layering: this header depends only on src/base so that src/sim can
 // publish without a dependency cycle (kernel and monitor sit above sim).
@@ -31,7 +31,7 @@ enum class Kind : std::uint8_t {
   kSimPowerFail = 0,  // brownout: duration = outage/charge segment length
   kSimBoot,           // device restored after the charge segment
 
-  // ---- kernel layer (mirrors TraceKind, plus the commit event) ----
+  // ---- kernel layer (published by IntermittentKernel) ----
   kKernelBoot,
   kTaskStart,
   kTaskEnd,
@@ -81,8 +81,10 @@ struct Event {
   double value = 0.0;           // kind-specific scalar (bytes, candidate count)
   double energy_uj = -1.0;      // cumulative MCU energy at event time; <0 = absent
   double energy_fraction = -1.0;  // stored-energy fraction in [0,1]; <0 = absent
-  std::string action;           // corrective-action name, "" = none
-  std::string detail;           // property name or free-form note
+  std::string action{};         // corrective-action name, "" = none
+  std::string detail{};         // property name or free-form note
+
+  bool operator==(const Event&) const = default;
 };
 
 }  // namespace artemis::obs

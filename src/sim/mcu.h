@@ -82,10 +82,12 @@ class Mcu : public flight::FlightPort {
   // Resets accounting (not memory registration) between experiment runs.
   void ResetStats() { stats_ = McuStats{}; }
 
-  // Attaches the cross-layer observability bus (src/obs). The MCU publishes
-  // sim.power-fail / sim.boot events with outage lengths, stored-charge
-  // fraction, and cumulative energy. nullptr (the default) disables
-  // publishing; no simulated cycles are ever charged either way.
+  // Attaches the cross-layer observability bus (src/obs), the one place a
+  // device's bus is set. The MCU publishes sim.power-fail / sim.boot events
+  // with outage lengths, stored-charge fraction, and cumulative energy; the
+  // kernel and monitor set running on it publish into observer() too.
+  // nullptr (the default) disables publishing; no simulated cycles are ever
+  // charged either way.
   void set_observer(obs::EventBus* bus) { obs_ = bus; }
   obs::EventBus* observer() const { return obs_; }
 

@@ -75,7 +75,8 @@ struct SweepSpec {
   // Attach a per-point observability bus + ObsStatsAggregator (zero
   // simulated cycles; results land in SweepRow::stats).
   bool collect_stats = false;
-  // Record the kernel ExecutionTrace (host memory only; for post_run).
+  // Keep each point's kernel events in memory (KernelOptions::record_trace;
+  // host memory only; for post_run).
   bool record_trace = false;
   // On-device flight recorder level: "off", "verdicts", or "full". Anything
   // but "off" attaches a per-point FlightRecorder of `flight_bytes` capacity

@@ -147,13 +147,17 @@ TEST(ArAppTest, CrossPathRestartTargetsProducerPath) {
   ASSERT_TRUE(runtime.ok());
   ASSERT_TRUE(runtime.value()->Run().completed);
   // Every collect-triggered restart re-entered path #1, not report's path.
-  for (const TraceRecord& r : runtime.value()->kernel().trace().records()) {
-    if (r.kind == TraceKind::kPathRestart &&
-        r.detail.find("collect(report") != std::string::npos) {
-      EXPECT_EQ(r.action, ActionType::kRestartPath);
+  int restarts = 0;
+  for (const obs::Event& e : runtime.value()->kernel().trace()) {
+    if (e.kind != obs::Kind::kPathRestart) {
+      continue;
+    }
+    ++restarts;
+    if (e.detail.find("collect(report") != std::string::npos) {
+      EXPECT_EQ(e.action, ActionTypeName(ActionType::kRestartPath));
     }
   }
-  EXPECT_EQ(runtime.value()->kernel().trace().Count(TraceKind::kPathRestart), 3u);
+  EXPECT_EQ(restarts, 3);
 }
 
 }  // namespace

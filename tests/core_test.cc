@@ -2,6 +2,9 @@
 // builder, and the reporting helpers.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "src/apps/health_app.h"
 #include "src/core/builder.h"
 #include "src/core/device.h"
@@ -109,19 +112,21 @@ TEST(ArtemisRuntimeTest, FeverTriggersCompletePath) {
   options.force_fever = true;
   HealthApp app = BuildHealthApp(options);
   auto mcu = PlatformBuilder().WithContinuousPower().Build();
-  auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), {});
+  ArtemisConfig config;
+  config.kernel.record_trace = true;
+  auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   const KernelRunResult result = runtime.value()->Run();
   EXPECT_TRUE(result.completed);
-  const ExecutionTrace& trace = runtime.value()->kernel().trace();
   // dpData(avgTemp) fired and the rest of path #1 ran unmonitored.
-  EXPECT_GE(trace.Count(TraceKind::kPathCompleteUnmonitored), 1u);
+  bool saw_unmonitored = false;
   bool saw_dpdata = false;
-  for (const TraceRecord& r : trace.records()) {
-    saw_dpdata =
-        saw_dpdata || (r.kind == TraceKind::kViolation &&
-                       r.detail.find("dpData") != std::string::npos);
+  for (const obs::Event& e : runtime.value()->kernel().trace()) {
+    saw_unmonitored = saw_unmonitored || e.kind == obs::Kind::kPathCompleteUnmonitored;
+    saw_dpdata = saw_dpdata || (e.kind == obs::Kind::kViolation &&
+                                e.detail.find("dpData") != std::string::npos);
   }
+  EXPECT_TRUE(saw_unmonitored);
   EXPECT_TRUE(saw_dpdata);
 }
 
@@ -172,8 +177,8 @@ TEST(ArtemisRuntimeTest, CreateMatchesCreateFromArtifact) {
 
 // ----------------------------------------------------------------- device --
 
-// A Mayfly device's MCU publishes into the recipe's observer exactly as the
-// old hand wiring did with Mcu::set_observer next to KernelOptions::observer.
+// A Mayfly device publishes into the recipe's observer exactly as a hand
+// wired one does with Mcu::set_observer.
 TEST(DeviceRunTest, MayflyObserverMatchesHandWiring) {
   constexpr SimDuration kCharge = 2 * kMinute - kSecond;
   HealthApp app = BuildHealthApp();
@@ -184,7 +189,6 @@ TEST(DeviceRunTest, MayflyObserverMatchesHandWiring) {
   mcu->set_observer(&hand_bus);
   KernelOptions options;
   options.max_wall_time = 2 * kHour;
-  options.observer = &hand_bus;
   auto parsed = SpecParser::Parse(HealthAppSpec());
   ASSERT_TRUE(parsed.ok());
   auto mayfly = MayflyRuntime::Create(&app.graph, parsed.value(), mcu.get(), options);
@@ -213,6 +217,67 @@ TEST(DeviceRunTest, MayflyObserverMatchesHandWiring) {
     EXPECT_EQ(recipe_stats.CountFor(static_cast<obs::Kind>(k)),
               hand.CountFor(static_cast<obs::Kind>(k)))
         << obs::KindName(static_cast<obs::Kind>(k));
+  }
+}
+
+// One stream, two destinations: the kernel's recorded trace is exactly the
+// kernel-component events on the MCU's bus, field for field.
+TEST(DeviceRunTest, KernelTraceEqualsTheBusKernelEvents) {
+  for (const MonitorBackend backend : {MonitorBackend::kBuiltin, MonitorBackend::kCompiled}) {
+    obs::EventBus bus;
+    obs::CollectingSink sink;
+    bus.AddSink(&sink);
+    DeviceRecipe recipe;
+    recipe.graph = BuildHealthApp().graph;
+    auto artifact = BuildSpecArtifact(HealthAppSpec(), recipe.graph, StageForBackend(backend));
+    ASSERT_TRUE(artifact.ok());
+    recipe.charge = 6 * kMinute - kSecond;
+    recipe.budget = 19'500.0;
+    recipe.artifact = artifact.value();
+    recipe.backend = backend;
+    recipe.kernel.max_wall_time = 8 * kHour;
+    recipe.kernel.record_trace = true;
+    recipe.observer = &bus;
+    DeviceRun device(std::move(recipe));
+    ASSERT_TRUE(device.status().ok()) << device.status().ToString();
+    ASSERT_TRUE(device.Run().completed);
+
+    std::vector<obs::Event> kernel_events;
+    for (const obs::Event& e : sink.events()) {
+      if (obs::ComponentOf(e.kind) == obs::Component::kKernel) {
+        kernel_events.push_back(e);
+      }
+    }
+    EXPECT_GT(kernel_events.size(), 0u);
+    EXPECT_TRUE(device.kernel().trace() == kernel_events) << MonitorBackendName(backend);
+  }
+}
+
+// The MCU is the one place a bus is attached: a hand-wired kernel and
+// MonitorSet on an MCU with only Mcu::set_observer publish every layer.
+TEST(DeviceRunTest, HandWiredDevicePublishesEveryLayerThroughTheMcu) {
+  HealthApp app = BuildHealthApp();
+  auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute - kSecond).Build();
+  obs::EventBus bus;
+  obs::CollectingSink sink;
+  bus.AddSink(&sink);
+  mcu->set_observer(&bus);
+  auto parsed = SpecParser::Parse(HealthAppSpec());
+  ASSERT_TRUE(parsed.ok());
+  auto monitors = BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kCompiled);
+  ASSERT_TRUE(monitors.ok()) << monitors.status().ToString();
+  KernelOptions options;
+  options.max_wall_time = 8 * kHour;
+  IntermittentKernel kernel(&app.graph, monitors.value().get(), mcu.get(), options);
+  ASSERT_TRUE(kernel.Run().completed);
+
+  std::set<obs::Kind> published;
+  for (const obs::Event& e : sink.events()) {
+    published.insert(e.kind);
+  }
+  for (const obs::Kind kind : {obs::Kind::kSimPowerFail, obs::Kind::kTaskEnd, obs::Kind::kCommit,
+                               obs::Kind::kMonitorDelivery, obs::Kind::kMonitorVerdict}) {
+    EXPECT_EQ(published.count(kind), 1u) << obs::KindName(kind);
   }
 }
 

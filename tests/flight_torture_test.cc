@@ -192,10 +192,10 @@ TEST(FlightTortureTest, HealthAppUnderOutagesDecodesAndAudits) {
   obs::EventBus bus;
   obs::CollectingSink capture;
   bus.AddSink(&capture);
+  mcu->set_observer(&bus);
 
   ArtemisConfig config;
   config.kernel.max_wall_time = 12 * kHour;
-  config.observer = &bus;
   config.flight = &recorder;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();

@@ -21,10 +21,11 @@ SimDuration Charge(int minutes) {
 
 KernelRunResult RunArtemisHealth(std::unique_ptr<Mcu> mcu, SimDuration max_wall,
                                  std::uint64_t* sends = nullptr,
-                                 ExecutionTrace* trace_out = nullptr) {
+                                 std::vector<obs::Event>* trace_out = nullptr) {
   HealthApp app = BuildHealthApp();
   ArtemisConfig config;
   config.kernel.max_wall_time = max_wall;
+  config.kernel.record_trace = trace_out != nullptr;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   EXPECT_TRUE(runtime.ok()) << runtime.status().ToString();
   const KernelRunResult result = runtime.value()->Run();
@@ -42,7 +43,6 @@ KernelRunResult RunMayflyHealth(std::unique_ptr<Mcu> mcu, SimDuration max_wall) 
   auto parsed = SpecParser::Parse(HealthAppSpec());
   KernelOptions options;
   options.max_wall_time = max_wall;
-  options.record_trace = false;
   auto runtime = MayflyRuntime::Create(&app.graph, parsed.value(), mcu.get(), options);
   EXPECT_TRUE(runtime.ok());
   return runtime.value()->Run();
@@ -92,18 +92,18 @@ TEST(Figure12Test, ArtemisTimeGrowsWithChargingDelay) {
 // -------------------------------------------------- Figure 13 shape check --
 
 TEST(Figure13Test, ThreeAttemptsThenSkip) {
-  ExecutionTrace trace;
+  std::vector<obs::Event> trace;
   const KernelRunResult result = RunArtemisHealth(
       PlatformBuilder().WithFixedCharge(kOnBudget, Charge(6)).Build(), 8 * kHour, nullptr,
       &trace);
   ASSERT_TRUE(result.completed);
   int mitd_violations = 0;
   int skips = 0;
-  for (const TraceRecord& r : trace.records()) {
-    if (r.kind == TraceKind::kViolation && r.detail.find("MITD") != std::string::npos) {
+  for (const obs::Event& e : trace) {
+    if (e.kind == obs::Kind::kViolation && e.detail.find("MITD") != std::string::npos) {
       ++mitd_violations;
     }
-    skips += r.kind == TraceKind::kPathSkip ? 1 : 0;
+    skips += e.kind == obs::Kind::kPathSkip ? 1 : 0;
   }
   EXPECT_EQ(mitd_violations, 3);  // Two restarts, then the maxAttempt skip.
   EXPECT_EQ(skips, 1);
@@ -146,7 +146,6 @@ TEST_P(StochasticTerminationTest, ArtemisAlwaysTerminatesUnderRandomPower) {
   HealthApp app = BuildHealthApp();
   ArtemisConfig config;
   config.kernel.max_wall_time = 12 * kHour;
-  config.kernel.record_trace = false;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   const KernelRunResult result = runtime.value()->Run();
@@ -170,7 +169,6 @@ TEST_P(DriftRobustnessTest, TimekeepingErrorDoesNotBreakTermination) {
   HealthApp app = BuildHealthApp();
   ArtemisConfig config;
   config.kernel.max_wall_time = 8 * kHour;
-  config.kernel.record_trace = false;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   EXPECT_TRUE(runtime.value()->Run().completed);
@@ -204,14 +202,15 @@ TEST(GreenhouseTest, MinEnergySkipsReportOnDrainedBuffer) {
   auto mcu = PlatformBuilder().WithFixedCharge(2'400.0, 5 * kSecond).Build();
   ArtemisConfig config;
   config.kernel.max_wall_time = kHour;
+  config.kernel.record_trace = true;
   auto runtime = ArtemisRuntime::Create(&app.graph, GreenhouseSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   const KernelRunResult result = runtime.value()->Run();
   EXPECT_TRUE(result.completed);
   bool min_energy_fired = false;
-  for (const TraceRecord& r : runtime.value()->kernel().trace().records()) {
-    min_energy_fired = min_energy_fired || (r.kind == TraceKind::kViolation &&
-                                            r.detail.find("minEnergy") != std::string::npos);
+  for (const obs::Event& e : runtime.value()->kernel().trace()) {
+    min_energy_fired = min_energy_fired || (e.kind == obs::Kind::kViolation &&
+                                            e.detail.find("minEnergy") != std::string::npos);
   }
   EXPECT_TRUE(min_energy_fired);
 }

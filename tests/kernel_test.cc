@@ -3,6 +3,7 @@
 // semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -31,6 +32,27 @@ TaskDef SimpleTask(const std::string& name, SimDuration duration = 10 * kMillise
                  .work = {.duration = duration, .power = power},
                  .effect = std::move(effect),
                  .monitored_var = std::nullopt};
+}
+
+KernelOptions Recorded() {
+  KernelOptions options;
+  options.record_trace = true;
+  return options;
+}
+
+// Recorded events of `kind` (for `task`), from a kernel run with Recorded().
+std::size_t CountKind(const IntermittentKernel& kernel, obs::Kind kind) {
+  const std::vector<obs::Event>& events = kernel.trace();
+  return static_cast<std::size_t>(std::count_if(
+      events.begin(), events.end(), [kind](const obs::Event& e) { return e.kind == kind; }));
+}
+
+std::size_t CountForTask(const IntermittentKernel& kernel, obs::Kind kind, TaskId task) {
+  const std::vector<obs::Event>& events = kernel.trace();
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(), [kind, task](const obs::Event& e) {
+        return e.kind == kind && e.task == task;
+      }));
 }
 
 // A checker that records every event and fires scripted verdicts: the Nth
@@ -251,13 +273,13 @@ TEST(KernelTest, EffectsCommitAtomicallyAcrossPowerFailures) {
   graph.AddPath({drain, a});
   auto mcu = BudgetMcu(2'000.0);
   NullChecker checker;
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), Recorded());
   const KernelRunResult result = kernel.Run();
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(effect_runs, 1);
   EXPECT_EQ(kernel.channels().Samples(a).size(), 1u);
   EXPECT_GE(result.stats.reboots, 1u);
-  EXPECT_GE(kernel.trace().CountForTask(TraceKind::kTaskAborted, a), 1u);
+  EXPECT_GE(CountForTask(kernel, obs::Kind::kTaskAborted, a), 1u);
 }
 
 TEST(KernelTest, StartEventPerAttemptEndEventOnce) {
@@ -363,10 +385,10 @@ TEST(KernelTest, SkipTaskAtStartSkipsExecution) {
   ScriptedChecker checker;
   checker.AddRule({EventKind::kStartTask, a, 1,
                    MonitorVerdict{ActionType::kSkipTask, kNoPath, "p"}});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), Recorded());
   EXPECT_TRUE(kernel.Run().completed);
   EXPECT_EQ(runs, 0);
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskSkipped, a), 1u);
+  EXPECT_EQ(CountForTask(kernel, obs::Kind::kTaskSkipped, a), 1u);
 }
 
 TEST(KernelTest, RestartPathReentersFromFirstTaskAndNotifiesChecker) {
@@ -400,10 +422,10 @@ TEST(KernelTest, RestartPathWithExplicitTarget) {
   // While executing path 2, demand a restart of path 2 explicitly.
   checker.AddRule({EventKind::kStartTask, send, 2,
                    MonitorVerdict{ActionType::kRestartPath, 2, "p"}});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), Recorded());
   EXPECT_TRUE(kernel.Run().completed);
   // b runs twice (path 2 restarted once).
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskEnd, b), 2u);
+  EXPECT_EQ(CountForTask(kernel, obs::Kind::kTaskEnd, b), 2u);
 }
 
 TEST(KernelTest, SkipPathAdvancesToNextPath) {
@@ -419,10 +441,10 @@ TEST(KernelTest, SkipPathAdvancesToNextPath) {
   ScriptedChecker checker;
   checker.AddRule({EventKind::kStartTask, a, 1,
                    MonitorVerdict{ActionType::kSkipPath, kNoPath, "p"}});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), Recorded());
   EXPECT_TRUE(kernel.Run().completed);
   EXPECT_EQ(b_runs, 0);
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskEnd, c), 1u);
+  EXPECT_EQ(CountForTask(kernel, obs::Kind::kTaskEnd, c), 1u);
 }
 
 TEST(KernelTest, SkipLastPathCompletesApp) {
@@ -433,10 +455,10 @@ TEST(KernelTest, SkipLastPathCompletesApp) {
   ScriptedChecker checker;
   checker.AddRule({EventKind::kStartTask, a, 1,
                    MonitorVerdict{ActionType::kSkipPath, kNoPath, "p"}});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), Recorded());
   const KernelRunResult result = kernel.Run();
   EXPECT_TRUE(result.completed);
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskEnd, a), 0u);
+  EXPECT_EQ(CountForTask(kernel, obs::Kind::kTaskEnd, a), 0u);
 }
 
 TEST(KernelTest, CompletePathRunsTailUnmonitored) {
@@ -451,11 +473,11 @@ TEST(KernelTest, CompletePathRunsTailUnmonitored) {
   ScriptedChecker checker;
   checker.AddRule({EventKind::kEndTask, a, 1,
                    MonitorVerdict{ActionType::kCompletePath, kNoPath, "p"}});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), Recorded());
   EXPECT_TRUE(kernel.Run().completed);
   // b and c ran, but produced no checker events (monitoring halted).
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskEnd, b), 1u);
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskEnd, c), 1u);
+  EXPECT_EQ(CountForTask(kernel, obs::Kind::kTaskEnd, b), 1u);
+  EXPECT_EQ(CountForTask(kernel, obs::Kind::kTaskEnd, c), 1u);
   for (const MonitorEvent& e : checker.events) {
     EXPECT_NE(e.task, b);
     EXPECT_NE(e.task, c);
@@ -467,7 +489,7 @@ TEST(KernelTest, CompletePathRunsTailUnmonitored) {
   }
   EXPECT_TRUE(saw_d);
   // Monitors of the silently completed path were re-initialized.
-  EXPECT_EQ(kernel.trace().Count(TraceKind::kPathCompleteUnmonitored), 1u);
+  EXPECT_EQ(CountKind(kernel, obs::Kind::kPathCompleteUnmonitored), 1u);
   EXPECT_EQ(checker.path_restarts, (std::vector<PathId>{1}));
 }
 
@@ -543,11 +565,9 @@ TEST(KernelTest, TraceDisabledLeavesTraceEmpty) {
   graph.AddPath({a});
   auto mcu = AlwaysOnMcu();
   NullChecker checker;
-  KernelOptions options;
-  options.record_trace = false;
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), options);
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});  // record_trace defaults off
   EXPECT_TRUE(kernel.Run().completed);
-  EXPECT_TRUE(kernel.trace().records().empty());
+  EXPECT_TRUE(kernel.trace().empty());
 }
 
 TEST(KernelTest, EndTimestampPreservedAcrossRedelivery) {
@@ -638,24 +658,6 @@ TEST(KernelTest, IterationCounterStopsAtWallLimit) {
   EXPECT_TRUE(result.timed_out);
   EXPECT_GE(result.iterations_completed, 8u);
   EXPECT_LE(result.iterations_completed, 11u);
-}
-
-TEST(TraceTest, CountersAndRendering) {
-  ExecutionTrace trace;
-  trace.Record({.kind = TraceKind::kTaskStart, .time = 0, .task = 0, .path = 1, .attempt = 1});
-  trace.Record({.kind = TraceKind::kTaskEnd, .time = kSecond, .task = 0, .path = 1});
-  trace.Record({.kind = TraceKind::kViolation,
-                .time = kSecond,
-                .task = 0,
-                .path = 1,
-                .action = ActionType::kSkipPath,
-                .detail = "maxTries(a)"});
-  EXPECT_EQ(trace.Count(TraceKind::kTaskStart), 1u);
-  EXPECT_EQ(trace.CountForTask(TraceKind::kTaskEnd, 0), 1u);
-  const std::string text = trace.ToString({"alpha"});
-  EXPECT_NE(text.find("alpha"), std::string::npos);
-  EXPECT_NE(text.find("skipPath"), std::string::npos);
-  EXPECT_NE(text.find("maxTries(a)"), std::string::npos);
 }
 
 TEST(ActionSeverityTest, OrderingMatchesArbitrationDoc) {

@@ -1,7 +1,7 @@
 // Tests for the cross-layer observability bus (src/obs): event-kind naming
-// and round-trips, the kernel TraceKind mapping, JSONL determinism, trace
-// diffing, the Perfetto exporter, the stats aggregator, and the
-// ExecutionTrace rendering of task-resolved records.
+// and round-trips, JSONL determinism, trace diffing, the Perfetto exporter,
+// the stats aggregator, and the task ids the kernel's recorded events
+// resolve to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "src/core/obs_stats.h"
 #include "src/core/runtime.h"
 #include "src/kernel/kernel.h"
-#include "src/kernel/trace.h"
 #include "src/obs/bus.h"
 #include "src/obs/jsonl_sink.h"
 #include "src/obs/perfetto_sink.h"
@@ -49,23 +48,6 @@ TEST(ObsEventTest, KindNamesAreUniqueAndComponentPrefixed) {
     EXPECT_TRUE(names.insert(name).second) << "duplicate kind name " << name;
     const std::string prefix = std::string(obs::ComponentName(obs::ComponentOf(kind))) + ".";
     EXPECT_EQ(name.rfind(prefix, 0), 0u) << name << " lacks prefix " << prefix;
-  }
-}
-
-TEST(ObsEventTest, EveryTraceKindMapsToAKernelObsKind) {
-  for (int i = 0; i <= static_cast<int>(TraceKind::kAppComplete); ++i) {
-    const TraceKind kind = static_cast<TraceKind>(i);
-    const obs::Kind mapped = ToObsKind(kind);
-    EXPECT_EQ(obs::ComponentOf(mapped), obs::Component::kKernel)
-        << TraceKindName(kind) << " -> " << obs::KindName(mapped);
-    // The obs name serializes and parses back — the full TraceKind set
-    // round-trips through the JSONL schema's name space.
-    EXPECT_EQ(obs::KindFromName(obs::KindName(mapped)), mapped);
-  }
-  // Distinct trace kinds stay distinct on the bus.
-  std::set<obs::Kind> mapped;
-  for (int i = 0; i <= static_cast<int>(TraceKind::kAppComplete); ++i) {
-    EXPECT_TRUE(mapped.insert(ToObsKind(static_cast<TraceKind>(i))).second);
   }
 }
 
@@ -123,10 +105,9 @@ std::string RunHealthJsonl() {
   obs::JsonlSink sink(out, options);
   obs::EventBus bus;
   bus.AddSink(&sink);
+  mcu->set_observer(&bus);
   ArtemisConfig config;
   config.kernel.max_wall_time = 8 * kHour;
-  config.kernel.record_trace = false;
-  config.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   EXPECT_TRUE(runtime.ok()) << runtime.status().ToString();
   EXPECT_TRUE(runtime.value()->Run().completed);
@@ -180,10 +161,9 @@ TEST(PerfettoSinkTest, ExportsProcessMetadataSlicesAndCounters) {
   obs::PerfettoSink sink(out, names);
   obs::EventBus bus;
   bus.AddSink(&sink);
+  mcu->set_observer(&bus);
   ArtemisConfig config;
   config.kernel.max_wall_time = 8 * kHour;
-  config.kernel.record_trace = false;
-  config.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
   EXPECT_TRUE(runtime.value()->Run().completed);
@@ -234,10 +214,9 @@ TEST(ObsStatsTest, AggregatorCountsEventsAndAttributesPathEnergy) {
   obs::CollectingSink collected;
   bus.AddSink(&agg);
   bus.AddSink(&collected);
+  mcu->set_observer(&bus);
   ArtemisConfig config;
   config.kernel.max_wall_time = 8 * kHour;
-  config.kernel.record_trace = false;
-  config.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
   EXPECT_TRUE(runtime.value()->Run().completed);
@@ -307,7 +286,24 @@ class OneShotChecker : public PropertyChecker {
   bool fired_ = false;
 };
 
-TEST(TraceRenderTest, TaskSkippedRendersResolvedTaskName) {
+KernelOptions Recorded() {
+  KernelOptions options;
+  options.record_trace = true;
+  return options;
+}
+
+// The kernel's recorded events (record_trace) carry the task they concern.
+std::vector<obs::Event> EventsOfKind(const IntermittentKernel& kernel, obs::Kind kind) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& e : kernel.trace()) {
+    if (e.kind == kind) {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+TEST(TraceRenderTest, TaskSkippedRecordsTheSkippedTask) {
   AppGraph graph;
   const TaskId a = graph.AddTask(SimpleTask("alpha"));
   const TaskId b = graph.AddTask(SimpleTask("beta"));
@@ -315,14 +311,14 @@ TEST(TraceRenderTest, TaskSkippedRendersResolvedTaskName) {
   auto mcu = AlwaysOnMcu();
   OneShotChecker checker(EventKind::kStartTask, a,
                          MonitorVerdict{ActionType::kSkipTask, kNoPath, "p"});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), Recorded());
   EXPECT_TRUE(kernel.Run().completed);
-  const std::string rendered = kernel.trace().ToString({"alpha", "beta"});
-  EXPECT_NE(rendered.find("task-skipped alpha"), std::string::npos) << rendered;
-  EXPECT_EQ(rendered.find("task#"), std::string::npos) << rendered;
+  const std::vector<obs::Event> skipped = EventsOfKind(kernel, obs::Kind::kTaskSkipped);
+  ASSERT_EQ(skipped.size(), 1u);
+  EXPECT_EQ(skipped[0].task, a);
 }
 
-TEST(TraceRenderTest, PathCompleteUnmonitoredRendersFinalTaskName) {
+TEST(TraceRenderTest, PathCompleteUnmonitoredRecordsTheFinalTask) {
   AppGraph graph;
   const TaskId a = graph.AddTask(SimpleTask("alpha"));
   const TaskId b = graph.AddTask(SimpleTask("beta"));
@@ -330,14 +326,15 @@ TEST(TraceRenderTest, PathCompleteUnmonitoredRendersFinalTaskName) {
   graph.AddPath({a, b, c});
   auto mcu = AlwaysOnMcu();
   // completePath at end(alpha): beta and gamma run unmonitored, and the
-  // trace records gamma as the task that closed the unmonitored tail.
+  // event records gamma as the task that closed the unmonitored tail.
   OneShotChecker checker(EventKind::kEndTask, a,
                          MonitorVerdict{ActionType::kCompletePath, kNoPath, "p"});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), Recorded());
   EXPECT_TRUE(kernel.Run().completed);
-  EXPECT_EQ(kernel.trace().Count(TraceKind::kPathCompleteUnmonitored), 1u);
-  const std::string rendered = kernel.trace().ToString({"alpha", "beta", "gamma"});
-  EXPECT_NE(rendered.find("path-complete-unmonitored gamma"), std::string::npos) << rendered;
+  const std::vector<obs::Event> closed =
+      EventsOfKind(kernel, obs::Kind::kPathCompleteUnmonitored);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].task, c);
 }
 
 }  // namespace

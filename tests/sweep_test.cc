@@ -117,7 +117,6 @@ TEST(SweepEngineTest, RowsMatchDirectSerialRuns) {
       config.backend = point.backend;
       config.kernel.seed = point.seed;
       config.kernel.max_wall_time = grid.max_wall;
-      config.kernel.record_trace = false;
       StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
           ArtemisRuntime::Create(&app.graph, point.spec_text, mcu.get(), config);
       ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
@@ -128,7 +127,6 @@ TEST(SweepEngineTest, RowsMatchDirectSerialRuns) {
       KernelOptions options;
       options.seed = point.seed;
       options.max_wall_time = grid.max_wall;
-      options.record_trace = false;
       StatusOr<std::unique_ptr<MayflyRuntime>> runtime =
           MayflyRuntime::Create(&app.graph, parsed.value(), mcu.get(), options);
       ASSERT_TRUE(runtime.ok());

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 namespace artemis {
@@ -31,10 +32,12 @@ struct RunResult {
   std::string output;
 };
 
-RunResult RunCli(const std::string& args) {
+// Runs artemisc with `args`; output is stdout plus, unless `stdout_only`,
+// stderr.
+RunResult RunCli(const std::string& args, bool stdout_only = false) {
   const std::string out_path = ::testing::TempDir() + "/artemisc_out.txt";
-  const std::string cmd =
-      std::string(ARTEMISC_BIN) + " " + args + " > '" + out_path + "' 2>&1";
+  const std::string cmd = std::string(ARTEMISC_BIN) + " " + args + " > '" + out_path + "'" +
+                          (stdout_only ? " 2> /dev/null" : " 2>&1");
   const int raw = std::system(cmd.c_str());
   std::ifstream in(out_path);
   std::string output((std::istreambuf_iterator<char>(in)),
@@ -191,6 +194,29 @@ TEST(ArtemiscTest, SimulateMayflyNonTermination) {
   EXPECT_NE(result.output.find("non-termination"), std::string::npos);
 }
 
+TEST(ArtemiscTest, SimulateTraceWritesVersionedJsonl) {
+  // stdout is the run's artemis-trace/1 stream; the summary goes to stderr.
+  const RunResult result =
+      RunCli("simulate --app health --charge 6min --budget 19500 --trace", /*stdout_only=*/true);
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  std::istringstream lines(result.output);
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line.rfind("{\"schema\":\"artemis-trace/1\"", 0), 0u) << line;
+  std::size_t events = 0;
+  bool violation_with_action = false;
+  while (std::getline(lines, line)) {
+    ++events;
+    EXPECT_EQ(line.rfind("{\"kind\":\"", 0), 0u) << line;
+    EXPECT_EQ(line.back(), '}') << line;
+    violation_with_action =
+        violation_with_action || (line.find("\"kind\":\"kernel.violation\"") != std::string::npos &&
+                                  line.find("\"action\":\"") != std::string::npos);
+  }
+  EXPECT_GT(events, 0u);
+  EXPECT_TRUE(violation_with_action);
+}
+
 TEST(ArtemiscTest, SimulateGreenhouse) {
   const RunResult result = RunCli("simulate --app greenhouse");
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -212,6 +238,43 @@ TEST(ArtemiscTest, ProfileRanksAccelHighest) {
 TEST(ArtemiscTest, UnknownAppRejected) {
   const RunResult result = RunCli("simulate --app toaster");
   EXPECT_EQ(result.exit_code, 2);
+}
+
+// Every numeric flag goes through one strict parser: a non-number, trailing
+// junk, or an out-of-range value is a usage error naming the flag.
+TEST(ArtemiscTest, NumericFlagsRejectJunk) {
+  const struct {
+    const char* args;
+    const char* flag;
+  } kCases[] = {
+      {"simulate --budget abc", "--budget"},
+      {"simulate --budget inf", "--budget"},
+      {"fleet --seed abc", "--seed"},
+      {"sweep --seeds abc", "--seeds"},
+      {"sweep --seeds 1,,2", "--seeds"},
+      {"sweep --budgets abc,xyz", "--budgets"},
+      {"fleet --minutes 5x", "--minutes"},
+      {"fleet --iterations 0", "--iterations"},
+      {"fleet --devices -3", "--devices"},
+      {"fleet --shards 99999999999", "--shards"},
+      {"fleet --tile 1.5", "--tile"},
+      {"sweep --jobs 2abc", "--jobs"},
+      {"forensics dump --flight-bytes 12k", "--flight-bytes"},
+      {"forensics detect --min-attempts x", "--min-attempts"},
+  };
+  for (const auto& c : kCases) {
+    const RunResult result = RunCli(c.args);
+    EXPECT_EQ(result.exit_code, 2) << c.args << "\n" << result.output;
+    EXPECT_NE(result.output.find(std::string("artemisc: ") + c.flag + " wants"),
+              std::string::npos)
+        << c.args << "\n" << result.output;
+  }
+  // Well-formed values still parse.
+  EXPECT_EQ(RunCli("simulate --app health --budget 19500.5").exit_code, 0);
+  EXPECT_EQ(RunCli("fleet --devices 2 --iterations 1 --seed 0 --shards 2 --tile 1 "
+                   "--budgets 19500,20000 --format json")
+                .exit_code,
+            0);
 }
 
 // ----------------------------------------------------------------- trace --

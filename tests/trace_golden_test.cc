@@ -51,9 +51,9 @@ std::string RunHealth6MinJsonl() {
   obs::JsonlSink sink(out, options);
   obs::EventBus bus;
   bus.AddSink(&sink);
+  mcu->set_observer(&bus);
   ArtemisConfig config;
   config.kernel.max_wall_time = 12 * kHour;
-  config.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   EXPECT_TRUE(runtime.ok()) << runtime.status().ToString();
   EXPECT_TRUE(runtime.value()->Run().completed);

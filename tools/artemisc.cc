@@ -12,6 +12,7 @@
 //   artemisc simulate [--app ...] [--spec <file>] [--system artemis|mayfly]
 //                     [--backend builtin|interpreted|compiled]
 //                     [--charge <duration>] [--budget <uJ>] [--trace]
+//   artemisc profile  [--app ...] [--backend builtin|interpreted|compiled]
 //   artemisc trace    [<spec-file>] [--app ...] [--schedule 6min|continuous]
 //                     [--budget <uJ>] [--backend ...]
 //                     [--format jsonl|perfetto|stats] [--out <file>]
@@ -41,7 +42,10 @@
 // --analyze, the FSM IR static analyzer (src/analysis); `codegen`/`dot` run
 // the full generator pipeline with the analyzer in front (codegen refuses
 // to emit on error-severity findings, dot shades dead states/transitions).
-// `simulate` executes the chosen demo app on the simulated platform. Spec
+// `simulate` executes the chosen demo app on the simulated platform; with
+// --trace it writes the run's event stream as artemis-trace/1 JSONL (the
+// `trace` format) and moves its summary to stderr. `profile` runs the app
+// on continuous power and ranks its tasks by energy (Section 5.1). Spec
 // files may use the native Figure 5 syntax or, with --mayfly-lang, the
 // Mayfly-style edge-annotation frontend. `trace` runs the app under the
 // observability bus (src/obs) and exports the event stream as deterministic
@@ -71,9 +75,12 @@
 //
 // Exit codes: 0 = clean, 1 = findings / failures, 2 = usage or I/O error.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -116,7 +123,8 @@ constexpr int kExitUsage = 2;
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: artemisc <check|pretty|codegen|dot|simulate> [args]\n"
+               "usage: artemisc <check|pretty|codegen|dot|simulate|profile|trace|sweep|\n"
+               "                 fleet|forensics|swap> [args]\n"
                "  check    <spec> [--app health|greenhouse] [--mayfly-lang]\n"
                "           [--analyze] [--json] [--Werror]\n"
                "           [--policy severity|first-wins|last-wins]\n"
@@ -192,24 +200,26 @@ struct Args {
   std::string out_path;           // --out; empty = stdout
   std::string diff_left;          // trace diff operands
   std::string diff_right;
+  // Deployment axes shared by check/codegen/swap (analyzer), sweep and
+  // fleet; empty = keep the grid file's (or the engine's) defaults.
+  std::vector<SimDuration> charges;  // --charges
+  std::vector<EnergyUj> budgets;     // --budgets
   // sweep command only. Comma-separated axis lists; empty = keep the grid
   // file's (or the engine's) defaults.
   std::string grid_path;
   std::string sweep_systems;
-  std::string sweep_charges;
-  std::string sweep_budgets;
   std::string sweep_backends;
   std::string sweep_timekeepers;
-  std::string sweep_seeds;
+  std::vector<std::uint64_t> seeds;  // --seeds
   std::string sweep_max_wall;
   std::string sweep_flight;  // --flight: recorder level axis for sweep
   bool sweep_stats = false;
   int jobs = 1;
-  // fleet command only. Charges/budgets/stats reuse the sweep axis fields.
+  // fleet command only. Charges/budgets/stats reuse the shared fields.
   std::uint64_t fleet_devices = 1000;   // --devices
   int fleet_shards = 1;                 // --shards
-  std::string fleet_minutes;            // --minutes: horizon mode
-  std::string fleet_iterations;         // --iterations: fixed-pass mode
+  std::uint64_t fleet_minutes = 0;      // --minutes: horizon mode (0 = unset)
+  std::uint64_t fleet_iterations = 0;   // --iterations: fixed-pass mode (0 = unset)
   std::string fleet_monitor = "batch";  // --monitor scalar|batch
   std::uint32_t fleet_tile = 256;       // --tile
   std::uint64_t fleet_seed = 1;         // --seed
@@ -225,6 +235,82 @@ struct Args {
   SimDuration detect_gap = 5 * kMinute;  // --gap
   std::uint32_t min_attempts = 3;        // --min-attempts
 };
+
+std::vector<std::string> SplitCommaList(const std::string& text) {
+  std::vector<std::string> out;
+  std::string current;
+  for (const char c : text) {
+    if (c == ',') {
+      out.push_back(current);
+      current.clear();
+    } else {
+      current += c;
+    }
+  }
+  out.push_back(current);
+  return out;
+}
+
+// The one parser behind every numeric flag: `text` is a comma-separated
+// list (exactly one token unless `list`), and each token must be a whole,
+// finite number in [lo, hi]. Otherwise it prints what `flag` wants, and the
+// invocation is a usage error.
+template <typename T>
+bool ParseNumbers(const std::string& flag, const char* text, T lo, T hi, const char* wants,
+                  bool list, std::vector<T>* out) {
+  out->clear();
+  bool ok = text != nullptr;
+  if (ok) {
+    for (const std::string& token : SplitCommaList(text)) {
+      T value{};
+      const char* end = token.data() + token.size();
+      const std::from_chars_result parsed = std::from_chars(token.data(), end, value);
+      ok = ok && parsed.ec == std::errc() && parsed.ptr == end && value >= lo && value <= hi;
+      out->push_back(value);
+    }
+    ok = ok && (list || out->size() == 1);
+  }
+  if (!ok) {
+    std::fprintf(stderr, "artemisc: %s wants %s, got '%s'\n", flag.c_str(), wants,
+                 text == nullptr ? "" : text);
+  }
+  return ok;
+}
+
+template <typename T, typename Out>
+bool ParseNumber(const std::string& flag, const char* text, T lo, T hi, const char* wants,
+                 Out* out) {
+  std::vector<T> values;
+  if (!ParseNumbers(flag, text, lo, hi, wants, /*list=*/false, &values)) {
+    return false;
+  }
+  *out = static_cast<Out>(values.front());
+  return true;
+}
+
+// --charges: comma-separated charge schedules, through the sweep's
+// charge-bin convention (sweep::ParseChargeSchedule).
+bool ParseCharges(const char* text, std::vector<SimDuration>* out) {
+  out->clear();
+  if (text == nullptr) {
+    return false;
+  }
+  for (const std::string& schedule : SplitCommaList(text)) {
+    StatusOr<SimDuration> charge = sweep::ParseChargeSchedule(schedule);
+    if (!charge.ok()) {
+      std::fprintf(stderr, "artemisc: %s\n", charge.status().ToString().c_str());
+      return false;
+    }
+    out->push_back(charge.value());
+  }
+  return true;
+}
+
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr double kMinBudget = std::numeric_limits<double>::denorm_min();
+constexpr double kMaxBudget = std::numeric_limits<double>::max();
 
 bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc < 2) {
@@ -279,24 +365,25 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   for (; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    // Flags that take a value: a string copied as-is, or a positive integer
+    // up to `max` through the strict numeric parser.
+    auto text = [&](std::string* out) {
+      const char* value = next();
+      if (value != nullptr) {
+        *out = value;
+      }
+      return value != nullptr;
+    };
+    auto count = [&](std::uint64_t max, auto* out) {
+      return ParseNumber<std::uint64_t>(flag, next(), 1, max, "a positive integer", out);
+    };
+    bool ok = true;
     if (flag == "--app") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->app = value;
+      ok = text(&args->app);
     } else if (flag == "--app-file") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->app_file = value;
+      ok = text(&args->app_file);
     } else if (flag == "--system") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->system = value;
+      ok = text(&args->system);
     } else if (flag == "--backend") {
       const char* value = next();
       if (value == nullptr) {
@@ -315,11 +402,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
       args->backend_set = true;
     } else if (flag == "--spec") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->spec_path = value;
+      ok = text(&args->spec_path);
     } else if (flag == "--charge") {
       const char* value = next();
       if (value == nullptr) {
@@ -332,29 +415,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
       args->charge = *parsed;
     } else if (flag == "--budget") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->budget = std::atof(value);
+      ok = ParseNumber(flag, next(), kMinBudget, kMaxBudget, "a positive number of uJ",
+                       &args->budget);
     } else if (flag == "--schedule") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->schedule = value;
+      ok = text(&args->schedule);
     } else if (flag == "--format") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->format = value;
+      ok = text(&args->format);
     } else if (flag == "--out") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->out_path = value;
+      ok = text(&args->out_path);
     } else if (flag == "--policy") {
       const char* value = next();
       if (value == nullptr) {
@@ -386,122 +454,46 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--trace") {
       args->trace = true;
     } else if (flag == "--jobs") {
-      const char* value = next();
-      if (value == nullptr || std::atoi(value) < 1) {
-        std::fprintf(stderr, "artemisc: --jobs wants a positive integer\n");
-        return false;
-      }
-      args->jobs = std::atoi(value);
+      ok = count(kMaxInt, &args->jobs);
     } else if (flag == "--systems") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_systems = value;
+      ok = text(&args->sweep_systems);
     } else if (flag == "--charges") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_charges = value;
+      ok = ParseCharges(next(), &args->charges);
     } else if (flag == "--budgets") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_budgets = value;
+      ok = ParseNumbers(flag, next(), kMinBudget, kMaxBudget, "positive numbers of uJ",
+                        /*list=*/true, &args->budgets);
     } else if (flag == "--backends") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_backends = value;
+      ok = text(&args->sweep_backends);
     } else if (flag == "--timekeepers") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_timekeepers = value;
+      ok = text(&args->sweep_timekeepers);
     } else if (flag == "--seeds") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_seeds = value;
+      ok = ParseNumbers<std::uint64_t>(flag, next(), 0, kMaxU64, "unsigned integers",
+                                       /*list=*/true, &args->seeds);
     } else if (flag == "--max-wall") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_max_wall = value;
+      ok = text(&args->sweep_max_wall);
     } else if (flag == "--stats") {
       args->sweep_stats = true;
     } else if (flag == "--flight") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_flight = value;
+      ok = text(&args->sweep_flight);
     } else if (flag == "--devices") {
-      const char* value = next();
-      if (value == nullptr || std::atoll(value) < 1) {
-        std::fprintf(stderr, "artemisc: --devices wants a positive integer\n");
-        return false;
-      }
-      args->fleet_devices = static_cast<std::uint64_t>(std::atoll(value));
+      ok = count(kMaxU64, &args->fleet_devices);
     } else if (flag == "--shards") {
-      const char* value = next();
-      if (value == nullptr || std::atoi(value) < 1) {
-        std::fprintf(stderr, "artemisc: --shards wants a positive integer\n");
-        return false;
-      }
-      args->fleet_shards = std::atoi(value);
+      ok = count(kMaxInt, &args->fleet_shards);
     } else if (flag == "--minutes") {
-      const char* value = next();
-      if (value == nullptr || std::atoll(value) < 1) {
-        std::fprintf(stderr, "artemisc: --minutes wants a positive integer\n");
-        return false;
-      }
-      args->fleet_minutes = value;
+      ok = count(kMaxU64 / kMinute, &args->fleet_minutes);
     } else if (flag == "--iterations") {
-      const char* value = next();
-      if (value == nullptr || std::atoll(value) < 1) {
-        std::fprintf(stderr, "artemisc: --iterations wants a positive integer\n");
-        return false;
-      }
-      args->fleet_iterations = value;
+      ok = count(kMaxU64, &args->fleet_iterations);
     } else if (flag == "--monitor") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->fleet_monitor = value;
+      ok = text(&args->fleet_monitor);
     } else if (flag == "--tile") {
-      const char* value = next();
-      if (value == nullptr || std::atoll(value) < 1) {
-        std::fprintf(stderr, "artemisc: --tile wants a positive integer\n");
-        return false;
-      }
-      args->fleet_tile = static_cast<std::uint32_t>(std::atoll(value));
+      ok = count(kMaxU32, &args->fleet_tile);
     } else if (flag == "--seed") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->fleet_seed = static_cast<std::uint64_t>(std::atoll(value));
+      ok = ParseNumber<std::uint64_t>(flag, next(), 0, kMaxU64, "an unsigned integer",
+                                      &args->fleet_seed);
     } else if (flag == "--level") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->flight_level = value;
+      ok = text(&args->flight_level);
     } else if (flag == "--flight-bytes") {
-      const char* value = next();
-      if (value == nullptr || std::atoll(value) < 1) {
-        std::fprintf(stderr, "artemisc: --flight-bytes wants a positive integer\n");
-        return false;
-      }
-      args->flight_bytes = static_cast<std::size_t>(std::atoll(value));
+      ok = count(std::numeric_limits<std::size_t>::max(), &args->flight_bytes);
     } else if (flag == "--gap") {
       const char* value = next();
       if (value == nullptr) {
@@ -514,11 +506,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
       args->detect_gap = *parsed;
     } else if (flag == "--spec2") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->spec2_path = value;
+      ok = text(&args->spec2_path);
     } else if (flag == "--swap-at") {
       const char* value = next();
       if (value == nullptr || !ParseDuration(value).has_value()) {
@@ -527,14 +515,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
       args->swap_at = value;
     } else if (flag == "--min-attempts") {
-      const char* value = next();
-      if (value == nullptr || std::atoi(value) < 1) {
-        std::fprintf(stderr, "artemisc: --min-attempts wants a positive integer\n");
-        return false;
-      }
-      args->min_attempts = static_cast<std::uint32_t>(std::atoi(value));
+      ok = count(kMaxU32, &args->min_attempts);
     } else {
       std::fprintf(stderr, "artemisc: unknown flag '%s'\n", flag.c_str());
+      return false;
+    }
+    if (!ok) {
       return false;
     }
   }
@@ -580,37 +566,22 @@ StatusOr<SpecAst> ParseSpec(const Args& args, const std::string& source) {
   return SpecParser::Parse(source);
 }
 
-std::vector<std::string> SplitCommaList(const std::string& text);  // defined below
-
 // Deployment axes for the whole-system analyzer passes (ART009-ART014),
 // from the shared --charges/--budgets/--flight/--no-immortal flags.
 // Defaults: the single --budget value, continuous power, two-phase commit
-// on, flight recorder off. False on an unparseable charge schedule.
-bool FillAnalysisOptions(const Args& args, AnalysisOptions* options) {
-  options->policy = args.policy;
-  options->werror = args.werror;
-  options->budgets = {args.budget};
-  if (!args.sweep_budgets.empty()) {
-    options->budgets.clear();
-    for (const std::string& budget : SplitCommaList(args.sweep_budgets)) {
-      options->budgets.push_back(std::atof(budget.c_str()));
-    }
+// on, flight recorder off.
+AnalysisOptions AnalysisOptionsFor(const Args& args) {
+  AnalysisOptions options;
+  options.policy = args.policy;
+  options.werror = args.werror;
+  options.budgets = args.budgets.empty() ? std::vector<EnergyUj>{args.budget} : args.budgets;
+  if (!args.charges.empty()) {
+    options.charges = args.charges;
   }
-  if (!args.sweep_charges.empty()) {
-    options->charges.clear();
-    for (const std::string& schedule : SplitCommaList(args.sweep_charges)) {
-      StatusOr<SimDuration> charge = sweep::ParseChargeSchedule(schedule);
-      if (!charge.ok()) {
-        std::fprintf(stderr, "artemisc: %s\n", charge.status().ToString().c_str());
-        return false;
-      }
-      options->charges.push_back(charge.value());
-    }
-  }
-  options->two_phase_commit = args.immortal;
-  options->flight_enabled = !args.sweep_flight.empty() && args.sweep_flight != "off";
-  options->flight_bytes = args.flight_bytes;
-  return true;
+  options.two_phase_commit = args.immortal;
+  options.flight_enabled = !args.sweep_flight.empty() && args.sweep_flight != "off";
+  options.flight_bytes = args.flight_bytes;
+  return options;
 }
 
 int RunCheck(const Args& args, const std::string& source) {
@@ -659,11 +630,8 @@ int RunCheck(const Args& args, const std::string& source) {
       std::fprintf(stderr, "lowering error: %s\n", machines.status().ToString().c_str());
       return kExitFindings;
     }
-    AnalysisOptions options;
-    if (!FillAnalysisOptions(args, &options)) {
-      return kExitUsage;
-    }
-    const DiagnosticEngine engine = AnalyzeMachines(machines.value(), app->graph, options);
+    const DiagnosticEngine engine =
+        AnalyzeMachines(machines.value(), app->graph, AnalysisOptionsFor(args));
     if (args.json) {
       std::printf("%s", engine.RenderJson().c_str());
     } else {
@@ -689,12 +657,8 @@ int RunCheck(const Args& args, const std::string& source) {
       std::fprintf(stderr, "swap gate error: %s\n", bad.ToString().c_str());
       return kExitFindings;
     }
-    AnalysisOptions options;
-    if (!FillAnalysisOptions(args, &options)) {
-      return kExitUsage;
-    }
     const DiagnosticEngine engine =
-        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, options);
+        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, AnalysisOptionsFor(args));
     if (args.json) {
       std::printf("%s", engine.RenderJson().c_str());
     } else {
@@ -746,11 +710,8 @@ int RunCodegen(const Args& args, const std::string& source, bool dot) {
   bool analyzer_errors = false;
   DotAnnotations annotations;
   if (!args.no_analyze) {
-    AnalysisOptions options;
-    if (!FillAnalysisOptions(args, &options)) {
-      return kExitUsage;
-    }
-    const DiagnosticEngine engine = AnalyzeMachines(machines.value(), app->graph, options);
+    const DiagnosticEngine engine =
+        AnalyzeMachines(machines.value(), app->graph, AnalysisOptionsFor(args));
     std::fprintf(stderr, "%s", engine.RenderText(args.spec_path).c_str());
     analyzer_errors = engine.HasErrors();
     annotations = AnnotationsFromDiagnostics(engine.diagnostics());
@@ -820,6 +781,19 @@ std::vector<std::string> TaskNames(const AppGraph& graph) {
   return names;
 }
 
+// The artemis-trace/1 header of a run's JSONL event stream (`trace`,
+// `simulate --trace`); an empty `schedule` is left out.
+obs::JsonlOptions TraceHeader(const Args& args, SimDuration charge, std::string schedule,
+                              const AppGraph& graph) {
+  obs::JsonlOptions options;
+  options.app = args.app_file.empty() ? args.app : args.app_file;
+  options.power = charge != 0 ? "fixed-charge" : "always-on";
+  options.schedule = std::move(schedule);
+  options.backend = MonitorBackendName(args.backend);
+  options.task_names = TaskNames(graph);
+  return options;
+}
+
 // The device every run-style subcommand simulates: the app on --budget
 // microjoules per on-period with `charge` recharge time (0 = continuous
 // power), monitored by `artifact` under --backend, and given up as
@@ -849,9 +823,7 @@ int RunProfile(const Args& args) {
   if (!artifact.ok()) {
     return SetupFailure(artifact.status());
   }
-  DeviceRecipe recipe = AppDevice(*app, args, 0, artifact.value());
-  recipe.kernel.record_trace = false;
-  DeviceRun device(std::move(recipe));
+  DeviceRun device(AppDevice(*app, args, 0, artifact.value()));
   if (!device.status().ok()) {
     return SetupFailure(device.status());
   }
@@ -904,25 +876,38 @@ int RunSimulate(const Args& args) {
   if (!artifact.ok()) {
     return SetupFailure(artifact.status());
   }
+  obs::EventBus bus;
   DeviceRecipe recipe = AppDevice(*app, args, args.charge, artifact.value());
   recipe.system = args.system == "mayfly" ? MonitorSystem::kMayfly : MonitorSystem::kArtemis;
+  recipe.observer = args.trace ? &bus : nullptr;
   DeviceRun device(std::move(recipe));
   if (!device.status().ok()) {
     return SetupFailure(device.status());
   }
-  const KernelRunResult result = device.Run();
-
+  // --trace: the run's event stream as artemis-trace/1 JSONL on stdout (no
+  // schedule in the header: --charge is not a charge bin). The summary then
+  // goes to stderr, so stdout stays one JSON object per line.
+  std::optional<obs::JsonlSink> jsonl;
   if (args.trace) {
-    std::printf("%s", device.kernel().trace().ToString(TaskNames(device.graph())).c_str());
+    obs::JsonlOptions header = TraceHeader(args, args.charge, "", device.graph());
+    if (args.system == "mayfly") {
+      header.backend.clear();  // Mayfly runs no monitor backend.
+    }
+    bus.AddSink(&jsonl.emplace(std::cout, std::move(header)));
   }
-  std::printf("system=%s app=%s completed=%s wall=%s reboots=%llu energy=%s\n",
-              args.system.c_str(),
-              (args.app_file.empty() ? args.app : args.app_file).c_str(),
-              result.completed ? "yes" : (result.timed_out ? "NO(non-termination)" : "NO"),
-              FormatDuration(result.finished_at).c_str(),
-              static_cast<unsigned long long>(result.stats.reboots),
-              FormatEnergy(result.stats.TotalEnergy()).c_str());
-  std::printf("%s\n", FormatOverheadRow("overheads:", BreakdownFromStats(result.stats)).c_str());
+  const KernelRunResult result = device.Run();
+  bus.Flush();
+
+  FILE* summary = args.trace ? stderr : stdout;
+  std::fprintf(summary, "system=%s app=%s completed=%s wall=%s reboots=%llu energy=%s\n",
+               args.system.c_str(),
+               (args.app_file.empty() ? args.app : args.app_file).c_str(),
+               result.completed ? "yes" : (result.timed_out ? "NO(non-termination)" : "NO"),
+               FormatDuration(result.finished_at).c_str(),
+               static_cast<unsigned long long>(result.stats.reboots),
+               FormatEnergy(result.stats.TotalEnergy()).c_str());
+  std::fprintf(summary, "%s\n",
+               FormatOverheadRow("overheads:", BreakdownFromStats(result.stats)).c_str());
   return result.completed ? 0 : 1;
 }
 
@@ -943,24 +928,17 @@ int RunTrace(const Args& args) {
   if (!charge.has_value()) {
     return kExitUsage;
   }
-  const std::vector<std::string> names = TaskNames(app->graph);
-
   std::ostringstream trace_out;
   obs::EventBus bus;
   std::unique_ptr<obs::JsonlSink> jsonl;
   std::unique_ptr<obs::PerfettoSink> perfetto;
   ObsStatsAggregator stats;
   if (args.format == "jsonl") {
-    obs::JsonlOptions options;
-    options.app = args.app_file.empty() ? args.app : args.app_file;
-    options.power = *charge != 0 ? "fixed-charge" : "always-on";
-    options.schedule = args.schedule;
-    options.backend = MonitorBackendName(args.backend);
-    options.task_names = names;
-    jsonl = std::make_unique<obs::JsonlSink>(trace_out, options);
+    jsonl = std::make_unique<obs::JsonlSink>(
+        trace_out, TraceHeader(args, *charge, args.schedule, app->graph));
     bus.AddSink(jsonl.get());
   } else if (args.format == "perfetto") {
-    perfetto = std::make_unique<obs::PerfettoSink>(trace_out, names);
+    perfetto = std::make_unique<obs::PerfettoSink>(trace_out, TaskNames(app->graph));
     bus.AddSink(perfetto.get());
   } else if (args.format == "stats") {
     bus.AddSink(&stats);
@@ -1203,12 +1181,8 @@ int RunSwapCmd(const Args& args) {
 
   FILE* chatter = args.json ? stderr : stdout;
   if (!args.no_analyze) {
-    AnalysisOptions options;
-    if (!FillAnalysisOptions(args, &options)) {
-      return kExitUsage;
-    }
     const DiagnosticEngine engine =
-        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, options);
+        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, AnalysisOptionsFor(args));
     if (args.json) {
       std::printf("%s", engine.RenderJson().c_str());
     } else {
@@ -1270,21 +1244,6 @@ int RunSwapCmd(const Args& args) {
   return result.completed && stats.swaps_applied > 0 ? kExitClean : kExitFindings;
 }
 
-std::vector<std::string> SplitCommaList(const std::string& text) {
-  std::vector<std::string> out;
-  std::string current;
-  for (const char c : text) {
-    if (c == ',') {
-      out.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  out.push_back(current);
-  return out;
-}
-
 int RunSweepCmd(const Args& args) {
   sweep::SweepSpec grid;
   if (!args.grid_path.empty()) {
@@ -1329,28 +1288,14 @@ int RunSweepCmd(const Args& args) {
   if (!args.sweep_timekeepers.empty()) {
     grid.timekeepers = SplitCommaList(args.sweep_timekeepers);
   }
-  if (!args.sweep_charges.empty()) {
-    grid.charges.clear();
-    for (const std::string& schedule : SplitCommaList(args.sweep_charges)) {
-      StatusOr<SimDuration> charge = sweep::ParseChargeSchedule(schedule);
-      if (!charge.ok()) {
-        std::fprintf(stderr, "artemisc: %s\n", charge.status().ToString().c_str());
-        return kExitUsage;
-      }
-      grid.charges.push_back(charge.value());
-    }
+  if (!args.charges.empty()) {
+    grid.charges = args.charges;
   }
-  if (!args.sweep_budgets.empty()) {
-    grid.budgets.clear();
-    for (const std::string& budget : SplitCommaList(args.sweep_budgets)) {
-      grid.budgets.push_back(std::atof(budget.c_str()));
-    }
+  if (!args.budgets.empty()) {
+    grid.budgets = args.budgets;
   }
-  if (!args.sweep_seeds.empty()) {
-    grid.seeds.clear();
-    for (const std::string& seed : SplitCommaList(args.sweep_seeds)) {
-      grid.seeds.push_back(static_cast<std::uint64_t>(std::atoll(seed.c_str())));
-    }
+  if (!args.seeds.empty()) {
+    grid.seeds = args.seeds;
   }
   if (!args.sweep_max_wall.empty()) {
     const std::optional<SimDuration> wall = ParseDuration(args.sweep_max_wall);
@@ -1451,29 +1396,18 @@ int RunFleetCmd(const Args& args) {
   // --stats in batch mode also profiles the dispatch-entry traffic (which
   // (state, kind, task) entries the fleet's events actually hit).
   spec.collect_traffic = args.sweep_stats && spec.monitor == "batch";
-  if (!args.sweep_charges.empty()) {
-    spec.charges.clear();
-    for (const std::string& schedule : SplitCommaList(args.sweep_charges)) {
-      StatusOr<SimDuration> charge = sweep::ParseChargeSchedule(schedule);
-      if (!charge.ok()) {
-        std::fprintf(stderr, "artemisc: %s\n", charge.status().ToString().c_str());
-        return kExitUsage;
-      }
-      spec.charges.push_back(charge.value());
-    }
+  if (!args.charges.empty()) {
+    spec.charges = args.charges;
   }
-  if (!args.sweep_budgets.empty()) {
-    spec.budgets.clear();
-    for (const std::string& budget : SplitCommaList(args.sweep_budgets)) {
-      spec.budgets.push_back(std::atof(budget.c_str()));
-    }
+  if (!args.budgets.empty()) {
+    spec.budgets = args.budgets;
   }
-  if (!args.fleet_minutes.empty()) {
+  if (args.fleet_minutes != 0) {
     // Horizon mode: every device loops its app until M simulated minutes.
     spec.iterations = 0;
-    spec.horizon = static_cast<SimDuration>(std::atoll(args.fleet_minutes.c_str())) * kMinute;
-  } else if (!args.fleet_iterations.empty()) {
-    spec.iterations = static_cast<std::uint64_t>(std::atoll(args.fleet_iterations.c_str()));
+    spec.horizon = args.fleet_minutes * kMinute;
+  } else if (args.fleet_iterations != 0) {
+    spec.iterations = args.fleet_iterations;
   }
   if (args.no_analyze) {
     spec.analyze = false;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full CI pipeline:
-#   1. Release build + tier-1 ctest suite.
+#   1. Release build + tier-1 ctest suite. Every ctest run (stages 1, 2,
+#      8 and 11) also runs the six examples/ programs as `example_*` tests.
 #   2. Sanitize build (ASan + UBSan) + tier-1 ctest suite, via
 #      tools/run_sanitized_tests.sh.
 #   3. Static analysis gate: `artemisc check --analyze --json` must come out
