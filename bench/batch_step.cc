@@ -50,20 +50,6 @@ double Seconds(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
 }
 
-const char* SimdMode() {
-#if defined(ARTEMIS_SIMD) && ARTEMIS_SIMD
-#if defined(__x86_64__) || defined(_M_X64)
-  return "sse2";
-#elif defined(__aarch64__)
-  return "neon";
-#else
-  return "portable";
-#endif
-#else
-  return "portable";
-#endif
-}
-
 struct Sample {
   double median = 0.0;
   double min = 0.0;
@@ -212,8 +198,7 @@ bool ExpectClass(const BatchCompiledMonitor& vm, BatchCompiledMonitor::HandlerCl
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_batch.json";
   const unsigned host_cpus = std::thread::hardware_concurrency();
-  std::printf("=== StepBatch microbench (lanes=%u, reps=%d, simd=%s) ===\n\n", kLanes,
-              kReps, SimdMode());
+  std::printf("=== StepBatch microbench (lanes=%u, reps=%d) ===\n\n", kLanes, kReps);
 
   // ---- (1) per-class kernels -------------------------------------------
   struct Synth {
@@ -560,7 +545,6 @@ int main(int argc, char** argv) {
   out << "{\n  \"bench\": \"batch_step\",\n";
   out << "  \"host_cpus\": " << host_cpus << ",\n";
   out << "  \"lanes\": " << kLanes << ",\n  \"reps\": " << kReps << ",\n";
-  out << "  \"simd\": \"" << SimdMode() << "\",\n";
   out << "  \"per_class_events_per_sec\": {\n";
   for (std::size_t i = 0; i < class_benches.size(); ++i) {
     const ClassBench& b = class_benches[i];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <iomanip>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -10,7 +11,6 @@
 
 #include "src/flight/record.h"
 #include "src/flight/recorder.h"
-#include "src/spec/consistency.h"
 
 namespace artemis {
 namespace {
@@ -48,6 +48,29 @@ std::string Uj(EnergyUj v) {
 }
 
 // ---- pass 6: energy feasibility (ART009, ART010) -------------------------
+
+// Minimal per-boundary bookkeeping the runtime adds around each task. Kept
+// deliberately smaller than any real cost model so ART010's best case never
+// reports a false infeasibility.
+constexpr SimDuration kBoundarySlack = kMillisecond;
+
+// Best-case delay between the completion of `from` and the next start of
+// `to` along `path` (sum of intervening task work), or nullopt when the
+// order never occurs on that path.
+std::optional<SimDuration> BestCaseInterTaskDelay(const AppGraph& graph, PathId path,
+                                                  TaskId from, TaskId to) {
+  const auto& tasks = graph.path(path);
+  const auto from_it = std::find(tasks.begin(), tasks.end(), from);
+  const auto to_it = std::find(tasks.begin(), tasks.end(), to);
+  if (from_it == tasks.end() || to_it == tasks.end() || from_it >= to_it) {
+    return std::nullopt;
+  }
+  SimDuration delay = 0;
+  for (auto it = from_it + 1; it != to_it; ++it) {
+    delay += graph.task(*it).work.duration + kBoundarySlack;
+  }
+  return delay + kBoundarySlack;
+}
 
 // Machines that step on `task`'s boundary events (the task is in their
 // event scope).

@@ -16,28 +16,14 @@
 // The guard kernel is the mask-vectorized one: elapsed values are gathered
 // into a contiguous scratch buffer, compared against the threshold as a
 // vector, and the destination state is blended in under the compare mask.
-// Portable builds express this as restrict-qualified compare-select loops
-// (compiled to cmov/blend by any optimizing compiler); defining
-// ARTEMIS_SIMD=1 swaps in explicit SSE2 (x86-64) or NEON (aarch64)
-// wrappers. Both paths perform the identical IEEE-754 subtract and
-// compare, so results are bit-identical — tools/ci.sh builds the tree both
-// ways and byte-diffs fleet output to enforce it.
+// The kernels are restrict-qualified compare-select loops, which any
+// optimizing compiler turns into cmov/blend code.
 #ifndef SRC_MONITOR_BATCH_KERNELS_H_
 #define SRC_MONITOR_BATCH_KERNELS_H_
 
 #include <cstdint>
 
 #include "src/monitor/vm_core.h"
-
-#if defined(ARTEMIS_SIMD) && ARTEMIS_SIMD
-#if defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
-#define ARTEMIS_SIMD_SSE2 1
-#include <emmintrin.h>
-#elif defined(__aarch64__)
-#define ARTEMIS_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-#endif
 
 namespace artemis::batch_kernels {
 
@@ -59,45 +45,6 @@ inline bool Pass(double a, double threshold) {
     return a != threshold;
   }
 }
-
-#if defined(ARTEMIS_SIMD_SSE2)
-template <GuardCmp C>
-inline __m128d Mask(__m128d a, __m128d threshold) {
-  if constexpr (C == GuardCmp::kLt) {
-    return _mm_cmplt_pd(a, threshold);
-  } else if constexpr (C == GuardCmp::kLe) {
-    return _mm_cmple_pd(a, threshold);
-  } else if constexpr (C == GuardCmp::kGt) {
-    return _mm_cmpgt_pd(a, threshold);
-  } else if constexpr (C == GuardCmp::kGe) {
-    return _mm_cmpge_pd(a, threshold);
-  } else if constexpr (C == GuardCmp::kEq) {
-    return _mm_cmpeq_pd(a, threshold);
-  } else {
-    return _mm_cmpneq_pd(a, threshold);
-  }
-}
-#endif
-
-#if defined(ARTEMIS_SIMD_NEON)
-template <GuardCmp C>
-inline uint64x2_t Mask(float64x2_t a, float64x2_t threshold) {
-  if constexpr (C == GuardCmp::kLt) {
-    return vcltq_f64(a, threshold);
-  } else if constexpr (C == GuardCmp::kLe) {
-    return vcleq_f64(a, threshold);
-  } else if constexpr (C == GuardCmp::kGt) {
-    return vcgtq_f64(a, threshold);
-  } else if constexpr (C == GuardCmp::kGe) {
-    return vcgeq_f64(a, threshold);
-  } else if constexpr (C == GuardCmp::kEq) {
-    return vceqq_f64(a, threshold);
-  } else {
-    // No vcneq; invert the equality mask.
-    return veorq_u64(vceqq_f64(a, threshold), vdupq_n_u64(~0ull));
-  }
-}
-#endif
 
 // ---- elapsed gather (guard kernels) -----------------------------------
 // out[k] = event.field - slots[lane_k * stride + slot], the canonical
@@ -139,82 +86,20 @@ inline void GuardSelectIndexed(const double* __restrict elapsed,
                                const std::uint32_t* __restrict lanes, std::uint32_t len,
                                double threshold, std::uint16_t to,
                                std::uint16_t* __restrict current) {
-#if defined(ARTEMIS_SIMD_SSE2)
-  const __m128d thr = _mm_set1_pd(threshold);
-  std::uint32_t k = 0;
-  for (; k + 2 <= len; k += 2) {
-    const int bits = _mm_movemask_pd(Mask<C>(_mm_loadu_pd(elapsed + k), thr));
-    if (bits & 1) {
-      current[lanes[k]] = to;
-    }
-    if (bits & 2) {
-      current[lanes[k + 1]] = to;
-    }
-  }
-  for (; k < len; ++k) {
-    if (Pass<C>(elapsed[k], threshold)) {
-      current[lanes[k]] = to;
-    }
-  }
-#else
   for (std::uint32_t k = 0; k < len; ++k) {
     const std::uint16_t kept = current[lanes[k]];
     current[lanes[k]] = Pass<C>(elapsed[k], threshold) ? to : kept;
   }
-#endif
 }
 
 template <GuardCmp C>
 inline void GuardSelectDense(const double* __restrict elapsed, std::uint32_t len,
                              double threshold, std::uint16_t to,
                              std::uint16_t* __restrict current) {
-#if defined(ARTEMIS_SIMD_SSE2)
-  const __m128d thr = _mm_set1_pd(threshold);
-  const __m128i vto = _mm_set1_epi16(static_cast<short>(to));
-  const __m128i bit_of_lane =
-      _mm_set_epi16(1 << 7, 1 << 6, 1 << 5, 1 << 4, 1 << 3, 1 << 2, 1 << 1, 1 << 0);
-  std::uint32_t k = 0;
-  for (; k + 8 <= len; k += 8) {
-    int bits = _mm_movemask_pd(Mask<C>(_mm_loadu_pd(elapsed + k), thr));
-    bits |= _mm_movemask_pd(Mask<C>(_mm_loadu_pd(elapsed + k + 2), thr)) << 2;
-    bits |= _mm_movemask_pd(Mask<C>(_mm_loadu_pd(elapsed + k + 4), thr)) << 4;
-    bits |= _mm_movemask_pd(Mask<C>(_mm_loadu_pd(elapsed + k + 6), thr)) << 6;
-    // Expand the 8 compare bits to a 16-bit-per-lane mask and blend the
-    // destination state over the kept states in one store.
-    const __m128i vbits = _mm_set1_epi16(static_cast<short>(bits));
-    const __m128i mask = _mm_cmpeq_epi16(_mm_and_si128(vbits, bit_of_lane), bit_of_lane);
-    const __m128i kept = _mm_loadu_si128(reinterpret_cast<const __m128i*>(current + k));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(current + k),
-                     _mm_or_si128(_mm_and_si128(mask, vto), _mm_andnot_si128(mask, kept)));
-  }
-  for (; k < len; ++k) {
-    if (Pass<C>(elapsed[k], threshold)) {
-      current[k] = to;
-    }
-  }
-#elif defined(ARTEMIS_SIMD_NEON)
-  const float64x2_t thr = vdupq_n_f64(threshold);
-  std::uint32_t k = 0;
-  for (; k + 2 <= len; k += 2) {
-    const uint64x2_t mask = Mask<C>(vld1q_f64(elapsed + k), thr);
-    if (vgetq_lane_u64(mask, 0)) {
-      current[k] = to;
-    }
-    if (vgetq_lane_u64(mask, 1)) {
-      current[k + 1] = to;
-    }
-  }
-  for (; k < len; ++k) {
-    if (Pass<C>(elapsed[k], threshold)) {
-      current[k] = to;
-    }
-  }
-#else
   for (std::uint32_t k = 0; k < len; ++k) {
     const std::uint16_t kept = current[k];
     current[k] = Pass<C>(elapsed[k], threshold) ? to : kept;
   }
-#endif
 }
 
 // ---- unconditional commit ---------------------------------------------

@@ -35,9 +35,8 @@
 //      Summary load, the class switch, and the guard-compare branch all
 //      hoist out of the inner loop. What remains is a straight-line
 //      gather / compare-select / scatter over contiguous uint16 states and
-//      double slots (src/monitor/batch_kernels.h; portable restrict loops,
-//      or explicit SSE2/NEON under ARTEMIS_SIMD — bit-identical either
-//      way). Contiguous cohorts (all lanes in lockstep) take a dense
+//      double slots (src/monitor/batch_kernels.h, restrict-qualified
+//      loops). Contiguous cohorts (all lanes in lockstep) take a dense
 //      kernel with no index indirection at all.
 //   3. general fallback — queued lanes run the shared bytecode core in
 //      lane order, so failure records append exactly as the scalar path

@@ -18,14 +18,14 @@
 // tests/compiled_monitor_test.cc.
 //
 // This interpreter is the semantic reference for the batch engine's class
-// kernels (src/monitor/batch_kernels.h): every fused kernel — portable or
-// SIMD — must produce bit-identical slot doubles and state transitions to
-// stepping the same handler program here, including IEEE-754 edge cases
-// (NaN guard comparisons evaluate false, signed zeros compare equal).
+// kernels (src/monitor/batch_kernels.h): every fused kernel must produce
+// bit-identical slot doubles and state transitions to stepping the same
+// handler program here, including IEEE-754 edge cases (NaN guard
+// comparisons evaluate false, signed zeros compare equal).
 // That contract is what lets a kernel lane skip the bytecode entirely,
 // and it is why kernels use only operations with exact IEEE semantics
 // (copies, subtraction, ordered comparison) — never reassociated
-// arithmetic. Pinned by BatchClassFuzzTest with ARTEMIS_SIMD on and off.
+// arithmetic. Pinned by BatchClassFuzzTest.
 #ifndef SRC_MONITOR_VM_CORE_H_
 #define SRC_MONITOR_VM_CORE_H_
 

@@ -1,7 +1,7 @@
 // Semantic validation of a parsed property specification against the
-// application graph, plus consistency lint warnings (Section 7 "Property
-// Consistency Checking" sketches the full analysis; we implement the
-// structural subset).
+// application graph, plus structural lint warnings. The Section 7
+// "Property Consistency Checking" analysis itself runs on the lowered
+// machines (src/analysis, ART009/ART010).
 #ifndef SRC_SPEC_VALIDATOR_H_
 #define SRC_SPEC_VALIDATOR_H_
 

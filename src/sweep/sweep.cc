@@ -1,9 +1,12 @@
 #include "src/sweep/sweep.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
+#include <system_error>
 
 #include "src/analysis/analyzer.h"
 #include "src/apps/ar_app.h"
@@ -73,11 +76,14 @@ StatusOr<flight::FlightLevel> ParseFlightAxis(const std::string& text) {
   return level;
 }
 
+// A relative clock error: the whole token must be a finite number in
+// [0, 1].
 StatusOr<double> ParseFraction(const std::string& text, const std::string& what) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || text.empty() || value < 0.0) {
-    return Status::Invalid("sweep: bad " + what + " '" + text + "'");
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed = std::from_chars(text.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end || !(value >= 0.0 && value <= 1.0)) {
+    return Status::Invalid("sweep: bad " + what + " '" + text + "' (a number in [0, 1])");
   }
   return value;
 }
@@ -213,6 +219,12 @@ StatusOr<std::vector<SweepPoint>> ExpandGrid(const SweepSpec& spec) {
   for (const std::string& system : spec.systems) {
     if (system != "artemis" && system != "mayfly") {
       return Status::Invalid("sweep: unknown system '" + system + "' (artemis|mayfly)");
+    }
+  }
+  for (const EnergyUj budget : spec.budgets) {
+    if (!(std::isfinite(budget) && budget > 0.0)) {
+      return Status::Invalid("sweep: budget " + FormatFixed(budget, 3) +
+                             " uJ is not a positive finite number");
     }
   }
   for (const std::string& name : spec.timekeepers) {
@@ -674,6 +686,21 @@ Status TypeError(const std::string& key, const std::string& want) {
   return Status::Invalid("sweep grid: \"" + key + "\" must be " + want);
 }
 
+// JSON numbers are doubles, so integers above 2^53 are not exact: a seed
+// or a byte count must be a whole number in [lo, 2^53].
+std::optional<std::uint64_t> WholeNumber(const JsonValue& value, std::uint64_t lo) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!value.is_number()) {
+    return std::nullopt;
+  }
+  const double number = value.number();
+  if (!(number >= static_cast<double>(lo) && number <= kMaxExact) ||
+      std::trunc(number) != number) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(number);
+}
+
 StatusOr<std::vector<std::string>> StringArray(const JsonValuePtr& value,
                                                const std::string& key) {
   if (!value->is_array()) {
@@ -758,10 +785,11 @@ StatusOr<SweepSpec> ParseGridJson(
       }
       spec.seeds.clear();
       for (const JsonValuePtr& item : value->array()) {
-        if (!item->is_number() || item->number() < 0) {
-          return TypeError(key, "an array of non-negative integers");
+        const std::optional<std::uint64_t> seed = WholeNumber(*item, 0);
+        if (!seed.has_value()) {
+          return TypeError(key, "an array of integers in [0, 2^53]");
         }
-        spec.seeds.push_back(static_cast<std::uint64_t>(item->number()));
+        spec.seeds.push_back(*seed);
       }
     } else if (key == "specs") {
       if (!value->is_array()) {
@@ -835,10 +863,11 @@ StatusOr<SweepSpec> ParseGridJson(
       }
       spec.flight = value->string();
     } else if (key == "flight_bytes") {
-      if (!value->is_number() || value->number() < 1) {
-        return TypeError(key, "a positive integer (ring capacity in bytes)");
+      const std::optional<std::uint64_t> bytes = WholeNumber(*value, 1);
+      if (!bytes.has_value()) {
+        return TypeError(key, "an integer in [1, 2^53] (ring capacity in bytes)");
       }
-      spec.flight_bytes = static_cast<std::size_t>(value->number());
+      spec.flight_bytes = static_cast<std::size_t>(*bytes);
     } else if (key == "spec2") {
       if (!value->is_object()) {
         return TypeError(key, "a {label?, text|file} object (the replacement spec)");

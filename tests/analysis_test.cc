@@ -560,6 +560,27 @@ TEST(EnergyFeasibilityPassTest, MitdBoundBoundaryAroundBestCaseDelay) {
   EXPECT_EQ(d->severity, DiagSeverity::kError);
 }
 
+// accel's 2 s of work runs uninterrupted inside a successful attempt, so a
+// maxDuration of exactly 2 s is feasible and 1999 ms can never be met, not
+// even on continuous power.
+TEST(EnergyFeasibilityPassTest, MaxDurationBoundaryAroundTaskWork) {
+  const HealthApp app = BuildHealthApp();
+  const std::vector<StateMachine> feasible = LowerForGraph(
+      "accel: {\n  maxDuration: 2s onFail: skipTask;\n}\n", app.graph);
+  EXPECT_EQ(CountCode(AnalyzeMachines(feasible, app.graph).diagnostics(),
+                      diag::kTimeBoundInfeasible),
+            0);
+
+  const std::vector<StateMachine> infeasible = LowerForGraph(
+      "accel: {\n  maxDuration: 1999ms onFail: skipTask;\n}\n", app.graph);
+  const std::vector<Diagnostic> diags =
+      AnalyzeMachines(infeasible, app.graph).diagnostics();
+  const Diagnostic* d = FindCode(diags, diag::kTimeBoundInfeasible);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, DiagSeverity::kError);
+  EXPECT_NE(d->message.find("'accel'"), std::string::npos) << d->message;
+}
+
 TEST(ProductReachabilityPassTest, ScopeMismatchMakesFailSitesDead) {
   const HealthApp app = BuildHealthApp();
   const std::vector<StateMachine> machines = LowerForGraph(

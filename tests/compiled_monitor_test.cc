@@ -424,9 +424,7 @@ TEST(BatchCompiledMonitorTest, FastClassesCoverAppDispatch) {
 // classifying a shape into its intended class, the ClassOf assertions here
 // fail before any timing ever runs. Each machine is then fuzzed
 // differentially (StepBatch vs StepLaneGeneral vs scalar CompiledMonitor),
-// which exercises the vectorized kernel for that class specifically —
-// with and without ARTEMIS_SIMD, since tools/ci.sh builds this suite both
-// ways.
+// which exercises the vectorized kernel for that class specifically.
 
 // S0 <-> S1 on start(0), guard-free, empty body: kCommit.
 StateMachine CommitMachine() {

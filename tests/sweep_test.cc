@@ -2,6 +2,9 @@
 // expansion, byte-identical export across worker counts, per-point equality
 // with direct serial runs, the compiled-spec cache's build-once guarantee,
 // error-row reporting, and the grid JSON loader.
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -10,6 +13,7 @@
 
 #include "src/apps/health_app.h"
 #include "src/core/builder.h"
+#include "src/core/device.h"
 #include "src/core/runtime.h"
 #include "src/mayfly/mayfly.h"
 #include "src/spec/parser.h"
@@ -74,6 +78,72 @@ TEST(SweepGridTest, RejectsBadAxisValues) {
   grid = sweep::SweepSpec();
   grid.seeds.clear();
   EXPECT_FALSE(sweep::ExpandGrid(grid).ok());
+}
+
+// A clock error is a relative standard deviation: the whole token must be
+// a finite number in [0, 1].
+TEST(SweepGridTest, ClockErrorsMustBeFractions) {
+  for (const char* name :
+       {"rtc:nan", "rtc:inf", "rtc:1e308", "rtc:0x10", "rtc:1.5", "rtc:-0.1", "rtc: 0.1",
+        "rtc:0.1x", "rtc:", "remanence:5min:nan", "remanence:5min:2"}) {
+    sweep::SweepSpec grid;
+    grid.timekeepers = {name};
+    EXPECT_FALSE(sweep::ExpandGrid(grid).ok()) << name;
+  }
+  for (const char* name : {"rtc:0", "rtc:0.01", "rtc:0.1", "rtc:1", "remanence:5min:0.1"}) {
+    sweep::SweepSpec grid;
+    grid.timekeepers = {name};
+    EXPECT_TRUE(sweep::ExpandGrid(grid).ok()) << name;
+  }
+}
+
+// Budgets are checked once, in ExpandGrid, for the flag and grid paths
+// alike: a zero budget starves every point, so it is refused up front.
+TEST(SweepGridTest, BudgetsMustBePositiveAndFinite) {
+  for (const double budget : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    sweep::SweepSpec grid;
+    grid.budgets = {kBudget, budget};
+    EXPECT_FALSE(sweep::ExpandGrid(grid).ok()) << budget;
+  }
+  StatusOr<sweep::SweepSpec> grid = sweep::ParseGridJson(R"({"budgets": [0], "analyze": false})");
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  EXPECT_FALSE(sweep::RunSweep(grid.value(), 1).ok());
+}
+
+// The rtc:<err> axis reaches the timekeeper as the same double strtod
+// yields: a sweep point equals a direct run with that timekeeper.
+TEST(SweepEngineTest, RtcAxisMatchesDirectTimekeeperRun) {
+  sweep::SweepSpec grid;
+  grid.timekeepers = {"rtc:0.01"};
+  grid.charges = {Charge(6)};
+  grid.seeds = {3};
+  grid.max_wall = 8 * kHour;
+  StatusOr<sweep::SweepOutcome> outcome = sweep::RunSweep(grid, 1);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_TRUE(outcome.value().AllOk());
+  const sweep::SweepRow& row = outcome.value().rows[0];
+
+  DeviceRecipe recipe;
+  recipe.graph = BuildHealthApp().graph;
+  recipe.charge = Charge(6);
+  recipe.budget = kBudget;
+  recipe.timekeeper = std::make_unique<RtcTimekeeper>(std::strtod("0.01", nullptr));
+  StatusOr<SharedSpecArtifactPtr> artifact =
+      BuildSpecArtifact(HealthAppSpec(), recipe.graph,
+                        StageForBackend(MonitorBackend::kBuiltin));
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  recipe.artifact = artifact.value();
+  recipe.kernel.seed = 3;
+  recipe.kernel.max_wall_time = grid.max_wall;
+  DeviceRun device(std::move(recipe));
+  ASSERT_TRUE(device.status().ok()) << device.status().ToString();
+  const KernelRunResult expected = device.Run();
+
+  EXPECT_EQ(row.result.finished_at, expected.finished_at);
+  EXPECT_EQ(row.result.stats.reboots, expected.stats.reboots);
+  EXPECT_EQ(row.violations, device.artemis()->monitors().violations_reported());
+  EXPECT_DOUBLE_EQ(row.result.stats.TotalEnergy(), expected.stats.TotalEnergy());
 }
 
 TEST(SweepEngineTest, ExportBytesAreIdenticalForAnyJobCount) {
@@ -330,6 +400,22 @@ TEST(SweepGridJsonTest, RejectsUnknownKeysAndBadTypes) {
       [](const std::string&) -> StatusOr<std::string> { return std::string("accel: {}"); });
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().specs[0].text, "accel: {}");
+}
+
+// JSON numbers are doubles: seeds and byte counts must be whole numbers no
+// larger than 2^53, the largest range doubles hold exactly.
+TEST(SweepGridJsonTest, RejectsInexactSeedsAndByteCounts) {
+  for (const char* text :
+       {R"({"seeds": [1.5]})", R"({"seeds": [1e30]})", R"({"seeds": [18446744073709551615]})",
+        R"({"seeds": [-1]})", R"({"seeds": ["1"]})", R"({"flight_bytes": 1.5})",
+        R"({"flight_bytes": 1e300})", R"({"flight_bytes": 0})"}) {
+    EXPECT_FALSE(sweep::ParseGridJson(text).ok()) << text;
+  }
+  StatusOr<sweep::SweepSpec> grid =
+      sweep::ParseGridJson(R"({"seeds": [0, 9007199254740992], "flight_bytes": 512})");
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  EXPECT_EQ(grid.value().seeds[1], 9007199254740992u);
+  EXPECT_EQ(grid.value().flight_bytes, 512u);
 }
 
 TEST(SpecTextHashTest, IsStableAndCollisionResistantEnough) {

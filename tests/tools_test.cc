@@ -60,11 +60,12 @@ TEST(ArtemiscTest, CheckAcceptsCleanSpec) {
 }
 
 TEST(ArtemiscTest, CheckFlagsUnsatisfiableProperty) {
+  // accel's work alone takes 2 s: a 10 ms maxDuration can never be met.
   const std::string spec =
       WriteTempSpec("bad.prop", "accel: { maxDuration: 10ms onFail: skipTask; }\n");
   const RunResult result = RunCli("check " + spec);
   EXPECT_EQ(result.exit_code, 1);
-  EXPECT_NE(result.output.find("UNSATISFIABLE"), std::string::npos);
+  EXPECT_NE(result.output.find("ART010"), std::string::npos) << result.output;
 }
 
 TEST(ArtemiscTest, CheckFlagsEnergyInfeasibleTask) {
@@ -73,7 +74,7 @@ TEST(ArtemiscTest, CheckFlagsEnergyInfeasibleTask) {
   // accel needs ~18 mJ per attempt; a 1000 uJ budget can never finish it.
   const RunResult result = RunCli("check " + spec + " --budget 1000");
   EXPECT_EQ(result.exit_code, 1);
-  EXPECT_NE(result.output.find("ENERGY"), std::string::npos);
+  EXPECT_NE(result.output.find("ART009"), std::string::npos) << result.output;
 }
 
 TEST(ArtemiscTest, CheckRejectsParseError) {
@@ -104,21 +105,21 @@ const char kOverlapSpec[] = "send: { collect: 2 dpTask: send onFail: restartPath
 TEST(ArtemiscTest, CheckAnalyzeAcceptsCleanSpec) {
   const std::string spec =
       WriteTempSpec("an_ok.prop", "accel: { maxTries: 10 onFail: skipPath; }\n");
-  const RunResult result = RunCli("check " + spec + " --analyze");
+  const RunResult result = RunCli("check " + spec);
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("analyzer: 0 error(s)"), std::string::npos);
 }
 
 TEST(ArtemiscTest, CheckAnalyzeFlagsOverlappingTransitions) {
   const std::string spec = WriteTempSpec("an_overlap.prop", kOverlapSpec);
-  const RunResult result = RunCli("check " + spec + " --analyze");
+  const RunResult result = RunCli("check " + spec);
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.output.find("ART005"), std::string::npos);
 }
 
 TEST(ArtemiscTest, CheckAnalyzeJsonEmitsDiagnosticsArray) {
   const std::string spec = WriteTempSpec("an_json.prop", kOverlapSpec);
-  const RunResult result = RunCli("check " + spec + " --analyze --json");
+  const RunResult result = RunCli("check " + spec + " --json");
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.output.find("\"code\": \"ART005\""), std::string::npos);
   EXPECT_NE(result.output.find("\"severity\": \"error\""), std::string::npos);
@@ -127,8 +128,59 @@ TEST(ArtemiscTest, CheckAnalyzeJsonEmitsDiagnosticsArray) {
 TEST(ArtemiscTest, CheckAnalyzeWerrorKeepsCleanSpecClean) {
   const std::string spec =
       WriteTempSpec("an_werror.prop", "accel: { maxTries: 10 onFail: skipPath; }\n");
-  const RunResult result = RunCli("check " + spec + " --analyze --Werror");
+  const RunResult result = RunCli("check " + spec + " --Werror");
   EXPECT_EQ(result.exit_code, 0) << result.output;
+}
+
+const std::string kSpecs = std::string(ARTEMIS_SOURCE_DIR) + "/examples/specs";
+
+// Every shipped example spec checks clean, and every fixture under
+// examples/specs/bad/ fails with its headline ART0xx code under the
+// deployment axes that expose it. The --spec2 rows run the hot-swap gate
+// (ART015/ART016) with the positional spec as the installed image.
+TEST(ArtemiscTest, CheckFixtureTable) {
+  const struct {
+    std::string args;
+    int exit_code;
+    const char* code;  // headline diagnostic; nullptr for a clean row
+  } kRows[] = {
+      {kSpecs + "/health.prop --app health", 0, nullptr},
+      {kSpecs + "/health.mayfly --app health --mayfly-lang", 0, nullptr},
+      {kSpecs + "/sensornet.prop --app-file " + kSpecs + "/sensornet.app", 0, nullptr},
+      // The EXPERIMENTS.md deployment grid must be statically feasible.
+      {kSpecs + "/health.prop --app health --charges continuous,1min,3min,6min --budgets 19500",
+       0, nullptr},
+      {kSpecs + "/bad/dead_state.prop --app health", 1, "ART001"},
+      {kSpecs + "/bad/unsat_guard.prop --app health", 1, "ART003"},
+      {kSpecs + "/bad/overlap.prop --app health", 1, "ART005"},
+      {kSpecs + "/bad/infeasible_budget.prop --app health --budgets 9000", 1, "ART009"},
+      {kSpecs + "/bad/infeasible_mitd.prop --app health --budgets 18005 --charges 6min", 1,
+       "ART010"},
+      {kSpecs + "/bad/dead_violation.prop --app health", 1, "ART011"},
+      {kSpecs + "/bad/inevitable_violation.prop --app health", 1, "ART012"},
+      {kSpecs + "/bad/war_hazard.prop --app health --no-immortal", 1, "ART013"},
+      {kSpecs + "/bad/flight_erosion.prop --app health --flight full --flight-bytes 20", 1,
+       "ART014"},
+      {kSpecs + "/health.prop --app health --spec2 " + kSpecs + "/health.prop", 0, nullptr},
+      {kSpecs + "/health.prop --app health --spec2 " + kSpecs + "/bad/swap_cross_type.prop", 1,
+       "ART015"},
+      {kSpecs + "/health.prop --app health --spec2 " + kSpecs + "/bad/swap_unknown_rule.prop",
+       1, "ART015"},
+      {kSpecs + "/health.prop --app health --spec2 " + kSpecs + "/health.prop --budgets 1", 1,
+       "ART016"},
+      // --no-analyze skips the analyzer: the infeasible fixture passes.
+      {kSpecs + "/bad/infeasible_budget.prop --app health --budgets 9000 --no-analyze", 0,
+       nullptr},
+  };
+  for (const auto& row : kRows) {
+    const RunResult result = RunCli("check " + row.args + " --json", /*stdout_only=*/true);
+    EXPECT_EQ(result.exit_code, row.exit_code) << row.args << "\n" << result.output;
+    if (row.code != nullptr) {
+      EXPECT_NE(result.output.find(std::string("\"code\": \"") + row.code + "\""),
+                std::string::npos)
+          << row.args << "\n" << result.output;
+    }
+  }
 }
 
 TEST(ArtemiscTest, CodegenRefusesOnAnalyzerErrors) {
@@ -277,10 +329,29 @@ TEST(ArtemiscTest, NumericFlagsRejectJunk) {
             0);
 }
 
+// sweep and fleet print a table by default and refuse trace's JSONL format
+// by name instead of silently falling back to the table.
+TEST(ArtemiscTest, SweepAndFleetRejectJsonlFormat) {
+  const std::string sweep = "sweep --app health --seeds 1";
+  const std::string fleet = "fleet --app health --devices 2 --iterations 1";
+  EXPECT_NE(RunCli(sweep, /*stdout_only=*/true).output.find("index  system"),
+            std::string::npos);
+  EXPECT_NE(RunCli(fleet, /*stdout_only=*/true).output.find("fleet: app=health"),
+            std::string::npos);
+  const RunResult sweep_jsonl = RunCli(sweep + " --format jsonl");
+  EXPECT_EQ(sweep_jsonl.exit_code, 2) << sweep_jsonl.output;
+  EXPECT_NE(sweep_jsonl.output.find("(json|csv|table)"), std::string::npos)
+      << sweep_jsonl.output;
+  const RunResult fleet_jsonl = RunCli(fleet + " --format jsonl");
+  EXPECT_EQ(fleet_jsonl.exit_code, 2) << fleet_jsonl.output;
+  EXPECT_NE(fleet_jsonl.output.find("(json|table)"), std::string::npos) << fleet_jsonl.output;
+}
+
 // ----------------------------------------------------------------- trace --
 
 TEST(ArtemiscTest, TraceEmitsVersionedJsonl) {
-  const RunResult result = RunCli("trace --app health --schedule 6min --format jsonl");
+  // JSONL is trace's default format.
+  const RunResult result = RunCli("trace --app health --schedule 6min");
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_EQ(result.output.rfind("{\"schema\":\"artemis-trace/1\"", 0), 0u);
   EXPECT_NE(result.output.find("\"kind\":\"sim.power-fail\""), std::string::npos);
@@ -327,7 +398,7 @@ TEST(ArtemiscTest, TraceDiffMissingFileExitTwo) {
   EXPECT_EQ(diff.exit_code, 2);
 }
 
-const std::string kHealthSpec = std::string(ARTEMIS_SOURCE_DIR) + "/examples/specs/health.prop";
+const std::string kHealthSpec = kSpecs + "/health.prop";
 
 TEST(ArtemiscTest, TraceRejectsBadScheduleAndFormat) {
   // trace, forensics and swap share the sweep's charge-bin parser: a period

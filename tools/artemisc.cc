@@ -2,7 +2,7 @@
 // paper's Xtext/Eclipse workbench (Figure 3).
 //
 //   artemisc check    <spec-file> [--app health|greenhouse] [--mayfly-lang]
-//                     [--analyze] [--json] [--Werror] [--policy <p>]
+//                     [--no-analyze] [--json] [--Werror] [--policy <p>]
 //                     [--charges continuous,1min,...] [--budgets <uJ>,...]
 //                     [--no-immortal] [--flight off|verdicts|full]
 //                     [--flight-bytes N]
@@ -38,10 +38,10 @@
 //                     [--flight off|verdicts|full] [--flight-bytes N]
 //                     [--no-analyze] [--json] [--Werror]
 //
-// `check` runs parse -> validate -> consistency analysis and, with
-// --analyze, the FSM IR static analyzer (src/analysis); `codegen`/`dot` run
-// the full generator pipeline with the analyzer in front (codegen refuses
-// to emit on error-severity findings, dot shades dead states/transitions).
+// `check`, `codegen` and `dot` share one front half: parse -> validate ->
+// lower -> the static analyzer (src/analysis, skipped with --no-analyze).
+// `check` reports the analyzer's diagnostics, `codegen` refuses to emit on
+// error-severity findings, and `dot` shades dead states/transitions.
 // `simulate` executes the chosen demo app on the simulated platform; with
 // --trace it writes the run's event stream as artemis-trace/1 JSONL (the
 // `trace` format) and moves its summary to stderr. `profile` runs the app
@@ -102,7 +102,6 @@
 #include "src/obs/perfetto_sink.h"
 #include "src/obs/trace_diff.h"
 #include "src/spec/app_lang.h"
-#include "src/spec/consistency.h"
 #include "src/spec/mayfly_frontend.h"
 #include "src/spec/parser.h"
 #include "src/spec/validator.h"
@@ -126,7 +125,7 @@ int Usage() {
                "usage: artemisc <check|pretty|codegen|dot|simulate|profile|trace|sweep|\n"
                "                 fleet|forensics|swap> [args]\n"
                "  check    <spec> [--app health|greenhouse] [--mayfly-lang]\n"
-               "           [--analyze] [--json] [--Werror]\n"
+               "           [--no-analyze] [--json] [--Werror]\n"
                "           [--policy severity|first-wins|last-wins]\n"
                "           [--charges continuous,1min,...] [--budgets <uJ>,...]\n"
                "           [--no-immortal] [--flight off|verdicts|full]\n"
@@ -187,16 +186,15 @@ struct Args {
   bool mayfly_lang = false;
   bool immortal = true;
   bool trace = false;
-  bool analyze = false;     // check: run the FSM IR static analyzer
-  bool no_analyze = false;  // codegen/dot: skip the analyzer gate
-  bool json = false;        // check --analyze: machine-readable diagnostics
+  bool no_analyze = false;  // skip the static analyzer (gate)
+  bool json = false;        // check: machine-readable diagnostics
   bool werror = false;      // promote analyzer warnings to errors
   ArbitrationPolicy policy = ArbitrationPolicy::kSeverity;
   SimDuration charge = 0;
   EnergyUj budget = 19'500.0;
   // trace command only.
   std::string schedule = "6min";  // charge-bin name or "continuous"
-  std::string format = "jsonl";   // jsonl | perfetto | stats
+  std::string format;             // --format; the default depends on the command
   std::string out_path;           // --out; empty = stdout
   std::string diff_left;          // trace diff operands
   std::string diff_right;
@@ -362,6 +360,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     }
     args->spec_path = argv[i++];
   }
+  args->format = args->command == "trace" ? "jsonl" : "table";
   for (; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
@@ -439,8 +438,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                      value);
         return false;
       }
-    } else if (flag == "--analyze") {
-      args->analyze = true;
     } else if (flag == "--no-analyze") {
       args->no_analyze = true;
     } else if (flag == "--json") {
@@ -584,62 +581,73 @@ AnalysisOptions AnalysisOptionsFor(const Args& args) {
   return options;
 }
 
-int RunCheck(const Args& args, const std::string& source) {
+// A spec through the front half that `check`, `codegen` and `dot` share.
+struct FrontHalf {
+  DemoApp app;
+  SpecAst spec;
+  std::vector<StateMachine> machines;
+  DiagnosticEngine engine;  // Empty with --no-analyze.
+};
+
+// parse -> validate -> lower -> analyze (unless --no-analyze). The
+// validator's warnings go to `warnings` unless it is null. A failing stage
+// prints its message and leaves the exit code in `*exit_code`.
+std::optional<FrontHalf> RunFrontHalf(const Args& args, const std::string& source,
+                                      FILE* warnings, int* exit_code) {
+  *exit_code = kExitFindings;
   auto app = MakeApp(args);
   if (!app.has_value()) {
-    return kExitUsage;
+    *exit_code = kExitUsage;
+    return std::nullopt;
   }
   auto parsed = ParseSpec(args, source);
   if (!parsed.ok()) {
     std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
-    return kExitFindings;
+    return std::nullopt;
   }
   const ValidationResult validation = SpecValidator::Validate(parsed.value(), app->graph);
   if (!validation.ok()) {
     std::fprintf(stderr, "validation error: %s\n", validation.status.ToString().c_str());
-    return kExitFindings;
+    return std::nullopt;
   }
+  if (warnings != nullptr) {
+    for (const std::string& warning : validation.warnings) {
+      std::fprintf(warnings, "warning: %s\n", warning.c_str());
+    }
+  }
+  auto machines = LowerSpec(parsed.value(), app->graph, {});
+  if (!machines.ok()) {
+    std::fprintf(stderr, "lowering error: %s\n", machines.status().ToString().c_str());
+    return std::nullopt;
+  }
+  FrontHalf front{std::move(*app), std::move(parsed).value(), std::move(machines).value(),
+                  DiagnosticEngine()};
+  if (!args.no_analyze) {
+    front.engine = AnalyzeMachines(front.machines, front.app.graph, AnalysisOptionsFor(args));
+  }
+  return front;
+}
+
+int RunCheck(const Args& args, const std::string& source) {
   // With --json, stdout carries only the diagnostics array; the human
   // summary moves to stderr.
   FILE* chatter = args.json ? stderr : stdout;
-  for (const std::string& warning : validation.warnings) {
-    std::fprintf(chatter, "warning: %s\n", warning.c_str());
+  int exit_code = kExitClean;
+  std::optional<FrontHalf> front = RunFrontHalf(args, source, chatter, &exit_code);
+  if (!front.has_value()) {
+    return exit_code;
   }
-  int hard_findings = 0;
-  for (const ConsistencyFinding& finding :
-       ConsistencyChecker::Analyze(parsed.value(), app->graph)) {
-    std::fprintf(chatter, "%s: %s: %s\n", ConsistencySeverityName(finding.severity),
-                 finding.property.c_str(), finding.message.c_str());
-    hard_findings += finding.severity != ConsistencySeverity::kRisky ? 1 : 0;
-  }
-  // Static energy feasibility against the device budget (--budget, uJ).
-  for (const EnergyFeasibilityFinding& finding :
-       AnalyzeEnergyFeasibility(app->graph, args.budget)) {
-    if (!finding.feasible) {
-      std::fprintf(chatter,
-                   "ENERGY: task '%s' needs %.1f uJ per attempt but one on-period "
-                   "delivers %.1f uJ; it can never complete (runtime signature: "
-                   "maxTries exhaustion)\n",
-                   finding.task_name.c_str(), finding.per_attempt, finding.budget);
-      ++hard_findings;
-    }
-  }
-  if (args.analyze) {
-    auto machines = LowerSpec(parsed.value(), app->graph, {});
-    if (!machines.ok()) {
-      std::fprintf(stderr, "lowering error: %s\n", machines.status().ToString().c_str());
-      return kExitFindings;
-    }
-    const DiagnosticEngine engine =
-        AnalyzeMachines(machines.value(), app->graph, AnalysisOptionsFor(args));
+  std::size_t errors = 0;
+  if (!args.no_analyze) {
+    const DiagnosticEngine& engine = front->engine;
     if (args.json) {
       std::printf("%s", engine.RenderJson().c_str());
     } else {
       std::printf("%s", engine.RenderText(args.spec_path).c_str());
     }
     std::fprintf(chatter, "analyzer: %zu error(s), %zu warning(s) across %zu machine(s)\n",
-                 engine.ErrorCount(), engine.WarningCount(), machines.value().size());
-    hard_findings += static_cast<int>(engine.ErrorCount());
+                 engine.ErrorCount(), engine.WarningCount(), front->machines.size());
+    errors += engine.ErrorCount();
   }
   // --spec2: the hot-swap gate. Treats this spec as the installed epoch-1
   // image and --spec2 as the epoch-2 replacement, then runs the migration
@@ -650,15 +658,16 @@ int RunCheck(const Args& args, const std::string& source) {
       std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec2_path.c_str());
       return kExitUsage;
     }
-    StatusOr<MonitorImage> old_image = BuildMonitorImage(source, app->graph, 1);
-    StatusOr<MonitorImage> new_image = BuildMonitorImage(*spec2, app->graph, 2);
+    const AppGraph& graph = front->app.graph;
+    StatusOr<MonitorImage> old_image = BuildMonitorImage(source, graph, 1);
+    StatusOr<MonitorImage> new_image = BuildMonitorImage(*spec2, graph, 2);
     if (!old_image.ok() || !new_image.ok()) {
       const Status& bad = !old_image.ok() ? old_image.status() : new_image.status();
       std::fprintf(stderr, "swap gate error: %s\n", bad.ToString().c_str());
       return kExitFindings;
     }
     const DiagnosticEngine engine =
-        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, AnalysisOptionsFor(args));
+        AnalyzeSwap(old_image.value(), new_image.value(), graph, AnalysisOptionsFor(args));
     if (args.json) {
       std::printf("%s", engine.RenderJson().c_str());
     } else {
@@ -666,12 +675,12 @@ int RunCheck(const Args& args, const std::string& source) {
     }
     std::fprintf(chatter, "swap analyzer: %zu error(s), %zu warning(s) migrating to '%s'\n",
                  engine.ErrorCount(), engine.WarningCount(), args.spec2_path.c_str());
-    hard_findings += static_cast<int>(engine.ErrorCount());
+    errors += engine.ErrorCount();
   }
   std::fprintf(chatter, "%zu properties across %zu task blocks: %s\n",
-               parsed.value().PropertyCount(), parsed.value().blocks.size(),
-               hard_findings == 0 ? "OK" : "INCONSISTENT");
-  return hard_findings == 0 ? kExitClean : kExitFindings;
+               front->spec.PropertyCount(), front->spec.blocks.size(),
+               errors == 0 ? "OK" : "INCONSISTENT");
+  return errors == 0 ? kExitClean : kExitFindings;
 }
 
 int RunPretty(const Args& args, const std::string& source) {
@@ -685,39 +694,19 @@ int RunPretty(const Args& args, const std::string& source) {
 }
 
 int RunCodegen(const Args& args, const std::string& source, bool dot) {
-  auto app = MakeApp(args);
-  if (!app.has_value()) {
-    return kExitUsage;
-  }
-  auto parsed = ParseSpec(args, source);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
-    return kExitFindings;
-  }
-  const ValidationResult validation = SpecValidator::Validate(parsed.value(), app->graph);
-  if (!validation.ok()) {
-    std::fprintf(stderr, "validation error: %s\n", validation.status.ToString().c_str());
-    return kExitFindings;
-  }
-  auto machines = LowerSpec(parsed.value(), app->graph, {});
-  if (!machines.ok()) {
-    std::fprintf(stderr, "lowering error: %s\n", machines.status().ToString().c_str());
-    return kExitFindings;
+  int exit_code = kExitClean;
+  std::optional<FrontHalf> front = RunFrontHalf(args, source, nullptr, &exit_code);
+  if (!front.has_value()) {
+    return exit_code;
   }
   // The analyzer gates code generation: diagnostics go to stderr, and
   // error-severity findings block C emission (override with --no-analyze).
   // The DOT backend still emits, shading dead states/transitions gray.
-  bool analyzer_errors = false;
-  DotAnnotations annotations;
-  if (!args.no_analyze) {
-    const DiagnosticEngine engine =
-        AnalyzeMachines(machines.value(), app->graph, AnalysisOptionsFor(args));
-    std::fprintf(stderr, "%s", engine.RenderText(args.spec_path).c_str());
-    analyzer_errors = engine.HasErrors();
-    annotations = AnnotationsFromDiagnostics(engine.diagnostics());
-  }
+  std::fprintf(stderr, "%s", front->engine.RenderText(args.spec_path).c_str());
+  const bool analyzer_errors = front->engine.HasErrors();
   if (dot) {
-    std::printf("%s", MachinesToDot(machines.value(), app->graph, &annotations).c_str());
+    const DotAnnotations annotations = AnnotationsFromDiagnostics(front->engine.diagnostics());
+    std::printf("%s", MachinesToDot(front->machines, front->app.graph, &annotations).c_str());
     return analyzer_errors ? kExitFindings : kExitClean;
   }
   if (analyzer_errors) {
@@ -728,7 +717,8 @@ int RunCodegen(const Args& args, const std::string& source, bool dot) {
   }
   CodegenOptions options;
   options.immortal_macros = args.immortal;
-  std::printf("%s", CCodeGenerator(options).Generate(machines.value(), app->graph).c_str());
+  std::printf("%s",
+              CCodeGenerator(options).Generate(front->machines, front->app.graph).c_str());
   return kExitClean;
 }
 
@@ -1338,8 +1328,7 @@ int RunSweepCmd(const Args& args) {
     rendered = sweep::RenderJson(grid, outcome.value());
   } else if (args.format == "csv") {
     rendered = sweep::RenderCsv(outcome.value());
-  } else if (args.format == "table" || args.format == "jsonl") {
-    // "jsonl" is the Args default (for trace); sweep's default is the table.
+  } else if (args.format == "table") {
     rendered = sweep::RenderTable(outcome.value());
   } else {
     std::fprintf(stderr, "artemisc: unknown sweep format '%s' (json|csv|table)\n",
@@ -1422,8 +1411,7 @@ int RunFleetCmd(const Args& args) {
   std::string rendered;
   if (args.format == "json") {
     rendered = fleet::RenderFleetJson(spec, outcome.value());
-  } else if (args.format == "table" || args.format == "jsonl") {
-    // "jsonl" is the Args default (for trace); fleet's default is the table.
+  } else if (args.format == "table") {
     rendered = fleet::RenderFleetTable(spec, outcome.value());
   } else {
     std::fprintf(stderr, "artemisc: unknown fleet format '%s' (json|table)\n",

@@ -1,134 +1,65 @@
 #!/usr/bin/env bash
 # Full CI pipeline:
-#   1. Release build + tier-1 ctest suite. Every ctest run (stages 1, 2,
-#      8 and 11) also runs the six examples/ programs as `example_*` tests.
+#   1. Release build + tier-1 ctest suite. Every ctest run (stages 1, 2
+#      and 9) also runs the six examples/ programs as `example_*` tests,
+#      and tools_test's analyzer fixture table (`artemisc check --json`
+#      over every shipped example spec and every examples/specs/bad/
+#      fixture, each under the deployment axes that trigger its headline
+#      ART0xx code).
 #   2. Sanitize build (ASan + UBSan) + tier-1 ctest suite, via
 #      tools/run_sanitized_tests.sh.
-#   3. Static analysis gate: `artemisc check --analyze --json` must come out
-#      clean (exit 0) for every shipped example spec — including the
-#      EXPERIMENTS.md charge grid — and must FAIL (exit 1) for every fixture
-#      under examples/specs/bad/, each reporting its headline ART0xx code
-#      under the deployment axes that trigger it. The hot-swap gate
-#      (`check --spec2`, ART015/ART016) runs the same way over the swap
-#      fixtures and an infeasible swap window.
-#   4. Golden-trace gate: `artemisc trace` of the health app under 6-minute
+#   3. Golden-trace gate: `artemisc trace` of the health app under 6-minute
 #      charging must be byte-identical to tests/golden/trace/health_6min.jsonl
 #      (checked with `artemisc trace diff`); likewise `artemisc forensics
 #      dump` must reproduce tests/golden/flight/health_6min.jsonl, and
 #      `artemisc forensics audit` must report zero mismatches. A forensics
 #      run that hot-swaps mid-flight (`--spec2`) must stitch the swap-epoch
 #      record into the timeline and still audit clean across the swap.
-#   5. Docs link check: every relative .md link in README.md, DESIGN.md,
+#   4. Docs link check: every relative .md link in README.md, DESIGN.md,
 #      EXPERIMENTS.md, and docs/ must resolve to an existing file.
-#   6. Sweep determinism smoke: `artemisc sweep` over a small grid must
+#   5. Sweep determinism smoke: `artemisc sweep` over a small grid must
 #      produce byte-identical JSON for --jobs 1 and --jobs 4, with exit 0;
 #      a statically infeasible deployment must be refused with exit 2
 #      before any point runs.
-#   7. Fleet determinism smoke: `artemisc fleet` over a small device fleet
+#   6. Fleet determinism smoke: `artemisc fleet` over a small device fleet
 #      must produce byte-identical JSON for --shards 1 and --shards 4, with
 #      exit 0 (the batch-VM differential fuzz runs in stage 1/2/9 via
 #      compiled_monitor_test; fleet_test covers shard/tile determinism);
 #      the same infeasible deployment must be refused with exit 2.
-#   8. SIMD parity gate: a second release build with -DARTEMIS_SIMD=ON
-#      (explicit SSE2/NEON batch kernels instead of the portable loops)
-#      must pass the full tier-1 suite — including the batch-VM
-#      differential fuzz and the hotswap ApplyMigrationFrom
-#      permutation-correctness regression — and `artemisc fleet` output
-#      must be byte-identical between the SIMD and portable builds.
-#   9. Benchmark smoke: perfbench/ (the repo's benchmark, its own CMake
+#   7. Benchmark smoke: perfbench/ (the repo's benchmark, its own CMake
 #      package over src/) must build against the engine's public API, pass
 #      `run.py --self-test`, and each workload's smoke-size traced run must
 #      pass its digest and parity checks — so a refactor that breaks the
 #      API perfbench compiles against fails here, not in the benchmark.
-#  10. clang-tidy (bugprone-*/performance-*/concurrency-*, .clang-tidy at
+#   8. clang-tidy (bugprone-*/performance-*/concurrency-*, .clang-tidy at
 #      the repo root) over src/ and tools/; skipped with a notice when
 #      clang-tidy is not installed.
-#  11. ThreadSanitizer build + tier-1 ctest suite, via
+#   9. ThreadSanitizer build + tier-1 ctest suite, via
 #      tools/run_tsan_tests.sh (races in the sweep engine's thread pool,
 #      the compiled-spec cache, and the fleet engine's shard workers —
 #      fleet_test runs its sharded configurations under TSan here).
 #
-# Usage: tools/ci.sh [release-build-dir [sanitize-build-dir [tsan-build-dir [simd-build-dir]]]]
-#        (defaults: build-ci, build-sanitize, build-tsan, build-simd)
+# Usage: tools/ci.sh [release-build-dir [sanitize-build-dir [tsan-build-dir]]]
+#        (defaults: build-ci, build-sanitize, build-tsan)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 release_dir="${1:-${repo_root}/build-ci}"
 sanitize_dir="${2:-${repo_root}/build-sanitize}"
 tsan_dir="${3:-${repo_root}/build-tsan}"
-simd_dir="${4:-${repo_root}/build-simd}"
 
-echo "== [1/11] Release build + tests =="
+echo "== [1/9] Release build + tests =="
 cmake -B "${release_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${release_dir}" -j "$(nproc)"
 ctest --test-dir "${release_dir}" --output-on-failure
 
-echo "== [2/11] Sanitized build + tests =="
+echo "== [2/9] Sanitized build + tests =="
 "${repo_root}/tools/run_sanitized_tests.sh" "${sanitize_dir}"
 
-echo "== [3/11] Static analysis over example specs =="
 artemisc="${release_dir}/tools/artemisc"
-
-check_clean() {
-  local label="$1"
-  shift
-  if ! "${artemisc}" check "$@" --analyze --json > /dev/null; then
-    echo "CI FAIL: ${label} should analyze clean" >&2
-    exit 1
-  fi
-  echo "ok: ${label} analyzes clean"
-}
-
-check_dirty() {
-  local label="$1" expect_code="$2"
-  shift 2
-  local out rc=0
-  out="$("${artemisc}" check "$@" --analyze --json 2> /dev/null)" || rc=$?
-  if [[ "${rc}" -ne 1 ]]; then
-    echo "CI FAIL: ${label} should exit 1 (got ${rc})" >&2
-    exit 1
-  fi
-  if ! grep -q "\"code\": \"${expect_code}\"" <<< "${out}"; then
-    echo "CI FAIL: ${label} should report ${expect_code}" >&2
-    exit 1
-  fi
-  echo "ok: ${label} reports ${expect_code} and fails"
-}
-
 specs="${repo_root}/examples/specs"
-check_clean "health.prop" "${specs}/health.prop" --app health
-check_clean "health.mayfly" "${specs}/health.mayfly" --app health --mayfly-lang
-check_clean "sensornet.prop" "${specs}/sensornet.prop" --app-file "${specs}/sensornet.app"
-# The EXPERIMENTS.md deployment grid must be statically feasible.
-check_clean "health.prop (charge grid)" "${specs}/health.prop" --app health \
-  --charges continuous,1min,3min,6min --budgets 19500
-check_dirty "bad/dead_state.prop" ART001 "${specs}/bad/dead_state.prop" --app health
-check_dirty "bad/unsat_guard.prop" ART003 "${specs}/bad/unsat_guard.prop" --app health
-check_dirty "bad/overlap.prop" ART005 "${specs}/bad/overlap.prop" --app health
-# Whole-system fixtures: each needs the deployment axes that expose it.
-check_dirty "bad/infeasible_budget.prop" ART009 "${specs}/bad/infeasible_budget.prop" \
-  --app health --budgets 9000
-check_dirty "bad/infeasible_mitd.prop" ART010 "${specs}/bad/infeasible_mitd.prop" \
-  --app health --budgets 18005 --charges 6min
-check_dirty "bad/dead_violation.prop" ART011 "${specs}/bad/dead_violation.prop" --app health
-check_dirty "bad/inevitable_violation.prop" ART012 \
-  "${specs}/bad/inevitable_violation.prop" --app health
-check_dirty "bad/war_hazard.prop" ART013 "${specs}/bad/war_hazard.prop" \
-  --app health --no-immortal
-check_dirty "bad/flight_erosion.prop" ART014 "${specs}/bad/flight_erosion.prop" \
-  --app health --flight full --flight-bytes 20
-# Hot-swap gate (docs/hotswap.md): the positional spec is the installed
-# image, --spec2 the over-the-air replacement (ART015/ART016).
-check_clean "health.prop -> health.prop (swap)" "${specs}/health.prop" --app health \
-  --spec2 "${specs}/health.prop"
-check_dirty "bad/swap_cross_type.prop (swap)" ART015 "${specs}/health.prop" \
-  --app health --spec2 "${specs}/bad/swap_cross_type.prop"
-check_dirty "bad/swap_unknown_rule.prop (swap)" ART015 "${specs}/health.prop" \
-  --app health --spec2 "${specs}/bad/swap_unknown_rule.prop"
-check_dirty "health.prop (swap, 1 uJ window)" ART016 "${specs}/health.prop" \
-  --app health --spec2 "${specs}/health.prop" --budgets 1
 
-echo "== [4/11] Golden-trace regression =="
+echo "== [3/9] Golden-trace regression =="
 # The exported observability stream is deterministic: a fresh run of the
 # canonical scenario must reproduce the checked-in golden byte-for-byte.
 trace_tmp="$(mktemp /tmp/artemis_trace.XXXXXX.jsonl)"
@@ -182,7 +113,7 @@ if ! "${artemisc}" forensics audit --app health --spec "${specs}/health.prop" \
 fi
 echo "ok: flight log audits clean across the swap epoch"
 
-echo "== [5/11] Docs link check =="
+echo "== [4/9] Docs link check =="
 # Every relative .md link in the top-level docs and docs/ must resolve.
 # Matches [text](path.md) and [text](path.md#anchor); external http(s)
 # links are skipped.
@@ -208,7 +139,7 @@ if [[ "${link_errors}" -ne 0 ]]; then
 fi
 echo "ok: all relative .md links resolve"
 
-echo "== [6/11] Sweep determinism smoke =="
+echo "== [5/9] Sweep determinism smoke =="
 # The parallel sweep engine's export must not depend on the worker count.
 sweep_j1="$(mktemp /tmp/artemis_sweep_j1.XXXXXX.json)"
 sweep_j4="$(mktemp /tmp/artemis_sweep_j4.XXXXXX.json)"
@@ -236,7 +167,7 @@ if [[ "${rc}" -ne 2 ]]; then
 fi
 echo "ok: infeasible sweep deployment refused with exit 2"
 
-echo "== [7/11] Fleet determinism smoke =="
+echo "== [6/9] Fleet determinism smoke =="
 # The sharded fleet engine's export must not depend on the shard count.
 fleet_s1="$(mktemp /tmp/artemis_fleet_s1.XXXXXX.json)"
 fleet_s4="$(mktemp /tmp/artemis_fleet_s4.XXXXXX.json)"
@@ -263,32 +194,7 @@ if [[ "${rc}" -ne 2 ]]; then
 fi
 echo "ok: infeasible fleet deployment refused with exit 2"
 
-echo "== [8/11] SIMD parity gate =="
-# Same sources, explicit SSE2/NEON batch kernels: the full tier-1 suite
-# must pass (the batch-VM differential fuzz in compiled_monitor_test runs
-# per-class and lane-list parity under SIMD here, and hotswap_test re-runs
-# the ApplyMigrationFrom permutation-correctness regression against the
-# cohort-partitioned stepper), and fleet output must be byte-identical to
-# the portable build's.
-cmake -B "${simd_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release -DARTEMIS_SIMD=ON
-cmake --build "${simd_dir}" -j "$(nproc)"
-ctest --test-dir "${simd_dir}" --output-on-failure
-fleet_simd="$(mktemp /tmp/artemis_fleet_simd.XXXXXX.json)"
-fleet_portable="$(mktemp /tmp/artemis_fleet_portable.XXXXXX.json)"
-trap 'rm -f "${trace_tmp}" "${flight_tmp}" "${sweep_j1}" "${sweep_j4}" \
-  "${fleet_s1}" "${fleet_s4}" "${fleet_simd}" "${fleet_portable}"' EXIT
-"${artemisc}" fleet --app health --devices 500 --iterations 1 \
-  --charges continuous,6min --shards 2 --stats --format json --out "${fleet_portable}"
-"${simd_dir}/tools/artemisc" fleet --app health --devices 500 --iterations 1 \
-  --charges continuous,6min --shards 2 --stats --format json --out "${fleet_simd}"
-if ! diff -q "${fleet_portable}" "${fleet_simd}" > /dev/null; then
-  echo "CI FAIL: fleet JSON differs between ARTEMIS_SIMD=ON and portable builds" >&2
-  diff "${fleet_portable}" "${fleet_simd}" >&2 || true
-  exit 1
-fi
-echo "ok: fleet JSON is byte-identical between SIMD and portable builds"
-
-echo "== [9/11] Benchmark smoke =="
+echo "== [7/9] Benchmark smoke =="
 (cd "${repo_root}" && python3 perfbench/run.py --self-test)
 for workload in fleet-outage fleet-fresh sweep-grid; do
   result="$(cd "${repo_root}" && python3 perfbench/run.py --workload "${workload}" --seed 1 \
@@ -300,7 +206,7 @@ for workload in fleet-outage fleet-fresh sweep-grid; do
   echo "ok: perfbench ${workload} smoke run passes its digest and parity checks"
 done
 
-echo "== [10/11] clang-tidy static analysis =="
+echo "== [8/9] clang-tidy static analysis =="
 if command -v clang-tidy > /dev/null 2>&1; then
   # Reuse the release build's compile commands; .clang-tidy at the repo
   # root scopes the checks (bugprone-*, performance-*, concurrency-*).
@@ -321,7 +227,7 @@ else
   echo "skip: clang-tidy not installed (stage runs where the toolchain provides it)"
 fi
 
-echo "== [11/11] ThreadSanitizer build + tests =="
+echo "== [9/9] ThreadSanitizer build + tests =="
 "${repo_root}/tools/run_tsan_tests.sh" "${tsan_dir}"
 
 echo "CI: all stages passed"
