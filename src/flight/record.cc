@@ -27,12 +27,14 @@ bool IsValidRecordKind(std::uint8_t value) {
          value <= static_cast<std::uint8_t>(RecordKind::kSwapEpoch);
 }
 
-void PutVarint(std::vector<std::uint8_t>* out, std::uint64_t value) {
+std::size_t PutVarint(std::uint8_t* out, std::uint64_t value) {
+  std::size_t n = 0;
   while (value >= 0x80) {
-    out->push_back(static_cast<std::uint8_t>(value) | 0x80);
+    out[n++] = static_cast<std::uint8_t>(value) | 0x80;
     value >>= 7;
   }
-  out->push_back(static_cast<std::uint8_t>(value));
+  out[n++] = static_cast<std::uint8_t>(value);
+  return n;
 }
 
 bool GetVarint(const std::uint8_t* data, std::size_t size, std::size_t* pos,
@@ -61,56 +63,57 @@ std::int64_t ZigZagDecode(std::uint64_t value) {
   return static_cast<std::int64_t>(value >> 1) ^ -static_cast<std::int64_t>(value & 1);
 }
 
-std::vector<std::uint8_t> EncodePayload(const FlightRecord& record, SimTime last_time) {
-  std::vector<std::uint8_t> out;
-  out.push_back(static_cast<std::uint8_t>(record.kind));
-  const std::uint64_t delta =
-      ZigZagEncode(static_cast<std::int64_t>(record.time) -
-                   static_cast<std::int64_t>(last_time));
+std::size_t EncodePayload(const FlightRecord& record, SimTime last_time, PayloadBuffer* out) {
+  std::uint8_t* const data = out->data();
+  std::size_t n = 0;
+  data[n++] = static_cast<std::uint8_t>(record.kind);
+  // Unsigned subtraction: the wrapped difference is the signed delta for
+  // any pair of times, with no signed overflow.
+  const std::uint64_t delta = ZigZagEncode(static_cast<std::int64_t>(record.time - last_time));
   switch (record.kind) {
     case RecordKind::kBoot:
-      PutVarint(&out, record.epoch);
-      PutVarint(&out, static_cast<std::uint64_t>(record.time));
+      n += PutVarint(data + n, record.epoch);
+      n += PutVarint(data + n, static_cast<std::uint64_t>(record.time));
       break;
     case RecordKind::kTaskStart:
-      PutVarint(&out, delta);
-      PutVarint(&out, record.seq);
-      PutVarint(&out, record.task);
-      PutVarint(&out, record.path);
-      PutVarint(&out, record.attempt);
+      n += PutVarint(data + n, delta);
+      n += PutVarint(data + n, record.seq);
+      n += PutVarint(data + n, record.task);
+      n += PutVarint(data + n, record.path);
+      n += PutVarint(data + n, record.attempt);
       break;
     case RecordKind::kTaskEnd:
-      PutVarint(&out, delta);
-      PutVarint(&out, record.seq);
-      PutVarint(&out, record.task);
-      PutVarint(&out, record.path);
+      n += PutVarint(data + n, delta);
+      n += PutVarint(data + n, record.seq);
+      n += PutVarint(data + n, record.task);
+      n += PutVarint(data + n, record.path);
       break;
     case RecordKind::kCommit:
-      PutVarint(&out, delta);
-      PutVarint(&out, record.seq);
-      PutVarint(&out, record.task);
-      PutVarint(&out, record.bytes);
+      n += PutVarint(data + n, delta);
+      n += PutVarint(data + n, record.seq);
+      n += PutVarint(data + n, record.task);
+      n += PutVarint(data + n, record.bytes);
       break;
     case RecordKind::kVerdict:
-      PutVarint(&out, delta);
-      PutVarint(&out, record.seq);
-      PutVarint(&out, record.task);
-      PutVarint(&out, record.action);
-      PutVarint(&out, record.target_path);
+      n += PutVarint(data + n, delta);
+      n += PutVarint(data + n, record.seq);
+      n += PutVarint(data + n, record.task);
+      n += PutVarint(data + n, record.action);
+      n += PutVarint(data + n, record.target_path);
       break;
     case RecordKind::kChargeSnapshot:
-      PutVarint(&out, delta);
-      PutVarint(&out, record.epoch);
-      PutVarint(&out, record.fraction_milli);
+      n += PutVarint(data + n, delta);
+      n += PutVarint(data + n, record.epoch);
+      n += PutVarint(data + n, record.fraction_milli);
       break;
     case RecordKind::kSwapEpoch:
-      PutVarint(&out, delta);
-      PutVarint(&out, record.old_hash);
-      PutVarint(&out, record.new_hash);
-      PutVarint(&out, record.image_epoch);
+      n += PutVarint(data + n, delta);
+      n += PutVarint(data + n, record.old_hash);
+      n += PutVarint(data + n, record.new_hash);
+      n += PutVarint(data + n, record.image_epoch);
       break;
   }
-  return out;
+  return n;
 }
 
 namespace {
@@ -140,8 +143,7 @@ bool DecodePayload(const std::uint8_t* data, std::size_t size, SimTime last_time
     if (!GetVarint(data, size, &pos, &delta)) {
       return false;
     }
-    record->time = static_cast<SimTime>(static_cast<std::int64_t>(last_time) +
-                                        ZigZagDecode(delta));
+    record->time = last_time + static_cast<SimTime>(ZigZagDecode(delta));
   }
   bool ok = false;
   switch (record->kind) {

@@ -16,9 +16,9 @@
 #ifndef SRC_FLIGHT_RECORD_H_
 #define SRC_FLIGHT_RECORD_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/base/time.h"
 
@@ -28,14 +28,20 @@ namespace artemis::flight {
 // 0x01..0xFF range; every record type stays well under this.
 inline constexpr std::size_t kMaxPayloadBytes = 250;
 
-// Worst-case encoded payload across all record kinds, used by the static
-// analyzer (ART014) to reject rings too small to hold one record. The
-// largest encoder outputs tie at 36 bytes: kTaskStart (1 kind byte + 10
-// zigzag time delta + 10 seq + 5 task + 5 path + 5 attempt) and kSwapEpoch
-// (1 kind byte + 10 zigzag time delta + 10 old hash + 10 new hash + 5
-// image epoch). A record additionally occupies its seal byte plus the
-// ring's zero terminator, so the minimum useful capacity is this + 2.
+// Worst-case encoded payload across all record kinds. It sizes the buffer
+// every append encodes into, and the static analyzer (ART014) uses it to
+// reject rings too small to hold one record. The largest encoder outputs
+// tie at 36 bytes: kTaskStart (1 kind byte + 10 zigzag time delta + 10 seq
+// + 5 task + 5 path + 5 attempt), kCommit (1 + 10 + 10 seq + 5 task + 10
+// bytes) and kSwapEpoch (1 + 10 + 10 old hash + 10 new hash + 5 image
+// epoch). A record additionally occupies its seal byte plus the ring's zero
+// terminator, so the minimum useful capacity is this + 2.
 inline constexpr std::size_t kWorstCasePayloadBytes = 36;
+static_assert(kWorstCasePayloadBytes <= kMaxPayloadBytes,
+              "every payload length must fit the seal byte");
+
+// The buffer a payload is encoded into.
+using PayloadBuffer = std::array<std::uint8_t, kWorstCasePayloadBytes>;
 
 // Record kinds. Part of the artemis-flight/1 wire format: append new kinds,
 // never renumber.
@@ -74,16 +80,21 @@ struct FlightRecord {
 };
 
 // ---- LEB128 varints ------------------------------------------------------
-void PutVarint(std::vector<std::uint8_t>* out, std::uint64_t value);
+// Longest encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+// Writes `value` at `out`, which must have kMaxVarintBytes of room, and
+// returns the number of bytes written.
+std::size_t PutVarint(std::uint8_t* out, std::uint64_t value);
 // Reads a varint at *pos, advancing it. False on truncation / overlong.
 bool GetVarint(const std::uint8_t* data, std::size_t size, std::size_t* pos,
                std::uint64_t* out);
 std::uint64_t ZigZagEncode(std::int64_t value);
 std::int64_t ZigZagDecode(std::uint64_t value);
 
-// Encodes `record`'s payload. `last_time` is the delta base (the previous
-// sealed record's timestamp); ignored for kBoot.
-std::vector<std::uint8_t> EncodePayload(const FlightRecord& record, SimTime last_time);
+// Encodes `record`'s payload into `out` and returns its length. `last_time`
+// is the delta base (the previous sealed record's timestamp); ignored for
+// kBoot.
+std::size_t EncodePayload(const FlightRecord& record, SimTime last_time, PayloadBuffer* out);
 
 // Decodes one payload. `last_time` is the delta base; on success the
 // record's absolute time is reconstructed. False on any malformed byte —

@@ -2,8 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace artemis::flight {
+
+namespace {
+
+// Reads the LEB128 varint at ring offset *pos, wrapping at the ring's end,
+// and advances *pos past it.
+std::uint64_t RingVarint(const std::vector<std::uint8_t>& ring, std::size_t* pos) {
+  std::uint64_t value = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    const std::uint8_t byte = ring[*pos];
+    *pos = *pos + 1 == ring.size() ? 0 : *pos + 1;
+    value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      break;
+    }
+  }
+  return value;
+}
+
+}  // namespace
 
 const char* FlightLevelName(FlightLevel level) {
   switch (level) {
@@ -135,17 +155,20 @@ bool FlightRecorder::AppendChargeSnapshot(double fraction) {
 }
 
 bool FlightRecorder::EvictOldest() {
-  // The head record is sealed by invariant, so this decode cannot fail; it
-  // advances the decoder's time base past the record being overwritten.
+  // Advance the decoder's time base past the record being overwritten. Only
+  // its kind byte and time varint are read, in place: a boot record's
+  // absolute time follows its epoch, every other kind leads with its zigzag
+  // delta. The head record is sealed by invariant, so both are present.
   const std::size_t cap = ring_.size();
   const std::uint8_t len = ring_[head_];
-  std::vector<std::uint8_t> payload(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    payload[i] = ring_[(head_ + 1 + i) % cap];
-  }
-  FlightRecord evicted;
-  if (DecodePayload(payload.data(), payload.size(), head_base_time_, &evicted)) {
-    head_base_time_ = evicted.time;
+  std::size_t pos = head_ + 1 == cap ? 0 : head_ + 1;
+  const auto kind = static_cast<RecordKind>(ring_[pos]);
+  pos = pos + 1 == cap ? 0 : pos + 1;
+  if (kind == RecordKind::kBoot) {
+    (void)RingVarint(ring_, &pos);  // epoch
+    head_base_time_ = static_cast<SimTime>(RingVarint(ring_, &pos));
+  } else {
+    head_base_time_ += static_cast<SimTime>(ZigZagDecode(RingVarint(ring_, &pos)));
   }
   head_ = static_cast<std::uint32_t>((head_ + 1 + len) % cap);
   used_ -= 1 + static_cast<std::size_t>(len);
@@ -160,12 +183,14 @@ bool FlightRecorder::Append(const FlightRecord& record) {
     ++stats_.appends_aborted;
     return false;
   }
-  const std::vector<std::uint8_t> payload = EncodePayload(record, last_time_);
-  const std::size_t n = payload.size();
+  PayloadBuffer payload{};
+  const std::size_t n = EncodePayload(record, last_time_, &payload);
   const std::size_t cap = ring_.size();
   ++stats_.appends_attempted;
-  // A record needs its seal byte, payload, and the next terminator.
-  if (n > kMaxPayloadBytes || n + 2 > cap) {
+  // A record needs its seal byte, payload, and the next terminator. The
+  // seal byte holds any payload length (kWorstCasePayloadBytes <=
+  // kMaxPayloadBytes, record.h), so only a small ring can refuse it.
+  if (n + 2 > cap) {
     ++stats_.records_dropped;
     return true;
   }
@@ -178,29 +203,25 @@ bool FlightRecorder::Append(const FlightRecord& record) {
       return false;
     }
   }
-  // Phase 2: payload. tail_ holds the live 0 terminator; the payload goes
-  // after it, followed by the record's own terminator. Each byte is charged
-  // before it is written: an interrupted charge = the byte never landed.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!port_->ChargeWriteByte()) {
-      ++stats_.appends_aborted;
-      return false;
-    }
-    ring_[(tail_ + 1 + i) % cap] = payload[i];
-  }
-  if (!port_->ChargeWriteByte()) {
+  // Charge the n payload writes, the terminator write and the seal write
+  // as one run. A run the power interrupted writes nothing (recorder.h).
+  if (port_->ChargeWriteBytes(n + 2) != n + 2) {
     ++stats_.appends_aborted;
     return false;
   }
-  ring_[(tail_ + 1 + n) % cap] = 0;
+  // Phase 2: payload. tail_ holds the live 0 terminator; the payload goes
+  // after it, wrapping at most once, followed by the record's own
+  // terminator.
+  const std::size_t start = tail_ + 1 == cap ? 0 : tail_ + 1;
+  const std::size_t first = std::min(n, cap - start);
+  std::memcpy(ring_.data() + start, payload.data(), first);
+  std::memcpy(ring_.data(), payload.data() + first, n - first);
+  const std::size_t end = start + n < cap ? start + n : start + n - cap;
+  ring_[end] = 0;
   // Phase 3: seal. A single byte write over the old terminator publishes the
   // record; everything before this point is invisible to the decoder.
-  if (!port_->ChargeWriteByte()) {
-    ++stats_.appends_aborted;
-    return false;
-  }
   ring_[tail_] = static_cast<std::uint8_t>(n);
-  tail_ = static_cast<std::uint32_t>((tail_ + 1 + n) % cap);
+  tail_ = static_cast<std::uint32_t>(end);
   used_ += 1 + n;
   last_time_ = record.time;
   ++stats_.records_sealed;

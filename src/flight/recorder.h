@@ -4,24 +4,27 @@
 // Crash-consistency protocol (two-phase commit, docs/forensics.md):
 //   1. reserve  — evict sealed records from the head until the new record
 //                 plus its trailing terminator fit;
-//   2. payload  — write the payload bytes one at a time *after* the ring's
-//                 terminator byte, then write the next terminator (0);
+//   2. payload  — write the payload bytes *after* the ring's terminator
+//                 byte, then write the next terminator (0);
 //   3. seal     — publish the record with a single-byte length write over
 //                 the old terminator.
-// Every byte is charged through a FlightPort before it is written; an
-// interrupted charge means the byte never became durable and the append
-// aborts. Because the seal is the last write and is one FRAM byte (the only
-// atomicity assumption), a crash at any point leaves the log as a run of
-// sealed records followed by a 0 terminator — truncated, never corrupt.
-// Partial payload bytes may exist past the terminator but the decoder never
-// looks at them.
+// The record's n payload writes, its terminator write and its seal write
+// are charged through the FlightPort first, as one run of n + 2 byte
+// writes in that order, and the record is written only when all n + 2 were
+// charged. A power failure inside the run is at the same write offset as
+// if each byte were charged and written in turn; it writes nothing, which
+// is what the device would show to the decoder anyway: the seal is the last
+// write and is one FRAM byte (the only atomicity assumption), so payload
+// bytes past the terminator are never read. A crash at any point therefore
+// leaves the log as a run of sealed records followed by a 0 terminator —
+// truncated, never corrupt.
 //
 // Re-entrancy: a failed charge inside an append triggers the Mcu reboot
 // path, which may append a boot record *during* the outer append. This is
 // safe by construction: the nested append sees a consistent ring (the outer
 // append has only performed durable, self-consistent steps), and when the
-// outer append resumes it aborts immediately on its failed charge without
-// writing anything.
+// outer append resumes it aborts on its failed charge without writing
+// anything.
 //
 // tail_/used_/last_time_ are kept in ordinary members for simulation speed;
 // on hardware they are derivable by scanning sealed records from head_, so
@@ -62,8 +65,10 @@ class FlightPort {
   virtual ~FlightPort() = default;
   // Encoding a record into its varint payload (CPU work).
   virtual bool ChargeRecordBuild() = 0;
-  // One FRAM byte write (NVM write latency under the cost model).
-  virtual bool ChargeWriteByte() = 0;
+  // A run of `count` FRAM byte writes (NVM write latency per byte under the
+  // cost model), charged in order. Returns how many were charged before the
+  // power failed: `count` when all were.
+  virtual std::size_t ChargeWriteBytes(std::size_t count) = 0;
   // A control-word update: head advance per evicted record.
   virtual bool ChargeControlWrite() = 0;
   virtual SimTime DeviceNow() = 0;
@@ -136,9 +141,9 @@ class FlightRecorder {
 
  private:
   bool Append(const FlightRecord& record);
-  // Evicts the sealed record at head_, keeping head_base_time_ in sync (on
-  // hardware this is the FRAM read-back + control-word write the eviction
-  // cycle charge models).
+  // Evicts the sealed record at head_, keeping head_base_time_ in sync by
+  // reading the record's time in place (on hardware this is the FRAM
+  // read-back + control-word write the eviction cycle charge models).
   bool EvictOldest();
 
   std::vector<std::uint8_t> ring_;  // FRAM bytes, zero-initialised at format

@@ -41,11 +41,6 @@ ExecStatus Mcu::ExecuteCycles(double cycles, CostTag tag) {
   return Execute(costs_.CyclesToTime(cycles), costs_.mcu_active_power, tag);
 }
 
-SimTime Mcu::ReadClock(CostTag tag) {
-  ExecuteCycles(costs_.timestamp_read_cycles, tag);
-  return clock_.Read();
-}
-
 Status Mcu::AttachFlightRecorder(flight::FlightRecorder* recorder) {
   if (recorder == nullptr) {
     flight_ = nullptr;
@@ -69,9 +64,29 @@ bool Mcu::ChargeRecordBuild() {
          ExecStatus::kOk;
 }
 
-bool Mcu::ChargeWriteByte() {
-  return ExecuteCycles(costs_.flight_nvm_write_cycles_per_byte, CostTag::kFlight) ==
-         ExecStatus::kOk;
+std::size_t Mcu::ChargeWriteBytes(std::size_t count) {
+  const SimDuration duration = costs_.CyclesToTime(costs_.flight_nvm_write_cycles_per_byte);
+  const Milliwatts power = costs_.mcu_active_power;
+  const int idx = static_cast<int>(CostTag::kFlight);
+  std::size_t done = 0;
+  if (!starved_) {
+    done = power_->ConsumeRun(duration, power, count);
+    // One += per write, as ExecuteInternal would do: the double sum then
+    // rounds exactly as per-write charging does.
+    const EnergyUj energy = EnergyFor(power, duration);
+    for (std::size_t i = 0; i < done; ++i) {
+      stats_.energy[idx] += energy;
+    }
+    stats_.busy_time[idx] += done * duration;
+    clock_.Advance(done * duration);
+  }
+  // The writes the model could not vouch for: the first that fails takes
+  // the ordinary outage path.
+  while (done < count &&
+         ExecuteInternal(duration, power, CostTag::kFlight, 0) == ExecStatus::kOk) {
+    ++done;
+  }
+  return done;
 }
 
 bool Mcu::ChargeControlWrite() {

@@ -10,6 +10,7 @@
 #define SRC_SIM_MCU_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -64,9 +65,6 @@ class Mcu : public flight::FlightPort {
   // True simulation time (wall clock of the experiment).
   SimTime TrueNow() const { return clock_.TrueNow(); }
 
-  // Device clock read that charges the timestamp cost to `tag`.
-  SimTime ReadClock(CostTag tag);
-
   // Lets idle time pass without drawing compute power (e.g. duty-cycled
   // waiting). The power model is not drained.
   void Idle(SimDuration d) { clock_.Advance(d); }
@@ -101,7 +99,11 @@ class Mcu : public flight::FlightPort {
 
   // flight::FlightPort — charges map to the CostModel's flight_* constants.
   bool ChargeRecordBuild() override;
-  bool ChargeWriteByte() override;
+  // Bit-identical to `count` ExecuteCycles(flight_nvm_write_cycles_per_byte,
+  // CostTag::kFlight) calls that stop at the first failure: the power
+  // model's ConsumeRun takes the writes that provably complete in one step,
+  // and the rest go through Execute one at a time.
+  std::size_t ChargeWriteBytes(std::size_t count) override;
   bool ChargeControlWrite() override;
   SimTime DeviceNow() override { return clock_.Read(); }
 

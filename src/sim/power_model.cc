@@ -36,6 +36,19 @@ ConsumeResult FixedChargePowerModel::Consume(SimTime now, SimDuration duration,
                        .consumed = used};
 }
 
+std::size_t FixedChargePowerModel::ConsumeRun(SimDuration duration, Milliwatts power,
+                                              std::size_t count) {
+  // Consume's completing branch once per operation: the same comparison
+  // and subtraction keep remaining_ bit-identical to per-operation calls.
+  const EnergyUj need = EnergyFor(power, duration);
+  std::size_t done = 0;
+  while (done < count && (need <= remaining_ || power <= 0.0)) {
+    remaining_ -= std::min(need, remaining_);
+    ++done;
+  }
+  return done;
+}
+
 void FixedChargePowerModel::NotifyReboot(SimTime /*now*/) { remaining_ = on_budget_; }
 
 double FixedChargePowerModel::StoredEnergyFraction() const {

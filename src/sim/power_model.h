@@ -8,6 +8,7 @@
 #ifndef SRC_SIM_POWER_MODEL_H_
 #define SRC_SIM_POWER_MODEL_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
@@ -41,6 +42,17 @@ class PowerModel {
   // runs or the device dies partway through.
   virtual ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) = 0;
 
+  // Consumes the longest prefix of `count` identical operations (each
+  // `duration` at `power`) that provably complete, and returns its length.
+  // Each consumed operation draws EnergyFor(power, duration) and leaves the
+  // model exactly as a completing Consume call would. The caller hands the
+  // rest to Consume, which decides where power fails. The default proves
+  // nothing and consumes none.
+  virtual std::size_t ConsumeRun(SimDuration /*duration*/, Milliwatts /*power*/,
+                                 std::size_t /*count*/) {
+    return 0;
+  }
+
   // Called when the device boots (first boot and after every power failure).
   virtual void NotifyReboot(SimTime now) { (void)now; }
 
@@ -57,6 +69,10 @@ class PowerModel {
 class AlwaysOnPowerModel : public PowerModel {
  public:
   ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override;
+  std::size_t ConsumeRun(SimDuration /*duration*/, Milliwatts /*power*/,
+                         std::size_t count) override {
+    return count;
+  }
   std::string Name() const override { return "always-on"; }
 };
 
@@ -69,6 +85,7 @@ class FixedChargePowerModel : public PowerModel {
   FixedChargePowerModel(EnergyUj on_budget, SimDuration charge_time);
 
   ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override;
+  std::size_t ConsumeRun(SimDuration duration, Milliwatts power, std::size_t count) override;
   void NotifyReboot(SimTime now) override;
   double StoredEnergyFraction() const override;
   std::string Name() const override { return "fixed-charge"; }

@@ -1,14 +1,19 @@
-// Golden flight-dump regression test: the health app under the canonical
-// 6-minute-charging schedule, with the full-level flight recorder attached,
-// must produce a byte-stable forensics dump. The golden lives at
-// tests/golden/flight/health_6min.jsonl and is also the reference for the
-// tools/ci.sh forensics gate (which regenerates the dump through
-// `artemisc forensics dump` and diffs it against the same file).
+// Golden flight-dump regression tests: the health app with the full-level
+// flight recorder attached must produce byte-stable forensics dumps.
+//   - tests/golden/flight/health_6min.jsonl: the canonical 6-minute
+//     charging schedule, 1024-byte ring;
+//   - tests/golden/flight/health_1min_128.jsonl: 1-minute charging, 128-byte
+//     ring. The ring wraps many times across two reboots, so every decoded
+//     time depends on the whole chain of eviction time bases.
+// Both are also the reference for the tools/ci.sh forensics gate, which
+// regenerates them through `artemisc forensics dump` and diffs them against
+// the same files.
 //
 // Regenerate after an intentional wire-format or dump-schema change with
 //   UPDATE_GOLDEN=1 ./flight_golden_test
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -29,17 +34,15 @@ namespace {
 #define ARTEMIS_SOURCE_DIR "."
 #endif
 
-constexpr char kGoldenPath[] = "/tests/golden/flight/health_6min.jsonl";
-
-// Mirrors `artemisc forensics dump --app health --schedule 6min`: same
-// platform (19,500 uJ on-budget, 6 min bin with the 1 s boot margin), same
-// recorder configuration (1024-byte ring, full level), same header
-// metadata.
-std::string RunHealth6MinDump() {
+// Mirrors `artemisc forensics dump --app health --schedule <schedule>
+// --flight-bytes <ring_bytes>`: same platform (19,500 uJ on-budget, the
+// schedule's charge bin less the 1 s boot margin), same recorder
+// configuration (full level), same header metadata.
+std::string RunHealthDump(const std::string& schedule, SimDuration charge_bin,
+                          std::size_t ring_bytes) {
   HealthApp app = BuildHealthApp();
-  auto mcu =
-      PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute - 1 * kSecond).Build();
-  flight::FlightRecorder recorder(1024, flight::FlightLevel::kFull);
+  auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, charge_bin - 1 * kSecond).Build();
+  flight::FlightRecorder recorder(ring_bytes, flight::FlightLevel::kFull);
   EXPECT_TRUE(mcu->AttachFlightRecorder(&recorder).ok());
 
   ArtemisConfig config;
@@ -56,7 +59,7 @@ std::string RunHealth6MinDump() {
   flight::FlightMeta meta = flight::MetaFromRecorder(recorder);
   meta.app = "health";
   meta.power = "fixed-charge";
-  meta.schedule = "6min";
+  meta.schedule = schedule;
   meta.backend = "builtin";
   for (TaskId t = 0; t < app.graph.task_count(); ++t) {
     meta.task_names.push_back(app.graph.TaskName(t));
@@ -64,9 +67,8 @@ std::string RunHealth6MinDump() {
   return flight::RenderDumpJsonl(records.value(), meta);
 }
 
-TEST(FlightGoldenTest, Health6MinDumpIsByteStable) {
-  const std::string actual = RunHealth6MinDump();
-  const std::string path = std::string(ARTEMIS_SOURCE_DIR) + kGoldenPath;
+void ExpectMatchesGolden(const std::string& actual, const char* golden_path) {
+  const std::string path = std::string(ARTEMIS_SOURCE_DIR) + golden_path;
   if (std::getenv("UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -82,10 +84,20 @@ TEST(FlightGoldenTest, Health6MinDumpIsByteStable) {
                                   << " (regenerate with UPDATE_GOLDEN=1)";
 }
 
+TEST(FlightGoldenTest, Health6MinDumpIsByteStable) {
+  ExpectMatchesGolden(RunHealthDump("6min", 6 * kMinute, 1024),
+                      "/tests/golden/flight/health_6min.jsonl");
+}
+
+TEST(FlightGoldenTest, Health1Min128ByteRingDumpIsByteStable) {
+  ExpectMatchesGolden(RunHealthDump("1min", 1 * kMinute, 128),
+                      "/tests/golden/flight/health_1min_128.jsonl");
+}
+
 // A second run in the same process must produce identical bytes: the dump
 // depends only on the simulation, never on host state.
 TEST(FlightGoldenTest, DumpIsDeterministicAcrossRuns) {
-  EXPECT_EQ(RunHealth6MinDump(), RunHealth6MinDump());
+  EXPECT_EQ(RunHealthDump("6min", 6 * kMinute, 1024), RunHealthDump("6min", 6 * kMinute, 1024));
 }
 
 }  // namespace

@@ -3,13 +3,17 @@
 // as a truncated-but-valid log, and the recorder must keep working after
 // the simulated reboot.
 //
-// Granularity: every ring byte is charged through the FlightPort *before*
-// it is written, so a power failure at any cycle offset inside a charge is
-// observationally identical to failing that charge (the byte never became
-// durable). Iterating over charge indices therefore covers every cycle
-// offset an append spans.
+// Granularity: a record's payload, terminator and seal writes are charged
+// through the FlightPort as one run, one write at a time and in that
+// order, before any of them is written; the record is written only when
+// the whole run was charged. A power failure at any cycle offset inside a
+// write's charge is therefore observationally identical to failing that
+// charge, at the same offset as when each byte was charged and written in
+// turn. The torture port fails the run at a given write, so iterating over
+// charge indices covers every cycle offset an append spans.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -31,7 +35,13 @@ namespace {
 class TorturePort : public FlightPort {
  public:
   bool ChargeRecordBuild() override { return Charge(); }
-  bool ChargeWriteByte() override { return Charge(); }
+  std::size_t ChargeWriteBytes(std::size_t count) override {
+    std::size_t done = 0;
+    while (done < count && Charge()) {
+      ++done;
+    }
+    return done;
+  }
   bool ChargeControlWrite() override { return Charge(); }
   SimTime DeviceNow() override { return now; }
 

@@ -148,12 +148,6 @@ TEST(McuTest, ExecuteCyclesUsesCostModelClock) {
   EXPECT_EQ(mcu->stats().busy_time[static_cast<int>(CostTag::kRuntime)], 1000u);
 }
 
-TEST(McuTest, ReadClockChargesTimestampCost) {
-  auto mcu = FixedChargeMcu(1e9, kSecond);
-  const SimTime t = mcu->ReadClock(CostTag::kRuntime);
-  EXPECT_EQ(t, static_cast<SimTime>(DefaultCostModel().timestamp_read_cycles));
-}
-
 TEST(McuTest, IdleAdvancesTimeWithoutEnergy) {
   auto mcu = FixedChargeMcu(100.0, kSecond);
   mcu->Idle(kHour);

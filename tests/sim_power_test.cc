@@ -1,8 +1,14 @@
 // Unit tests for the power-supply models that drive intermittence.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <string>
 
+#include "src/sim/cost_model.h"
+#include "src/sim/mcu.h"
 #include "src/sim/power_model.h"
 
 namespace artemis {
@@ -136,6 +142,95 @@ TEST(StochasticModelTest, EventuallyFails) {
     }
   }
   EXPECT_TRUE(failed);
+}
+
+// ------------------------------------------------------- run charging --
+// Mcu::ChargeWriteBytes lets the power model consume the writes it can
+// prove complete in one step. Against a per-write reference it must agree
+// on the count and on every bit of the device state afterwards.
+
+// One ExecuteCycles per flight byte write, stopping at the first that does
+// not complete: the charging ChargeWriteBytes replaces.
+std::size_t PerWriteCharge(Mcu& mcu, std::size_t count) {
+  std::size_t done = 0;
+  while (done < count &&
+         mcu.ExecuteCycles(mcu.costs().flight_nvm_write_cycles_per_byte, CostTag::kFlight) ==
+             ExecStatus::kOk) {
+    ++done;
+  }
+  return done;
+}
+
+void ExpectBitIdentical(Mcu& run, Mcu& ref, const std::string& where) {
+  for (int tag = 0; tag < kNumCostTags; ++tag) {
+    EXPECT_EQ(run.stats().busy_time[tag], ref.stats().busy_time[tag]) << where << " tag " << tag;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(run.stats().energy[tag]),
+              std::bit_cast<std::uint64_t>(ref.stats().energy[tag]))
+        << where << " tag " << tag;
+  }
+  EXPECT_EQ(run.stats().reboots, ref.stats().reboots) << where;
+  EXPECT_EQ(run.stats().charging_time, ref.stats().charging_time) << where;
+  EXPECT_EQ(run.TrueNow(), ref.TrueNow()) << where;
+  EXPECT_EQ(run.Now(), ref.Now()) << where;
+  EXPECT_EQ(run.starved(), ref.starved()) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(run.power_model().StoredEnergyFraction()),
+            std::bit_cast<std::uint64_t>(ref.power_model().StoredEnergyFraction()))
+      << where;
+}
+
+TEST(RunChargingTest, FixedChargeFailsAtEveryOffsetLikePerWriteCharging) {
+  const CostModel& costs = DefaultCostModel();
+  const SimDuration write = costs.CyclesToTime(costs.flight_nvm_write_cycles_per_byte);
+  const EnergyUj write_energy = EnergyFor(costs.mcu_active_power, write);
+  const SimDuration restore = costs.CyclesToTime(costs.reboot_restore_cycles);
+  const EnergyUj restore_energy = EnergyFor(costs.mcu_active_power, restore);
+  constexpr std::size_t kRun = 250;
+  for (std::size_t k = 0; k <= kRun; ++k) {
+    // Each on-period pays one boot restore, k writes and half of the next,
+    // so the run fails at write k, before and after the reboot it causes.
+    const EnergyUj budget = restore_energy + (static_cast<double>(k) + 0.5) * write_energy;
+    Mcu run(std::make_unique<FixedChargePowerModel>(budget, kMinute), costs);
+    Mcu ref(std::make_unique<FixedChargePowerModel>(budget, kMinute), costs);
+    ASSERT_EQ(run.Execute(restore, costs.mcu_active_power, CostTag::kApp), ExecStatus::kOk);
+    ASSERT_EQ(ref.Execute(restore, costs.mcu_active_power, CostTag::kApp), ExecStatus::kOk);
+    const std::string where = "offset " + std::to_string(k);
+    const std::size_t charged = run.ChargeWriteBytes(kRun);
+    EXPECT_EQ(charged, k) << where;
+    EXPECT_EQ(charged, PerWriteCharge(ref, kRun)) << where;
+    ExpectBitIdentical(run, ref, where);
+    EXPECT_EQ(run.ChargeWriteBytes(kRun), PerWriteCharge(ref, kRun)) << where << " rebooted";
+    ExpectBitIdentical(run, ref, where + " rebooted");
+  }
+}
+
+TEST(RunChargingTest, AlwaysOnChargesEveryWriteLikePerWriteCharging) {
+  const CostModel& costs = DefaultCostModel();
+  Mcu run(std::make_unique<AlwaysOnPowerModel>(), costs);
+  Mcu ref(std::make_unique<AlwaysOnPowerModel>(), costs);
+  for (const std::size_t count : {0, 1, 38, 250, 7, 250}) {
+    const std::string where = "count " + std::to_string(count);
+    EXPECT_EQ(run.ChargeWriteBytes(count), count) << where;
+    EXPECT_EQ(PerWriteCharge(ref, count), count) << where;
+    ExpectBitIdentical(run, ref, where);
+  }
+}
+
+TEST(RunChargingTest, ModelWithoutRunsChargesLikePerWriteCharging) {
+  // StochasticPowerModel proves no run, so every write goes through
+  // Execute; on-times of about two runs put failures inside most runs.
+  const CostModel& costs = DefaultCostModel();
+  std::uint64_t reboots = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Mcu run(std::make_unique<StochasticPowerModel>(2 * kMillisecond, kSecond, seed), costs);
+    Mcu ref(std::make_unique<StochasticPowerModel>(2 * kMillisecond, kSecond, seed), costs);
+    for (int i = 0; i < 6; ++i) {
+      const std::string where = "seed " + std::to_string(seed) + " run " + std::to_string(i);
+      EXPECT_EQ(run.ChargeWriteBytes(250), PerWriteCharge(ref, 250)) << where;
+      ExpectBitIdentical(run, ref, where);
+    }
+    reboots += run.stats().reboots;
+  }
+  EXPECT_GT(reboots, 0u);
 }
 
 }  // namespace

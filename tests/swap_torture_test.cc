@@ -12,6 +12,7 @@
 // the swap window spans.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -40,7 +41,13 @@ class TortureSwapPort : public SwapPort, public flight::FlightPort {
   bool ChargeControl() override { return Charge(); }
   // flight::FlightPort
   bool ChargeRecordBuild() override { return Charge(); }
-  bool ChargeWriteByte() override { return Charge(); }
+  std::size_t ChargeWriteBytes(std::size_t count) override {
+    std::size_t done = 0;
+    while (done < count && Charge()) {
+      ++done;
+    }
+    return done;
+  }
   bool ChargeControlWrite() override { return Charge(); }
   SimTime DeviceNow() override { return now; }
 

@@ -11,7 +11,9 @@
 #   3. Golden-trace gate: `artemisc trace` of the health app under 6-minute
 #      charging must be byte-identical to tests/golden/trace/health_6min.jsonl
 #      (checked with `artemisc trace diff`); likewise `artemisc forensics
-#      dump` must reproduce tests/golden/flight/health_6min.jsonl, and
+#      dump` must reproduce tests/golden/flight/health_6min.jsonl and, with
+#      a wrapping 128-byte ring under 1-minute charging,
+#      tests/golden/flight/health_1min_128.jsonl, and
 #      `artemisc forensics audit` must report zero mismatches. A forensics
 #      run that hot-swaps mid-flight (`--spec2`) must stitch the swap-epoch
 #      record into the timeline and still audit clean across the swap.
@@ -86,6 +88,16 @@ if ! diff -u "${repo_root}/tests/golden/flight/health_6min.jsonl" "${flight_tmp}
   exit 1
 fi
 echo "ok: health 6min flight dump matches the golden"
+# A 128-byte ring under 1-minute charging wraps many times across reboots:
+# its decoded times check the whole chain of eviction time bases.
+"${artemisc}" forensics dump --app health --schedule 1min --flight-bytes 128 \
+  --out "${flight_tmp}" 2> /dev/null
+if ! diff -u "${repo_root}/tests/golden/flight/health_1min_128.jsonl" "${flight_tmp}"; then
+  echo "CI FAIL: health 1min/128 B flight dump diverged from tests/golden/flight/health_1min_128.jsonl" >&2
+  echo "         (intentional? regenerate with UPDATE_GOLDEN=1 flight_golden_test)" >&2
+  exit 1
+fi
+echo "ok: health 1min/128 B flight dump matches the golden"
 if ! "${artemisc}" forensics audit --app health --schedule 6min > /dev/null 2>&1; then
   echo "CI FAIL: flight log does not audit clean against the obs-bus trace" >&2
   exit 1
