@@ -9,10 +9,9 @@
 //      runs twice: dense (all lanes in lockstep -> contiguous cohort, no
 //      index indirection) and indexed (alternating lane states -> two
 //      strided cohorts), because those are the two kernel paths.
-//  (2) the health-app machine mix over real captured device streams —
-//      the same workload BENCH_fleet.json's monitor_step section times, so
-//      the two numbers are directly comparable (device-events/sec: one
-//      device event steps every machine of the spec).
+//  (2) the health-app machine mix over real captured device streams, in
+//      device-events/sec (one device event steps every machine of the
+//      spec).
 //  (3) dead-column elision measured through the fleet feed path (RunFleet
 //      with traffic counters): runtime elision rate, the fleet-wide strict
 //      dead-column count, and the per-machine static counts that bound it.
@@ -338,8 +337,7 @@ int main(int argc, char** argv) {
   // the per-position loop decodes liveness and event path ONCE into lane
   // lists, unscoped machines step the live list, path-scoped machines step
   // only their path's lanes. Throughput is device-events/sec (one device
-  // event steps every machine), matching BENCH_fleet.json's
-  // monitor_step.batch_events_per_sec definition.
+  // event steps every machine).
   constexpr std::uint32_t kTilesPerRep = 12;
   std::size_t max_scope = 0;
   for (const BatchCompiledMonitor& m : machines) {
@@ -398,7 +396,7 @@ int main(int argc, char** argv) {
         // position; the per-lane loop then just fans the result out into
         // the cursor array and lane lists (the stores every feed layer
         // pays). A real fleet tile decodes per device instead — that cost
-        // lives in BENCH_fleet.json's end-to-end scaling section.
+        // shows in perfbench's fleet-fresh workload.
         struct StreamAt {
           const MonitorEvent* e = nullptr;
           std::uint8_t watched = 0;
@@ -563,8 +561,7 @@ int main(int argc, char** argv) {
                 "\"max\": %.0f},\n",
                 mix.median, mix.min, mix.max);
   out << line;
-  out << "    \"note\": \"same workload and device-events/sec definition as "
-         "BENCH_fleet.json monitor_step.batch_events_per_sec\"\n  },\n";
+  out << "    \"note\": \"device-events/sec: one device event steps every machine\"\n  },\n";
   out << "  \"measured_class_traffic\": {";
   for (std::size_t c = 0; c < class_traffic.size(); ++c) {
     out << (c == 0 ? "" : ", ") << "\"" << kClassNames[c] << "\": " << class_traffic[c];

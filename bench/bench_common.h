@@ -66,8 +66,7 @@ inline KernelRunResult RunHealth(MonitorSystem system, SimDuration charge, SimDu
 }
 
 // The Figure 12 grid: ARTEMIS and Mayfly across 1..10 minute charging bins
-// (20 points). Shared with bench/sweep_scaling.cc, which measures the sweep
-// engine itself on this grid.
+// (20 points).
 inline sweep::SweepSpec Fig12Grid() {
   sweep::SweepSpec grid;
   grid.systems = {"artemis", "mayfly"};

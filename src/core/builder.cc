@@ -4,8 +4,7 @@
 
 namespace artemis {
 
-PlatformBuilder::PlatformBuilder()
-    : power_(std::make_unique<AlwaysOnPowerModel>()), costs_(DefaultCostModel()) {}
+PlatformBuilder::PlatformBuilder() : power_(std::make_unique<AlwaysOnPowerModel>()) {}
 
 PlatformBuilder& PlatformBuilder::WithContinuousPower() {
   power_ = std::make_unique<AlwaysOnPowerModel>();
@@ -36,11 +35,6 @@ PlatformBuilder& PlatformBuilder::WithStochasticPower(SimDuration mean_on,
   return *this;
 }
 
-PlatformBuilder& PlatformBuilder::WithCostModel(const CostModel& costs) {
-  costs_ = costs;
-  return *this;
-}
-
 PlatformBuilder& PlatformBuilder::WithClockDrift(SimDuration max_drift_per_outage) {
   max_drift_ = max_drift_per_outage;
   return *this;
@@ -53,7 +47,7 @@ PlatformBuilder& PlatformBuilder::WithTimekeeper(
 }
 
 std::unique_ptr<Mcu> PlatformBuilder::Build() {
-  auto mcu = std::make_unique<Mcu>(std::move(power_), costs_);
+  auto mcu = std::make_unique<Mcu>(std::move(power_), DefaultCostModel());
   mcu->clock().SetMaxDriftPerOutage(max_drift_);
   if (timekeeper_ != nullptr) {
     mcu->clock().SetTimekeeper(std::move(timekeeper_));

@@ -33,7 +33,6 @@ class PlatformBuilder {
   PlatformBuilder& WithStochasticPower(SimDuration mean_on, SimDuration mean_charge,
                                        std::uint64_t seed);
 
-  PlatformBuilder& WithCostModel(const CostModel& costs);
   // Bounded per-outage timekeeping error (Section 4's persistent
   // timekeeping caveat).
   PlatformBuilder& WithClockDrift(SimDuration max_drift_per_outage);
@@ -45,7 +44,6 @@ class PlatformBuilder {
 
  private:
   std::unique_ptr<PowerModel> power_;
-  CostModel costs_;
   SimDuration max_drift_ = 0;
   std::unique_ptr<OutageTimekeeper> timekeeper_;
 };

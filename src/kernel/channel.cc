@@ -24,12 +24,6 @@ std::size_t ChannelStore::FootprintBytes() const {
   return bytes;
 }
 
-void ChannelStore::Reset() {
-  for (Slot& slot : slots_) {
-    slot = Slot{};
-  }
-}
-
 TaskContext::TaskContext(const AppGraph* graph, const ChannelStore* store, TaskId self,
                          SimTime now, Rng* rng)
     : graph_(graph), store_(store), self_(self), now_(now), rng_(rng) {}
@@ -40,11 +34,6 @@ const std::vector<double>& TaskContext::SamplesOf(const std::string& task_name) 
     return kEmpty;
   }
   return store_->Samples(*id);
-}
-
-std::uint64_t TaskContext::CompletionsOf(const std::string& task_name) const {
-  const std::optional<TaskId> id = graph_->FindTask(task_name);
-  return id.has_value() ? store_->CompletionCount(*id) : 0;
 }
 
 void TaskContext::ConsumeAll(const std::string& task_name) {

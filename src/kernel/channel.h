@@ -44,8 +44,6 @@ class ChannelStore {
   // Bytes of committed data (for memory accounting).
   std::size_t FootprintBytes() const;
 
-  void Reset();
-
  private:
   struct Slot {
     std::vector<double> samples;
@@ -69,7 +67,6 @@ class TaskContext {
   // --- committed reads --------------------------------------------------
   // Samples previously committed by the named task (empty if unknown task).
   const std::vector<double>& SamplesOf(const std::string& task_name) const;
-  std::uint64_t CompletionsOf(const std::string& task_name) const;
 
   // --- staged writes (applied atomically at commit) ----------------------
   // Appends one output sample of this task.

@@ -33,8 +33,6 @@ class ImmortalContext {
   void Finish();
 
   bool InProgress() const { return in_progress_; }
-  std::uint64_t CurrentItem() const { return item_; }
-  std::uint32_t Cursor() const { return cursor_; }
 
  private:
   // These three fields model FRAM-resident variables: they survive simulated

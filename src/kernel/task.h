@@ -47,8 +47,6 @@ struct TaskDef {
   std::optional<std::string> monitored_var;
 };
 
-const char* TaskStatusName(TaskStatus status);
-
 }  // namespace artemis
 
 #endif  // SRC_KERNEL_TASK_H_

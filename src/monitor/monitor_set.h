@@ -65,7 +65,7 @@ struct RadioProfile {
 struct MonitorSetOptions {
   ArbitrationPolicy policy = ArbitrationPolicy::kSeverity;
   MonitorPlacement placement = MonitorPlacement::kSeparate;
-  RadioProfile radio;  // Used by kRemote only.
+  RadioProfile radio{};  // Used by kRemote only.
 };
 
 class MonitorSet : public PropertyChecker {

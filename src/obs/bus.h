@@ -56,7 +56,6 @@ class CollectingSink : public Sink {
  public:
   void OnEvent(const Event& event) override { events_.push_back(event); }
   const std::vector<Event>& events() const { return events_; }
-  void Clear() { events_.clear(); }
 
  private:
   std::vector<Event> events_;

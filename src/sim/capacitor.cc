@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace artemis {
 
@@ -50,13 +49,6 @@ SimDuration Capacitor::TimeToReach(double v_target, Milliwatts harvest_power) co
 
 void Capacitor::SetVoltage(double v) {
   voltage_ = std::clamp(v, 0.0, config_.v_max);
-}
-
-std::string Capacitor::DebugString() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "Capacitor{%.0fuF, V=%.2f, usable=%.1fuJ}",
-                config_.capacitance_f * 1e6, voltage_, UsableEnergy());
-  return buf;
 }
 
 }  // namespace artemis

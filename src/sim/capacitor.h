@@ -7,8 +7,6 @@
 #ifndef SRC_SIM_CAPACITOR_H_
 #define SRC_SIM_CAPACITOR_H_
 
-#include <string>
-
 #include "src/base/time.h"
 
 namespace artemis {
@@ -54,8 +52,6 @@ class Capacitor {
   const CapacitorConfig& config() const { return config_; }
 
   EnergyUj EnergyAtVoltage(double v) const;
-
-  std::string DebugString() const;
 
  private:
   CapacitorConfig config_;

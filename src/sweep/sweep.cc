@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <system_error>
@@ -125,7 +126,8 @@ StatusOr<std::unique_ptr<OutageTimekeeper>> MakeTimekeeper(const std::string& te
 }
 
 std::string FormatFixed(double value, int digits) {
-  char buf[64];
+  // Room for any finite double: DBL_MAX has 309 integer digits.
+  char buf[std::numeric_limits<double>::max_exponent10 + 64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
   return buf;
 }

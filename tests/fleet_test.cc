@@ -2,11 +2,13 @@
 // cpu-map, the integral histogram fold, the per-device seed stream, and
 // the two determinism contracts that make fleet results trustworthy —
 // byte-identical renderings for any shard count, and a single-device
-// scalar fleet being the same computation as one sweep point.
+// scalar fleet being the same computation as one sweep point — and the
+// batch VM's verdict parity with scalar monitors on captured streams.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +16,8 @@
 #include "src/base/units.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/instance.h"
+#include "src/monitor/arbitration.h"
+#include "src/monitor/compiled.h"
 #include "src/sweep/spec_cache.h"
 #include "src/sweep/sweep.h"
 
@@ -214,6 +218,66 @@ TEST(FleetSweepEquivalenceTest, SingleDeviceScalarFleetMatchesSweepPoint) {
         static_cast<std::uint64_t>(std::llround(row.result.stats.TotalEnergy() * 1000.0));
     EXPECT_EQ(agg.energy_nj, sweep_energy_nj);
   }
+}
+
+// ------------------------------------------ batch vs scalar verdicts -----
+
+// The batch VM is observe-only stepping of captured streams: stepping the
+// same streams (events and path restarts) through per-device scalar
+// compiled monitors, and arbitrating each event, counts exactly the
+// monitor events and violations the batch-mode fleet reports.
+TEST(FleetBatchParityTest, BatchVerdictsMatchScalarMonitorsOnCapturedStreams) {
+  FleetSpec spec;
+  spec.app = "health";
+  spec.monitor = "batch";
+  spec.devices = 8;
+  spec.seed = 1;
+  spec.charges = {0, 6 * kMinute - kSecond};  // continuous and 6 min charges
+  spec.iterations = 1;
+  StatusOr<FleetOutcome> batch = RunFleet(spec);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+
+  FleetContext ctx;
+  ctx.app = spec.app;
+  StatusOr<std::string> spec_text = sweep::DefaultSpecForApp(spec.app);
+  ASSERT_TRUE(spec_text.ok());
+  StatusOr<SharedSpecArtifactPtr> artifact = BuildSpecArtifact(
+      spec_text.value(), sweep::BuildAppGraphByName(spec.app), SpecArtifactStage::kCompiled);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  ctx.artifact = artifact.value();
+
+  std::uint64_t events = 0;
+  std::uint64_t violations = 0;
+  for (std::uint64_t i = 0; i < spec.devices; ++i) {
+    std::vector<CapturedRecord> records;
+    DeviceInstance instance(ctx, ConfigForDevice(spec, i));
+    ASSERT_TRUE(instance.RunCapture(&records).ok) << "device " << i;
+    std::vector<std::unique_ptr<CompiledMonitor>> monitors;
+    for (const CompiledMachine& machine : ctx.artifact->compiled) {
+      monitors.push_back(std::make_unique<CompiledMonitor>(
+          std::shared_ptr<const CompiledMachine>(ctx.artifact, &machine)));
+    }
+    for (const CapturedRecord& record : records) {
+      if (record.kind == CapturedRecord::Kind::kPathRestart) {
+        for (const auto& monitor : monitors) {
+          monitor->OnPathRestart(record.restart_path);
+        }
+        continue;
+      }
+      std::vector<MonitorVerdict> pending;
+      for (const auto& monitor : monitors) {
+        MonitorVerdict verdict;
+        if (monitor->Step(record.event, &verdict)) {
+          pending.push_back(verdict);
+        }
+      }
+      ++events;
+      violations += Arbitrate(pending, ArbitrationPolicy::kSeverity).violated() ? 1 : 0;
+    }
+  }
+  EXPECT_GT(violations, 0u);
+  EXPECT_EQ(batch.value().agg.monitor_events, events);
+  EXPECT_EQ(batch.value().agg.violations, violations);
 }
 
 // ------------------------------------------------------- validation ------

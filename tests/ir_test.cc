@@ -13,16 +13,6 @@
 namespace artemis {
 namespace {
 
-MonitorEvent Event(EventKind kind, TaskId task, SimTime ts, PathId path = 1) {
-  MonitorEvent e;
-  e.kind = kind;
-  e.task = task;
-  e.timestamp = ts;
-  e.path = path;
-  e.seq = ts + 1;
-  return e;
-}
-
 // ----------------------------------------------------------------- expr --
 
 struct BinCase {

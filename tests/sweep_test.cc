@@ -111,6 +111,24 @@ TEST(SweepGridTest, BudgetsMustBePositiveAndFinite) {
   EXPECT_FALSE(sweep::RunSweep(grid.value(), 1).ok());
 }
 
+// Numbers render in full, however large: the JSON budget_uj cell parses
+// back to the exact budget.
+TEST(SweepGridTest, HugeBudgetsRenderWithoutTruncation) {
+  sweep::SweepSpec grid;
+  grid.budgets = {1e300};
+  grid.max_wall = 1 * kSecond;
+  grid.analyze = false;
+  StatusOr<sweep::SweepOutcome> outcome = sweep::RunSweep(grid, 1);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  StatusOr<sweep::JsonValuePtr> json = sweep::ParseJson(sweep::RenderJson(grid, outcome.value()));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const sweep::JsonValuePtr rows = json.value()->Find("rows");
+  ASSERT_TRUE(rows != nullptr && rows->is_array() && rows->array().size() == 1u);
+  const sweep::JsonValuePtr budget = rows->array()[0]->Find("budget_uj");
+  ASSERT_TRUE(budget != nullptr && budget->is_number());
+  EXPECT_EQ(budget->number(), 1e300);
+}
+
 // The rtc:<err> axis reaches the timekeeper as the same double strtod
 // yields: a sweep point equals a direct run with that timekeeper.
 TEST(SweepEngineTest, RtcAxisMatchesDirectTimekeeperRun) {

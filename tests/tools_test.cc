@@ -1,14 +1,18 @@
 // CLI-level tests for the artemisc toolchain binary: exit codes and key
 // output fragments across the check / pretty / codegen / dot / simulate /
-// trace / forensics / swap verbs. The binary path comes from CMake via
-// ARTEMISC_BIN, the example specs from ARTEMIS_SOURCE_DIR.
+// trace / forensics / swap verbs, and each subcommand's flag set. The binary
+// path comes from CMake via ARTEMISC_BIN, the example specs from
+// ARTEMIS_SOURCE_DIR.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace artemis {
 namespace {
@@ -421,6 +425,143 @@ TEST(ArtemiscTest, ForensicsDumpNamesTheBackendThatRan) {
                                   kHealthSpec + " --schedule 6min");
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("\"backend\":\"compiled\""), std::string::npos) << result.output;
+}
+
+// ------------------------------------------------------------- flag table --
+
+// The usage text's entries: each subcommand's name (the words before its
+// first operand or flag) mapped to the flags it takes, each flag mapped to
+// whether it takes a value.
+std::map<std::string, std::map<std::string, bool>> UsageEntries() {
+  std::map<std::string, std::map<std::string, bool>> entries;
+  std::istringstream lines(RunCli("").output);
+  std::string line;
+  std::string name;
+  while (std::getline(lines, line)) {
+    if (line.rfind("  ", 0) != 0) {
+      continue;  // "usage:" and "exit codes:"
+    }
+    if (line[2] != ' ') {
+      std::istringstream words(line);
+      std::string word;
+      name.clear();
+      while (words >> word && word[0] != '<' && word[0] != '[') {
+        name += (name.empty() ? "" : " ") + word;
+      }
+      entries[name];
+    }
+    for (std::size_t at = line.find("[--"); at != std::string::npos;
+         at = line.find("[--", at + 1)) {
+      const std::size_t end = line.find_first_of(" ]", at);
+      entries[name][line.substr(at + 1, end - at - 1)] = line[end] == ' ';
+    }
+  }
+  return entries;
+}
+
+// Each subcommand takes only the flags its usage entry lists: every other
+// flag, even with a well-formed value, is a usage error naming both.
+TEST(ArtemiscTest, SubcommandsRefuseFlagsTheyDoNotTake) {
+  const std::map<std::string, std::string> kOperands = {
+      {"check", kHealthSpec},
+      {"pretty", kHealthSpec},
+      {"codegen", kHealthSpec},
+      {"dot", kHealthSpec},
+      {"simulate", ""},
+      {"profile", ""},
+      {"trace", ""},
+      {"trace diff", kHealthSpec + " " + kHealthSpec},
+      {"sweep", ""},
+      {"fleet", ""},
+      {"forensics", "dump"},
+      {"swap", kHealthSpec + " " + kHealthSpec},
+  };
+  const std::map<std::string, std::string> kValues = {
+      {"--app", "health"},
+      {"--app-file", kSpecs + "/sensornet.app"},
+      {"--spec", kHealthSpec},
+      {"--spec2", kHealthSpec},
+      {"--system", "mayfly"},
+      {"--systems", "artemis,mayfly"},
+      {"--backend", "compiled"},
+      {"--backends", "compiled"},
+      {"--timekeepers", "default"},
+      {"--monitor", "scalar"},
+      {"--charge", "1min"},
+      {"--schedule", "1min"},
+      {"--charges", "continuous,6min"},
+      {"--budget", "9000"},
+      {"--budgets", "9000,19500"},
+      {"--seed", "5"},
+      {"--seeds", "1,2"},
+      {"--swap-at", "2min"},
+      {"--flight", "verdicts"},
+      {"--flight-bytes", "512"},
+      {"--policy", "first-wins"},
+      {"--devices", "2"},
+      {"--shards", "2"},
+      {"--tile", "4"},
+      {"--minutes", "3"},
+      {"--iterations", "1"},
+      {"--jobs", "2"},
+      {"--max-wall", "1h"},
+      {"--gap", "10min"},
+      {"--min-attempts", "2"},
+      {"--format", "json"},
+      {"--out", ::testing::TempDir() + "/refused.out"},
+  };
+  const auto entries = UsageEntries();
+  ASSERT_EQ(entries.size(), kOperands.size());
+  std::map<std::string, bool> all_flags;
+  for (const auto& [name, flags] : entries) {
+    all_flags.insert(flags.begin(), flags.end());
+  }
+  std::set<std::pair<std::string, std::string>> refused;
+  for (const auto& [name, flags] : entries) {
+    ASSERT_EQ(kOperands.count(name), 1u) << name;
+    for (const auto& [flag, takes_value] : all_flags) {
+      if (flags.count(flag) != 0) {
+        continue;
+      }
+      std::string invocation = name + " " + kOperands.at(name) + " " + flag;
+      if (takes_value) {
+        ASSERT_EQ(kValues.count(flag), 1u) << flag;
+        invocation += " " + kValues.at(flag);
+      }
+      const RunResult result = RunCli(invocation);
+      EXPECT_EQ(result.exit_code, 2) << invocation << "\n" << result.output;
+      EXPECT_EQ(result.output.rfind("artemisc: " + name + " does not take '" + flag + "'\n", 0),
+                0u)
+          << invocation << "\n" << result.output;
+      refused.emplace(name, flag);
+    }
+  }
+  // Each of these flags is read by other subcommands but not by this one,
+  // so a parser that accepted every known flag would run these silently.
+  const std::pair<std::string, std::string> kNotRead[] = {
+      {"simulate", "--schedule"}, {"trace", "--charge"},     {"sweep", "--seed"},
+      {"sweep", "--budget"},      {"sweep", "--backend"},    {"fleet", "--budget"},
+      {"fleet", "--system"},      {"fleet", "--flight"},     {"trace", "--system"},
+      {"forensics", "--system"},  {"profile", "--spec"},     {"pretty", "--app"},
+  };
+  for (const auto& pair : kNotRead) {
+    EXPECT_EQ(refused.count(pair), 1u) << pair.first << " " << pair.second;
+  }
+}
+
+TEST(ArtemiscTest, ForensicsRecordsAtTheFlightLevel) {
+  const std::string dump = "forensics dump --app health --schedule 6min";
+  const RunResult verdicts = RunCli(dump + " --flight verdicts", /*stdout_only=*/true);
+  EXPECT_EQ(verdicts.exit_code, 0);
+  EXPECT_NE(verdicts.output.find("\"level\":\"verdicts\""), std::string::npos)
+      << verdicts.output;
+  EXPECT_NE(RunCli(dump, /*stdout_only=*/true).output.find("\"level\":\"full\""),
+            std::string::npos);
+  EXPECT_EQ(RunCli(dump + " --flight off").exit_code, 2);
+  const RunResult level = RunCli(dump + " --level verdicts");
+  EXPECT_EQ(level.exit_code, 2);
+  EXPECT_NE(level.output.find("forensics does not take '--level'"), std::string::npos)
+      << level.output;
 }
 
 }  // namespace

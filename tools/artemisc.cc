@@ -1,43 +1,6 @@
 // artemisc — the ARTEMIS command-line toolchain, the CLI counterpart of the
 // paper's Xtext/Eclipse workbench (Figure 3).
 //
-//   artemisc check    <spec-file> [--app health|greenhouse] [--mayfly-lang]
-//                     [--no-analyze] [--json] [--Werror] [--policy <p>]
-//                     [--charges continuous,1min,...] [--budgets <uJ>,...]
-//                     [--no-immortal] [--flight off|verdicts|full]
-//                     [--flight-bytes N]
-//   artemisc pretty   <spec-file>
-//   artemisc codegen  <spec-file> [--app ...] [--no-immortal] [--no-analyze]
-//   artemisc dot      <spec-file> [--app ...] [--no-analyze]
-//   artemisc simulate [--app ...] [--spec <file>] [--system artemis|mayfly]
-//                     [--backend builtin|interpreted|compiled]
-//                     [--charge <duration>] [--budget <uJ>] [--trace]
-//   artemisc profile  [--app ...] [--backend builtin|interpreted|compiled]
-//   artemisc trace    [<spec-file>] [--app ...] [--schedule 6min|continuous]
-//                     [--budget <uJ>] [--backend ...]
-//                     [--format jsonl|perfetto|stats] [--out <file>]
-//   artemisc trace diff <a.jsonl> <b.jsonl>
-//   artemisc sweep    [<grid.json>] [--app ...] [--systems a,b] [--spec <file>]
-//                     [--charges continuous,1min,...] [--budgets <uJ>,...]
-//                     [--backends ...] [--timekeepers ...] [--seeds ...]
-//                     [--max-wall <duration>] [--stats] [--jobs N]
-//                     [--flight off|verdicts|full] [--flight-bytes N]
-//                     [--no-analyze] [--format json|csv|table] [--out <file>]
-//   artemisc fleet    [--devices N] [--shards J] [--minutes M | --iterations K]
-//                     [--app ...] [--spec <file>] [--monitor scalar|batch]
-//                     [--backend ...] [--charges continuous,6min,...]
-//                     [--budgets <uJ>,...] [--seed S] [--tile N] [--stats]
-//                     [--no-analyze] [--format json|table] [--out <file>]
-//   artemisc forensics <dump|timeline|audit|detect> [--app ...] [--spec <file>]
-//                     [--schedule 6min|continuous] [--budget <uJ>]
-//                     [--backend ...] [--level verdicts|full]
-//                     [--flight-bytes N] [--spec2 <file>] [--swap-at <duration>]
-//                     [--gap <duration>] [--min-attempts N] [--out <file>]
-//   artemisc swap     <spec-v1> <spec-v2> [--app ...] [--swap-at <duration>]
-//                     [--schedule 6min|continuous] [--budget <uJ>]
-//                     [--flight off|verdicts|full] [--flight-bytes N]
-//                     [--no-analyze] [--json] [--Werror]
-//
 // `check`, `codegen` and `dot` share one front half: parse -> validate ->
 // lower -> the static analyzer (src/analysis, skipped with --no-analyze).
 // `check` reports the analyzer's diagnostics, `codegen` refuses to emit on
@@ -73,12 +36,19 @@
 // protocol (src/swap, docs/hotswap.md); `check --spec2 <file>` runs the same
 // static gate without simulating.
 //
+// Each subcommand takes only the flags it reads. kSubcommands and kFlags at
+// the bottom of this file declare every operand and flag once; parsing, the
+// per-subcommand flag sets and the usage text (`artemisc` with no
+// arguments) all come from them.
+//
 // Exit codes: 0 = clean, 1 = findings / failures, 2 = usage or I/O error.
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -120,53 +90,7 @@ constexpr int kExitClean = 0;
 constexpr int kExitFindings = 1;
 constexpr int kExitUsage = 2;
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: artemisc <check|pretty|codegen|dot|simulate|profile|trace|sweep|\n"
-               "                 fleet|forensics|swap> [args]\n"
-               "  check    <spec> [--app health|greenhouse] [--mayfly-lang]\n"
-               "           [--no-analyze] [--json] [--Werror]\n"
-               "           [--policy severity|first-wins|last-wins]\n"
-               "           [--charges continuous,1min,...] [--budgets <uJ>,...]\n"
-               "           [--no-immortal] [--flight off|verdicts|full]\n"
-               "           [--flight-bytes N] [--spec2 <replacement-spec>]\n"
-               "  pretty   <spec>\n"
-               "  codegen  <spec> [--app ...] [--no-immortal] [--no-analyze]\n"
-               "  dot      <spec> [--app ...] [--no-analyze]\n"
-               "  simulate [--app ...] [--spec <file>] [--system artemis|mayfly]\n"
-               "           [--backend builtin|interpreted|compiled]\n"
-               "           [--charge <duration>] [--budget <uJ>] [--trace]\n"
-               "  profile  [--app ...] [--backend builtin|interpreted|compiled]\n"
-               "  trace    [<spec>] [--app ...] [--schedule 6min|continuous]\n"
-               "           [--budget <uJ>] [--backend ...]\n"
-               "           [--format jsonl|perfetto|stats] [--out <file>]\n"
-               "  trace diff <a.jsonl> <b.jsonl>\n"
-               "  sweep    [<grid.json>] [--app ...] [--systems a,b] [--spec <file>]\n"
-               "           [--charges continuous,1min,...] [--budgets <uJ>,...]\n"
-               "           [--backends ...] [--timekeepers ...] [--seeds ...]\n"
-               "           [--max-wall <duration>] [--stats] [--jobs N]\n"
-               "           [--flight off|verdicts|full] [--flight-bytes N]\n"
-               "           [--spec2 <file>] [--swap-at <duration>]\n"
-               "           [--no-analyze] [--format json|csv|table] [--out <file>]\n"
-               "  fleet    [--devices N] [--shards J] [--minutes M | --iterations K]\n"
-               "           [--app ...] [--spec <file>] [--monitor scalar|batch]\n"
-               "           [--backend ...] [--charges continuous,6min,...]\n"
-               "           [--budgets <uJ>,...] [--seed S] [--tile N] [--stats]\n"
-               "           [--no-analyze] [--format json|table] [--out <file>]\n"
-               "  forensics <dump|timeline|audit|detect> [--app ...] [--spec <file>]\n"
-               "           [--schedule 6min|continuous] [--budget <uJ>] [--backend ...]\n"
-               "           [--level verdicts|full] [--flight-bytes N]\n"
-               "           [--spec2 <file>] [--swap-at <duration>]\n"
-               "           [--gap <duration>] [--min-attempts N] [--out <file>]\n"
-               "  swap     <spec-v1> <spec-v2> [--app ...] [--swap-at <duration>]\n"
-               "           [--schedule 6min|continuous] [--budget <uJ>]\n"
-               "           [--flight off|verdicts|full] [--flight-bytes N]\n"
-               "           [--no-analyze] [--json] [--Werror]\n"
-               "exit codes: 0 = clean, 1 = findings or failures, 2 = usage/IO error\n");
-  return kExitUsage;
-}
-
-std::optional<std::string> ReadFile(const std::string& path) {
+std::optional<std::string> ReadFileQuietly(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     return std::nullopt;
@@ -176,63 +100,89 @@ std::optional<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
+// Reads an input file named on the command line; nullopt (after a message)
+// when it cannot be read, which the caller reports as a usage error.
+std::optional<std::string> ReadFile(const std::string& path) {
+  std::optional<std::string> text = ReadFileQuietly(path);
+  if (!text.has_value()) {
+    std::fprintf(stderr, "artemisc: cannot read '%s'\n", path.c_str());
+  }
+  return text;
+}
+
+// Everything a subcommand reads from its command line. Each field is set
+// by an operand or a flag declared in the tables at the bottom of the file.
 struct Args {
-  std::string command;
+  // Operands (and --spec / --spec2).
   std::string spec_path;
+  std::string spec2_path;  // the hot-swap replacement spec (docs/hotswap.md)
+  std::string grid_path;
+  std::string forensics_mode;  // dump | timeline | audit | detect
+  std::string diff_left;       // trace diff operands
+  std::string diff_right;
+  // The app and its monitors.
   std::string app = "health";
   std::string app_file;  // --app-file: app-description-language source
   std::string system = "artemis";
   MonitorBackend backend = MonitorBackend::kBuiltin;
+  bool backend_set = false;  // fleet defaults to compiled unless --backend given
   bool mayfly_lang = false;
-  bool immortal = true;
-  bool trace = false;
-  bool no_analyze = false;  // skip the static analyzer (gate)
-  bool json = false;        // check: machine-readable diagnostics
-  bool werror = false;      // promote analyzer warnings to errors
-  ArbitrationPolicy policy = ArbitrationPolicy::kSeverity;
+  // Deployment. Empty lists and unset optionals keep the grid file's, the
+  // engine's or the subcommand's default.
   SimDuration charge = 0;
-  EnergyUj budget = 19'500.0;
-  // trace command only.
   std::string schedule = "6min";  // charge-bin name or "continuous"
-  std::string format;             // --format; the default depends on the command
-  std::string out_path;           // --out; empty = stdout
-  std::string diff_left;          // trace diff operands
-  std::string diff_right;
-  // Deployment axes shared by check/codegen/swap (analyzer), sweep and
-  // fleet; empty = keep the grid file's (or the engine's) defaults.
-  std::vector<SimDuration> charges;  // --charges
-  std::vector<EnergyUj> budgets;     // --budgets
-  // sweep command only. Comma-separated axis lists; empty = keep the grid
-  // file's (or the engine's) defaults.
-  std::string grid_path;
+  EnergyUj budget = 19'500.0;
+  std::vector<SimDuration> charges;
+  std::vector<EnergyUj> budgets;
+  std::optional<SimDuration> swap_at;  // earliest swap delivery time
+  std::optional<flight::FlightLevel> flight;
+  std::size_t flight_bytes = 1024;  // flight ring capacity
+  // Static analyzer.
+  bool immortal = true;  // two-phase commit (--no-immortal turns it off)
+  ArbitrationPolicy policy = ArbitrationPolicy::kSeverity;
+  bool no_analyze = false;
+  bool werror = false;
+  bool json = false;  // check/swap: machine-readable diagnostics on stdout
+  // Output.
+  bool trace = false;
+  bool stats = false;
+  std::string format;    // the default depends on the subcommand
+  std::string out_path;  // empty = stdout
+  // sweep: comma-separated axis lists.
   std::string sweep_systems;
   std::string sweep_backends;
   std::string sweep_timekeepers;
-  std::vector<std::uint64_t> seeds;  // --seeds
-  std::string sweep_max_wall;
-  std::string sweep_flight;  // --flight: recorder level axis for sweep
-  bool sweep_stats = false;
+  std::vector<std::uint64_t> seeds;
+  std::optional<SimDuration> max_wall;
   int jobs = 1;
-  // fleet command only. Charges/budgets/stats reuse the shared fields.
-  std::uint64_t fleet_devices = 1000;   // --devices
-  int fleet_shards = 1;                 // --shards
-  std::uint64_t fleet_minutes = 0;      // --minutes: horizon mode (0 = unset)
-  std::uint64_t fleet_iterations = 0;   // --iterations: fixed-pass mode (0 = unset)
-  std::string fleet_monitor = "batch";  // --monitor scalar|batch
-  std::uint32_t fleet_tile = 256;       // --tile
-  std::uint64_t fleet_seed = 1;         // --seed
-  bool backend_set = false;  // fleet defaults to compiled unless --backend given
-  // swap command (second positional) and check --spec2: the replacement
-  // spec whose image hot-swaps over the running one (docs/hotswap.md).
-  std::string spec2_path;
-  std::string swap_at;  // --swap-at: earliest swap delivery time (duration)
-  // forensics command only.
-  std::string forensics_mode;         // dump | timeline | audit | detect
-  std::string flight_level = "full";  // --level
-  std::size_t flight_bytes = 1024;    // --flight-bytes (ring capacity)
-  SimDuration detect_gap = 5 * kMinute;  // --gap
-  std::uint32_t min_attempts = 3;        // --min-attempts
+  // fleet.
+  std::uint64_t fleet_devices = 1000;
+  int fleet_shards = 1;
+  std::uint64_t fleet_minutes = 0;     // horizon mode (0 = unset)
+  std::uint64_t fleet_iterations = 0;  // fixed-pass mode (0 = unset)
+  std::string fleet_monitor = "batch";
+  std::uint32_t fleet_tile = 256;
+  std::uint64_t fleet_seed = 1;
+  // forensics detect.
+  SimDuration detect_gap = 5 * kMinute;
+  std::uint32_t min_attempts = 3;
 };
+
+// Writes a subcommand's rendered output to --out, or to stdout; false
+// (after a message) when --out cannot be written.
+bool WriteOutput(const Args& args, const std::string& rendered) {
+  if (args.out_path.empty()) {
+    std::fwrite(rendered.data(), 1, rendered.size(), stdout);
+    return true;
+  }
+  std::ofstream out(args.out_path, std::ios::binary);
+  if (!out) {
+    std::fprintf(stderr, "artemisc: cannot write '%s'\n", args.out_path.c_str());
+    return false;
+  }
+  out << rendered;
+  return true;
+}
 
 std::vector<std::string> SplitCommaList(const std::string& text) {
   std::vector<std::string> out;
@@ -254,30 +204,26 @@ std::vector<std::string> SplitCommaList(const std::string& text) {
 // finite number in [lo, hi]. Otherwise it prints what `flag` wants, and the
 // invocation is a usage error.
 template <typename T>
-bool ParseNumbers(const std::string& flag, const char* text, T lo, T hi, const char* wants,
-                  bool list, std::vector<T>* out) {
+bool ParseNumbers(const char* flag, const char* text, T lo, T hi, const char* wants, bool list,
+                  std::vector<T>* out) {
   out->clear();
-  bool ok = text != nullptr;
-  if (ok) {
-    for (const std::string& token : SplitCommaList(text)) {
-      T value{};
-      const char* end = token.data() + token.size();
-      const std::from_chars_result parsed = std::from_chars(token.data(), end, value);
-      ok = ok && parsed.ec == std::errc() && parsed.ptr == end && value >= lo && value <= hi;
-      out->push_back(value);
-    }
-    ok = ok && (list || out->size() == 1);
+  bool ok = true;
+  for (const std::string& token : SplitCommaList(text)) {
+    T value{};
+    const char* end = token.data() + token.size();
+    const std::from_chars_result parsed = std::from_chars(token.data(), end, value);
+    ok = ok && parsed.ec == std::errc() && parsed.ptr == end && value >= lo && value <= hi;
+    out->push_back(value);
   }
+  ok = ok && (list || out->size() == 1);
   if (!ok) {
-    std::fprintf(stderr, "artemisc: %s wants %s, got '%s'\n", flag.c_str(), wants,
-                 text == nullptr ? "" : text);
+    std::fprintf(stderr, "artemisc: %s wants %s, got '%s'\n", flag, wants, text);
   }
   return ok;
 }
 
 template <typename T, typename Out>
-bool ParseNumber(const std::string& flag, const char* text, T lo, T hi, const char* wants,
-                 Out* out) {
+bool ParseNumber(const char* flag, const char* text, T lo, T hi, const char* wants, Out* out) {
   std::vector<T> values;
   if (!ParseNumbers(flag, text, lo, hi, wants, /*list=*/false, &values)) {
     return false;
@@ -290,9 +236,6 @@ bool ParseNumber(const std::string& flag, const char* text, T lo, T hi, const ch
 // charge-bin convention (sweep::ParseChargeSchedule).
 bool ParseCharges(const char* text, std::vector<SimDuration>* out) {
   out->clear();
-  if (text == nullptr) {
-    return false;
-  }
   for (const std::string& schedule : SplitCommaList(text)) {
     StatusOr<SimDuration> charge = sweep::ParseChargeSchedule(schedule);
     if (!charge.ok()) {
@@ -304,224 +247,21 @@ bool ParseCharges(const char* text, std::vector<SimDuration>* out) {
   return true;
 }
 
-constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
-constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
-constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
-constexpr double kMinBudget = std::numeric_limits<double>::denorm_min();
-constexpr double kMaxBudget = std::numeric_limits<double>::max();
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  if (argc < 2) {
-    return false;
+// An enum-valued flag: `text` must be the name of one of `values`.
+template <typename E>
+bool ParseNamed(const char* what, const char* text, std::initializer_list<E> values,
+                const char* (*name)(E), E* out) {
+  std::string names;
+  for (const E value : values) {
+    if (std::strcmp(text, name(value)) == 0) {
+      *out = value;
+      return true;
+    }
+    names += names.empty() ? "" : "|";
+    names += name(value);
   }
-  args->command = argv[1];
-  int i = 2;
-  if (args->command == "trace") {
-    // `trace diff <a> <b>` is its own mode; otherwise the spec file is an
-    // optional positional (the demo app's embedded spec is the default).
-    if (i < argc && std::strcmp(argv[i], "diff") == 0) {
-      args->command = "trace-diff";
-      ++i;
-      if (i + 1 >= argc) {
-        return false;
-      }
-      args->diff_left = argv[i++];
-      args->diff_right = argv[i++];
-    } else if (i < argc && argv[i][0] != '-') {
-      args->spec_path = argv[i++];
-    }
-  } else if (args->command == "sweep") {
-    if (i < argc && argv[i][0] != '-') {
-      args->grid_path = argv[i++];
-    }
-  } else if (args->command == "forensics") {
-    if (i >= argc || argv[i][0] == '-') {
-      std::fprintf(stderr, "artemisc: forensics wants a mode (dump|timeline|audit|detect)\n");
-      return false;
-    }
-    args->forensics_mode = argv[i++];
-    if (args->forensics_mode != "dump" && args->forensics_mode != "timeline" &&
-        args->forensics_mode != "audit" && args->forensics_mode != "detect") {
-      std::fprintf(stderr, "artemisc: unknown forensics mode '%s' (dump|timeline|audit|detect)\n",
-                   args->forensics_mode.c_str());
-      return false;
-    }
-  } else if (args->command == "swap") {
-    if (i + 1 >= argc || argv[i][0] == '-' || argv[i + 1][0] == '-') {
-      std::fprintf(stderr, "artemisc: swap wants two spec files (installed, replacement)\n");
-      return false;
-    }
-    args->spec_path = argv[i++];
-    args->spec2_path = argv[i++];
-  } else if (args->command != "simulate" && args->command != "profile" &&
-             args->command != "fleet") {
-    if (i >= argc) {
-      return false;
-    }
-    args->spec_path = argv[i++];
-  }
-  args->format = args->command == "trace" ? "jsonl" : "table";
-  for (; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    // Flags that take a value: a string copied as-is, or a positive integer
-    // up to `max` through the strict numeric parser.
-    auto text = [&](std::string* out) {
-      const char* value = next();
-      if (value != nullptr) {
-        *out = value;
-      }
-      return value != nullptr;
-    };
-    auto count = [&](std::uint64_t max, auto* out) {
-      return ParseNumber<std::uint64_t>(flag, next(), 1, max, "a positive integer", out);
-    };
-    bool ok = true;
-    if (flag == "--app") {
-      ok = text(&args->app);
-    } else if (flag == "--app-file") {
-      ok = text(&args->app_file);
-    } else if (flag == "--system") {
-      ok = text(&args->system);
-    } else if (flag == "--backend") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      if (std::strcmp(value, "builtin") == 0) {
-        args->backend = MonitorBackend::kBuiltin;
-      } else if (std::strcmp(value, "interpreted") == 0) {
-        args->backend = MonitorBackend::kInterpreted;
-      } else if (std::strcmp(value, "compiled") == 0) {
-        args->backend = MonitorBackend::kCompiled;
-      } else {
-        std::fprintf(stderr,
-                     "artemisc: unknown backend '%s' (builtin|interpreted|compiled)\n", value);
-        return false;
-      }
-      args->backend_set = true;
-    } else if (flag == "--spec") {
-      ok = text(&args->spec_path);
-    } else if (flag == "--charge") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      const std::optional<SimDuration> parsed = ParseDuration(value);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "artemisc: bad duration '%s'\n", value);
-        return false;
-      }
-      args->charge = *parsed;
-    } else if (flag == "--budget") {
-      ok = ParseNumber(flag, next(), kMinBudget, kMaxBudget, "a positive number of uJ",
-                       &args->budget);
-    } else if (flag == "--schedule") {
-      ok = text(&args->schedule);
-    } else if (flag == "--format") {
-      ok = text(&args->format);
-    } else if (flag == "--out") {
-      ok = text(&args->out_path);
-    } else if (flag == "--policy") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      if (std::strcmp(value, "severity") == 0) {
-        args->policy = ArbitrationPolicy::kSeverity;
-      } else if (std::strcmp(value, "first-wins") == 0) {
-        args->policy = ArbitrationPolicy::kFirstWins;
-      } else if (std::strcmp(value, "last-wins") == 0) {
-        args->policy = ArbitrationPolicy::kLastWins;
-      } else {
-        std::fprintf(stderr, "artemisc: unknown policy '%s' (severity|first-wins|last-wins)\n",
-                     value);
-        return false;
-      }
-    } else if (flag == "--no-analyze") {
-      args->no_analyze = true;
-    } else if (flag == "--json") {
-      args->json = true;
-    } else if (flag == "--Werror") {
-      args->werror = true;
-    } else if (flag == "--mayfly-lang") {
-      args->mayfly_lang = true;
-    } else if (flag == "--no-immortal") {
-      args->immortal = false;
-    } else if (flag == "--trace") {
-      args->trace = true;
-    } else if (flag == "--jobs") {
-      ok = count(kMaxInt, &args->jobs);
-    } else if (flag == "--systems") {
-      ok = text(&args->sweep_systems);
-    } else if (flag == "--charges") {
-      ok = ParseCharges(next(), &args->charges);
-    } else if (flag == "--budgets") {
-      ok = ParseNumbers(flag, next(), kMinBudget, kMaxBudget, "positive numbers of uJ",
-                        /*list=*/true, &args->budgets);
-    } else if (flag == "--backends") {
-      ok = text(&args->sweep_backends);
-    } else if (flag == "--timekeepers") {
-      ok = text(&args->sweep_timekeepers);
-    } else if (flag == "--seeds") {
-      ok = ParseNumbers<std::uint64_t>(flag, next(), 0, kMaxU64, "unsigned integers",
-                                       /*list=*/true, &args->seeds);
-    } else if (flag == "--max-wall") {
-      ok = text(&args->sweep_max_wall);
-    } else if (flag == "--stats") {
-      args->sweep_stats = true;
-    } else if (flag == "--flight") {
-      ok = text(&args->sweep_flight);
-    } else if (flag == "--devices") {
-      ok = count(kMaxU64, &args->fleet_devices);
-    } else if (flag == "--shards") {
-      ok = count(kMaxInt, &args->fleet_shards);
-    } else if (flag == "--minutes") {
-      ok = count(kMaxU64 / kMinute, &args->fleet_minutes);
-    } else if (flag == "--iterations") {
-      ok = count(kMaxU64, &args->fleet_iterations);
-    } else if (flag == "--monitor") {
-      ok = text(&args->fleet_monitor);
-    } else if (flag == "--tile") {
-      ok = count(kMaxU32, &args->fleet_tile);
-    } else if (flag == "--seed") {
-      ok = ParseNumber<std::uint64_t>(flag, next(), 0, kMaxU64, "an unsigned integer",
-                                      &args->fleet_seed);
-    } else if (flag == "--level") {
-      ok = text(&args->flight_level);
-    } else if (flag == "--flight-bytes") {
-      ok = count(std::numeric_limits<std::size_t>::max(), &args->flight_bytes);
-    } else if (flag == "--gap") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      const std::optional<SimDuration> parsed = ParseDuration(value);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "artemisc: bad duration '%s'\n", value);
-        return false;
-      }
-      args->detect_gap = *parsed;
-    } else if (flag == "--spec2") {
-      ok = text(&args->spec2_path);
-    } else if (flag == "--swap-at") {
-      const char* value = next();
-      if (value == nullptr || !ParseDuration(value).has_value()) {
-        std::fprintf(stderr, "artemisc: --swap-at wants a duration like 10min\n");
-        return false;
-      }
-      args->swap_at = value;
-    } else if (flag == "--min-attempts") {
-      ok = count(kMaxU32, &args->min_attempts);
-    } else {
-      std::fprintf(stderr, "artemisc: unknown flag '%s'\n", flag.c_str());
-      return false;
-    }
-    if (!ok) {
-      return false;
-    }
-  }
-  return true;
+  std::fprintf(stderr, "artemisc: unknown %s '%s' (%s)\n", what, text, names.c_str());
+  return false;
 }
 
 struct DemoApp {
@@ -534,7 +274,6 @@ std::optional<DemoApp> MakeApp(const Args& args) {
   if (!args.app_file.empty()) {
     const std::optional<std::string> source = ReadFile(args.app_file);
     if (!source.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.app_file.c_str());
       return std::nullopt;
     }
     StatusOr<AppDescription> parsed = ParseAppDescription(*source);
@@ -576,31 +315,36 @@ AnalysisOptions AnalysisOptionsFor(const Args& args) {
     options.charges = args.charges;
   }
   options.two_phase_commit = args.immortal;
-  options.flight_enabled = !args.sweep_flight.empty() && args.sweep_flight != "off";
+  options.flight_enabled = args.flight.has_value() && *args.flight != flight::FlightLevel::kOff;
   options.flight_bytes = args.flight_bytes;
   return options;
 }
 
 // A spec through the front half that `check`, `codegen` and `dot` share.
 struct FrontHalf {
+  std::string source;
   DemoApp app;
   SpecAst spec;
   std::vector<StateMachine> machines;
   DiagnosticEngine engine;  // Empty with --no-analyze.
 };
 
-// parse -> validate -> lower -> analyze (unless --no-analyze). The
-// validator's warnings go to `warnings` unless it is null. A failing stage
-// prints its message and leaves the exit code in `*exit_code`.
-std::optional<FrontHalf> RunFrontHalf(const Args& args, const std::string& source,
-                                      FILE* warnings, int* exit_code) {
-  *exit_code = kExitFindings;
-  auto app = MakeApp(args);
-  if (!app.has_value()) {
-    *exit_code = kExitUsage;
+// read <spec> -> parse -> validate -> lower -> analyze (unless
+// --no-analyze). The validator's warnings go to `warnings` unless it is
+// null. A failing stage prints its message and leaves the exit code in
+// `*exit_code`.
+std::optional<FrontHalf> RunFrontHalf(const Args& args, FILE* warnings, int* exit_code) {
+  *exit_code = kExitUsage;
+  std::optional<std::string> source = ReadFile(args.spec_path);
+  if (!source.has_value()) {
     return std::nullopt;
   }
-  auto parsed = ParseSpec(args, source);
+  auto app = MakeApp(args);
+  if (!app.has_value()) {
+    return std::nullopt;
+  }
+  *exit_code = kExitFindings;
+  auto parsed = ParseSpec(args, *source);
   if (!parsed.ok()) {
     std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
     return std::nullopt;
@@ -620,20 +364,20 @@ std::optional<FrontHalf> RunFrontHalf(const Args& args, const std::string& sourc
     std::fprintf(stderr, "lowering error: %s\n", machines.status().ToString().c_str());
     return std::nullopt;
   }
-  FrontHalf front{std::move(*app), std::move(parsed).value(), std::move(machines).value(),
-                  DiagnosticEngine()};
+  FrontHalf front{std::move(*source), std::move(*app), std::move(parsed).value(),
+                  std::move(machines).value(), DiagnosticEngine()};
   if (!args.no_analyze) {
     front.engine = AnalyzeMachines(front.machines, front.app.graph, AnalysisOptionsFor(args));
   }
   return front;
 }
 
-int RunCheck(const Args& args, const std::string& source) {
+int RunCheck(const Args& args) {
   // With --json, stdout carries only the diagnostics array; the human
   // summary moves to stderr.
   FILE* chatter = args.json ? stderr : stdout;
   int exit_code = kExitClean;
-  std::optional<FrontHalf> front = RunFrontHalf(args, source, chatter, &exit_code);
+  std::optional<FrontHalf> front = RunFrontHalf(args, chatter, &exit_code);
   if (!front.has_value()) {
     return exit_code;
   }
@@ -655,11 +399,10 @@ int RunCheck(const Args& args, const std::string& source) {
   if (!args.spec2_path.empty()) {
     const std::optional<std::string> spec2 = ReadFile(args.spec2_path);
     if (!spec2.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec2_path.c_str());
       return kExitUsage;
     }
     const AppGraph& graph = front->app.graph;
-    StatusOr<MonitorImage> old_image = BuildMonitorImage(source, graph, 1);
+    StatusOr<MonitorImage> old_image = BuildMonitorImage(front->source, graph, 1);
     StatusOr<MonitorImage> new_image = BuildMonitorImage(*spec2, graph, 2);
     if (!old_image.ok() || !new_image.ok()) {
       const Status& bad = !old_image.ok() ? old_image.status() : new_image.status();
@@ -683,8 +426,12 @@ int RunCheck(const Args& args, const std::string& source) {
   return errors == 0 ? kExitClean : kExitFindings;
 }
 
-int RunPretty(const Args& args, const std::string& source) {
-  auto parsed = ParseSpec(args, source);
+int RunPretty(const Args& args) {
+  const std::optional<std::string> source = ReadFile(args.spec_path);
+  if (!source.has_value()) {
+    return kExitUsage;
+  }
+  auto parsed = ParseSpec(args, *source);
   if (!parsed.ok()) {
     std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
     return kExitFindings;
@@ -693,9 +440,9 @@ int RunPretty(const Args& args, const std::string& source) {
   return kExitClean;
 }
 
-int RunCodegen(const Args& args, const std::string& source, bool dot) {
+int RunCodegen(const Args& args, bool dot) {
   int exit_code = kExitClean;
-  std::optional<FrontHalf> front = RunFrontHalf(args, source, nullptr, &exit_code);
+  std::optional<FrontHalf> front = RunFrontHalf(args, nullptr, &exit_code);
   if (!front.has_value()) {
     return exit_code;
   }
@@ -741,11 +488,7 @@ std::optional<std::string> RunSpecSource(const Args& args, const DemoApp& app) {
   if (args.spec_path.empty()) {
     return app.default_spec;
   }
-  std::optional<std::string> file = ReadFile(args.spec_path);
-  if (!file.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
-  }
-  return file;
+  return ReadFile(args.spec_path);
 }
 
 // --schedule through the shared charge-bin convention
@@ -757,10 +500,6 @@ std::optional<SimDuration> ScheduleCharge(const Args& args) {
     return std::nullopt;
   }
   return charge.value();
-}
-
-SimDuration SwapAt(const Args& args) {
-  return args.swap_at.empty() ? 0 : *ParseDuration(args.swap_at);  // Validated in ParseArgs.
 }
 
 std::vector<std::string> TaskNames(const AppGraph& graph) {
@@ -955,16 +694,8 @@ int RunTrace(const Args& args) {
     trace_out << stats.Render();
   }
 
-  const std::string rendered = trace_out.str();
-  if (!args.out_path.empty()) {
-    std::ofstream out(args.out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "artemisc: cannot write '%s'\n", args.out_path.c_str());
-      return kExitUsage;
-    }
-    out << rendered;
-  } else {
-    std::fwrite(rendered.data(), 1, rendered.size(), stdout);
+  if (!WriteOutput(args, trace_out.str())) {
+    return kExitUsage;
   }
   std::fprintf(stderr, "trace: app=%s schedule=%s format=%s completed=%s reboots=%llu\n",
                (args.app_file.empty() ? args.app : args.app_file).c_str(),
@@ -976,12 +707,10 @@ int RunTrace(const Args& args) {
 int RunTraceDiff(const Args& args) {
   const std::optional<std::string> left = ReadFile(args.diff_left);
   if (!left.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.diff_left.c_str());
     return kExitUsage;
   }
   const std::optional<std::string> right = ReadFile(args.diff_right);
   if (!right.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.diff_right.c_str());
     return kExitUsage;
   }
   const obs::TraceDiffResult result = obs::DiffJsonlTraces(*left, *right);
@@ -1003,11 +732,9 @@ int RunForensics(const Args& args) {
   if (!source.has_value()) {
     return kExitUsage;
   }
-  flight::FlightLevel level = flight::FlightLevel::kFull;
-  if (!flight::ParseFlightLevel(args.flight_level, &level) ||
-      level == flight::FlightLevel::kOff) {
-    std::fprintf(stderr, "artemisc: bad --level '%s' (verdicts|full)\n",
-                 args.flight_level.c_str());
+  const flight::FlightLevel level = args.flight.value_or(flight::FlightLevel::kFull);
+  if (level == flight::FlightLevel::kOff) {
+    std::fprintf(stderr, "artemisc: forensics needs the recorder on (--flight verdicts|full)\n");
     return kExitUsage;
   }
   // --spec2: deliver a hot-swap replacement image mid-run (src/swap,
@@ -1018,7 +745,6 @@ int RunForensics(const Args& args) {
   if (!args.spec2_path.empty()) {
     const std::optional<std::string> file = ReadFile(args.spec2_path);
     if (!file.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec2_path.c_str());
       return kExitUsage;
     }
     source2 = *file;
@@ -1063,7 +789,7 @@ int RunForensics(const Args& args) {
   recipe.flight = level;
   recipe.flight_bytes = args.flight_bytes;
   recipe.swap_image = std::move(swap_image);
-  recipe.swap_at = SwapAt(args);
+  recipe.swap_at = args.swap_at.value_or(0);
   DeviceRun device(std::move(recipe));
   if (!device.status().ok()) {
     return SetupFailure(device.status());
@@ -1105,15 +831,8 @@ int RunForensics(const Args& args) {
     clean = findings.empty();
   }
 
-  if (!args.out_path.empty()) {
-    std::ofstream out(args.out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "artemisc: cannot write '%s'\n", args.out_path.c_str());
-      return kExitUsage;
-    }
-    out << rendered;
-  } else {
-    std::fwrite(rendered.data(), 1, rendered.size(), stdout);
+  if (!WriteOutput(args, rendered)) {
+    return kExitUsage;
   }
   std::fprintf(stderr,
                "forensics: app=%s schedule=%s level=%s completed=%s reboots=%llu "
@@ -1150,12 +869,10 @@ int RunSwapCmd(const Args& args) {
   }
   const std::optional<std::string> source1 = ReadFile(args.spec_path);
   if (!source1.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
     return kExitUsage;
   }
   const std::optional<std::string> source2 = ReadFile(args.spec2_path);
   if (!source2.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec2_path.c_str());
     return kExitUsage;
   }
   StatusOr<MonitorImage> old_image = BuildMonitorImage(*source1, app->graph, 1);
@@ -1192,21 +909,15 @@ int RunSwapCmd(const Args& args) {
   if (!charge.has_value()) {
     return kExitUsage;
   }
-  flight::FlightLevel level = flight::FlightLevel::kOff;
-  if (!args.sweep_flight.empty() && !flight::ParseFlightLevel(args.sweep_flight, &level)) {
-    std::fprintf(stderr, "artemisc: bad --flight '%s' (off|verdicts|full)\n",
-                 args.sweep_flight.c_str());
-    return kExitUsage;
-  }
 
   const std::uint64_t old_hash = old_image.value().header.spec_hash;
   const std::uint64_t new_hash = new_image.value().header.spec_hash;
   DeviceRecipe recipe = AppDevice(*app, args, *charge, old_image.value().artifact);
   recipe.backend = MonitorBackend::kCompiled;  // The only versioned backend.
-  recipe.flight = level;
+  recipe.flight = args.flight.value_or(flight::FlightLevel::kOff);
   recipe.flight_bytes = args.flight_bytes;
   recipe.swap_image = std::move(new_image).value();
-  recipe.swap_at = SwapAt(args);
+  recipe.swap_at = args.swap_at.value_or(0);
   DeviceRun device(std::move(recipe));
   if (!device.status().ok()) {
     return SetupFailure(device.status());
@@ -1239,12 +950,11 @@ int RunSweepCmd(const Args& args) {
   if (!args.grid_path.empty()) {
     const std::optional<std::string> source = ReadFile(args.grid_path);
     if (!source.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.grid_path.c_str());
       return kExitUsage;
     }
     StatusOr<sweep::SweepSpec> parsed =
         sweep::ParseGridJson(*source, [](const std::string& path) -> StatusOr<std::string> {
-          const std::optional<std::string> text = ReadFile(path);
+          const std::optional<std::string> text = ReadFileQuietly(path);
           if (!text.has_value()) {
             return Status::Invalid("sweep grid: cannot read spec file '" + path + "'");
           }
@@ -1264,7 +974,6 @@ int RunSweepCmd(const Args& args) {
   if (!args.spec_path.empty()) {
     const std::optional<std::string> text = ReadFile(args.spec_path);
     if (!text.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
       return kExitUsage;
     }
     grid.specs = {{args.spec_path, *text}};
@@ -1287,31 +996,25 @@ int RunSweepCmd(const Args& args) {
   if (!args.seeds.empty()) {
     grid.seeds = args.seeds;
   }
-  if (!args.sweep_max_wall.empty()) {
-    const std::optional<SimDuration> wall = ParseDuration(args.sweep_max_wall);
-    if (!wall.has_value()) {
-      std::fprintf(stderr, "artemisc: bad duration '%s'\n", args.sweep_max_wall.c_str());
-      return kExitUsage;
-    }
-    grid.max_wall = *wall;
+  if (args.max_wall.has_value()) {
+    grid.max_wall = *args.max_wall;
   }
-  if (args.sweep_stats) {
+  if (args.stats) {
     grid.collect_stats = true;
   }
-  if (!args.sweep_flight.empty()) {
-    grid.flight = args.sweep_flight;
+  if (args.flight.has_value()) {
+    grid.flight = flight::FlightLevelName(*args.flight);
     grid.flight_bytes = args.flight_bytes;
   }
   if (!args.spec2_path.empty()) {
     const std::optional<std::string> text = ReadFile(args.spec2_path);
     if (!text.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec2_path.c_str());
       return kExitUsage;
     }
     grid.spec2 = {args.spec2_path, *text};
   }
-  if (!args.swap_at.empty()) {
-    grid.swap_at = *ParseDuration(args.swap_at);  // Validated in ParseArgs.
+  if (args.swap_at.has_value()) {
+    grid.swap_at = *args.swap_at;
   }
   if (args.no_analyze) {
     grid.analyze = false;
@@ -1336,15 +1039,8 @@ int RunSweepCmd(const Args& args) {
     return kExitUsage;
   }
 
-  if (args.out_path.empty()) {
-    std::fputs(rendered.c_str(), stdout);
-  } else {
-    std::ofstream out(args.out_path);
-    if (!out) {
-      std::fprintf(stderr, "artemisc: cannot write '%s'\n", args.out_path.c_str());
-      return kExitUsage;
-    }
-    out << rendered;
+  if (!WriteOutput(args, rendered)) {
+    return kExitUsage;
   }
   // A point that failed setup is a finding, not a usage error: the sweep
   // itself executed and the row carries the diagnosis.
@@ -1352,20 +1048,11 @@ int RunSweepCmd(const Args& args) {
 }
 
 int RunFleetCmd(const Args& args) {
-  if (!args.spec2_path.empty()) {
-    // Batch lanes share one compiled image; per-device hot swap is scalar
-    // work. The sweep engine carries the swap axis instead.
-    std::fprintf(stderr,
-                 "artemisc: fleet does not support --spec2; use `artemisc sweep --spec2` "
-                 "(docs/hotswap.md)\n");
-    return kExitUsage;
-  }
   fleet::FleetSpec spec;
   spec.app = args.app;
   if (!args.spec_path.empty()) {
     const std::optional<std::string> text = ReadFile(args.spec_path);
     if (!text.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
       return kExitUsage;
     }
     spec.spec_text = *text;
@@ -1381,10 +1068,10 @@ int RunFleetCmd(const Args& args) {
   spec.shards = args.fleet_shards;
   spec.seed = args.fleet_seed;
   spec.tile = args.fleet_tile;
-  spec.collect_obs = args.sweep_stats;
+  spec.collect_obs = args.stats;
   // --stats in batch mode also profiles the dispatch-entry traffic (which
   // (state, kind, task) entries the fleet's events actually hit).
-  spec.collect_traffic = args.sweep_stats && spec.monitor == "batch";
+  spec.collect_traffic = args.stats && spec.monitor == "batch";
   if (!args.charges.empty()) {
     spec.charges = args.charges;
   }
@@ -1419,68 +1106,310 @@ int RunFleetCmd(const Args& args) {
     return kExitUsage;
   }
 
-  if (args.out_path.empty()) {
-    std::fputs(rendered.c_str(), stdout);
-  } else {
-    std::ofstream out(args.out_path);
-    if (!out) {
-      std::fprintf(stderr, "artemisc: cannot write '%s'\n", args.out_path.c_str());
-      return kExitUsage;
-    }
-    out << rendered;
+  if (!WriteOutput(args, rendered)) {
+    return kExitUsage;
   }
   // A failing device is a finding, not a usage error: the fleet ran and the
   // aggregates carry the first failing device's diagnosis.
   return outcome.value().AllOk() ? kExitClean : kExitFindings;
 }
 
+// Subcommands, one bit each: a flag names the subcommands that read it.
+enum SubcommandBit : std::uint32_t {
+  kCheck = 1u << 0,
+  kPretty = 1u << 1,
+  kCodegen = 1u << 2,
+  kDot = 1u << 3,
+  kSimulate = 1u << 4,
+  kProfile = 1u << 5,
+  kTrace = 1u << 6,
+  kTraceDiff = 1u << 7,
+  kSweep = 1u << 8,
+  kFleet = 1u << 9,
+  kForensics = 1u << 10,
+  kSwap = 1u << 11,
+  // Groups: the subcommands that run the spec front half and analyzer,
+  // those plus swap's analyzer gate, and all that build the app from
+  // --app / --app-file.
+  kFrontHalf = kCheck | kCodegen | kDot,
+  kAnalyzers = kFrontHalf | kSwap,
+  kApps = kAnalyzers | kSimulate | kProfile | kTrace | kForensics,
+};
+
+struct Subcommand {
+  const char* name;
+  // Operand synopsis: "<x>" is required, "[<x>]" optional (absent when the
+  // next argument is a flag), and "<a|b>" must be one of the listed words.
+  // Each operand is stored in the matching `slots` field.
+  const char* operands;
+  std::array<std::string Args::*, 2> slots;
+  std::uint32_t bit;
+  int (*run)(const Args&);
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"check", "<spec>", {&Args::spec_path}, kCheck, RunCheck},
+    {"pretty", "<spec>", {&Args::spec_path}, kPretty, RunPretty},
+    {"codegen", "<spec>", {&Args::spec_path}, kCodegen,
+     [](const Args& args) { return RunCodegen(args, /*dot=*/false); }},
+    {"dot", "<spec>", {&Args::spec_path}, kDot,
+     [](const Args& args) { return RunCodegen(args, /*dot=*/true); }},
+    {"simulate", "", {}, kSimulate, RunSimulate},
+    {"profile", "", {}, kProfile, RunProfile},
+    {"trace", "[<spec>]", {&Args::spec_path}, kTrace, RunTrace},
+    {"trace diff", "<a.jsonl> <b.jsonl>", {&Args::diff_left, &Args::diff_right}, kTraceDiff,
+     RunTraceDiff},
+    {"sweep", "[<grid.json>]", {&Args::grid_path}, kSweep, RunSweepCmd},
+    {"fleet", "", {}, kFleet, RunFleetCmd},
+    {"forensics", "<dump|timeline|audit|detect>", {&Args::forensics_mode}, kForensics,
+     RunForensics},
+    {"swap", "<spec-v1> <spec-v2>", {&Args::spec_path, &Args::spec2_path}, kSwap, RunSwapCmd},
+};
+
+// A flag's parser gets its name and value (nullptr for a switch) and
+// prints what is wrong before returning false.
+using FlagParser = bool (*)(const char* flag, const char* value, Args* args);
+
+template <auto field>
+bool SetText(const char*, const char* value, Args* args) {
+  args->*field = value;
+  return true;
+}
+
+template <auto field, bool on>
+bool SetSwitch(const char*, const char*, Args* args) {
+  args->*field = on;
+  return true;
+}
+
+template <auto field, std::uint64_t max>
+bool SetCount(const char* flag, const char* value, Args* args) {
+  return ParseNumber<std::uint64_t>(flag, value, 1, max, "a positive integer", &(args->*field));
+}
+
+template <auto field>
+bool SetDuration(const char* flag, const char* value, Args* args) {
+  const std::optional<SimDuration> duration = ParseDuration(value);
+  if (!duration.has_value()) {
+    std::fprintf(stderr, "artemisc: %s wants a duration like 10min, got '%s'\n", flag, value);
+    return false;
+  }
+  args->*field = *duration;
+  return true;
+}
+
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr double kMinBudget = std::numeric_limits<double>::denorm_min();
+constexpr double kMaxBudget = std::numeric_limits<double>::max();
+
+struct Flag {
+  const char* name;
+  const char* value;  // the value's shape in the usage text; nullptr for a switch
+  std::uint32_t takers;  // the subcommands that read it
+  FlagParser parse;
+};
+
+// Every flag, declared once, in usage order.
+constexpr Flag kFlags[] = {
+    {"--app", "health|greenhouse|ar", kApps | kSweep | kFleet, SetText<&Args::app>},
+    {"--app-file", "<file>", kApps, SetText<&Args::app_file>},
+    {"--spec", "<file>", kSimulate | kTrace | kSweep | kFleet | kForensics,
+     SetText<&Args::spec_path>},
+    {"--spec2", "<file>", kCheck | kSweep | kForensics, SetText<&Args::spec2_path>},
+    {"--mayfly-lang", nullptr, kFrontHalf | kPretty | kSimulate,
+     SetSwitch<&Args::mayfly_lang, true>},
+    {"--system", "artemis|mayfly", kSimulate, SetText<&Args::system>},
+    {"--systems", "<system>,...", kSweep, SetText<&Args::sweep_systems>},
+    {"--backend", "builtin|interpreted|compiled",
+     kSimulate | kProfile | kTrace | kFleet | kForensics,
+     [](const char*, const char* value, Args* args) {
+       args->backend_set = true;
+       return ParseNamed("backend", value,
+                         {MonitorBackend::kBuiltin, MonitorBackend::kInterpreted,
+                          MonitorBackend::kCompiled},
+                         MonitorBackendName, &args->backend);
+     }},
+    {"--backends", "<backend>,...", kSweep, SetText<&Args::sweep_backends>},
+    {"--timekeepers", "<timekeeper>,...", kSweep, SetText<&Args::sweep_timekeepers>},
+    {"--monitor", "scalar|batch", kFleet, SetText<&Args::fleet_monitor>},
+    {"--charge", "<duration>", kSimulate, SetDuration<&Args::charge>},
+    {"--schedule", "continuous|<duration>", kTrace | kForensics | kSwap,
+     SetText<&Args::schedule>},
+    {"--charges", "<schedule>,...", kFrontHalf | kSweep | kFleet,
+     [](const char*, const char* value, Args* args) {
+       return ParseCharges(value, &args->charges);
+     }},
+    {"--budget", "<uJ>", kAnalyzers | kSimulate | kTrace | kForensics,
+     [](const char* flag, const char* value, Args* args) {
+       return ParseNumber(flag, value, kMinBudget, kMaxBudget, "a positive number of uJ",
+                          &args->budget);
+     }},
+    {"--budgets", "<uJ>,...", kAnalyzers | kSweep | kFleet,
+     [](const char* flag, const char* value, Args* args) {
+       return ParseNumbers(flag, value, kMinBudget, kMaxBudget, "positive numbers of uJ",
+                           /*list=*/true, &args->budgets);
+     }},
+    {"--seed", "S", kFleet,
+     [](const char* flag, const char* value, Args* args) {
+       return ParseNumber<std::uint64_t>(flag, value, 0, kMaxU64, "an unsigned integer",
+                                         &args->fleet_seed);
+     }},
+    {"--seeds", "S,...", kSweep,
+     [](const char* flag, const char* value, Args* args) {
+       return ParseNumbers<std::uint64_t>(flag, value, 0, kMaxU64, "unsigned integers",
+                                          /*list=*/true, &args->seeds);
+     }},
+    {"--swap-at", "<duration>", kSweep | kForensics | kSwap, SetDuration<&Args::swap_at>},
+    {"--flight", "off|verdicts|full", kAnalyzers | kSweep | kForensics,
+     [](const char* flag, const char* value, Args* args) {
+       flight::FlightLevel level = flight::FlightLevel::kOff;
+       if (!flight::ParseFlightLevel(value, &level)) {
+         std::fprintf(stderr, "artemisc: bad %s '%s' (off|verdicts|full)\n", flag, value);
+         return false;
+       }
+       args->flight = level;
+       return true;
+     }},
+    {"--flight-bytes", "N", kAnalyzers | kSweep | kForensics,
+     SetCount<&Args::flight_bytes, std::numeric_limits<std::size_t>::max()>},
+    {"--no-immortal", nullptr, kFrontHalf, SetSwitch<&Args::immortal, false>},
+    {"--policy", "severity|first-wins|last-wins", kFrontHalf,
+     [](const char*, const char* value, Args* args) {
+       return ParseNamed("policy", value,
+                         {ArbitrationPolicy::kSeverity, ArbitrationPolicy::kFirstWins,
+                          ArbitrationPolicy::kLastWins},
+                         ArbitrationPolicyName, &args->policy);
+     }},
+    {"--no-analyze", nullptr, kAnalyzers | kSweep | kFleet, SetSwitch<&Args::no_analyze, true>},
+    {"--Werror", nullptr, kAnalyzers, SetSwitch<&Args::werror, true>},
+    {"--json", nullptr, kCheck | kSwap, SetSwitch<&Args::json, true>},
+    {"--trace", nullptr, kSimulate, SetSwitch<&Args::trace, true>},
+    {"--devices", "N", kFleet, SetCount<&Args::fleet_devices, kMaxU64>},
+    {"--shards", "N", kFleet, SetCount<&Args::fleet_shards, kMaxInt>},
+    {"--tile", "N", kFleet, SetCount<&Args::fleet_tile, kMaxU32>},
+    {"--minutes", "M", kFleet, SetCount<&Args::fleet_minutes, kMaxU64 / kMinute>},
+    {"--iterations", "K", kFleet, SetCount<&Args::fleet_iterations, kMaxU64>},
+    {"--jobs", "N", kSweep, SetCount<&Args::jobs, kMaxInt>},
+    {"--max-wall", "<duration>", kSweep, SetDuration<&Args::max_wall>},
+    {"--gap", "<duration>", kForensics, SetDuration<&Args::detect_gap>},
+    {"--min-attempts", "N", kForensics, SetCount<&Args::min_attempts, kMaxU32>},
+    {"--stats", nullptr, kSweep | kFleet, SetSwitch<&Args::stats, true>},
+    {"--format", "<format>", kTrace | kSweep | kFleet, SetText<&Args::format>},
+    {"--out", "<file>", kTrace | kSweep | kFleet | kForensics, SetText<&Args::out_path>},
+};
+
+// The usage text, generated from the two tables: one entry per subcommand
+// with its operands and every flag it takes.
+int Usage() {
+  constexpr std::size_t kIndent = 12;
+  constexpr std::size_t kWidth = 80;
+  std::string text = "usage: artemisc <subcommand> [operands] [flags]\n";
+  for (const Subcommand& sub : kSubcommands) {
+    std::vector<std::string> items;
+    if (*sub.operands != '\0') {
+      items.emplace_back(sub.operands);
+    }
+    for (const Flag& flag : kFlags) {
+      if ((flag.takers & sub.bit) != 0) {
+        const char* value = flag.value != nullptr ? flag.value : "";
+        items.push_back(std::string("[") + flag.name + (*value != '\0' ? " " : "") + value + "]");
+      }
+    }
+    std::string line = "  " + std::string(sub.name);
+    line.resize(kIndent, ' ');
+    for (const std::string& item : items) {
+      if (line.size() > kIndent && line.size() + 1 + item.size() > kWidth) {
+        text += line + "\n";
+        line.assign(kIndent, ' ');
+      }
+      line += " " + item;
+    }
+    text += line + "\n";
+  }
+  text += "exit codes: 0 = clean, 1 = findings or failures, 2 = usage/IO error\n";
+  std::fputs(text.c_str(), stderr);
+  return kExitUsage;
+}
+
+// Parses `artemisc <subcommand> [operands] [flags]` into `args`. Returns
+// the subcommand, or nullptr (after a message, if any) when the invocation
+// is malformed.
+const Subcommand* ParseArgs(int argc, char** argv, Args* args) {
+  if (argc < 2) {
+    return nullptr;
+  }
+  std::string name = argv[1];
+  int i = 2;
+  if (name == "trace" && i < argc && std::strcmp(argv[i], "diff") == 0) {
+    name += " diff";
+    ++i;
+  }
+  const Subcommand* sub = nullptr;
+  for (const Subcommand& candidate : kSubcommands) {
+    if (name == candidate.name) {
+      sub = &candidate;
+    }
+  }
+  if (sub == nullptr) {
+    std::fprintf(stderr, "artemisc: unknown subcommand '%s'\n", name.c_str());
+    return nullptr;
+  }
+  std::istringstream synopsis(sub->operands);
+  std::string operand;
+  for (std::string Args::*slot : sub->slots) {
+    if (!(synopsis >> operand)) {
+      break;
+    }
+    if (i >= argc || argv[i][0] == '-') {
+      if (operand[0] == '[') {
+        continue;
+      }
+      std::fprintf(stderr, "artemisc: %s wants %s\n", sub->name, operand.c_str());
+      return nullptr;
+    }
+    std::string words = operand;  // "<a|b>" -> "|a|b|"
+    words.front() = words.back() = '|';
+    if (operand.find('|') != std::string::npos &&
+        words.find(std::string("|") + argv[i] + "|") == std::string::npos) {
+      std::fprintf(stderr, "artemisc: %s wants %s, got '%s'\n", sub->name, operand.c_str(),
+                   argv[i]);
+      return nullptr;
+    }
+    args->*slot = argv[i++];
+  }
+  args->format = sub->bit == kTrace ? "jsonl" : "table";
+  for (; i < argc; ++i) {
+    const Flag* flag = nullptr;
+    for (const Flag& candidate : kFlags) {
+      if ((candidate.takers & sub->bit) != 0 && std::strcmp(argv[i], candidate.name) == 0) {
+        flag = &candidate;
+      }
+    }
+    if (flag == nullptr) {
+      std::fprintf(stderr, "artemisc: %s does not take '%s'\n", sub->name, argv[i]);
+      return nullptr;
+    }
+    const char* value = nullptr;
+    if (flag->value != nullptr) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "artemisc: %s wants %s\n", flag->name, flag->value);
+        return nullptr;
+      }
+      value = argv[++i];
+    }
+    if (!flag->parse(flag->name, value, args)) {
+      return nullptr;
+    }
+  }
+  return sub;
+}
+
 int Main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    return Usage();
-  }
-  if (args.command == "simulate") {
-    return RunSimulate(args);
-  }
-  if (args.command == "sweep") {
-    return RunSweepCmd(args);
-  }
-  if (args.command == "fleet") {
-    return RunFleetCmd(args);
-  }
-  if (args.command == "profile") {
-    return RunProfile(args);
-  }
-  if (args.command == "trace") {
-    return RunTrace(args);
-  }
-  if (args.command == "trace-diff") {
-    return RunTraceDiff(args);
-  }
-  if (args.command == "forensics") {
-    return RunForensics(args);
-  }
-  if (args.command == "swap") {
-    return RunSwapCmd(args);
-  }
-  const std::optional<std::string> source = ReadFile(args.spec_path);
-  if (!source.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
-    return kExitUsage;
-  }
-  if (args.command == "check") {
-    return RunCheck(args, *source);
-  }
-  if (args.command == "pretty") {
-    return RunPretty(args, *source);
-  }
-  if (args.command == "codegen") {
-    return RunCodegen(args, *source, /*dot=*/false);
-  }
-  if (args.command == "dot") {
-    return RunCodegen(args, *source, /*dot=*/true);
-  }
-  return Usage();
+  const Subcommand* sub = ParseArgs(argc, argv, &args);
+  return sub == nullptr ? Usage() : sub->run(args);
 }
 
 }  // namespace

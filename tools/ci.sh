@@ -17,8 +17,10 @@
 #      `artemisc forensics audit` must report zero mismatches. A forensics
 #      run that hot-swaps mid-flight (`--spec2`) must stitch the swap-epoch
 #      record into the timeline and still audit clean across the swap.
-#   4. Docs link check: every relative .md link in README.md, DESIGN.md,
-#      EXPERIMENTS.md, and docs/ must resolve to an existing file.
+#   4. Docs check: every relative .md link in README.md, DESIGN.md,
+#      EXPERIMENTS.md, and docs/ must resolve to an existing file, and every
+#      documented artemisc invocation (those docs, this script and the
+#      verify skill) may use only flags its subcommand's usage entry lists.
 #   5. Sweep determinism smoke: `artemisc sweep` over a small grid must
 #      produce byte-identical JSON for --jobs 1 and --jobs 4, with exit 0;
 #      a statically infeasible deployment must be refused with exit 2
@@ -125,7 +127,7 @@ if ! "${artemisc}" forensics audit --app health --spec "${specs}/health.prop" \
 fi
 echo "ok: flight log audits clean across the swap epoch"
 
-echo "== [4/9] Docs link check =="
+echo "== [4/9] Docs link and CLI flag check =="
 # Every relative .md link in the top-level docs and docs/ must resolve.
 # Matches [text](path.md) and [text](path.md#anchor); external http(s)
 # links are skipped.
@@ -150,6 +152,43 @@ if [[ "${link_errors}" -ne 0 ]]; then
   exit 1
 fi
 echo "ok: all relative .md links resolve"
+
+# Every documented `artemisc <subcommand> ...` invocation may use only flags
+# that subcommand takes, as listed by its entry in the generated usage text
+# (`artemisc` with no arguments). Backslash continuations and synopsis lines
+# that start with `[` are joined first; an invocation ends at a backtick,
+# `#` comment or `;`.
+python3 - "${artemisc}" "${repo_root}" <<'PY'
+import pathlib, re, subprocess, sys
+
+artemisc, root = sys.argv[1], pathlib.Path(sys.argv[2])
+takes, name = {}, None
+for line in subprocess.run([artemisc], capture_output=True, text=True).stderr.splitlines():
+    if re.match(r"  \S", line):
+        name = re.match(r"  ([^<\[]*?)\s*(?:[<\[]|$)", line).group(1)
+        takes[name] = set()
+    elif not line.startswith("   "):
+        name = None
+    if name is not None:
+        takes[name] |= set(re.findall(r"\[(--[\w-]+)", line))
+names = sorted(takes, key=len, reverse=True)
+docs = [root / "README.md", root / "DESIGN.md", root / "EXPERIMENTS.md",
+        *sorted((root / "docs").glob("*.md")), root / "tools/ci.sh",
+        root / ".claude/skills/verify/SKILL.md"]
+errors = 0
+for doc in filter(pathlib.Path.exists, docs):
+    text = re.sub(r"\\\n\s*", " ", doc.read_text())
+    text = re.sub(r"\n[ \t]+(?=\[)", " ", text)
+    for call in re.findall(r"artemisc[}\"]*[ \t]+([a-z][^\n`#;]*)", text):
+        sub = next((n for n in names if call == n or call.startswith(n + " ")), None)
+        for flag in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", call) if sub else []:
+            if flag not in takes[sub]:
+                print(f"CI FAIL: {doc.relative_to(root)}: artemisc {sub} does not take {flag}",
+                      file=sys.stderr)
+                errors += 1
+sys.exit(1 if errors else 0)
+PY
+echo "ok: every documented artemisc invocation uses only flags its subcommand takes"
 
 echo "== [5/9] Sweep determinism smoke =="
 # The parallel sweep engine's export must not depend on the worker count.
