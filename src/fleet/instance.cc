@@ -12,9 +12,10 @@ namespace artemis::fleet {
 namespace {
 
 // MonitorSet's per-event charging for the separate-component placement is
-// monitor_call_cycles (the interface crossing) followed by one
-// StepCycles charge per monitor; the compiled backend's StepCycles is
-// flat. Capture mode mirrors that exactly.
+// monitor_call_cycles (the interface crossing) followed by the monitors'
+// StepCycles, one run charge per stretch of equal costs; the compiled
+// backend's StepCycles is flat, so its machines form one run. Capture mode
+// mirrors that exactly.
 std::vector<double> CompiledStepCycles(const SharedSpecArtifact& artifact,
                                        const CostModel& costs) {
   return std::vector<double>(artifact.compiled.size(),
@@ -51,7 +52,7 @@ std::uint64_t DeviceSeed(std::uint64_t fleet_seed, std::uint64_t device_index) {
 // ---- CaptureChecker ------------------------------------------------------
 
 CaptureChecker::CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes)
-    : step_cycles_(std::move(step_cycles)), fram_bytes_(fram_bytes) {}
+    : runs_(StepRuns(step_cycles)), fram_bytes_(fram_bytes) {}
 
 void CaptureChecker::HardReset(Mcu& mcu) {
   if (!arena_registered_) {
@@ -89,15 +90,20 @@ CheckOutcome CaptureChecker::OnEvent(const MonitorEvent& event, Mcu& mcu) {
     cursor_seq_ = event.seq;
     cursor_ = 0;
   }
-  for (std::size_t i = cursor_; i < step_cycles_.size(); ++i) {
-    const ExecStatus step = mcu.ExecuteCycles(step_cycles_[i], CostTag::kMonitor);
-    if (step != ExecStatus::kOk) {
-      // Power failed before this monitor durably consumed the event; the
-      // cursor still points at it, so the re-delivered event resumes here.
-      outcome.status = static_cast<int>(step);
+  for (const StepRun& run : runs_) {
+    if (run.end <= cursor_) {
+      continue;
+    }
+    const RunStatus charged =
+        mcu.ExecuteCyclesRun(run.cycles, CostTag::kMonitor, run.end - cursor_);
+    cursor_ += charged.done;
+    if (charged.status != ExecStatus::kOk) {
+      // Power failed before monitor `cursor_` durably consumed the event;
+      // the cursor still points at it, so the re-delivered event resumes
+      // there.
+      outcome.status = static_cast<int>(charged.status);
       return outcome;
     }
-    cursor_ = i + 1;
   }
   CapturedRecord record;
   record.kind = CapturedRecord::Kind::kEvent;

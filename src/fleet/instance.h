@@ -118,9 +118,10 @@ struct CapturedRecord {
 };
 
 // PropertyChecker that charges exactly the cycles MonitorSet would charge
-// (interface crossing, per-monitor step, resume-after-outage continuation,
-// path-restart application) but records the event stream instead of
-// stepping monitors. Never returns a verdict.
+// (interface crossing, one Mcu::ExecuteCyclesRun per run of monitors with
+// equal step cycles, resume-after-outage continuation, path-restart
+// application) but records the event stream instead of stepping monitors.
+// Never returns a verdict.
 class CaptureChecker final : public PropertyChecker {
  public:
   // `step_cycles[i]` is monitor i's per-event cost; `fram_bytes` the
@@ -138,7 +139,7 @@ class CaptureChecker final : public PropertyChecker {
   std::uint64_t events_captured() const { return events_captured_; }
 
  private:
-  std::vector<double> step_cycles_;
+  std::vector<StepRun> runs_;
   std::size_t fram_bytes_ = 0;
   bool arena_registered_ = false;
 

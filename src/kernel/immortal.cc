@@ -18,8 +18,6 @@ std::uint32_t ImmortalContext::Begin(std::uint64_t id) {
   return 0;
 }
 
-void ImmortalContext::CompleteStep() { ++cursor_; }
-
 void ImmortalContext::Finish() {
   in_progress_ = false;
   cursor_ = 0;

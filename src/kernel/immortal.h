@@ -27,7 +27,7 @@ class ImmortalContext {
   std::uint32_t Begin(std::uint64_t id);
 
   // Marks one more step of the current item durably complete.
-  void CompleteStep();
+  void CompleteStep() { ++cursor_; }
 
   // Marks the current item fully processed.
   void Finish();

@@ -20,8 +20,10 @@ class Monitor {
  public:
   virtual ~Monitor() = default;
 
-  // Processes one event; returns true and fills `verdict` when the property
-  // failed on this event. Mutates internal (FRAM-resident) state.
+  // Processes one event; returns true and fills every field of `verdict`
+  // when the property failed on this event. Mutates internal (FRAM-resident)
+  // state. Reads only the event and this machine's own state, never the
+  // Mcu: MonitorSet charges a run of steps before it steps them.
   virtual bool Step(const MonitorEvent& event, MonitorVerdict* verdict) = 0;
 
   // One-time initialization at first boot.

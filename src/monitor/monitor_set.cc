@@ -37,8 +37,21 @@ std::size_t MonitorSet::InlinedTextBytes(std::size_t separate_text_bytes,
   return shared + (separate_text_bytes - shared) * (call_sites == 0 ? 1 : call_sites);
 }
 
+std::vector<StepRun> StepRuns(const std::vector<double>& step_cycles) {
+  std::vector<StepRun> runs;
+  for (std::size_t i = 0; i < step_cycles.size(); ++i) {
+    if (runs.empty() || step_cycles[i] != runs.back().cycles) {
+      runs.push_back(StepRun{.cycles = step_cycles[i], .end = i + 1});
+    } else {
+      runs.back().end = i + 1;
+    }
+  }
+  return runs;
+}
+
 void MonitorSet::Add(std::unique_ptr<Monitor> monitor) {
   monitors_.push_back(std::move(monitor));
+  runs_stale_ = true;
 }
 
 void MonitorSet::ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors) {
@@ -48,6 +61,7 @@ void MonitorSet::ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors)
   // original registration: the swap stages the new image into the same
   // monitor region (docs/hotswap.md sizes it as max(old, new)).
   monitors_ = std::move(monitors);
+  runs_stale_ = true;
   pending_.clear();
 }
 
@@ -139,34 +153,60 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
                             .detail = EventKindName(event.kind)});
   }
 
-  const std::uint32_t first = continuation_.Begin(event.seq);
-  if (first == 0) {
+  std::size_t next = continuation_.Begin(event.seq);
+  if (next == 0) {
     pending_.clear();
   }
-  // Inlined checks are runtime time; remote checks run on the external
-  // device and cost the local MCU nothing beyond the radio.
-  const CostTag step_tag =
-      placement_ == MonitorPlacement::kInlined ? CostTag::kRuntime : CostTag::kMonitor;
-  for (std::size_t i = first; i < monitors_.size(); ++i) {
-    ExecStatus step = ExecStatus::kOk;
-    if (placement_ != MonitorPlacement::kRemote) {
-      step = mcu.ExecuteCycles(monitors_[i]->StepCycles(mcu.costs()), step_tag);
+  // Steps monitors up to `end`, each one durably. Only monitors whose
+  // charge completed are stepped; charging a run before stepping it is
+  // safe because Monitor::Step reads the event and the machine's own state,
+  // never the Mcu.
+  MonitorVerdict failure;
+  const auto step_to = [&](std::size_t end) {
+    for (; next < end; ++next) {
+      if (monitors_[next]->Step(event, &failure)) {
+        pending_.push_back(std::move(failure));
+      }
+      continuation_.CompleteStep();
     }
-    if (step != ExecStatus::kOk) {
-      // Power failed before this monitor durably consumed the event; the
-      // continuation cursor still points at it, so the re-delivered event
-      // resumes here.
-      outcome.status = static_cast<int>(step);
-      return outcome;
+  };
+  if (placement_ == MonitorPlacement::kRemote) {
+    // Remote checks run on the external device and cost the local MCU
+    // nothing beyond the radio.
+    step_to(monitors_.size());
+  } else {
+    if (runs_stale_) {
+      std::vector<double> cycles;
+      cycles.reserve(monitors_.size());
+      for (const auto& monitor : monitors_) {
+        cycles.push_back(monitor->StepCycles(mcu.costs()));
+      }
+      runs_ = StepRuns(cycles);
+      runs_stale_ = false;
     }
-    MonitorVerdict verdict;
-    if (monitors_[i]->Step(event, &verdict)) {
-      pending_.push_back(verdict);
+    // Inlined checks are runtime time.
+    const CostTag step_tag =
+        placement_ == MonitorPlacement::kInlined ? CostTag::kRuntime : CostTag::kMonitor;
+    for (const StepRun& run : runs_) {
+      if (run.end <= next) {
+        continue;
+      }
+      const RunStatus charged = mcu.ExecuteCyclesRun(run.cycles, step_tag, run.end - next);
+      step_to(next + charged.done);
+      if (charged.status != ExecStatus::kOk) {
+        // Power failed before monitor `next` durably consumed the event; the
+        // continuation cursor still points at it, so the re-delivered event
+        // resumes there.
+        outcome.status = static_cast<int>(charged.status);
+        return outcome;
+      }
     }
-    continuation_.CompleteStep();
   }
 
-  MonitorVerdict verdict = Arbitrate(pending_, policy_);
+  MonitorVerdict verdict;
+  if (!pending_.empty()) {
+    verdict = Arbitrate(pending_, policy_);
+  }
   if (verdict.violated()) {
     ++violations_reported_;
   }
@@ -205,7 +245,7 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
   has_cached_verdict_ = true;
   cached_verdict_ = verdict;
   ++events_processed_;
-  outcome.verdict = verdict;
+  outcome.verdict = std::move(verdict);
   return outcome;
 }
 

@@ -3,7 +3,9 @@
 // Implements the kernel's PropertyChecker interface over a collection of
 // per-property monitors. Responsibilities:
 //  * cycle accounting under CostTag::kMonitor (Figure 15's "monitor
-//    overhead" bar);
+//    overhead" bar): the interface crossing, then each run of monitors with
+//    equal step cycles as one Mcu::ExecuteCyclesRun, which is bit-identical
+//    to charging the monitors one by one;
 //  * power-failure-resilient event processing: the ImmortalThreads-style
 //    local continuation persists which monitors have already consumed the
 //    current event, so a re-delivered event (same seq) resumes instead of
@@ -52,6 +54,17 @@ const char* MonitorBackendName(MonitorBackend backend);
 enum class MonitorPlacement { kSeparate, kInlined, kRemote };
 
 const char* MonitorPlacementName(MonitorPlacement placement);
+
+// A maximal stretch of consecutive monitors whose steps cost the same
+// cycles; it ends before monitor `end` and starts where the previous run
+// ends. An event's monitors are charged one Mcu::ExecuteCyclesRun per run.
+struct StepRun {
+  double cycles = 0.0;
+  std::size_t end = 0;
+};
+
+// Splits per-monitor step costs into maximal runs of equal cycles.
+std::vector<StepRun> StepRuns(const std::vector<double>& step_cycles);
 
 struct RadioProfile {
   // Transmitting one MonitorEvent_t to the external monitor.
@@ -126,6 +139,11 @@ class MonitorSet : public PropertyChecker {
   RadioProfile radio_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
   flight::FlightRecorder* flight_ = nullptr;
+
+  // Runs of equal step cycles over monitors_, built from the Mcu's cost
+  // model at the first event after Add or ReplaceMonitors.
+  std::vector<StepRun> runs_;
+  bool runs_stale_ = true;
 
   // ---- FRAM-resident progress state (ImmortalThreads-backed) ----
   ImmortalContext continuation_{nullptr, MemOwner::kMonitor, "monitor-continuation"};

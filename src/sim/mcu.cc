@@ -41,6 +41,34 @@ ExecStatus Mcu::ExecuteCycles(double cycles, CostTag tag) {
   return Execute(costs_.CyclesToTime(cycles), costs_.mcu_active_power, tag);
 }
 
+RunStatus Mcu::ExecuteCyclesRun(double cycles, CostTag tag, std::size_t count) {
+  const SimDuration duration = costs_.CyclesToTime(cycles);
+  const Milliwatts power = costs_.mcu_active_power;
+  const int idx = static_cast<int>(tag);
+  RunStatus run;
+  if (!starved_) {
+    run.done = power_->ConsumeRun(duration, power, count);
+    // One += per operation, as ExecuteInternal would do: the double sum then
+    // rounds exactly as per-operation charging does.
+    const EnergyUj energy = EnergyFor(power, duration);
+    for (std::size_t i = 0; i < run.done; ++i) {
+      stats_.energy[idx] += energy;
+    }
+    stats_.busy_time[idx] += run.done * duration;
+    clock_.Advance(run.done * duration);
+  }
+  // The operations the model could not vouch for: the first that fails
+  // takes the ordinary outage path.
+  while (run.done < count) {
+    run.status = ExecuteInternal(duration, power, tag, 0);
+    if (run.status != ExecStatus::kOk) {
+      break;
+    }
+    ++run.done;
+  }
+  return run;
+}
+
 Status Mcu::AttachFlightRecorder(flight::FlightRecorder* recorder) {
   if (recorder == nullptr) {
     flight_ = nullptr;
@@ -65,28 +93,7 @@ bool Mcu::ChargeRecordBuild() {
 }
 
 std::size_t Mcu::ChargeWriteBytes(std::size_t count) {
-  const SimDuration duration = costs_.CyclesToTime(costs_.flight_nvm_write_cycles_per_byte);
-  const Milliwatts power = costs_.mcu_active_power;
-  const int idx = static_cast<int>(CostTag::kFlight);
-  std::size_t done = 0;
-  if (!starved_) {
-    done = power_->ConsumeRun(duration, power, count);
-    // One += per write, as ExecuteInternal would do: the double sum then
-    // rounds exactly as per-write charging does.
-    const EnergyUj energy = EnergyFor(power, duration);
-    for (std::size_t i = 0; i < done; ++i) {
-      stats_.energy[idx] += energy;
-    }
-    stats_.busy_time[idx] += done * duration;
-    clock_.Advance(done * duration);
-  }
-  // The writes the model could not vouch for: the first that fails takes
-  // the ordinary outage path.
-  while (done < count &&
-         ExecuteInternal(duration, power, CostTag::kFlight, 0) == ExecStatus::kOk) {
-    ++done;
-  }
-  return done;
+  return ExecuteCyclesRun(costs_.flight_nvm_write_cycles_per_byte, CostTag::kFlight, count).done;
 }
 
 bool Mcu::ChargeControlWrite() {

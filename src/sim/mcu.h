@@ -28,6 +28,13 @@ namespace artemis {
 
 enum class ExecStatus { kOk, kPowerFailure, kStarved };
 
+// Outcome of a run of identical charges: how many completed, and the status
+// of the first one that did not (kOk when the whole run completed).
+struct RunStatus {
+  std::size_t done = 0;
+  ExecStatus status = ExecStatus::kOk;
+};
+
 // Accounting buckets; kApp vs kRuntime vs kMonitor produces Figures 14/15
 // directly, kReboot separates outage restoration costs, kFlight isolates
 // what the on-device flight recorder adds on top.
@@ -59,6 +66,15 @@ class Mcu : public flight::FlightPort {
 
   // Convenience: runs `cycles` CPU cycles at the MCU active power.
   ExecStatus ExecuteCycles(double cycles, CostTag tag);
+
+  // Bit-identical to `count` ExecuteCycles(cycles, tag) calls that stop at
+  // the first one not returning kOk. The power model's ConsumeRun takes the
+  // prefix that provably completes, in one call; each of those operations
+  // adds its energy with its own +=, so the double sums round exactly as
+  // per-operation charging does. The rest go through the ordinary charge
+  // path one at a time, so the first failure takes the unchanged outage,
+  // reboot and boot-record path.
+  RunStatus ExecuteCyclesRun(double cycles, CostTag tag, std::size_t count);
 
   // Device clock read without cost (for assertions / logging).
   SimTime Now() const { return clock_.Read(); }
@@ -99,10 +115,8 @@ class Mcu : public flight::FlightPort {
 
   // flight::FlightPort — charges map to the CostModel's flight_* constants.
   bool ChargeRecordBuild() override;
-  // Bit-identical to `count` ExecuteCycles(flight_nvm_write_cycles_per_byte,
-  // CostTag::kFlight) calls that stop at the first failure: the power
-  // model's ConsumeRun takes the writes that provably complete in one step,
-  // and the rest go through Execute one at a time.
+  // One ExecuteCyclesRun of flight_nvm_write_cycles_per_byte under
+  // CostTag::kFlight.
   std::size_t ChargeWriteBytes(std::size_t count) override;
   bool ChargeControlWrite() override;
   SimTime DeviceNow() override { return clock_.Read(); }

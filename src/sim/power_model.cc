@@ -40,12 +40,20 @@ std::size_t FixedChargePowerModel::ConsumeRun(SimDuration duration, Milliwatts p
                                               std::size_t count) {
   // Consume's completing branch once per operation: the same comparison
   // and subtraction keep remaining_ bit-identical to per-operation calls.
+  // Where need <= remaining, std::min(need, remaining) is need itself.
   const EnergyUj need = EnergyFor(power, duration);
+  EnergyUj remaining = remaining_;
   std::size_t done = 0;
-  while (done < count && (need <= remaining_ || power <= 0.0)) {
-    remaining_ -= std::min(need, remaining_);
-    ++done;
+  if (power <= 0.0) {
+    for (; done < count; ++done) {
+      remaining -= std::min(need, remaining);
+    }
+  } else {
+    for (; done < count && need <= remaining; ++done) {
+      remaining -= need;
+    }
   }
+  remaining_ = remaining;
   return done;
 }
 

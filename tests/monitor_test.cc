@@ -520,8 +520,8 @@ TEST(MonitorSetTest, CachedVerdictWorksForSeqZero) {
 }
 
 TEST(MonitorSetTest, ResumesAfterPowerFailureWithoutDoubleStepping) {
-  // Tiny budget: the per-monitor step charges power-fail partway through the
-  // set. The maxTries counter must still advance exactly once per event.
+  // Tiny budget: the power fails partway through the set's charges. The
+  // maxTries counter must still advance exactly once per event.
   HealthApp app = BuildHealthApp();
   auto parsed = SpecParser::Parse("accel: { maxTries: 3 onFail: skipPath; }");
   auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kBuiltin, {},

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "src/sim/cost_model.h"
@@ -145,20 +146,37 @@ TEST(StochasticModelTest, EventuallyFails) {
 }
 
 // ------------------------------------------------------- run charging --
-// Mcu::ChargeWriteBytes lets the power model consume the writes it can
-// prove complete in one step. Against a per-write reference it must agree
-// on the count and on every bit of the device state afterwards.
+// Mcu::ExecuteCyclesRun lets the power model consume the operations it can
+// prove complete in one step. Against a per-operation reference it must
+// agree on the count, on the failing status and on every bit of the device
+// state afterwards, for every (cycles, tag) it charges: flight bytes
+// (Mcu::ChargeWriteBytes) and monitor steps, separate or inlined.
 
-// One ExecuteCycles per flight byte write, stopping at the first that does
-// not complete: the charging ChargeWriteBytes replaces.
-std::size_t PerWriteCharge(Mcu& mcu, std::size_t count) {
-  std::size_t done = 0;
-  while (done < count &&
-         mcu.ExecuteCycles(mcu.costs().flight_nvm_write_cycles_per_byte, CostTag::kFlight) ==
-             ExecStatus::kOk) {
-    ++done;
+struct RunRow {
+  const char* name;
+  double cycles;
+  CostTag tag;
+};
+
+void PrintTo(const RunRow& row, std::ostream* os) { *os << row.name; }
+
+// `count` ExecuteCycles calls that stop at the first one not returning
+// kOk: the charging ExecuteCyclesRun replaces.
+RunStatus PerOperationCharge(Mcu& mcu, const RunRow& row, std::size_t count) {
+  RunStatus ref;
+  while (ref.done < count) {
+    ref.status = mcu.ExecuteCycles(row.cycles, row.tag);
+    if (ref.status != ExecStatus::kOk) {
+      break;
+    }
+    ++ref.done;
   }
-  return done;
+  return ref;
+}
+
+void ExpectSameRun(const RunStatus& run, const RunStatus& ref, const std::string& where) {
+  EXPECT_EQ(run.done, ref.done) << where;
+  EXPECT_EQ(run.status, ref.status) << where;
 }
 
 void ExpectBitIdentical(Mcu& run, Mcu& ref, const std::string& where) {
@@ -178,60 +196,90 @@ void ExpectBitIdentical(Mcu& run, Mcu& ref, const std::string& where) {
       << where;
 }
 
-TEST(RunChargingTest, FixedChargeFailsAtEveryOffsetLikePerWriteCharging) {
+class RunChargingTest : public ::testing::TestWithParam<RunRow> {};
+
+TEST_P(RunChargingTest, FixedChargeFailsAtEveryOffsetLikePerOperationCharging) {
+  const RunRow& row = GetParam();
   const CostModel& costs = DefaultCostModel();
-  const SimDuration write = costs.CyclesToTime(costs.flight_nvm_write_cycles_per_byte);
-  const EnergyUj write_energy = EnergyFor(costs.mcu_active_power, write);
+  const SimDuration op = costs.CyclesToTime(row.cycles);
+  const EnergyUj op_energy = EnergyFor(costs.mcu_active_power, op);
   const SimDuration restore = costs.CyclesToTime(costs.reboot_restore_cycles);
   const EnergyUj restore_energy = EnergyFor(costs.mcu_active_power, restore);
   constexpr std::size_t kRun = 250;
   for (std::size_t k = 0; k <= kRun; ++k) {
-    // Each on-period pays one boot restore, k writes and half of the next,
-    // so the run fails at write k, before and after the reboot it causes.
-    const EnergyUj budget = restore_energy + (static_cast<double>(k) + 0.5) * write_energy;
+    // Each on-period pays one boot restore, k operations and half of the
+    // next, so the run fails at operation k, before and after the reboot it
+    // causes.
+    const EnergyUj budget = restore_energy + (static_cast<double>(k) + 0.5) * op_energy;
     Mcu run(std::make_unique<FixedChargePowerModel>(budget, kMinute), costs);
     Mcu ref(std::make_unique<FixedChargePowerModel>(budget, kMinute), costs);
     ASSERT_EQ(run.Execute(restore, costs.mcu_active_power, CostTag::kApp), ExecStatus::kOk);
     ASSERT_EQ(ref.Execute(restore, costs.mcu_active_power, CostTag::kApp), ExecStatus::kOk);
     const std::string where = "offset " + std::to_string(k);
-    const std::size_t charged = run.ChargeWriteBytes(kRun);
-    EXPECT_EQ(charged, k) << where;
-    EXPECT_EQ(charged, PerWriteCharge(ref, kRun)) << where;
+    const RunStatus charged = run.ExecuteCyclesRun(row.cycles, row.tag, kRun);
+    EXPECT_EQ(charged.done, k) << where;
+    EXPECT_EQ(charged.status, k < kRun ? ExecStatus::kPowerFailure : ExecStatus::kOk) << where;
+    ExpectSameRun(charged, PerOperationCharge(ref, row, kRun), where);
     ExpectBitIdentical(run, ref, where);
-    EXPECT_EQ(run.ChargeWriteBytes(kRun), PerWriteCharge(ref, kRun)) << where << " rebooted";
+    ExpectSameRun(run.ExecuteCyclesRun(row.cycles, row.tag, kRun),
+                  PerOperationCharge(ref, row, kRun), where + " rebooted");
     ExpectBitIdentical(run, ref, where + " rebooted");
   }
 }
 
-TEST(RunChargingTest, AlwaysOnChargesEveryWriteLikePerWriteCharging) {
+TEST_P(RunChargingTest, AlwaysOnChargesEveryOperationLikePerOperationCharging) {
+  const RunRow& row = GetParam();
   const CostModel& costs = DefaultCostModel();
   Mcu run(std::make_unique<AlwaysOnPowerModel>(), costs);
   Mcu ref(std::make_unique<AlwaysOnPowerModel>(), costs);
   for (const std::size_t count : {0, 1, 38, 250, 7, 250}) {
     const std::string where = "count " + std::to_string(count);
-    EXPECT_EQ(run.ChargeWriteBytes(count), count) << where;
-    EXPECT_EQ(PerWriteCharge(ref, count), count) << where;
+    const RunStatus charged = run.ExecuteCyclesRun(row.cycles, row.tag, count);
+    EXPECT_EQ(charged.done, count) << where;
+    EXPECT_EQ(charged.status, ExecStatus::kOk) << where;
+    ExpectSameRun(charged, PerOperationCharge(ref, row, count), where);
     ExpectBitIdentical(run, ref, where);
   }
 }
 
-TEST(RunChargingTest, ModelWithoutRunsChargesLikePerWriteCharging) {
-  // StochasticPowerModel proves no run, so every write goes through
+TEST_P(RunChargingTest, ModelWithoutRunsChargesLikePerOperationCharging) {
+  // StochasticPowerModel proves no run, so every operation goes through
   // Execute; on-times of about two runs put failures inside most runs.
+  const RunRow& row = GetParam();
   const CostModel& costs = DefaultCostModel();
+  const SimDuration mean_on = 500 * costs.CyclesToTime(row.cycles);
   std::uint64_t reboots = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Mcu run(std::make_unique<StochasticPowerModel>(2 * kMillisecond, kSecond, seed), costs);
-    Mcu ref(std::make_unique<StochasticPowerModel>(2 * kMillisecond, kSecond, seed), costs);
+    Mcu run(std::make_unique<StochasticPowerModel>(mean_on, kSecond, seed), costs);
+    Mcu ref(std::make_unique<StochasticPowerModel>(mean_on, kSecond, seed), costs);
     for (int i = 0; i < 6; ++i) {
       const std::string where = "seed " + std::to_string(seed) + " run " + std::to_string(i);
-      EXPECT_EQ(run.ChargeWriteBytes(250), PerWriteCharge(ref, 250)) << where;
+      ExpectSameRun(run.ExecuteCyclesRun(row.cycles, row.tag, 250),
+                    PerOperationCharge(ref, row, 250), where);
       ExpectBitIdentical(run, ref, where);
     }
     reboots += run.stats().reboots;
   }
   EXPECT_GT(reboots, 0u);
 }
+
+// Flight bytes under kFlight (Mcu::ChargeWriteBytes), and the compiled and
+// interpreted monitor steps under kMonitor (separate component) and
+// kRuntime (inlined checks).
+INSTANTIATE_TEST_SUITE_P(
+    Rows, RunChargingTest,
+    ::testing::Values(
+        RunRow{"flight_byte", DefaultCostModel().flight_nvm_write_cycles_per_byte,
+               CostTag::kFlight},
+        RunRow{"compiled_monitor", 1.0 * DefaultCostModel().compiled_step_cycles,
+               CostTag::kMonitor},
+        RunRow{"interpreted_monitor", 1.0 * DefaultCostModel().interp_step_cycles,
+               CostTag::kMonitor},
+        RunRow{"compiled_runtime", 1.0 * DefaultCostModel().compiled_step_cycles,
+               CostTag::kRuntime},
+        RunRow{"interpreted_runtime", 1.0 * DefaultCostModel().interp_step_cycles,
+               CostTag::kRuntime}),
+    [](const ::testing::TestParamInfo<RunRow>& row) { return std::string(row.param.name); });
 
 }  // namespace
 }  // namespace artemis
