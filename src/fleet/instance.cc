@@ -25,7 +25,7 @@ std::vector<double> CompiledStepCycles(const SharedSpecArtifact& artifact,
 // Mirror of MonitorSet::FramBytes over compiled machines: set bookkeeping
 // plus, per monitor, the state word + variable slots + property_t slot.
 std::size_t MirroredFramBytes(const SharedSpecArtifact& artifact) {
-  std::size_t bytes = sizeof(std::uint64_t) + sizeof(MonitorVerdict) + 16;
+  std::size_t bytes = sizeof(std::uint64_t) + kVerdictCacheFramBytes + 16;
   for (const CompiledMachine& machine : artifact.compiled) {
     bytes += sizeof(std::uint16_t) + machine.initial_slots.size() * sizeof(double);
     bytes += 24;

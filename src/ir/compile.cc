@@ -554,6 +554,15 @@ class Compiler {
 
 }  // namespace
 
+bool CompiledMachine::Reacts(EventKind kind, TaskId task) const {
+  for (std::size_t state = 0; state < state_names.size(); ++state) {
+    if (code[HandlerFor(static_cast<std::uint16_t>(state), kind, task)].op != OpCode::kNoMatch) {
+      return true;
+    }
+  }
+  return false;
+}
+
 StatusOr<CompiledMachine> CompileStateMachine(const StateMachine& machine) {
   return Compiler(machine).Run();
 }

@@ -187,6 +187,11 @@ struct CompiledMachine {
   PathId path_scope = kNoPath;
   bool reset_on_path_restart = false;
 
+  // Whether an event of `kind` on `task` can fire a transition: some
+  // state's handler for it is more than the shared kNoMatch program (a
+  // handler with candidates never starts with kNoMatch).
+  bool Reacts(EventKind kind, TaskId task) const;
+
   // Entry pc of the handler program for (state, event kind, task).
   inline std::uint32_t HandlerFor(std::uint16_t state, EventKind kind, TaskId task) const {
     const auto t = static_cast<std::uint32_t>(task);

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/base/time.h"
 #include "src/kernel/task.h"
@@ -64,8 +65,11 @@ struct MonitorVerdict {
   // Explicit target for path actions ("Path: 2" in Figure 5); kNoPath means
   // the current path.
   PathId target_path = kNoPath;
-  // Diagnostics for traces: which property on which task fired.
-  std::string property;
+  // Diagnostics for traces: which property on which task fired. A view of
+  // a label owned by the checker that produced the verdict (a spec
+  // artifact's machine, a builtin monitor, a Mayfly rule); the checker
+  // keeps that storage alive for as long as it may hand the verdict out.
+  std::string_view property;
 
   bool violated() const { return action != ActionType::kNone; }
 };

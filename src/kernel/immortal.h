@@ -6,7 +6,7 @@
 // client processing N steps for item `id` asks Begin(id, N): if the same
 // item was interrupted earlier, the saved cursor is returned and completed
 // steps are skipped; otherwise the cursor starts at zero. The client calls
-// CompleteStep after each durable step and Finish when the item is done.
+// CompleteSteps as steps become durable and Finish when the item is done.
 #ifndef SRC_KERNEL_IMMORTAL_H_
 #define SRC_KERNEL_IMMORTAL_H_
 
@@ -26,13 +26,15 @@ class ImmortalContext {
   // the first step that still needs to run (0 for a fresh item).
   std::uint32_t Begin(std::uint64_t id);
 
-  // Marks one more step of the current item durably complete.
-  void CompleteStep() { ++cursor_; }
+  // Marks `count` more steps of the current item durably complete.
+  void CompleteSteps(std::uint32_t count) { cursor_ += count; }
 
   // Marks the current item fully processed.
   void Finish();
 
   bool InProgress() const { return in_progress_; }
+  // Steps of the current item completed so far (0 when none is in progress).
+  std::uint32_t cursor() const { return cursor_; }
 
  private:
   // These three fields model FRAM-resident variables: they survive simulated

@@ -12,7 +12,7 @@ void MayflyChecker::AddRule(MayflyRule rule) {
 std::size_t MayflyChecker::FramBytes() const {
   // The fused design keeps per-rule timestamp/counter state *and* the task
   // graph's timing table inside the runtime's FRAM region.
-  return rules_.size() * (sizeof(RuleState) + sizeof(MayflyRule)) + 96;
+  return rules_.size() * (sizeof(RuleState) + kMayflyRuleFramBytes) + 96;
 }
 
 void MayflyChecker::HardReset(Mcu& mcu) {

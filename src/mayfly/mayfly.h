@@ -36,6 +36,11 @@ struct MayflyRule {
   std::string label;
 };
 
+// Table 2's FRAM footprint of one fused rule's configuration. A fixed
+// layout, not sizeof(MayflyRule), so the FRAM column does not depend on the
+// host's std::string.
+inline constexpr std::size_t kMayflyRuleFramBytes = 72;
+
 class MayflyChecker : public PropertyChecker {
  public:
   void AddRule(MayflyRule rule);

@@ -121,7 +121,7 @@ bool MitdMonitor::Step(const MonitorEvent& event, MonitorVerdict* verdict) {
     }
     if (max_attempt_ > 0 && attempts_ + 1 >= max_attempt_) {
       attempts_ = 0;
-      FillVerdict(verdict, max_action_, "/maxAttempt");
+      FillVerdict(verdict, max_action_, max_label_);
       return true;
     }
     ++attempts_;

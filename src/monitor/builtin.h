@@ -41,11 +41,13 @@ class BuiltinMonitor : public Monitor {
   bool InScope(const MonitorEvent& event) const {
     return scope_path_ == kNoPath || event.path == scope_path_;
   }
-  void FillVerdict(MonitorVerdict* verdict, ActionType action,
-                   const std::string& suffix = "") const {
+  void FillVerdict(MonitorVerdict* verdict, ActionType action) const {
+    FillVerdict(verdict, action, label_);
+  }
+  void FillVerdict(MonitorVerdict* verdict, ActionType action, const std::string& label) const {
     verdict->action = action;
     verdict->target_path = target_path_;
-    verdict->property = label_ + suffix;
+    verdict->property = label;
   }
 
   std::string label_;
@@ -63,6 +65,7 @@ class MaxTriesMonitor : public BuiltinMonitor {
       : BuiltinMonitor(std::move(label), task, action, target_path, scope_path), max_(max) {}
 
   bool Step(const MonitorEvent& event, MonitorVerdict* verdict) override;
+  bool Reacts(EventKind /*kind*/, TaskId task) const override { return task == task_; }
   void HardReset() override { tries_ = 0; }
   std::size_t FramBytes() const override { return sizeof(tries_) + sizeof(max_); }
 
@@ -80,6 +83,8 @@ class MaxDurationMonitor : public BuiltinMonitor {
         limit_(limit) {}
 
   bool Step(const MonitorEvent& event, MonitorVerdict* verdict) override;
+  // Once started, any event past the limit is a violation.
+  bool Reacts(EventKind /*kind*/, TaskId /*task*/) const override { return true; }
   void HardReset() override {
     started_ = false;
     start_ = 0;
@@ -109,6 +114,9 @@ class CollectMonitor : public BuiltinMonitor {
         reset_on_fail_(reset_on_fail) {}
 
   bool Step(const MonitorEvent& event, MonitorVerdict* verdict) override;
+  bool Reacts(EventKind kind, TaskId task) const override {
+    return task == task_ || (kind == EventKind::kEndTask && task == dep_);
+  }
   void HardReset() override { have_ = 0; }
   std::size_t FramBytes() const override { return sizeof(have_) + sizeof(count_); }
 
@@ -128,12 +136,16 @@ class MitdMonitor final : public BuiltinMonitor {
               std::uint32_t max_attempt, ActionType max_action, PathId target_path,
               PathId scope_path = kNoPath)
       : BuiltinMonitor(std::move(label), task, action, target_path, scope_path),
+        max_label_(max_attempt > 0 ? label_ + "/maxAttempt" : std::string()),
         dep_(dep),
         limit_(limit),
         max_attempt_(max_attempt),
         max_action_(max_action) {}
 
   bool Step(const MonitorEvent& event, MonitorVerdict* verdict) override;
+  bool Reacts(EventKind kind, TaskId task) const override {
+    return task == task_ || (kind == EventKind::kEndTask && task == dep_);
+  }
   void HardReset() override {
     waiting_ = false;
     end_dep_ = 0;
@@ -146,6 +158,7 @@ class MitdMonitor final : public BuiltinMonitor {
   std::uint32_t attempts() const { return attempts_; }
 
  private:
+  std::string max_label_;  // the label of the maxAttempt escalation
   TaskId dep_;
   SimDuration limit_;
   std::uint32_t max_attempt_;
@@ -164,6 +177,9 @@ class PeriodMonitor : public BuiltinMonitor {
         bound_(period + jitter) {}
 
   bool Step(const MonitorEvent& event, MonitorVerdict* verdict) override;
+  bool Reacts(EventKind kind, TaskId task) const override {
+    return kind == EventKind::kStartTask && task == task_;
+  }
   void HardReset() override {
     started_ = false;
     last_ = 0;
@@ -188,6 +204,9 @@ class DpDataMonitor : public BuiltinMonitor {
         hi_(hi) {}
 
   bool Step(const MonitorEvent& event, MonitorVerdict* verdict) override;
+  bool Reacts(EventKind kind, TaskId task) const override {
+    return kind == EventKind::kEndTask && task == task_;
+  }
   void HardReset() override {}
   std::size_t FramBytes() const override { return sizeof(lo_) + sizeof(hi_); }
 
@@ -204,6 +223,9 @@ class MinEnergyMonitor : public BuiltinMonitor {
         fraction_(fraction) {}
 
   bool Step(const MonitorEvent& event, MonitorVerdict* verdict) override;
+  bool Reacts(EventKind kind, TaskId task) const override {
+    return kind == EventKind::kStartTask && task == task_;
+  }
   void HardReset() override {}
   std::size_t FramBytes() const override { return sizeof(fraction_); }
 

@@ -37,6 +37,9 @@ class CompiledMonitor final : public Monitor {
   // class is final, so such calls devirtualize, and keeping the body
   // visible lets them also inline.
   bool Step(const MonitorEvent& event, MonitorVerdict* verdict) override;
+  bool Reacts(EventKind kind, TaskId task) const override {
+    return machine_->Reacts(kind, task);
+  }
   void HardReset() override;
   void OnPathRestart(PathId path) override;
   const std::string& label() const override { return machine_->property_label; }

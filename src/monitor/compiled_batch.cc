@@ -53,30 +53,18 @@ BatchCompiledMonitor::BatchCompiledMonitor(std::shared_ptr<const CompiledMachine
     }
   }
 
-  // Dead-column table: (kind, task) is dead when every state self-loops on
-  // it, i.e. no event on that column can ever change any lane. One extra
-  // task slot holds the any-task row's verdict (kind-independent, so it is
-  // mirrored into both kind rows to keep ColumnDead a single load).
-  const std::uint32_t max_task = machine_->max_task;
-  const std::uint32_t cols = max_task + 2u;
-  dead_cols_.assign(2u * cols, 1u);
-  const auto n_states = static_cast<std::uint32_t>(any_summaries_.size());
-  for (std::uint32_t state = 0; state < n_states; ++state) {
-    for (std::uint32_t kind = 0; kind < 2; ++kind) {
-      const std::uint32_t row = (state * 2u + kind) * (max_task + 1u);
-      for (std::uint32_t t = 0; t <= max_task; ++t) {
-        if (summaries_[row + t].cls != HandlerClass::kSelfLoop) {
-          dead_cols_[kind * cols + t] = 0u;
-        }
-      }
+  // Dead-column table: (kind, task) is dead when the machine cannot react
+  // to it (CompiledMachine::Reacts), i.e. no event on that column can ever
+  // change any lane. One extra task slot, past max_task, holds the any-task
+  // row's verdict, so ColumnDead stays a single load.
+  const std::uint32_t cols = machine_->max_task + 2u;
+  dead_cols_.resize(2u * cols);
+  for (std::uint32_t kind = 0; kind < 2; ++kind) {
+    for (std::uint32_t t = 0; t < cols; ++t) {
+      dead_cols_[kind * cols + t] =
+          machine_->Reacts(static_cast<EventKind>(kind), static_cast<TaskId>(t)) ? 0u : 1u;
+      dead_column_count_ += dead_cols_[kind * cols + t];
     }
-    if (any_summaries_[state].cls != HandlerClass::kSelfLoop) {
-      dead_cols_[cols - 1u] = 0u;
-      dead_cols_[2u * cols - 1u] = 0u;
-    }
-  }
-  for (const std::uint8_t d : dead_cols_) {
-    dead_column_count_ += d;
   }
 
   // Per-pass scratch, sized once so StepBatch never allocates.

@@ -44,10 +44,12 @@
 //
 // Because classification is per (EventKind, TaskId) *column*, the VM also
 // knows statically which columns are self-loops in EVERY state —
-// ColumnDead below. src/fleet consults it (across all machines of a spec)
-// to elide monitor-irrelevant fleet traffic before it ever reaches a lane:
-// the paper's adaptability story means most monitors ignore most events,
-// and a dead column is proof the event cannot touch lane state.
+// ColumnDead below, the negation of CompiledMachine::Reacts, which is also
+// how the scalar MonitorSet skips machines. src/fleet consults it (across
+// all machines of a spec) to elide monitor-irrelevant fleet traffic before
+// it ever reaches a lane: the paper's adaptability story means most
+// monitors ignore most events, and a dead column is proof the event cannot
+// touch lane state.
 //
 // Optional runtime traffic counters (EnableTraffic) count events per
 // dispatch entry, answering "which columns are actually hot on this
@@ -164,9 +166,10 @@ class BatchCompiledMonitor {
 
   // ---- dead-column elision ---------------------------------------------
   // A (kind, task) column is dead when EVERY state's handler for it is
-  // kSelfLoop: an event on that column provably cannot change any lane's
-  // state, slots, or verdicts. Task ids above the machine's dispatch range
-  // resolve to the shared any-task row, exactly like dispatch does.
+  // kSelfLoop (!CompiledMachine::Reacts): an event on that column provably
+  // cannot change any lane's state, slots, or verdicts. Task ids above the
+  // machine's dispatch range resolve to the shared any-task row, exactly
+  // like dispatch does.
   bool ColumnDead(EventKind kind, TaskId task) const {
     const std::uint32_t cols = machine_->max_task + 2u;
     const auto t = std::min(static_cast<std::uint32_t>(task), cols - 1u);

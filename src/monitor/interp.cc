@@ -41,14 +41,23 @@ void InterpretedMonitor::OnPathRestart(PathId path) {
   // maxDuration machine abandons its in-flight measurement.
 }
 
-bool InterpretedMonitor::TriggerMatches(const Transition& t, const MonitorEvent& event) const {
+bool InterpretedMonitor::TriggerMatches(const Transition& t, EventKind kind, TaskId task) {
   switch (t.trigger) {
     case TriggerKind::kStartTask:
-      return event.kind == EventKind::kStartTask && event.task == t.task;
+      return kind == EventKind::kStartTask && task == t.task;
     case TriggerKind::kEndTask:
-      return event.kind == EventKind::kEndTask && event.task == t.task;
+      return kind == EventKind::kEndTask && task == t.task;
     case TriggerKind::kAnyEvent:
       return true;
+  }
+  return false;
+}
+
+bool InterpretedMonitor::Reacts(EventKind kind, TaskId task) const {
+  for (const Transition& t : machine_->transitions) {
+    if (TriggerMatches(t, kind, task)) {
+      return true;
+    }
   }
   return false;
 }
@@ -61,7 +70,7 @@ bool InterpretedMonitor::Step(const MonitorEvent& event, MonitorVerdict* verdict
   // states are never scanned.
   for (const std::uint32_t i : by_state_[current_]) {
     const Transition& t = machine_->transitions[i];
-    if (!TriggerMatches(t, event)) {
+    if (!TriggerMatches(t, event.kind, event.task)) {
       continue;
     }
     if (t.guard != nullptr && EvalExpr(*t.guard, env_, event) == 0.0) {

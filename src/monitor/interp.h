@@ -32,6 +32,8 @@ class InterpretedMonitor final : public Monitor {
   explicit InterpretedMonitor(std::shared_ptr<const StateMachine> machine);
 
   bool Step(const MonitorEvent& event, MonitorVerdict* verdict) override;
+  // Some transition is triggered by (kind, task), or by anyEvent.
+  bool Reacts(EventKind kind, TaskId task) const override;
   void HardReset() override;
   void OnPathRestart(PathId path) override;
   const std::string& label() const override { return machine_->property_label; }
@@ -44,7 +46,7 @@ class InterpretedMonitor final : public Monitor {
   const StateMachine& machine() const { return *machine_; }
 
  private:
-  bool TriggerMatches(const Transition& t, const MonitorEvent& event) const;
+  static bool TriggerMatches(const Transition& t, EventKind kind, TaskId task);
   std::size_t StateIndex(const std::string& state) const;
 
   std::shared_ptr<const StateMachine> machine_;

@@ -23,8 +23,17 @@ class Monitor {
   // Processes one event; returns true and fills every field of `verdict`
   // when the property failed on this event. Mutates internal (FRAM-resident)
   // state. Reads only the event and this machine's own state, never the
-  // Mcu: MonitorSet charges a run of steps before it steps them.
+  // Mcu: MonitorSet charges a run of steps before it steps them. The
+  // verdict's property views storage this monitor (or the artifact it
+  // shares) owns.
   virtual bool Step(const MonitorEvent& event, MonitorVerdict* verdict) = 0;
+
+  // Whether Step can react to an event of `kind` on `task` from some
+  // state, read off the immutable machine. False promises that every such
+  // Step returns false and leaves the machine unchanged, whatever its
+  // state and the event's other fields; MonitorSet then charges the
+  // machine for the event without stepping it.
+  virtual bool Reacts(EventKind kind, TaskId task) const = 0;
 
   // One-time initialization at first boot.
   virtual void HardReset() = 0;

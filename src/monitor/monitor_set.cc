@@ -1,5 +1,7 @@
 #include "src/monitor/monitor_set.h"
 
+#include <algorithm>
+
 #include "src/monitor/shared_spec.h"
 #include "src/sim/mcu.h"
 
@@ -57,17 +59,44 @@ void MonitorSet::Add(std::unique_ptr<Monitor> monitor) {
 void MonitorSet::ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors) {
   // Only called at quiescence (no event mid-arbitration), so pending_ is
   // empty and the continuation is retired; the verdict cache and counters
-  // survive so pre-swap events replay idempotently. The NVM arena keeps the
-  // original registration: the swap stages the new image into the same
-  // monitor region (docs/hotswap.md sizes it as max(old, new)).
+  // survive so pre-swap events replay idempotently. The cached verdict's
+  // label may live in the old monitors or their artifact, so they retire
+  // until the cache moves on. The NVM arena keeps the original
+  // registration: the swap stages the new image into the same monitor
+  // region (docs/hotswap.md sizes it as max(old, new)).
+  for (std::unique_ptr<Monitor>& old : monitors_) {
+    retired_.push_back(std::move(old));
+  }
   monitors_ = std::move(monitors);
   runs_stale_ = true;
   pending_.clear();
 }
 
+const std::vector<std::uint32_t>& MonitorSet::Reactors(EventKind kind, TaskId task) {
+  ReactorColumn* column = &uncached_;
+  if (task < kReactorTasks) {
+    const std::size_t at = static_cast<std::size_t>(task) * 2 + static_cast<std::size_t>(kind);
+    if (at >= reactors_.size()) {
+      reactors_.resize(at + 1);
+    }
+    column = &reactors_[at];
+    if (column->built) {
+      return column->monitors;
+    }
+    column->built = true;
+  }
+  column->monitors.clear();
+  for (std::uint32_t i = 0; i < monitors_.size(); ++i) {
+    if (monitors_[i]->Reacts(kind, task)) {
+      column->monitors.push_back(i);
+    }
+  }
+  return column->monitors;
+}
+
 std::size_t MonitorSet::FramBytes() const {
   // Per-monitor state plus the set's own continuation + verdict cache.
-  std::size_t bytes = sizeof(done_seq_) + sizeof(MonitorVerdict) + 16 /* continuation */;
+  std::size_t bytes = sizeof(done_seq_) + kVerdictCacheFramBytes + 16 /* continuation */;
   for (const auto& monitor : monitors_) {
     bytes += monitor->FramBytes();
     bytes += 24;  // property_t slot: action/path/task plumbing (Figure 10).
@@ -87,6 +116,7 @@ void MonitorSet::HardReset(Mcu& mcu) {
   done_seq_ = 0;
   has_cached_verdict_ = false;
   cached_verdict_ = MonitorVerdict{};
+  retired_.clear();
   continuation_.Finish();
 }
 
@@ -153,37 +183,43 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
                             .detail = EventKindName(event.kind)});
   }
 
+  if (runs_stale_) {
+    std::vector<double> cycles;
+    cycles.reserve(monitors_.size());
+    for (const auto& monitor : monitors_) {
+      cycles.push_back(monitor->StepCycles(mcu.costs()));
+    }
+    runs_ = StepRuns(cycles);
+    reactors_.clear();
+    runs_stale_ = false;
+  }
   std::size_t next = continuation_.Begin(event.seq);
   if (next == 0) {
     pending_.clear();
   }
-  // Steps monitors up to `end`, each one durably. Only monitors whose
-  // charge completed are stepped; charging a run before stepping it is
+  // Completes monitors up to `end`, durably: steps the ones that react to
+  // the event and moves the cursor past all of them. Only monitors whose
+  // charge completed are completed; charging a run before stepping it is
   // safe because Monitor::Step reads the event and the machine's own state,
-  // never the Mcu.
+  // never the Mcu. A monitor that cannot react would leave its state as it
+  // is, so not stepping it changes nothing.
+  const std::vector<std::uint32_t>& reactors = Reactors(event.kind, event.task);
+  auto reactor = std::lower_bound(reactors.begin(), reactors.end(), next);
   MonitorVerdict failure;
   const auto step_to = [&](std::size_t end) {
-    for (; next < end; ++next) {
-      if (monitors_[next]->Step(event, &failure)) {
-        pending_.push_back(std::move(failure));
+    for (; reactor != reactors.end() && *reactor < end; ++reactor) {
+      if (monitors_[*reactor]->Step(event, &failure)) {
+        pending_.push_back(failure);
       }
-      continuation_.CompleteStep();
     }
+    continuation_.CompleteSteps(static_cast<std::uint32_t>(end - next));
+    next = end;
   };
   if (placement_ == MonitorPlacement::kRemote) {
     // Remote checks run on the external device and cost the local MCU
     // nothing beyond the radio.
     step_to(monitors_.size());
   } else {
-    if (runs_stale_) {
-      std::vector<double> cycles;
-      cycles.reserve(monitors_.size());
-      for (const auto& monitor : monitors_) {
-        cycles.push_back(monitor->StepCycles(mcu.costs()));
-      }
-      runs_ = StepRuns(cycles);
-      runs_stale_ = false;
-    }
     // Inlined checks are runtime time.
     const CostTag step_tag =
         placement_ == MonitorPlacement::kInlined ? CostTag::kRuntime : CostTag::kMonitor;
@@ -222,7 +258,7 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
                    .duration = busy_now() - busy_before,
                    .value = static_cast<double>(pending_.size()),
                    .energy_fraction = event.energy_fraction,
-                   .detail = verdict.property};
+                   .detail = std::string(verdict.property)};
     if (verdict.violated()) {
       out.action = ActionTypeName(verdict.action);
     }
@@ -244,8 +280,9 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
   done_seq_ = event.seq;
   has_cached_verdict_ = true;
   cached_verdict_ = verdict;
+  retired_.clear();
   ++events_processed_;
-  outcome.verdict = std::move(verdict);
+  outcome.verdict = verdict;
   return outcome;
 }
 

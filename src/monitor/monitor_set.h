@@ -6,13 +6,17 @@
 //    overhead" bar): the interface crossing, then each run of monitors with
 //    equal step cycles as one Mcu::ExecuteCyclesRun, which is bit-identical
 //    to charging the monitors one by one;
+//  * stepping, within the charged prefix, only the monitors whose Step can
+//    react to the event's (kind, task) (Monitor::Reacts); the others are
+//    charged as on the device but not run on the host;
 //  * power-failure-resilient event processing: the ImmortalThreads-style
 //    local continuation persists which monitors have already consumed the
 //    current event, so a re-delivered event (same seq) resumes instead of
 //    double-stepping (Section 4.2.3);
 //  * exactly-once verdicts: once an event's verdict is computed it is cached
 //    against the seq, so the kernel can retry boundary transitions
-//    idempotently;
+//    idempotently; the cached verdict's label views monitor-owned storage,
+//    so monitors replaced by a hot swap stay alive until the cache moves on;
 //  * verdict arbitration across simultaneously failing properties;
 //  * FRAM byte accounting under MemOwner::kMonitor for Table 2;
 //  * publishing event deliveries, arbitrated verdicts (with per-event
@@ -65,6 +69,11 @@ struct StepRun {
 
 // Splits per-monitor step costs into maximal runs of equal cycles.
 std::vector<StepRun> StepRuns(const std::vector<double>& step_cycles);
+
+// Table 2's FRAM record for the set's cached verdict (action, target path
+// and property label). A fixed layout, not sizeof(MonitorVerdict), so the
+// FRAM column does not depend on the host's standard library.
+inline constexpr std::size_t kVerdictCacheFramBytes = 40;
 
 struct RadioProfile {
   // Transmitting one MonitorEvent_t to the external monitor.
@@ -125,6 +134,9 @@ class MonitorSet : public PropertyChecker {
   // retired and every monitor's FRAM state is at a transition boundary.
   // The swap controller only replaces images at quiescence.
   bool quiescent() const { return !continuation_.InProgress(); }
+  // The continuation cursor: how many monitors have consumed the in-flight
+  // event (0 when quiescent).
+  std::size_t cursor() const { return continuation_.cursor(); }
   // Atomically (host-side; durability is the controller's job) replaces the
   // monitor collection with the new image's freshly-built, state-migrated
   // monitors. The seq-keyed verdict cache and event/violation counters are
@@ -140,10 +152,28 @@ class MonitorSet : public PropertyChecker {
   std::vector<std::unique_ptr<Monitor>> monitors_;
   flight::FlightRecorder* flight_ = nullptr;
 
+  // Monitors replaced by ReplaceMonitors, kept while cached_verdict_ may
+  // view a label they own or keep alive.
+  std::vector<std::unique_ptr<Monitor>> retired_;
+
   // Runs of equal step cycles over monitors_, built from the Mcu's cost
-  // model at the first event after Add or ReplaceMonitors.
+  // model at the first event after Add or ReplaceMonitors, which also
+  // clears the reactor columns.
   std::vector<StepRun> runs_;
   bool runs_stale_ = true;
+
+  // The monitors that react to one (event kind, task), ascending, built
+  // from Monitor::Reacts on the column's first event.
+  struct ReactorColumn {
+    bool built = false;
+    std::vector<std::uint32_t> monitors;
+  };
+  // Columns are kept for tasks below kReactorTasks, at task * 2 + kind;
+  // an event on a larger task id rebuilds `uncached_` each time.
+  static constexpr TaskId kReactorTasks = 1024;
+  std::vector<ReactorColumn> reactors_;
+  ReactorColumn uncached_;
+  const std::vector<std::uint32_t>& Reactors(EventKind kind, TaskId task);
 
   // ---- FRAM-resident progress state (ImmortalThreads-backed) ----
   ImmortalContext continuation_{nullptr, MemOwner::kMonitor, "monitor-continuation"};

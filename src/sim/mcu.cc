@@ -33,40 +33,23 @@ Mcu::Mcu(std::unique_ptr<PowerModel> power, const CostModel& costs)
   power_->NotifyReboot(0);
 }
 
-ExecStatus Mcu::Execute(SimDuration duration, Milliwatts power, CostTag tag) {
-  return ExecuteInternal(duration, power, tag, 0);
-}
-
-ExecStatus Mcu::ExecuteCycles(double cycles, CostTag tag) {
-  return Execute(costs_.CyclesToTime(cycles), costs_.mcu_active_power, tag);
-}
-
-RunStatus Mcu::ExecuteCyclesRun(double cycles, CostTag tag, std::size_t count) {
+Mcu::CycleCharge Mcu::ChargeForSlow(double cycles) {
+  const auto key = std::bit_cast<std::uint64_t>(cycles);
   const SimDuration duration = costs_.CyclesToTime(cycles);
-  const Milliwatts power = costs_.mcu_active_power;
-  const int idx = static_cast<int>(tag);
-  RunStatus run;
-  if (!starved_) {
-    run.done = power_->ConsumeRun(duration, power, count);
-    // One += per operation, as ExecuteInternal would do: the double sum then
-    // rounds exactly as per-operation charging does.
-    const EnergyUj energy = EnergyFor(power, duration);
-    for (std::size_t i = 0; i < run.done; ++i) {
-      stats_.energy[idx] += energy;
+  const CycleCharge charge{.duration = duration,
+                           .energy = EnergyFor(costs_.mcu_active_power, duration)};
+  for (std::size_t probe = 0, i = CycleHome(key); probe < kCycleSlots;
+       ++probe, i = (i + 1) % kCycleSlots) {
+    CycleSlot& slot = cycle_charges_[i];
+    if (slot.key == key) {
+      return slot.charge;
     }
-    stats_.busy_time[idx] += run.done * duration;
-    clock_.Advance(run.done * duration);
-  }
-  // The operations the model could not vouch for: the first that fails
-  // takes the ordinary outage path.
-  while (run.done < count) {
-    run.status = ExecuteInternal(duration, power, tag, 0);
-    if (run.status != ExecStatus::kOk) {
-      break;
+    if (slot.key == kFreeSlot) {
+      slot = CycleSlot{.key = key, .charge = charge};
+      return charge;
     }
-    ++run.done;
   }
-  return run;
+  return charge;
 }
 
 Status Mcu::AttachFlightRecorder(flight::FlightRecorder* recorder) {

@@ -3,15 +3,25 @@
 //
 // Every piece of simulated work — application task bodies, kernel
 // bookkeeping, monitor property checks, reboot restoration — flows through
-// Mcu::Execute, which advances time, drains the power model, and on a power
+// Mcu::Execute*, which advances time, drains the power model, and on a power
 // failure performs the full outage: clock drift, SRAM loss, charging delay,
 // and boot-time restore cost.
+//
+// Charges complete inline, in this header, whenever the power model's
+// inline budget covers them (PowerModel, src/sim/power_model.h): that is a
+// compare, a subtract and the accounting, with no virtual call. Any other
+// charge, and every charge on a model that does not opt in, goes through
+// PowerModel::Consume and, when it fails, the outage path. Both routes give
+// bit-identical results. A cycle count's duration and energy are computed
+// once per Mcu and looked up afterwards, so a charge does no division.
 #ifndef SRC_SIM_MCU_H_
 #define SRC_SIM_MCU_H_
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -68,12 +78,12 @@ class Mcu : public flight::FlightPort {
   ExecStatus ExecuteCycles(double cycles, CostTag tag);
 
   // Bit-identical to `count` ExecuteCycles(cycles, tag) calls that stop at
-  // the first one not returning kOk. The power model's ConsumeRun takes the
-  // prefix that provably completes, in one call; each of those operations
-  // adds its energy with its own +=, so the double sums round exactly as
-  // per-operation charging does. The rest go through the ordinary charge
-  // path one at a time, so the first failure takes the unchanged outage,
-  // reboot and boot-record path.
+  // the first one not returning kOk. The prefix the power model's budget
+  // covers completes inline, each operation with its own subtraction and
+  // its own energy +=, so the doubles round exactly as per-operation
+  // charging does. The first operation not covered goes through the
+  // ordinary charge path, so a failure takes the unchanged outage, reboot
+  // and boot-record path.
   RunStatus ExecuteCyclesRun(double cycles, CostTag tag, std::size_t count);
 
   // Device clock read without cost (for assertions / logging).
@@ -122,10 +132,41 @@ class Mcu : public flight::FlightPort {
   SimTime DeviceNow() override { return clock_.Read(); }
 
  private:
+  // One charge of a cycle count at the active power.
+  struct CycleCharge {
+    SimDuration duration = 0;
+    EnergyUj energy = 0.0;
+  };
+  // Open-addressed table of CycleCharge keyed by the cycle count's bits.
+  // NaN cycles never reach it (CyclesToTime cannot convert them), so a NaN
+  // pattern marks a free slot.
+  static constexpr int kCycleSlotBits = 5;
+  static constexpr std::size_t kCycleSlots = std::size_t{1} << kCycleSlotBits;
+  static constexpr std::uint64_t kFreeSlot =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN());
+  struct CycleSlot {
+    std::uint64_t key = kFreeSlot;
+    CycleCharge charge;
+  };
+  // Fibonacci hashing: the product's top bits depend on every key bit.
+  static std::size_t CycleHome(std::uint64_t key) {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - kCycleSlotBits));
+  }
+
+  CycleCharge ChargeFor(double cycles);
+  // Probes past the home slot, fills a free one, or computes the charge
+  // uncached once the table is full.
+  CycleCharge ChargeForSlow(double cycles);
+  // Completes inline the longest prefix of `count` operations of `duration`
+  // drawing `need` µJ each that the power model's budget covers, with one
+  // subtraction and one energy += per operation; returns its length.
+  std::size_t CompleteInline(SimDuration duration, EnergyUj need, CostTag tag,
+                             std::size_t count);
   ExecStatus ExecuteInternal(SimDuration duration, Milliwatts power, CostTag tag, int depth);
 
   std::unique_ptr<PowerModel> power_;
   CostModel costs_;
+  std::array<CycleSlot, kCycleSlots> cycle_charges_{};
   PersistentClock clock_;
   NvmArena nvm_;
   RamArena ram_;
@@ -138,6 +179,63 @@ class Mcu : public flight::FlightPort {
   // the epoch; its boot record is simply lost and surfaces as an epoch gap).
   bool in_flight_boot_ = false;
 };
+
+inline Mcu::CycleCharge Mcu::ChargeFor(double cycles) {
+  const CycleSlot& home = cycle_charges_[CycleHome(std::bit_cast<std::uint64_t>(cycles))];
+  if (home.key == std::bit_cast<std::uint64_t>(cycles)) [[likely]] {
+    return home.charge;
+  }
+  return ChargeForSlow(cycles);
+}
+
+inline std::size_t Mcu::CompleteInline(SimDuration duration, EnergyUj need, CostTag tag,
+                                       std::size_t count) {
+  if (starved_) {
+    return 0;
+  }
+  const int idx = static_cast<int>(tag);
+  EnergyUj budget = power_->budget_;
+  EnergyUj energy = stats_.energy[idx];
+  std::size_t done = 0;
+  // A NaN budget (a model that does not opt in) compares false: no charge
+  // is covered.
+  for (; done < count && need <= budget; ++done) {
+    budget -= need;
+    energy += need;
+  }
+  power_->budget_ = budget;
+  stats_.energy[idx] = energy;
+  stats_.busy_time[idx] += done * duration;
+  clock_.Advance(done * duration);
+  return done;
+}
+
+inline ExecStatus Mcu::Execute(SimDuration duration, Milliwatts power, CostTag tag) {
+  if (CompleteInline(duration, EnergyFor(power, duration), tag, 1) == 1) {
+    return ExecStatus::kOk;
+  }
+  return ExecuteInternal(duration, power, tag, 0);
+}
+
+inline ExecStatus Mcu::ExecuteCycles(double cycles, CostTag tag) {
+  return ExecuteCyclesRun(cycles, tag, 1).status;
+}
+
+inline RunStatus Mcu::ExecuteCyclesRun(double cycles, CostTag tag, std::size_t count) {
+  const CycleCharge charge = ChargeFor(cycles);
+  RunStatus run;
+  while (true) {
+    run.done += CompleteInline(charge.duration, charge.energy, tag, count - run.done);
+    if (run.done == count) {
+      return run;
+    }
+    run.status = ExecuteInternal(charge.duration, costs_.mcu_active_power, tag, 0);
+    if (run.status != ExecStatus::kOk) {
+      return run;
+    }
+    ++run.done;
+  }
+}
 
 }  // namespace artemis
 

@@ -14,53 +14,36 @@ ConsumeResult AlwaysOnPowerModel::Consume(SimTime /*now*/, SimDuration duration,
 }
 
 FixedChargePowerModel::FixedChargePowerModel(EnergyUj on_budget, SimDuration charge_time)
-    : on_budget_(on_budget), charge_time_(charge_time), remaining_(on_budget) {}
+    : on_budget_(on_budget), charge_time_(charge_time) {
+  budget_ = on_budget;
+}
 
 ConsumeResult FixedChargePowerModel::Consume(SimTime now, SimDuration duration,
                                              Milliwatts power) {
+  // Where need <= budget_, std::min(need, budget_) is need itself: the
+  // completing branch is the inline charge of PowerModel's contract.
   const EnergyUj need = EnergyFor(power, duration);
-  if (need <= remaining_ || power <= 0.0) {
-    remaining_ -= std::min(need, remaining_);
+  if (need <= budget_ || power <= 0.0) {
+    budget_ -= std::min(need, budget_);
     return ConsumeResult{.completed = true,
                          .ran_for = duration,
                          .restart_at = 0,
                          .consumed = need};
   }
   // Dies partway: run until the budget is gone.
-  const SimDuration ran = static_cast<SimDuration>(1000.0 * remaining_ / power);
-  const EnergyUj used = remaining_;
-  remaining_ = 0.0;
+  const SimDuration ran = static_cast<SimDuration>(1000.0 * budget_ / power);
+  const EnergyUj used = budget_;
+  budget_ = 0.0;
   return ConsumeResult{.completed = false,
                        .ran_for = std::min(ran, duration),
                        .restart_at = now + std::min(ran, duration) + charge_time_,
                        .consumed = used};
 }
 
-std::size_t FixedChargePowerModel::ConsumeRun(SimDuration duration, Milliwatts power,
-                                              std::size_t count) {
-  // Consume's completing branch once per operation: the same comparison
-  // and subtraction keep remaining_ bit-identical to per-operation calls.
-  // Where need <= remaining, std::min(need, remaining) is need itself.
-  const EnergyUj need = EnergyFor(power, duration);
-  EnergyUj remaining = remaining_;
-  std::size_t done = 0;
-  if (power <= 0.0) {
-    for (; done < count; ++done) {
-      remaining -= std::min(need, remaining);
-    }
-  } else {
-    for (; done < count && need <= remaining; ++done) {
-      remaining -= need;
-    }
-  }
-  remaining_ = remaining;
-  return done;
-}
-
-void FixedChargePowerModel::NotifyReboot(SimTime /*now*/) { remaining_ = on_budget_; }
+void FixedChargePowerModel::NotifyReboot(SimTime /*now*/) { budget_ = on_budget_; }
 
 double FixedChargePowerModel::StoredEnergyFraction() const {
-  return on_budget_ > 0.0 ? remaining_ / on_budget_ : 1.0;
+  return on_budget_ > 0.0 ? budget_ / on_budget_ : 1.0;
 }
 
 CapacitorPowerModel::CapacitorPowerModel(const CapacitorConfig& cap,

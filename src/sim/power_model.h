@@ -8,7 +8,7 @@
 #ifndef SRC_SIM_POWER_MODEL_H_
 #define SRC_SIM_POWER_MODEL_H_
 
-#include <cstddef>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -33,6 +33,19 @@ struct ConsumeResult {
   EnergyUj consumed = 0.0;
 };
 
+// Every model completes an operation through Consume. A model may also opt
+// in to inline charging by keeping an energy budget in `budget_` such that,
+// whenever need = EnergyFor(power, duration) satisfies need <= budget_,
+// Consume(now, duration, power) for any `now`
+//  * completes the whole operation, with ran_for == duration and
+//    consumed == need, and
+//  * leaves budget_ - need in budget_ and changes nothing else.
+// Mcu (src/sim/mcu.h) then completes such a charge itself, without a
+// virtual call, and sends Consume only the charges the budget does not
+// cover, so the results are bit-identical. Fixed-charge keeps its remaining
+// on-period energy there and always-on keeps +infinity. Every other model,
+// and every decorator, leaves budget_ NaN: no charge compares as covered,
+// so all of their charges reach Consume.
 class PowerModel {
  public:
   virtual ~PowerModel() = default;
@@ -41,17 +54,6 @@ class PowerModel {
   // `now`. Never splits a completed operation: either the whole duration
   // runs or the device dies partway through.
   virtual ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) = 0;
-
-  // Consumes the longest prefix of `count` identical operations (each
-  // `duration` at `power`) that provably complete, and returns its length.
-  // Each consumed operation draws EnergyFor(power, duration) and leaves the
-  // model exactly as a completing Consume call would. The caller hands the
-  // rest to Consume, which decides where power fails. The default proves
-  // nothing and consumes none.
-  virtual std::size_t ConsumeRun(SimDuration /*duration*/, Milliwatts /*power*/,
-                                 std::size_t /*count*/) {
-    return 0;
-  }
 
   // Called when the device boots (first boot and after every power failure).
   virtual void NotifyReboot(SimTime now) { (void)now; }
@@ -62,30 +64,35 @@ class PowerModel {
   virtual double StoredEnergyFraction() const { return 1.0; }
 
   virtual std::string Name() const = 0;
+
+ protected:
+  // The inline-charging budget in µJ (see above); NaN opts out.
+  EnergyUj budget_ = std::numeric_limits<EnergyUj>::quiet_NaN();
+
+ private:
+  friend class Mcu;
 };
 
 // Continuous power: nothing ever fails. Used by the Figure 14/15 overhead
-// experiments.
+// experiments. Its budget is +infinity, so every charge completes inline.
 class AlwaysOnPowerModel : public PowerModel {
  public:
+  AlwaysOnPowerModel() { budget_ = std::numeric_limits<EnergyUj>::infinity(); }
+
   ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override;
-  std::size_t ConsumeRun(SimDuration /*duration*/, Milliwatts /*power*/,
-                         std::size_t count) override {
-    return count;
-  }
   std::string Name() const override { return "always-on"; }
 };
 
 // The experiment-control model: each on-period delivers a fixed energy
 // budget; once exhausted the device is off for a fixed charging time. This
 // reproduces the paper's independent variable ("power failure durations,
-// i.e. charging times, ranging from 1 to 10 minutes") exactly.
+// i.e. charging times, ranging from 1 to 10 minutes") exactly. The energy
+// left in the current on-period is the inline budget.
 class FixedChargePowerModel : public PowerModel {
  public:
   FixedChargePowerModel(EnergyUj on_budget, SimDuration charge_time);
 
   ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override;
-  std::size_t ConsumeRun(SimDuration duration, Milliwatts power, std::size_t count) override;
   void NotifyReboot(SimTime now) override;
   double StoredEnergyFraction() const override;
   std::string Name() const override { return "fixed-charge"; }
@@ -96,7 +103,6 @@ class FixedChargePowerModel : public PowerModel {
  private:
   EnergyUj on_budget_;
   SimDuration charge_time_;
-  EnergyUj remaining_;
 };
 
 // Physics-based model: a capacitor charged by a harvester powers the load.

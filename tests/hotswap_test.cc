@@ -12,8 +12,10 @@
 #include "src/apps/health_app.h"
 #include "src/core/builder.h"
 #include "src/core/runtime.h"
+#include "src/monitor/builtin.h"
 #include "src/monitor/compiled.h"
 #include "src/monitor/compiled_batch.h"
+#include "src/monitor/interp.h"
 #include "src/monitor/shared_spec.h"
 #include "src/spec/parser.h"
 #include "src/swap/hotswap.h"
@@ -327,6 +329,82 @@ TEST(HotSwapControllerTest, KernelDrivenSwapOnTheHealthApp) {
   EXPECT_EQ(swap.installed().epoch, 2u);
   EXPECT_EQ(swap.installed().spec_hash, SpecHash(v2_text));
   EXPECT_EQ(swap.stats().bytes_staged % 80, 0u);  // whole attempts only
+}
+
+// A verdict's property views a label the monitor (or its artifact) owns.
+// A pre-swap event re-delivered after ReplaceMonitors replays the cached
+// verdict, whose label lives in the replaced monitors: the set must keep
+// them alive until the cache moves on. Only the monitors hold each image's
+// artifact here, so a freed label is a use-after-free under ASan.
+TEST(HotSwapControllerTest, PreSwapEventRedeliveredAfterReplaceReplaysItsLabel) {
+  HealthApp app = BuildHealthApp();
+  for (const MonitorBackend backend :
+       {MonitorBackend::kBuiltin, MonitorBackend::kInterpreted, MonitorBackend::kCompiled}) {
+    const std::string where = MonitorBackendName(backend);
+    std::unique_ptr<MonitorSet> set;
+    {
+      SharedSpecArtifactPtr old_image =
+          BuildSpecArtifact(kSpecMic, app.graph, StageForBackend(backend)).value();
+      set = BuildMonitorSetFromArtifact(old_image, app.graph, backend).value();
+    }
+    Mcu mcu(std::make_unique<AlwaysOnPowerModel>(), DefaultCostModel());
+    set->HardReset(mcu);
+    MonitorEvent event;
+    event.kind = EventKind::kStartTask;
+    // No old machine reacts to an accel start; after the swap one does, so
+    // the set must not keep reacting-machine lists across ReplaceMonitors.
+    event.task = app.accel;
+    event.path = app.path_resp;
+    event.seq = 1;
+    (void)set->OnEvent(event, mcu);
+    event.task = app.mic_sense;
+    event.path = app.path_cough;
+    CheckOutcome outcome;
+    for (event.seq = 2; event.seq <= 12; ++event.seq) {
+      event.timestamp = event.seq * kSecond;
+      outcome = set->OnEvent(event, mcu);  // maxTries: 10 fires on the 11th start
+    }
+    --event.seq;
+    ASSERT_TRUE(outcome.verdict.violated()) << where;
+    const std::string label(outcome.verdict.property);
+
+    {
+      SharedSpecArtifactPtr new_image =
+          BuildSpecArtifact(kSpecAccel, app.graph, StageForBackend(backend)).value();
+      std::vector<std::unique_ptr<Monitor>> replacement;
+      if (backend == MonitorBackend::kCompiled) {
+        replacement.push_back(std::make_unique<CompiledMonitor>(
+            std::shared_ptr<const CompiledMachine>(new_image, &new_image->compiled[0])));
+      } else if (backend == MonitorBackend::kInterpreted) {
+        replacement.push_back(std::make_unique<InterpretedMonitor>(
+            std::shared_ptr<const StateMachine>(new_image, &new_image->machines[0])));
+      } else {
+        replacement.push_back(MakeBuiltinMonitor(new_image->ast.blocks[0].properties[0],
+                                                 new_image->ast.blocks[0].task, app.graph)
+                                  .value());
+      }
+      ASSERT_TRUE(set->quiescent());
+      set->ReplaceMonitors(std::move(replacement));
+    }
+
+    // The boundary retry of the pre-swap event: no monitor steps, the
+    // cached verdict comes back with the old image's label.
+    const CheckOutcome replayed = set->OnEvent(event, mcu);
+    EXPECT_EQ(replayed.verdict.action, outcome.verdict.action) << where;
+    EXPECT_EQ(std::string(replayed.verdict.property), label) << where;
+    EXPECT_NE(label.find("micSense"), std::string::npos) << where << ": " << label;
+
+    // The next event moves the cache on; its verdicts come from the new
+    // image.
+    event.task = app.accel;
+    event.path = app.path_resp;
+    for (++event.seq; event.seq <= 23; ++event.seq) {
+      event.timestamp = event.seq * kSecond;
+      outcome = set->OnEvent(event, mcu);
+    }
+    ASSERT_TRUE(outcome.verdict.violated()) << where;
+    EXPECT_NE(std::string(outcome.verdict.property).find("accel"), std::string::npos) << where;
+  }
 }
 
 // ------------------------------------------------------------ batch VM --

@@ -217,6 +217,34 @@ TEST(GreenhouseTest, MinEnergySkipsReportOnDrainedBuffer) {
 
 // ------------------------------------------------- cross-system coherence --
 
+TEST(Table2Test, FramCellsMatchExperiments) {
+  // The FRAM column of EXPERIMENTS.md's Table 2, as bench/table2_memory
+  // measures it: each system runs the health app once on continuous power
+  // and the NVM arena reports the bytes each owner registered. The cells
+  // use fixed layout constants, so they are the same with any standard
+  // library.
+  const auto fram = [](Mcu& mcu, MemOwner owner) {
+    const MemoryReport report = mcu.nvm().Report();
+    const auto it = report.by_owner.find(owner);
+    return it != report.by_owner.end() ? it->second : 0u;
+  };
+  HealthApp mayfly_app = BuildHealthApp();
+  auto mayfly_mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mayfly = MayflyRuntime::Create(&mayfly_app.graph, SpecParser::Parse(HealthAppSpec()).value(),
+                                      mayfly_mcu.get(), {});
+  ASSERT_TRUE(mayfly.ok());
+  ASSERT_TRUE(mayfly.value()->Run().completed);
+  HealthApp artemis_app = BuildHealthApp();
+  auto artemis_mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto artemis =
+      ArtemisRuntime::Create(&artemis_app.graph, HealthAppSpec(), artemis_mcu.get(), {});
+  ASSERT_TRUE(artemis.ok());
+  ASSERT_TRUE(artemis.value()->Run().completed);
+  EXPECT_EQ(fram(*mayfly_mcu, MemOwner::kRuntime), 576u);
+  EXPECT_EQ(fram(*artemis_mcu, MemOwner::kRuntime), 96u);
+  EXPECT_EQ(fram(*artemis_mcu, MemOwner::kMonitor), 390u);
+}
+
 TEST(CrossSystemTest, IdenticalAppTimeOnContinuousPower) {
   // Section 5.3: with continuous power the task execution flow is identical
   // in both systems, so app-logic time must match exactly.

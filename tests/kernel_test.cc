@@ -196,8 +196,7 @@ TEST(TaskContextTest, StagesWithoutMutatingCommitted) {
 TEST(ImmortalContextTest, FreshItemStartsAtZero) {
   ImmortalContext ctx(nullptr, MemOwner::kMonitor, "t");
   EXPECT_EQ(ctx.Begin(1), 0u);
-  ctx.CompleteStep();
-  ctx.CompleteStep();
+  ctx.CompleteSteps(2);
   ctx.Finish();
   EXPECT_FALSE(ctx.InProgress());
 }
@@ -205,10 +204,10 @@ TEST(ImmortalContextTest, FreshItemStartsAtZero) {
 TEST(ImmortalContextTest, ResumesInterruptedItem) {
   ImmortalContext ctx(nullptr, MemOwner::kMonitor, "t");
   ctx.Begin(7);
-  ctx.CompleteStep();
-  ctx.CompleteStep();
+  ctx.CompleteSteps(1);
+  ctx.CompleteSteps(2);
   // "Power failure": Begin again with the same item id.
-  EXPECT_EQ(ctx.Begin(7), 2u);
+  EXPECT_EQ(ctx.Begin(7), 3u);
   ctx.Finish();
   // A new item restarts at zero.
   EXPECT_EQ(ctx.Begin(8), 0u);
@@ -217,7 +216,7 @@ TEST(ImmortalContextTest, ResumesInterruptedItem) {
 TEST(ImmortalContextTest, DifferentItemResetsCursor) {
   ImmortalContext ctx(nullptr, MemOwner::kMonitor, "t");
   ctx.Begin(1);
-  ctx.CompleteStep();
+  ctx.CompleteSteps(1);
   EXPECT_EQ(ctx.Begin(2), 0u);
 }
 

@@ -2,30 +2,46 @@
 //
 // MonitorSet and the fleet's CaptureChecker charge each run of machines
 // with equal step cycles with one Mcu::ExecuteCyclesRun, then step only the
-// charged prefix. Against the per-machine loop that charging replaced, a
+// charged prefix, and of it only the machines that can react to the event.
+// Against the per-machine loop that charges and steps every machine, a
 // power failure at every machine offset of a health event, before and after
 // the reboot it causes, must leave everything equal: each delivery's status
 // and arbitrated verdict, the continuation cursor (every machine steps once
 // per event), McuStats to the bit, the stored energy, clocks and reboots.
+// The reacting-machine oracle at the end does the same for random event
+// streams over every shipped spec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/apps/health_app.h"
+#include "src/base/rng.h"
 #include "src/fleet/instance.h"
 #include "src/monitor/arbitration.h"
+#include "src/monitor/builtin.h"
+#include "src/monitor/compiled.h"
+#include "src/monitor/interp.h"
 #include "src/monitor/monitor_set.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/mcu.h"
 #include "src/sim/power_model.h"
+#include "src/spec/app_lang.h"
 #include "src/spec/parser.h"
+
+#ifndef ARTEMIS_SOURCE_DIR
+#define ARTEMIS_SOURCE_DIR "."
+#endif
 
 namespace artemis {
 namespace {
@@ -85,6 +101,15 @@ class PerMachineReference {
     }
   }
 
+  void OnPathRestart(PathId path, Mcu& mcu) {
+    const CostTag tag =
+        placement_ == MonitorPlacement::kInlined ? CostTag::kRuntime : CostTag::kMonitor;
+    mcu.ExecuteCycles(mcu.costs().action_apply_cycles, tag);
+    for (std::size_t i = 0; i < machines_->size(); ++i) {
+      machines_->monitor(i).OnPathRestart(path);
+    }
+  }
+
   bool in_progress() const { return in_progress_; }
   std::size_t cursor() const { return cursor_; }
   std::uint64_t events_processed() const { return events_processed_; }
@@ -130,11 +155,20 @@ struct Config {
 
 void PrintTo(const Config& config, std::ostream* os) { *os << config.name; }
 
-std::unique_ptr<MonitorSet> HealthMonitors(const HealthApp& app, const Config& config) {
-  const StatusOr<SpecAst> spec = SpecParser::Parse(HealthAppSpec());
-  return std::move(BuildMonitorSet(spec.value(), app.graph, config.backend, {},
+std::unique_ptr<MonitorSet> Monitors(const SpecAst& spec, const AppGraph& graph,
+                                     const Config& config) {
+  return std::move(BuildMonitorSet(spec, graph, config.backend, {},
                                    MonitorSetOptions{.placement = config.placement}))
       .value();
+}
+
+const SpecAst& HealthSpec() {
+  static const SpecAst spec = SpecParser::Parse(HealthAppSpec()).value();
+  return spec;
+}
+
+std::unique_ptr<MonitorSet> HealthMonitors(const HealthApp& app, const Config& config) {
+  return Monitors(HealthSpec(), app.graph, config);
 }
 
 // Step cycles of the health set's machines under `config`, which are the
@@ -165,13 +199,18 @@ EnergyUj CrossingEnergy(MonitorPlacement placement) {
 
 // The device under test and the reference device, identical at the start.
 struct Rig {
+  // The health spec on the health app.
   Rig(const Config& config, std::unique_ptr<PowerModel> run_power,
       std::unique_ptr<PowerModel> ref_power)
+      : Rig(config, HealthSpec(), nullptr, std::move(run_power), std::move(ref_power)) {}
+  // `spec` on `graph`, or on the rig's health app when `graph` is null.
+  Rig(const Config& config, const SpecAst& spec, const AppGraph* graph,
+      std::unique_ptr<PowerModel> run_power, std::unique_ptr<PowerModel> ref_power)
       : app(BuildHealthApp()),
-        ref(HealthMonitors(app, config), config.placement),
+        ref(Monitors(spec, graph != nullptr ? *graph : app.graph, config), config.placement),
         run_mcu(std::make_unique<Mcu>(std::move(run_power), DefaultCostModel())),
         ref_mcu(std::make_unique<Mcu>(std::move(ref_power), DefaultCostModel())) {
-    set = HealthMonitors(app, config);
+    set = Monitors(spec, graph != nullptr ? *graph : app.graph, config);
     if (config.capture) {
       capture = std::make_unique<fleet::CaptureChecker>(
           std::vector<double>(set->size(), DefaultCostModel().compiled_step_cycles),
@@ -234,6 +273,7 @@ CheckOutcome Deliver(Rig& rig, const MonitorEvent& event, const std::string& whe
     EXPECT_EQ(run.verdict.property, expected.property) << at;
     if (rig.set != nullptr && rig.capture == nullptr) {
       EXPECT_EQ(rig.set->quiescent(), !rig.ref.in_progress()) << at;
+      EXPECT_EQ(rig.set->cursor(), rig.ref.in_progress() ? rig.ref.cursor() : 0) << at;
     }
     ExpectSameDevice(*rig.run_mcu, *rig.ref_mcu, at);
     if (ref.status != static_cast<int>(ExecStatus::kPowerFailure)) {
@@ -413,7 +453,22 @@ INSTANTIATE_TEST_SUITE_P(
         Config{"capture", MonitorBackend::kCompiled, MonitorPlacement::kSeparate, true}),
     [](const ::testing::TestParamInfo<Config>& row) { return std::string(row.param.name); });
 
-// Counts the power-model calls an event costs; forwards everything.
+// Fixed-charge power that counts its Consume calls. It keeps the model's
+// inline budget, so it only sees the charges the Mcu cannot complete inline.
+class CountingFixedCharge final : public FixedChargePowerModel {
+ public:
+  using FixedChargePowerModel::FixedChargePowerModel;
+
+  ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override {
+    ++calls;
+    return FixedChargePowerModel::Consume(now, duration, power);
+  }
+
+  std::uint64_t calls = 0;
+};
+
+// A decorator that counts the power-model calls and forwards everything. It
+// does not opt in to inline charging, so every charge reaches Consume.
 class CountingPowerModel final : public PowerModel {
  public:
   explicit CountingPowerModel(std::unique_ptr<PowerModel> inner) : inner_(std::move(inner)) {}
@@ -421,10 +476,6 @@ class CountingPowerModel final : public PowerModel {
   ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override {
     ++calls;
     return inner_->Consume(now, duration, power);
-  }
-  std::size_t ConsumeRun(SimDuration duration, Milliwatts power, std::size_t count) override {
-    ++calls;
-    return inner_->ConsumeRun(duration, power, count);
   }
   void NotifyReboot(SimTime now) override { inner_->NotifyReboot(now); }
   double StoredEnergyFraction() const override { return inner_->StoredEnergyFraction(); }
@@ -436,26 +487,379 @@ class CountingPowerModel final : public PowerModel {
   std::unique_ptr<PowerModel> inner_;
 };
 
-TEST(MachineLoopChargeTest, CompiledHealthEventCostsTwoPowerModelCalls) {
-  // The interface crossing plus one run for the eight equal-cost machines;
-  // the per-machine loop makes one call for the crossing and one per
-  // machine.
-  const Config config{"compiled_separate", MonitorBackend::kCompiled,
-                      MonitorPlacement::kSeparate, false};
-  auto run_power = std::make_unique<CountingPowerModel>(
-      std::make_unique<FixedChargePowerModel>(19'500.0, kMinute));
+const Config kCompiledSeparate{"compiled_separate", MonitorBackend::kCompiled,
+                               MonitorPlacement::kSeparate, false};
+
+TEST(MachineLoopChargeTest, CompiledHealthEventMakesNoPowerModelCall) {
+  // The interface crossing and the eight machines all fit the fixed-charge
+  // budget, so they complete inline. The per-machine reference sits behind
+  // a decorator that does not opt in: one Consume for the crossing and one
+  // per machine.
+  auto run_power = std::make_unique<CountingFixedCharge>(19'500.0, kMinute);
   auto ref_power = std::make_unique<CountingPowerModel>(
       std::make_unique<FixedChargePowerModel>(19'500.0, kMinute));
-  CountingPowerModel* const run_calls = run_power.get();
+  CountingFixedCharge* const run_calls = run_power.get();
   CountingPowerModel* const ref_calls = ref_power.get();
-  Rig rig(config, std::move(run_power), std::move(ref_power));
-  const std::uint64_t run_before = run_calls->calls;
-  const std::uint64_t ref_before = ref_calls->calls;
+  Rig rig(kCompiledSeparate, std::move(run_power), std::move(ref_power));
   const CheckOutcome outcome =
       Deliver(rig, Start(rig.app.accel, rig.app.path_resp, 1), "one event");
   EXPECT_EQ(outcome.status, 0);
-  EXPECT_EQ(run_calls->calls - run_before, 2u);
-  EXPECT_EQ(ref_calls->calls - ref_before, 9u);
+  EXPECT_EQ(run_calls->calls, 0u);
+  EXPECT_EQ(ref_calls->calls, 9u);
+}
+
+TEST(MachineLoopChargeTest, PowerFailureInsideAnEventMakesTwoPowerModelCalls) {
+  // The first life fits the crossing and four and a half machines. The
+  // fifth machine's charge does not fit: Consume fails it, and the boot
+  // restore after the outage is the second call. Finalize's cursor read and
+  // the re-delivered event then complete inline. The reference makes one
+  // call per charge: crossing, four machines, the failing one, the restore,
+  // the cursor read, the second crossing and the last four machines.
+  const CostModel& costs = DefaultCostModel();
+  const EnergyUj step = CyclesEnergy(costs.compiled_step_cycles);
+  const EnergyUj crossing = CrossingEnergy(MonitorPlacement::kSeparate);
+  const EnergyUj boot = CyclesEnergy(costs.reboot_restore_cycles) +
+                        CyclesEnergy(costs.timestamp_read_cycles);
+  const EnergyUj budget = boot + crossing + 8.5 * step;
+  auto run_power = std::make_unique<CountingFixedCharge>(budget, kMinute);
+  auto ref_power = std::make_unique<CountingPowerModel>(
+      std::make_unique<FixedChargePowerModel>(budget, kMinute));
+  CountingFixedCharge* const run_calls = run_power.get();
+  CountingPowerModel* const ref_calls = ref_power.get();
+  Rig rig(kCompiledSeparate, std::move(run_power), std::move(ref_power));
+  const auto drain = static_cast<SimDuration>(1000.0 * (budget - crossing - 4.5 * step) /
+                                              costs.mcu_active_power);
+  ASSERT_EQ(rig.run_mcu->Execute(drain, costs.mcu_active_power, CostTag::kApp), ExecStatus::kOk);
+  ASSERT_EQ(rig.ref_mcu->Execute(drain, costs.mcu_active_power, CostTag::kApp), ExecStatus::kOk);
+  const std::uint64_t ref_before = ref_calls->calls;
+  const CheckOutcome outcome =
+      Deliver(rig, Start(rig.app.accel, rig.app.path_resp, 1), "failing event");
+  EXPECT_EQ(outcome.status, 0);
+  ASSERT_EQ(rig.failed_at, std::vector<std::size_t>{4});
+  EXPECT_EQ(run_calls->calls, 2u);
+  EXPECT_EQ(ref_calls->calls - ref_before, 13u);
+}
+
+// ------------------------------------------------- reacting-machine oracle --
+// MonitorSet charges every machine of an event but steps only those whose
+// Step can react to the event's (kind, task) (Monitor::Reacts); the
+// reference steps every machine. For every shipped examples/specs/*.prop,
+// every backend and every placement, random event streams under power
+// failures must leave both with the same outcomes, verdict text, cursors
+// and machine states.
+
+// A shipped spec and the app it is written for: `<stem>.app` next to it, or
+// the health app.
+struct ShippedSpec {
+  std::string name;
+  SpecAst spec;
+  std::shared_ptr<const AppGraph> graph;
+};
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+const std::vector<ShippedSpec>& ShippedSpecs() {
+  static const std::vector<ShippedSpec> specs = [] {
+    const std::filesystem::path dir = std::filesystem::path(ARTEMIS_SOURCE_DIR) / "examples/specs";
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".prop") {
+        files.push_back(entry.path());
+      }
+    }
+    std::sort(files.begin(), files.end());
+    std::vector<ShippedSpec> out;
+    for (const std::filesystem::path& file : files) {
+      ShippedSpec shipped;
+      shipped.name = file.stem().string();
+      shipped.spec = SpecParser::Parse(ReadFile(file)).value();
+      std::filesystem::path app = file;
+      app.replace_extension(".app");
+      shipped.graph = std::make_shared<const AppGraph>(
+          std::filesystem::exists(app) ? ParseAppDescription(ReadFile(app)).value().graph
+                                       : BuildHealthApp().graph);
+      out.push_back(std::move(shipped));
+    }
+    return out;
+  }();
+  return specs;
+}
+
+// A task id far past every app and past MonitorSet's cached reactor
+// columns.
+constexpr TaskId kFarTask = 5000;
+
+// Every (kind, task) column an app's events can land on, plus one task id
+// just past the app and kFarTask.
+std::vector<std::pair<EventKind, TaskId>> Columns(const AppGraph& graph) {
+  std::vector<std::pair<EventKind, TaskId>> columns;
+  for (const EventKind kind : {EventKind::kStartTask, EventKind::kEndTask}) {
+    for (TaskId task = 0; task <= graph.task_count(); ++task) {
+      columns.emplace_back(kind, task);
+    }
+    columns.emplace_back(kind, kFarTask);
+  }
+  return columns;
+}
+
+// A random event after `*now`: any column, any path (0 = none), a time gap
+// from back-to-back to past every shipped time limit, dependent data in and
+// out of every shipped range, and any stored-energy fraction.
+MonitorEvent RandomEvent(Rng& rng, const AppGraph& graph, std::uint64_t seq, SimTime* now) {
+  const std::vector<std::pair<EventKind, TaskId>> columns = Columns(graph);
+  const SimDuration gaps[] = {0, kMillisecond, 300 * kMillisecond, 10 * kSecond,
+                              3 * kMinute, 7 * kMinute, 30 * kMinute};
+  *now += gaps[rng.UniformU64(0, std::size(gaps) - 1)];
+  const auto [kind, task] = columns[rng.UniformU64(0, columns.size() - 1)];
+  MonitorEvent event = Event(kind, task, static_cast<PathId>(rng.UniformU64(0, graph.path_count())),
+                             seq, *now);
+  event.has_dep_data = rng.UniformU64(0, 3) != 0;
+  event.dep_data = rng.UniformDouble(-30.0, 120.0);
+  event.energy_fraction = rng.NextDouble();
+  return event;
+}
+
+// Events that tell two builtin machines' states apart: every column and
+// path at a short, a long and a very long gap after `now`, with dependent
+// data and stored energy at both extremes.
+std::vector<MonitorEvent> ProbeEvents(const AppGraph& graph, SimTime now) {
+  std::vector<MonitorEvent> probe;
+  const SimDuration gaps[] = {kMillisecond, 11 * kMinute, 45 * kMinute};
+  for (const SimDuration gap : gaps) {
+    now += gap;
+    for (const auto& [kind, task] : Columns(graph)) {
+      for (PathId path = 0; path <= graph.path_count(); ++path) {
+        MonitorEvent event = Event(kind, task, path, 0, now);
+        event.has_dep_data = true;
+        event.dep_data = probe.size() % 2 == 0 ? -1000.0 : 1000.0;
+        event.energy_fraction = probe.size() % 3 == 0 ? 0.01 : 1.0;
+        probe.push_back(event);
+      }
+    }
+  }
+  return probe;
+}
+
+template <class... Kinds>
+std::unique_ptr<Monitor> CloneAs(const Monitor& machine) {
+  std::unique_ptr<Monitor> clone;
+  (void)((dynamic_cast<const Kinds*>(&machine) != nullptr &&
+          (clone = std::make_unique<Kinds>(dynamic_cast<const Kinds&>(machine)), true)) ||
+         ...);
+  return clone;
+}
+
+std::unique_ptr<Monitor> Clone(const Monitor& machine) {
+  std::unique_ptr<Monitor> clone =
+      CloneAs<CompiledMonitor, InterpretedMonitor, MaxTriesMonitor, MaxDurationMonitor,
+              CollectMonitor, MitdMonitor, PeriodMonitor, DpDataMonitor, MinEnergyMonitor>(
+          machine);
+  EXPECT_NE(clone, nullptr) << "unknown monitor class for " << machine.label();
+  return clone;
+}
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (const double v : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return bits;
+}
+
+// Compiled and interpreted machines compare their states and variables
+// exactly. Builtin machines expose no state, so they compare by behavior:
+// clones of both must answer `probe` identically.
+void ExpectSameState(const Monitor& a, const Monitor& b, const std::vector<MonitorEvent>& probe,
+                     const std::string& where) {
+  if (const auto* ca = dynamic_cast<const CompiledMonitor*>(&a)) {
+    const auto& cb = dynamic_cast<const CompiledMonitor&>(b);
+    EXPECT_EQ(ca->current_id(), cb.current_id()) << where;
+    EXPECT_EQ(Bits(ca->slots()), Bits(cb.slots())) << where;
+    return;
+  }
+  if (const auto* ia = dynamic_cast<const InterpretedMonitor*>(&a)) {
+    const auto& ib = dynamic_cast<const InterpretedMonitor&>(b);
+    EXPECT_EQ(ia->current_state(), ib.current_state()) << where;
+    for (const auto& [name, initial] : ia->machine().variables) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ia->VarValue(name)),
+                std::bit_cast<std::uint64_t>(ib.VarValue(name)))
+          << where << " variable " << name;
+    }
+    return;
+  }
+  const std::unique_ptr<Monitor> ca = Clone(a);
+  const std::unique_ptr<Monitor> cb = Clone(b);
+  for (std::size_t i = 0; i < probe.size() && !::testing::Test::HasFailure(); ++i) {
+    MonitorVerdict va;
+    MonitorVerdict vb;
+    const bool fa = ca->Step(probe[i], &va);
+    const bool fb = cb->Step(probe[i], &vb);
+    EXPECT_EQ(fa, fb) << where << " probe " << i;
+    if (fa && fb) {
+      EXPECT_EQ(va.action, vb.action) << where << " probe " << i;
+      EXPECT_EQ(va.target_path, vb.target_path) << where << " probe " << i;
+      EXPECT_EQ(va.property, vb.property) << where << " probe " << i;
+    }
+  }
+}
+
+void ExpectSameMachines(Rig& rig, const AppGraph& graph, SimTime now, bool probe_builtin,
+                        const std::string& where) {
+  const bool builtin = rig.set->size() > 0 &&
+                       dynamic_cast<const BuiltinMonitor*>(&rig.set->monitor(0)) != nullptr;
+  if (builtin && !probe_builtin) {
+    return;
+  }
+  const std::vector<MonitorEvent> probe = builtin ? ProbeEvents(graph, now)
+                                                  : std::vector<MonitorEvent>{};
+  for (std::size_t i = 0; i < rig.set->size(); ++i) {
+    ExpectSameState(rig.set->monitor(i), rig.ref.machines().monitor(i), probe,
+                    where + " machine " + rig.set->monitor(i).label());
+  }
+}
+
+class ReactingOracleTest : public ::testing::TestWithParam<Config> {};
+
+TEST_P(ReactingOracleTest, SteppingOnlyReactingMachinesMatchesSteppingAll) {
+  const Config& config = GetParam();
+  const CostModel& costs = DefaultCostModel();
+  ASSERT_GE(ShippedSpecs().size(), 2u) << "at least health.prop and sensornet.prop";
+  std::uint64_t violations = 0;
+  std::uint64_t reboots = 0;
+  for (const ShippedSpec& shipped : ShippedSpecs()) {
+    const AppGraph& graph = *shipped.graph;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const std::string where = std::string(config.name) + " " + shipped.name + " seed " +
+                                std::to_string(seed);
+      Rng rng(seed * 7919 + graph.task_count());
+      // Odd seeds run on fixed-charge power whose lives fit the crossing and
+      // one to four machines, so events span reboots; even seeds run on
+      // continuous power.
+      std::unique_ptr<PowerModel> run_power = std::make_unique<AlwaysOnPowerModel>();
+      std::unique_ptr<PowerModel> ref_power = std::make_unique<AlwaysOnPowerModel>();
+      if (seed % 2 == 1) {
+        const std::unique_ptr<MonitorSet> probe = Monitors(shipped.spec, graph, config);
+        const EnergyUj step = CyclesEnergy(probe->monitor(0).StepCycles(costs));
+        const EnergyUj boot = CyclesEnergy(costs.reboot_restore_cycles) +
+                              CyclesEnergy(costs.timestamp_read_cycles) +
+                              CyclesEnergy(costs.action_apply_cycles);
+        const EnergyUj budget = boot + CrossingEnergy(config.placement) +
+                                (static_cast<double>(rng.UniformU64(1, 4)) + 0.5) * step;
+        run_power = std::make_unique<FixedChargePowerModel>(budget, kMinute);
+        ref_power = std::make_unique<FixedChargePowerModel>(budget, kMinute);
+      }
+      Rig rig(config, shipped.spec, &graph, std::move(run_power), std::move(ref_power));
+      SimTime now = kSecond;
+      MonitorEvent last;
+      const auto deliver = [&](const MonitorEvent& event, const std::string& at) {
+        violations += Deliver(rig, event, at).verdict.violated() ? 1 : 0;
+      };
+      for (std::uint64_t seq = 1; seq <= 150; ++seq) {
+        const std::string at = where + " seq " + std::to_string(seq);
+        const std::uint64_t roll = rng.UniformU64(0, 9);
+        if (roll == 0 && seq > 1) {
+          // A boundary retry of the last event replays the cached verdict.
+          deliver(last, at + " retry");
+        } else if (roll == 1) {
+          const auto path = static_cast<PathId>(rng.UniformU64(1, graph.path_count()));
+          rig.checker->OnPathRestart(path, *rig.run_mcu);
+          rig.ref.OnPathRestart(path, *rig.ref_mcu);
+          ExpectSameDevice(*rig.run_mcu, *rig.ref_mcu, at + " path restart");
+        }
+        last = RandomEvent(rng, graph, seq, &now);
+        deliver(last, at);
+        ExpectSameMachines(rig, graph, now, seq % 25 == 0, at);
+        if (HasFailure()) {
+          return;  // One divergence explains the rest.
+        }
+      }
+      ExpectSameMachines(rig, graph, now, true, where + " end");
+      EXPECT_EQ(rig.events_processed(), rig.ref.events_processed()) << where;
+      reboots += rig.run_mcu->stats().reboots;
+    }
+  }
+  // Both streams did what they are there for.
+  EXPECT_GT(violations, 0u);
+  if (config.placement != MonitorPlacement::kRemote) {
+    EXPECT_GT(reboots, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Placements, ReactingOracleTest,
+    ::testing::Values(
+        Config{"builtin_separate", MonitorBackend::kBuiltin, MonitorPlacement::kSeparate, false},
+        Config{"builtin_inlined", MonitorBackend::kBuiltin, MonitorPlacement::kInlined, false},
+        Config{"builtin_remote", MonitorBackend::kBuiltin, MonitorPlacement::kRemote, false},
+        Config{"compiled_separate", MonitorBackend::kCompiled, MonitorPlacement::kSeparate,
+               false},
+        Config{"compiled_inlined", MonitorBackend::kCompiled, MonitorPlacement::kInlined, false},
+        Config{"compiled_remote", MonitorBackend::kCompiled, MonitorPlacement::kRemote, false},
+        Config{"interpreted_separate", MonitorBackend::kInterpreted,
+               MonitorPlacement::kSeparate, false},
+        Config{"interpreted_inlined", MonitorBackend::kInterpreted, MonitorPlacement::kInlined,
+               false},
+        Config{"interpreted_remote", MonitorBackend::kInterpreted, MonitorPlacement::kRemote,
+               false}),
+    [](const ::testing::TestParamInfo<Config>& row) { return std::string(row.param.name); });
+
+TEST(ReactsClaimTest, NonReactingMachineKeepsItsStateFromEveryReachedState) {
+  // Walks each machine through random events and, in every state it
+  // reaches, steps a clone with an event of each column the machine claims
+  // not to react to: the step must report nothing and change nothing.
+  for (const MonitorBackend backend :
+       {MonitorBackend::kBuiltin, MonitorBackend::kInterpreted, MonitorBackend::kCompiled}) {
+    std::size_t silent_columns = 0;
+    for (const ShippedSpec& shipped : ShippedSpecs()) {
+      const AppGraph& graph = *shipped.graph;
+      const std::unique_ptr<MonitorSet> set =
+          Monitors(shipped.spec, graph, Config{"", backend, MonitorPlacement::kSeparate, false});
+      for (std::size_t m = 0; m < set->size(); ++m) {
+        Monitor& machine = set->monitor(m);
+        const std::string where = std::string(MonitorBackendName(backend)) + " " +
+                                  shipped.name + " " + machine.label();
+        std::vector<std::pair<EventKind, TaskId>> silent;
+        for (const auto& [kind, task] : Columns(graph)) {
+          if (!machine.Reacts(kind, task)) {
+            silent.emplace_back(kind, task);
+          }
+        }
+        silent_columns += silent.size();
+        Rng rng(m + 1);
+        SimTime now = kSecond;
+        for (std::uint64_t seq = 1; seq <= 400 && !silent.empty(); ++seq) {
+          MonitorVerdict ignored;
+          (void)machine.Step(RandomEvent(rng, graph, seq, &now), &ignored);
+          const std::vector<MonitorEvent> probe =
+              seq % 40 == 0 ? ProbeEvents(graph, now) : std::vector<MonitorEvent>{};
+          for (const auto& [kind, task] : silent) {
+            const std::string at = where + " seq " + std::to_string(seq) + " " +
+                                   EventKindName(kind) + " task " + std::to_string(task);
+            SimTime later = now;
+            MonitorEvent event = RandomEvent(rng, graph, seq, &later);
+            event.kind = kind;
+            event.task = task;
+            const std::unique_ptr<Monitor> clone = Clone(machine);
+            MonitorVerdict verdict;
+            EXPECT_FALSE(clone->Step(event, &verdict)) << at;
+            if (dynamic_cast<const BuiltinMonitor*>(&machine) == nullptr || !probe.empty()) {
+              ExpectSameState(machine, *clone, probe, at);
+            }
+          }
+          if (HasFailure()) {
+            return;
+          }
+        }
+      }
+    }
+    // The claim is not vacuous: most machines ignore most columns.
+    EXPECT_GT(silent_columns, 0u) << MonitorBackendName(backend);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the power-supply models that drive intermittence.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -8,6 +9,8 @@
 #include <ostream>
 #include <string>
 
+#include "src/base/rng.h"
+#include "src/flight/recorder.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/mcu.h"
 #include "src/sim/power_model.h"
@@ -145,141 +148,261 @@ TEST(StochasticModelTest, EventuallyFails) {
   EXPECT_TRUE(failed);
 }
 
-// ------------------------------------------------------- run charging --
-// Mcu::ExecuteCyclesRun lets the power model consume the operations it can
-// prove complete in one step. Against a per-operation reference it must
-// agree on the count, on the failing status and on every bit of the device
-// state afterwards, for every (cycles, tag) it charges: flight bytes
-// (Mcu::ChargeWriteBytes) and monitor steps, separate or inlined.
+// ------------------------------------------------- charge-path differential --
+// Mcu completes a charge inline when the power model's budget covers it
+// (fixed-charge, always-on) and sends every other charge to Consume. The
+// differential drives the same random calls through two Mcus: one on the
+// bare model, one on the same model behind a decorator that does not opt
+// in, so all of its charges take the Consume path. After every call the
+// two must agree to the bit.
 
-struct RunRow {
-  const char* name;
-  double cycles;
-  CostTag tag;
+// Forwards everything to the wrapped model; keeps the NaN budget.
+class ForwardingPowerModel final : public PowerModel {
+ public:
+  explicit ForwardingPowerModel(std::unique_ptr<PowerModel> inner) : inner_(std::move(inner)) {}
+
+  ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override {
+    ++consume_calls;
+    return inner_->Consume(now, duration, power);
+  }
+  void NotifyReboot(SimTime now) override { inner_->NotifyReboot(now); }
+  double StoredEnergyFraction() const override { return inner_->StoredEnergyFraction(); }
+  std::string Name() const override { return inner_->Name(); }
+
+  std::uint64_t consume_calls = 0;
+
+ private:
+  std::unique_ptr<PowerModel> inner_;
 };
 
-void PrintTo(const RunRow& row, std::ostream* os) { *os << row.name; }
+struct ChargeScenario {
+  const char* name;
+  // Budget per on-period as a multiple of the boot restore's energy; 0
+  // means always-on power.
+  double budget_restores;
+};
 
-// `count` ExecuteCycles calls that stop at the first one not returning
-// kOk: the charging ExecuteCyclesRun replaces.
-RunStatus PerOperationCharge(Mcu& mcu, const RunRow& row, std::size_t count) {
-  RunStatus ref;
-  while (ref.done < count) {
-    ref.status = mcu.ExecuteCycles(row.cycles, row.tag);
-    if (ref.status != ExecStatus::kOk) {
-      break;
+void PrintTo(const ChargeScenario& scenario, std::ostream* os) { *os << scenario.name; }
+
+std::unique_ptr<PowerModel> MakeModel(const ChargeScenario& scenario, SimDuration charge) {
+  if (scenario.budget_restores == 0.0) {
+    return std::make_unique<AlwaysOnPowerModel>();
+  }
+  const CostModel& costs = DefaultCostModel();
+  const EnergyUj restore =
+      EnergyFor(costs.mcu_active_power, costs.CyclesToTime(costs.reboot_restore_cycles));
+  return std::make_unique<FixedChargePowerModel>(scenario.budget_restores * restore, charge);
+}
+
+// Both devices: the bare model and the decorated one, each optionally with
+// a flight recorder attached.
+struct ChargePair {
+  ChargePair(const ChargeScenario& scenario, SimDuration charge, std::size_t flight_bytes)
+      : bare(MakeModel(scenario, charge), DefaultCostModel()),
+        wrapped(std::make_unique<ForwardingPowerModel>(MakeModel(scenario, charge)),
+                DefaultCostModel()) {
+    if (flight_bytes > 0) {
+      bare_flight =
+          std::make_unique<flight::FlightRecorder>(flight_bytes, flight::FlightLevel::kFull);
+      wrapped_flight =
+          std::make_unique<flight::FlightRecorder>(flight_bytes, flight::FlightLevel::kFull);
+      EXPECT_TRUE(bare.AttachFlightRecorder(bare_flight.get()).ok());
+      EXPECT_TRUE(wrapped.AttachFlightRecorder(wrapped_flight.get()).ok());
     }
-    ++ref.done;
   }
-  return ref;
-}
 
-void ExpectSameRun(const RunStatus& run, const RunStatus& ref, const std::string& where) {
-  EXPECT_EQ(run.done, ref.done) << where;
-  EXPECT_EQ(run.status, ref.status) << where;
-}
+  Mcu bare;
+  Mcu wrapped;
+  std::unique_ptr<flight::FlightRecorder> bare_flight;
+  std::unique_ptr<flight::FlightRecorder> wrapped_flight;
+};
 
-void ExpectBitIdentical(Mcu& run, Mcu& ref, const std::string& where) {
-  for (int tag = 0; tag < kNumCostTags; ++tag) {
-    EXPECT_EQ(run.stats().busy_time[tag], ref.stats().busy_time[tag]) << where << " tag " << tag;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(run.stats().energy[tag]),
-              std::bit_cast<std::uint64_t>(ref.stats().energy[tag]))
-        << where << " tag " << tag;
-  }
-  EXPECT_EQ(run.stats().reboots, ref.stats().reboots) << where;
-  EXPECT_EQ(run.stats().charging_time, ref.stats().charging_time) << where;
-  EXPECT_EQ(run.TrueNow(), ref.TrueNow()) << where;
-  EXPECT_EQ(run.Now(), ref.Now()) << where;
-  EXPECT_EQ(run.starved(), ref.starved()) << where;
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(run.power_model().StoredEnergyFraction()),
-            std::bit_cast<std::uint64_t>(ref.power_model().StoredEnergyFraction()))
+using StatsBytes = std::array<unsigned char, sizeof(McuStats)>;
+
+void ExpectSameMcu(ChargePair& pair, const std::string& where) {
+  EXPECT_EQ(std::bit_cast<StatsBytes>(pair.bare.stats()),
+            std::bit_cast<StatsBytes>(pair.wrapped.stats()))
       << where;
-}
-
-class RunChargingTest : public ::testing::TestWithParam<RunRow> {};
-
-TEST_P(RunChargingTest, FixedChargeFailsAtEveryOffsetLikePerOperationCharging) {
-  const RunRow& row = GetParam();
-  const CostModel& costs = DefaultCostModel();
-  const SimDuration op = costs.CyclesToTime(row.cycles);
-  const EnergyUj op_energy = EnergyFor(costs.mcu_active_power, op);
-  const SimDuration restore = costs.CyclesToTime(costs.reboot_restore_cycles);
-  const EnergyUj restore_energy = EnergyFor(costs.mcu_active_power, restore);
-  constexpr std::size_t kRun = 250;
-  for (std::size_t k = 0; k <= kRun; ++k) {
-    // Each on-period pays one boot restore, k operations and half of the
-    // next, so the run fails at operation k, before and after the reboot it
-    // causes.
-    const EnergyUj budget = restore_energy + (static_cast<double>(k) + 0.5) * op_energy;
-    Mcu run(std::make_unique<FixedChargePowerModel>(budget, kMinute), costs);
-    Mcu ref(std::make_unique<FixedChargePowerModel>(budget, kMinute), costs);
-    ASSERT_EQ(run.Execute(restore, costs.mcu_active_power, CostTag::kApp), ExecStatus::kOk);
-    ASSERT_EQ(ref.Execute(restore, costs.mcu_active_power, CostTag::kApp), ExecStatus::kOk);
-    const std::string where = "offset " + std::to_string(k);
-    const RunStatus charged = run.ExecuteCyclesRun(row.cycles, row.tag, kRun);
-    EXPECT_EQ(charged.done, k) << where;
-    EXPECT_EQ(charged.status, k < kRun ? ExecStatus::kPowerFailure : ExecStatus::kOk) << where;
-    ExpectSameRun(charged, PerOperationCharge(ref, row, kRun), where);
-    ExpectBitIdentical(run, ref, where);
-    ExpectSameRun(run.ExecuteCyclesRun(row.cycles, row.tag, kRun),
-                  PerOperationCharge(ref, row, kRun), where + " rebooted");
-    ExpectBitIdentical(run, ref, where + " rebooted");
+  EXPECT_EQ(pair.bare.Now(), pair.wrapped.Now()) << where;
+  EXPECT_EQ(pair.bare.TrueNow(), pair.wrapped.TrueNow()) << where;
+  EXPECT_EQ(pair.bare.starved(), pair.wrapped.starved()) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pair.bare.power_model().StoredEnergyFraction()),
+            std::bit_cast<std::uint64_t>(pair.wrapped.power_model().StoredEnergyFraction()))
+      << where;
+  if (pair.bare_flight != nullptr) {
+    const flight::FlightStats& a = pair.bare_flight->stats();
+    const flight::FlightStats& b = pair.wrapped_flight->stats();
+    EXPECT_EQ(a.records_sealed, b.records_sealed) << where;
+    EXPECT_EQ(a.appends_aborted, b.appends_aborted) << where;
+    EXPECT_EQ(a.bytes_sealed, b.bytes_sealed) << where;
+    EXPECT_EQ(pair.bare_flight->current_epoch(), pair.wrapped_flight->current_epoch()) << where;
+    EXPECT_EQ(pair.bare_flight->Image().bytes, pair.wrapped_flight->Image().bytes) << where;
   }
 }
 
-TEST_P(RunChargingTest, AlwaysOnChargesEveryOperationLikePerOperationCharging) {
-  const RunRow& row = GetParam();
-  const CostModel& costs = DefaultCostModel();
-  Mcu run(std::make_unique<AlwaysOnPowerModel>(), costs);
-  Mcu ref(std::make_unique<AlwaysOnPowerModel>(), costs);
-  for (const std::size_t count : {0, 1, 38, 250, 7, 250}) {
-    const std::string where = "count " + std::to_string(count);
-    const RunStatus charged = run.ExecuteCyclesRun(row.cycles, row.tag, count);
-    EXPECT_EQ(charged.done, count) << where;
-    EXPECT_EQ(charged.status, ExecStatus::kOk) << where;
-    ExpectSameRun(charged, PerOperationCharge(ref, row, count), where);
-    ExpectBitIdentical(run, ref, where);
+// Cycle counts the engine charges, a commit-sized fraction and a few odd
+// values.
+double RandomCycles(Rng& rng) {
+  const CostModel& c = DefaultCostModel();
+  const double pool[] = {0.0,
+                         c.flight_nvm_write_cycles_per_byte,
+                         1.0 * c.flight_control_write_cycles,
+                         1.0 * c.builtin_step_cycles,
+                         1.0 * c.compiled_step_cycles,
+                         1.0 * c.timestamp_read_cycles,
+                         1.0 * c.flight_record_build_cycles,
+                         1.0 * c.interp_step_cycles,
+                         1.0 * c.event_build_cycles,
+                         1.0 * c.monitor_call_cycles,
+                         1.0 * c.action_apply_cycles,
+                         1.0 * c.kernel_boundary_cycles,
+                         1.0 * c.reboot_restore_cycles,
+                         0.37,
+                         2500.25};
+  const std::uint64_t pick = rng.UniformU64(0, std::size(pool));
+  if (pick == std::size(pool)) {
+    return c.nvm_commit_cycles_per_byte * static_cast<double>(rng.UniformU64(8, 400)) +
+           c.kernel_boundary_cycles;
   }
+  return pool[pick];
 }
 
-TEST_P(RunChargingTest, ModelWithoutRunsChargesLikePerOperationCharging) {
-  // StochasticPowerModel proves no run, so every operation goes through
-  // Execute; on-times of about two runs put failures inside most runs.
-  const RunRow& row = GetParam();
-  const CostModel& costs = DefaultCostModel();
-  const SimDuration mean_on = 500 * costs.CyclesToTime(row.cycles);
+class ChargePathDifferentialTest : public ::testing::TestWithParam<ChargeScenario> {};
+
+TEST_P(ChargePathDifferentialTest, InlineChargesAreBitIdenticalToConsume) {
+  const ChargeScenario& scenario = GetParam();
+  const Milliwatts powers[] = {0.0, DefaultCostModel().mcu_active_power, 1.7, 24.0};
   std::uint64_t reboots = 0;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Mcu run(std::make_unique<StochasticPowerModel>(mean_on, kSecond, seed), costs);
-    Mcu ref(std::make_unique<StochasticPowerModel>(mean_on, kSecond, seed), costs);
-    for (int i = 0; i < 6; ++i) {
-      const std::string where = "seed " + std::to_string(seed) + " run " + std::to_string(i);
-      ExpectSameRun(run.ExecuteCyclesRun(row.cycles, row.tag, 250),
-                    PerOperationCharge(ref, row, 250), where);
-      ExpectBitIdentical(run, ref, where);
+  std::uint64_t starved = 0;
+  std::uint64_t aborted_appends = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const SimDuration charge = rng.UniformU64(1, 120) * kSecond;
+    const std::size_t flight_bytes = seed % 2 == 0 ? 64 + rng.UniformU64(0, 448) : 0;
+    ChargePair pair(scenario, charge, flight_bytes);
+    for (int op = 0; op < 1500; ++op) {
+      const std::string where = std::string(scenario.name) + " seed " + std::to_string(seed) +
+                                " op " + std::to_string(op);
+      const auto tag = static_cast<CostTag>(rng.UniformU64(0, kNumCostTags - 1));
+      switch (rng.UniformU64(0, 9)) {
+        case 0:
+        case 1: {
+          const SimDuration duration = rng.UniformU64(0, 3 * kMillisecond);
+          const Milliwatts power = powers[rng.UniformU64(0, std::size(powers) - 1)];
+          EXPECT_EQ(pair.bare.Execute(duration, power, tag),
+                    pair.wrapped.Execute(duration, power, tag))
+              << where;
+          break;
+        }
+        case 2:
+        case 3:
+        case 4: {
+          const double cycles = RandomCycles(rng);
+          EXPECT_EQ(pair.bare.ExecuteCycles(cycles, tag), pair.wrapped.ExecuteCycles(cycles, tag))
+              << where;
+          break;
+        }
+        case 5:
+        case 6:
+        case 7: {
+          const double cycles = RandomCycles(rng);
+          const std::size_t count = rng.UniformU64(0, 300);
+          const RunStatus a = pair.bare.ExecuteCyclesRun(cycles, tag, count);
+          const RunStatus b = pair.wrapped.ExecuteCyclesRun(cycles, tag, count);
+          EXPECT_EQ(a.done, b.done) << where;
+          EXPECT_EQ(a.status, b.status) << where;
+          break;
+        }
+        case 8:
+          if (pair.bare_flight != nullptr) {
+            // A verdict record: its build, bytes and evictions are charged.
+            const std::uint64_t at = rng.UniformU64(1, 1u << 20);
+            EXPECT_EQ(pair.bare_flight->AppendVerdict(at, 3, 2, 1),
+                      pair.wrapped_flight->AppendVerdict(at, 3, 2, 1))
+                << where;
+          }
+          break;
+        default: {
+          // What the kernel does between charges: idle (which recharges a
+          // fixed-charge model) or let time pass.
+          const SimDuration idle = rng.UniformU64(0, kSecond);
+          pair.bare.Idle(idle);
+          pair.wrapped.Idle(idle);
+          if (rng.UniformU64(0, 1) == 0) {
+            pair.bare.power_model().NotifyReboot(pair.bare.TrueNow());
+            pair.wrapped.power_model().NotifyReboot(pair.wrapped.TrueNow());
+          }
+          break;
+        }
+      }
+      ExpectSameMcu(pair, where);
+      if (HasFailure()) {
+        return;  // The first divergence explains the rest.
+      }
     }
-    reboots += run.stats().reboots;
+    reboots += pair.bare.stats().reboots;
+    starved += pair.bare.starved() ? 1 : 0;
+    if (pair.bare_flight != nullptr) {
+      aborted_appends += pair.bare_flight->stats().appends_aborted;
+    }
   }
-  EXPECT_GT(reboots, 0u);
+  // Each scenario reaches the paths it is there for.
+  if (scenario.budget_restores == 0.0) {
+    EXPECT_EQ(reboots, 0u);
+  } else if (scenario.budget_restores < 1.0) {
+    EXPECT_EQ(starved, 12u);
+  } else {
+    EXPECT_GT(reboots, 0u);
+    EXPECT_EQ(starved, 0u);
+    EXPECT_GT(aborted_appends, 0u);
+  }
 }
 
-// Flight bytes under kFlight (Mcu::ChargeWriteBytes), and the compiled and
-// interpreted monitor steps under kMonitor (separate component) and
-// kRuntime (inlined checks).
+// Always-on; fixed-charge budgets below one boot restore (every reboot's
+// restore fails until the device starves), just above one (the boot
+// record's append fails often), and a few restores to a hundred (failures
+// land mid-run at every size of run).
 INSTANTIATE_TEST_SUITE_P(
-    Rows, RunChargingTest,
-    ::testing::Values(
-        RunRow{"flight_byte", DefaultCostModel().flight_nvm_write_cycles_per_byte,
-               CostTag::kFlight},
-        RunRow{"compiled_monitor", 1.0 * DefaultCostModel().compiled_step_cycles,
-               CostTag::kMonitor},
-        RunRow{"interpreted_monitor", 1.0 * DefaultCostModel().interp_step_cycles,
-               CostTag::kMonitor},
-        RunRow{"compiled_runtime", 1.0 * DefaultCostModel().compiled_step_cycles,
-               CostTag::kRuntime},
-        RunRow{"interpreted_runtime", 1.0 * DefaultCostModel().interp_step_cycles,
-               CostTag::kRuntime}),
-    [](const ::testing::TestParamInfo<RunRow>& row) { return std::string(row.param.name); });
+    Scenarios, ChargePathDifferentialTest,
+    ::testing::Values(ChargeScenario{"always_on", 0.0}, ChargeScenario{"starving", 0.6},
+                      ChargeScenario{"boot_record_fails", 1.02},
+                      ChargeScenario{"tight", 1.5}, ChargeScenario{"medium", 6.0},
+                      ChargeScenario{"roomy", 100.0}),
+    [](const ::testing::TestParamInfo<ChargeScenario>& row) {
+      return std::string(row.param.name);
+    });
+
+// Always-on power that counts its Consume calls; it keeps the +infinity
+// inline budget.
+class CountingAlwaysOn final : public AlwaysOnPowerModel {
+ public:
+  ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override {
+    ++consume_calls;
+    return AlwaysOnPowerModel::Consume(now, duration, power);
+  }
+
+  std::uint64_t consume_calls = 0;
+};
+
+TEST(ChargePathTest, DecoratorSeesEveryChargeAndBareModelNone) {
+  // On continuous power the bare model completes every charge inline; the
+  // decorator's Consume sees each one, a run's operations one by one.
+  auto counting = std::make_unique<CountingAlwaysOn>();
+  CountingAlwaysOn* const bare_calls = counting.get();
+  Mcu bare(std::move(counting), DefaultCostModel());
+  auto forwarding =
+      std::make_unique<ForwardingPowerModel>(std::make_unique<AlwaysOnPowerModel>());
+  ForwardingPowerModel* const wrapped_calls = forwarding.get();
+  Mcu wrapped(std::move(forwarding), DefaultCostModel());
+  for (Mcu* mcu : {&bare, &wrapped}) {
+    EXPECT_EQ(mcu->ExecuteCycles(85, CostTag::kMonitor), ExecStatus::kOk);
+    EXPECT_EQ(mcu->ExecuteCyclesRun(18, CostTag::kMonitor, 8).done, 8u);
+    EXPECT_EQ(mcu->Execute(kMillisecond, 24.0, CostTag::kApp), ExecStatus::kOk);
+  }
+  EXPECT_EQ(bare_calls->consume_calls, 0u);
+  EXPECT_EQ(wrapped_calls->consume_calls, 10u);
+  EXPECT_EQ(std::bit_cast<StatsBytes>(bare.stats()), std::bit_cast<StatsBytes>(wrapped.stats()));
+}
 
 }  // namespace
 }  // namespace artemis

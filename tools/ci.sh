@@ -29,10 +29,10 @@
 #      must produce byte-identical JSON for --shards 1 and --shards 4, with
 #      exit 0 (the batch-VM differential fuzz runs in stage 1/2/9 via
 #      compiled_monitor_test; fleet_test covers shard/tile determinism);
-#      a scalar-monitor fleet under 1- and 6-minute outages (interpreted
-#      backend) must equal tests/golden/fleet/health_scalar_interpreted.json
-#      for --shards 1 and --shards 4; the same infeasible deployment must be
-#      refused with exit 2.
+#      a scalar-monitor fleet under 1- and 6-minute outages must equal
+#      tests/golden/fleet/health_scalar_<backend>.json for each backend
+#      (interpreted, compiled, builtin) at --shards 1 and --shards 4; the
+#      same infeasible deployment must be refused with exit 2.
 #   7. Benchmark smoke: perfbench/ (the repo's benchmark, its own CMake
 #      package over src/) must build against the engine's public API, pass
 #      `run.py --self-test`, and each workload's smoke-size traced run must
@@ -239,23 +239,27 @@ fi
 echo "ok: fleet JSON is byte-identical for --shards 1 and --shards 4"
 
 # Scalar monitors under outages: every device drives MonitorSet's machine
-# loop through power failures, here with the interpreted backend's 46-cycle
-# steps. The result must not depend on the shard count and must equal the
-# checked-in golden.
+# loop through power failures with each backend's step cost (interpreted 46,
+# compiled 18, builtin 14 cycles) and that backend's reacting machines. The
+# result must not depend on the shard count and must equal the checked-in
+# golden.
 fleet_scalar="$(mktemp /tmp/artemis_fleet_scalar.XXXXXX.json)"
 trap 'rm -f "${trace_tmp}" "${flight_tmp}" "${sweep_j1}" "${sweep_j4}" \
   "${fleet_s1}" "${fleet_s4}" "${fleet_scalar}"' EXIT
-for shards in 1 4; do
-  "${artemisc}" fleet --app health --monitor scalar --backend interpreted --devices 200 \
-    --minutes 480 --charges 1min,6min --shards "${shards}" --format json --out "${fleet_scalar}"
-  if ! diff -u "${repo_root}/tests/golden/fleet/health_scalar_interpreted.json" \
-      "${fleet_scalar}"; then
-    echo "CI FAIL: scalar interpreted fleet (--shards ${shards}) diverged from" \
-      "tests/golden/fleet/health_scalar_interpreted.json" >&2
-    exit 1
-  fi
+for backend in interpreted compiled builtin; do
+  for shards in 1 4; do
+    "${artemisc}" fleet --app health --monitor scalar --backend "${backend}" --devices 200 \
+      --minutes 480 --charges 1min,6min --shards "${shards}" --format json \
+      --out "${fleet_scalar}"
+    if ! diff -u "${repo_root}/tests/golden/fleet/health_scalar_${backend}.json" \
+        "${fleet_scalar}"; then
+      echo "CI FAIL: scalar ${backend} fleet (--shards ${shards}) diverged from" \
+        "tests/golden/fleet/health_scalar_${backend}.json" >&2
+      exit 1
+    fi
+  done
+  echo "ok: scalar ${backend} fleet under outages matches the golden for --shards 1 and 4"
 done
-echo "ok: scalar interpreted fleet under outages matches the golden for --shards 1 and 4"
 
 # Fleet parity: the same infeasible deployment is refused up front.
 rc=0
