@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -46,9 +47,9 @@ inline KernelRunResult RunHealth(MonitorSystem system, SimDuration charge, SimDu
     std::exit(1);
   };
   DeviceRecipe recipe;
-  recipe.graph = BuildHealthApp().graph;
+  recipe.graph = std::make_shared<const AppGraph>(BuildHealthApp().graph);
   StatusOr<SharedSpecArtifactPtr> artifact =
-      BuildSpecArtifact(HealthAppSpec(), recipe.graph, SpecArtifactStage::kAst);
+      BuildSpecArtifact(HealthAppSpec(), *recipe.graph, SpecArtifactStage::kAst);
   if (!artifact.ok()) {
     fail(artifact.status());
   }

@@ -63,8 +63,9 @@ class Status {
   std::string message_;
 };
 
-// Minimal StatusOr: either a value or an error status. Only what the
-// frontend needs; intentionally not a full absl::StatusOr clone.
+// Minimal StatusOr: either a value (status() is OK) or an error status.
+// Only what the frontend needs; intentionally not a full absl::StatusOr
+// clone.
 template <typename T>
 class StatusOr {
  public:
@@ -79,7 +80,7 @@ class StatusOr {
 
  private:
   std::optional<T> value_;
-  Status status_ = Status::Internal("uninitialized StatusOr");
+  Status status_;
 };
 
 }  // namespace artemis

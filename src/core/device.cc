@@ -7,7 +7,8 @@
 namespace artemis {
 
 DeviceRun::DeviceRun(DeviceRecipe recipe) : graph_(std::move(recipe.graph)) {
-  status_ = Assemble(recipe);
+  status_ = graph_ == nullptr ? Status::Invalid("device recipe has no app graph")
+                              : Assemble(recipe);
 }
 
 Status DeviceRun::Assemble(DeviceRecipe& recipe) {
@@ -39,7 +40,7 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
       config.kernel = options;
       config.flight = recorder_.get();
       StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
-          ArtemisRuntime::CreateFromArtifact(&graph_, recipe.artifact, mcu_.get(), config);
+          ArtemisRuntime::CreateFromArtifact(graph_.get(), recipe.artifact, mcu_.get(), config);
       if (!runtime.ok()) {
         return runtime.status();
       }
@@ -49,7 +50,7 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
     }
     case MonitorSystem::kMayfly: {
       StatusOr<std::unique_ptr<MayflyRuntime>> runtime =
-          MayflyRuntime::Create(&graph_, recipe.artifact->ast, mcu_.get(), options);
+          MayflyRuntime::Create(graph_.get(), recipe.artifact->ast, mcu_.get(), options);
       if (!runtime.ok()) {
         return runtime.status();
       }
@@ -58,7 +59,7 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
       break;
     }
     case MonitorSystem::kExternal:
-      kernel_ = &external_kernel_.emplace(&graph_, recipe.checker, mcu_.get(), options);
+      kernel_ = &external_kernel_.emplace(graph_.get(), recipe.checker, mcu_.get(), options);
       break;
   }
 
@@ -70,7 +71,7 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
     installed.header = {SpecHash(recipe.artifact->spec_text), 1};
     installed.artifact = recipe.artifact;
     swap_ = std::make_unique<HotSwapController>(&artemis_->monitors(), std::move(installed),
-                                                &graph_);
+                                                graph_.get());
     swap_->set_flight(recorder_.get());
     if (Status queued = swap_->RequestSwap(std::move(*recipe.swap_image), recipe.swap_at);
         !queued.ok()) {

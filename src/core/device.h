@@ -2,10 +2,13 @@
 //
 // A sweep point, a fleet twin, an `artemisc simulate|profile|trace|
 // forensics|swap` run and the paper benches all describe their device as a
-// DeviceRecipe value; DeviceRun wires it into the Figure 1 loop — app
-// graph, MCU (power supply + timekeeper), flight recorder, observability
-// bus, the monitor system, the kernel, and an optional hot-swap
-// controller — and owns every piece for the length of the run.
+// DeviceRecipe value; DeviceRun wires it into the Figure 1 loop — MCU
+// (power supply + timekeeper), flight recorder, observability bus, the
+// monitor system, the kernel, and an optional hot-swap controller — and
+// owns every piece for the length of the run. What a device only reads it
+// shares: the app graph and the spec artifact are immutable templates that
+// any number of devices, on any threads, run from at once (the app graph
+// is firmware .text; TaskEffect's contract in src/kernel/task.h).
 //
 // Assembly order reaches simulated state, so it is fixed here: the
 // timekeeper is installed when the MCU is built, the flight ring takes its
@@ -41,7 +44,9 @@ enum class MonitorSystem {
 };
 
 struct DeviceRecipe {
-  AppGraph graph;
+  // The app's task graph, shared read-only (sweep::AppTemplate for the demo
+  // apps; a one-off caller wraps its own graph once). Required.
+  std::shared_ptr<const AppGraph> graph;
   // Power supply: always on when `charge` is 0; otherwise each on-period
   // delivers `budget` microjoules and recharging takes `charge`.
   SimDuration charge = 0;
@@ -85,7 +90,7 @@ class DeviceRun {
   // One-shot.
   KernelRunResult Run() { return kernel_->Run(); }
 
-  const AppGraph& graph() const { return graph_; }
+  const AppGraph& graph() const { return *graph_; }
   const IntermittentKernel& kernel() const { return *kernel_; }
   // Exactly one of artemis() / mayfly() is non-null unless the recipe's
   // system is kExternal.
@@ -99,7 +104,7 @@ class DeviceRun {
  private:
   Status Assemble(DeviceRecipe& recipe);
 
-  AppGraph graph_;
+  std::shared_ptr<const AppGraph> graph_;
   std::unique_ptr<Mcu> mcu_;
   std::unique_ptr<flight::FlightRecorder> recorder_;
   std::unique_ptr<ArtemisRuntime> artemis_;

@@ -201,12 +201,11 @@ class TileStepper {
     return counts;
   }
 
-  // Advances every device of the tile through its captured stream and
-  // fills the per-device monitor_events / violations counters. `streams`
-  // and `results` are parallel, sized n <= lanes.
-  void RunTile(std::vector<std::vector<CapturedRecord>>& streams,
-               std::vector<DeviceResult*>& results) {
-    const std::uint32_t n = static_cast<std::uint32_t>(streams.size());
+  // Advances the tile's first `n` <= lanes devices through their captured
+  // streams and fills their monitor_events / violations counters.
+  // `streams` and `results` are indexed by lane.
+  void RunTile(const std::vector<std::vector<CapturedRecord>>& streams, std::uint32_t n,
+               DeviceResult* results) {
     for (std::uint32_t lane = 0; lane < n; ++lane) {
       cursors_[lane] = 0;
       for (BatchCompiledMonitor& m : machines_) {
@@ -230,7 +229,7 @@ class TileStepper {
       std::uint64_t pass_mask = 0;
       std::fill(path_masks_.begin(), path_masks_.end(), std::uint64_t{0});
       for (std::uint32_t lane = 0; lane < n; ++lane) {
-        std::vector<CapturedRecord>& stream = streams[lane];
+        const std::vector<CapturedRecord>& stream = streams[lane];
         std::size_t& cur = cursors_[lane];
         while (cur < stream.size()) {
           const CapturedRecord& rec = stream[cur];
@@ -242,8 +241,8 @@ class TileStepper {
             continue;
           }
           if (EventDead(rec.event)) {
-            ++results[lane]->monitor_events;
-            ++results[lane]->monitor_events_elided;
+            ++results[lane].monitor_events;
+            ++results[lane].monitor_events_elided;
             ++cur;
             continue;
           }
@@ -321,13 +320,13 @@ class TileStepper {
         if (events_[lane] == nullptr) {
           continue;
         }
-        ++results[lane]->monitor_events;
+        ++results[lane].monitor_events;
         ++cursors_[lane];
       }
       for (const std::uint32_t lane : touched_) {
         const MonitorVerdict verdict = Arbitrate(pending_[lane], policy_);
         if (verdict.violated()) {
-          ++results[lane]->violations;
+          ++results[lane].violations;
         }
         pending_[lane].clear();
       }
@@ -584,6 +583,15 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
     return Status::Invalid("fleet: tile must be >= 1");
   }
 
+  // The app's template graph, shared read-only by the artifact build, the
+  // analyzer gate and every device (through FleetContext::app). An unknown
+  // app is refused here, before any device runs.
+  StatusOr<std::shared_ptr<const AppGraph>> app = sweep::AppTemplate(spec.app);
+  if (!app.ok()) {
+    return app.status();
+  }
+  const AppGraph& template_graph = *app.value();
+
   std::string spec_text = spec.spec_text;
   if (spec_text.empty()) {
     StatusOr<std::string> fallback = sweep::DefaultSpecForApp(spec.app);
@@ -594,8 +602,7 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
   }
 
   // One pipeline run for the whole fleet: parse/validate/lower/compile
-  // against a template graph, shared read-only across every shard.
-  const AppGraph template_graph = sweep::BuildAppGraphByName(spec.app);
+  // against the template graph, shared read-only across every shard.
   const SpecArtifactStage stage = spec.monitor == "batch"
                                       ? SpecArtifactStage::kCompiled
                                       : StageForBackend(spec.backend);
@@ -638,25 +645,23 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
     }
     // Batch mode: simulate a tile of devices (capturing their monitor
     // traffic), advance all their monitors together, fold, reuse the
-    // tile buffers for the next slice of the range.
+    // tile buffers for the next slice of the range. Each lane keeps its
+    // capture stream across tiles: a device's run clears it and appends
+    // into the capacity the lane's earlier devices grew.
     TileStepper stepper(ctx.artifact, spec.tile, ArbitrationPolicy::kSeverity);
     if (spec.collect_traffic) {
       stepper.EnableTraffic();
     }
     std::vector<DeviceResult> results(spec.tile);
-    std::vector<std::vector<CapturedRecord>> streams;
-    std::vector<DeviceResult*> result_ptrs;
+    std::vector<std::vector<CapturedRecord>> streams(spec.tile);
     for (std::uint64_t begin = range.begin; begin < range.end; begin += spec.tile) {
       const std::uint64_t end = std::min<std::uint64_t>(begin + spec.tile, range.end);
       const std::uint32_t n = static_cast<std::uint32_t>(end - begin);
-      streams.assign(n, {});
-      result_ptrs.assign(n, nullptr);
       for (std::uint32_t lane = 0; lane < n; ++lane) {
         DeviceInstance instance(ctx, ConfigForDevice(spec, begin + lane));
         results[lane] = instance.RunCapture(&streams[lane]);
-        result_ptrs[lane] = &results[lane];
       }
-      stepper.RunTile(streams, result_ptrs);
+      stepper.RunTile(streams, n, results.data());
       for (std::uint32_t lane = 0; lane < n; ++lane) {
         agg.Fold(results[lane]);
       }

@@ -51,8 +51,11 @@ std::uint64_t DeviceSeed(std::uint64_t fleet_seed, std::uint64_t device_index) {
 
 // ---- CaptureChecker ------------------------------------------------------
 
-CaptureChecker::CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes)
-    : runs_(StepRuns(step_cycles)), fram_bytes_(fram_bytes) {}
+CaptureChecker::CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes,
+                               std::vector<CapturedRecord> buffer)
+    : runs_(StepRuns(step_cycles)), fram_bytes_(fram_bytes), records_(std::move(buffer)) {
+  records_.clear();
+}
 
 void CaptureChecker::HardReset(Mcu& mcu) {
   if (!arena_registered_) {
@@ -133,13 +136,19 @@ DeviceResult DeviceInstance::RunScalar() { return Run(nullptr); }
 
 DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
   CaptureChecker checker(CompiledStepCycles(*ctx_.artifact, DefaultCostModel()),
-                         MirroredFramBytes(*ctx_.artifact));
+                         MirroredFramBytes(*ctx_.artifact), std::move(*records));
   DeviceResult r = Run(&checker);
   *records = checker.TakeRecords();
   return r;
 }
 
 DeviceResult DeviceInstance::Run(CaptureChecker* capture) {
+  StatusOr<std::shared_ptr<const AppGraph>> graph = sweep::AppTemplate(ctx_.app);
+  if (!graph.ok()) {
+    DeviceResult r;
+    r.error = graph.status().ToString();
+    return r;
+  }
   obs::EventBus bus;
   ObsStatsAggregator aggregator;
   DeviceRecipe recipe;
@@ -147,7 +156,7 @@ DeviceResult DeviceInstance::Run(CaptureChecker* capture) {
     bus.AddSink(&aggregator);
     recipe.observer = &bus;
   }
-  recipe.graph = sweep::BuildAppGraphByName(ctx_.app);
+  recipe.graph = std::move(graph).value();
   recipe.charge = config_.charge;
   recipe.budget = config_.budget;
   if (capture != nullptr) {

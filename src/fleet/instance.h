@@ -125,8 +125,11 @@ struct CapturedRecord {
 class CaptureChecker final : public PropertyChecker {
  public:
   // `step_cycles[i]` is monitor i's per-event cost; `fram_bytes` the
-  // MonitorSet footprint to mirror in the NVM arena image.
-  CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes);
+  // MonitorSet footprint to mirror in the NVM arena image. Records go into
+  // `buffer`, cleared first: handing back an earlier TakeRecords() reuses
+  // its capacity.
+  CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes,
+                 std::vector<CapturedRecord> buffer = {});
 
   void HardReset(Mcu& mcu) override;
   void Finalize(Mcu& mcu) override;
@@ -154,10 +157,10 @@ class CaptureChecker final : public PropertyChecker {
   std::uint64_t events_captured_ = 0;
 };
 
-// Read-only state shared by every instance of one fleet run. Each
-// instance builds its own AppGraph from `app` (the sweep engine's
-// one-graph-per-simulation isolation rule); the compiled artifact is
-// immutable by construction and shared across all shards.
+// Read-only state shared by every instance of one fleet run: the app's
+// template graph, which each instance finds by name (sweep::AppTemplate),
+// and the compiled artifact. Both are immutable and shared across all
+// shards; a device owns only its Mcu, kernel and monitor state.
 struct FleetContext {
   std::string app = "health";
   SharedSpecArtifactPtr artifact;
@@ -172,9 +175,9 @@ class DeviceInstance {
   DeviceResult RunScalar();
 
   // Capture-mode run: same device, monitor cycles charged but events
-  // captured into `records` for the batched monitor pass. `monitor_events`
-  // and `violations` are left 0 in the result; the fleet layer fills them
-  // after the batch pass. One-shot.
+  // captured into `records` (cleared first, capacity kept) for the batched
+  // monitor pass. `monitor_events` and `violations` are left 0 in the
+  // result; the fleet layer fills them after the batch pass. One-shot.
   DeviceResult RunCapture(std::vector<CapturedRecord>* records);
 
  private:

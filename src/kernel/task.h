@@ -28,6 +28,13 @@ class TaskContext;  // Defined in channel.h.
 // The data-manipulation body of a task; runs exactly once per committed
 // execution, at commit time, so re-execution after a power failure is
 // idempotent by construction.
+//
+// Contract: an effect is a pure function of its TaskContext. It may capture
+// only constant parameters, and it reaches per-device state (the kernel's
+// Rng and committed channels) only through the context. One AppGraph is the
+// read-only template of many devices at once, like firmware .text shared by
+// every device (sweep::AppTemplate); an effect that kept state of its own
+// would leak it between devices and race between the threads running them.
 using TaskEffect = std::function<void(TaskContext&)>;
 
 struct TaskWork {
@@ -40,7 +47,7 @@ struct TaskWork {
 struct TaskDef {
   std::string name;
   TaskWork work;
-  TaskEffect effect;  // May be empty.
+  TaskEffect effect;  // May be empty; pure (see TaskEffect).
   // Name of the task's monitored dependent variable (the `monitor avgTemp`
   // declaration in Figure 4). When set, EndTask events carry its committed
   // value as dep_data.

@@ -26,9 +26,6 @@
 
 namespace artemis::sweep {
 
-// The engine builds a fresh graph per simulation: task bodies may close
-// over per-instance sensor state, so sharing one graph across concurrent
-// simulations would be a determinism (and thread-safety) hole.
 AppGraph BuildAppGraphByName(const std::string& app) {
   if (app == "greenhouse") {
     return std::move(BuildGreenhouseApp().graph);
@@ -37,6 +34,40 @@ AppGraph BuildAppGraphByName(const std::string& app) {
     return std::move(BuildArApp().graph);
   }
   return std::move(BuildHealthApp().graph);
+}
+
+namespace {
+
+Status UnknownApp(const std::string& app) {
+  return Status::Invalid("unknown app '" + app + "' (health|greenhouse|ar)");
+}
+
+StatusOr<std::shared_ptr<const AppGraph>> FreezeTemplate(const std::string& app) {
+  auto graph = std::make_shared<const AppGraph>(BuildAppGraphByName(app));
+  if (Status valid = graph->Validate(); !valid.ok()) {
+    return valid;
+  }
+  return graph;
+}
+
+}  // namespace
+
+StatusOr<std::shared_ptr<const AppGraph>> AppTemplate(const std::string& app) {
+  // One frozen template per app; a function-local static's first use is
+  // the only build, and C++ makes it thread-safe.
+  if (app == "health") {
+    static const StatusOr<std::shared_ptr<const AppGraph>> health = FreezeTemplate(app);
+    return health;
+  }
+  if (app == "greenhouse") {
+    static const StatusOr<std::shared_ptr<const AppGraph>> greenhouse = FreezeTemplate(app);
+    return greenhouse;
+  }
+  if (app == "ar") {
+    static const StatusOr<std::shared_ptr<const AppGraph>> ar = FreezeTemplate(app);
+    return ar;
+  }
+  return UnknownApp(app);
 }
 
 StatusOr<std::string> DefaultSpecForApp(const std::string& app) {
@@ -49,7 +80,7 @@ StatusOr<std::string> DefaultSpecForApp(const std::string& app) {
   if (app == "ar") {
     return ArAppSpec();
   }
-  return Status::Invalid("unknown app '" + app + "' (health|greenhouse|ar)");
+  return UnknownApp(app);
 }
 
 namespace {
@@ -312,8 +343,13 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
   row.budget = point.budget;
   row.seed = point.seed;
 
+  StatusOr<std::shared_ptr<const AppGraph>> graph = AppTemplate(point.app);
+  if (!graph.ok()) {
+    row.error = graph.status().ToString();
+    return row;
+  }
   DeviceRecipe recipe;
-  recipe.graph = BuildAppGraphByName(point.app);
+  recipe.graph = std::move(graph).value();
   recipe.charge = point.charge;
   recipe.budget = point.budget;
   StatusOr<std::unique_ptr<OutageTimekeeper>> timekeeper = MakeTimekeeper(point.timekeeper);
@@ -347,7 +383,7 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
   // entries with the builtin backend.
   const bool mayfly = point.system == "mayfly";
   StatusOr<SharedSpecArtifactPtr> artifact =
-      cache.Get(point.app, point.spec_text, recipe.graph,
+      cache.Get(point.app, point.spec_text, *recipe.graph,
                 mayfly ? SpecArtifactStage::kAst : StageForBackend(point.backend));
   if (!artifact.ok()) {
     row.error = artifact.status().ToString();
@@ -363,7 +399,7 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
   // Hot-swap axis: queue spec2 as the epoch-2 replacement image before the
   // first boot; the kernel delivers it at quiescence (docs/hotswap.md).
   if (!spec.spec2.text.empty()) {
-    StatusOr<SharedSpecArtifactPtr> next = cache.Get(point.app, spec.spec2.text, recipe.graph,
+    StatusOr<SharedSpecArtifactPtr> next = cache.Get(point.app, spec.spec2.text, *recipe.graph,
                                                      SpecArtifactStage::kCompiled);
     if (!next.ok()) {
       row.error = next.status().ToString();
@@ -457,7 +493,11 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
   // first-appearance order, so the failing spec is deterministic for any
   // job count), before a single point has burned simulation time.
   if (spec.analyze) {
-    const AppGraph graph = BuildAppGraphByName(spec.app);
+    StatusOr<std::shared_ptr<const AppGraph>> app = AppTemplate(spec.app);
+    if (!app.ok()) {
+      return app.status();
+    }
+    const AppGraph& graph = *app.value();
     std::vector<std::string> seen;
     for (const SweepPoint& point : points.value()) {
       if (std::find(seen.begin(), seen.end(), point.spec_text) != seen.end()) {

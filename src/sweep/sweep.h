@@ -6,9 +6,11 @@
 // across N worker threads. Determinism contract (docs/sweep.md):
 //
 //  * every point is an isolated simulation — its own DeviceRun
-//    (src/core/device.h: AppGraph, Mcu, kernel, monitor state, flight
-//    recorder) and observability bus — whose result depends only on the
-//    point's coordinates, never on scheduling;
+//    (src/core/device.h: Mcu, kernel, monitor state, flight recorder) and
+//    observability bus — whose result depends only on the point's
+//    coordinates, never on scheduling; what a point only reads, the app's
+//    template graph (AppTemplate) and the spec artifact, it shares
+//    read-only with every other point;
 //  * results land in a pre-sized table slot indexed by the point's grid
 //    index, so the collected table (and the JSON/CSV/console renderings of
 //    it) is byte-identical for --jobs 1 and --jobs N;
@@ -24,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -168,10 +171,16 @@ struct SweepOutcome {
   bool AllOk() const;
 };
 
-// Builds a fresh per-run AppGraph ("health" | "greenhouse" | "ar";
-// anything else falls back to health). Exposed for the fleet engine and
-// artemisc, which share the sweep's one-graph-per-simulation isolation
-// rule.
+// The immutable template graph of a demo app ("health" | "greenhouse" |
+// "ar"), built and validated once per process on first use and shared
+// read-only by every sweep point, fleet twin, analyzer gate and artemisc
+// run of that app. Sharing is sound because task effects are pure
+// functions of their TaskContext (src/kernel/task.h). Invalid for an
+// unknown name.
+StatusOr<std::shared_ptr<const AppGraph>> AppTemplate(const std::string& app);
+
+// Builds a fresh, caller-owned graph of a demo app (anything else falls
+// back to health). Devices share AppTemplate instead.
 AppGraph BuildAppGraphByName(const std::string& app);
 
 // The embedded property spec of a demo app; Invalid for an unknown name.

@@ -2,6 +2,7 @@
 // builder, and the reporting helpers.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -199,8 +200,8 @@ TEST(DeviceRunTest, MayflyObserverMatchesHandWiring) {
   ObsStatsAggregator recipe_stats;
   bus.AddSink(&recipe_stats);
   DeviceRecipe recipe;
-  recipe.graph = BuildHealthApp().graph;
-  auto artifact = BuildSpecArtifact(HealthAppSpec(), recipe.graph, SpecArtifactStage::kAst);
+  recipe.graph = std::make_shared<const AppGraph>(BuildHealthApp().graph);
+  auto artifact = BuildSpecArtifact(HealthAppSpec(), *recipe.graph, SpecArtifactStage::kAst);
   ASSERT_TRUE(artifact.ok());
   recipe.charge = kCharge;
   recipe.budget = 19'500.0;
@@ -228,8 +229,8 @@ TEST(DeviceRunTest, KernelTraceEqualsTheBusKernelEvents) {
     obs::CollectingSink sink;
     bus.AddSink(&sink);
     DeviceRecipe recipe;
-    recipe.graph = BuildHealthApp().graph;
-    auto artifact = BuildSpecArtifact(HealthAppSpec(), recipe.graph, StageForBackend(backend));
+    recipe.graph = std::make_shared<const AppGraph>(BuildHealthApp().graph);
+    auto artifact = BuildSpecArtifact(HealthAppSpec(), *recipe.graph, StageForBackend(backend));
     ASSERT_TRUE(artifact.ok());
     recipe.charge = 6 * kMinute - kSecond;
     recipe.budget = 19'500.0;

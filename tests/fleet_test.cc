@@ -304,6 +304,24 @@ TEST(FleetValidationTest, RejectsBadSpecs) {
   EXPECT_FALSE(RunFleet(spec).ok());
 }
 
+// An explicit spec used to skip the app check: the fleet then simulated the
+// health app under the unknown name. The template lookup refuses the name
+// before any device runs, whether or not a spec is given.
+TEST(FleetValidationTest, RefusesUnknownAppEvenWithExplicitSpec) {
+  FleetSpec spec;
+  spec.app = "foo";
+  spec.spec_text = sweep::DefaultSpecForApp("health").value();
+  spec.devices = 3;
+  for (const std::string monitor : {"batch", "scalar"}) {
+    spec.monitor = monitor;
+    const StatusOr<FleetOutcome> outcome = RunFleet(spec);
+    ASSERT_FALSE(outcome.ok()) << monitor;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(outcome.status().message().find("'foo'"), std::string::npos)
+        << outcome.status().ToString();
+  }
+}
+
 TEST(FleetValidationTest, AnalyzerGateFailsFastOnInfeasibleDeployment) {
   FleetSpec spec;
   spec.app = "health";

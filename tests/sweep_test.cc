@@ -143,12 +143,12 @@ TEST(SweepEngineTest, RtcAxisMatchesDirectTimekeeperRun) {
   const sweep::SweepRow& row = outcome.value().rows[0];
 
   DeviceRecipe recipe;
-  recipe.graph = BuildHealthApp().graph;
+  recipe.graph = std::make_shared<const AppGraph>(BuildHealthApp().graph);
   recipe.charge = Charge(6);
   recipe.budget = kBudget;
   recipe.timekeeper = std::make_unique<RtcTimekeeper>(std::strtod("0.01", nullptr));
   StatusOr<SharedSpecArtifactPtr> artifact =
-      BuildSpecArtifact(HealthAppSpec(), recipe.graph,
+      BuildSpecArtifact(HealthAppSpec(), *recipe.graph,
                         StageForBackend(MonitorBackend::kBuiltin));
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   recipe.artifact = artifact.value();

@@ -296,6 +296,19 @@ TEST(ArtemiscTest, UnknownAppRejected) {
   EXPECT_EQ(result.exit_code, 2);
 }
 
+// With --spec, fleet used to simulate the health app under the unknown name
+// and exit 0; sweep already refused it.
+TEST(ArtemiscTest, FleetAndSweepRefuseUnknownAppWithSpec) {
+  const std::string spec = std::string(ARTEMIS_SOURCE_DIR) + "/examples/specs/health.prop";
+  for (const std::string verb : {"fleet --devices 2", "sweep"}) {
+    const RunResult result = RunCli(verb + " --app foo --format json --spec " + spec);
+    EXPECT_EQ(result.exit_code, 2) << verb << ": " << result.output;
+    EXPECT_NE(result.output.find("unknown app 'foo'"), std::string::npos)
+        << verb << ": " << result.output;
+    EXPECT_EQ(result.output.find("\"app\": \"foo\""), std::string::npos) << result.output;
+  }
+}
+
 // Every numeric flag goes through one strict parser: a non-number, trailing
 // junk, or an out-of-range value is a usage error naming the flag.
 TEST(ArtemiscTest, NumericFlagsRejectJunk) {

@@ -51,6 +51,7 @@
 #include <initializer_list>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -265,7 +266,7 @@ bool ParseNamed(const char* what, const char* text, std::initializer_list<E> val
 }
 
 struct DemoApp {
-  AppGraph graph;
+  std::shared_ptr<const AppGraph> graph;  // Never null.
   std::string default_spec;
 };
 
@@ -281,17 +282,17 @@ std::optional<DemoApp> MakeApp(const Args& args) {
       std::fprintf(stderr, "app-file error: %s\n", parsed.status().ToString().c_str());
       return std::nullopt;
     }
-    app.graph = std::move(parsed.value().graph);
+    app.graph = std::make_shared<const AppGraph>(std::move(parsed.value().graph));
     app.default_spec = "";  // Properties must come from --spec / the argument.
     return app;
   }
-  StatusOr<std::string> spec = sweep::DefaultSpecForApp(args.app);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "artemisc: %s\n", spec.status().message().c_str());
+  StatusOr<std::shared_ptr<const AppGraph>> graph = sweep::AppTemplate(args.app);
+  if (!graph.ok()) {
+    std::fprintf(stderr, "artemisc: %s\n", graph.status().message().c_str());
     return std::nullopt;
   }
-  app.graph = sweep::BuildAppGraphByName(args.app);
-  app.default_spec = std::move(spec).value();
+  app.graph = std::move(graph).value();
+  app.default_spec = sweep::DefaultSpecForApp(args.app).value();
   return app;
 }
 
@@ -349,7 +350,7 @@ std::optional<FrontHalf> RunFrontHalf(const Args& args, FILE* warnings, int* exi
     std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
     return std::nullopt;
   }
-  const ValidationResult validation = SpecValidator::Validate(parsed.value(), app->graph);
+  const ValidationResult validation = SpecValidator::Validate(parsed.value(), *app->graph);
   if (!validation.ok()) {
     std::fprintf(stderr, "validation error: %s\n", validation.status.ToString().c_str());
     return std::nullopt;
@@ -359,7 +360,7 @@ std::optional<FrontHalf> RunFrontHalf(const Args& args, FILE* warnings, int* exi
       std::fprintf(warnings, "warning: %s\n", warning.c_str());
     }
   }
-  auto machines = LowerSpec(parsed.value(), app->graph, {});
+  auto machines = LowerSpec(parsed.value(), *app->graph, {});
   if (!machines.ok()) {
     std::fprintf(stderr, "lowering error: %s\n", machines.status().ToString().c_str());
     return std::nullopt;
@@ -367,7 +368,7 @@ std::optional<FrontHalf> RunFrontHalf(const Args& args, FILE* warnings, int* exi
   FrontHalf front{std::move(*source), std::move(*app), std::move(parsed).value(),
                   std::move(machines).value(), DiagnosticEngine()};
   if (!args.no_analyze) {
-    front.engine = AnalyzeMachines(front.machines, front.app.graph, AnalysisOptionsFor(args));
+    front.engine = AnalyzeMachines(front.machines, *front.app.graph, AnalysisOptionsFor(args));
   }
   return front;
 }
@@ -401,7 +402,7 @@ int RunCheck(const Args& args) {
     if (!spec2.has_value()) {
       return kExitUsage;
     }
-    const AppGraph& graph = front->app.graph;
+    const AppGraph& graph = *front->app.graph;
     StatusOr<MonitorImage> old_image = BuildMonitorImage(front->source, graph, 1);
     StatusOr<MonitorImage> new_image = BuildMonitorImage(*spec2, graph, 2);
     if (!old_image.ok() || !new_image.ok()) {
@@ -453,7 +454,7 @@ int RunCodegen(const Args& args, bool dot) {
   const bool analyzer_errors = front->engine.HasErrors();
   if (dot) {
     const DotAnnotations annotations = AnnotationsFromDiagnostics(front->engine.diagnostics());
-    std::printf("%s", MachinesToDot(front->machines, front->app.graph, &annotations).c_str());
+    std::printf("%s", MachinesToDot(front->machines, *front->app.graph, &annotations).c_str());
     return analyzer_errors ? kExitFindings : kExitClean;
   }
   if (analyzer_errors) {
@@ -465,7 +466,7 @@ int RunCodegen(const Args& args, bool dot) {
   CodegenOptions options;
   options.immortal_macros = args.immortal;
   std::printf("%s",
-              CCodeGenerator(options).Generate(front->machines, front->app.graph).c_str());
+              CCodeGenerator(options).Generate(front->machines, *front->app.graph).c_str());
   return kExitClean;
 }
 
@@ -526,11 +527,11 @@ obs::JsonlOptions TraceHeader(const Args& args, SimDuration charge, std::string 
 // The device every run-style subcommand simulates: the app on --budget
 // microjoules per on-period with `charge` recharge time (0 = continuous
 // power), monitored by `artifact` under --backend, and given up as
-// non-terminating after 12 h of simulated time. Takes the app's graph.
-DeviceRecipe AppDevice(DemoApp& app, const Args& args, SimDuration charge,
+// non-terminating after 12 h of simulated time.
+DeviceRecipe AppDevice(const DemoApp& app, const Args& args, SimDuration charge,
                        SharedSpecArtifactPtr artifact) {
   DeviceRecipe recipe;
-  recipe.graph = std::move(app.graph);
+  recipe.graph = app.graph;
   recipe.charge = charge;
   recipe.budget = args.budget;
   recipe.artifact = std::move(artifact);
@@ -548,7 +549,7 @@ int RunProfile(const Args& args) {
     return 2;
   }
   StatusOr<SharedSpecArtifactPtr> artifact =
-      BuildSpecArtifact(app->default_spec, app->graph, StageForBackend(args.backend));
+      BuildSpecArtifact(app->default_spec, *app->graph, StageForBackend(args.backend));
   if (!artifact.ok()) {
     return SetupFailure(artifact.status());
   }
@@ -590,14 +591,14 @@ int RunSimulate(const Args& args) {
   }
   StatusOr<SharedSpecArtifactPtr> artifact = Status::Internal("unset");
   if (args.system == "artemis") {
-    artifact = BuildSpecArtifact(*source, app->graph, StageForBackend(args.backend));
+    artifact = BuildSpecArtifact(*source, *app->graph, StageForBackend(args.backend));
   } else if (args.system == "mayfly") {
     auto parsed = ParseSpec(args, *source);
     if (!parsed.ok()) {
       std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
       return 1;
     }
-    artifact = BuildSpecArtifactFromAst(parsed.value(), app->graph, SpecArtifactStage::kAst);
+    artifact = BuildSpecArtifactFromAst(parsed.value(), *app->graph, SpecArtifactStage::kAst);
   } else {
     std::fprintf(stderr, "artemisc: unknown system '%s'\n", args.system.c_str());
     return 2;
@@ -664,10 +665,10 @@ int RunTrace(const Args& args) {
   ObsStatsAggregator stats;
   if (args.format == "jsonl") {
     jsonl = std::make_unique<obs::JsonlSink>(
-        trace_out, TraceHeader(args, *charge, args.schedule, app->graph));
+        trace_out, TraceHeader(args, *charge, args.schedule, *app->graph));
     bus.AddSink(jsonl.get());
   } else if (args.format == "perfetto") {
-    perfetto = std::make_unique<obs::PerfettoSink>(trace_out, TaskNames(app->graph));
+    perfetto = std::make_unique<obs::PerfettoSink>(trace_out, TaskNames(*app->graph));
     bus.AddSink(perfetto.get());
   } else if (args.format == "stats") {
     bus.AddSink(&stats);
@@ -678,7 +679,7 @@ int RunTrace(const Args& args) {
   }
 
   StatusOr<SharedSpecArtifactPtr> artifact =
-      BuildSpecArtifact(*source, app->graph, StageForBackend(args.backend));
+      BuildSpecArtifact(*source, *app->graph, StageForBackend(args.backend));
   if (!artifact.ok()) {
     return SetupFailure(artifact.status());
   }
@@ -761,17 +762,17 @@ int RunForensics(const Args& args) {
   StatusOr<SharedSpecArtifactPtr> artifact = Status::Internal("unset");
   std::optional<MonitorImage> swap_image;
   if (args.spec2_path.empty()) {
-    artifact = BuildSpecArtifact(*source, app->graph, StageForBackend(backend));
+    artifact = BuildSpecArtifact(*source, *app->graph, StageForBackend(backend));
     if (!artifact.ok()) {
       return SetupFailure(artifact.status());
     }
   } else {
-    StatusOr<MonitorImage> old_image = BuildMonitorImage(*source, app->graph, 1);
+    StatusOr<MonitorImage> old_image = BuildMonitorImage(*source, *app->graph, 1);
     if (!old_image.ok()) {
       std::fprintf(stderr, "spec error: %s\n", old_image.status().ToString().c_str());
       return kExitFindings;
     }
-    StatusOr<MonitorImage> new_image = BuildMonitorImage(source2, app->graph, 2);
+    StatusOr<MonitorImage> new_image = BuildMonitorImage(source2, *app->graph, 2);
     if (!new_image.ok()) {
       std::fprintf(stderr, "spec2 error: %s\n", new_image.status().ToString().c_str());
       return kExitFindings;
@@ -875,12 +876,12 @@ int RunSwapCmd(const Args& args) {
   if (!source2.has_value()) {
     return kExitUsage;
   }
-  StatusOr<MonitorImage> old_image = BuildMonitorImage(*source1, app->graph, 1);
+  StatusOr<MonitorImage> old_image = BuildMonitorImage(*source1, *app->graph, 1);
   if (!old_image.ok()) {
     std::fprintf(stderr, "spec-v1 error: %s\n", old_image.status().ToString().c_str());
     return kExitFindings;
   }
-  StatusOr<MonitorImage> new_image = BuildMonitorImage(*source2, app->graph, 2);
+  StatusOr<MonitorImage> new_image = BuildMonitorImage(*source2, *app->graph, 2);
   if (!new_image.ok()) {
     std::fprintf(stderr, "spec-v2 error: %s\n", new_image.status().ToString().c_str());
     return kExitFindings;
@@ -889,7 +890,7 @@ int RunSwapCmd(const Args& args) {
   FILE* chatter = args.json ? stderr : stdout;
   if (!args.no_analyze) {
     const DiagnosticEngine engine =
-        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, AnalysisOptionsFor(args));
+        AnalyzeSwap(old_image.value(), new_image.value(), *app->graph, AnalysisOptionsFor(args));
     if (args.json) {
       std::printf("%s", engine.RenderJson().c_str());
     } else {

@@ -23,16 +23,21 @@
 #      verify skill) may use only flags its subcommand's usage entry lists.
 #   5. Sweep determinism smoke: `artemisc sweep` over a small grid must
 #      produce byte-identical JSON for --jobs 1 and --jobs 4, with exit 0;
-#      a statically infeasible deployment must be refused with exit 2
-#      before any point runs.
+#      the greenhouse and ar apps over both systems, all backends, three
+#      charges and a full flight recorder must equal
+#      tests/golden/sweep/<app>.json at --jobs 1 and 4; a statically
+#      infeasible deployment must be refused with exit 2 before any point
+#      runs.
 #   6. Fleet determinism smoke: `artemisc fleet` over a small device fleet
 #      must produce byte-identical JSON for --shards 1 and --shards 4, with
 #      exit 0 (the batch-VM differential fuzz runs in stage 1/2/9 via
 #      compiled_monitor_test; fleet_test covers shard/tile determinism);
 #      a scalar-monitor fleet under 1- and 6-minute outages must equal
 #      tests/golden/fleet/health_scalar_<backend>.json for each backend
-#      (interpreted, compiled, builtin) at --shards 1 and --shards 4; the
-#      same infeasible deployment must be refused with exit 2.
+#      (interpreted, compiled, builtin) at --shards 1 and --shards 4; a
+#      batch fleet over 16-device tiles must equal
+#      tests/golden/fleet/health_batch.json at --shards 1 and 4; the same
+#      infeasible deployment must be refused with exit 2.
 #   7. Benchmark smoke: perfbench/ (the repo's benchmark, its own CMake
 #      package over src/) must build against the engine's public API, pass
 #      `run.py --self-test`, and each workload's smoke-size traced run must
@@ -209,6 +214,22 @@ if ! diff -q "${sweep_j1}" "${sweep_j4}" > /dev/null; then
 fi
 echo "ok: sweep JSON is byte-identical for --jobs 1 and --jobs 4"
 
+# Every point of every app runs on that app's one shared template graph: the
+# non-health apps, through both monitor systems, all three backends, outages
+# and a full flight recorder, must equal their checked-in goldens.
+for app in greenhouse ar; do
+  for jobs in 1 4; do
+    "${artemisc}" sweep --app "${app}" --systems artemis,mayfly \
+      --backends builtin,interpreted,compiled --charges continuous,1min,6min \
+      --seeds 1,2,3 --flight full --jobs "${jobs}" --format json --out "${sweep_j1}"
+    if ! diff -u "${repo_root}/tests/golden/sweep/${app}.json" "${sweep_j1}"; then
+      echo "CI FAIL: ${app} sweep (--jobs ${jobs}) diverged from tests/golden/sweep/${app}.json" >&2
+      exit 1
+    fi
+  done
+  echo "ok: ${app} sweep matches the golden for --jobs 1 and 4"
+done
+
 # A statically infeasible deployment must be refused before any point runs,
 # identically for any job count: exit 2 (usage-level refusal), not a grid
 # of failing rows.
@@ -237,6 +258,20 @@ if ! diff -q "${fleet_s1}" "${fleet_s4}" > /dev/null; then
   exit 1
 fi
 echo "ok: fleet JSON is byte-identical for --shards 1 and --shards 4"
+
+# Batch mode over many tiles: with --tile 16 each lane's capture buffer is
+# reused across tiles, and every shard ends on a partial tile.
+for shards in 1 4; do
+  "${artemisc}" fleet --app health --devices 200 --iterations 1 \
+    --charges continuous,6min --tile 16 --shards "${shards}" --format json \
+    --out "${fleet_s1}"
+  if ! diff -u "${repo_root}/tests/golden/fleet/health_batch.json" "${fleet_s1}"; then
+    echo "CI FAIL: batch fleet (--tile 16, --shards ${shards}) diverged from" \
+      "tests/golden/fleet/health_batch.json" >&2
+    exit 1
+  fi
+done
+echo "ok: batch fleet over 16-device tiles matches the golden for --shards 1 and 4"
 
 # Scalar monitors under outages: every device drives MonitorSet's machine
 # loop through power failures with each backend's step cost (interpreted 46,
