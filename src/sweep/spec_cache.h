@@ -7,9 +7,8 @@
 // request it concurrently — losers of the build race block until the
 // winner's artifact is ready and then share it.
 //
-// Keys include a 64-bit FNV-1a hash of the spec text for cheap display /
-// logging, but lookup compares the full key string, so hash collisions
-// cannot alias two different specs.
+// The key is the scope, stage and lowering flags followed by the full spec
+// text, so two different specs can never share an entry.
 #ifndef SRC_SWEEP_SPEC_CACHE_H_
 #define SRC_SWEEP_SPEC_CACHE_H_
 
@@ -25,9 +24,6 @@
 #include "src/monitor/shared_spec.h"
 
 namespace artemis {
-
-// FNV-1a over the spec text; stable across platforms and runs.
-std::uint64_t SpecTextHash(const std::string& text);
 
 class CompiledSpecCache {
  public:

@@ -1,8 +1,10 @@
 #include "src/sweep/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -161,6 +163,20 @@ std::string FormatFixed(double value, int digits) {
   char buf[std::numeric_limits<double>::max_exponent10 + 64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
   return buf;
+}
+
+// printf into a string sized to the text, so no cell is cut short.
+[[gnu::format(printf, 1, 2)]] std::string Printf(const char* format, ...) {
+  std::va_list args;
+  va_start(args, format);
+  std::va_list measure;
+  va_copy(measure, args);
+  const int size = std::vsnprintf(nullptr, 0, format, measure);
+  va_end(measure);
+  std::string out(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
+  std::vsnprintf(out.data(), out.size() + 1, format, args);
+  va_end(args);
+  return out;
 }
 
 std::string ChargeCell(SimDuration charge) {
@@ -331,8 +347,10 @@ StatusOr<std::vector<SweepPoint>> ExpandGrid(const SweepSpec& spec) {
   return points;
 }
 
-SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
-                       CompiledSpecCache& cache) {
+namespace {
+
+// A point's row before anything runs: its coordinates only.
+SweepRow PointRow(const SweepPoint& point) {
   SweepRow row;
   row.index = point.index;
   row.system = point.system;
@@ -342,34 +360,71 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
   row.charge = point.charge;
   row.budget = point.budget;
   row.seed = point.seed;
+  return row;
+}
 
+// The setup half of a point: the template lookup, the timekeeper parse and
+// the point's cache requests (two with spec2), written into `recipe`. A
+// failure becomes the point's error row.
+Status SetUpDevice(const SweepPoint& point, const SweepSpec& spec, CompiledSpecCache& cache,
+                   DeviceRecipe* recipe) {
   StatusOr<std::shared_ptr<const AppGraph>> graph = AppTemplate(point.app);
   if (!graph.ok()) {
-    row.error = graph.status().ToString();
-    return row;
+    return graph.status();
   }
-  DeviceRecipe recipe;
-  recipe.graph = std::move(graph).value();
-  recipe.charge = point.charge;
-  recipe.budget = point.budget;
+  recipe->graph = std::move(graph).value();
+  recipe->charge = point.charge;
+  recipe->budget = point.budget;
   StatusOr<std::unique_ptr<OutageTimekeeper>> timekeeper = MakeTimekeeper(point.timekeeper);
   if (!timekeeper.ok()) {
-    row.error = timekeeper.status().ToString();
-    return row;
+    return timekeeper.status();
   }
-  recipe.timekeeper = std::move(timekeeper).value();
+  recipe->timekeeper = std::move(timekeeper).value();
 
   // A non-"off" flight axis attaches a per-point recorder: the ring lives in
   // this point's NVM arena and every append is charged to this point's MCU,
-  // so the footprint numbers below are isolated per row.
+  // so the footprint numbers are isolated per row.
   StatusOr<flight::FlightLevel> flight_level = ParseFlightAxis(spec.flight);
   if (!flight_level.ok()) {
-    row.error = flight_level.status().ToString();
-    return row;
+    return flight_level.status();
   }
-  recipe.flight = flight_level.value();
-  recipe.flight_bytes = spec.flight_bytes;
+  recipe->flight = flight_level.value();
+  recipe->flight_bytes = spec.flight_bytes;
 
+  // Mayfly derives its rules from the AST, so it shares kAst-stage cache
+  // entries with the builtin backend.
+  const bool mayfly = point.system == "mayfly";
+  StatusOr<SharedSpecArtifactPtr> artifact =
+      cache.Get(point.app, point.spec_text, *recipe->graph,
+                mayfly ? SpecArtifactStage::kAst : StageForBackend(point.backend));
+  if (!artifact.ok()) {
+    return artifact.status();
+  }
+  recipe->system = mayfly ? MonitorSystem::kMayfly : MonitorSystem::kArtemis;
+  recipe->artifact = artifact.value();
+  recipe->backend = point.backend;
+  recipe->kernel.seed = point.seed;
+  recipe->kernel.max_wall_time = spec.max_wall;
+  recipe->kernel.record_trace = spec.record_trace;
+
+  // Hot-swap axis: queue spec2 as the epoch-2 replacement image before the
+  // first boot; the kernel delivers it at quiescence (docs/hotswap.md).
+  if (!spec.spec2.text.empty()) {
+    StatusOr<SharedSpecArtifactPtr> next = cache.Get(point.app, spec.spec2.text, *recipe->graph,
+                                                     SpecArtifactStage::kCompiled);
+    if (!next.ok()) {
+      return next.status();
+    }
+    recipe->swap_image = MonitorImage{{SpecHash(spec.spec2.text), 2}, next.value()};
+    recipe->swap_at = spec.swap_at;
+  }
+  return Status::Ok();
+}
+
+// The simulation half of a point: assembles and runs its device, then fills
+// in the row's simulated fields. Returns whether the device ran.
+bool SimulateDevice(const SweepPoint& point, const SweepSpec& spec, DeviceRecipe recipe,
+                    SweepRow* row) {
   // Per-point bus + aggregator: attaching costs zero simulated cycles, so
   // collect_stats never perturbs the simulated results.
   obs::EventBus bus;
@@ -378,75 +433,228 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
     bus.AddSink(&aggregator);
     recipe.observer = &bus;
   }
-
-  // Mayfly derives its rules from the AST, so it shares kAst-stage cache
-  // entries with the builtin backend.
-  const bool mayfly = point.system == "mayfly";
-  StatusOr<SharedSpecArtifactPtr> artifact =
-      cache.Get(point.app, point.spec_text, *recipe.graph,
-                mayfly ? SpecArtifactStage::kAst : StageForBackend(point.backend));
-  if (!artifact.ok()) {
-    row.error = artifact.status().ToString();
-    return row;
-  }
-  recipe.system = mayfly ? MonitorSystem::kMayfly : MonitorSystem::kArtemis;
-  recipe.artifact = artifact.value();
-  recipe.backend = point.backend;
-  recipe.kernel.seed = point.seed;
-  recipe.kernel.max_wall_time = spec.max_wall;
-  recipe.kernel.record_trace = spec.record_trace;
-
-  // Hot-swap axis: queue spec2 as the epoch-2 replacement image before the
-  // first boot; the kernel delivers it at quiescence (docs/hotswap.md).
-  if (!spec.spec2.text.empty()) {
-    StatusOr<SharedSpecArtifactPtr> next = cache.Get(point.app, spec.spec2.text, *recipe.graph,
-                                                     SpecArtifactStage::kCompiled);
-    if (!next.ok()) {
-      row.error = next.status().ToString();
-      return row;
-    }
-    recipe.swap_image = MonitorImage{{SpecHash(spec.spec2.text), 2}, next.value()};
-    recipe.swap_at = spec.swap_at;
-  }
-
   DeviceRun device(std::move(recipe));
   if (!device.status().ok()) {
-    row.error = device.status().ToString();
-    return row;
+    row->error = device.status().ToString();
+    return false;
   }
-  row.result = device.Run();
-  row.ok = true;
+  row->result = device.Run();
+  row->ok = true;
   if (device.artemis() != nullptr) {
-    row.monitor_events = device.artemis()->monitors().events_processed();
-    row.violations = device.artemis()->monitors().violations_reported();
+    row->monitor_events = device.artemis()->monitors().events_processed();
+    row->violations = device.artemis()->monitors().violations_reported();
   }
   if (const HotSwapController* swap = device.swap(); swap != nullptr) {
     const SwapStats& ss = swap->stats();
-    row.metrics.emplace_back("swap_applied", static_cast<double>(ss.swaps_applied));
-    row.metrics.emplace_back("swap_attempts", static_cast<double>(ss.attempts_started));
-    row.metrics.emplace_back("swap_staged_bytes", static_cast<double>(ss.bytes_staged));
-    row.metrics.emplace_back("swap_epoch", static_cast<double>(swap->installed().epoch));
+    row->metrics.emplace_back("swap_applied", static_cast<double>(ss.swaps_applied));
+    row->metrics.emplace_back("swap_attempts", static_cast<double>(ss.attempts_started));
+    row->metrics.emplace_back("swap_staged_bytes", static_cast<double>(ss.bytes_staged));
+    row->metrics.emplace_back("swap_epoch", static_cast<double>(swap->installed().epoch));
   }
   if (spec.collect_stats) {
-    row.stats = aggregator;
+    row->stats = aggregator;
   }
   if (spec.post_run) {
     spec.post_run(point, SweepRunArtifacts{device.artemis(), device.mayfly(), &device.graph()},
-                  &row);
+                  row);
   }
   if (const flight::FlightRecorder* recorder = device.flight(); recorder != nullptr) {
     const flight::FlightStats& fs = recorder->stats();
-    row.flight_enabled = true;
-    row.flight_sealed = fs.records_sealed;
-    row.flight_dropped = fs.appends_aborted + fs.records_evicted + fs.records_dropped;
-    row.flight_bytes = fs.bytes_sealed;
-    const double total = row.result.stats.TotalEnergy();
+    row->flight_enabled = true;
+    row->flight_sealed = fs.records_sealed;
+    row->flight_dropped = fs.appends_aborted + fs.records_evicted + fs.records_dropped;
+    row->flight_bytes = fs.bytes_sealed;
+    const double total = row->result.stats.TotalEnergy();
     if (total > 0.0) {
-      row.flight_energy_share =
-          row.result.stats.energy[static_cast<int>(CostTag::kFlight)] / total;
+      row->flight_energy_share =
+          row->result.stats.energy[static_cast<int>(CostTag::kFlight)] / total;
     }
   }
-  std::sort(row.metrics.begin(), row.metrics.end());
+  std::sort(row->metrics.begin(), row->metrics.end());
+  return true;
+}
+
+// A folded member takes the simulated fields of its class's run; its
+// coordinates and its setup stay its own.
+void ShareRun(const SweepRow& run, SweepRow* row) {
+  row->ok = run.ok;
+  row->error = run.error;
+  row->result = run.result;
+  row->monitor_events = run.monitor_events;
+  row->violations = run.violations;
+  row->stats = run.stats;
+  row->flight_enabled = run.flight_enabled;
+  row->flight_sealed = run.flight_sealed;
+  row->flight_dropped = run.flight_dropped;
+  row->flight_bytes = run.flight_bytes;
+  row->flight_energy_share = run.flight_energy_share;
+  row->metrics = run.metrics;
+}
+
+// A device class: the points that differ only in coordinates their device
+// never reads. Its members are `first` moved along each folded axis.
+struct DeviceClass {
+  std::size_t first = 0;  // grid index of the class's first point
+  std::size_t backends = 1;
+  std::size_t timekeepers = 1;
+  std::size_t budgets = 1;
+  std::size_t backend_stride = 0;
+  std::size_t timekeeper_stride = 0;
+  std::size_t budget_stride = 0;
+
+  std::size_t Member(std::size_t backend, std::size_t timekeeper, std::size_t budget) const {
+    return first + backend * backend_stride + timekeeper * timekeeper_stride +
+           budget * budget_stride;
+  }
+};
+
+// The device classes of a grid (docs/sweep.md, "Device classes"):
+//  * Mayfly ignores the backend: DeviceRecipe::backend is read only for the
+//    ARTEMIS system, and every Mayfly point requests the same kAst artifact.
+//  * Continuous power ignores the budget: DeviceRun passes the budget only to
+//    fixed-charge power.
+//  * A run with no outage ignores its timekeeper: its one reader,
+//    PersistentClock::NotifyOutage, runs only on the MCU's power-failure
+//    path. A class folds every timekeeper, and RunClass splits it per
+//    timekeeper when its first run had an outage.
+// Seeds never fold (the seed reaches the kernel's Rng), and a post_run grid
+// folds nothing: the hook reads each point's own device. Classes are
+// numbered in the order of their first points, by index arithmetic over
+// ExpandGrid's axis order (spec, system, backend, timekeeper, budget,
+// charge, seed), so folding allocates nothing per point.
+class DeviceClasses {
+ public:
+  explicit DeviceClasses(const SweepSpec& spec) : spec_(spec), fold_(!spec.post_run) {
+    // Every charge leads a class with the first budget; under folding a
+    // continuous charge leads with no other.
+    for (std::size_t c = 0; c < spec.charges.size(); ++c) {
+      if (!fold_ || spec.charges[c] != 0) {
+        every_budget_.push_back(c);
+      }
+    }
+    const std::size_t pairs =
+        spec.charges.size() + (spec.budgets.size() - 1) * every_budget_.size();
+    per_timekeeper_ = pairs * spec.seeds.size();
+    per_backend_ = (fold_ ? 1 : spec.timekeepers.size()) * per_timekeeper_;
+    for (std::size_t system = 0; system < spec.systems.size(); ++system) {
+      per_spec_ += PerSystem(system);
+    }
+    charge_stride_ = spec.seeds.size();
+    budget_stride_ = spec.charges.size() * charge_stride_;
+    timekeeper_stride_ = spec.budgets.size() * budget_stride_;
+    backend_stride_ = spec.timekeepers.size() * timekeeper_stride_;
+    system_stride_ = spec.backends.size() * backend_stride_;
+  }
+
+  std::size_t size() const { return spec_.specs.size() * per_spec_; }
+
+  DeviceClass operator[](std::size_t index) const {
+    const std::size_t source = index / per_spec_;
+    std::size_t rest = index % per_spec_;
+    std::size_t system = 0;
+    while (rest >= PerSystem(system)) {
+      rest -= PerSystem(system);
+      ++system;
+    }
+    const std::size_t backend = rest / per_backend_;
+    rest %= per_backend_;
+    const std::size_t timekeeper = rest / per_timekeeper_;
+    rest %= per_timekeeper_;
+    const std::size_t seed = rest % spec_.seeds.size();
+    // (budget, charge) pairs in index order: the first budget with every
+    // charge, then each later budget with the every_budget_ charges.
+    std::size_t pair = rest / spec_.seeds.size();
+    std::size_t budget = 0;
+    std::size_t charge = pair;
+    if (pair >= spec_.charges.size()) {
+      pair -= spec_.charges.size();
+      budget = 1 + pair / every_budget_.size();
+      charge = every_budget_[pair % every_budget_.size()];
+    }
+
+    DeviceClass cls;
+    cls.first = (source * spec_.systems.size() + system) * system_stride_ +
+                backend * backend_stride_ + timekeeper * timekeeper_stride_ +
+                budget * budget_stride_ + charge * charge_stride_ + seed;
+    cls.backends = FoldsBackend(system) ? spec_.backends.size() : 1;
+    cls.timekeepers = fold_ ? spec_.timekeepers.size() : 1;
+    cls.budgets = fold_ && spec_.charges[charge] == 0 ? spec_.budgets.size() : 1;
+    cls.backend_stride = backend_stride_;
+    cls.timekeeper_stride = timekeeper_stride_;
+    cls.budget_stride = budget_stride_;
+    return cls;
+  }
+
+ private:
+  bool FoldsBackend(std::size_t system) const {
+    return fold_ && spec_.systems[system] == "mayfly";
+  }
+  std::size_t PerSystem(std::size_t system) const {
+    return (FoldsBackend(system) ? 1 : spec_.backends.size()) * per_backend_;
+  }
+
+  const SweepSpec& spec_;
+  bool fold_;
+  std::vector<std::size_t> every_budget_;  // charges that lead with every budget
+  // Classes per spec / system / backend / timekeeper value.
+  std::size_t per_spec_ = 0;
+  std::size_t per_backend_ = 0;
+  std::size_t per_timekeeper_ = 0;
+  // ExpandGrid's index strides (a seed's is 1).
+  std::size_t charge_stride_ = 0;
+  std::size_t budget_stride_ = 0;
+  std::size_t timekeeper_stride_ = 0;
+  std::size_t backend_stride_ = 0;
+  std::size_t system_stride_ = 0;
+};
+
+// Runs one device class into its members' rows and returns how many
+// devices ran. Every member does its own setup. The first run serves every
+// timekeeper if it had no outage; otherwise each timekeeper runs its own
+// device, still shared across the class's backends and budgets.
+std::uint64_t RunClass(const DeviceClass& cls, const std::vector<SweepPoint>& points,
+                       const SweepSpec& spec, CompiledSpecCache& cache,
+                       std::vector<SweepRow>& rows) {
+  std::uint64_t devices = 0;
+  const SweepRow* first_run = nullptr;
+  for (std::size_t timekeeper = 0; timekeeper < cls.timekeepers; ++timekeeper) {
+    const bool outage_free =
+        first_run != nullptr && first_run->ok && first_run->result.stats.reboots == 0;
+    const SweepRow* run = outage_free ? first_run : nullptr;
+    for (std::size_t backend = 0; backend < cls.backends; ++backend) {
+      for (std::size_t budget = 0; budget < cls.budgets; ++budget) {
+        const SweepPoint& point = points[cls.Member(backend, timekeeper, budget)];
+        SweepRow& row = rows[point.index];
+        row = PointRow(point);
+        DeviceRecipe recipe;
+        if (const Status setup = SetUpDevice(point, spec, cache, &recipe); !setup.ok()) {
+          row.error = setup.ToString();
+        } else if (run != nullptr) {
+          ShareRun(*run, &row);
+        } else {
+          devices += SimulateDevice(point, spec, std::move(recipe), &row) ? 1 : 0;
+          run = &row;
+          if (first_run == nullptr) {
+            first_run = &row;
+          }
+        }
+      }
+    }
+  }
+  return devices;
+}
+
+}  // namespace
+
+SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
+                       CompiledSpecCache& cache) {
+  SweepRow row = PointRow(point);
+  DeviceRecipe recipe;
+  if (const Status setup = SetUpDevice(point, spec, cache, &recipe); !setup.ok()) {
+    row.error = setup.ToString();
+  } else {
+    SimulateDevice(point, spec, std::move(recipe), &row);
+  }
   return row;
 }
 
@@ -559,14 +767,17 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
   SweepOutcome outcome;
   outcome.rows.resize(points.value().size());
 
-  const std::size_t n = points.value().size();
-  jobs = ClampWorkers(jobs, n);
-  // Each worker claims the next unclaimed point and writes its row into
-  // the slot owned by that point's index: no two workers touch the same
-  // row, and the collected table is independent of claim order.
-  ParallelFor(jobs, n, [&outcome, &points, &spec, &shared](std::size_t i) {
-    outcome.rows[i] = RunSweepPoint(points.value()[i], spec, shared);
+  const DeviceClasses classes(spec);
+  jobs = ClampWorkers(jobs, classes.size());
+  std::atomic<std::uint64_t> devices_run{0};
+  // Each worker claims the next unclaimed device class and writes each
+  // member's row into the slot owned by that member's index: no two workers
+  // touch the same row, and the collected table is independent of claim
+  // order.
+  ParallelFor(jobs, classes.size(), [&](std::size_t c) {
+    devices_run += RunClass(classes[c], points.value(), spec, shared, outcome.rows);
   });
+  outcome.devices_run = devices_run;
 
   outcome.cache_requests = shared.requests() - requests0;
   outcome.cache_builds = shared.builds() - builds0;
@@ -692,28 +903,22 @@ std::string RenderCsv(const SweepOutcome& outcome) {
 }
 
 std::string RenderTable(const SweepOutcome& outcome) {
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line), "%5s  %-8s %-10s %-12s %-18s %-11s %-22s %12s %8s %6s\n",
-                "index", "system", "spec", "backend", "timekeeper", "charge", "outcome",
-                "energy_uj", "events", "viol");
-  out += line;
+  std::string out = Printf("%5s  %-8s %-10s %-12s %-18s %-11s %-22s %12s %8s %6s\n", "index",
+                           "system", "spec", "backend", "timekeeper", "charge", "outcome",
+                           "energy_uj", "events", "viol");
   for (const SweepRow& row : outcome.rows) {
-    std::snprintf(line, sizeof(line), "%5zu  %-8s %-10s %-12s %-18s %-11s %-22s %12s %8llu %6llu\n",
-                  row.index, row.system.c_str(), row.spec_label.c_str(), row.backend.c_str(),
+    out += Printf("%5zu  %-8s %-10s %-12s %-18s %-11s %-22s %12s %8llu %6llu\n", row.index,
+                  row.system.c_str(), row.spec_label.c_str(), row.backend.c_str(),
                   row.timekeeper.c_str(), ChargeCell(row.charge).c_str(),
                   OutcomeCell(row).c_str(), FormatFixed(row.result.stats.TotalEnergy(), 1).c_str(),
                   static_cast<unsigned long long>(row.monitor_events),
                   static_cast<unsigned long long>(row.violations));
-    out += line;
     if (row.flight_enabled) {
-      std::snprintf(line, sizeof(line),
-                    "       flight: %llu sealed, %llu dropped, %llu B, %s%% energy\n",
+      out += Printf("       flight: %llu sealed, %llu dropped, %llu B, %s%% energy\n",
                     static_cast<unsigned long long>(row.flight_sealed),
                     static_cast<unsigned long long>(row.flight_dropped),
                     static_cast<unsigned long long>(row.flight_bytes),
                     FormatFixed(row.flight_energy_share * 100.0, 2).c_str());
-      out += line;
     }
     if (!row.ok) {
       out += "       error: " + row.error + "\n";

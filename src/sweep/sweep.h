@@ -5,12 +5,18 @@
 // engine expands their cartesian product into SweepPoints and executes them
 // across N worker threads. Determinism contract (docs/sweep.md):
 //
-//  * every point is an isolated simulation — its own DeviceRun
-//    (src/core/device.h: Mcu, kernel, monitor state, flight recorder) and
-//    observability bus — whose result depends only on the point's
-//    coordinates, never on scheduling; what a point only reads, the app's
-//    template graph (AppTemplate) and the spec artifact, it shares
-//    read-only with every other point;
+//  * every point's result depends only on its coordinates, never on
+//    scheduling. Points that differ only in coordinates their device never
+//    reads form one device class and share one simulation, a DeviceRun
+//    (src/core/device.h: Mcu, kernel, monitor state, flight recorder) with
+//    its observability bus: Mayfly ignores the backend, continuous power
+//    the budget, and a run with no outage its timekeeper (a class whose
+//    first run had an outage runs once per timekeeper). Seeds never fold,
+//    and a grid with a post_run hook keeps one device per point. Every
+//    point still does its own setup: its template lookup, timekeeper parse
+//    and cache requests (one per point, two with spec2). What a device only
+//    reads, the app's template graph (AppTemplate) and the spec artifact,
+//    it shares read-only with every other device;
 //  * results land in a pre-sized table slot indexed by the point's grid
 //    index, so the collected table (and the JSON/CSV/console renderings of
 //    it) is byte-identical for --jobs 1 and --jobs N;
@@ -107,7 +113,8 @@ struct SweepSpec {
   // C++-only hook, run inside the worker after the point's simulation, for
   // bench-specific metric extraction into SweepRow::metrics. Must be
   // thread-safe (it runs concurrently for different points) and must
-  // derive metrics only from the passed artifacts for determinism.
+  // derive metrics only from the passed artifacts for determinism. A grid
+  // with a hook runs every point as its own device.
   std::function<void(const SweepPoint&, const SweepRunArtifacts&, SweepRow*)> post_run;
 };
 
@@ -167,6 +174,10 @@ struct SweepOutcome {
   std::uint64_t cache_parses = 0;
   std::uint64_t cache_lowerings = 0;
   std::uint64_t cache_compilations = 0;
+  // Devices the engine ran, one per device class (one per timekeeper in a
+  // class whose first run had an outage); error rows run none. Deterministic,
+  // and not rendered.
+  std::uint64_t devices_run = 0;
 
   bool AllOk() const;
 };
@@ -207,8 +218,9 @@ Status PreAnalyzeSpec(const std::string& engine_name, const std::string& label,
 StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs,
                                 CompiledSpecCache* cache = nullptr);
 
-// Runs a single already-expanded point (the engine's worker body; exposed
-// for tests that compare against serial execution).
+// Runs a single already-expanded point as its own device, through the same
+// setup and simulation halves the engine runs (exposed for tests and
+// benchmarks that compare against serial execution).
 SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
                        CompiledSpecCache& cache);
 

@@ -1,13 +1,23 @@
 // Tests for the parallel deterministic sweep engine (src/sweep): grid
 // expansion, byte-identical export across worker counts, per-point equality
-// with direct serial runs, the compiled-spec cache's build-once guarantee,
-// error-row reporting, and the grid JSON loader.
+// with direct serial runs, the device-class fold, the compiled-spec cache's
+// build-once guarantee, error-row reporting, table rendering, and the grid
+// JSON loader.
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -436,10 +446,218 @@ TEST(SweepGridJsonTest, RejectsInexactSeedsAndByteCounts) {
   EXPECT_EQ(grid.value().flight_bytes, 512u);
 }
 
-TEST(SpecTextHashTest, IsStableAndCollisionResistantEnough) {
-  EXPECT_EQ(SpecTextHash("abc"), SpecTextHash("abc"));
-  EXPECT_NE(SpecTextHash("abc"), SpecTextHash("abd"));
-  EXPECT_NE(SpecTextHash(""), SpecTextHash(" "));
+// RenderTable sizes each line to its content: a row longer than any fixed
+// buffer keeps every column and its newline.
+TEST(SweepRenderTest, LongCellsKeepEveryColumnAndTheirNewline) {
+  StatusOr<sweep::SweepSpec> long_label = sweep::ParseGridJson(
+      R"({"specs": [{"label": ")" + std::string(250, 'L') + R"("}], "seeds": [1, 2]})");
+  ASSERT_TRUE(long_label.ok()) << long_label.status().ToString();
+  sweep::SweepSpec long_clock;
+  long_clock.timekeepers = {"rtc:0." + std::string(240, '0') + "1"};
+  long_clock.seeds = {1, 2};
+  for (const sweep::SweepSpec& grid : {long_label.value(), long_clock}) {
+    StatusOr<sweep::SweepOutcome> outcome = sweep::RunSweep(grid, 1);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_TRUE(outcome.value().AllOk());
+    std::vector<std::string> lines;
+    std::istringstream table(sweep::RenderTable(outcome.value()));
+    for (std::string line; std::getline(table, line);) {
+      lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 3u);  // the header and one line per row
+    for (std::size_t i = 0; i < 2; ++i) {
+      const sweep::SweepRow& row = outcome.value().rows[i];
+      const std::string& line = lines[i + 1];
+      EXPECT_NE(line.find(" " + row.spec_label + " "), std::string::npos) << line;
+      EXPECT_NE(line.find(" " + row.timekeeper + " "), std::string::npos) << line;
+      EXPECT_NE(line.find(" " + FormatDuration(row.result.finished_at) + " "), std::string::npos)
+          << line;
+      char tail[64];
+      std::snprintf(tail, sizeof(tail), " %12.1f %8llu %6llu", row.result.stats.TotalEnergy(),
+                    static_cast<unsigned long long>(row.monitor_events),
+                    static_cast<unsigned long long>(row.violations));
+      ASSERT_GT(line.size(), std::strlen(tail));
+      EXPECT_EQ(line.substr(line.size() - std::strlen(tail)), tail) << line;
+    }
+  }
+}
+
+// ---- the device-class fold -----------------------------------------------
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// Every field of a row: McuStats bit for bit, the obs stats through Render().
+void ExpectSameRow(const sweep::SweepRow& got, const sweep::SweepRow& want) {
+  SCOPED_TRACE("row " + std::to_string(want.index));
+  EXPECT_EQ(got.index, want.index);
+  EXPECT_EQ(got.system, want.system);
+  EXPECT_EQ(got.spec_label, want.spec_label);
+  EXPECT_EQ(got.backend, want.backend);
+  EXPECT_EQ(got.timekeeper, want.timekeeper);
+  EXPECT_EQ(got.charge, want.charge);
+  EXPECT_EQ(Bits(got.budget), Bits(want.budget));
+  EXPECT_EQ(got.seed, want.seed);
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.result.completed, want.result.completed);
+  EXPECT_EQ(got.result.starved, want.result.starved);
+  EXPECT_EQ(got.result.timed_out, want.result.timed_out);
+  EXPECT_EQ(got.result.finished_at, want.result.finished_at);
+  EXPECT_EQ(got.result.iterations_completed, want.result.iterations_completed);
+  for (std::size_t tag = 0; tag < want.result.stats.energy.size(); ++tag) {
+    EXPECT_EQ(got.result.stats.busy_time[tag], want.result.stats.busy_time[tag]) << tag;
+    EXPECT_EQ(Bits(got.result.stats.energy[tag]), Bits(want.result.stats.energy[tag])) << tag;
+  }
+  EXPECT_EQ(got.result.stats.reboots, want.result.stats.reboots);
+  EXPECT_EQ(got.result.stats.charging_time, want.result.stats.charging_time);
+  EXPECT_EQ(got.monitor_events, want.monitor_events);
+  EXPECT_EQ(got.violations, want.violations);
+  ASSERT_EQ(got.stats.has_value(), want.stats.has_value());
+  if (want.stats.has_value()) {
+    EXPECT_EQ(got.stats->Render(), want.stats->Render());
+  }
+  EXPECT_EQ(got.flight_enabled, want.flight_enabled);
+  EXPECT_EQ(got.flight_sealed, want.flight_sealed);
+  EXPECT_EQ(got.flight_dropped, want.flight_dropped);
+  EXPECT_EQ(got.flight_bytes, want.flight_bytes);
+  EXPECT_EQ(Bits(got.flight_energy_share), Bits(want.flight_energy_share));
+  ASSERT_EQ(got.metrics.size(), want.metrics.size());
+  for (std::size_t m = 0; m < want.metrics.size(); ++m) {
+    EXPECT_EQ(got.metrics[m].first, want.metrics[m].first);
+    EXPECT_EQ(Bits(got.metrics[m].second), Bits(want.metrics[m].second));
+  }
+}
+
+// The fold oracle: at jobs 1, 4 and 8, every row RunSweep folds equals
+// RunSweepPoint run alone on that point, so do the JSON, CSV and table
+// renderings and the cache counts, and the engine runs `devices` devices.
+void ExpectFoldMatchesPointRuns(const sweep::SweepSpec& grid, std::uint64_t requests_per_point,
+                                std::uint64_t devices) {
+  StatusOr<std::vector<sweep::SweepPoint>> points = sweep::ExpandGrid(grid);
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  CompiledSpecCache cache;
+  sweep::SweepOutcome alone;
+  for (const sweep::SweepPoint& point : points.value()) {
+    alone.rows.push_back(sweep::RunSweepPoint(point, grid, cache));
+  }
+  alone.cache_requests = cache.requests();
+  alone.cache_builds = cache.builds();
+  alone.cache_parses = cache.parses();
+  alone.cache_lowerings = cache.lowerings();
+  alone.cache_compilations = cache.compilations();
+  EXPECT_EQ(alone.cache_requests, requests_per_point * points.value().size());
+
+  for (const int jobs : {1, 4, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    StatusOr<sweep::SweepOutcome> folded = sweep::RunSweep(grid, jobs);
+    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+    ASSERT_EQ(folded.value().rows.size(), alone.rows.size());
+    for (std::size_t i = 0; i < alone.rows.size(); ++i) {
+      ExpectSameRow(folded.value().rows[i], alone.rows[i]);
+    }
+    EXPECT_EQ(folded.value().cache_requests, alone.cache_requests);
+    EXPECT_EQ(folded.value().cache_builds, alone.cache_builds);
+    EXPECT_EQ(folded.value().cache_parses, alone.cache_parses);
+    EXPECT_EQ(folded.value().cache_lowerings, alone.cache_lowerings);
+    EXPECT_EQ(folded.value().cache_compilations, alone.cache_compilations);
+    EXPECT_EQ(sweep::RenderJson(grid, folded.value()), sweep::RenderJson(grid, alone));
+    EXPECT_EQ(sweep::RenderCsv(folded.value()), sweep::RenderCsv(alone));
+    EXPECT_EQ(sweep::RenderTable(folded.value()), sweep::RenderTable(alone));
+    EXPECT_EQ(folded.value().devices_run, devices);
+  }
+}
+
+// Mayfly folds its backends, continuous power its budgets, and an
+// outage-free run its timekeepers. The 10^8 uJ budget gives charged runs
+// that never fail, so the timekeeper rule is tested beyond continuous
+// power. Per seed: ARTEMIS 3 backends x (continuous 1 + 1min and 6min x
+// (19,500 uJ: 4 timekeepers + 10^8 uJ: 1)) = 33, Mayfly 1 x 11 = 11.
+TEST(SweepFoldTest, FoldedRowsEqualPointsRunAlone) {
+  sweep::SweepSpec grid;
+  grid.systems = {"artemis", "mayfly"};
+  grid.backends = {"builtin", "interpreted", "compiled"};
+  grid.charges = {0, Charge(1), Charge(6)};
+  grid.timekeepers = {"default", "ideal", "rtc:0.01", "remanence:30s:0.1"};
+  grid.budgets = {kBudget, 1e8};
+  grid.seeds = {1, 2};
+  grid.flight = "full";
+  grid.collect_stats = true;
+  ExpectFoldMatchesPointRuns(grid, 1, 88);  // of 288 points
+}
+
+// Class numbering is index arithmetic over the axis order, so irregular
+// axes must fold too: Mayfly listed first and twice, two continuous charges
+// that are not first, three budgets. Per system entry: 2 continuous
+// devices, and per charged schedule 1 device for each outage-free budget
+// (10^8 and 5x10^7 uJ) plus 3 timekeepers at 19,500 uJ; ARTEMIS runs that
+// for each of its 2 backends: (2 + 2 x 5) x (1 + 2 + 1) = 48 devices.
+TEST(SweepFoldTest, IrregularAxesFold) {
+  sweep::SweepSpec grid;
+  grid.systems = {"mayfly", "artemis", "mayfly"};
+  grid.backends = {"compiled", "builtin"};
+  grid.charges = {Charge(1), 0, Charge(6), 0};
+  grid.timekeepers = {"rtc:0.01", "default", "ideal"};
+  grid.budgets = {1e8, kBudget, 5e7};
+  grid.seeds = {3};
+  ExpectFoldMatchesPointRuns(grid, 1, 48);  // of 216 points
+}
+
+// A hot-swap grid requests two artifacts per point, and its continuous
+// points fold their timekeepers.
+TEST(SweepFoldTest, SwapGridFoldsAndKeepsTwoRequestsPerPoint) {
+  std::ifstream file(std::filesystem::path(ARTEMIS_SOURCE_DIR) / "examples/specs/health.prop");
+  std::stringstream health;
+  health << file.rdbuf();
+  ASSERT_FALSE(health.str().empty());
+  sweep::SweepSpec grid;
+  grid.backends = {"compiled"};
+  grid.charges = {0, Charge(6)};
+  grid.timekeepers = {"default", "rtc:0.01"};
+  grid.seeds = {1, 2};
+  grid.spec2 = {"health.prop", health.str()};
+  grid.swap_at = 2 * kMinute;
+  grid.flight = "full";
+  ExpectFoldMatchesPointRuns(grid, 2, 6);  // of 8 points
+}
+
+TEST(SweepFoldTest, UnparseableSpecRunsNoDevice) {
+  sweep::SweepSpec grid;
+  grid.specs = {{"broken", "not a spec at all {"}};
+  grid.systems = {"artemis", "mayfly"};
+  grid.backends = {"builtin", "compiled"};
+  grid.charges = {0, Charge(1)};
+  grid.timekeepers = {"default", "rtc:0.01"};
+  ExpectFoldMatchesPointRuns(grid, 1, 0);
+}
+
+// A post_run hook reads the device itself, so every point keeps its own
+// device and the hook sees each point's own coordinates.
+TEST(SweepFoldTest, PostRunGridKeepsOneDevicePerPoint) {
+  std::mutex mu;
+  std::multiset<std::tuple<std::size_t, std::string, std::string, bool>> calls;
+  sweep::SweepSpec grid;
+  grid.systems = {"artemis", "mayfly"};
+  grid.backends = {"builtin", "compiled"};
+  grid.charges = {0, Charge(1)};
+  grid.timekeepers = {"default", "rtc:0.01"};
+  grid.budgets = {kBudget, 1e8};
+  grid.post_run = [&](const sweep::SweepPoint& point, const sweep::SweepRunArtifacts& run,
+                      sweep::SweepRow*) {
+    const std::lock_guard<std::mutex> lock(mu);
+    calls.emplace(point.index, point.backend_name, point.timekeeper, run.mayfly != nullptr);
+  };
+  StatusOr<std::vector<sweep::SweepPoint>> points = sweep::ExpandGrid(grid);
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  ExpectFoldMatchesPointRuns(grid, 1, points.value().size());
+
+  // Once per point for the serial reference and once per job count.
+  EXPECT_EQ(calls.size(), 4 * points.value().size());
+  for (const sweep::SweepPoint& point : points.value()) {
+    EXPECT_EQ(calls.count({point.index, point.backend_name, point.timekeeper,
+                           point.system == "mayfly"}),
+              4u)
+        << point.index;
+  }
 }
 
 }  // namespace

@@ -25,9 +25,12 @@
 #      produce byte-identical JSON for --jobs 1 and --jobs 4, with exit 0;
 #      the greenhouse and ar apps over both systems, all backends, three
 #      charges and a full flight recorder must equal
-#      tests/golden/sweep/<app>.json at --jobs 1 and 4; a statically
-#      infeasible deployment must be refused with exit 2 before any point
-#      runs.
+#      tests/golden/sweep/<app>.json at --jobs 1 and 4, and so must two
+#      health grids whose points fold into shared device runs
+#      (tests/golden/sweep/health_fold.json: four timekeepers, two budgets,
+#      --stats; tests/golden/sweep/health_swap.json: a hot-swap grid); a
+#      statically infeasible deployment must be refused with exit 2 before
+#      any point runs.
 #   6. Fleet determinism smoke: `artemisc fleet` over a small device fleet
 #      must produce byte-identical JSON for --shards 1 and --shards 4, with
 #      exit 0 (the batch-VM differential fuzz runs in stage 1/2/9 via
@@ -229,6 +232,31 @@ for app in greenhouse ar; do
   done
   echo "ok: ${app} sweep matches the golden for --jobs 1 and 4"
 done
+
+# Points that differ only in coordinates their device never reads share one
+# run (docs/sweep.md, "Device classes"): Mayfly's backends, continuous
+# power's budgets, an outage-free run's timekeepers. Folded grids must still
+# equal their goldens, rendered with one device per point. The spec paths
+# stay relative, because a row's spec label is the path as given.
+for jobs in 1 4; do
+  (cd "${repo_root}" && "${artemisc}" sweep --app health --systems artemis,mayfly \
+    --backends builtin,interpreted,compiled --charges continuous,1min,6min \
+    --timekeepers default,ideal,rtc:0.01,remanence:30s:0.1 --budgets 19500,100000000 \
+    --seeds 1,2 --flight full --stats --jobs "${jobs}" --format json --out "${sweep_j1}")
+  if ! diff -u "${repo_root}/tests/golden/sweep/health_fold.json" "${sweep_j1}"; then
+    echo "CI FAIL: health fold sweep (--jobs ${jobs}) diverged from tests/golden/sweep/health_fold.json" >&2
+    exit 1
+  fi
+  (cd "${repo_root}" && "${artemisc}" sweep --app health --systems artemis --backends compiled \
+    --charges continuous,6min --timekeepers default,rtc:0.01 --seeds 1,2 \
+    --spec examples/specs/health.prop --spec2 examples/specs/health.prop --swap-at 2min \
+    --flight full --jobs "${jobs}" --format json --out "${sweep_j1}")
+  if ! diff -u "${repo_root}/tests/golden/sweep/health_swap.json" "${sweep_j1}"; then
+    echo "CI FAIL: health swap sweep (--jobs ${jobs}) diverged from tests/golden/sweep/health_swap.json" >&2
+    exit 1
+  fi
+done
+echo "ok: folded health sweeps match their goldens for --jobs 1 and 4"
 
 # A statically infeasible deployment must be refused before any point runs,
 # identically for any job count: exit 2 (usage-level refusal), not a grid
