@@ -57,6 +57,11 @@ int main() {
   grid.charges = {ChargeTime(6)};
   grid.budgets = {kOnBudgetUj};
   grid.max_wall = 8 * kHour;
+  // The maxAttempt 1 variant is degenerate on purpose: its `att < 0` guard
+  // is always false, which the analyzer gate refuses as ART003 (the shape of
+  // the examples/specs/bad/unsat_guard.prop fixture). The ablation measures
+  // that variant, so it runs without the gate.
+  grid.analyze = false;
   auto outcome = sweep::RunSweep(grid, SweepJobs());
   if (!outcome.ok() || !outcome.value().AllOk()) {
     std::fprintf(stderr, "ablation sweep failed: %s\n",

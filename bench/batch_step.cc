@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/apps/health_app.h"
+#include "src/base/json.h"
 #include "src/base/units.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/instance.h"
@@ -539,52 +540,44 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "batch_step: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  char line[256];
-  out << "{\n  \"bench\": \"batch_step\",\n";
-  out << "  \"host_cpus\": " << host_cpus << ",\n";
-  out << "  \"lanes\": " << kLanes << ",\n  \"reps\": " << kReps << ",\n";
-  out << "  \"per_class_events_per_sec\": {\n";
-  for (std::size_t i = 0; i < class_benches.size(); ++i) {
-    const ClassBench& b = class_benches[i];
-    std::snprintf(line, sizeof(line),
-                  "    \"%s\": {\"median\": %.0f, \"min\": %.0f, \"max\": %.0f}%s\n",
-                  b.key.c_str(), b.sample.median, b.sample.min, b.sample.max,
-                  i + 1 < class_benches.size() ? "," : "");
-    out << line;
+  const auto sample = [](const Sample& s, JsonWriter* w) {
+    w->BeginObject(JsonLayout::kInline).Key("median").Fixed(s.median, 0);
+    w->Key("min").Fixed(s.min, 0).Key("max").Fixed(s.max, 0).End();
+  };
+  std::string json;
+  JsonWriter w(&json);
+  w.BeginObject(JsonLayout::kBlock).Key("bench").String("batch_step");
+  w.Key("host_cpus").Int(host_cpus).Key("lanes").Int(kLanes).Key("reps").Int(kReps);
+  w.Key("per_class_events_per_sec").BeginObject(JsonLayout::kBlock);
+  for (const ClassBench& b : class_benches) {
+    sample(b.sample, &w.Key(b.key));
   }
-  out << "  },\n";
-  out << "  \"health_mix\": {\n    \"machines\": " << machines.size() << ",\n";
-  out << "    \"tiles_per_rep\": " << kTilesPerRep << ",\n";
-  out << "    \"device_events_per_rep\": " << events_per_tile * kTilesPerRep << ",\n";
-  std::snprintf(line, sizeof(line),
-                "    \"device_events_per_sec\": {\"median\": %.0f, \"min\": %.0f, "
-                "\"max\": %.0f},\n",
-                mix.median, mix.min, mix.max);
-  out << line;
-  out << "    \"note\": \"device-events/sec: one device event steps every machine\"\n  },\n";
-  out << "  \"measured_class_traffic\": {";
+  w.End().Key("health_mix").BeginObject(JsonLayout::kBlock);
+  w.Key("machines").Int(machines.size()).Key("tiles_per_rep").Int(kTilesPerRep);
+  w.Key("device_events_per_rep").Int(events_per_tile * kTilesPerRep);
+  sample(mix, &w.Key("device_events_per_sec"));
+  w.Key("note").String("device-events/sec: one device event steps every machine").End();
+  w.Key("measured_class_traffic").BeginObject(JsonLayout::kInline);
   for (std::size_t c = 0; c < class_traffic.size(); ++c) {
-    out << (c == 0 ? "" : ", ") << "\"" << kClassNames[c] << "\": " << class_traffic[c];
+    w.Key(kClassNames[c]).Int(class_traffic[c]);
   }
-  out << "},\n";
-  out << "  \"elision\": {\n    \"fleet_devices\": " << spec.devices << ",\n";
-  out << "    \"monitor_events\": " << fo.agg.monitor_events << ",\n";
-  out << "    \"monitor_events_elided\": " << fo.agg.monitor_events_elided << ",\n";
-  std::snprintf(line, sizeof(line), "    \"elision_rate\": %.6f,\n", elision_rate);
-  out << line;
-  out << "    \"fleet_dead_columns\": " << fo.dead_columns << ",\n";
-  out << "    \"fleet_total_columns\": " << fo.total_columns << ",\n";
-  out << "    \"per_machine_dead_columns\": [";
-  for (std::size_t i = 0; i < machines.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "[" << machines[i].dead_column_count() << ", "
-        << machines[i].column_count() << "]";
+  w.End().Key("elision").BeginObject(JsonLayout::kBlock).Key("fleet_devices").Int(spec.devices);
+  w.Key("monitor_events").Int(fo.agg.monitor_events);
+  w.Key("monitor_events_elided").Int(fo.agg.monitor_events_elided);
+  w.Key("elision_rate").Fixed(elision_rate, 6).Key("fleet_dead_columns").Int(fo.dead_columns);
+  w.Key("fleet_total_columns").Int(fo.total_columns);
+  w.Key("per_machine_dead_columns").BeginArray(JsonLayout::kInline);
+  for (const BatchCompiledMonitor& m : machines) {
+    w.BeginArray(JsonLayout::kInline).Int(m.dead_column_count()).Int(m.column_count()).End();
   }
-  out << "],\n";
-  out << "    \"note\": \"health machines are path-scoped; the fleet elides via "
-         "per-path dead tables, and the strict all-machine dead-column count is 0 "
-         "because one path-0 machine has a catch-all state — the honest elision "
-         "rate on this app is near zero, the win comes from in-VM self-loop "
-         "dropping (see measured_class_traffic)\"\n  }\n}\n";
+  w.End();
+  w.Key("note").String(
+      "health machines are path-scoped; the fleet elides via per-path dead tables, and the "
+      "strict all-machine dead-column count is 0 because one path-0 machine has a catch-all "
+      "state — the honest elision rate on this app is near zero, the win comes from in-VM "
+      "self-loop dropping (see measured_class_traffic)");
+  w.End().End();
+  out << json << '\n';
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/json.h"
 #include "src/sim/mcu.h"
 #include "src/sweep/sweep.h"
 
@@ -107,40 +108,28 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "flight_overhead: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out << "{\n  \"bench\": \"flight_overhead\",\n  \"app\": \"health\",\n";
-  out << "  \"schedule\": \"6min\",\n  \"ring_bytes\": " << kRingBytes << ",\n";
-  out << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n";
-  out << "  \"levels\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const LevelResult& r = results[i];
-    const double per_record_cycles =
-        r.sealed == 0 ? 0.0 : static_cast<double>(r.flight_cycles) / static_cast<double>(r.sealed);
-    const double per_record_energy =
-        r.sealed == 0 ? 0.0 : r.flight_energy / static_cast<double>(r.sealed);
-    char line[512];
-    std::snprintf(
-        line, sizeof(line),
-        "    {\"level\": \"%s\", \"completed\": %s, \"finished_at_us\": %llu, "
-        "\"energy_uj\": %.3f, \"reboots\": %llu, \"records_sealed\": %llu, "
-        "\"records_dropped\": %llu, \"bytes_sealed\": %llu, \"flight_cycles\": %llu, "
-        "\"flight_energy_uj\": %.3f, \"cycles_per_record\": %.2f, "
-        "\"energy_uj_per_record\": %.4f, \"energy_overhead_vs_off\": %.5f, "
-        "\"time_overhead_vs_off\": %.5f}%s\n",
-        r.level.c_str(), r.completed ? "true" : "false",
-        static_cast<unsigned long long>(r.finished_at), r.total_energy,
-        static_cast<unsigned long long>(r.reboots),
-        static_cast<unsigned long long>(r.sealed),
-        static_cast<unsigned long long>(r.dropped),
-        static_cast<unsigned long long>(r.bytes),
-        static_cast<unsigned long long>(r.flight_cycles), r.flight_energy,
-        per_record_cycles, per_record_energy,
-        (r.total_energy - off.total_energy) / off.total_energy,
-        (static_cast<double>(r.finished_at) - static_cast<double>(off.finished_at)) /
-            static_cast<double>(off.finished_at),
-        i + 1 < results.size() ? "," : "");
-    out << line;
+  std::string json;
+  JsonWriter w(&json);
+  w.BeginObject(JsonLayout::kBlock).Key("bench").String("flight_overhead");
+  w.Key("app").String("health").Key("schedule").String("6min").Key("ring_bytes").Int(kRingBytes);
+  w.Key("deterministic").Bool(deterministic).Key("levels").BeginArray(JsonLayout::kBlock);
+  for (const LevelResult& r : results) {
+    const double sealed = static_cast<double>(r.sealed);
+    const double off_time = static_cast<double>(off.finished_at);
+    w.BeginObject(JsonLayout::kInline).Key("level").String(r.level);
+    w.Key("completed").Bool(r.completed).Key("finished_at_us").Int(r.finished_at);
+    w.Key("energy_uj").Fixed(r.total_energy, 3).Key("reboots").Int(r.reboots);
+    w.Key("records_sealed").Int(r.sealed).Key("records_dropped").Int(r.dropped);
+    w.Key("bytes_sealed").Int(r.bytes).Key("flight_cycles").Int(r.flight_cycles);
+    w.Key("flight_energy_uj").Fixed(r.flight_energy, 3);
+    w.Key("cycles_per_record").Fixed(r.sealed == 0 ? 0.0 : r.flight_cycles / sealed, 2);
+    w.Key("energy_uj_per_record").Fixed(r.sealed == 0 ? 0.0 : r.flight_energy / sealed, 4);
+    const double energy_overhead = (r.total_energy - off.total_energy) / off.total_energy;
+    w.Key("energy_overhead_vs_off").Fixed(energy_overhead, 5);
+    w.Key("time_overhead_vs_off").Fixed((r.finished_at - off_time) / off_time, 5).End();
   }
-  out << "  ]\n}\n";
+  w.End().End();
+  out << json << '\n';
   std::printf("wrote %s\n", out_path.c_str());
   return deterministic ? 0 : 1;
 }

@@ -37,32 +37,31 @@ std::string RenderDiagnosticText(const Diagnostic& d, const std::string& file) {
 }
 
 std::string RenderDiagnosticsJson(const std::vector<Diagnostic>& diagnostics) {
-  std::ostringstream out;
-  out << "[";
-  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-    const Diagnostic& d = diagnostics[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "  {\n";
-    out << "    \"code\": \"" << JsonEscape(d.code) << "\",\n";
-    out << "    \"severity\": \"" << DiagSeverityName(d.severity) << "\",\n";
-    out << "    \"machine\": \"" << JsonEscape(d.machine) << "\",\n";
-    out << "    \"property\": \"" << JsonEscape(d.property) << "\",\n";
-    out << "    \"state\": \"" << JsonEscape(d.state) << "\",\n";
-    out << "    \"transition\": ";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginArray(JsonLayout::kBlock);
+  for (const Diagnostic& d : diagnostics) {
+    w.BeginObject(JsonLayout::kBlock);
+    w.Key("code").String(d.code);
+    w.Key("severity").String(DiagSeverityName(d.severity));
+    w.Key("machine").String(d.machine);
+    w.Key("property").String(d.property);
+    w.Key("state").String(d.state);
+    w.Key("transition");
     if (d.transition >= 0) {
-      out << d.transition;
+      w.Int(d.transition);
     } else {
-      out << "null";
+      w.Null();
     }
-    out << ",\n";
-    out << "    \"line\": " << d.span.line << ",\n";
-    out << "    \"column\": " << d.span.column << ",\n";
-    out << "    \"message\": \"" << JsonEscape(d.message) << "\",\n";
-    out << "    \"note\": \"" << JsonEscape(d.note) << "\"\n";
-    out << "  }";
+    w.Key("line").Int(d.span.line);
+    w.Key("column").Int(d.span.column);
+    w.Key("message").String(d.message);
+    w.Key("note").String(d.note);
+    w.End();
   }
-  out << (diagnostics.empty() ? "]\n" : "\n]\n");
-  return out.str();
+  w.End();
+  out += '\n';
+  return out;
 }
 
 void DiagnosticEngine::Report(Diagnostic d) {

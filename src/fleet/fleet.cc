@@ -1,8 +1,6 @@
 #include "src/fleet/fleet.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -16,18 +14,14 @@
 namespace artemis::fleet {
 namespace {
 
-std::string U64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return buf;
-}
+// Batch-VM handler classes, kSelfLoop..kGeneral.
+constexpr const char* kClassNames[] = {"self_loop", "commit", "store_field_commit",
+                                       "guard_elapsed_commit", "general"};
 
-// Fixed-precision ratio of two integers: deterministic for any shard
-// count because both operands are shard-order-independent integers.
-std::string Ratio(std::uint64_t num, std::uint64_t den) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9f", den == 0 ? 0.0 : static_cast<double>(num) / den);
-  return buf;
+// Ratio of two integers, rendered with 9 decimals: deterministic for any
+// shard count because both operands are shard-order-independent integers.
+double Ratio(std::uint64_t num, std::uint64_t den) {
+  return den == 0 ? 0.0 : static_cast<double>(num) / den;
 }
 
 // One shard's batch-mode monitor engine: lanes over every compiled
@@ -452,9 +446,9 @@ std::uint64_t FleetHistogram::Percentile(double p) const {
 }
 
 std::string FleetHistogram::Summary() const {
-  return "n=" + U64(count_) + " min=" + U64(min()) + " p50=" + U64(Percentile(0.50)) +
-         " p90=" + U64(Percentile(0.90)) + " p99=" + U64(Percentile(0.99)) +
-         " max=" + U64(max_);
+  return "n=" + std::to_string(count_) + " min=" + std::to_string(min()) +
+         " p50=" + std::to_string(Percentile(0.50)) + " p90=" + std::to_string(Percentile(0.90)) +
+         " p99=" + std::to_string(Percentile(0.99)) + " max=" + std::to_string(max_);
 }
 
 void FleetAggregates::Fold(const DeviceResult& result) {
@@ -716,8 +710,6 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
       if (rows.size() > kMaxTrafficRows) {
         rows.resize(kMaxTrafficRows);
       }
-      static constexpr const char* kClassNames[] = {
-          "self_loop", "commit", "store_field_commit", "guard_elapsed_commit", "general"};
       for (const RawRow& raw : rows) {
         const BatchCompiledMonitor& m = probe.machine(raw.machine);
         const BatchCompiledMonitor::EntryInfo info = m.DecodeEntry(raw.entry);
@@ -739,102 +731,93 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
 std::string RenderFleetJson(const FleetSpec& spec, const FleetOutcome& outcome) {
   const FleetAggregates& a = outcome.agg;
   std::string out;
-  out += "{\n";
-  out += "  \"schema\": \"artemis-fleet/1\",\n";
-  out += "  \"app\": \"" + JsonEscape(spec.app) + "\",\n";
-  out += "  \"spec\": \"" + JsonEscape(spec.spec_label) + "\",\n";
-  out += "  \"backend\": \"" + std::string(MonitorBackendName(spec.backend)) + "\",\n";
-  out += "  \"monitor_mode\": \"" + JsonEscape(spec.monitor) + "\",\n";
-  out += "  \"devices\": " + U64(spec.devices) + ",\n";
-  out += "  \"seed\": " + U64(spec.seed) + ",\n";
-  out += "  \"iterations\": " + U64(spec.iterations) + ",\n";
-  out += "  \"horizon_us\": " + U64(spec.horizon) + ",\n";
-  out += "  \"charges_us\": [";
-  for (std::size_t i = 0; i < spec.charges.size(); ++i) {
-    out += (i == 0 ? "" : ", ") + U64(spec.charges[i]);
+  JsonWriter w(&out);
+  w.BeginObject(JsonLayout::kBlock);
+  w.Key("schema").String("artemis-fleet/1");
+  w.Key("app").String(spec.app);
+  w.Key("spec").String(spec.spec_label);
+  w.Key("backend").String(MonitorBackendName(spec.backend));
+  w.Key("monitor_mode").String(spec.monitor);
+  w.Key("devices").Int(spec.devices);
+  w.Key("seed").Int(spec.seed);
+  w.Key("iterations").Int(spec.iterations);
+  w.Key("horizon_us").Int(spec.horizon);
+  w.Key("charges_us").BeginArray(JsonLayout::kInline);
+  for (const SimDuration charge : spec.charges) {
+    w.Int(charge);
   }
-  out += "],\n";
-  out += "  \"aggregates\": {\n";
-  out += "    \"devices\": " + U64(a.devices) + ",\n";
-  out += "    \"errors\": " + U64(a.errors) + ",\n";
-  out += "    \"completed\": " + U64(a.completed) + ",\n";
-  out += "    \"starved\": " + U64(a.starved) + ",\n";
-  out += "    \"timed_out\": " + U64(a.timed_out) + ",\n";
-  out += "    \"iterations\": " + U64(a.iterations) + ",\n";
-  out += "    \"reboots\": " + U64(a.reboots) + ",\n";
-  out += "    \"charging_us\": " + U64(a.charging_us) + ",\n";
-  out += "    \"energy_nj\": " + U64(a.energy_nj) + ",\n";
-  out += "    \"monitor_energy_nj\": " + U64(a.monitor_energy_nj) + ",\n";
-  out += "    \"monitor_share\": " + Ratio(a.monitor_energy_nj, a.energy_nj) + ",\n";
-  out += "    \"monitor_events\": " + U64(a.monitor_events) + ",\n";
-  out += "    \"monitor_events_elided\": " + U64(a.monitor_events_elided) + ",\n";
-  out += "    \"elision_rate\": " + Ratio(a.monitor_events_elided, a.monitor_events) + ",\n";
-  out += "    \"violations\": " + U64(a.violations) + ",\n";
-  out += "    \"violation_rate\": " + Ratio(a.violations, a.monitor_events) + ",\n";
-  out += "    \"devices_with_violations\": " + U64(a.devices_with_violations) + ",\n";
-  out += "    \"commits\": " + U64(a.commits) + ",\n";
-  out += "    \"aborts\": " + U64(a.aborts) + ",\n";
-  out += "    \"skips\": " + U64(a.skips) + "\n";
-  out += "  },\n";
-  out += "  \"energy_uj\": \"" + a.energy_uj_hist.Summary() + "\",\n";
-  out += "  \"violations_per_device\": \"" + a.violations_hist.Summary() + "\",\n";
-  out += "  \"attempts_per_commit\": \"" + a.attempts_hist.Summary() + "\"";
+  w.End();
+  w.Key("aggregates").BeginObject(JsonLayout::kBlock);
+  w.Key("devices").Int(a.devices);
+  w.Key("errors").Int(a.errors);
+  w.Key("completed").Int(a.completed);
+  w.Key("starved").Int(a.starved);
+  w.Key("timed_out").Int(a.timed_out);
+  w.Key("iterations").Int(a.iterations);
+  w.Key("reboots").Int(a.reboots);
+  w.Key("charging_us").Int(a.charging_us);
+  w.Key("energy_nj").Int(a.energy_nj);
+  w.Key("monitor_energy_nj").Int(a.monitor_energy_nj);
+  w.Key("monitor_share").Fixed(Ratio(a.monitor_energy_nj, a.energy_nj), 9);
+  w.Key("monitor_events").Int(a.monitor_events);
+  w.Key("monitor_events_elided").Int(a.monitor_events_elided);
+  w.Key("elision_rate").Fixed(Ratio(a.monitor_events_elided, a.monitor_events), 9);
+  w.Key("violations").Int(a.violations);
+  w.Key("violation_rate").Fixed(Ratio(a.violations, a.monitor_events), 9);
+  w.Key("devices_with_violations").Int(a.devices_with_violations);
+  w.Key("commits").Int(a.commits);
+  w.Key("aborts").Int(a.aborts);
+  w.Key("skips").Int(a.skips);
+  w.End();
+  w.Key("energy_uj").String(a.energy_uj_hist.Summary());
+  w.Key("violations_per_device").String(a.violations_hist.Summary());
+  w.Key("attempts_per_commit").String(a.attempts_hist.Summary());
   if (!outcome.handler_classes.empty()) {
-    out += ",\n  \"batch\": {\n";
-    out += "    \"handler_classes\": [";
-    for (std::size_t i = 0; i < outcome.handler_classes.size(); ++i) {
-      out += (i == 0 ? "" : ", ") + U64(outcome.handler_classes[i]);
+    w.Key("batch").BeginObject(JsonLayout::kBlock);
+    w.Key("handler_classes").BeginArray(JsonLayout::kInline);
+    for (const std::uint64_t count : outcome.handler_classes) {
+      w.Int(count);
     }
-    out += "],\n";
-    out += "    \"dead_columns\": " + U64(outcome.dead_columns) + ",\n";
-    out += "    \"columns\": " + U64(outcome.total_columns) + "\n";
-    out += "  }";
+    w.End();
+    w.Key("dead_columns").Int(outcome.dead_columns);
+    w.Key("columns").Int(outcome.total_columns);
+    w.End();
   }
   if (a.has_traffic) {
-    out += ",\n  \"class_traffic\": {";
-    static constexpr const char* kClassKeys[] = {
-        "self_loop", "commit", "store_field_commit", "guard_elapsed_commit", "general"};
+    w.Key("class_traffic").BeginObject(JsonLayout::kInline);
     for (std::size_t c = 0; c < a.class_traffic.size(); ++c) {
-      out += std::string(c == 0 ? "" : ", ") + "\"" + kClassKeys[c] +
-             "\": " + U64(a.class_traffic[c]);
+      w.Key(kClassNames[c]).Int(a.class_traffic[c]);
     }
-    out += "},\n  \"traffic\": [";
-    for (std::size_t i = 0; i < outcome.traffic.size(); ++i) {
-      const FleetTrafficRow& row = outcome.traffic[i];
-      out += i == 0 ? "\n" : ",\n";
-      out += "    {\"machine\": " + U64(static_cast<std::uint64_t>(row.machine)) +
-             ", \"state\": \"" + JsonEscape(row.state) + "\", \"kind\": \"" +
-             (row.kind < 0 ? "any" : row.kind == 0 ? "start" : "end") + "\", \"task\": " +
-             (row.task < 0 ? std::string("-1") : U64(static_cast<std::uint64_t>(row.task))) +
-             ", \"class\": \"" + row.handler_class + "\", \"events\": " + U64(row.events) +
-             "}";
+    w.End();
+    w.Key("traffic").BeginArray(JsonLayout::kBlock);
+    for (const FleetTrafficRow& row : outcome.traffic) {
+      w.BeginObject(JsonLayout::kInline).Key("machine").Int(row.machine);
+      w.Key("state").String(row.state);
+      w.Key("kind").String(row.kind < 0 ? "any" : row.kind == 0 ? "start" : "end");
+      w.Key("task").Int(row.task < 0 ? -1 : row.task).Key("class").String(row.handler_class);
+      w.Key("events").Int(row.events).End();
     }
-    out += outcome.traffic.empty() ? "]" : "\n  ]";
+    w.End();
   }
   if (a.has_obs) {
-    out += ",\n  \"obs\": {\n";
-    out += "    \"total_events\": " + U64(a.obs_total) + ",\n";
-    out += "    \"completed_paths\": " + U64(a.obs_completed_paths) + ",\n";
-    out += "    \"committed_bytes\": " + U64(a.obs_committed_bytes) + ",\n";
-    out += "    \"counts\": {";
-    bool first = true;
+    w.Key("obs").BeginObject(JsonLayout::kBlock);
+    w.Key("total_events").Int(a.obs_total);
+    w.Key("completed_paths").Int(a.obs_completed_paths);
+    w.Key("committed_bytes").Int(a.obs_committed_bytes);
+    w.Key("counts").BeginObject(JsonLayout::kInline);
     for (int k = 0; k < obs::kNumKinds; ++k) {
-      const std::uint64_t count = a.obs_counts[static_cast<std::size_t>(k)];
-      if (count == 0) {
-        continue;
+      if (const std::uint64_t count = a.obs_counts[static_cast<std::size_t>(k)]; count != 0) {
+        w.Key(obs::KindName(static_cast<obs::Kind>(k))).Int(count);
       }
-      out += std::string(first ? "" : ", ") + "\"" +
-             obs::KindName(static_cast<obs::Kind>(k)) + "\": " + U64(count);
-      first = false;
     }
-    out += "}\n  }";
+    w.End().End();
   }
   if (!a.first_error.empty()) {
-    out += ",\n  \"first_error\": \"" + JsonEscape(a.first_error) + "\"";
+    w.Key("first_error").String(a.first_error);
   }
-  out += ",\n  \"ok\": ";
-  out += outcome.AllOk() ? "true" : "false";
-  out += "\n}\n";
+  w.Key("ok").Bool(outcome.AllOk());
+  w.End();
+  out += '\n';
   return out;
 }
 
@@ -843,36 +826,38 @@ std::string RenderFleetTable(const FleetSpec& spec, const FleetOutcome& outcome)
   std::string out;
   out += "fleet: app=" + spec.app + " spec=" + spec.spec_label +
          " backend=" + MonitorBackendName(spec.backend) + " monitor=" + spec.monitor +
-         " devices=" + U64(spec.devices) + " seed=" + U64(spec.seed) + "\n";
-  out += "outcomes: completed=" + U64(a.completed) + " timed_out=" + U64(a.timed_out) +
-         " starved=" + U64(a.starved) + " errors=" + U64(a.errors) + "\n";
-  out += "kernel: iterations=" + U64(a.iterations) + " reboots=" + U64(a.reboots) +
-         " commits=" + U64(a.commits) + " aborts=" + U64(a.aborts) + " skips=" +
-         U64(a.skips) + "\n";
-  out += "monitor: events=" + U64(a.monitor_events) + " elided=" +
-         U64(a.monitor_events_elided) + " elision_rate=" +
-         Ratio(a.monitor_events_elided, a.monitor_events) + " violations=" +
-         U64(a.violations) + " violation_rate=" + Ratio(a.violations, a.monitor_events) +
-         " devices_with_violations=" + U64(a.devices_with_violations) + "\n";
-  out += "energy: total_nj=" + U64(a.energy_nj) + " monitor_nj=" + U64(a.monitor_energy_nj) +
-         " monitor_share=" + Ratio(a.monitor_energy_nj, a.energy_nj) + "\n";
+         " devices=" + std::to_string(spec.devices) + " seed=" + std::to_string(spec.seed) + "\n";
+  out += "outcomes: completed=" + std::to_string(a.completed) +
+         " timed_out=" + std::to_string(a.timed_out) + " starved=" + std::to_string(a.starved) +
+         " errors=" + std::to_string(a.errors) + "\n";
+  out += "kernel: iterations=" + std::to_string(a.iterations) +
+         " reboots=" + std::to_string(a.reboots) + " commits=" + std::to_string(a.commits) +
+         " aborts=" + std::to_string(a.aborts) + " skips=" + std::to_string(a.skips) + "\n";
+  out += "monitor: events=" + std::to_string(a.monitor_events) +
+         " elided=" + std::to_string(a.monitor_events_elided) +
+         " elision_rate=" + FormatFixed(Ratio(a.monitor_events_elided, a.monitor_events), 9) +
+         " violations=" + std::to_string(a.violations) +
+         " violation_rate=" + FormatFixed(Ratio(a.violations, a.monitor_events), 9) +
+         " devices_with_violations=" + std::to_string(a.devices_with_violations) + "\n";
+  out += "energy: total_nj=" + std::to_string(a.energy_nj) +
+         " monitor_nj=" + std::to_string(a.monitor_energy_nj) +
+         " monitor_share=" + FormatFixed(Ratio(a.monitor_energy_nj, a.energy_nj), 9) + "\n";
   out += "energy_uj: " + a.energy_uj_hist.Summary() + "\n";
   out += "violations_per_device: " + a.violations_hist.Summary() + "\n";
   out += "attempts_per_commit: " + a.attempts_hist.Summary() + "\n";
   if (!outcome.handler_classes.empty()) {
     out += "batch: handler_classes=[";
     for (std::size_t i = 0; i < outcome.handler_classes.size(); ++i) {
-      out += (i == 0 ? "" : ",") + U64(outcome.handler_classes[i]);
+      out += (i == 0 ? "" : ",") + std::to_string(outcome.handler_classes[i]);
     }
-    out += "] dead_columns=" + U64(outcome.dead_columns) + "/" +
-           U64(outcome.total_columns) + "\n";
+    out += "] dead_columns=" + std::to_string(outcome.dead_columns) + "/" +
+           std::to_string(outcome.total_columns) + "\n";
   }
   for (const FleetTrafficRow& row : outcome.traffic) {
-    out += "traffic: machine=" + U64(static_cast<std::uint64_t>(row.machine)) + " state=" +
-           row.state + " kind=" +
-           (row.kind < 0 ? "any" : row.kind == 0 ? "start" : "end") + " task=" +
-           (row.task < 0 ? std::string("any") : U64(static_cast<std::uint64_t>(row.task))) +
-           " class=" + row.handler_class + " events=" + U64(row.events) + "\n";
+    out += "traffic: machine=" + std::to_string(row.machine) + " state=" + row.state +
+           " kind=" + (row.kind < 0 ? "any" : row.kind == 0 ? "start" : "end") +
+           " task=" + (row.task < 0 ? std::string("any") : std::to_string(row.task)) +
+           " class=" + row.handler_class + " events=" + std::to_string(row.events) + "\n";
   }
   if (!a.first_error.empty()) {
     out += "first_error: " + a.first_error + "\n";

@@ -13,16 +13,10 @@ namespace artemis::flight {
 namespace {
 
 std::string TaskName(const FlightMeta& meta, std::uint32_t task) {
-  if (task < meta.task_names.size()) {
-    return meta.task_names[task];
+  if (task < meta.run.task_names.size()) {
+    return meta.run.task_names[task];
   }
   return "task" + std::to_string(task);
-}
-
-std::string Frac3(std::uint32_t fraction_milli) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(fraction_milli) / 1000.0);
-  return buf;
 }
 
 // Spec hashes render as fixed-width hex so timelines and dumps line up.
@@ -63,72 +57,55 @@ FlightMeta MetaFromRecorder(const FlightRecorder& recorder) {
 
 std::string RenderDumpJsonl(const std::vector<FlightRecord>& records,
                             const FlightMeta& meta) {
-  std::ostringstream out;
-  out << "{\"schema\":\"" << kFlightSchema << "\"";
-  if (!meta.app.empty()) {
-    out << ",\"app\":\"" << JsonEscape(meta.app) << "\"";
-  }
-  if (!meta.power.empty()) {
-    out << ",\"power\":\"" << JsonEscape(meta.power) << "\"";
-  }
-  if (!meta.schedule.empty()) {
-    out << ",\"schedule\":\"" << JsonEscape(meta.schedule) << "\"";
-  }
-  if (!meta.backend.empty()) {
-    out << ",\"backend\":\"" << JsonEscape(meta.backend) << "\"";
-  }
-  out << ",\"level\":\"" << meta.level << "\""
-      << ",\"capacity\":" << meta.capacity << ",\"reboots\":" << meta.reboots
-      << ",\"sealed\":" << meta.stats.records_sealed
-      << ",\"aborted\":" << meta.stats.appends_aborted
-      << ",\"evicted\":" << meta.stats.records_evicted
-      << ",\"dropped\":" << meta.stats.records_dropped
-      << ",\"bytes_sealed\":" << meta.stats.bytes_sealed
-      << ",\"decoded\":" << records.size();
-  if (!meta.task_names.empty()) {
-    out << ",\"tasks\":[";
-    for (std::size_t i = 0; i < meta.task_names.size(); ++i) {
-      out << (i == 0 ? "" : ",") << "\"" << JsonEscape(meta.task_names[i]) << "\"";
-    }
-    out << "]";
-  }
-  out << "}\n";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject(JsonLayout::kCompact);
+  w.Key("schema").String(kFlightSchema);
+  obs::WriteRunFields(meta.run, &w);
+  w.Key("level").String(meta.level).Key("capacity").Int(meta.capacity);
+  w.Key("reboots").Int(meta.reboots).Key("sealed").Int(meta.stats.records_sealed);
+  w.Key("aborted").Int(meta.stats.appends_aborted).Key("evicted").Int(meta.stats.records_evicted);
+  w.Key("dropped").Int(meta.stats.records_dropped).Key("bytes_sealed").Int(meta.stats.bytes_sealed);
+  w.Key("decoded").Int(records.size());
+  obs::WriteTaskNames(meta.run, &w);
+  w.End();
+  out += '\n';
 
   for (const FlightRecord& r : records) {
-    out << "{\"kind\":\"" << RecordKindName(r.kind) << "\",\"t\":" << r.time;
+    w.BeginObject(JsonLayout::kCompact).Key("kind").String(RecordKindName(r.kind));
+    w.Key("t").Int(r.time);
+    const auto task = [&]() -> JsonWriter& {  // the fields every task record starts with
+      w.Key("seq").Int(r.seq).Key("task").Int(r.task);
+      return w.Key("name").String(TaskName(meta, r.task));
+    };
     switch (r.kind) {
       case RecordKind::kBoot:
-        out << ",\"epoch\":" << r.epoch;
+        w.Key("epoch").Int(r.epoch);
         break;
       case RecordKind::kTaskStart:
-        out << ",\"seq\":" << r.seq << ",\"task\":" << r.task << ",\"name\":\""
-            << JsonEscape(TaskName(meta, r.task)) << "\",\"path\":" << r.path
-            << ",\"attempt\":" << r.attempt;
+        task().Key("path").Int(r.path).Key("attempt").Int(r.attempt);
         break;
       case RecordKind::kTaskEnd:
-        out << ",\"seq\":" << r.seq << ",\"task\":" << r.task << ",\"name\":\""
-            << JsonEscape(TaskName(meta, r.task)) << "\",\"path\":" << r.path;
+        task().Key("path").Int(r.path);
         break;
       case RecordKind::kCommit:
-        out << ",\"seq\":" << r.seq << ",\"task\":" << r.task << ",\"name\":\""
-            << JsonEscape(TaskName(meta, r.task)) << "\",\"bytes\":" << r.bytes;
+        task().Key("bytes").Int(r.bytes);
         break;
       case RecordKind::kVerdict:
-        out << ",\"seq\":" << r.seq << ",\"task\":" << r.task << ",\"name\":\""
-            << JsonEscape(TaskName(meta, r.task)) << "\",\"action\":\""
-            << ActionCodeName(r.action) << "\",\"target_path\":" << r.target_path;
+        task().Key("action").String(ActionCodeName(r.action)).Key("target_path").Int(r.target_path);
         break;
       case RecordKind::kChargeSnapshot:
-        out << ",\"epoch\":" << r.epoch << ",\"frac\":" << Frac3(r.fraction_milli);
+        w.Key("epoch").Int(r.epoch).Key("frac").Fixed(r.fraction_milli / 1000.0, 3);
         break;
       case RecordKind::kSwapEpoch:
-        out << ",\"old_hash\":\"" << Hex16(r.old_hash) << "\",\"new_hash\":\""
-            << Hex16(r.new_hash) << "\",\"image_epoch\":" << r.image_epoch;
+        w.Key("old_hash").String(Hex16(r.old_hash)).Key("new_hash").String(Hex16(r.new_hash));
+        w.Key("image_epoch").Int(r.image_epoch);
         break;
     }
-    out << "}\n";
+    w.End();
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 std::string RenderTimeline(const std::vector<FlightRecord>& records,
@@ -136,8 +113,8 @@ std::string RenderTimeline(const std::vector<FlightRecord>& records,
   std::ostringstream out;
   out << "== flight timeline: " << records.size() << " record(s), "
       << meta.reboots << " reboot(s)";
-  if (!meta.app.empty()) {
-    out << ", app=" << meta.app;
+  if (!meta.run.app.empty()) {
+    out << ", app=" << meta.run.app;
   }
   out << ", level=" << meta.level << " ==\n";
   bool in_epoch = false;
@@ -183,7 +160,7 @@ std::string RenderTimeline(const std::vector<FlightRecord>& records,
         }
         break;
       case RecordKind::kChargeSnapshot:
-        out << " frac=" << Frac3(r.fraction_milli);
+        out << " frac=" << FormatFixed(r.fraction_milli / 1000.0, 3);
         break;
       case RecordKind::kSwapEpoch:
         out << " spec " << Hex16(r.old_hash) << " -> " << Hex16(r.new_hash)
@@ -273,7 +250,7 @@ AuditReport Audit(const std::vector<FlightRecord>& records,
         const double frac = static_cast<double>(r.fraction_milli) / 1000.0;
         ok = r.epoch < boot_fracs.size() &&
              std::fabs(frac - boot_fracs[r.epoch]) <= 0.05;
-        expect = "boot energy fraction near " + Frac3(r.fraction_milli) +
+        expect = "boot energy fraction near " + FormatFixed(r.fraction_milli / 1000.0, 3) +
                  " for epoch " + std::to_string(r.epoch);
         break;
       }

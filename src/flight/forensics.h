@@ -14,6 +14,7 @@
 #include "src/flight/record.h"
 #include "src/flight/recorder.h"
 #include "src/obs/event.h"
+#include "src/obs/jsonl_sink.h"
 
 namespace artemis::flight {
 
@@ -28,18 +29,16 @@ const char* ActionCodeName(std::uint8_t code);
 
 // Run metadata for the dump header plus recorder-side counters.
 struct FlightMeta {
-  std::string app;
-  std::string power;
-  std::string schedule;
-  std::string backend;
+  // The run fields the dump header shares with the artemis-trace/1 header
+  // (app, power, schedule, backend, task names).
+  obs::JsonlOptions run;
   std::string level;
   std::size_t capacity = 0;
   std::uint32_t reboots = 0;  // recorder epoch counter (power failures seen)
   FlightStats stats;
-  std::vector<std::string> task_names;
 };
 
-// Captures meta from a recorder after a run (task names added by caller).
+// Captures meta from a recorder after a run (run fields added by caller).
 FlightMeta MetaFromRecorder(const FlightRecorder& recorder);
 
 // JSONL dump: versioned header line, then one line per decoded record,

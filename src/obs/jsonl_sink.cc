@@ -1,90 +1,83 @@
 #include "src/obs/jsonl_sink.h"
 
-#include <cstdio>
-#include <sstream>
-
-#include "src/base/json.h"
-
 namespace artemis::obs {
-namespace {
-
-// Fixed-precision float rendering keeps identical runs byte-identical.
-std::string Num(double v, const char* fmt) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  return buf;
-}
-
-}  // namespace
-
-JsonlSink::JsonlSink(std::ostream& out, JsonlOptions options)
-    : out_(out), options_(std::move(options)) {
-  std::ostringstream header;
-  header << "{\"schema\":\"" << kJsonlSchema << '"';
-  if (!options_.app.empty()) {
-    header << ",\"app\":\"" << JsonEscape(options_.app) << '"';
-  }
-  if (!options_.power.empty()) {
-    header << ",\"power\":\"" << JsonEscape(options_.power) << '"';
-  }
-  if (!options_.schedule.empty()) {
-    header << ",\"schedule\":\"" << JsonEscape(options_.schedule) << '"';
-  }
-  if (!options_.backend.empty()) {
-    header << ",\"backend\":\"" << JsonEscape(options_.backend) << '"';
-  }
-  if (!options_.task_names.empty()) {
-    header << ",\"tasks\":[";
-    for (std::size_t i = 0; i < options_.task_names.size(); ++i) {
-      header << (i == 0 ? "" : ",") << '"' << JsonEscape(options_.task_names[i]) << '"';
-    }
-    header << ']';
-  }
-  header << "}";
-  out_ << header.str() << '\n';
-}
 
 std::string JsonlSink::EventLine(const Event& e, const std::vector<std::string>& task_names) {
-  std::ostringstream line;
-  line << "{\"kind\":\"" << KindName(e.kind) << '"';
+  std::string line;
+  JsonWriter w(&line);
+  w.BeginObject(JsonLayout::kCompact).Key("kind").String(KindName(e.kind));
   // `t` is the device clock (what the monitors see); `tt` the omniscient
   // simulation clock. They diverge across outages (docs/tracing.md).
-  line << ",\"t\":" << e.time << ",\"tt\":" << e.true_time;
+  w.Key("t").Int(e.time).Key("tt").Int(e.true_time);
   if (e.task != kObsNoTask) {
-    line << ",\"task\":" << e.task;
+    w.Key("task").Int(e.task);
     if (e.task < task_names.size()) {
-      line << ",\"name\":\"" << JsonEscape(task_names[e.task]) << '"';
+      w.Key("name").String(task_names[e.task]);
     }
   }
   if (e.path != kObsNoPath) {
-    line << ",\"path\":" << e.path;
+    w.Key("path").Int(e.path);
   }
   if (e.attempt != 0) {
-    line << ",\"attempt\":" << e.attempt;
+    w.Key("attempt").Int(e.attempt);
   }
   if (e.seq != 0) {
-    line << ",\"seq\":" << e.seq;
+    w.Key("seq").Int(e.seq);
   }
   if (e.duration != 0) {
-    line << ",\"dur\":" << e.duration;
+    w.Key("dur").Int(e.duration);
   }
   if (e.value != 0.0) {
-    line << ",\"value\":" << Num(e.value, "%.4f");
+    w.Key("value").Fixed(e.value, 4);
   }
   if (e.energy_uj >= 0.0) {
-    line << ",\"energy_uj\":" << Num(e.energy_uj, "%.4f");
+    w.Key("energy_uj").Fixed(e.energy_uj, 4);
   }
   if (e.energy_fraction >= 0.0) {
-    line << ",\"frac\":" << Num(e.energy_fraction, "%.6f");
+    w.Key("frac").Fixed(e.energy_fraction, 6);
   }
   if (!e.action.empty()) {
-    line << ",\"action\":\"" << JsonEscape(e.action) << '"';
+    w.Key("action").String(e.action);
   }
   if (!e.detail.empty()) {
-    line << ",\"detail\":\"" << JsonEscape(e.detail) << '"';
+    w.Key("detail").String(e.detail);
   }
-  line << '}';
-  return line.str();
+  w.End();
+  return line;
+}
+
+void WriteRunFields(const JsonlOptions& options, JsonWriter* writer) {
+  for (const auto& [key, value] : {std::pair{"app", &options.app},
+                                   std::pair{"power", &options.power},
+                                   std::pair{"schedule", &options.schedule},
+                                   std::pair{"backend", &options.backend}}) {
+    if (!value->empty()) {
+      writer->Key(key).String(*value);
+    }
+  }
+}
+
+void WriteTaskNames(const JsonlOptions& options, JsonWriter* writer) {
+  if (options.task_names.empty()) {
+    return;
+  }
+  writer->Key("tasks").BeginArray(JsonLayout::kCompact);
+  for (const std::string& name : options.task_names) {
+    writer->String(name);
+  }
+  writer->End();
+}
+
+JsonlSink::JsonlSink(std::ostream& out, JsonlOptions options)
+    : out_(out), options_(std::move(options)) {
+  std::string header;
+  JsonWriter w(&header);
+  w.BeginObject(JsonLayout::kCompact);
+  w.Key("schema").String(kJsonlSchema);
+  WriteRunFields(options_, &w);
+  WriteTaskNames(options_, &w);
+  w.End();
+  out_ << header << '\n';
 }
 
 void JsonlSink::OnEvent(const Event& event) {

@@ -1,9 +1,9 @@
-// Deterministic JSONL exporter: one JSON object per line, a versioned
-// header line first, then one line per event in publish order. Identical
-// runs produce byte-identical output (fixed key order, fixed float
-// precision, no host timestamps), which is what `artemisc trace diff` and
-// the golden-trace regression test rely on. Schema reference:
-// docs/tracing.md.
+// Deterministic JSONL exporter: one compact JSON object per line, a
+// versioned header line first, then one line per event in publish order.
+// Identical runs produce byte-identical output (fixed key order, the
+// JsonWriter's fixed float precision, no host timestamps), which is what
+// `artemisc trace diff` and the golden-trace regression test rely on.
+// Schema reference: docs/tracing.md.
 #ifndef SRC_OBS_JSONL_SINK_H_
 #define SRC_OBS_JSONL_SINK_H_
 
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/json.h"
 #include "src/obs/bus.h"
 
 namespace artemis::obs {
@@ -28,6 +29,12 @@ struct JsonlOptions {
   // Task names indexed by TaskId; when set, event lines carry "name".
   std::vector<std::string> task_names;
 };
+
+// Writes the header's optional run fields (app, power, schedule, backend),
+// each only when set. The artemis-flight/1 dump header shares them.
+void WriteRunFields(const JsonlOptions& options, JsonWriter* writer);
+// Writes the "tasks" array when task names are set.
+void WriteTaskNames(const JsonlOptions& options, JsonWriter* writer);
 
 class JsonlSink : public Sink {
  public:

@@ -1,9 +1,7 @@
 #include "src/obs/perfetto_sink.h"
 
-#include <cstdio>
-#include <sstream>
-
-#include "src/base/json.h"
+#include <optional>
+#include <string_view>
 
 namespace artemis::obs {
 namespace {
@@ -11,10 +9,9 @@ namespace {
 // Track (thread) ids within the single trace process.
 int Tid(Component component) { return static_cast<int>(component) + 1; }
 
-std::string Fixed(double v, const char* fmt) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  return buf;
+// Opens a record; the caller writes its other fields and closes it.
+JsonWriter& Record(JsonWriter* w, std::string_view name, const char* phase) {
+  return w->BeginObject(JsonLayout::kCompact).Key("name").String(name).Key("ph").String(phase);
 }
 
 }  // namespace
@@ -23,11 +20,6 @@ PerfettoSink::PerfettoSink(std::ostream& out, std::vector<std::string> task_name
     : out_(out), task_names_(std::move(task_names)) {}
 
 void PerfettoSink::OnEvent(const Event& event) { buffered_.push_back(event); }
-
-void PerfettoSink::WriteRecord(const std::string& record) {
-  out_ << (first_record_ ? "\n" : ",\n") << record;
-  first_record_ = false;
-}
 
 std::string PerfettoSink::SliceName(const Event& e) const {
   if (e.task != kObsNoTask && e.task < task_names_.size()) {
@@ -39,80 +31,81 @@ std::string PerfettoSink::SliceName(const Event& e) const {
   return KindName(e.kind);
 }
 
-void PerfettoSink::WriteEvent(const Event& e) {
-  const int tid = Tid(ComponentOf(e.kind));
-  std::ostringstream args;
-  args << "{\"kind\":\"" << KindName(e.kind) << "\",\"device_t\":" << e.time;
-  if (e.path != kObsNoPath) {
-    args << ",\"path\":" << e.path;
-  }
-  if (e.attempt != 0) {
-    args << ",\"attempt\":" << e.attempt;
-  }
-  if (e.seq != 0) {
-    args << ",\"seq\":" << e.seq;
-  }
-  if (e.value != 0.0) {
-    args << ",\"value\":" << Fixed(e.value, "%.4f");
-  }
-  if (!e.action.empty()) {
-    args << ",\"action\":\"" << JsonEscape(e.action) << '"';
-  }
-  if (!e.detail.empty()) {
-    args << ",\"detail\":\"" << JsonEscape(e.detail) << '"';
-  }
-  args << '}';
-
-  std::ostringstream rec;
+void PerfettoSink::WriteEvent(const Event& e, JsonWriter* w) {
+  std::string_view name = KindName(e.kind);
+  std::string slice;
+  SimTime ts = e.true_time;
+  std::optional<SimDuration> dur;  // set for complete ("X") slices
   switch (e.kind) {
     case Kind::kTaskStart:
       // Opens a slice; the matching end/abort emits the "X" record.
       open_tasks_[e.task] = e.true_time;
       return;
     case Kind::kTaskEnd:
-    case Kind::kTaskAborted: {
-      SimTime start = e.true_time;
+    case Kind::kTaskAborted:
       if (const auto it = open_tasks_.find(e.task); it != open_tasks_.end()) {
-        start = it->second;
+        ts = it->second;
         open_tasks_.erase(it);
       }
-      rec << "{\"name\":\"" << JsonEscape(SliceName(e))
-          << (e.kind == Kind::kTaskAborted ? " (aborted)" : "") << "\",\"ph\":\"X\",\"ts\":"
-          << start << ",\"dur\":" << (e.true_time - start) << ",\"pid\":1,\"tid\":" << tid
-          << ",\"args\":" << args.str() << '}';
+      slice = SliceName(e) + (e.kind == Kind::kTaskAborted ? " (aborted)" : "");
+      name = slice;
+      dur = e.true_time - ts;
       break;
-    }
     case Kind::kSimPowerFail:
       // The outage itself as a slice on the sim track: the charge segment.
-      rec << "{\"name\":\"charging\",\"ph\":\"X\",\"ts\":" << e.true_time
-          << ",\"dur\":" << e.duration << ",\"pid\":1,\"tid\":" << tid
-          << ",\"args\":" << args.str() << '}';
+      name = "charging";
+      dur = e.duration;
       break;
-    case Kind::kMonitorVerdict: {
+    case Kind::kMonitorVerdict:
       // Width = the per-event monitor cycle cost paid just before the
       // verdict was produced.
-      const SimTime start = e.true_time >= e.duration ? e.true_time - e.duration : 0;
-      rec << "{\"name\":\"" << JsonEscape(e.detail.empty() ? "verdict" : e.detail)
-          << "\",\"ph\":\"X\",\"ts\":" << start << ",\"dur\":" << e.duration
-          << ",\"pid\":1,\"tid\":" << tid << ",\"args\":" << args.str() << '}';
+      name = e.detail.empty() ? std::string_view("verdict") : std::string_view(e.detail);
+      ts = e.true_time >= e.duration ? e.true_time - e.duration : 0;
+      dur = e.duration;
       break;
-    }
     default:
-      rec << "{\"name\":\"" << JsonEscape(KindName(e.kind)) << "\",\"ph\":\"i\",\"ts\":"
-          << e.true_time << ",\"pid\":1,\"tid\":" << tid << ",\"s\":\"t\",\"args\":"
-          << args.str() << '}';
+      break;
   }
-  WriteRecord(rec.str());
+  Record(w, name, dur.has_value() ? "X" : "i").Key("ts").Int(ts);
+  if (dur.has_value()) {
+    w->Key("dur").Int(*dur);
+  }
+  w->Key("pid").Int(1).Key("tid").Int(Tid(ComponentOf(e.kind)));
+  if (!dur.has_value()) {
+    w->Key("s").String("t");
+  }
+  w->Key("args").BeginObject(JsonLayout::kCompact);
+  w->Key("kind").String(KindName(e.kind)).Key("device_t").Int(e.time);
+  if (e.path != kObsNoPath) {
+    w->Key("path").Int(e.path);
+  }
+  if (e.attempt != 0) {
+    w->Key("attempt").Int(e.attempt);
+  }
+  if (e.seq != 0) {
+    w->Key("seq").Int(e.seq);
+  }
+  if (e.value != 0.0) {
+    w->Key("value").Fixed(e.value, 4);
+  }
+  if (!e.action.empty()) {
+    w->Key("action").String(e.action);
+  }
+  if (!e.detail.empty()) {
+    w->Key("detail").String(e.detail);
+  }
+  w->End().End();
 
   // Counter tracks: stored-charge fraction and cumulative energy.
   if (e.energy_fraction >= 0.0) {
-    WriteRecord("{\"name\":\"charge-fraction\",\"ph\":\"C\",\"ts\":" +
-                std::to_string(e.true_time) + ",\"pid\":1,\"args\":{\"fraction\":" +
-                Fixed(e.energy_fraction, "%.6f") + "}}");
+    Record(w, "charge-fraction", "C").Key("ts").Int(e.true_time).Key("pid").Int(1);
+    w->Key("args").BeginObject(JsonLayout::kCompact).Key("fraction").Fixed(e.energy_fraction, 6);
+    w->End().End();
   }
   if (e.energy_uj >= 0.0) {
-    WriteRecord("{\"name\":\"energy-uj\",\"ph\":\"C\",\"ts\":" + std::to_string(e.true_time) +
-                ",\"pid\":1,\"args\":{\"uJ\":" + Fixed(e.energy_uj, "%.4f") + "}}");
+    Record(w, "energy-uj", "C").Key("ts").Int(e.true_time).Key("pid").Int(1);
+    w->Key("args").BeginObject(JsonLayout::kCompact).Key("uJ").Fixed(e.energy_uj, 4);
+    w->End().End();
   }
 }
 
@@ -121,18 +114,28 @@ void PerfettoSink::Flush() {
     return;
   }
   flushed_ = true;
-  out_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  WriteRecord("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
-              "\"args\":{\"name\":\"artemis\"}}");
+  // traceEvents holds one record per line, unindented; each event's records
+  // are drained to the stream before the next event is written.
+  std::string buf;
+  JsonWriter w(&buf, /*indent=*/0);
+  w.BeginObject(JsonLayout::kCompact);
+  w.Key("displayTimeUnit").String("ms");
+  w.Key("traceEvents").BeginArray(JsonLayout::kBlock);
+  Record(&w, "process_name", "M").Key("pid").Int(1).Key("tid").Int(1);
+  w.Key("args").BeginObject(JsonLayout::kCompact).Key("name").String("artemis").End().End();
   for (const Component c : {Component::kSim, Component::kKernel, Component::kMonitor}) {
-    WriteRecord("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-                std::to_string(Tid(c)) + ",\"args\":{\"name\":\"" +
-                std::string(ComponentName(c)) + "\"}}");
+    Record(&w, "thread_name", "M").Key("pid").Int(1).Key("tid").Int(Tid(c));
+    w.Key("args").BeginObject(JsonLayout::kCompact).Key("name").String(ComponentName(c));
+    w.End().End();
   }
   for (const Event& event : buffered_) {
-    WriteEvent(event);
+    WriteEvent(event, &w);
+    out_ << buf;
+    buf.clear();
   }
-  out_ << "\n]}\n";
+  w.End().End();
+  buf += '\n';
+  out_ << buf;
   out_.flush();
 }
 

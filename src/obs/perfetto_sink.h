@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/json.h"
 #include "src/obs/bus.h"
 
 namespace artemis::obs {
@@ -29,15 +30,13 @@ class PerfettoSink : public Sink {
 
  private:
   std::string SliceName(const Event& event) const;
-  void WriteEvent(const Event& event);
-  void WriteRecord(const std::string& record);
+  void WriteEvent(const Event& event, JsonWriter* writer);
 
   std::ostream& out_;
   std::vector<std::string> task_names_;
   std::vector<Event> buffered_;
   // Open task execution: task id -> true-time of its kernel.task-start.
   std::map<std::uint32_t, SimTime> open_tasks_;
-  bool first_record_ = true;
   bool flushed_ = false;
 };
 

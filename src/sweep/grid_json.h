@@ -1,8 +1,8 @@
 // Minimal JSON reader for sweep grid files (docs/sweep.md). Supports the
 // full JSON value grammar except exotic number forms and \u escapes beyond
 // ASCII; errors carry line/column. This is deliberately a reader, not a
-// serializer — sweep result export writes JSON by hand so its byte layout
-// stays under the determinism contract's control.
+// serializer: every export writes through src/base/json.h's JsonWriter,
+// whose byte layout stays under the determinism contract's control.
 #ifndef SRC_SWEEP_GRID_JSON_H_
 #define SRC_SWEEP_GRID_JSON_H_
 

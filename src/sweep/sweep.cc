@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <system_error>
@@ -156,13 +155,6 @@ StatusOr<std::unique_ptr<OutageTimekeeper>> MakeTimekeeper(const std::string& te
   }
   return Status::Invalid("sweep: unknown timekeeper '" + text +
                          "' (default|ideal|rtc:<err>|remanence:<max>:<err>)");
-}
-
-std::string FormatFixed(double value, int digits) {
-  // Room for any finite double: DBL_MAX has 309 integer digits.
-  char buf[std::numeric_limits<double>::max_exponent10 + 64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
-  return buf;
 }
 
 // printf into a string sized to the text, so no cell is cut short.
@@ -789,68 +781,63 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
 
 std::string RenderJson(const SweepSpec& spec, const SweepOutcome& outcome) {
   std::string out;
-  out += "{\n";
-  out += "  \"schema\": \"artemis-sweep/1\",\n";
-  out += "  \"app\": \"" + JsonEscape(spec.app) + "\",\n";
-  out += "  \"max_wall_us\": " + std::to_string(spec.max_wall) + ",\n";
-  out += "  \"points\": " + std::to_string(outcome.rows.size()) + ",\n";
-  out += "  \"cache\": {\"requests\": " + std::to_string(outcome.cache_requests) +
-         ", \"builds\": " + std::to_string(outcome.cache_builds) +
-         ", \"hits\": " + std::to_string(outcome.cache_requests - outcome.cache_builds) +
-         ", \"parses\": " + std::to_string(outcome.cache_parses) +
-         ", \"lowerings\": " + std::to_string(outcome.cache_lowerings) +
-         ", \"compilations\": " + std::to_string(outcome.cache_compilations) + "},\n";
-  out += "  \"rows\": [\n";
-  for (std::size_t i = 0; i < outcome.rows.size(); ++i) {
-    const SweepRow& row = outcome.rows[i];
-    out += "    {\"index\": " + std::to_string(row.index);
-    out += ", \"system\": \"" + JsonEscape(row.system) + "\"";
-    out += ", \"spec\": \"" + JsonEscape(row.spec_label) + "\"";
-    out += ", \"backend\": \"" + JsonEscape(row.backend) + "\"";
-    out += ", \"timekeeper\": \"" + JsonEscape(row.timekeeper) + "\"";
-    out += ", \"charge_us\": " + std::to_string(row.charge);
-    out += ", \"budget_uj\": " + FormatFixed(row.budget, 3);
-    out += ", \"seed\": " + std::to_string(row.seed);
-    out += ", \"status\": \"" + std::string(row.ok ? "ok" : "error") + "\"";
+  JsonWriter w(&out);
+  w.BeginObject(JsonLayout::kBlock);
+  w.Key("schema").String("artemis-sweep/1");
+  w.Key("app").String(spec.app);
+  w.Key("max_wall_us").Int(spec.max_wall);
+  w.Key("points").Int(outcome.rows.size());
+  w.Key("cache").BeginObject(JsonLayout::kInline);
+  w.Key("requests").Int(outcome.cache_requests).Key("builds").Int(outcome.cache_builds);
+  w.Key("hits").Int(outcome.cache_requests - outcome.cache_builds);
+  w.Key("parses").Int(outcome.cache_parses).Key("lowerings").Int(outcome.cache_lowerings);
+  w.Key("compilations").Int(outcome.cache_compilations).End();
+  w.Key("rows").BeginArray(JsonLayout::kBlock);
+  for (const SweepRow& row : outcome.rows) {
+    w.BeginObject(JsonLayout::kInline);
+    w.Key("index").Int(row.index);
+    w.Key("system").String(row.system);
+    w.Key("spec").String(row.spec_label);
+    w.Key("backend").String(row.backend);
+    w.Key("timekeeper").String(row.timekeeper);
+    w.Key("charge_us").Int(row.charge);
+    w.Key("budget_uj").Fixed(row.budget, 3);
+    w.Key("seed").Int(row.seed);
+    w.Key("status").String(row.ok ? "ok" : "error");
     if (!row.ok) {
-      out += ", \"error\": \"" + JsonEscape(row.error) + "\"";
+      w.Key("error").String(row.error);
     }
-    out += ", \"completed\": " + std::string(row.result.completed ? "true" : "false");
-    out += ", \"timed_out\": " + std::string(row.result.timed_out ? "true" : "false");
-    out += ", \"starved\": " + std::string(row.result.starved ? "true" : "false");
-    out += ", \"iterations\": " + std::to_string(row.result.iterations_completed);
-    out += ", \"finished_at_us\": " + std::to_string(row.result.finished_at);
-    out += ", \"energy_uj\": " + FormatFixed(row.result.stats.TotalEnergy(), 3);
-    out += ", \"reboots\": " + std::to_string(row.result.stats.reboots);
-    out += ", \"charging_us\": " + std::to_string(row.result.stats.charging_time);
-    out += ", \"monitor_events\": " + std::to_string(row.monitor_events);
-    out += ", \"violations\": " + std::to_string(row.violations);
+    w.Key("completed").Bool(row.result.completed);
+    w.Key("timed_out").Bool(row.result.timed_out);
+    w.Key("starved").Bool(row.result.starved);
+    w.Key("iterations").Int(row.result.iterations_completed);
+    w.Key("finished_at_us").Int(row.result.finished_at);
+    w.Key("energy_uj").Fixed(row.result.stats.TotalEnergy(), 3);
+    w.Key("reboots").Int(row.result.stats.reboots);
+    w.Key("charging_us").Int(row.result.stats.charging_time);
+    w.Key("monitor_events").Int(row.monitor_events);
+    w.Key("violations").Int(row.violations);
     if (row.stats.has_value()) {
-      out += ", \"obs\": {\"events\": " + std::to_string(row.stats->total_events()) +
-             ", \"completed_paths\": " + std::to_string(row.stats->completed_paths()) +
-             ", \"committed_bytes\": " + std::to_string(row.stats->committed_bytes()) + "}";
+      w.Key("obs").BeginObject(JsonLayout::kInline).Key("events").Int(row.stats->total_events());
+      w.Key("completed_paths").Int(row.stats->completed_paths());
+      w.Key("committed_bytes").Int(row.stats->committed_bytes()).End();
     }
     if (row.flight_enabled) {
-      out += ", \"flight\": {\"sealed\": " + std::to_string(row.flight_sealed) +
-             ", \"dropped\": " + std::to_string(row.flight_dropped) +
-             ", \"bytes\": " + std::to_string(row.flight_bytes) +
-             ", \"energy_share\": " + FormatFixed(row.flight_energy_share, 6) + "}";
+      w.Key("flight").BeginObject(JsonLayout::kInline).Key("sealed").Int(row.flight_sealed);
+      w.Key("dropped").Int(row.flight_dropped).Key("bytes").Int(row.flight_bytes);
+      w.Key("energy_share").Fixed(row.flight_energy_share, 6).End();
     }
     if (!row.metrics.empty()) {
-      out += ", \"metrics\": {";
-      for (std::size_t m = 0; m < row.metrics.size(); ++m) {
-        if (m != 0) {
-          out += ", ";
-        }
-        out += "\"" + JsonEscape(row.metrics[m].first) +
-               "\": " + FormatFixed(row.metrics[m].second, 6);
+      w.Key("metrics").BeginObject(JsonLayout::kInline);
+      for (const auto& [key, value] : row.metrics) {
+        w.Key(key).Fixed(value, 6);
       }
-      out += "}";
+      w.End();
     }
-    out += i + 1 < outcome.rows.size() ? "},\n" : "}\n";
+    w.End();
   }
-  out += "  ]\n";
-  out += "}\n";
+  w.End().End();
+  out += '\n';
   return out;
 }
 

@@ -363,5 +363,182 @@ TEST(FleetValidationTest, BatchOutcomeReportsHandlerClasses) {
   EXPECT_GT(fast, 0u);
 }
 
+// ------------------------------------------------------------ rendering --
+
+// Every optional block of artemis-fleet/1 set by hand: the batch
+// histogram, class and entry traffic, obs counts, and a first_error (no CLI
+// input reaches it) whose quote, backslash and control bytes need escaping.
+FleetSpec HandBuiltSpec() {
+  FleetSpec spec;
+  spec.spec_label = "tuned \"v2\"";
+  spec.backend = MonitorBackend::kInterpreted;
+  spec.devices = 3;
+  spec.seed = 42;
+  spec.iterations = 0;
+  spec.horizon = 1 * kHour;
+  spec.charges = {0, 1 * kMinute, 6 * kMinute};
+  return spec;
+}
+
+FleetOutcome HandBuiltOutcome() {
+  FleetOutcome outcome;
+  FleetAggregates& a = outcome.agg;
+  a.devices = 3;
+  a.errors = 1;
+  a.completed = 1;
+  a.starved = 0;
+  a.timed_out = 1;
+  a.iterations = 5;
+  a.reboots = 7;
+  a.charging_us = 123456789;
+  a.energy_nj = 9876543210;
+  a.monitor_energy_nj = 12345;
+  a.monitor_events = 300;
+  a.monitor_events_elided = 7;
+  a.violations = 11;
+  a.devices_with_violations = 2;
+  a.commits = 40;
+  a.aborts = 3;
+  a.skips = 1;
+  for (const std::uint64_t sample : {10u, 200u, 3000u}) {
+    a.energy_uj_hist.Record(sample);
+  }
+  a.violations_hist.Record(0);
+  a.violations_hist.Record(11);
+  a.attempts_hist.Record(4);
+  a.has_obs = true;
+  a.obs_counts[static_cast<std::size_t>(obs::Kind::kSimPowerFail)] = 7;
+  a.obs_counts[static_cast<std::size_t>(obs::Kind::kMonitorReset)] = 2;
+  a.obs_total = 9;
+  a.obs_completed_paths = 4;
+  a.obs_committed_bytes = 512;
+  a.has_traffic = true;
+  a.class_traffic = {1, 2, 3, 4, 5};
+  a.first_error = "device 2: \"spec\" at C:\\x\n\tbad \x01";
+  outcome.devices = 3;
+  outcome.handler_classes = {4, 0, 1, 0, 2};
+  outcome.dead_columns = 1;
+  outcome.total_columns = 18;
+  outcome.traffic = {{0, "NotStarted", -1, -1, "self_loop", 9},
+                     {3, "Wait\"ing", 1, 2, "general", 4}};
+  return outcome;
+}
+
+TEST(FleetRenderTest, EveryOptionalBlockRendersAsBefore) {
+  EXPECT_EQ(RenderFleetJson(HandBuiltSpec(), HandBuiltOutcome()), R"json({
+  "schema": "artemis-fleet/1",
+  "app": "health",
+  "spec": "tuned \"v2\"",
+  "backend": "interpreted",
+  "monitor_mode": "batch",
+  "devices": 3,
+  "seed": 42,
+  "iterations": 0,
+  "horizon_us": 3600000000,
+  "charges_us": [0, 60000000, 360000000],
+  "aggregates": {
+    "devices": 3,
+    "errors": 1,
+    "completed": 1,
+    "starved": 0,
+    "timed_out": 1,
+    "iterations": 5,
+    "reboots": 7,
+    "charging_us": 123456789,
+    "energy_nj": 9876543210,
+    "monitor_energy_nj": 12345,
+    "monitor_share": 0.000001250,
+    "monitor_events": 300,
+    "monitor_events_elided": 7,
+    "elision_rate": 0.023333333,
+    "violations": 11,
+    "violation_rate": 0.036666667,
+    "devices_with_violations": 2,
+    "commits": 40,
+    "aborts": 3,
+    "skips": 1
+  },
+  "energy_uj": "n=3 min=10 p50=15 p90=255 p99=255 max=3000",
+  "violations_per_device": "n=2 min=0 p50=0 p90=0 p99=0 max=11",
+  "attempts_per_commit": "n=1 min=4 p50=4 p90=4 p99=4 max=4",
+  "batch": {
+    "handler_classes": [4, 0, 1, 0, 2],
+    "dead_columns": 1,
+    "columns": 18
+  },
+  "class_traffic": {"self_loop": 1, "commit": 2, "store_field_commit": 3, "guard_elapsed_commit": 4, "general": 5},
+  "traffic": [
+    {"machine": 0, "state": "NotStarted", "kind": "any", "task": -1, "class": "self_loop", "events": 9},
+    {"machine": 3, "state": "Wait\"ing", "kind": "end", "task": 2, "class": "general", "events": 4}
+  ],
+  "obs": {
+    "total_events": 9,
+    "completed_paths": 4,
+    "committed_bytes": 512,
+    "counts": {"sim.power-fail": 7, "monitor.path-reset": 2}
+  },
+  "first_error": "device 2: \"spec\" at C:\\x\n\tbad \u0001",
+  "ok": false
+}
+)json");
+}
+
+// Empty traffic and counts render as [] and {}; the batch block and
+// first_error drop out.
+TEST(FleetRenderTest, EmptyContainersRenderBare) {
+  FleetOutcome outcome = HandBuiltOutcome();
+  outcome.traffic.clear();
+  outcome.agg.obs_counts = {};
+  outcome.agg.first_error.clear();
+  outcome.handler_classes.clear();
+  EXPECT_EQ(RenderFleetJson(HandBuiltSpec(), outcome), R"json({
+  "schema": "artemis-fleet/1",
+  "app": "health",
+  "spec": "tuned \"v2\"",
+  "backend": "interpreted",
+  "monitor_mode": "batch",
+  "devices": 3,
+  "seed": 42,
+  "iterations": 0,
+  "horizon_us": 3600000000,
+  "charges_us": [0, 60000000, 360000000],
+  "aggregates": {
+    "devices": 3,
+    "errors": 1,
+    "completed": 1,
+    "starved": 0,
+    "timed_out": 1,
+    "iterations": 5,
+    "reboots": 7,
+    "charging_us": 123456789,
+    "energy_nj": 9876543210,
+    "monitor_energy_nj": 12345,
+    "monitor_share": 0.000001250,
+    "monitor_events": 300,
+    "monitor_events_elided": 7,
+    "elision_rate": 0.023333333,
+    "violations": 11,
+    "violation_rate": 0.036666667,
+    "devices_with_violations": 2,
+    "commits": 40,
+    "aborts": 3,
+    "skips": 1
+  },
+  "energy_uj": "n=3 min=10 p50=15 p90=255 p99=255 max=3000",
+  "violations_per_device": "n=2 min=0 p50=0 p90=0 p99=0 max=11",
+  "attempts_per_commit": "n=1 min=4 p50=4 p90=4 p99=4 max=4",
+  "class_traffic": {"self_loop": 1, "commit": 2, "store_field_commit": 3, "guard_elapsed_commit": 4, "general": 5},
+  "traffic": [],
+  "obs": {
+    "total_events": 9,
+    "completed_paths": 4,
+    "committed_bytes": 512,
+    "counts": {}
+  },
+  "ok": false
+}
+)json");
+}
+
 }  // namespace
 }  // namespace artemis::fleet

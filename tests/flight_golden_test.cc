@@ -57,12 +57,12 @@ std::string RunHealthDump(const std::string& schedule, SimDuration charge_bin,
   EXPECT_TRUE(records.ok()) << records.status().ToString();
 
   flight::FlightMeta meta = flight::MetaFromRecorder(recorder);
-  meta.app = "health";
-  meta.power = "fixed-charge";
-  meta.schedule = schedule;
-  meta.backend = "builtin";
+  meta.run.app = "health";
+  meta.run.power = "fixed-charge";
+  meta.run.schedule = schedule;
+  meta.run.backend = "builtin";
   for (TaskId t = 0; t < app.graph.task_count(); ++t) {
-    meta.task_names.push_back(app.graph.TaskName(t));
+    meta.run.task_names.push_back(app.graph.TaskName(t));
   }
   return flight::RenderDumpJsonl(records.value(), meta);
 }

@@ -511,15 +511,16 @@ std::vector<std::string> TaskNames(const AppGraph& graph) {
   return names;
 }
 
-// The artemis-trace/1 header of a run's JSONL event stream (`trace`,
-// `simulate --trace`); an empty `schedule` is left out.
-obs::JsonlOptions TraceHeader(const Args& args, SimDuration charge, std::string schedule,
-                              const AppGraph& graph) {
+// The run fields of a run's artemis-trace/1 JSONL header (`trace`,
+// `simulate --trace`) and of its artemis-flight/1 dump header (`forensics`,
+// naming the backend the device ran); an empty `schedule` is left out.
+obs::JsonlOptions TraceHeader(const Args& args, MonitorBackend backend, SimDuration charge,
+                              std::string schedule, const AppGraph& graph) {
   obs::JsonlOptions options;
   options.app = args.app_file.empty() ? args.app : args.app_file;
   options.power = charge != 0 ? "fixed-charge" : "always-on";
   options.schedule = std::move(schedule);
-  options.backend = MonitorBackendName(args.backend);
+  options.backend = MonitorBackendName(backend);
   options.task_names = TaskNames(graph);
   return options;
 }
@@ -619,7 +620,8 @@ int RunSimulate(const Args& args) {
   // goes to stderr, so stdout stays one JSON object per line.
   std::optional<obs::JsonlSink> jsonl;
   if (args.trace) {
-    obs::JsonlOptions header = TraceHeader(args, args.charge, "", device.graph());
+    obs::JsonlOptions header =
+        TraceHeader(args, args.backend, args.charge, "", device.graph());
     if (args.system == "mayfly") {
       header.backend.clear();  // Mayfly runs no monitor backend.
     }
@@ -665,7 +667,7 @@ int RunTrace(const Args& args) {
   ObsStatsAggregator stats;
   if (args.format == "jsonl") {
     jsonl = std::make_unique<obs::JsonlSink>(
-        trace_out, TraceHeader(args, *charge, args.schedule, *app->graph));
+        trace_out, TraceHeader(args, args.backend, *charge, args.schedule, *app->graph));
     bus.AddSink(jsonl.get());
   } else if (args.format == "perfetto") {
     perfetto = std::make_unique<obs::PerfettoSink>(trace_out, TaskNames(*app->graph));
@@ -807,11 +809,7 @@ int RunForensics(const Args& args) {
   }
 
   flight::FlightMeta meta = flight::MetaFromRecorder(recorder);
-  meta.app = args.app_file.empty() ? args.app : args.app_file;
-  meta.power = *charge != 0 ? "fixed-charge" : "always-on";
-  meta.schedule = args.schedule;
-  meta.backend = MonitorBackendName(backend);
-  meta.task_names = TaskNames(device.graph());
+  meta.run = TraceHeader(args, backend, *charge, args.schedule, device.graph());
 
   std::string rendered;
   bool clean = true;
@@ -838,7 +836,7 @@ int RunForensics(const Args& args) {
   std::fprintf(stderr,
                "forensics: app=%s schedule=%s level=%s completed=%s reboots=%llu "
                "sealed=%llu decoded=%zu\n",
-               meta.app.c_str(), args.schedule.c_str(), flight::FlightLevelName(level),
+               meta.run.app.c_str(), args.schedule.c_str(), flight::FlightLevelName(level),
                result.completed ? "yes" : "no",
                static_cast<unsigned long long>(result.stats.reboots),
                static_cast<unsigned long long>(recorder.stats().records_sealed),

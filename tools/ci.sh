@@ -10,13 +10,16 @@
 #      tools/run_sanitized_tests.sh.
 #   3. Golden-trace gate: `artemisc trace` of the health app under 6-minute
 #      charging must be byte-identical to tests/golden/trace/health_6min.jsonl
-#      (checked with `artemisc trace diff`); likewise `artemisc forensics
-#      dump` must reproduce tests/golden/flight/health_6min.jsonl and, with
-#      a wrapping 128-byte ring under 1-minute charging,
-#      tests/golden/flight/health_1min_128.jsonl, and
-#      `artemisc forensics audit` must report zero mismatches. A forensics
-#      run that hot-swaps mid-flight (`--spec2`) must stitch the swap-epoch
-#      record into the timeline and still audit clean across the swap.
+#      (checked with `artemisc trace diff`), and its Perfetto export to
+#      tests/golden/trace/health_6min.perfetto.json; likewise `artemisc
+#      forensics dump` must reproduce tests/golden/flight/health_6min.jsonl
+#      and, with a wrapping 128-byte ring under 1-minute charging,
+#      tests/golden/flight/health_1min_128.jsonl, and `artemisc forensics
+#      audit` must report zero mismatches. A forensics run that hot-swaps
+#      mid-flight (`--spec2`) must dump tests/golden/flight/
+#      health_6min_swap.jsonl (its swap-epoch record included), stitch the
+#      swap-epoch record into the timeline and still audit clean across the
+#      swap.
 #   4. Docs check: every relative .md link in README.md, DESIGN.md,
 #      EXPERIMENTS.md, and docs/ must resolve to an existing file, and every
 #      documented artemisc invocation (those docs, this script and the
@@ -29,6 +32,8 @@
 #      health grids whose points fold into shared device runs
 #      (tests/golden/sweep/health_fold.json: four timekeepers, two budgets,
 #      --stats; tests/golden/sweep/health_swap.json: a hot-swap grid); a
+#      grid with an unparsable spec must exit 1 and render its error row as
+#      tests/golden/sweep/health_errors.json at --jobs 1 and 4; a
 #      statically infeasible deployment must be refused with exit 2 before
 #      any point runs.
 #   6. Fleet determinism smoke: `artemisc fleet` over a small device fleet
@@ -39,7 +44,10 @@
 #      tests/golden/fleet/health_scalar_<backend>.json for each backend
 #      (interpreted, compiled, builtin) at --shards 1 and --shards 4; a
 #      batch fleet over 16-device tiles must equal
-#      tests/golden/fleet/health_batch.json at --shards 1 and 4; the same
+#      tests/golden/fleet/health_batch.json at --shards 1 and 4, and so must
+#      a batch and a scalar fleet with --stats (every optional block:
+#      batch, class_traffic, traffic, obs) equal
+#      tests/golden/fleet/health_{batch,scalar}_stats.json; the same
 #      infeasible deployment must be refused with exit 2.
 #   7. Benchmark smoke: perfbench/ (the repo's benchmark, its own CMake
 #      package over src/) must build against the engine's public API, pass
@@ -88,6 +96,16 @@ if ! "${artemisc}" trace diff "${repo_root}/tests/golden/trace/health_6min.jsonl
   exit 1
 fi
 echo "ok: health 6min trace matches the golden"
+"${artemisc}" trace --app health --schedule 6min --format perfetto --out "${trace_tmp}" \
+  2> /dev/null
+if ! diff -q "${repo_root}/tests/golden/trace/health_6min.perfetto.json" "${trace_tmp}" \
+    > /dev/null; then
+  echo "CI FAIL: health 6min Perfetto export diverged from" \
+    "tests/golden/trace/health_6min.perfetto.json" >&2
+  echo "         (intentional? regenerate with UPDATE_GOLDEN=1 trace_golden_test)" >&2
+  exit 1
+fi
+echo "ok: health 6min Perfetto export matches the golden"
 
 # The flight recorder's dump is equally deterministic, and the recovered
 # black box must cross-validate against the obs-bus capture of the run.
@@ -116,6 +134,19 @@ if ! "${artemisc}" forensics audit --app health --schedule 6min > /dev/null 2>&1
   exit 1
 fi
 echo "ok: health 6min flight log audits clean"
+
+# A run that hot-swaps its monitor image dumps the only swap-epoch record
+# (old_hash, new_hash, image_epoch) that a golden covers. The spec paths
+# stay relative, as in the command that generated the golden.
+(cd "${repo_root}" && "${artemisc}" forensics dump --app health --schedule 6min \
+  --spec examples/specs/health.prop --spec2 examples/specs/health.prop --swap-at 2min \
+  --out "${flight_tmp}" 2> /dev/null)
+if ! diff -u "${repo_root}/tests/golden/flight/health_6min_swap.jsonl" "${flight_tmp}"; then
+  echo "CI FAIL: health 6min swap flight dump diverged from" \
+    "tests/golden/flight/health_6min_swap.jsonl" >&2
+  exit 1
+fi
+echo "ok: health 6min swap flight dump matches the golden"
 
 # Hot-swap stitch (docs/hotswap.md): a run that hot-swaps monitor images
 # mid-flight must leave a sealed swap-epoch record that the timeline
@@ -258,6 +289,24 @@ for jobs in 1 4; do
 done
 echo "ok: folded health sweeps match their goldens for --jobs 1 and 4"
 
+# An unparsable spec is an error row, not a refusal: the grid still runs,
+# renders the row's error field, and exits 1.
+for jobs in 1 4; do
+  rc=0
+  (cd "${repo_root}" && "${artemisc}" sweep tests/golden/sweep/health_errors.grid.json \
+    --jobs "${jobs}" --format json --out "${sweep_j1}") 2> /dev/null || rc=$?
+  if [[ "${rc}" -ne 1 ]]; then
+    echo "CI FAIL: sweep with an error row should exit 1 (got ${rc}, --jobs ${jobs})" >&2
+    exit 1
+  fi
+  if ! diff -u "${repo_root}/tests/golden/sweep/health_errors.json" "${sweep_j1}"; then
+    echo "CI FAIL: error-row sweep (--jobs ${jobs}) diverged from" \
+      "tests/golden/sweep/health_errors.json" >&2
+    exit 1
+  fi
+done
+echo "ok: error-row sweep matches the golden for --jobs 1 and 4"
+
 # A statically infeasible deployment must be refused before any point runs,
 # identically for any job count: exit 2 (usage-level refusal), not a grid
 # of failing rows.
@@ -300,6 +349,27 @@ for shards in 1 4; do
   fi
 done
 echo "ok: batch fleet over 16-device tiles matches the golden for --shards 1 and 4"
+
+# Every optional block of artemis-fleet/1: a batch fleet with --stats renders
+# batch, class_traffic, traffic and obs; a scalar fleet with --stats renders
+# obs only.
+for shards in 1 4; do
+  "${artemisc}" fleet --app health --monitor batch --stats --devices 64 --tile 16 \
+    --shards "${shards}" --format json --out "${fleet_s1}"
+  if ! diff -u "${repo_root}/tests/golden/fleet/health_batch_stats.json" "${fleet_s1}"; then
+    echo "CI FAIL: batch --stats fleet (--shards ${shards}) diverged from" \
+      "tests/golden/fleet/health_batch_stats.json" >&2
+    exit 1
+  fi
+  "${artemisc}" fleet --app health --monitor scalar --backend compiled --stats --devices 8 \
+    --charges 1min,6min --minutes 60 --shards "${shards}" --format json --out "${fleet_s1}"
+  if ! diff -u "${repo_root}/tests/golden/fleet/health_scalar_stats.json" "${fleet_s1}"; then
+    echo "CI FAIL: scalar --stats fleet (--shards ${shards}) diverged from" \
+      "tests/golden/fleet/health_scalar_stats.json" >&2
+    exit 1
+  fi
+done
+echo "ok: --stats batch and scalar fleets match their goldens for --shards 1 and 4"
 
 # Scalar monitors under outages: every device drives MonitorSet's machine
 # loop through power failures with each backend's step cost (interpreted 46,
