@@ -22,6 +22,9 @@ const char* DiagSeverityName(DiagSeverity severity);
 
 // Stable diagnostic codes. Never renumber; retire codes instead.
 namespace diag {
+// `artemisc check --json`: the spec failed to parse, validate or lower, or
+// the swap gate could not build an image, so no pass ran.
+inline constexpr char kFrontHalfFailure[] = "ART000";
 inline constexpr char kUnreachableState[] = "ART001";   // reachability pass
 inline constexpr char kDeadTransition[] = "ART002";     // reachability pass
 inline constexpr char kUnsatisfiableGuard[] = "ART003"; // guard-sat pass

@@ -1,13 +1,17 @@
 #include "src/sweep/sweep.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <system_error>
 
 #include "src/analysis/analyzer.h"
@@ -247,11 +251,56 @@ StatusOr<SimDuration> ParseChargeSchedule(const std::string& text) {
   return *period - 1 * kSecond;
 }
 
-StatusOr<std::vector<SweepPoint>> ExpandGrid(const SweepSpec& spec) {
+namespace {
+
+// ExpandGrid's axis order, outermost first.
+enum Axis : std::size_t {
+  kSpecAxis,
+  kSystemAxis,
+  kBackendAxis,
+  kTimekeeperAxis,
+  kBudgetAxis,
+  kChargeAxis,
+  kSeedAxis,
+  kAxes
+};
+
+// A validated grid that maps a grid index to its point: the index's
+// coordinate on an axis is (index / stride) % size, and the strides follow
+// the axis order above. It reads the SweepSpec it was made from, which must
+// outlive it.
+class GridDecoder {
+ public:
+  // Validates the axes: the one check ExpandGrid and RunSweep share.
+  static StatusOr<GridDecoder> Make(const SweepSpec& spec);
+
+  std::size_t points() const { return points_; }
+  std::size_t stride(Axis axis) const { return strides_[axis]; }
+  // The text spec source `source` resolves to: its own, or the app's default.
+  const std::string& SpecText(std::size_t source) const {
+    return spec_->specs[source].text.empty() ? default_text_ : spec_->specs[source].text;
+  }
+  // Overwrites `point` with grid point `index`, reusing its string buffers.
+  void Decode(std::size_t index, SweepPoint* point) const;
+
+ private:
+  explicit GridDecoder(const SweepSpec& spec) : spec_(&spec) {}
+
+  const SweepSpec* spec_;
+  std::string default_text_;
+  std::vector<MonitorBackend> backends_;  // parsed spec_->backends
+  std::array<std::size_t, kAxes> sizes_{};
+  std::array<std::size_t, kAxes> strides_{};
+  std::size_t points_ = 0;
+};
+
+StatusOr<GridDecoder> GridDecoder::Make(const SweepSpec& spec) {
+  GridDecoder grid(spec);
   StatusOr<std::string> default_spec = DefaultSpecForApp(spec.app);
   if (!default_spec.ok()) {
     return default_spec.status();
   }
+  grid.default_text_ = std::move(default_spec).value();
   if (spec.systems.empty() || spec.specs.empty() || spec.charges.empty() ||
       spec.budgets.empty() || spec.backends.empty() || spec.timekeepers.empty() ||
       spec.seeds.empty()) {
@@ -277,13 +326,12 @@ StatusOr<std::vector<SweepPoint>> ExpandGrid(const SweepSpec& spec) {
   if (StatusOr<flight::FlightLevel> level = ParseFlightAxis(spec.flight); !level.ok()) {
     return level.status();
   }
-  std::vector<std::pair<std::string, MonitorBackend>> backends;
   for (const std::string& name : spec.backends) {
     StatusOr<MonitorBackend> backend = ParseBackend(name);
     if (!backend.ok()) {
       return backend.status();
     }
-    backends.emplace_back(name, backend.value());
+    grid.backends_.push_back(backend.value());
   }
   for (const SpecSource& source : spec.specs) {
     if (source.label.empty()) {
@@ -307,34 +355,48 @@ StatusOr<std::vector<SweepPoint>> ExpandGrid(const SweepSpec& spec) {
     }
   }
 
-  std::vector<SweepPoint> points;
-  for (const SpecSource& source : spec.specs) {
-    const std::string& text = source.text.empty() ? default_spec.value() : source.text;
-    for (const std::string& system : spec.systems) {
-      for (const auto& [backend_name, backend] : backends) {
-        for (const std::string& timekeeper : spec.timekeepers) {
-          for (const EnergyUj budget : spec.budgets) {
-            for (const SimDuration charge : spec.charges) {
-              for (const std::uint64_t seed : spec.seeds) {
-                SweepPoint point;
-                point.index = points.size();
-                point.app = spec.app;
-                point.system = system;
-                point.spec_label = source.label;
-                point.spec_text = text;
-                point.backend_name = backend_name;
-                point.backend = backend;
-                point.timekeeper = timekeeper;
-                point.budget = budget;
-                point.charge = charge;
-                point.seed = seed;
-                points.push_back(std::move(point));
-              }
-            }
-          }
-        }
-      }
+  grid.sizes_ = {spec.specs.size(),       spec.systems.size(), spec.backends.size(),
+                 spec.timekeepers.size(), spec.budgets.size(), spec.charges.size(),
+                 spec.seeds.size()};
+  std::size_t stride = 1;
+  for (std::size_t axis = kAxes; axis-- > 0;) {
+    grid.strides_[axis] = stride;
+    if (stride > std::numeric_limits<std::size_t>::max() / grid.sizes_[axis]) {
+      return Status::Invalid("sweep: the grid has more points than a size_t can count");
     }
+    stride *= grid.sizes_[axis];
+  }
+  grid.points_ = stride;
+  return grid;
+}
+
+void GridDecoder::Decode(std::size_t index, SweepPoint* point) const {
+  const auto at = [&](Axis axis) { return index / strides_[axis] % sizes_[axis]; };
+  const std::size_t source = at(kSpecAxis);
+  const std::size_t backend = at(kBackendAxis);
+  point->index = index;
+  point->app = spec_->app;
+  point->system = spec_->systems[at(kSystemAxis)];
+  point->spec_label = spec_->specs[source].label;
+  point->spec_text = SpecText(source);
+  point->backend_name = spec_->backends[backend];
+  point->backend = backends_[backend];
+  point->timekeeper = spec_->timekeepers[at(kTimekeeperAxis)];
+  point->budget = spec_->budgets[at(kBudgetAxis)];
+  point->charge = spec_->charges[at(kChargeAxis)];
+  point->seed = spec_->seeds[at(kSeedAxis)];
+}
+
+}  // namespace
+
+StatusOr<std::vector<SweepPoint>> ExpandGrid(const SweepSpec& spec) {
+  StatusOr<GridDecoder> grid = GridDecoder::Make(spec);
+  if (!grid.ok()) {
+    return grid.status();
+  }
+  std::vector<SweepPoint> points(grid.value().points());
+  for (std::size_t index = 0; index < points.size(); ++index) {
+    grid.value().Decode(index, &points[index]);
   }
   return points;
 }
@@ -420,9 +482,10 @@ bool SimulateDevice(const SweepPoint& point, const SweepSpec& spec, DeviceRecipe
   // Per-point bus + aggregator: attaching costs zero simulated cycles, so
   // collect_stats never perturbs the simulated results.
   obs::EventBus bus;
-  ObsStatsAggregator aggregator;
+  std::shared_ptr<ObsStatsAggregator> aggregator;
   if (spec.collect_stats) {
-    bus.AddSink(&aggregator);
+    aggregator = std::make_shared<ObsStatsAggregator>();
+    bus.AddSink(aggregator.get());
     recipe.observer = &bus;
   }
   DeviceRun device(std::move(recipe));
@@ -443,9 +506,7 @@ bool SimulateDevice(const SweepPoint& point, const SweepSpec& spec, DeviceRecipe
     row->metrics.emplace_back("swap_staged_bytes", static_cast<double>(ss.bytes_staged));
     row->metrics.emplace_back("swap_epoch", static_cast<double>(swap->installed().epoch));
   }
-  if (spec.collect_stats) {
-    row->stats = aggregator;
-  }
+  row->stats = std::move(aggregator);
   if (spec.post_run) {
     spec.post_run(point, SweepRunArtifacts{device.artemis(), device.mayfly(), &device.graph()},
                   row);
@@ -511,12 +572,12 @@ struct DeviceClass {
 //    timekeeper when its first run had an outage.
 // Seeds never fold (the seed reaches the kernel's Rng), and a post_run grid
 // folds nothing: the hook reads each point's own device. Classes are
-// numbered in the order of their first points, by index arithmetic over
-// ExpandGrid's axis order (spec, system, backend, timekeeper, budget,
-// charge, seed), so folding allocates nothing per point.
+// numbered in the order of their first points, by index arithmetic over the
+// grid's strides, so folding allocates nothing per point.
 class DeviceClasses {
  public:
-  explicit DeviceClasses(const SweepSpec& spec) : spec_(spec), fold_(!spec.post_run) {
+  DeviceClasses(const SweepSpec& spec, const GridDecoder& grid)
+      : spec_(spec), grid_(grid), fold_(!spec.post_run) {
     // Every charge leads a class with the first budget; under folding a
     // continuous charge leads with no other.
     for (std::size_t c = 0; c < spec.charges.size(); ++c) {
@@ -531,11 +592,6 @@ class DeviceClasses {
     for (std::size_t system = 0; system < spec.systems.size(); ++system) {
       per_spec_ += PerSystem(system);
     }
-    charge_stride_ = spec.seeds.size();
-    budget_stride_ = spec.charges.size() * charge_stride_;
-    timekeeper_stride_ = spec.budgets.size() * budget_stride_;
-    backend_stride_ = spec.timekeepers.size() * timekeeper_stride_;
-    system_stride_ = spec.backends.size() * backend_stride_;
   }
 
   std::size_t size() const { return spec_.specs.size() * per_spec_; }
@@ -565,15 +621,16 @@ class DeviceClasses {
     }
 
     DeviceClass cls;
-    cls.first = (source * spec_.systems.size() + system) * system_stride_ +
-                backend * backend_stride_ + timekeeper * timekeeper_stride_ +
-                budget * budget_stride_ + charge * charge_stride_ + seed;
+    cls.first = source * grid_.stride(kSpecAxis) + system * grid_.stride(kSystemAxis) +
+                backend * grid_.stride(kBackendAxis) +
+                timekeeper * grid_.stride(kTimekeeperAxis) + budget * grid_.stride(kBudgetAxis) +
+                charge * grid_.stride(kChargeAxis) + seed * grid_.stride(kSeedAxis);
     cls.backends = FoldsBackend(system) ? spec_.backends.size() : 1;
     cls.timekeepers = fold_ ? spec_.timekeepers.size() : 1;
     cls.budgets = fold_ && spec_.charges[charge] == 0 ? spec_.budgets.size() : 1;
-    cls.backend_stride = backend_stride_;
-    cls.timekeeper_stride = timekeeper_stride_;
-    cls.budget_stride = budget_stride_;
+    cls.backend_stride = grid_.stride(kBackendAxis);
+    cls.timekeeper_stride = grid_.stride(kTimekeeperAxis);
+    cls.budget_stride = grid_.stride(kBudgetAxis);
     return cls;
   }
 
@@ -586,36 +643,31 @@ class DeviceClasses {
   }
 
   const SweepSpec& spec_;
+  const GridDecoder& grid_;
   bool fold_;
   std::vector<std::size_t> every_budget_;  // charges that lead with every budget
   // Classes per spec / system / backend / timekeeper value.
   std::size_t per_spec_ = 0;
   std::size_t per_backend_ = 0;
   std::size_t per_timekeeper_ = 0;
-  // ExpandGrid's index strides (a seed's is 1).
-  std::size_t charge_stride_ = 0;
-  std::size_t budget_stride_ = 0;
-  std::size_t timekeeper_stride_ = 0;
-  std::size_t backend_stride_ = 0;
-  std::size_t system_stride_ = 0;
 };
 
 // Runs one device class into its members' rows and returns how many
 // devices ran. Every member does its own setup. The first run serves every
 // timekeeper if it had no outage; otherwise each timekeeper runs its own
 // device, still shared across the class's backends and budgets.
-std::uint64_t RunClass(const DeviceClass& cls, const std::vector<SweepPoint>& points,
-                       const SweepSpec& spec, CompiledSpecCache& cache,
-                       std::vector<SweepRow>& rows) {
+std::uint64_t RunClass(const DeviceClass& cls, const GridDecoder& grid, const SweepSpec& spec,
+                       CompiledSpecCache& cache, std::vector<SweepRow>& rows) {
   std::uint64_t devices = 0;
   const SweepRow* first_run = nullptr;
+  SweepPoint point;  // each member decoded in turn into the same buffers
   for (std::size_t timekeeper = 0; timekeeper < cls.timekeepers; ++timekeeper) {
     const bool outage_free =
         first_run != nullptr && first_run->ok && first_run->result.stats.reboots == 0;
     const SweepRow* run = outage_free ? first_run : nullptr;
     for (std::size_t backend = 0; backend < cls.backends; ++backend) {
       for (std::size_t budget = 0; budget < cls.budgets; ++budget) {
-        const SweepPoint& point = points[cls.Member(backend, timekeeper, budget)];
+        grid.Decode(cls.Member(backend, timekeeper, budget), &point);
         SweepRow& row = rows[point.index];
         row = PointRow(point);
         DeviceRecipe recipe;
@@ -684,29 +736,34 @@ Status PreAnalyzeSpec(const std::string& engine_name, const std::string& label,
 }
 
 StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCache* cache) {
-  StatusOr<std::vector<SweepPoint>> points = ExpandGrid(spec);
-  if (!points.ok()) {
-    return points.status();
+  StatusOr<GridDecoder> decoder = GridDecoder::Make(spec);
+  if (!decoder.ok()) {
+    return decoder.status();
   }
+  const GridDecoder& grid = decoder.value();
 
   // Analyzer gate: one serial pass over the unique specs of the grid (in
   // first-appearance order, so the failing spec is deterministic for any
-  // job count), before a single point has burned simulation time.
+  // job count), before a single point has burned simulation time. Spec is
+  // the outermost axis, so the spec sources in order are the grid's first
+  // appearances.
   if (spec.analyze) {
     StatusOr<std::shared_ptr<const AppGraph>> app = AppTemplate(spec.app);
     if (!app.ok()) {
       return app.status();
     }
     const AppGraph& graph = *app.value();
-    std::vector<std::string> seen;
-    for (const SweepPoint& point : points.value()) {
-      if (std::find(seen.begin(), seen.end(), point.spec_text) != seen.end()) {
+    std::vector<const std::string*> seen;
+    for (std::size_t source = 0; source < spec.specs.size(); ++source) {
+      const std::string& text = grid.SpecText(source);
+      if (std::any_of(seen.begin(), seen.end(),
+                      [&](const std::string* other) { return *other == text; })) {
         continue;
       }
-      seen.push_back(point.spec_text);
+      seen.push_back(&text);
       const Status gate =
-          PreAnalyzeSpec("sweep", point.spec_label, point.spec_text, graph,
-                         spec.budgets, spec.charges, spec.flight, spec.flight_bytes);
+          PreAnalyzeSpec("sweep", spec.specs[source].label, text, graph, spec.budgets,
+                         spec.charges, spec.flight, spec.flight_bytes);
       if (!gate.ok()) {
         return gate;
       }
@@ -729,8 +786,8 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
       }
       options.flight_enabled = spec.flight != "off";
       options.flight_bytes = spec.flight_bytes;
-      for (const std::string& text : seen) {
-        StatusOr<MonitorImage> old_image = BuildMonitorImage(text, graph, 1);
+      for (const std::string* text : seen) {
+        StatusOr<MonitorImage> old_image = BuildMonitorImage(*text, graph, 1);
         StatusOr<MonitorImage> new_image = BuildMonitorImage(spec.spec2.text, graph, 2);
         if (!old_image.ok() || !new_image.ok()) {
           continue;  // Unbuildable specs become per-point error rows.
@@ -757,9 +814,9 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
   const std::uint64_t compilations0 = shared.compilations();
 
   SweepOutcome outcome;
-  outcome.rows.resize(points.value().size());
+  outcome.rows.resize(grid.points());
 
-  const DeviceClasses classes(spec);
+  const DeviceClasses classes(spec, grid);
   jobs = ClampWorkers(jobs, classes.size());
   std::atomic<std::uint64_t> devices_run{0};
   // Each worker claims the next unclaimed device class and writes each
@@ -767,7 +824,7 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
   // touch the same row, and the collected table is independent of claim
   // order.
   ParallelFor(jobs, classes.size(), [&](std::size_t c) {
-    devices_run += RunClass(classes[c], points.value(), spec, shared, outcome.rows);
+    devices_run += RunClass(classes[c], grid, spec, shared, outcome.rows);
   });
   outcome.devices_run = devices_run;
 
@@ -779,8 +836,85 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
   return outcome;
 }
 
+namespace {
+
+// Upper bounds on what RenderJson writes, so it can size its string once.
+// Capacity it never writes costs no resident memory, and an underestimate
+// costs one reallocation, never a byte.
+
+// `"key": ` and the `, ` before it, for each key.
+constexpr std::size_t KeyBytes(std::initializer_list<std::string_view> keys) {
+  std::size_t bytes = 0;
+  for (const std::string_view key : keys) {
+    bytes += key.size() + 6;
+  }
+  return bytes;
+}
+
+// A string at worst-case escaping (\u00xx per byte), with its quotes.
+constexpr std::size_t StringBytes(std::string_view text) { return 6 * text.size() + 2; }
+
+constexpr std::size_t kIntBytes = 20;  // the widest 64-bit integer, sign included
+
+// FormatFixed(value, digits): a sign, the integer digits |value| < 2^exponent
+// allows plus one for a rounding carry, the point and the decimals.
+std::size_t FixedBytes(double value, int digits) {
+  int exponent = 0;
+  std::frexp(value, &exponent);
+  const std::size_t integer =
+      exponent > 0 ? static_cast<std::size_t>(exponent) * 30103 / 100000 + 2 : 1;
+  return 2 + integer + static_cast<std::size_t>(digits);
+}
+
+std::size_t RowBytes(const SweepRow& row) {
+  // Indentation, braces and the `,` and newline after the row; then the
+  // members every row has, with their nine integers, three booleans and
+  // "error" as the widest status.
+  constexpr std::size_t kFrame =
+      8 +
+      KeyBytes({"index", "system", "spec", "backend", "timekeeper", "charge_us", "budget_uj",
+                "seed", "status", "completed", "timed_out", "starved", "iterations",
+                "finished_at_us", "energy_uj", "reboots", "charging_us", "monitor_events",
+                "violations"}) +
+      9 * kIntBytes + 3 * 5 + StringBytes("error");
+  std::size_t bytes = kFrame + StringBytes(row.system) + StringBytes(row.spec_label) +
+                      StringBytes(row.backend) + StringBytes(row.timekeeper) +
+                      FixedBytes(row.budget, 3) + FixedBytes(row.result.stats.TotalEnergy(), 3);
+  if (!row.ok) {
+    bytes += KeyBytes({"error"}) + StringBytes(row.error);
+  }
+  if (row.stats != nullptr) {
+    bytes += KeyBytes({"obs", "events", "completed_paths", "committed_bytes"}) + 2 +
+             3 * kIntBytes;
+  }
+  if (row.flight_enabled) {
+    bytes += KeyBytes({"flight", "sealed", "dropped", "bytes", "energy_share"}) + 2 +
+             3 * kIntBytes + FixedBytes(row.flight_energy_share, 6);
+  }
+  if (!row.metrics.empty()) {
+    bytes += KeyBytes({"metrics"}) + 2;
+    for (const auto& [key, value] : row.metrics) {
+      bytes += StringBytes(key) + 4 + FixedBytes(value, 6);
+    }
+  }
+  return bytes;
+}
+
+}  // namespace
+
 std::string RenderJson(const SweepSpec& spec, const SweepOutcome& outcome) {
+  // The header's braces, newlines and indentation, its keys, the schema
+  // string, the app and eight integers.
+  std::size_t bytes =
+      32 +
+      KeyBytes({"schema", "app", "max_wall_us", "points", "cache", "requests", "builds", "hits",
+                "parses", "lowerings", "compilations", "rows"}) +
+      StringBytes("artemis-sweep/1") + StringBytes(spec.app) + 8 * kIntBytes;
+  for (const SweepRow& row : outcome.rows) {
+    bytes += RowBytes(row);
+  }
   std::string out;
+  out.reserve(bytes);
   JsonWriter w(&out);
   w.BeginObject(JsonLayout::kBlock);
   w.Key("schema").String("artemis-sweep/1");
@@ -817,7 +951,7 @@ std::string RenderJson(const SweepSpec& spec, const SweepOutcome& outcome) {
     w.Key("charging_us").Int(row.result.stats.charging_time);
     w.Key("monitor_events").Int(row.monitor_events);
     w.Key("violations").Int(row.violations);
-    if (row.stats.has_value()) {
+    if (row.stats != nullptr) {
       w.Key("obs").BeginObject(JsonLayout::kInline).Key("events").Int(row.stats->total_events());
       w.Key("completed_paths").Int(row.stats->completed_paths());
       w.Key("committed_bytes").Int(row.stats->committed_bytes()).End();

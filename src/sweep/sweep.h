@@ -2,8 +2,10 @@
 //
 // A SweepSpec declares independent axes (system, property spec, monitor
 // backend, timekeeper, on-period budget, charging delay, RNG seed); the
-// engine expands their cartesian product into SweepPoints and executes them
-// across N worker threads. Determinism contract (docs/sweep.md):
+// engine decodes each point of their cartesian product from its grid index
+// when it runs it, so it holds one row per point and nothing else per
+// point, and executes them across N worker threads. Determinism contract
+// (docs/sweep.md):
 //
 //  * every point's result depends only on its coordinates, never on
 //    scheduling. Points that differ only in coordinates their device never
@@ -33,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,7 +51,7 @@
 namespace artemis::sweep {
 
 // One property-spec axis value. Empty `text` selects the app's embedded
-// default spec (resolved at grid-expansion time).
+// default spec (resolved when the grid is validated).
 struct SpecSource {
   std::string label = "default";
   std::string text;
@@ -118,9 +119,9 @@ struct SweepSpec {
   std::function<void(const SweepPoint&, const SweepRunArtifacts&, SweepRow*)> post_run;
 };
 
-// One expanded grid point. Axis iteration order (outermost first): spec,
-// system, backend, timekeeper, budget, charge, seed — so `index` is stable
-// for a given SweepSpec regardless of job count.
+// One grid point. Axis order (outermost first): spec, system, backend,
+// timekeeper, budget, charge, seed — so `index` determines the point for a
+// given SweepSpec regardless of job count.
 struct SweepPoint {
   std::size_t index = 0;
   std::string app;
@@ -153,7 +154,9 @@ struct SweepRow {
   KernelRunResult result;
   std::uint64_t monitor_events = 0;
   std::uint64_t violations = 0;
-  std::optional<ObsStatsAggregator> stats;  // when SweepSpec::collect_stats
+  // Set only when SweepSpec::collect_stats; the points of one device class
+  // share their run's aggregator.
+  std::shared_ptr<const ObsStatsAggregator> stats;
   // Flight-recorder footprint (populated when SweepSpec::flight != "off"):
   // records kept/dropped, sealed bytes, and the recorder's share of the
   // total simulated energy.
@@ -197,7 +200,9 @@ AppGraph BuildAppGraphByName(const std::string& app);
 // The embedded property spec of a demo app; Invalid for an unknown name.
 StatusOr<std::string> DefaultSpecForApp(const std::string& app);
 
-// Validates the axes and expands the cartesian grid.
+// Validates the axes and decodes every grid index into its point, in index
+// order. RunSweep validates the same way but never holds the grid: it
+// decodes each point when it runs it.
 StatusOr<std::vector<SweepPoint>> ExpandGrid(const SweepSpec& spec);
 
 // Fail-fast pre-analysis gate shared by the sweep and fleet engines: runs

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +71,55 @@ TEST(SweepGridTest, ExpandsCartesianProductInDocumentedOrder) {
     EXPECT_EQ(points.value()[i].index, i);
     EXPECT_FALSE(points.value()[i].spec_text.empty());
   }
+
+  // More than one value on every axis: every decoded point, field by field,
+  // against nested loops in the documented order.
+  const std::string tries = "accel: { maxTries: 10 onFail: skipPath; }\n";
+  sweep::SweepSpec grid;
+  grid.specs = {{}, {"tries", tries}};
+  grid.systems = {"artemis", "mayfly"};
+  grid.backends = {"builtin", "interpreted", "compiled"};
+  grid.timekeepers = {"default", "rtc:0.01"};
+  grid.budgets = {kBudget, 1e8};
+  grid.charges = {Charge(1), 0, Charge(6)};
+  grid.seeds = {7, 3, 11};
+  const std::pair<std::string, MonitorBackend> backends[] = {
+      {"builtin", MonitorBackend::kBuiltin},
+      {"interpreted", MonitorBackend::kInterpreted},
+      {"compiled", MonitorBackend::kCompiled}};
+  StatusOr<std::vector<sweep::SweepPoint>> all = sweep::ExpandGrid(grid);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all.value().size(), 2u * 2 * 3 * 2 * 2 * 3 * 3);
+  std::size_t index = 0;
+  for (const sweep::SpecSource& source : grid.specs) {
+    const std::string text = source.text.empty() ? HealthAppSpec() : source.text;
+    for (const std::string& system : grid.systems) {
+      for (const auto& [backend_name, backend] : backends) {
+        for (const std::string& timekeeper : grid.timekeepers) {
+          for (const EnergyUj budget : grid.budgets) {
+            for (const SimDuration charge : grid.charges) {
+              for (const std::uint64_t seed : grid.seeds) {
+                SCOPED_TRACE("point " + std::to_string(index));
+                const sweep::SweepPoint& point = all.value()[index];
+                EXPECT_EQ(point.index, index);
+                EXPECT_EQ(point.app, "health");
+                EXPECT_EQ(point.system, system);
+                EXPECT_EQ(point.spec_label, source.label);
+                EXPECT_EQ(point.spec_text, text);
+                EXPECT_EQ(point.backend_name, backend_name);
+                EXPECT_EQ(point.backend, backend);
+                EXPECT_EQ(point.timekeeper, timekeeper);
+                EXPECT_EQ(point.budget, budget);
+                EXPECT_EQ(point.charge, charge);
+                EXPECT_EQ(point.seed, seed);
+                ++index;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SweepGridTest, RejectsBadAxisValues) {
@@ -88,6 +138,16 @@ TEST(SweepGridTest, RejectsBadAxisValues) {
   grid = sweep::SweepSpec();
   grid.seeds.clear();
   EXPECT_FALSE(sweep::ExpandGrid(grid).ok());
+  // 2^16 values on four axes: 2^64 points, which would wrap a size_t to 0.
+  grid = sweep::SweepSpec();
+  grid.seeds.assign(1 << 16, 1);
+  grid.budgets.assign(1 << 16, kBudget);
+  grid.charges.assign(1 << 16, 0);
+  grid.timekeepers.assign(1 << 16, "default");
+  const StatusOr<std::vector<sweep::SweepPoint>> huge = sweep::ExpandGrid(grid);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.status().message().find("more points than"), std::string::npos);
+  EXPECT_FALSE(sweep::RunSweep(grid, 1).ok());
 }
 
 // A clock error is a relative standard deviation: the whole token must be
@@ -369,9 +429,9 @@ TEST(SweepEngineTest, CollectStatsDoesNotPerturbSimulation) {
             observed.value().rows[0].result.finished_at);
   EXPECT_DOUBLE_EQ(plain.value().rows[0].result.stats.TotalEnergy(),
                    observed.value().rows[0].result.stats.TotalEnergy());
-  ASSERT_TRUE(observed.value().rows[0].stats.has_value());
+  ASSERT_NE(observed.value().rows[0].stats, nullptr);
   EXPECT_GT(observed.value().rows[0].stats->total_events(), 0u);
-  EXPECT_FALSE(plain.value().rows[0].stats.has_value());
+  EXPECT_EQ(plain.value().rows[0].stats, nullptr);
 }
 
 TEST(SweepChargeScheduleTest, ParsesNamedBinsAndContinuous) {
@@ -512,8 +572,8 @@ void ExpectSameRow(const sweep::SweepRow& got, const sweep::SweepRow& want) {
   EXPECT_EQ(got.result.stats.charging_time, want.result.stats.charging_time);
   EXPECT_EQ(got.monitor_events, want.monitor_events);
   EXPECT_EQ(got.violations, want.violations);
-  ASSERT_EQ(got.stats.has_value(), want.stats.has_value());
-  if (want.stats.has_value()) {
+  ASSERT_EQ(got.stats != nullptr, want.stats != nullptr);
+  if (want.stats != nullptr) {
     EXPECT_EQ(got.stats->Render(), want.stats->Render());
   }
   EXPECT_EQ(got.flight_enabled, want.flight_enabled);
@@ -628,6 +688,14 @@ TEST(SweepFoldTest, UnparseableSpecRunsNoDevice) {
   grid.charges = {0, Charge(1)};
   grid.timekeepers = {"default", "rtc:0.01"};
   ExpectFoldMatchesPointRuns(grid, 1, 0);
+
+  // Behind two parseable sources, the app's default and the same text under
+  // another label (the analyzer gate checks it once), the broken source
+  // still only yields error rows. Per parseable source: ARTEMIS 2 backends x
+  // (continuous 1 + 1min 2 timekeepers) = 6 devices, Mayfly 3.
+  grid.specs = {{}, {"again", HealthAppSpec()}, {"broken", "not a spec at all {"}};
+  grid.flight = "full";
+  ExpectFoldMatchesPointRuns(grid, 1, 18);  // of 48 points
 }
 
 // A post_run hook reads the device itself, so every point keeps its own

@@ -14,6 +14,8 @@
 #include <string>
 #include <utility>
 
+#include "src/sweep/grid_json.h"
+
 namespace artemis {
 namespace {
 
@@ -141,7 +143,9 @@ const std::string kSpecs = std::string(ARTEMIS_SOURCE_DIR) + "/examples/specs";
 // Every shipped example spec checks clean, and every fixture under
 // examples/specs/bad/ fails with its headline ART0xx code under the
 // deployment axes that expose it. The --spec2 rows run the hot-swap gate
-// (ART015/ART016) with the positional spec as the installed image.
+// (ART015/ART016) with the positional spec as the installed image. A spec
+// that does not parse or validate is one ART000 entry. Every row's stdout
+// is exactly one diagnostics array.
 TEST(ArtemiscTest, CheckFixtureTable) {
   const struct {
     std::string args;
@@ -175,14 +179,24 @@ TEST(ArtemiscTest, CheckFixtureTable) {
       // --no-analyze skips the analyzer: the infeasible fixture passes.
       {kSpecs + "/bad/infeasible_budget.prop --app health --budgets 9000 --no-analyze", 0,
        nullptr},
+      // The sensornet spec names tasks the health app does not have.
+      {kSpecs + "/sensornet.prop --app health", 1, "ART000"},
+      {WriteTempSpec("no_mitd.prop", "send: { MITD: ; }\n") + " --app health", 1, "ART000"},
   };
   for (const auto& row : kRows) {
     const RunResult result = RunCli("check " + row.args + " --json", /*stdout_only=*/true);
     EXPECT_EQ(result.exit_code, row.exit_code) << row.args << "\n" << result.output;
+    const StatusOr<sweep::JsonValuePtr> parsed = sweep::ParseJson(result.output);
+    ASSERT_TRUE(parsed.ok()) << row.args << ": " << parsed.status().ToString() << "\n"
+                             << result.output;
+    ASSERT_TRUE(parsed.value()->is_array()) << row.args << "\n" << result.output;
     if (row.code != nullptr) {
-      EXPECT_NE(result.output.find(std::string("\"code\": \"") + row.code + "\""),
-                std::string::npos)
-          << row.args << "\n" << result.output;
+      bool found = false;
+      for (const sweep::JsonValuePtr& entry : parsed.value()->array()) {
+        const sweep::JsonValuePtr code = entry->Find("code");
+        found = found || (code != nullptr && code->string() == row.code);
+      }
+      EXPECT_TRUE(found) << row.args << "\n" << result.output;
     }
   }
 }

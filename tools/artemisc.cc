@@ -330,11 +330,31 @@ struct FrontHalf {
   DiagnosticEngine engine;  // Empty with --no-analyze.
 };
 
+// Prints a failed stage's message to stderr as "<stage> error: <status>"
+// and returns that line for `check --json` (an ART000 entry).
+std::string StageFailure(const char* stage, const Status& status) {
+  std::string line = std::string(stage) + " error: " + status.ToString();
+  std::fprintf(stderr, "%s\n", line.c_str());
+  return line;
+}
+
+// `check --json`'s entry for a stage that failed before any analyzer pass
+// ran; its message is the stage's stderr line.
+Diagnostic FrontHalfFailure(std::string message) {
+  Diagnostic d;
+  d.code = diag::kFrontHalfFailure;
+  d.severity = DiagSeverity::kError;
+  d.message = std::move(message);
+  return d;
+}
+
 // read <spec> -> parse -> validate -> lower -> analyze (unless
 // --no-analyze). The validator's warnings go to `warnings` unless it is
 // null. A failing stage prints its message and leaves the exit code in
-// `*exit_code`.
-std::optional<FrontHalf> RunFrontHalf(const Args& args, FILE* warnings, int* exit_code) {
+// `*exit_code`; a parse, validation or lowering failure also leaves its
+// message in `*failure` when that is non-null.
+std::optional<FrontHalf> RunFrontHalf(const Args& args, FILE* warnings, int* exit_code,
+                                      std::string* failure = nullptr) {
   *exit_code = kExitUsage;
   std::optional<std::string> source = ReadFile(args.spec_path);
   if (!source.has_value()) {
@@ -345,15 +365,20 @@ std::optional<FrontHalf> RunFrontHalf(const Args& args, FILE* warnings, int* exi
     return std::nullopt;
   }
   *exit_code = kExitFindings;
+  const auto fail = [failure](const char* stage, const Status& status) {
+    std::string line = StageFailure(stage, status);
+    if (failure != nullptr) {
+      *failure = std::move(line);
+    }
+    return std::nullopt;
+  };
   auto parsed = ParseSpec(args, *source);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
-    return std::nullopt;
+    return fail("parse", parsed.status());
   }
   const ValidationResult validation = SpecValidator::Validate(parsed.value(), *app->graph);
   if (!validation.ok()) {
-    std::fprintf(stderr, "validation error: %s\n", validation.status.ToString().c_str());
-    return std::nullopt;
+    return fail("validation", validation.status);
   }
   if (warnings != nullptr) {
     for (const std::string& warning : validation.warnings) {
@@ -362,8 +387,7 @@ std::optional<FrontHalf> RunFrontHalf(const Args& args, FILE* warnings, int* exi
   }
   auto machines = LowerSpec(parsed.value(), *app->graph, {});
   if (!machines.ok()) {
-    std::fprintf(stderr, "lowering error: %s\n", machines.status().ToString().c_str());
-    return std::nullopt;
+    return fail("lowering", machines.status());
   }
   FrontHalf front{std::move(*source), std::move(*app), std::move(parsed).value(),
                   std::move(machines).value(), DiagnosticEngine()};
@@ -374,25 +398,40 @@ std::optional<FrontHalf> RunFrontHalf(const Args& args, FILE* warnings, int* exi
 }
 
 int RunCheck(const Args& args) {
-  // With --json, stdout carries only the diagnostics array; the human
-  // summary moves to stderr.
+  // With --json, stdout carries exactly one diagnostics array and the human
+  // summary moves to stderr. The array holds the analyzer's findings, then
+  // the swap gate's; a stage that fails before them is an ART000 entry.
   FILE* chatter = args.json ? stderr : stdout;
+  std::vector<Diagnostic> findings;
+  const auto print_json = [&] {
+    if (args.json) {
+      std::printf("%s", RenderDiagnosticsJson(findings).c_str());
+    }
+  };
   int exit_code = kExitClean;
-  std::optional<FrontHalf> front = RunFrontHalf(args, chatter, &exit_code);
+  std::string failure;
+  std::optional<FrontHalf> front = RunFrontHalf(args, chatter, &exit_code, &failure);
   if (!front.has_value()) {
+    if (!failure.empty()) {
+      findings.push_back(FrontHalfFailure(std::move(failure)));
+      print_json();
+    }
     return exit_code;
   }
   std::size_t errors = 0;
+  const auto report = [&](const DiagnosticEngine& engine, const std::string& file) {
+    if (args.json) {
+      findings.insert(findings.end(), engine.diagnostics().begin(), engine.diagnostics().end());
+    } else {
+      std::printf("%s", engine.RenderText(file).c_str());
+    }
+    errors += engine.ErrorCount();
+  };
   if (!args.no_analyze) {
     const DiagnosticEngine& engine = front->engine;
-    if (args.json) {
-      std::printf("%s", engine.RenderJson().c_str());
-    } else {
-      std::printf("%s", engine.RenderText(args.spec_path).c_str());
-    }
+    report(engine, args.spec_path);
     std::fprintf(chatter, "analyzer: %zu error(s), %zu warning(s) across %zu machine(s)\n",
                  engine.ErrorCount(), engine.WarningCount(), front->machines.size());
-    errors += engine.ErrorCount();
   }
   // --spec2: the hot-swap gate. Treats this spec as the installed epoch-1
   // image and --spec2 as the epoch-2 replacement, then runs the migration
@@ -400,6 +439,7 @@ int RunCheck(const Args& args) {
   if (!args.spec2_path.empty()) {
     const std::optional<std::string> spec2 = ReadFile(args.spec2_path);
     if (!spec2.has_value()) {
+      print_json();
       return kExitUsage;
     }
     const AppGraph& graph = *front->app.graph;
@@ -407,20 +447,17 @@ int RunCheck(const Args& args) {
     StatusOr<MonitorImage> new_image = BuildMonitorImage(*spec2, graph, 2);
     if (!old_image.ok() || !new_image.ok()) {
       const Status& bad = !old_image.ok() ? old_image.status() : new_image.status();
-      std::fprintf(stderr, "swap gate error: %s\n", bad.ToString().c_str());
+      findings.push_back(FrontHalfFailure(StageFailure("swap gate", bad)));
+      print_json();
       return kExitFindings;
     }
     const DiagnosticEngine engine =
         AnalyzeSwap(old_image.value(), new_image.value(), graph, AnalysisOptionsFor(args));
-    if (args.json) {
-      std::printf("%s", engine.RenderJson().c_str());
-    } else {
-      std::printf("%s", engine.RenderText(args.spec2_path).c_str());
-    }
+    report(engine, args.spec2_path);
     std::fprintf(chatter, "swap analyzer: %zu error(s), %zu warning(s) migrating to '%s'\n",
                  engine.ErrorCount(), engine.WarningCount(), args.spec2_path.c_str());
-    errors += engine.ErrorCount();
   }
+  print_json();
   std::fprintf(chatter, "%zu properties across %zu task blocks: %s\n",
                front->spec.PropertyCount(), front->spec.blocks.size(),
                errors == 0 ? "OK" : "INCONSISTENT");

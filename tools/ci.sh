@@ -35,7 +35,8 @@
 #      grid with an unparsable spec must exit 1 and render its error row as
 #      tests/golden/sweep/health_errors.json at --jobs 1 and 4; a
 #      statically infeasible deployment must be refused with exit 2 before
-#      any point runs.
+#      any point runs; and perfbench's 48,000-point sweep-grid shape, run
+#      through `artemisc sweep --jobs 2`, must peak below 72 MiB resident.
 #   6. Fleet determinism smoke: `artemisc fleet` over a small device fleet
 #      must produce byte-identical JSON for --shards 1 and --shards 4, with
 #      exit 0 (the batch-VM differential fuzz runs in stage 1/2/9 via
@@ -318,6 +319,27 @@ if [[ "${rc}" -ne 2 ]]; then
   exit 1
 fi
 echo "ok: infeasible sweep deployment refused with exit 2"
+
+# Memory guard: a sweep holds one row per point and nothing else per point,
+# and sizes its JSON once (docs/sweep.md, "Scaling"). perfbench's sweep-grid
+# shape, 48,000 points and a 22.7 MB document, must peak below 72 MiB; it
+# peaked at 135.5 MiB when every row embedded a stats aggregator and the
+# engine held the expanded grid. /usr/bin/time is not always installed, so
+# python3 reads the child's peak resident set (ru_maxrss, KiB on Linux).
+grid_seeds="$(seq -s, 3001 4000)"
+peak_kib="$(python3 -c '
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+' "${artemisc}" sweep --app health --systems artemis,mayfly \
+  --backends builtin,interpreted,compiled --charges continuous,1min,6min,10min \
+  --timekeepers default,rtc:0.01 --flight full --seeds "${grid_seeds}" \
+  --jobs 2 --format json --out "${sweep_j1}")"
+if (( peak_kib > 72 * 1024 )); then
+  echo "CI FAIL: the 48,000-point sweep peaked at $((peak_kib / 1024)) MiB (limit 72 MiB)" >&2
+  exit 1
+fi
+echo "ok: the 48,000-point sweep peaked at $((peak_kib / 1024)) MiB (limit 72 MiB)"
 
 echo "== [6/9] Fleet determinism smoke =="
 # The sharded fleet engine's export must not depend on the shard count.
