@@ -1,23 +1,18 @@
-// StepBatch microbenchmark (median-of-K): isolates the batched SoA VM from
-// the fleet engine so kernel changes can be measured without device-sim
-// noise. Three sections, all K-rep with the median reported:
+// Batch monitor VM microbenchmark (median-of-K): isolates the batched SoA
+// VM from the fleet engine so stepping changes can be measured without
+// device-sim noise. Two sections, the timed one K-rep with the median
+// reported:
 //
-//  (1) per-handler-class events/sec on synthetic single-class machines —
-//      each machine is hand-built so that ONE class handles all traffic
-//      (verified via ClassOf before timing; the bench aborts if the
-//      compiler stops classifying the shape as intended). The guard class
-//      runs twice: dense (all lanes in lockstep -> contiguous cohort, no
-//      index indirection) and indexed (alternating lane states -> two
-//      strided cohorts), because those are the two kernel paths.
-//  (2) the health-app machine mix over real captured device streams, in
+//  (1) the health-app machine mix over real captured device streams, in
 //      device-events/sec (one device event steps every machine of the
-//      spec).
-//  (3) dead-column elision measured through the fleet feed path (RunFleet
+//      spec), plus the measured handler-class mix of that traffic;
+//  (2) dead-column elision measured through the fleet feed path (RunFleet
 //      with traffic counters): runtime elision rate, the fleet-wide strict
 //      dead-column count, and the per-machine static counts that bound it.
 //
 // Writes BENCH_batch.json.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -33,7 +28,6 @@
 #include "src/fleet/fleet.h"
 #include "src/fleet/instance.h"
 #include "src/ir/compile.h"
-#include "src/ir/lowering.h"
 #include "src/monitor/compiled_batch.h"
 #include "src/monitor/shared_spec.h"
 
@@ -65,228 +59,14 @@ Sample Summarize(std::vector<double> eps) {
   return s;
 }
 
-// ---- synthetic single-class machines ----------------------------------
-
-// S0 <-> S1 on start(0), guard-free, empty body: every dispatched event is
-// an unconditional state commit.
-StateMachine CommitMachine() {
-  StateMachine m;
-  m.name = "bench_commit";
-  m.property_label = "bench_commit";
-  m.states = {"S0", "S1"};
-  m.initial = "S0";
-  Transition fwd;
-  fwd.from = "S0";
-  fwd.to = "S1";
-  fwd.trigger = TriggerKind::kStartTask;
-  fwd.task = 0;
-  Transition back = fwd;
-  back.from = "S1";
-  back.to = "S0";
-  m.transitions = {fwd, back};
-  return m;
-}
-
-// Same shape plus `t0 = event.timestamp` in the body: the fused
-// store-field-commit superinstruction.
-StateMachine StoreFieldMachine() {
-  StateMachine m = CommitMachine();
-  m.name = "bench_store";
-  m.property_label = "bench_store";
-  m.variables = {{"t0", 0.0}};
-  for (Transition& t : m.transitions) {
-    t.body = {Assign("t0", Field(EventField::kTimestamp))};
-  }
-  return m;
-}
-
-// `(event.timestamp - t0) >= 100` guard, empty body, single candidate per
-// bucket, no anyEvent fallback: guard failure lands on the bare kNoMatch
-// program, which is exactly the kGuardElapsedCommit shape.
-StateMachine GuardElapsedMachine() {
-  StateMachine m = CommitMachine();
-  m.name = "bench_guard";
-  m.property_label = "bench_guard";
-  m.variables = {{"t0", 0.0}};
-  for (Transition& t : m.transitions) {
-    t.guard = Bin(BinOp::kGe, Bin(BinOp::kSub, Field(EventField::kTimestamp), Var("t0")),
-                  Const(100));
-  }
-  return m;
-}
-
-// Two candidates in one (start, 0) bucket with a counter guard and a fail
-// action: stays on the shared bytecode core.
-StateMachine GeneralMachine() {
-  StateMachine m;
-  m.name = "bench_general";
-  m.property_label = "bench_general";
-  m.states = {"S0", "S1"};
-  m.initial = "S0";
-  m.variables = {{"i", 0.0}};
-  Transition bump;
-  bump.from = "S0";
-  bump.to = "S0";
-  bump.trigger = TriggerKind::kStartTask;
-  bump.task = 0;
-  bump.guard = Bin(BinOp::kLt, Var("i"), Const(3));
-  bump.body = {Assign("i", Bin(BinOp::kAdd, Var("i"), Const(1)))};
-  Transition fire;
-  fire.from = "S0";
-  fire.to = "S1";
-  fire.trigger = TriggerKind::kStartTask;
-  fire.task = 0;
-  fire.guard = Bin(BinOp::kGe, Var("i"), Const(3));
-  fire.body = {Fail(ActionType::kSkipPath, kNoPath, "bench_general"), Assign("i", Const(0))};
-  Transition back;
-  back.from = "S1";
-  back.to = "S0";
-  back.trigger = TriggerKind::kAnyEvent;
-  m.transitions = {bump, fire, back};
-  return m;
-}
-
-MonitorEvent StartEvent(SimTime ts) {
-  MonitorEvent e;
-  e.kind = EventKind::kStartTask;
-  e.task = 0;
-  e.timestamp = ts;
-  return e;
-}
-
-// One timed rep: `rounds` StepBatch passes over kLanes lanes, each lane's
-// cursor chosen by `pick(lane, round)`. Returns events/sec (null cursors
-// excluded). Lane resets are outside the timed region — this isolates the
-// stepping pass itself.
-template <typename Pick>
-double TimeRep(BatchCompiledMonitor& vm, int rounds, Pick pick) {
-  std::vector<const MonitorEvent*> cursors(kLanes);
-  std::vector<BatchFailure> failures;
-  vm.HardResetAll();
-  std::uint64_t events = 0;
-  const auto start = Clock::now();
-  for (int r = 0; r < rounds; ++r) {
-    for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-      cursors[lane] = pick(lane, r);
-      events += cursors[lane] != nullptr;
-    }
-    failures.clear();
-    vm.StepBatch(cursors.data(), kLanes, &failures);
-  }
-  const double secs = Seconds(start, Clock::now());
-  return static_cast<double>(events) / secs;
-}
-
-struct ClassBench {
-  std::string key;
-  Sample sample;
-};
-
-bool ExpectClass(const BatchCompiledMonitor& vm, BatchCompiledMonitor::HandlerClass want,
-                 const char* label) {
-  const auto got = vm.ClassOf(0, EventKind::kStartTask, 0);
-  if (got != want) {
-    std::fprintf(stderr, "batch_step: %s classified as %d, expected %d\n", label,
-                 static_cast<int>(got), static_cast<int>(want));
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_batch.json";
   const unsigned host_cpus = std::thread::hardware_concurrency();
-  std::printf("=== StepBatch microbench (lanes=%u, reps=%d) ===\n\n", kLanes, kReps);
+  std::printf("=== batch monitor VM microbench (lanes=%u, reps=%d) ===\n\n", kLanes, kReps);
 
-  // ---- (1) per-class kernels -------------------------------------------
-  struct Synth {
-    const char* key;
-    StateMachine machine;
-    BatchCompiledMonitor::HandlerClass cls;
-  };
-  std::vector<Synth> synths;
-  synths.push_back({"commit", CommitMachine(), BatchCompiledMonitor::HandlerClass::kCommit});
-  synths.push_back({"store_field_commit", StoreFieldMachine(),
-                    BatchCompiledMonitor::HandlerClass::kStoreFieldCommit});
-  synths.push_back({"guard_elapsed_commit", GuardElapsedMachine(),
-                    BatchCompiledMonitor::HandlerClass::kGuardElapsedCommit});
-  synths.push_back(
-      {"general", GeneralMachine(), BatchCompiledMonitor::HandlerClass::kGeneral});
-
-  const MonitorEvent start_pass = StartEvent(1000);  // elapsed 1000 >= 100
-  const MonitorEvent start_fail = StartEvent(1);     // elapsed 1 < 100
-  const MonitorEvent end_event = [] {
-    MonitorEvent e;
-    e.kind = EventKind::kEndTask;
-    e.task = 0;
-    e.timestamp = 1;
-    return e;
-  }();
-
-  constexpr int kRounds = 4000;
-  std::vector<ClassBench> class_benches;
-  for (Synth& synth : synths) {
-    auto compiled = CompileStateMachine(synth.machine);
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "batch_step: compile %s: %s\n", synth.key,
-                   compiled.status().ToString().c_str());
-      return 1;
-    }
-    auto shared = std::make_shared<const CompiledMachine>(std::move(compiled.value()));
-    BatchCompiledMonitor vm(shared, kLanes);
-    if (!ExpectClass(vm, synth.cls, synth.key)) {
-      return 1;
-    }
-
-    // Dense: every lane sees the same event, so all lanes stay in lockstep
-    // and every pass is one contiguous cohort.
-    std::vector<double> eps(kReps);
-    for (int rep = 0; rep < kReps; ++rep) {
-      eps[rep] =
-          TimeRep(vm, kRounds, [&](std::uint32_t, int) { return &start_pass; });
-    }
-    class_benches.push_back({synth.key, Summarize(eps)});
-
-    if (synth.cls == BatchCompiledMonitor::HandlerClass::kGuardElapsedCommit) {
-      // Indexed variant: round 0 fails the guard on even lanes only, which
-      // splits the lanes into two interleaved state cohorts; every later
-      // pass then runs two strided (index-gather) cohorts of kLanes/2.
-      std::vector<double> ieps(kReps);
-      for (int rep = 0; rep < kReps; ++rep) {
-        ieps[rep] = TimeRep(vm, kRounds, [&](std::uint32_t lane, int round) {
-          return (round == 0 && (lane & 1u) == 0u) ? &start_fail : &start_pass;
-        });
-      }
-      class_benches.push_back({"guard_elapsed_commit_indexed", Summarize(ieps)});
-    }
-  }
-  {
-    // Self-loop: the commit machine never handles kEndTask, so every lane
-    // drops in the partition pass — the elision-adjacent fast path.
-    auto compiled = CompileStateMachine(CommitMachine());
-    auto shared = std::make_shared<const CompiledMachine>(std::move(compiled.value()));
-    BatchCompiledMonitor vm(shared, kLanes);
-    if (vm.ClassOf(0, EventKind::kEndTask, 0) !=
-        BatchCompiledMonitor::HandlerClass::kSelfLoop) {
-      std::fprintf(stderr, "batch_step: end-event column not kSelfLoop\n");
-      return 1;
-    }
-    std::vector<double> eps(kReps);
-    for (int rep = 0; rep < kReps; ++rep) {
-      eps[rep] = TimeRep(vm, kRounds, [&](std::uint32_t, int) { return &end_event; });
-    }
-    class_benches.push_back({"self_loop", Summarize(eps)});
-  }
-
-  std::printf("per-class stepping (4096 dense lanes, events/sec, median of %d):\n", kReps);
-  for (const ClassBench& b : class_benches) {
-    std::printf("  %-30s %12.0f  (min %.0f, max %.0f)\n", b.key.c_str(), b.sample.median,
-                b.sample.min, b.sample.max);
-  }
-
-  // ---- (2) health-app machine mix --------------------------------------
+  // ---- (1) health-app machine mix --------------------------------------
   HealthApp app = BuildHealthApp();
   StatusOr<SharedSpecArtifactPtr> artifact =
       BuildSpecArtifact(HealthAppSpec(), app.graph, SpecArtifactStage::kCompiled);
@@ -334,11 +114,6 @@ int main(int argc, char** argv) {
     machines.emplace_back(std::shared_ptr<const CompiledMachine>(art, &machine), kLanes);
   }
 
-  // One rep = kTilesPerRep full tiles, fed exactly like the fleet engine:
-  // the per-position loop decodes liveness and event path ONCE into lane
-  // lists, unscoped machines step the live list, path-scoped machines step
-  // only their path's lanes. Throughput is device-events/sec (one device
-  // event steps every machine).
   constexpr std::uint32_t kTilesPerRep = 12;
   std::size_t max_scope = 0;
   for (const BatchCompiledMonitor& m : machines) {
@@ -382,81 +157,96 @@ int main(int argc, char** argv) {
       std::max<std::size_t>(max_scope + 1, 8), std::vector<std::uint32_t>(kLanes));
   std::vector<BatchFailure> failures;
   std::vector<std::uint64_t> path_masks(path_lanes.size(), 0u);
+  // One tile, fed exactly like the fleet engine: the per-position loop
+  // decodes liveness and event path ONCE into lane lists, unscoped machines
+  // step the live list, path-scoped machines step only their path's lanes.
+  // `elide` is the fleet's machine-pass elision, which it turns off under
+  // --stats so the traffic profile counts self-loops. Returns the failures.
+  const auto run_tile = [&](bool elide) {
+    for (BatchCompiledMonitor& m : machines) {
+      for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+        m.HardResetLane(lane);
+      }
+    }
+    std::uint64_t violations = 0;
+    for (std::size_t pos = 0; pos < max_stream; ++pos) {
+      // Feed: the tile replicates kStreamDevices captured streams across
+      // its lanes, so each distinct stream's event decodes ONCE per
+      // position; the per-lane loop then just fans the result out into
+      // the cursor array and lane lists (the stores every feed layer
+      // pays). A real fleet tile decodes per device instead — that cost
+      // shows in perfbench's fleet-fresh workload.
+      struct StreamAt {
+        const MonitorEvent* e = nullptr;
+        std::uint8_t watched = 0;
+        std::uint8_t path = 0;
+      };
+      StreamAt at[kStreamDevices];
+      std::uint64_t pass_mask = 0;
+      std::fill(path_masks.begin(), path_masks.end(), std::uint64_t{0});
+      for (std::uint64_t d = 0; d < kStreamDevices; ++d) {
+        const auto& stream = streams[d];
+        if (pos >= stream.size()) {
+          continue;
+        }
+        const MonitorEvent& event = stream[pos];
+        at[d].e = &event;
+        const std::uint64_t col_bit =
+            std::uint64_t{1}
+            << (static_cast<std::uint32_t>(event.kind) * mix_cols +
+                std::min(static_cast<std::uint32_t>(event.task), mix_cols - 1u));
+        pass_mask |= col_bit;
+        const auto p = static_cast<std::size_t>(event.path);
+        if (p < path_watched.size() && path_watched[p] != 0u) {
+          at[d].watched = 1;
+          at[d].path = static_cast<std::uint8_t>(p);
+          path_masks[p] |= col_bit;
+        }
+      }
+      std::uint32_t live_n = 0;
+      std::uint32_t path_n[8] = {0};
+      for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+        const StreamAt& a = at[lane % kStreamDevices];
+        cursors[lane] = a.e;
+        if (a.e == nullptr) {
+          continue;
+        }
+        live_lanes[live_n++] = lane;
+        if (a.watched != 0u) {
+          path_lanes[a.path][path_n[a.path]++] = lane;
+        }
+      }
+      for (std::size_t mi = 0; mi < machines.size(); ++mi) {
+        BatchCompiledMonitor& m = machines[mi];
+        const PathId scope = m.machine().path_scope;
+        const auto sp = static_cast<std::size_t>(scope);
+        const std::uint32_t* list =
+            scope == kNoPath ? live_lanes.data() : path_lanes[sp].data();
+        const std::uint32_t count = scope == kNoPath ? live_n : path_n[sp];
+        if (count == 0u) {
+          continue;
+        }
+        const std::uint64_t mask = scope == kNoPath ? pass_mask : path_masks[sp];
+        if (elide && (mask & live_col_mask[mi]) == 0u) {
+          continue;  // Machine-pass elision: all listed lanes self-loop.
+        }
+        failures.clear();
+        m.StepBatchLanes(cursors.data(), list, count, &failures);
+        violations += failures.size();
+      }
+    }
+    return violations;
+  };
+
+  // One rep = kTilesPerRep full tiles. Throughput is device-events/sec
+  // (one device event steps every machine).
   std::vector<double> mix_eps(kReps);
   std::uint64_t mix_violations = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     mix_violations = 0;
     const auto start = Clock::now();
     for (std::uint32_t tile = 0; tile < kTilesPerRep; ++tile) {
-      for (BatchCompiledMonitor& m : machines) {
-        m.HardResetAll();
-      }
-      for (std::size_t pos = 0; pos < max_stream; ++pos) {
-        // Feed: the tile replicates kStreamDevices captured streams across
-        // its lanes, so each distinct stream's event decodes ONCE per
-        // position; the per-lane loop then just fans the result out into
-        // the cursor array and lane lists (the stores every feed layer
-        // pays). A real fleet tile decodes per device instead — that cost
-        // shows in perfbench's fleet-fresh workload.
-        struct StreamAt {
-          const MonitorEvent* e = nullptr;
-          std::uint8_t watched = 0;
-          std::uint8_t path = 0;
-        };
-        StreamAt at[kStreamDevices];
-        std::uint64_t pass_mask = 0;
-        std::fill(path_masks.begin(), path_masks.end(), std::uint64_t{0});
-        for (std::uint64_t d = 0; d < kStreamDevices; ++d) {
-          const auto& stream = streams[d];
-          if (pos >= stream.size()) {
-            continue;
-          }
-          const MonitorEvent& event = stream[pos];
-          at[d].e = &event;
-          const std::uint64_t col_bit =
-              std::uint64_t{1}
-              << (static_cast<std::uint32_t>(event.kind) * mix_cols +
-                  std::min(static_cast<std::uint32_t>(event.task), mix_cols - 1u));
-          pass_mask |= col_bit;
-          const auto p = static_cast<std::size_t>(event.path);
-          if (p < path_watched.size() && path_watched[p] != 0u) {
-            at[d].watched = 1;
-            at[d].path = static_cast<std::uint8_t>(p);
-            path_masks[p] |= col_bit;
-          }
-        }
-        std::uint32_t live_n = 0;
-        std::uint32_t path_n[8] = {0};
-        for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-          const StreamAt& a = at[lane % kStreamDevices];
-          cursors[lane] = a.e;
-          if (a.e == nullptr) {
-            continue;
-          }
-          live_lanes[live_n++] = lane;
-          if (a.watched != 0u) {
-            path_lanes[a.path][path_n[a.path]++] = lane;
-          }
-        }
-        for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-          BatchCompiledMonitor& m = machines[mi];
-          const PathId scope = m.machine().path_scope;
-          const auto sp = static_cast<std::size_t>(scope);
-          const std::uint32_t* list =
-              scope == kNoPath ? live_lanes.data() : path_lanes[sp].data();
-          const std::uint32_t count = scope == kNoPath ? live_n : path_n[sp];
-          if (count == 0u) {
-            continue;
-          }
-          const std::uint64_t mask = scope == kNoPath ? pass_mask : path_masks[sp];
-          if ((mask & live_col_mask[mi]) == 0u) {
-            continue;  // Machine-pass elision: all listed lanes self-loop.
-          }
-          failures.clear();
-          m.StepBatchLanes(cursors.data(), list, count, &failures);
-          mix_violations += failures.size();
-        }
-      }
+      mix_violations += run_tile(/*elide=*/true);
     }
     const double secs = Seconds(start, Clock::now());
     mix_eps[rep] =
@@ -470,18 +260,8 @@ int main(int argc, char** argv) {
   // Untimed traffic pass: the measured handler-class mix of this workload.
   for (BatchCompiledMonitor& m : machines) {
     m.EnableTraffic();
-    m.HardResetAll();
   }
-  for (std::size_t pos = 0; pos < max_stream; ++pos) {
-    for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-      const auto& stream = streams[lane % kStreamDevices];
-      cursors[lane] = pos < stream.size() ? &stream[pos] : nullptr;
-    }
-    for (BatchCompiledMonitor& m : machines) {
-      failures.clear();
-      m.StepBatch(cursors.data(), kLanes, &failures);
-    }
-  }
+  run_tile(/*elide=*/false);
   std::array<std::uint64_t, BatchCompiledMonitor::kNumClasses> class_traffic{};
   for (BatchCompiledMonitor& m : machines) {
     const std::vector<std::uint64_t> t = m.ClassTraffic();
@@ -503,7 +283,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // ---- (3) elision through the fleet feed path -------------------------
+  // ---- (2) elision through the fleet feed path -------------------------
   fleet::FleetSpec spec;
   spec.app = "health";
   spec.monitor = "batch";
@@ -548,11 +328,7 @@ int main(int argc, char** argv) {
   JsonWriter w(&json);
   w.BeginObject(JsonLayout::kBlock).Key("bench").String("batch_step");
   w.Key("host_cpus").Int(host_cpus).Key("lanes").Int(kLanes).Key("reps").Int(kReps);
-  w.Key("per_class_events_per_sec").BeginObject(JsonLayout::kBlock);
-  for (const ClassBench& b : class_benches) {
-    sample(b.sample, &w.Key(b.key));
-  }
-  w.End().Key("health_mix").BeginObject(JsonLayout::kBlock);
+  w.Key("health_mix").BeginObject(JsonLayout::kBlock);
   w.Key("machines").Int(machines.size()).Key("tiles_per_rep").Int(kTilesPerRep);
   w.Key("device_events_per_rep").Int(events_per_tile * kTilesPerRep);
   sample(mix, &w.Key("device_events_per_sec"));

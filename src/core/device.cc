@@ -38,7 +38,6 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
       ArtemisConfig config;
       config.backend = recipe.backend;
       config.kernel = options;
-      config.flight = recorder_.get();
       StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
           ArtemisRuntime::CreateFromArtifact(graph_.get(), recipe.artifact, mcu_.get(), config);
       if (!runtime.ok()) {

@@ -10,9 +10,9 @@ ArtemisRuntime::ArtemisRuntime(const AppGraph* graph, SharedSpecArtifactPtr arti
                                std::unique_ptr<MonitorSet> monitors, const ArtemisConfig& config)
     : artifact_(std::move(artifact)), monitors_(std::move(monitors)) {
   KernelOptions kernel_options = config.kernel;
-  if (config.flight != nullptr) {
-    kernel_options.flight = config.flight;
-    monitors_->set_flight(config.flight);
+  if (flight::FlightRecorder* const recorder = mcu->flight_recorder(); recorder != nullptr) {
+    kernel_options.flight = recorder;
+    monitors_->set_flight(recorder);
   }
   kernel_ = std::make_unique<IntermittentKernel>(graph, monitors_.get(), mcu, kernel_options);
 }

@@ -30,18 +30,15 @@ struct ArtemisConfig {
   KernelOptions kernel;
   // Reject specs with validation warnings (strict mode for CI-style use).
   bool warnings_are_errors = false;
-  // On-device flight recorder (src/flight, docs/forensics.md): when set, the
-  // kernel and monitor set seal records into it. The caller must have
-  // attached the recorder to the MCU first (Mcu::AttachFlightRecorder), which
-  // registers the ring with the NVM arena and makes appends chargeable.
-  flight::FlightRecorder* flight = nullptr;
 };
 
 class ArtemisRuntime {
  public:
   // Parses + validates `spec_source`, generates the monitors, and prepares
   // the kernel. `graph` and `mcu` must outlive the runtime. Builds the spec
-  // artifact `config.backend` needs and calls CreateFromArtifact.
+  // artifact `config.backend` needs and calls CreateFromArtifact. A flight
+  // recorder attached to `mcu` (Mcu::AttachFlightRecorder, src/flight) is
+  // the one the kernel and monitor set seal records into.
   static StatusOr<std::unique_ptr<ArtemisRuntime>> Create(const AppGraph* graph,
                                                           std::string_view spec_source,
                                                           Mcu* mcu,

@@ -48,8 +48,8 @@ class TileStepper {
     // range (ColumnDead clamps narrower machines' task ids onto their
     // any-task row, matching their dispatch). An event is a provable no-op
     // for a machine when its column self-loops in every state — or when
-    // the machine is path-scoped to a different path, in which case
-    // StepBatch would drop the event before dispatch anyway. So the check
+    // the machine is path-scoped to a different path, in which case its
+    // lane list never holds the lane anyway. So the check
     // is per event path: the base table ANDs the unscoped machines, and
     // each scoped path gets a refinement table that additionally ANDs the
     // machines watching that path. RunTile consumes all-dead events at
@@ -98,7 +98,7 @@ class TileStepper {
     // the dynamic complement of the dead tables above. The feed loop ORs
     // the columns actually present among a pass's live lanes into a pass
     // mask; a machine whose live columns miss that mask entirely is proven
-    // all-self-loop for the WHOLE pass and skips its partition outright —
+    // all-self-loop for the WHOLE pass and skips its step pass outright —
     // dead-column elision at machine-pass granularity, catching event
     // mixes that are only dead for SOME machines and so survive EventDead.
     // Masks need 2*cols bits; monitors with task ranges beyond 64 bits of
@@ -214,7 +214,7 @@ class TileStepper {
       // walk builds this pass's lane lists — live lanes, plus per watched
       // path the lanes whose event is on it — so the per-lane liveness and
       // path decode happens ONCE here instead of once per machine inside
-      // every partition pass.
+      // every step pass.
       live_lanes_.clear();
       for (auto& list : path_lanes_) {
         list.clear();
@@ -277,7 +277,7 @@ class TileStepper {
         }
         // Machine-pass elision: if none of the columns present in this
         // machine's lane list is live for it, every listed lane would
-        // partition to kSelfLoop — provably no state change, no failure.
+        // resolve to kSelfLoop — provably no state change, no failure.
         // Skipped under --stats so the traffic profile stays the true
         // dispatch mix.
         if (column_mask_ok_ && !traffic_on_) {

@@ -6,9 +6,8 @@
 //  * CompiledMonitor (src/monitor/compiled.h) — the scalar per-device
 //    path, one state/slot/stack block per monitor object;
 //  * BatchCompiledMonitor (src/monitor/compiled_batch.h) — the fleet
-//    batch path, which steps N lanes of the same machine and only falls
-//    back to this general interpreter for handler programs its micro-op
-//    fast path cannot summarize.
+//    batch path, which steps N lanes of the same machine and runs every
+//    lane whose handler is not a bare self-loop through this interpreter.
 //
 // The core is string-free: a failure reports the fail_pool index instead
 // of copying the FailRecord's strings, so batch lanes pay nothing for the
@@ -16,16 +15,6 @@
 // MonitorVerdict after the fact. Semantics are pinned to
 // InterpretedMonitor by the differential fuzz test in
 // tests/compiled_monitor_test.cc.
-//
-// This interpreter is the semantic reference for the batch engine's class
-// kernels (src/monitor/batch_kernels.h): every fused kernel must produce
-// bit-identical slot doubles and state transitions to stepping the same
-// handler program here, including IEEE-754 edge cases (NaN guard
-// comparisons evaluate false, signed zeros compare equal).
-// That contract is what lets a kernel lane skip the bytecode entirely,
-// and it is why kernels use only operations with exact IEEE semantics
-// (copies, subtraction, ordered comparison) — never reassociated
-// arithmetic. Pinned by BatchClassFuzzTest.
 #ifndef SRC_MONITOR_VM_CORE_H_
 #define SRC_MONITOR_VM_CORE_H_
 

@@ -251,9 +251,31 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzzTest,
 // equivalent to the scalar CompiledMonitor: each lane consumes its own
 // randomized event stream (lanes advance at different rates, sit out
 // rounds, and restart paths independently) while a scalar monitor per lane
-// replays the identical stream. Both the classified fast path (StepBatch)
-// and the always-bytecode reference path (StepLaneGeneral) are checked
-// against the scalar truth at every step.
+// replays the identical stream. Each round hands StepBatchLanes the lanes
+// the fleet's TileStepper would list for the machine — live lanes whose
+// event is within its path scope, ascending — while every scalar monitor
+// sees its lane's live event and ignores out-of-scope ones itself.
+
+// The TileStepper's lane list for `scope`: live lanes whose event is in
+// scope, in ascending lane order.
+std::vector<std::uint32_t> ListedLanes(const std::vector<const MonitorEvent*>& cursors,
+                                       PathId scope) {
+  std::vector<std::uint32_t> list;
+  for (std::uint32_t lane = 0; lane < cursors.size(); ++lane) {
+    if (cursors[lane] != nullptr && (scope == kNoPath || cursors[lane]->path == scope)) {
+      list.push_back(lane);
+    }
+  }
+  return list;
+}
+
+void StepListed(BatchCompiledMonitor& batch, const std::vector<const MonitorEvent*>& cursors,
+                std::vector<BatchFailure>* failures) {
+  const std::vector<std::uint32_t> list = ListedLanes(cursors, batch.machine().path_scope);
+  failures->clear();
+  batch.StepBatchLanes(cursors.data(), list.data(), static_cast<std::uint32_t>(list.size()),
+                       failures);
+}
 
 class BatchDifferentialFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -273,7 +295,6 @@ TEST_P(BatchDifferentialFuzzTest, BatchLanesEquivalentToScalarCompiled) {
       ASSERT_TRUE(c.ok()) << app.name << "/" << machine.name;
       auto shared = std::make_shared<const CompiledMachine>(std::move(c).value());
       BatchCompiledMonitor batch(shared, kLanes);
-      BatchCompiledMonitor general(shared, kLanes);  // StepLaneGeneral reference
 
       std::vector<std::unique_ptr<CompiledMonitor>> scalar;
       for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
@@ -305,7 +326,6 @@ TEST_P(BatchDifferentialFuzzTest, BatchLanesEquivalentToScalarCompiled) {
           if (rng[lane].NextDouble() < 0.02) {
             const PathId path = static_cast<PathId>(rng[lane].UniformU64(1, path_count));
             batch.OnPathRestartLane(lane, path);
-            general.OnPathRestartLane(lane, path);
             scalar[lane]->OnPathRestart(path);
           }
           if (rng[lane].NextDouble() < 0.1) {
@@ -326,11 +346,13 @@ TEST_P(BatchDifferentialFuzzTest, BatchLanesEquivalentToScalarCompiled) {
           cursors[lane] = &e;
         }
 
-        failures.clear();
-        batch.StepBatch(cursors.data(), kLanes, &failures);
+        StepListed(batch, cursors, &failures);
         std::fill(fail_by_lane.begin(), fail_by_lane.end(), nullptr);
-        for (const BatchFailure& f : failures) {
-          fail_by_lane[f.lane] = &f;
+        for (std::size_t i = 0; i < failures.size(); ++i) {
+          // Failures append in lane order, once per failing lane.
+          ASSERT_TRUE(i == 0 || failures[i - 1].lane < failures[i].lane)
+              << app.name << "/" << machine.name << " round " << round;
+          fail_by_lane[failures[i].lane] = &failures[i];
         }
 
         for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
@@ -340,29 +362,19 @@ TEST_P(BatchDifferentialFuzzTest, BatchLanesEquivalentToScalarCompiled) {
           }
           MonitorVerdict vs;
           const bool fs = scalar[lane]->Step(events[lane], &vs);
-          BatchVerdict vg;
-          const bool fg = general.StepLaneGeneral(lane, events[lane], &vg);
           ASSERT_EQ(fail_by_lane[lane] != nullptr, fs)
               << app.name << "/" << machine.name << " lane " << lane << " round " << round;
-          ASSERT_EQ(fg, fs) << app.name << "/" << machine.name << " lane " << lane;
           if (fs) {
             const BatchFailure& f = *fail_by_lane[lane];
             ASSERT_EQ(f.action, vs.action) << app.name << " round " << round;
             ASSERT_EQ(f.target_path, vs.target_path) << app.name << " round " << round;
             ASSERT_EQ(batch.fail_record(f.fail_index).property, vs.property)
                 << app.name << " round " << round;
-            ASSERT_EQ(vg.action, vs.action);
-            ASSERT_EQ(vg.target_path, vs.target_path);
-            ASSERT_EQ(general.fail_record(vg.fail_index).property, vs.property);
           }
           ASSERT_EQ(batch.lane_state(lane), scalar[lane]->current_state())
               << app.name << "/" << machine.name << " lane " << lane << " round " << round;
-          ASSERT_EQ(general.lane_state(lane), scalar[lane]->current_state())
-              << app.name << "/" << machine.name << " lane " << lane << " round " << round;
           for (const auto& [var, unused] : machine.variables) {
             ASSERT_EQ(batch.LaneVarValue(lane, var), scalar[lane]->VarValue(var))
-                << app.name << "/" << machine.name << " var " << var << " lane " << lane;
-            ASSERT_EQ(general.LaneVarValue(lane, var), scalar[lane]->VarValue(var))
                 << app.name << "/" << machine.name << " var " << var << " lane " << lane;
           }
         }
@@ -382,9 +394,9 @@ TEST(BatchCompiledMonitorTest, HardResetLaneIsolatesNeighbours) {
   MonitorEvent start;
   start.kind = EventKind::kStartTask;
   start.task = 0;
-  const MonitorEvent* cursors[2] = {&start, &start};
+  const std::vector<const MonitorEvent*> cursors = {&start, &start};
   std::vector<BatchFailure> failures;
-  batch.StepBatch(cursors, 2, &failures);
+  StepListed(batch, cursors, &failures);
   EXPECT_TRUE(failures.empty());
   EXPECT_EQ(batch.LaneVarValue(0, "i"), 1.0);
   EXPECT_EQ(batch.LaneVarValue(1, "i"), 1.0);
@@ -393,9 +405,10 @@ TEST(BatchCompiledMonitorTest, HardResetLaneIsolatesNeighbours) {
   EXPECT_EQ(batch.LaneVarValue(1, "i"), 1.0);  // neighbour untouched
 }
 
-TEST(BatchCompiledMonitorTest, FastClassesCoverAppDispatch) {
-  // The whole point of the batch engine: the apps' hot-loop handlers must
-  // summarize into the non-kGeneral classes.
+TEST(BatchCompiledMonitorTest, AppDispatchClassifiesOutsideGeneral) {
+  // The fleet's --stats report splits dispatch entries and traffic by
+  // handler class: every app machine has entries outside kGeneral (at
+  // least its self-loops).
   for (FuzzApp& app : FuzzApps()) {
     auto parsed = SpecParser::Parse(app.spec);
     ASSERT_TRUE(parsed.ok());
@@ -417,14 +430,12 @@ TEST(BatchCompiledMonitorTest, FastClassesCoverAppDispatch) {
   }
 }
 
-// ------------------------------------ per-class and cohort-shape fuzzing --
+// ------------------------------------------------- per-class fuzzing --
 //
 // Synthetic machines built so that ONE handler class takes all dispatched
-// traffic, mirroring bench/batch_step.cc: if the compiler stops
-// classifying a shape into its intended class, the ClassOf assertions here
-// fail before any timing ever runs. Each machine is then fuzzed
-// differentially (StepBatch vs StepLaneGeneral vs scalar CompiledMonitor),
-// which exercises the vectorized kernel for that class specifically.
+// traffic: if the compiler stops classifying a shape into its intended
+// class, the ClassOf assertions here fail. Each machine is then fuzzed
+// differentially (StepBatchLanes vs scalar CompiledMonitor).
 
 // S0 <-> S1 on start(0), guard-free, empty body: kCommit.
 StateMachine CommitMachine() {
@@ -512,7 +523,7 @@ TEST(BatchClassTest, SyntheticShapesClassifyAsIntended) {
 
 class BatchClassFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(BatchClassFuzzTest, EveryClassKernelMatchesScalarLaneByLane) {
+TEST_P(BatchClassFuzzTest, EveryClassMatchesScalarLaneByLane) {
   constexpr std::uint32_t kLanes = 8;
   const StateMachine machines[] = {CommitMachine(), StoreFieldMachine(),
                                    GuardElapsedMachine(), CounterMachine()};
@@ -521,7 +532,6 @@ TEST_P(BatchClassFuzzTest, EveryClassKernelMatchesScalarLaneByLane) {
     ASSERT_TRUE(c.ok()) << machine.name;
     auto shared = std::make_shared<const CompiledMachine>(std::move(c).value());
     BatchCompiledMonitor batch(shared, kLanes);
-    BatchCompiledMonitor general(shared, kLanes);
 
     std::vector<std::unique_ptr<CompiledMonitor>> scalar;
     for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
@@ -545,7 +555,7 @@ TEST_P(BatchClassFuzzTest, EveryClassKernelMatchesScalarLaneByLane) {
           continue;
         }
         // Small timestamp increments so the elapsed guard fails often:
-        // both branches of the fused guard kernel get traffic.
+        // both outcomes of the fused guard get traffic.
         now[lane] += rng[lane].UniformU64(1, 150);
         MonitorEvent& e = events[lane];
         e = MonitorEvent{};
@@ -557,8 +567,7 @@ TEST_P(BatchClassFuzzTest, EveryClassKernelMatchesScalarLaneByLane) {
         e.seq = static_cast<std::uint64_t>(round) + 1;
         cursors[lane] = &e;
       }
-      failures.clear();
-      batch.StepBatch(cursors.data(), kLanes, &failures);
+      StepListed(batch, cursors, &failures);
       std::size_t fi = 0;
       for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
         if (cursors[lane] == nullptr) {
@@ -566,9 +575,6 @@ TEST_P(BatchClassFuzzTest, EveryClassKernelMatchesScalarLaneByLane) {
         }
         MonitorVerdict vs;
         const bool fs = scalar[lane]->Step(events[lane], &vs);
-        BatchVerdict vg;
-        const bool fg = general.StepLaneGeneral(lane, events[lane], &vg);
-        ASSERT_EQ(fg, fs) << machine.name << " lane " << lane << " round " << round;
         const bool fb = fi < failures.size() && failures[fi].lane == lane;
         ASSERT_EQ(fb, fs) << machine.name << " lane " << lane << " round " << round;
         if (fs) {
@@ -590,159 +596,6 @@ TEST_P(BatchClassFuzzTest, EveryClassKernelMatchesScalarLaneByLane) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchClassFuzzTest,
                          ::testing::Values(0x21u, 0xFACEu, 0x7777777u));
 
-// Cohort-boundary shapes: the counting-sort partition has three regimes —
-// one dense cohort (all lanes share a state, kernel runs index-free),
-// strided cohorts (alternating states), and singleton cohorts (a cohort
-// of exactly one lane). Each shape is set up deterministically and the
-// stepped result compared against scalar truth.
-TEST(BatchCohortShapeTest, DenseAlternatingAndSingletonCohorts) {
-  constexpr std::uint32_t kLanes = 8;
-  auto c = CompileStateMachine(StoreFieldMachine());
-  ASSERT_TRUE(c.ok());
-  auto shared = std::make_shared<const CompiledMachine>(std::move(c).value());
-
-  MonitorEvent start;
-  start.kind = EventKind::kStartTask;
-  start.task = 0;
-  start.path = 1;
-
-  const auto check_against_scalar = [&](BatchCompiledMonitor& batch,
-                                        const std::vector<int>& prior_steps) {
-    for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-      auto c2 = CompileStateMachine(StoreFieldMachine());
-      ASSERT_TRUE(c2.ok());
-      CompiledMonitor ref(std::move(c2).value());
-      MonitorVerdict verdict;
-      for (int i = 0; i < prior_steps[lane]; ++i) {
-        MonitorEvent e = start;
-        e.timestamp = 10 * (i + 1);
-        ref.Step(e, &verdict);
-      }
-      ASSERT_EQ(batch.lane_state(lane), ref.current_state()) << "lane " << lane;
-      ASSERT_EQ(batch.LaneVarValue(lane, "t0"), ref.VarValue("t0")) << "lane " << lane;
-    }
-  };
-
-  const auto run_shape = [&](const std::vector<int>& warmup) {
-    BatchCompiledMonitor batch(shared, kLanes);
-    std::vector<MonitorEvent> events(kLanes);
-    std::vector<const MonitorEvent*> cursors(kLanes, nullptr);
-    std::vector<BatchFailure> failures;
-    int max_warm = 0;
-    for (const int w : warmup) {
-      max_warm = std::max(max_warm, w);
-    }
-    std::vector<int> steps(kLanes, 0);
-    for (int round = 0; round < max_warm + 1; ++round) {
-      for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-        // Warm up each lane its own number of rounds, then one final round
-        // steps everyone — that final pass is the shaped partition.
-        const bool live = round < warmup[lane] || round == max_warm;
-        if (!live) {
-          cursors[lane] = nullptr;
-          continue;
-        }
-        events[lane] = start;
-        events[lane].timestamp = 10 * (steps[lane] + 1);
-        cursors[lane] = &events[lane];
-        ++steps[lane];
-      }
-      failures.clear();
-      batch.StepBatch(cursors.data(), kLanes, &failures);
-      EXPECT_TRUE(failures.empty());
-    }
-    check_against_scalar(batch, steps);
-  };
-
-  run_shape({0, 0, 0, 0, 0, 0, 0, 0});  // dense: one cohort, all lanes S0
-  run_shape({1, 0, 1, 0, 1, 0, 1, 0});  // alternating: two strided cohorts
-  run_shape({0, 0, 0, 1, 0, 0, 0, 0});  // singleton: lone S1 cohort
-  run_shape({1, 1, 1, 0, 1, 1, 1, 1});  // singleton at the other boundary
-}
-
-// StepBatchLanes (the fleet feed's lane-list entry point) must be exactly
-// StepBatch restricted to the listed lanes: same states, same slots, same
-// failures in the same order — across every app machine, including the
-// path-scoped ones, with lanes randomly dead or out of scope.
-class BatchLaneListFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BatchLaneListFuzzTest, StepBatchLanesMatchesStepBatch) {
-  constexpr std::uint32_t kLanes = 16;
-  for (FuzzApp& app : FuzzApps()) {
-    auto parsed = SpecParser::Parse(app.spec);
-    ASSERT_TRUE(parsed.ok()) << app.name;
-    auto machines = LowerSpec(parsed.value(), app.graph, {});
-    ASSERT_TRUE(machines.ok()) << app.name;
-    const auto task_count = static_cast<std::uint64_t>(app.graph.task_count());
-    const auto path_count = static_cast<std::uint64_t>(app.graph.path_count());
-
-    for (const StateMachine& machine : machines.value()) {
-      auto c = CompileStateMachine(machine);
-      ASSERT_TRUE(c.ok()) << app.name << "/" << machine.name;
-      auto shared = std::make_shared<const CompiledMachine>(std::move(c).value());
-      BatchCompiledMonitor full(shared, kLanes);
-      BatchCompiledMonitor listed(shared, kLanes);
-      const PathId scope = shared->path_scope;
-
-      Rng rng(GetParam() * 0x51ED2705u + shared->path_scope + 3);
-      std::vector<MonitorEvent> events(kLanes);
-      std::vector<const MonitorEvent*> cursors(kLanes, nullptr);
-      std::vector<std::uint32_t> lane_list;
-      std::vector<BatchFailure> f_full, f_listed;
-      SimTime now = 0;
-      for (int round = 0; round < 600; ++round) {
-        lane_list.clear();
-        for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-          if (rng.NextDouble() < 0.2) {
-            cursors[lane] = nullptr;
-            continue;
-          }
-          now += rng.UniformU64(1, kMinute);
-          MonitorEvent& e = events[lane];
-          e = MonitorEvent{};
-          e.kind = rng.NextDouble() < 0.5 ? EventKind::kStartTask : EventKind::kEndTask;
-          e.task = static_cast<TaskId>(rng.UniformU64(0, task_count - 1));
-          e.timestamp = now;
-          e.path = static_cast<PathId>(rng.UniformU64(1, path_count));
-          e.seq = static_cast<std::uint64_t>(round) + 1;
-          e.has_dep_data = e.kind == EventKind::kEndTask && rng.NextDouble() < 0.5;
-          e.dep_data = rng.UniformDouble(-10.0, 50.0);
-          e.energy_fraction = rng.NextDouble();
-          cursors[lane] = &e;
-          // The fleet feed's filter: live lanes whose event is in scope,
-          // in ascending lane order.
-          if (scope == kNoPath || e.path == scope) {
-            lane_list.push_back(lane);
-          }
-        }
-        f_full.clear();
-        f_listed.clear();
-        full.StepBatch(cursors.data(), kLanes, &f_full);
-        listed.StepBatchLanes(cursors.data(), lane_list.data(),
-                              static_cast<std::uint32_t>(lane_list.size()), &f_listed);
-        ASSERT_EQ(f_full.size(), f_listed.size())
-            << app.name << "/" << machine.name << " round " << round;
-        for (std::size_t i = 0; i < f_full.size(); ++i) {
-          ASSERT_EQ(f_full[i].lane, f_listed[i].lane) << app.name << "/" << machine.name;
-          ASSERT_EQ(f_full[i].action, f_listed[i].action);
-          ASSERT_EQ(f_full[i].target_path, f_listed[i].target_path);
-        }
-        for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-          ASSERT_EQ(full.lane_state(lane), listed.lane_state(lane))
-              << app.name << "/" << machine.name << " lane " << lane << " round " << round;
-          for (const auto& [var, unused] : machine.variables) {
-            ASSERT_EQ(full.LaneVarValue(lane, var), listed.LaneVarValue(lane, var))
-                << app.name << "/" << machine.name << " var " << var << " lane " << lane;
-          }
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchLaneListFuzzTest,
-                         ::testing::Values(0x31u, 0xC0FFEEu));
-
 TEST(BatchTrafficTest, CountersAttributeEventsToDispatchColumns) {
   auto c = CompileStateMachine(CommitMachine());
   ASSERT_TRUE(c.ok());
@@ -760,13 +613,10 @@ TEST(BatchTrafficTest, CountersAttributeEventsToDispatchColumns) {
   other.kind = EventKind::kEndTask;
   other.task = 5;  // above max_task: lands in the padded any-task column
   other.path = 1;
-  const MonitorEvent* cursors[2];
   std::vector<BatchFailure> failures;
-  cursors[0] = cursors[1] = &start;
-  batch.StepBatch(cursors, 2, &failures);  // both lanes commit S0 -> S1
-  batch.StepBatch(cursors, 2, &failures);  // both lanes commit S1 -> S0
-  cursors[0] = cursors[1] = &other;
-  batch.StepBatch(cursors, 2, &failures);  // both lanes self-loop
+  StepListed(batch, {&start, &start}, &failures);  // both lanes commit S0 -> S1
+  StepListed(batch, {&start, &start}, &failures);  // both lanes commit S1 -> S0
+  StepListed(batch, {&other, &other}, &failures);  // both lanes self-loop
 
   const std::vector<std::uint64_t> by_class = batch.ClassTraffic();
   ASSERT_EQ(by_class.size(), BatchCompiledMonitor::kNumClasses);

@@ -2,14 +2,17 @@
 // cpu-map, the integral histogram fold, the per-device seed stream, and
 // the two determinism contracts that make fleet results trustworthy —
 // byte-identical renderings for any shard count, and a single-device
-// scalar fleet being the same computation as one sweep point — and the
-// batch VM's verdict parity with scalar monitors on captured streams.
+// scalar fleet being the same computation as one sweep point — the
+// batch VM's verdict parity with scalar monitors on captured streams, and
+// the batch fleet goldens under tests/golden/fleet/.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -165,6 +168,78 @@ TEST(FleetDeterminismTest, BatchModeIndependentOfTileSize) {
     EXPECT_EQ(RenderFleetJson(spec, outcome.value()),
               RenderFleetJson(base, one.value()))
         << "tile=" << tile;
+  }
+}
+
+// ------------------------------------------------------ batch goldens ---
+
+#ifndef ARTEMIS_SOURCE_DIR
+#define ARTEMIS_SOURCE_DIR "."
+#endif
+
+std::string ReadSourceFile(const std::string& relative) {
+  std::ifstream in(std::string(ARTEMIS_SOURCE_DIR) + "/" + relative, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << relative;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// `artemisc fleet --app <app> --monitor batch --stats --devices 64 --tile 16`.
+FleetSpec BatchStatsFleet(const std::string& app) {
+  FleetSpec spec;
+  spec.app = app;
+  spec.devices = 64;
+  spec.tile = 16;
+  spec.collect_obs = true;
+  spec.collect_traffic = true;
+  return spec;
+}
+
+// The batch fleets tools/ci.sh stage 6 diffs against tests/golden/fleet/.
+struct BatchGolden {
+  std::string file;
+  FleetSpec spec;
+};
+
+std::vector<BatchGolden> BatchGoldens() {
+  std::vector<BatchGolden> goldens;
+  // --app health --devices 200 --iterations 1 --charges continuous,6min --tile 16
+  FleetSpec health;
+  health.devices = 200;
+  health.charges = {0, 6 * kMinute - kSecond};
+  health.tile = 16;
+  goldens.push_back({"health_batch.json", health});
+  goldens.push_back({"health_batch_stats.json", BatchStatsFleet("health")});
+  // The stats fleet with --charges continuous,1min,6min, for the other two
+  // apps and for examples/specs/bad/dead_state.prop --no-analyze (its
+  // dispatch holds a kCommit entry).
+  const std::vector<SimDuration> charges = {0, kMinute - kSecond, 6 * kMinute - kSecond};
+  for (const std::string app : {"greenhouse", "ar"}) {
+    FleetSpec spec = BatchStatsFleet(app);
+    spec.charges = charges;
+    goldens.push_back({app + "_batch_stats.json", spec});
+  }
+  FleetSpec dead = BatchStatsFleet("health");
+  dead.charges = charges;
+  dead.spec_label = "examples/specs/bad/dead_state.prop";
+  dead.spec_text = ReadSourceFile(dead.spec_label);
+  dead.analyze = false;
+  goldens.push_back({"health_dead_state_batch_stats.json", dead});
+  return goldens;
+}
+
+TEST(FleetGoldenTest, BatchFleetsRenderTheirGoldens) {
+  for (const BatchGolden& golden : BatchGoldens()) {
+    const std::string expected = ReadSourceFile("tests/golden/fleet/" + golden.file);
+    for (const int shards : {1, 4}) {
+      FleetSpec spec = golden.spec;
+      spec.shards = shards;
+      StatusOr<FleetOutcome> outcome = RunFleet(spec);
+      ASSERT_TRUE(outcome.ok()) << golden.file << ": " << outcome.status().ToString();
+      EXPECT_EQ(RenderFleetJson(spec, outcome.value()), expected)
+          << golden.file << " shards=" << shards;
+    }
   }
 }
 

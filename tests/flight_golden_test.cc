@@ -47,7 +47,6 @@ std::string RunHealthDump(const std::string& schedule, SimDuration charge_bin,
 
   ArtemisConfig config;
   config.kernel.max_wall_time = 12 * kHour;
-  config.flight = &recorder;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   EXPECT_TRUE(runtime.ok()) << runtime.status().ToString();
   EXPECT_TRUE(runtime.value()->Run().completed);

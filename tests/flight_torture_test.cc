@@ -206,7 +206,6 @@ TEST(FlightTortureTest, HealthAppUnderOutagesDecodesAndAudits) {
 
   ArtemisConfig config;
   config.kernel.max_wall_time = 12 * kHour;
-  config.flight = &recorder;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
   EXPECT_TRUE(runtime.value()->Run().completed);

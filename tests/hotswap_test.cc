@@ -1,7 +1,7 @@
 // Tests for the live monitor hot-swap subsystem (src/swap): versioned
 // images, the migrate-block grammar, the state-migration planner and its
-// ART015 diagnostics, the ART016 swap-window analysis, batch-lane
-// migration, and an end-to-end kernel-driven swap on the health app.
+// ART015 diagnostics, the ART016 swap-window analysis, and an end-to-end
+// kernel-driven swap on the health app.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include "src/core/runtime.h"
 #include "src/monitor/builtin.h"
 #include "src/monitor/compiled.h"
-#include "src/monitor/compiled_batch.h"
 #include "src/monitor/interp.h"
 #include "src/monitor/shared_spec.h"
 #include "src/spec/parser.h"
@@ -404,107 +403,6 @@ TEST(HotSwapControllerTest, PreSwapEventRedeliveredAfterReplaceReplaysItsLabel) 
     }
     ASSERT_TRUE(outcome.verdict.violated()) << where;
     EXPECT_NE(std::string(outcome.verdict.property).find("accel"), std::string::npos) << where;
-  }
-}
-
-// ------------------------------------------------------------ batch VM --
-
-TEST(BatchMigrationTest, ApplyMigrationFromCarriesAndResetsLanes) {
-  HealthApp app = BuildHealthApp();
-  const MonitorImage image = MustImage(kSpecAccel, app.graph, 1);
-  auto machine = std::shared_ptr<const CompiledMachine>(image.artifact,
-                                                        &image.artifact->compiled[0]);
-
-  BatchCompiledMonitor old_batch(machine, 2);
-  MonitorEvent start;
-  start.kind = EventKind::kStartTask;
-  start.task = app.accel;
-  start.path = app.path_resp;
-  BatchVerdict verdict;
-  old_batch.StepLaneGeneral(0, start, &verdict);  // lane 0: Started, i = 1
-  old_batch.StepLaneGeneral(0, start, &verdict);  // lane 0: Started, i = 2
-  ASSERT_EQ(old_batch.lane_state(0), "Started");
-  ASSERT_EQ(old_batch.lane_state(1), "NotStarted");
-
-  // Identity carry: both lanes' state and counter move over.
-  BatchCompiledMonitor carried(machine, 2);
-  carried.ApplyMigrationFrom(old_batch, /*state_map=*/{0, 1}, /*slot_sources=*/{0});
-  EXPECT_EQ(carried.lane_state(0), "Started");
-  EXPECT_DOUBLE_EQ(carried.LaneVarValue(0, "i"), 2.0);
-  EXPECT_EQ(carried.lane_state(1), "NotStarted");
-
-  // Conservative reset: every state maps to initial, the slot resets.
-  BatchCompiledMonitor reset(machine, 2);
-  reset.ApplyMigrationFrom(old_batch, /*state_map=*/{machine->initial, machine->initial},
-                           /*slot_sources=*/{-1});
-  EXPECT_EQ(reset.lane_state(0), "NotStarted");
-  EXPECT_DOUBLE_EQ(reset.LaneVarValue(0, "i"), machine->initial_slots[0]);
-}
-
-// Regression for the cohort-partitioned StepBatch: the counting sort
-// inside StepBatch permutes lanes into state cohorts while stepping, and
-// ApplyMigrationFrom reads the per-lane arrays afterwards. If the
-// partition ever left lane state or slots scrambled, the migrated batch
-// would disagree with per-lane scalar replicas that never get permuted.
-TEST(BatchMigrationTest, ApplyMigrationFromAfterCohortStepping) {
-  constexpr std::uint32_t kLanes = 8;
-  HealthApp app = BuildHealthApp();
-  const MonitorImage image = MustImage(kSpecAccel, app.graph, 1);
-  auto machine = std::shared_ptr<const CompiledMachine>(image.artifact,
-                                                        &image.artifact->compiled[0]);
-
-  BatchCompiledMonitor old_batch(machine, kLanes);
-  std::vector<BatchCompiledMonitor> scalar_like;  // 1-lane references
-  for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-    scalar_like.emplace_back(machine, 1);
-  }
-
-  // Stagger the lanes so every StepBatch pass partitions into multiple
-  // cohorts: lane L only steps on rounds >= L, so after the warmup the
-  // lanes sit in a mix of states with distinct slot values.
-  MonitorEvent start;
-  start.kind = EventKind::kStartTask;
-  start.task = app.accel;
-  start.path = app.path_resp;
-  std::vector<MonitorEvent> events(kLanes);
-  std::vector<const MonitorEvent*> cursors(kLanes, nullptr);
-  std::vector<BatchFailure> failures;
-  for (std::uint32_t round = 0; round < kLanes; ++round) {
-    for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-      if (round < lane) {
-        cursors[lane] = nullptr;
-        continue;
-      }
-      events[lane] = start;
-      events[lane].timestamp = (round + 1) * 100;
-      events[lane].seq = round + 1;
-      cursors[lane] = &events[lane];
-      BatchVerdict verdict;
-      scalar_like[lane].StepLaneGeneral(0, events[lane], &verdict);
-    }
-    failures.clear();
-    old_batch.StepBatch(cursors.data(), kLanes, &failures);
-  }
-
-  // Identity migration into a fresh batch must land every lane exactly
-  // where its never-permuted reference sits.
-  std::vector<std::uint16_t> identity_states;
-  for (std::size_t s = 0; s < machine->state_names.size(); ++s) {
-    identity_states.push_back(static_cast<std::uint16_t>(s));
-  }
-  std::vector<int> identity_slots;
-  for (std::size_t v = 0; v < machine->var_names.size(); ++v) {
-    identity_slots.push_back(static_cast<int>(v));
-  }
-  BatchCompiledMonitor carried(machine, kLanes);
-  carried.ApplyMigrationFrom(old_batch, identity_states, identity_slots);
-  for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-    EXPECT_EQ(carried.lane_state(lane), scalar_like[lane].lane_state(0))
-        << "lane " << lane;
-    for (const std::string& var : machine->var_names) {
-      EXPECT_EQ(carried.LaneVarValue(lane, var), scalar_like[lane].LaneVarValue(0, var))
-          << "lane " << lane << " var " << var;
-    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/sweep/grid_json.h"
 
@@ -441,6 +442,53 @@ TEST(ArtemiscTest, TraceRejectsBadScheduleAndFormat) {
     EXPECT_EQ(RunCli(command + " --schedule 1s").exit_code, 2) << command;
   }
   EXPECT_EQ(RunCli("trace --app health --format xml").exit_code, 2);
+}
+
+// `swap --json` has check --json's contract: once both spec files are read,
+// stdout is exactly one diagnostics array on every exit path — the swap
+// analyzer's findings, [] under --no-analyze, or one ART000 entry carrying
+// the stderr line when an image fails to build.
+TEST(ArtemiscTest, SwapJsonPrintsOneDiagnosticsArray) {
+  const std::string run = " --app health --schedule 6min --swap-at 2min --json";
+  const std::string no_mitd = WriteTempSpec("swap_no_mitd.prop", "send: { MITD: ; }\n");
+  const std::string v2_error = "spec-v2 error: INVALID_ARGUMENT: line 1:15: expected a "
+                               "duration, found ';'";
+  const struct {
+    std::string args;
+    int exit_code;
+    const char* code;     // every entry's code; nullptr: the array is empty
+    std::string message;  // the ART000 entry's message, when checked
+  } kRows[] = {
+      {kHealthSpec + " " + kHealthSpec + run + " --no-analyze", 0, nullptr, ""},
+      {kHealthSpec + " " + kHealthSpec + run, 0, nullptr, ""},
+      {kHealthSpec + " " + no_mitd + run, 1, "ART000", v2_error},
+      {kHealthSpec + " " + no_mitd + run + " --no-analyze", 1, "ART000", v2_error},
+      {no_mitd + " " + kHealthSpec + run + " --no-analyze", 1, "ART000",
+       "spec-v1 error: INVALID_ARGUMENT: line 1:15: expected a duration, found ';'"},
+      {kHealthSpec + " " + kSpecs + "/bad/swap_cross_type.prop" + run, 1, "ART015", ""},
+      // The controller still refuses the ART015-broken plan after the gate.
+      {kHealthSpec + " " + kSpecs + "/bad/swap_cross_type.prop" + run + " --no-analyze", 1,
+       nullptr, ""},
+      // A bad --schedule is read after the gate (exit 2).
+      {kHealthSpec + " " + kHealthSpec + run + " --no-analyze --schedule 1s", 2, nullptr, ""},
+  };
+  for (const auto& row : kRows) {
+    const RunResult result = RunCli("swap " + row.args, /*stdout_only=*/true);
+    EXPECT_EQ(result.exit_code, row.exit_code) << row.args << "\n" << result.output;
+    const StatusOr<sweep::JsonValuePtr> parsed = sweep::ParseJson(result.output);
+    ASSERT_TRUE(parsed.ok()) << row.args << ": " << parsed.status().ToString() << "\n"
+                             << result.output;
+    ASSERT_TRUE(parsed.value()->is_array()) << row.args << "\n" << result.output;
+    const std::vector<sweep::JsonValuePtr>& entries = parsed.value()->array();
+    EXPECT_EQ(entries.empty(), row.code == nullptr) << row.args << "\n" << result.output;
+    for (const sweep::JsonValuePtr& entry : entries) {
+      ASSERT_NE(row.code, nullptr);
+      EXPECT_EQ(entry->Find("code")->string(), row.code) << row.args;
+      if (!row.message.empty()) {
+        EXPECT_EQ(entry->Find("message")->string(), row.message) << row.args;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- forensics --

@@ -331,14 +331,15 @@ struct FrontHalf {
 };
 
 // Prints a failed stage's message to stderr as "<stage> error: <status>"
-// and returns that line for `check --json` (an ART000 entry).
+// and returns that line for `check --json` and `swap --json` (an ART000
+// entry).
 std::string StageFailure(const char* stage, const Status& status) {
   std::string line = std::string(stage) + " error: " + status.ToString();
   std::fprintf(stderr, "%s\n", line.c_str());
   return line;
 }
 
-// `check --json`'s entry for a stage that failed before any analyzer pass
+// The `--json` entry for a stage that failed before any analyzer pass
 // ran; its message is the stage's stderr line.
 Diagnostic FrontHalfFailure(std::string message) {
   Diagnostic d;
@@ -911,23 +912,34 @@ int RunSwapCmd(const Args& args) {
   if (!source2.has_value()) {
     return kExitUsage;
   }
+  // With --json, stdout carries exactly one diagnostics array, as for
+  // `check --json`: the swap analyzer's findings, `[]` under --no-analyze,
+  // or one ART000 entry when an image fails to build. The human summary
+  // moves to stderr.
+  FILE* chatter = args.json ? stderr : stdout;
+  const auto print_json = [&](const std::vector<Diagnostic>& findings) {
+    if (args.json) {
+      std::printf("%s", RenderDiagnosticsJson(findings).c_str());
+    }
+  };
   StatusOr<MonitorImage> old_image = BuildMonitorImage(*source1, *app->graph, 1);
   if (!old_image.ok()) {
-    std::fprintf(stderr, "spec-v1 error: %s\n", old_image.status().ToString().c_str());
+    print_json({FrontHalfFailure(StageFailure("spec-v1", old_image.status()))});
     return kExitFindings;
   }
   StatusOr<MonitorImage> new_image = BuildMonitorImage(*source2, *app->graph, 2);
   if (!new_image.ok()) {
-    std::fprintf(stderr, "spec-v2 error: %s\n", new_image.status().ToString().c_str());
+    print_json({FrontHalfFailure(StageFailure("spec-v2", new_image.status()))});
     return kExitFindings;
   }
 
-  FILE* chatter = args.json ? stderr : stdout;
-  if (!args.no_analyze) {
+  if (args.no_analyze) {
+    print_json({});
+  } else {
     const DiagnosticEngine engine =
         AnalyzeSwap(old_image.value(), new_image.value(), *app->graph, AnalysisOptionsFor(args));
     if (args.json) {
-      std::printf("%s", engine.RenderJson().c_str());
+      print_json(engine.diagnostics());
     } else {
       std::printf("%s", engine.RenderText(args.spec2_path).c_str());
     }

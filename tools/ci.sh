@@ -48,7 +48,10 @@
 #      tests/golden/fleet/health_batch.json at --shards 1 and 4, and so must
 #      a batch and a scalar fleet with --stats (every optional block:
 #      batch, class_traffic, traffic, obs) equal
-#      tests/golden/fleet/health_{batch,scalar}_stats.json; the same
+#      tests/golden/fleet/health_{batch,scalar}_stats.json, and batch --stats
+#      fleets under three charges equal tests/golden/fleet/
+#      {greenhouse,ar,health_dead_state}_batch_stats.json (the last runs
+#      examples/specs/bad/dead_state.prop with --no-analyze); the same
 #      infeasible deployment must be refused with exit 2.
 #   7. Benchmark smoke: perfbench/ (the repo's benchmark, its own CMake
 #      package over src/) must build against the engine's public API, pass
@@ -392,6 +395,27 @@ for shards in 1 4; do
   fi
 done
 echo "ok: --stats batch and scalar fleets match their goldens for --shards 1 and 4"
+
+# Batch --stats fleets of the other two apps under three charges, and of a
+# spec whose dispatch holds a kCommit entry (examples/specs/bad/
+# dead_state.prop, past the gate with --no-analyze; run from the repo root,
+# so the relative spec path is the rendered label).
+for shards in 1 4; do
+  for config in "greenhouse_batch_stats:--app greenhouse" "ar_batch_stats:--app ar" \
+      "health_dead_state_batch_stats:--app health --spec examples/specs/bad/dead_state.prop --no-analyze"; do
+    golden="${config%%:*}"
+    # The flags after the colon are unquoted on purpose: they word-split.
+    (cd "${repo_root}" && "${artemisc}" fleet ${config#*:} --monitor batch --stats \
+      --devices 64 --tile 16 --charges continuous,1min,6min --shards "${shards}" \
+      --format json --out "${fleet_s1}")
+    if ! diff -u "${repo_root}/tests/golden/fleet/${golden}.json" "${fleet_s1}"; then
+      echo "CI FAIL: batch --stats fleet (${golden}, --shards ${shards}) diverged from" \
+        "tests/golden/fleet/${golden}.json" >&2
+      exit 1
+    fi
+  done
+done
+echo "ok: greenhouse, ar and dead-state batch --stats fleets match their goldens for --shards 1 and 4"
 
 # Scalar monitors under outages: every device drives MonitorSet's machine
 # loop through power failures with each backend's step cost (interpreted 46,
