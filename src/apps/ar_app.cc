@@ -52,15 +52,15 @@ ArApp BuildArApp(const ArAppOptions& options) {
       .name = "featurize",
       .work = {.duration = 25 * kMillisecond, .power = 0.9},
       .effect =
-          [](TaskContext& ctx) {
-            const auto& raw = ctx.SamplesOf("sampleWindow");
+          [sample_window = app.sample_window](TaskContext& ctx) {
+            const auto& raw = ctx.SamplesOf(sample_window);
             if (raw.size() < 2) {
               return;
             }
             // The last (mean, stddev) pair is this window's feature vector.
             ctx.Push(raw[raw.size() - 2]);
             ctx.Push(raw[raw.size() - 1]);
-            ctx.ConsumeAll("sampleWindow");
+            ctx.ConsumeAll(sample_window);
           },
       .monitored_var = std::nullopt,
   });
@@ -69,8 +69,8 @@ ArApp BuildArApp(const ArAppOptions& options) {
       .name = "classify",
       .work = {.duration = 8 * kMillisecond, .power = 0.9},
       .effect =
-          [](TaskContext& ctx) {
-            const auto& features = ctx.SamplesOf("featurize");
+          [featurize = app.featurize](TaskContext& ctx) {
+            const auto& features = ctx.SamplesOf(featurize);
             if (features.size() < 2) {
               return;
             }
@@ -79,7 +79,7 @@ ArApp BuildArApp(const ArAppOptions& options) {
             const bool moving = Distance2(kMovingCentroid, mean, stddev) <
                                 Distance2(kStillCentroid, mean, stddev);
             ctx.Push(moving ? 1.0 : 0.0);
-            ctx.ConsumeAll("featurize");
+            ctx.ConsumeAll(featurize);
           },
       .monitored_var = std::nullopt,
   });
@@ -88,12 +88,12 @@ ArApp BuildArApp(const ArAppOptions& options) {
       .name = "count",
       .work = {.duration = 3 * kMillisecond, .power = 0.66},
       .effect =
-          [](TaskContext& ctx) {
-            const auto& classes = ctx.SamplesOf("classify");
+          [classify = app.classify](TaskContext& ctx) {
+            const auto& classes = ctx.SamplesOf(classify);
             ctx.Push(classes.empty() ? 0.0 : classes.back());
-            ctx.ConsumeAll("classify");
+            ctx.ConsumeAll(classify);
             // Running moving-fraction estimate, exposed for dpData.
-            const auto& mine = ctx.SamplesOf("count");
+            const auto& mine = ctx.SamplesOf(ctx.self());
             double moving = ctx.staged_samples().back();
             for (const double c : mine) {
               moving += c;
@@ -106,7 +106,7 @@ ArApp BuildArApp(const ArAppOptions& options) {
   app.report = app.graph.AddTask(TaskDef{
       .name = "report",
       .work = {.duration = 90 * kMillisecond, .power = 24.0},
-      .effect = [](TaskContext& ctx) { ctx.ConsumeAll("count"); },
+      .effect = [count = app.count](TaskContext& ctx) { ctx.ConsumeAll(count); },
       .monitored_var = std::nullopt,
   });
 

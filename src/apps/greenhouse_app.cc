@@ -37,8 +37,8 @@ GreenhouseApp BuildGreenhouseApp() {
       .name = "aggregate",
       .work = {.duration = 20 * kMillisecond, .power = 0.66},
       .effect =
-          [](TaskContext& ctx) {
-            const auto& lux = ctx.SamplesOf("lightSense");
+          [light_sense = app.light_sense](TaskContext& ctx) {
+            const auto& lux = ctx.SamplesOf(light_sense);
             ctx.Push(lux.empty() ? 0.0 : lux.back());
           },
       .monitored_var = std::nullopt,

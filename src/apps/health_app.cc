@@ -29,14 +29,14 @@ HealthApp BuildHealthApp(const HealthAppOptions& options) {
       .name = "calcAvg",
       .work = {.duration = 40 * kMillisecond, .power = 0.66},
       .effect =
-          [](TaskContext& ctx) {
-            const std::vector<double>& samples = ctx.SamplesOf("bodyTemp");
+          [body_temp = app.body_temp](TaskContext& ctx) {
+            const std::vector<double>& samples = ctx.SamplesOf(body_temp);
             if (samples.empty()) {
               return;
             }
             const double avg = std::accumulate(samples.begin(), samples.end(), 0.0) /
                                static_cast<double>(samples.size());
-            ctx.ConsumeAll("bodyTemp");
+            ctx.ConsumeAll(body_temp);
             ctx.Push(avg);
             ctx.SetMonitored(avg);  // avgTemp, watched by the dpData property.
           },
@@ -64,10 +64,10 @@ HealthApp BuildHealthApp(const HealthAppOptions& options) {
       .name = "filter",
       .work = {.duration = 15 * kMillisecond, .power = 0.66},
       .effect =
-          [](TaskContext& ctx) {
+          [accel = app.accel](TaskContext& ctx) {
             // Breath rate from the accelerometer burst.
-            const double raw =
-                ctx.SamplesOf("accel").empty() ? 0.0 : ctx.SamplesOf("accel").back();
+            const std::vector<double>& bursts = ctx.SamplesOf(accel);
+            const double raw = bursts.empty() ? 0.0 : bursts.back();
             ctx.Push(14.0 + raw * 2.0);
           },
       .monitored_var = std::nullopt,
@@ -86,9 +86,9 @@ HealthApp BuildHealthApp(const HealthAppOptions& options) {
       .name = "classify",
       .work = {.duration = 60 * kMillisecond, .power = 0.9},
       .effect =
-          [](TaskContext& ctx) {
-            const double level =
-                ctx.SamplesOf("micSense").empty() ? 0.0 : ctx.SamplesOf("micSense").back();
+          [mic_sense = app.mic_sense](TaskContext& ctx) {
+            const std::vector<double>& levels = ctx.SamplesOf(mic_sense);
+            const double level = levels.empty() ? 0.0 : levels.back();
             ctx.Push(level > 0.92 ? 1.0 : 0.0);  // cough / no cough
           },
       .monitored_var = std::nullopt,

@@ -4,8 +4,6 @@
 
 namespace artemis {
 
-PlatformBuilder::PlatformBuilder() : power_(std::make_unique<AlwaysOnPowerModel>()) {}
-
 PlatformBuilder& PlatformBuilder::WithContinuousPower() {
   power_ = std::make_unique<AlwaysOnPowerModel>();
   return *this;
@@ -47,12 +45,15 @@ PlatformBuilder& PlatformBuilder::WithTimekeeper(
 }
 
 std::unique_ptr<Mcu> PlatformBuilder::Build() {
-  auto mcu = std::make_unique<Mcu>(std::move(power_), DefaultCostModel());
+  // Continuous power unless a supply was selected; the builder stays
+  // reusable, back at that default.
+  auto mcu = std::make_unique<Mcu>(
+      power_ != nullptr ? std::move(power_) : std::make_unique<AlwaysOnPowerModel>(),
+      DefaultCostModel());
   mcu->clock().SetMaxDriftPerOutage(max_drift_);
   if (timekeeper_ != nullptr) {
     mcu->clock().SetTimekeeper(std::move(timekeeper_));
   }
-  power_ = std::make_unique<AlwaysOnPowerModel>();  // Builder stays reusable.
   return mcu;
 }
 

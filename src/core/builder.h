@@ -17,9 +17,8 @@ namespace artemis {
 
 class PlatformBuilder {
  public:
-  PlatformBuilder();
-
-  // Power supply selection (last call wins).
+  // Power supply selection (last call wins; continuous power when none is
+  // made).
   PlatformBuilder& WithContinuousPower();
   // Each on-period delivers `on_budget` microjoules; recharging after a
   // failure takes `charge_time`. The Figure 12/16 experiment knob.
@@ -43,7 +42,7 @@ class PlatformBuilder {
   std::unique_ptr<Mcu> Build();
 
  private:
-  std::unique_ptr<PowerModel> power_;
+  std::unique_ptr<PowerModel> power_;  // nullptr: continuous power
   SimDuration max_drift_ = 0;
   std::unique_ptr<OutageTimekeeper> timekeeper_;
 };

@@ -2,31 +2,36 @@
 
 #include <utility>
 
-#include "src/core/builder.h"
+#include "src/sim/cost_model.h"
 
 namespace artemis {
+namespace {
 
-DeviceRun::DeviceRun(DeviceRecipe recipe) : graph_(std::move(recipe.graph)) {
+// The recipe's power supply: the one power model the device builds.
+std::unique_ptr<PowerModel> MakePowerModel(const DeviceRecipe& recipe) {
+  if (recipe.charge == 0) {
+    return std::make_unique<AlwaysOnPowerModel>();
+  }
+  return std::make_unique<FixedChargePowerModel>(recipe.budget, recipe.charge);
+}
+
+}  // namespace
+
+DeviceRun::DeviceRun(DeviceRecipe recipe)
+    : graph_(std::move(recipe.graph)), mcu_(MakePowerModel(recipe), DefaultCostModel()) {
   status_ = graph_ == nullptr ? Status::Invalid("device recipe has no app graph")
                               : Assemble(recipe);
 }
 
 Status DeviceRun::Assemble(DeviceRecipe& recipe) {
-  PlatformBuilder platform;
-  if (recipe.charge == 0) {
-    platform.WithContinuousPower();
-  } else {
-    platform.WithFixedCharge(recipe.budget, recipe.charge);
-  }
   if (recipe.timekeeper != nullptr) {
-    platform.WithTimekeeper(std::move(recipe.timekeeper));
+    mcu_.clock().SetTimekeeper(std::move(recipe.timekeeper));
   }
-  mcu_ = platform.Build();
-  mcu_->set_observer(recipe.observer);
+  mcu_.set_observer(recipe.observer);
 
   if (recipe.flight != flight::FlightLevel::kOff) {
     recorder_ = std::make_unique<flight::FlightRecorder>(recipe.flight_bytes, recipe.flight);
-    if (Status attached = mcu_->AttachFlightRecorder(recorder_.get()); !attached.ok()) {
+    if (Status attached = mcu_.AttachFlightRecorder(recorder_.get()); !attached.ok()) {
       return attached;
     }
   }
@@ -39,7 +44,7 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
       config.backend = recipe.backend;
       config.kernel = options;
       StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
-          ArtemisRuntime::CreateFromArtifact(graph_.get(), recipe.artifact, mcu_.get(), config);
+          ArtemisRuntime::CreateFromArtifact(graph_.get(), recipe.artifact, &mcu_, config);
       if (!runtime.ok()) {
         return runtime.status();
       }
@@ -49,7 +54,7 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
     }
     case MonitorSystem::kMayfly: {
       StatusOr<std::unique_ptr<MayflyRuntime>> runtime =
-          MayflyRuntime::Create(graph_.get(), recipe.artifact->ast, mcu_.get(), options);
+          MayflyRuntime::Create(graph_.get(), recipe.artifact->ast, &mcu_, options);
       if (!runtime.ok()) {
         return runtime.status();
       }
@@ -58,7 +63,7 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
       break;
     }
     case MonitorSystem::kExternal:
-      kernel_ = &external_kernel_.emplace(graph_.get(), recipe.checker, mcu_.get(), options);
+      kernel_ = &external_kernel_.emplace(graph_.get(), recipe.checker, &mcu_, options);
       break;
   }
 

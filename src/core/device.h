@@ -5,10 +5,11 @@
 // DeviceRecipe value; DeviceRun wires it into the Figure 1 loop — MCU
 // (power supply + timekeeper), flight recorder, observability bus, the
 // monitor system, the kernel, and an optional hot-swap controller — and
-// owns every piece for the length of the run. What a device only reads it
-// shares: the app graph and the spec artifact are immutable templates that
-// any number of devices, on any threads, run from at once (the app graph
-// is firmware .text; TaskEffect's contract in src/kernel/task.h).
+// owns every piece for the length of the run, the Mcu inline. What a device
+// only reads it shares: the app graph, the spec artifact and the cost
+// model's cycle-charge pairs (CycleChargeTable) are immutable templates
+// that any number of devices, on any threads, run from at once (the app
+// graph is firmware .text; TaskEffect's contract in src/kernel/task.h).
 //
 // Assembly order reaches simulated state, so it is fixed here: the
 // timekeeper is installed when the MCU is built, the flight ring takes its
@@ -105,7 +106,7 @@ class DeviceRun {
   Status Assemble(DeviceRecipe& recipe);
 
   std::shared_ptr<const AppGraph> graph_;
-  std::unique_ptr<Mcu> mcu_;
+  Mcu mcu_;
   std::unique_ptr<flight::FlightRecorder> recorder_;
   std::unique_ptr<ArtemisRuntime> artemis_;
   std::unique_ptr<MayflyRuntime> mayfly_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "src/core/device.h"
@@ -51,9 +52,18 @@ std::uint64_t DeviceSeed(std::uint64_t fleet_seed, std::uint64_t device_index) {
 
 // ---- CaptureChecker ------------------------------------------------------
 
+CaptureChecker::CaptureChecker(std::span<const StepRun> runs, std::size_t fram_bytes,
+                               std::vector<CapturedRecord> buffer)
+    : runs_(runs), fram_bytes_(fram_bytes), records_(std::move(buffer)) {
+  records_.clear();
+}
+
 CaptureChecker::CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes,
                                std::vector<CapturedRecord> buffer)
-    : runs_(StepRuns(step_cycles)), fram_bytes_(fram_bytes), records_(std::move(buffer)) {
+    : own_runs_(StepRuns(step_cycles)),
+      runs_(own_runs_),
+      fram_bytes_(fram_bytes),
+      records_(std::move(buffer)) {
   records_.clear();
 }
 
@@ -129,34 +139,81 @@ void CaptureChecker::OnPathRestart(PathId path, Mcu& mcu) {
 
 // ---- DeviceInstance ------------------------------------------------------
 
+namespace {
+
+// What `app` with `artifact` fixes for every device; fails on an unknown
+// app.
+StatusOr<FleetTemplates> DeriveFleetTemplates(const std::string& app,
+                                              const SharedSpecArtifact& artifact) {
+  StatusOr<std::shared_ptr<const AppGraph>> graph = sweep::AppTemplate(app);
+  if (!graph.ok()) {
+    return graph.status();
+  }
+  return FleetTemplates{
+      .graph = std::move(graph).value(),
+      .capture_runs = StepRuns(CompiledStepCycles(artifact, DefaultCostModel())),
+      .capture_fram_bytes = MirroredFramBytes(artifact)};
+}
+
+}  // namespace
+
+StatusOr<FleetContext> PrepareFleetContext(const std::string& app,
+                                           SharedSpecArtifactPtr artifact) {
+  StatusOr<FleetTemplates> templates = DeriveFleetTemplates(app, *artifact);
+  if (!templates.ok()) {
+    return templates.status();
+  }
+  return FleetContext{.app = app,
+                      .artifact = std::move(artifact),
+                      .templates = std::move(templates).value()};
+}
+
 DeviceInstance::DeviceInstance(const FleetContext& ctx, const DeviceConfig& config)
     : ctx_(ctx), config_(config) {}
 
 DeviceResult DeviceInstance::RunScalar() { return Run(nullptr); }
 
 DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
-  CaptureChecker checker(CompiledStepCycles(*ctx_.artifact, DefaultCostModel()),
-                         MirroredFramBytes(*ctx_.artifact), std::move(*records));
-  DeviceResult r = Run(&checker);
+  return Run(records);
+}
+
+DeviceResult DeviceInstance::Run(std::vector<CapturedRecord>* records) {
+  std::optional<FleetTemplates> derived;
+  if (!ctx_.templates.has_value()) {
+    StatusOr<FleetTemplates> templates = DeriveFleetTemplates(ctx_.app, *ctx_.artifact);
+    if (!templates.ok()) {
+      if (records != nullptr) {
+        records->clear();
+      }
+      DeviceResult r;
+      r.error = templates.status().ToString();
+      return r;
+    }
+    derived = std::move(templates).value();
+  }
+  const FleetTemplates& templates = derived.has_value() ? *derived : *ctx_.templates;
+  if (records == nullptr) {
+    return Run(templates, nullptr);
+  }
+  CaptureChecker checker(templates.capture_runs, templates.capture_fram_bytes,
+                         std::move(*records));
+  DeviceResult r = Run(templates, &checker);
   *records = checker.TakeRecords();
   return r;
 }
 
-DeviceResult DeviceInstance::Run(CaptureChecker* capture) {
-  StatusOr<std::shared_ptr<const AppGraph>> graph = sweep::AppTemplate(ctx_.app);
-  if (!graph.ok()) {
-    DeviceResult r;
-    r.error = graph.status().ToString();
-    return r;
-  }
-  obs::EventBus bus;
-  ObsStatsAggregator aggregator;
+DeviceResult DeviceInstance::Run(const FleetTemplates& templates, CaptureChecker* capture) {
+  // The obs bus and its aggregator exist only when the device reports obs
+  // counts.
+  std::optional<obs::EventBus> bus;
+  std::optional<ObsStatsAggregator> aggregator;
   DeviceRecipe recipe;
   if (config_.collect_obs) {
-    bus.AddSink(&aggregator);
-    recipe.observer = &bus;
+    bus.emplace();
+    bus->AddSink(&aggregator.emplace());
+    recipe.observer = &*bus;
   }
-  recipe.graph = std::move(graph).value();
+  recipe.graph = templates.graph;
   recipe.charge = config_.charge;
   recipe.budget = config_.budget;
   if (capture != nullptr) {
@@ -206,11 +263,11 @@ DeviceResult DeviceInstance::Run(CaptureChecker* capture) {
     r.has_obs = true;
     for (int k = 0; k < obs::kNumKinds; ++k) {
       r.obs_counts[static_cast<std::size_t>(k)] =
-          aggregator.CountFor(static_cast<obs::Kind>(k));
+          aggregator->CountFor(static_cast<obs::Kind>(k));
     }
-    r.obs_total = aggregator.total_events();
-    r.obs_completed_paths = aggregator.completed_paths();
-    r.obs_committed_bytes = aggregator.committed_bytes();
+    r.obs_total = aggregator->total_events();
+    r.obs_completed_paths = aggregator->completed_paths();
+    r.obs_committed_bytes = aggregator->committed_bytes();
   }
   return r;
 }

@@ -1,10 +1,6 @@
 #include "src/kernel/channel.h"
 
-#include "src/kernel/app_graph.h"
-
 namespace artemis {
-
-const std::vector<double> TaskContext::kEmpty{};
 
 void ChannelStore::AppendSamples(TaskId task, const std::vector<double>& values) {
   auto& samples = slots_[task].samples;
@@ -24,23 +20,12 @@ std::size_t ChannelStore::FootprintBytes() const {
   return bytes;
 }
 
-TaskContext::TaskContext(const AppGraph* graph, const ChannelStore* store, TaskId self,
-                         SimTime now, Rng* rng)
-    : graph_(graph), store_(store), self_(self), now_(now), rng_(rng) {}
-
-const std::vector<double>& TaskContext::SamplesOf(const std::string& task_name) const {
-  const std::optional<TaskId> id = graph_->FindTask(task_name);
-  if (!id.has_value()) {
-    return kEmpty;
-  }
-  return store_->Samples(*id);
-}
-
-void TaskContext::ConsumeAll(const std::string& task_name) {
-  const std::optional<TaskId> id = graph_->FindTask(task_name);
-  if (id.has_value()) {
-    consumes_.push_back(*id);
-  }
+TaskContext::TaskContext(const ChannelStore* store, TaskId self, SimTime now, Rng* rng,
+                         TaskStaging* staging)
+    : store_(store), self_(self), now_(now), rng_(rng), staging_(staging) {
+  staging_->samples.clear();
+  staging_->consumes.clear();
+  staging_->monitored.reset();
 }
 
 }  // namespace artemis

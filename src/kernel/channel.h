@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -19,8 +18,6 @@
 #include "src/kernel/task.h"
 
 namespace artemis {
-
-class AppGraph;
 
 // Committed per-task output data, kept in non-volatile memory.
 class ChannelStore {
@@ -54,45 +51,50 @@ class ChannelStore {
   std::vector<Slot> slots_;
 };
 
+// One task execution's staged writes. The kernel owns one and reuses it for
+// every task body, as an ARTEMIS device stages a task's outputs in one fixed
+// FRAM region (Alpaca's privatization buffer) instead of allocating a buffer
+// per task.
+struct TaskStaging {
+  std::vector<double> samples;
+  std::vector<TaskId> consumes;
+  std::optional<double> monitored;
+};
+
 // The view a task body gets while executing: committed reads, staged writes.
+// An effect names other tasks by the TaskId resolved when the graph was
+// built (TaskEffect's contract, src/kernel/task.h).
 class TaskContext {
  public:
-  TaskContext(const AppGraph* graph, const ChannelStore* store, TaskId self, SimTime now,
-              Rng* rng);
+  // Clears `staging`, which then receives this execution's staged writes.
+  TaskContext(const ChannelStore* store, TaskId self, SimTime now, Rng* rng,
+              TaskStaging* staging);
 
   TaskId self() const { return self_; }
   SimTime now() const { return now_; }
   Rng& rng() { return *rng_; }
 
   // --- committed reads --------------------------------------------------
-  // Samples previously committed by the named task (empty if unknown task).
-  const std::vector<double>& SamplesOf(const std::string& task_name) const;
+  // Samples previously committed by a task.
+  const std::vector<double>& SamplesOf(TaskId task) const { return store_->Samples(task); }
 
   // --- staged writes (applied atomically at commit) ----------------------
   // Appends one output sample of this task.
-  void Push(double value) { pushed_.push_back(value); }
-  // Consumes (clears) all committed samples of the named task at commit.
-  void ConsumeAll(const std::string& task_name);
+  void Push(double value) { staging_->samples.push_back(value); }
+  // Consumes (clears) all committed samples of a task at commit.
+  void ConsumeAll(TaskId task) { staging_->consumes.push_back(task); }
   // Sets this task's monitored dependent variable (dpData source).
-  void SetMonitored(double value) { monitored_ = value; }
+  void SetMonitored(double value) { staging_->monitored = value; }
 
-  // Kernel access to the staging area.
-  const std::vector<double>& staged_samples() const { return pushed_; }
-  const std::vector<TaskId>& staged_consumes() const { return consumes_; }
-  std::optional<double> staged_monitored() const { return monitored_; }
+  // This execution's staged samples so far.
+  const std::vector<double>& staged_samples() const { return staging_->samples; }
 
  private:
-  const AppGraph* graph_;
   const ChannelStore* store_;
   TaskId self_;
   SimTime now_;
   Rng* rng_;
-
-  std::vector<double> pushed_;
-  std::vector<TaskId> consumes_;
-  std::optional<double> monitored_;
-
-  static const std::vector<double> kEmpty;
+  TaskStaging* staging_;
 };
 
 }  // namespace artemis

@@ -6,8 +6,6 @@
 namespace artemis {
 namespace {
 
-constexpr std::size_t kCommitOverheadBytes = 32;
-
 ExecStatus ToExecStatus(int status) { return static_cast<ExecStatus>(status); }
 
 }  // namespace
@@ -36,7 +34,7 @@ IntermittentKernel::IntermittentKernel(const AppGraph* graph, PropertyChecker* c
                "channel-store");
   // The runtime needs only a pair of volatile scratch bytes (loop cursor),
   // matching the paper's 2-byte RAM figure for both runtimes.
-  mcu_->ram().Allocate(MemOwner::kRuntime, 2, "loop-scratch", [] {});
+  mcu_->ram().Allocate(MemOwner::kRuntime, 2, "loop-scratch");
 }
 
 TaskId IntermittentKernel::current_task() const {
@@ -47,12 +45,8 @@ TaskId IntermittentKernel::current_task() const {
   return task_idx_ < path.size() ? path[task_idx_] : kInvalidTask;
 }
 
-void IntermittentKernel::Publish(obs::Kind kind, TaskId task, ActionType action,
-                                 std::string_view detail, double value) {
-  obs::EventBus* const bus = mcu_->observer();
-  if (bus == nullptr && !options_.record_trace) {
-    return;
-  }
+void IntermittentKernel::PublishEvent(obs::Kind kind, TaskId task, ActionType action,
+                                      std::string_view detail, double value) {
   obs::Event event{.kind = kind,
                    .time = mcu_->Now(),
                    .true_time = mcu_->TrueNow(),
@@ -71,7 +65,7 @@ void IntermittentKernel::Publish(obs::Kind kind, TaskId task, ActionType action,
     event.duration = profiles_[task].busy_time;
     event.value = profiles_[task].energy;
   }
-  if (bus != nullptr) {
+  if (obs::EventBus* const bus = mcu_->observer(); bus != nullptr) {
     bus->Publish(event);
   }
   if (options_.record_trace) {
@@ -260,29 +254,28 @@ ExecStatus IntermittentKernel::RunTaskBody(TaskId task) {
     Publish(obs::Kind::kTaskAborted, task);
     return status;
   }
-  TaskContext ctx(graph_, &channels_, task, mcu_->Now(), &rng_);
+  TaskContext ctx(&channels_, task, mcu_->Now(), &rng_, &staging_);
   if (def.effect) {
     def.effect(ctx);
   }
-  return CommitTask(task, ctx);
+  return CommitTask(task);
 }
 
-ExecStatus IntermittentKernel::CommitTask(TaskId task, TaskContext& ctx) {
-  const std::size_t bytes = ctx.staged_samples().size() * sizeof(double) + kCommitOverheadBytes;
-  const double cycles = mcu_->costs().nvm_commit_cycles_per_byte * static_cast<double>(bytes) +
-                        mcu_->costs().kernel_boundary_cycles;
-  const ExecStatus status = mcu_->ExecuteCycles(cycles, CostTag::kRuntime);
+ExecStatus IntermittentKernel::CommitTask(TaskId task) {
+  const std::size_t bytes = staging_.samples.size() * sizeof(double) + kCommitRecordBytes;
+  const ExecStatus status =
+      mcu_->ExecuteCycles(mcu_->costs().CommitCycles(bytes), CostTag::kRuntime);
   if (status != ExecStatus::kOk) {
     return status;  // Pre-commit failure: the whole task re-executes.
   }
   // ---- atomic commit point ----
   cur_finish_ts_ = mcu_->Now();
-  for (const TaskId consumed : ctx.staged_consumes()) {
+  for (const TaskId consumed : staging_.consumes) {
     channels_.ClearSamples(consumed);
   }
-  channels_.AppendSamples(task, ctx.staged_samples());
-  if (ctx.staged_monitored().has_value()) {
-    channels_.SetMonitored(task, *ctx.staged_monitored());
+  channels_.AppendSamples(task, staging_.samples);
+  if (staging_.monitored.has_value()) {
+    channels_.SetMonitored(task, *staging_.monitored);
   }
   channels_.RecordCompletion(task, cur_finish_ts_);
   ++profiles_[task].commits;

@@ -135,7 +135,8 @@ class IntermittentKernel {
   ExecStatus HandleReady(TaskId task);
   ExecStatus HandleFinished(TaskId task);
   ExecStatus RunTaskBody(TaskId task);
-  ExecStatus CommitTask(TaskId task, TaskContext& ctx);
+  // Applies staging_ atomically at the task's commit point.
+  ExecStatus CommitTask(TaskId task);
   ExecStatus RunUnmonitored();
 
   // Applies a corrective action; state mutation is atomic (commit-point
@@ -151,10 +152,17 @@ class IntermittentKernel {
   ExecStatus EnsureEndEvent(TaskId task);
 
   // Builds one kernel event and hands it to the MCU's bus and, with
-  // record_trace, to trace(). When neither listens it returns before
-  // building anything. `value` is the kind-specific scalar (commit bytes).
+  // record_trace, to trace(). When neither listens it returns inline,
+  // before building anything. `value` is the kind-specific scalar (commit
+  // bytes).
   void Publish(obs::Kind kind, TaskId task, ActionType action = ActionType::kNone,
-               std::string_view detail = {}, double value = 0.0);
+               std::string_view detail = {}, double value = 0.0) {
+    if (mcu_->observer() != nullptr || options_.record_trace) {
+      PublishEvent(kind, task, action, detail, value);
+    }
+  }
+  void PublishEvent(obs::Kind kind, TaskId task, ActionType action, std::string_view detail,
+                    double value);
 
   const AppGraph* graph_;
   PropertyChecker* checker_;
@@ -176,6 +184,8 @@ class IntermittentKernel {
   std::uint64_t iterations_done_ = 0;
 
   ChannelStore channels_;
+  // The staging area every task body writes into (TaskStaging).
+  TaskStaging staging_;
   obs::CollectingSink trace_;
   std::vector<TaskProfile> profiles_;
 };

@@ -31,7 +31,10 @@ class TaskContext;  // Defined in channel.h.
 //
 // Contract: an effect is a pure function of its TaskContext. It may capture
 // only constant parameters, and it reaches per-device state (the kernel's
-// Rng and committed channels) only through the context. One AppGraph is the
+// Rng and committed channels) only through the context. A producer's TaskId
+// resolved when the graph is built is such a constant: it names the same
+// task in every device running the graph, so an effect reads and consumes
+// its producer by id, without a name lookup per call. One AppGraph is the
 // read-only template of many devices at once, like firmware .text shared by
 // every device (sweep::AppTemplate); an effect that kept state of its own
 // would leak it between devices and race between the threads running them.

@@ -16,6 +16,10 @@
 
 namespace artemis {
 
+// A task commit writes its staged samples plus this fixed record (status
+// flip, commit pointers) to NVM.
+inline constexpr std::size_t kCommitRecordBytes = 32;
+
 struct CostModel {
   // --- Cycle costs (1 cycle == 1 us at 1 MHz) ---------------------------
   // Kernel bookkeeping per task boundary (status switch, commit pointers).
@@ -78,6 +82,14 @@ struct CostModel {
   constexpr SimDuration CyclesToTime(double cycles) const {
     return static_cast<SimDuration>(cycles * 1e6 / static_cast<double>(clock_hz));
   }
+
+  // A task commit of `bytes` (staged samples plus kCommitRecordBytes): the
+  // NVM write and the boundary's bookkeeping.
+  constexpr double CommitCycles(std::size_t bytes) const {
+    return nvm_commit_cycles_per_byte * static_cast<double>(bytes) + kernel_boundary_cycles;
+  }
+
+  bool operator==(const CostModel&) const = default;
 };
 
 // Calibrated default used by benches/tests.

@@ -1,6 +1,9 @@
 #include "src/sim/mcu.h"
 
+#include <memory>
+#include <mutex>
 #include <numeric>
+#include <vector>
 
 namespace artemis {
 
@@ -28,28 +31,77 @@ EnergyUj McuStats::TotalEnergy() const {
   return std::accumulate(energy.begin(), energy.end(), EnergyUj{0.0});
 }
 
-Mcu::Mcu(std::unique_ptr<PowerModel> power, const CostModel& costs)
-    : power_(std::move(power)), costs_(costs) {
-  power_->NotifyReboot(0);
+CycleChargeTable::CycleChargeTable(const CostModel& costs) : costs_(costs) {
+  const auto insert = [this](double cycles) {
+    const auto key = std::bit_cast<std::uint64_t>(cycles);
+    std::size_t i = Home(key);
+    while (slots_[i].key != key && slots_[i].key != kFreeSlot) {
+      i = (i + 1) % kSlots;
+    }
+    slots_[i] = Slot{.key = key, .charge = Compute(cycles)};
+  };
+  // Every per-operation constant (the outage path converts
+  // reboot_restore_cycles itself) and the commits of up to 16 samples.
+  for (const std::uint32_t cycles :
+       {costs.kernel_boundary_cycles, costs.event_build_cycles, costs.timestamp_read_cycles,
+        costs.monitor_call_cycles, costs.interp_step_cycles, costs.builtin_step_cycles,
+        costs.compiled_step_cycles, costs.mayfly_check_cycles, costs.action_apply_cycles,
+        costs.flight_record_build_cycles, costs.flight_control_write_cycles,
+        costs.swap_control_cycles}) {
+    insert(cycles);
+  }
+  insert(costs.flight_nvm_write_cycles_per_byte);
+  insert(costs.swap_nvm_write_cycles_per_byte);
+  for (std::size_t samples = 0; samples < 16; ++samples) {
+    insert(costs.CommitCycles(kCommitRecordBytes + samples * sizeof(double)));
+  }
 }
 
-Mcu::CycleCharge Mcu::ChargeForSlow(double cycles) {
-  const auto key = std::bit_cast<std::uint64_t>(cycles);
-  const SimDuration duration = costs_.CyclesToTime(cycles);
-  const CycleCharge charge{.duration = duration,
-                           .energy = EnergyFor(costs_.mcu_active_power, duration)};
-  for (std::size_t probe = 0, i = CycleHome(key); probe < kCycleSlots;
-       ++probe, i = (i + 1) % kCycleSlots) {
-    CycleSlot& slot = cycle_charges_[i];
-    if (slot.key == key) {
-      return slot.charge;
-    }
-    if (slot.key == kFreeSlot) {
-      slot = CycleSlot{.key = key, .charge = charge};
-      return charge;
+const CycleChargeTable& CycleChargeTable::Shared(const CostModel& costs) {
+  // DefaultCostModel() is one immutable object, so its address names its
+  // table: nearly every Mcu finds it without the registry's lock.
+  if (&costs == &DefaultCostModel()) {
+    static const CycleChargeTable& default_table = Registered(costs);
+    return default_table;
+  }
+  return Registered(costs);
+}
+
+const CycleChargeTable& CycleChargeTable::Registered(const CostModel& costs) {
+  // An Mcu anywhere may point into a table, so they live as long as the
+  // process.
+  static std::mutex mu;
+  static auto* const tables = new std::vector<std::unique_ptr<const CycleChargeTable>>();
+  const std::lock_guard<std::mutex> lock(mu);
+  for (const std::unique_ptr<const CycleChargeTable>& table : *tables) {
+    if (table->costs_ == costs) {
+      return *table;
     }
   }
-  return charge;
+  tables->push_back(std::make_unique<const CycleChargeTable>(costs));
+  return *tables->back();
+}
+
+CycleCharge CycleChargeTable::Compute(double cycles) const {
+  const SimDuration duration = costs_.CyclesToTime(cycles);
+  return CycleCharge{.duration = duration,
+                     .energy = EnergyFor(costs_.mcu_active_power, duration)};
+}
+
+CycleCharge CycleChargeTable::ChargeForSlow(double cycles) const {
+  const auto key = std::bit_cast<std::uint64_t>(cycles);
+  for (std::size_t i = (Home(key) + 1) % kSlots; slots_[i].key != kFreeSlot;
+       i = (i + 1) % kSlots) {
+    if (slots_[i].key == key) {
+      return slots_[i].charge;
+    }
+  }
+  return Compute(cycles);
+}
+
+Mcu::Mcu(std::unique_ptr<PowerModel> power, const CostModel& costs)
+    : power_(std::move(power)), costs_(costs), charges_(&CycleChargeTable::Shared(costs)) {
+  power_->NotifyReboot(0);
 }
 
 Status Mcu::AttachFlightRecorder(flight::FlightRecorder* recorder) {

@@ -12,8 +12,9 @@
 // compare, a subtract and the accounting, with no virtual call. Any other
 // charge, and every charge on a model that does not opt in, goes through
 // PowerModel::Consume and, when it fails, the outage path. Both routes give
-// bit-identical results. A cycle count's duration and energy are computed
-// once per Mcu and looked up afterwards, so a charge does no division.
+// bit-identical results. The duration and energy of each per-operation
+// cycle constant come from a CycleChargeTable built once per cost model and
+// shared by every Mcu on it, so such a charge does no division.
 #ifndef SRC_SIM_MCU_H_
 #define SRC_SIM_MCU_H_
 
@@ -61,6 +62,65 @@ struct McuStats {
 
   SimDuration TotalBusy() const;
   EnergyUj TotalEnergy() const;
+};
+
+// One charge of a cycle count at the active power.
+struct CycleCharge {
+  SimDuration duration = 0;
+  EnergyUj energy = 0.0;
+};
+
+// The charge of every per-operation cycle constant of one CostModel (the
+// kernel's, the monitors', Mayfly's, the flight recorder's and hot swap's)
+// and of the commits of small tasks, converted once at the model's clock
+// rate and active power. Shared() builds one table per distinct cost model
+// at its first request; afterwards the table is read-only, so every Mcu on
+// that model, on any thread, charges from it, as every device shares the
+// cost constants of its firmware. Any other cycle count (a large commit, a
+// caller's own count) is converted at its charge; both routes give the
+// same bits.
+class CycleChargeTable {
+ public:
+  explicit CycleChargeTable(const CostModel& costs);
+
+  // The table of `costs`, shared by every caller with the same charges.
+  static const CycleChargeTable& Shared(const CostModel& costs);
+
+  CycleCharge ChargeFor(double cycles) const {
+    const auto key = std::bit_cast<std::uint64_t>(cycles);
+    const Slot& home = slots_[Home(key)];
+    if (home.key == key) [[likely]] {
+      return home.charge;
+    }
+    return ChargeForSlow(cycles);
+  }
+
+  // Converts `cycles` without the table.
+  CycleCharge Compute(double cycles) const;
+
+ private:
+  // The registry behind Shared(): one table per distinct CostModel.
+  static const CycleChargeTable& Registered(const CostModel& costs);
+
+  // Open-addressed by the cycle count's bits. NaN cycles never reach it
+  // (CyclesToTime cannot convert them), so a NaN pattern marks a free slot.
+  static constexpr int kSlotBits = 6;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static constexpr std::uint64_t kFreeSlot =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN());
+  struct Slot {
+    std::uint64_t key = kFreeSlot;
+    CycleCharge charge;
+  };
+  // Fibonacci hashing: the product's top bits depend on every key bit.
+  static std::size_t Home(std::uint64_t key) {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits));
+  }
+  // Probes past the home slot; computes the charge when no slot holds it.
+  CycleCharge ChargeForSlow(double cycles) const;
+
+  CostModel costs_;
+  std::array<Slot, kSlots> slots_{};
 };
 
 class Mcu : public flight::FlightPort {
@@ -132,31 +192,6 @@ class Mcu : public flight::FlightPort {
   SimTime DeviceNow() override { return clock_.Read(); }
 
  private:
-  // One charge of a cycle count at the active power.
-  struct CycleCharge {
-    SimDuration duration = 0;
-    EnergyUj energy = 0.0;
-  };
-  // Open-addressed table of CycleCharge keyed by the cycle count's bits.
-  // NaN cycles never reach it (CyclesToTime cannot convert them), so a NaN
-  // pattern marks a free slot.
-  static constexpr int kCycleSlotBits = 5;
-  static constexpr std::size_t kCycleSlots = std::size_t{1} << kCycleSlotBits;
-  static constexpr std::uint64_t kFreeSlot =
-      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN());
-  struct CycleSlot {
-    std::uint64_t key = kFreeSlot;
-    CycleCharge charge;
-  };
-  // Fibonacci hashing: the product's top bits depend on every key bit.
-  static std::size_t CycleHome(std::uint64_t key) {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - kCycleSlotBits));
-  }
-
-  CycleCharge ChargeFor(double cycles);
-  // Probes past the home slot, fills a free one, or computes the charge
-  // uncached once the table is full.
-  CycleCharge ChargeForSlow(double cycles);
   // Completes inline the longest prefix of `count` operations of `duration`
   // drawing `need` µJ each that the power model's budget covers, with one
   // subtraction and one energy += per operation; returns its length.
@@ -166,7 +201,7 @@ class Mcu : public flight::FlightPort {
 
   std::unique_ptr<PowerModel> power_;
   CostModel costs_;
-  std::array<CycleSlot, kCycleSlots> cycle_charges_{};
+  const CycleChargeTable* charges_;
   PersistentClock clock_;
   NvmArena nvm_;
   RamArena ram_;
@@ -179,14 +214,6 @@ class Mcu : public flight::FlightPort {
   // the epoch; its boot record is simply lost and surfaces as an epoch gap).
   bool in_flight_boot_ = false;
 };
-
-inline Mcu::CycleCharge Mcu::ChargeFor(double cycles) {
-  const CycleSlot& home = cycle_charges_[CycleHome(std::bit_cast<std::uint64_t>(cycles))];
-  if (home.key == std::bit_cast<std::uint64_t>(cycles)) [[likely]] {
-    return home.charge;
-  }
-  return ChargeForSlow(cycles);
-}
 
 inline std::size_t Mcu::CompleteInline(SimDuration duration, EnergyUj need, CostTag tag,
                                        std::size_t count) {
@@ -222,7 +249,7 @@ inline ExecStatus Mcu::ExecuteCycles(double cycles, CostTag tag) {
 }
 
 inline RunStatus Mcu::ExecuteCyclesRun(double cycles, CostTag tag, std::size_t count) {
-  const CycleCharge charge = ChargeFor(cycles);
+  const CycleCharge charge = charges_->ChargeFor(cycles);
   RunStatus run;
   while (true) {
     run.done += CompleteInline(charge.duration, charge.energy, tag, count - run.done);

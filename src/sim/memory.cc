@@ -1,5 +1,8 @@
 #include "src/sim/memory.h"
 
+#include <string>
+#include <utility>
+
 namespace artemis {
 
 const char* MemOwnerName(MemOwner owner) {
@@ -18,50 +21,54 @@ const char* MemOwnerName(MemOwner owner) {
   return "?";
 }
 
-Status NvmArena::Allocate(MemOwner owner, std::size_t bytes, const std::string& label) {
+namespace {
+
+// The report of per-owner totals: every owner with registered bytes.
+MemoryReport ReportOf(const std::array<std::size_t, kNumMemOwners>& by_owner,
+                      std::size_t total) {
+  MemoryReport report;
+  report.total = total;
+  for (std::size_t i = 0; i < by_owner.size(); ++i) {
+    if (by_owner[i] > 0) {
+      report.by_owner[static_cast<MemOwner>(i)] = by_owner[i];
+    }
+  }
+  return report;
+}
+
+}  // namespace
+
+Status NvmArena::Allocate(MemOwner owner, std::size_t bytes, std::string_view label) {
   const std::size_t remaining = capacity_ > used_ ? capacity_ - used_ : 0;
-  entries_.push_back(Entry{owner, bytes, label});
+  by_owner_[static_cast<std::size_t>(owner)] += bytes;
   used_ += bytes;
   if (used_ > capacity_) {
     return Status::ResourceExhausted(
-        "NVM arena exhausted: '" + label + "' (" + MemOwnerName(owner) + ") requested " +
-        std::to_string(bytes) + " bytes with only " + std::to_string(remaining) + " of " +
-        std::to_string(capacity_) + " remaining");
+        "NVM arena exhausted: '" + std::string(label) + "' (" + MemOwnerName(owner) +
+        ") requested " + std::to_string(bytes) + " bytes with only " +
+        std::to_string(remaining) + " of " + std::to_string(capacity_) + " remaining");
   }
   return Status::Ok();
 }
 
-MemoryReport NvmArena::Report() const {
-  MemoryReport report;
-  report.total = used_;
-  for (const Entry& e : entries_) {
-    report.by_owner[e.owner] += e.bytes;
-  }
-  return report;
-}
+MemoryReport NvmArena::Report() const { return ReportOf(by_owner_, used_); }
 
-bool RamArena::Allocate(MemOwner owner, std::size_t bytes, const std::string& label,
+bool RamArena::Allocate(MemOwner owner, std::size_t bytes, std::string_view /*label*/,
                         std::function<void()> reset) {
-  entries_.push_back(Entry{owner, bytes, label, std::move(reset)});
+  by_owner_[static_cast<std::size_t>(owner)] += bytes;
   used_ += bytes;
+  if (reset) {
+    resets_.push_back(std::move(reset));
+  }
   return used_ <= capacity_;
 }
 
 void RamArena::LosePower() {
-  for (Entry& e : entries_) {
-    if (e.reset) {
-      e.reset();
-    }
+  for (const std::function<void()>& reset : resets_) {
+    reset();
   }
 }
 
-MemoryReport RamArena::Report() const {
-  MemoryReport report;
-  report.total = used_;
-  for (const Entry& e : entries_) {
-    report.by_owner[e.owner] += e.bytes;
-  }
-  return report;
-}
+MemoryReport RamArena::Report() const { return ReportOf(by_owner_, used_); }
 
 }  // namespace artemis

@@ -8,10 +8,11 @@
 #ifndef SRC_SIM_MEMORY_H_
 #define SRC_SIM_MEMORY_H_
 
+#include <array>
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/status.h"
@@ -21,6 +22,7 @@ namespace artemis {
 
 // Component tags used for the Table 2 breakdown.
 enum class MemOwner { kRuntime, kMonitor, kApp, kKernel, kFlight };
+inline constexpr int kNumMemOwners = 5;
 
 const char* MemOwnerName(MemOwner owner);
 
@@ -31,7 +33,9 @@ struct MemoryReport {
 
 // Non-volatile arena: accounting only; persistence is the default for C++
 // objects in a single-process simulation, so registration records *which*
-// state the design keeps in FRAM and how many bytes it costs.
+// state the design keeps in FRAM and how many bytes it costs. The arena
+// keeps per-owner totals, not a list of regions: a region's label only
+// names it in the exhaustion error.
 class NvmArena {
  public:
   explicit NvmArena(std::size_t capacity_bytes = 256 * 1024) : capacity_(capacity_bytes) {}
@@ -39,33 +43,30 @@ class NvmArena {
   // Records an allocation. On exhaustion returns kResourceExhausted naming
   // the requesting subsystem and the bytes that remained (the allocation is
   // still recorded so reports show the overflow).
-  Status Allocate(MemOwner owner, std::size_t bytes, const std::string& label);
+  Status Allocate(MemOwner owner, std::size_t bytes, std::string_view label);
 
   MemoryReport Report() const;
   std::size_t used() const { return used_; }
   std::size_t capacity() const { return capacity_; }
 
-  struct Entry {
-    MemOwner owner;
-    std::size_t bytes;
-    std::string label;
-  };
-  const std::vector<Entry>& entries() const { return entries_; }
-
  private:
   std::size_t capacity_;
   std::size_t used_ = 0;
-  std::vector<Entry> entries_;
+  std::array<std::size_t, kNumMemOwners> by_owner_{};
 };
 
-// Volatile arena: additionally owns reset hooks invoked on every reboot so
-// "SRAM" state actually loses its contents in the simulation.
+// Volatile arena: per-owner totals, plus the reset hooks of the regions
+// that have one, invoked on every reboot so "SRAM" state actually loses its
+// contents in the simulation.
 class RamArena {
  public:
   explicit RamArena(std::size_t capacity_bytes = 4 * 1024) : capacity_(capacity_bytes) {}
 
-  bool Allocate(MemOwner owner, std::size_t bytes, const std::string& label,
-                std::function<void()> reset);
+  // Records `bytes` for `owner` under `label`; false once the arena is
+  // over capacity. A region with a `reset` hook is restored by it on every
+  // reboot.
+  bool Allocate(MemOwner owner, std::size_t bytes, std::string_view label,
+                std::function<void()> reset = {});
 
   // Invokes every reset hook; called by the MCU on each reboot.
   void LosePower();
@@ -77,13 +78,8 @@ class RamArena {
  private:
   std::size_t capacity_;
   std::size_t used_ = 0;
-  struct Entry {
-    MemOwner owner;
-    std::size_t bytes;
-    std::string label;
-    std::function<void()> reset;
-  };
-  std::vector<Entry> entries_;
+  std::array<std::size_t, kNumMemOwners> by_owner_{};
+  std::vector<std::function<void()>> resets_;
 };
 
 // A value of type T registered with the volatile arena: reset to its initial
@@ -91,7 +87,7 @@ class RamArena {
 template <typename T>
 class Volatile {
  public:
-  Volatile(RamArena* arena, MemOwner owner, const std::string& label, T initial = T{})
+  Volatile(RamArena* arena, MemOwner owner, std::string_view label, T initial = T{})
       : initial_(initial), value_(initial) {
     if (arena != nullptr) {
       arena->Allocate(owner, sizeof(T), label, [this] { value_ = initial_; });
@@ -112,7 +108,7 @@ class Volatile {
 template <typename T>
 class Persistent {
  public:
-  Persistent(NvmArena* arena, MemOwner owner, const std::string& label, T initial = T{})
+  Persistent(NvmArena* arena, MemOwner owner, std::string_view label, T initial = T{})
       : value_(initial) {
     if (arena != nullptr) {
       (void)arena->Allocate(owner, sizeof(T), label);

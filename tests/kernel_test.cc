@@ -177,18 +177,20 @@ TEST(TaskContextTest, StagesWithoutMutatingCommitted) {
   ChannelStore store(2);
   store.AppendSamples(a, {5.0});
   Rng rng(1);
-  TaskContext ctx(&graph, &store, b, 0, &rng);
+  TaskStaging staging;
+  staging.samples = {7.0};  // Left over from an earlier task: cleared.
+  TaskContext ctx(&store, b, 0, &rng, &staging);
   ctx.Push(9.0);
-  ctx.ConsumeAll("a");
+  ctx.ConsumeAll(a);
   ctx.SetMonitored(3.3);
   // Nothing committed yet.
   EXPECT_EQ(store.Samples(a).size(), 1u);
   EXPECT_TRUE(store.Samples(b).empty());
-  EXPECT_EQ(ctx.staged_samples().size(), 1u);
-  EXPECT_EQ(ctx.staged_consumes().size(), 1u);
-  EXPECT_EQ(ctx.staged_monitored(), 3.3);
-  EXPECT_EQ(ctx.SamplesOf("a").size(), 1u);
-  EXPECT_TRUE(ctx.SamplesOf("missing").empty());
+  EXPECT_EQ(ctx.staged_samples(), std::vector<double>{9.0});
+  EXPECT_EQ(staging.consumes, std::vector<TaskId>{a});
+  EXPECT_EQ(staging.monitored, 3.3);
+  EXPECT_EQ(&ctx.SamplesOf(a), &store.Samples(a));
+  EXPECT_TRUE(ctx.SamplesOf(b).empty());
 }
 
 // ------------------------------------------------------------- immortal --
@@ -549,7 +551,7 @@ TEST(KernelTest, ConsumeAllClearsProducerSamplesAtCommit) {
   const TaskId producer = graph.AddTask(
       SimpleTask("producer", kMillisecond, 1.0, [](TaskContext& ctx) { ctx.Push(1.0); }));
   const TaskId consumer = graph.AddTask(SimpleTask(
-      "consumer", kMillisecond, 1.0, [](TaskContext& ctx) { ctx.ConsumeAll("producer"); }));
+      "consumer", kMillisecond, 1.0, [producer](TaskContext& ctx) { ctx.ConsumeAll(producer); }));
   graph.AddPath({producer, consumer});
   auto mcu = AlwaysOnMcu();
   NullChecker checker;

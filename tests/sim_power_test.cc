@@ -8,6 +8,8 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/flight/recorder.h"
@@ -175,11 +177,29 @@ class ForwardingPowerModel final : public PowerModel {
   std::unique_ptr<PowerModel> inner_;
 };
 
+// Another MCU than the default one: a faster clock, more active power and
+// other step costs. Its cycle counts convert differently, and its charges
+// come from a table of their own.
+const CostModel& OtherCostModel() {
+  static const CostModel kOther = [] {
+    CostModel costs;
+    costs.clock_hz = 4'000'000;
+    costs.mcu_active_power = 1.8;
+    costs.kernel_boundary_cycles = 210;
+    costs.compiled_step_cycles = 23;
+    costs.nvm_commit_cycles_per_byte = 0.75;
+    return costs;
+  }();
+  return kOther;
+}
+
 struct ChargeScenario {
   const char* name;
   // Budget per on-period as a multiple of the boot restore's energy; 0
   // means always-on power.
   double budget_restores;
+  // Both devices' cost model.
+  const CostModel* costs = &DefaultCostModel();
 };
 
 void PrintTo(const ChargeScenario& scenario, std::ostream* os) { *os << scenario.name; }
@@ -188,7 +208,7 @@ std::unique_ptr<PowerModel> MakeModel(const ChargeScenario& scenario, SimDuratio
   if (scenario.budget_restores == 0.0) {
     return std::make_unique<AlwaysOnPowerModel>();
   }
-  const CostModel& costs = DefaultCostModel();
+  const CostModel& costs = *scenario.costs;
   const EnergyUj restore =
       EnergyFor(costs.mcu_active_power, costs.CyclesToTime(costs.reboot_restore_cycles));
   return std::make_unique<FixedChargePowerModel>(scenario.budget_restores * restore, charge);
@@ -198,9 +218,9 @@ std::unique_ptr<PowerModel> MakeModel(const ChargeScenario& scenario, SimDuratio
 // a flight recorder attached.
 struct ChargePair {
   ChargePair(const ChargeScenario& scenario, SimDuration charge, std::size_t flight_bytes)
-      : bare(MakeModel(scenario, charge), DefaultCostModel()),
+      : bare(MakeModel(scenario, charge), *scenario.costs),
         wrapped(std::make_unique<ForwardingPowerModel>(MakeModel(scenario, charge)),
-                DefaultCostModel()) {
+                *scenario.costs) {
     if (flight_bytes > 0) {
       bare_flight =
           std::make_unique<flight::FlightRecorder>(flight_bytes, flight::FlightLevel::kFull);
@@ -240,10 +260,9 @@ void ExpectSameMcu(ChargePair& pair, const std::string& where) {
   }
 }
 
-// Cycle counts the engine charges, a commit-sized fraction and a few odd
-// values.
-double RandomCycles(Rng& rng) {
-  const CostModel& c = DefaultCostModel();
+// Cycle counts the engine charges on `c` (CycleChargeTable holds them), a
+// commit of any size and a few odd values (converted at the charge).
+double RandomCycles(Rng& rng, const CostModel& c) {
   const double pool[] = {0.0,
                          c.flight_nvm_write_cycles_per_byte,
                          1.0 * c.flight_control_write_cycles,
@@ -261,8 +280,7 @@ double RandomCycles(Rng& rng) {
                          2500.25};
   const std::uint64_t pick = rng.UniformU64(0, std::size(pool));
   if (pick == std::size(pool)) {
-    return c.nvm_commit_cycles_per_byte * static_cast<double>(rng.UniformU64(8, 400)) +
-           c.kernel_boundary_cycles;
+    return c.CommitCycles(rng.UniformU64(8, 400));
   }
   return pool[pick];
 }
@@ -297,7 +315,7 @@ TEST_P(ChargePathDifferentialTest, InlineChargesAreBitIdenticalToConsume) {
         case 2:
         case 3:
         case 4: {
-          const double cycles = RandomCycles(rng);
+          const double cycles = RandomCycles(rng, *scenario.costs);
           EXPECT_EQ(pair.bare.ExecuteCycles(cycles, tag), pair.wrapped.ExecuteCycles(cycles, tag))
               << where;
           break;
@@ -305,7 +323,7 @@ TEST_P(ChargePathDifferentialTest, InlineChargesAreBitIdenticalToConsume) {
         case 5:
         case 6:
         case 7: {
-          const double cycles = RandomCycles(rng);
+          const double cycles = RandomCycles(rng, *scenario.costs);
           const std::size_t count = rng.UniformU64(0, 300);
           const RunStatus a = pair.bare.ExecuteCyclesRun(cycles, tag, count);
           const RunStatus b = pair.wrapped.ExecuteCyclesRun(cycles, tag, count);
@@ -361,16 +379,77 @@ TEST_P(ChargePathDifferentialTest, InlineChargesAreBitIdenticalToConsume) {
 // Always-on; fixed-charge budgets below one boot restore (every reboot's
 // restore fails until the device starves), just above one (the boot
 // record's append fails often), and a few restores to a hundred (failures
-// land mid-run at every size of run).
+// land mid-run at every size of run); then a few of those on another cost
+// model.
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, ChargePathDifferentialTest,
     ::testing::Values(ChargeScenario{"always_on", 0.0}, ChargeScenario{"starving", 0.6},
                       ChargeScenario{"boot_record_fails", 1.02},
                       ChargeScenario{"tight", 1.5}, ChargeScenario{"medium", 6.0},
-                      ChargeScenario{"roomy", 100.0}),
+                      ChargeScenario{"roomy", 100.0},
+                      ChargeScenario{"other_costs_always_on", 0.0, &OtherCostModel()},
+                      ChargeScenario{"other_costs_tight", 1.5, &OtherCostModel()},
+                      ChargeScenario{"other_costs_medium", 6.0, &OtherCostModel()}),
     [](const ::testing::TestParamInfo<ChargeScenario>& row) {
       return std::string(row.param.name);
     });
+
+// The shared table and the conversion on a miss both give the bits of
+// converting the cycle count directly, on any cost model.
+TEST(CycleChargeTableTest, ChargesAreTheDirectConversion) {
+  for (const CostModel* costs : {&DefaultCostModel(), &OtherCostModel()}) {
+    const CycleChargeTable& table = CycleChargeTable::Shared(*costs);
+    EXPECT_EQ(&table, &CycleChargeTable::Shared(CostModel(*costs)));
+    Rng rng(7);
+    for (int i = 0; i < 2000; ++i) {
+      const double cycles = RandomCycles(rng, *costs);
+      const SimDuration duration = costs->CyclesToTime(cycles);
+      const EnergyUj energy = EnergyFor(costs->mcu_active_power, duration);
+      for (const CycleCharge charge : {table.ChargeFor(cycles), table.Compute(cycles)}) {
+        EXPECT_EQ(charge.duration, duration) << cycles;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(charge.energy), std::bit_cast<std::uint64_t>(energy))
+            << cycles;
+      }
+    }
+  }
+  EXPECT_NE(&CycleChargeTable::Shared(DefaultCostModel()),
+            &CycleChargeTable::Shared(OtherCostModel()));
+}
+
+// Mcus on several threads build one cost model's table at their first
+// charge and then charge from it at once; each ends exactly as the same
+// Mcu run alone does. tools/ci.sh stage 9 runs this under ThreadSanitizer.
+TEST(CycleChargeTableTest, McusOnSeveralThreadsChargeFromOneTable) {
+  CostModel costs = OtherCostModel();
+  costs.clock_hz = 3'000'000;  // a model no other test has used
+  const auto run = [&costs](std::uint64_t seed, McuStats* stats) {
+    Mcu mcu(std::make_unique<FixedChargePowerModel>(900.0, kSecond), costs);
+    Rng rng(seed);
+    for (int op = 0; op < 4000; ++op) {
+      const double cycles = RandomCycles(rng, costs);
+      const auto tag = static_cast<CostTag>(rng.UniformU64(0, kNumCostTags - 1));
+      (void)mcu.ExecuteCyclesRun(cycles, tag, rng.UniformU64(1, 40));
+    }
+    *stats = mcu.stats();
+  };
+  constexpr int kThreads = 4;
+  std::array<McuStats, kThreads> threaded;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back(run, 11 + t % 2, &threaded[static_cast<std::size_t>(t)]);
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    McuStats alone;
+    run(11 + t % 2, &alone);
+    EXPECT_GT(alone.reboots, 0u);
+    EXPECT_EQ(std::bit_cast<StatsBytes>(threaded[static_cast<std::size_t>(t)]),
+              std::bit_cast<StatsBytes>(alone))
+        << "thread " << t;
+  }
+}
 
 // Always-on power that counts its Consume calls; it keeps the +infinity
 // inline budget.

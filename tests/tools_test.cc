@@ -453,6 +453,11 @@ TEST(ArtemiscTest, SwapJsonPrintsOneDiagnosticsArray) {
   const std::string no_mitd = WriteTempSpec("swap_no_mitd.prop", "send: { MITD: ; }\n");
   const std::string v2_error = "spec-v2 error: INVALID_ARGUMENT: line 1:15: expected a "
                                "duration, found ';'";
+  const std::string cross_type_refusal =
+      "setup error: FAILED_PRECONDITION: migration plan has 1 ART015 error(s):\n"
+      "swap:30:3: error[ART015]: machine 'MITD_send_accel' (MITD(send<-accel)): migrate rule "
+      "carries slot `endB` (time) into `att` (counter)\n"
+      "    note: the on-device widths differ; values cannot be carried across slot types\n";
   const struct {
     std::string args;
     int exit_code;
@@ -466,9 +471,10 @@ TEST(ArtemiscTest, SwapJsonPrintsOneDiagnosticsArray) {
       {no_mitd + " " + kHealthSpec + run + " --no-analyze", 1, "ART000",
        "spec-v1 error: INVALID_ARGUMENT: line 1:15: expected a duration, found ';'"},
       {kHealthSpec + " " + kSpecs + "/bad/swap_cross_type.prop" + run, 1, "ART015", ""},
-      // The controller still refuses the ART015-broken plan after the gate.
+      // The controller still refuses the ART015-broken plan after the gate;
+      // the refusal is the array's one entry.
       {kHealthSpec + " " + kSpecs + "/bad/swap_cross_type.prop" + run + " --no-analyze", 1,
-       nullptr, ""},
+       "ART000", cross_type_refusal},
       // A bad --schedule is read after the gate (exit 2).
       {kHealthSpec + " " + kHealthSpec + run + " --no-analyze --schedule 1s", 2, nullptr, ""},
   };

@@ -511,13 +511,15 @@ int RunCodegen(const Args& args, bool dot) {
 // Reports a device that failed to assemble: an NVM arena too small for the
 // flight ring is a usage error, anything else (spec, validation, swap plan)
 // a setup finding.
-int SetupFailure(const Status& status) {
-  if (status.code() == StatusCode::kResourceExhausted) {
-    std::fprintf(stderr, "artemisc: %s\n", status.ToString().c_str());
-    return kExitUsage;
+int SetupFailure(const Status& status, std::string* line = nullptr) {
+  const bool exhausted = status.code() == StatusCode::kResourceExhausted;
+  const std::string message =
+      std::string(exhausted ? "artemisc: " : "setup error: ") + status.ToString();
+  std::fprintf(stderr, "%s\n", message.c_str());
+  if (line != nullptr) {
+    *line = message;
   }
-  std::fprintf(stderr, "setup error: %s\n", status.ToString().c_str());
-  return kExitFindings;
+  return exhausted ? kExitUsage : kExitFindings;
 }
 
 // The spec a run-style subcommand monitors: --spec when given, else the
@@ -913,39 +915,41 @@ int RunSwapCmd(const Args& args) {
     return kExitUsage;
   }
   // With --json, stdout carries exactly one diagnostics array, as for
-  // `check --json`: the swap analyzer's findings, `[]` under --no-analyze,
-  // or one ART000 entry when an image fails to build. The human summary
-  // moves to stderr.
+  // `check --json`: the swap analyzer's findings (none under --no-analyze),
+  // then one ART000 entry when an image fails to build or the device
+  // refuses the plan. The human summary moves to stderr.
   FILE* chatter = args.json ? stderr : stdout;
-  const auto print_json = [&](const std::vector<Diagnostic>& findings) {
+  std::vector<Diagnostic> findings;
+  const auto print_json = [&] {
     if (args.json) {
       std::printf("%s", RenderDiagnosticsJson(findings).c_str());
     }
   };
   StatusOr<MonitorImage> old_image = BuildMonitorImage(*source1, *app->graph, 1);
   if (!old_image.ok()) {
-    print_json({FrontHalfFailure(StageFailure("spec-v1", old_image.status()))});
+    findings.push_back(FrontHalfFailure(StageFailure("spec-v1", old_image.status())));
+    print_json();
     return kExitFindings;
   }
   StatusOr<MonitorImage> new_image = BuildMonitorImage(*source2, *app->graph, 2);
   if (!new_image.ok()) {
-    print_json({FrontHalfFailure(StageFailure("spec-v2", new_image.status()))});
+    findings.push_back(FrontHalfFailure(StageFailure("spec-v2", new_image.status())));
+    print_json();
     return kExitFindings;
   }
 
-  if (args.no_analyze) {
-    print_json({});
-  } else {
+  if (!args.no_analyze) {
     const DiagnosticEngine engine =
         AnalyzeSwap(old_image.value(), new_image.value(), *app->graph, AnalysisOptionsFor(args));
     if (args.json) {
-      print_json(engine.diagnostics());
+      findings = engine.diagnostics();
     } else {
       std::printf("%s", engine.RenderText(args.spec2_path).c_str());
     }
     std::fprintf(chatter, "swap analyzer: %zu error(s), %zu warning(s)\n",
                  engine.ErrorCount(), engine.WarningCount());
     if (engine.HasErrors()) {
+      print_json();
       std::fprintf(stderr,
                    "artemisc: refusing to deliver the image: the swap analyzer reported "
                    "errors (use --no-analyze to override)\n");
@@ -955,6 +959,7 @@ int RunSwapCmd(const Args& args) {
 
   const std::optional<SimDuration> charge = ScheduleCharge(args);
   if (!charge.has_value()) {
+    print_json();
     return kExitUsage;
   }
 
@@ -968,8 +973,13 @@ int RunSwapCmd(const Args& args) {
   recipe.swap_at = args.swap_at.value_or(0);
   DeviceRun device(std::move(recipe));
   if (!device.status().ok()) {
-    return SetupFailure(device.status());
+    std::string line;
+    const int exit_code = SetupFailure(device.status(), &line);
+    findings.push_back(FrontHalfFailure(std::move(line)));
+    print_json();
+    return exit_code;
   }
+  print_json();
   const KernelRunResult result = device.Run();
 
   const HotSwapController& controller = *device.swap();

@@ -2,10 +2,12 @@
 # Full CI pipeline:
 #   1. Release build + tier-1 ctest suite. Every ctest run (stages 1, 2
 #      and 9) also runs the six examples/ programs as `example_*` tests,
-#      and tools_test's analyzer fixture table (`artemisc check --json`
+#      tools_test's analyzer fixture table (`artemisc check --json`
 #      over every shipped example spec and every examples/specs/bad/
 #      fixture, each under the deployment axes that trigger its headline
-#      ART0xx code).
+#      ART0xx code), and the allocation-budget suite
+#      (tests/alloc_budget_test.cc: heap allocations per device of
+#      perfbench's fleet-fresh, fleet-outage and sweep-grid shapes).
 #   2. Sanitize build (ASan + UBSan) + tier-1 ctest suite, via
 #      tools/run_sanitized_tests.sh.
 #   3. Golden-trace gate: `artemisc trace` of the health app under 6-minute
