@@ -6,10 +6,11 @@
 // (power supply + timekeeper), flight recorder, observability bus, the
 // monitor system, the kernel, and an optional hot-swap controller — and
 // owns every piece for the length of the run, the Mcu inline. What a device
-// only reads it shares: the app graph, the spec artifact and the cost
-// model's cycle-charge pairs (CycleChargeTable) are immutable templates
-// that any number of devices, on any threads, run from at once (the app
-// graph is firmware .text; TaskEffect's contract in src/kernel/task.h).
+// only reads it shares: the app graph, the spec artifact and the default
+// cost model's cycle-charge pairs (CycleChargeTable::Default) are immutable
+// templates that any number of devices, on any threads, run from at once
+// (the app graph is firmware .text; TaskEffect's contract in
+// src/kernel/task.h).
 //
 // Assembly order reaches simulated state, so it is fixed here: the
 // timekeeper is installed when the MCU is built, the flight ring takes its

@@ -578,8 +578,8 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
   }
 
   // The app's template graph, shared read-only by the artifact build, the
-  // analyzer gate and every device (through FleetContext::templates). An
-  // unknown app is refused here, before any device runs.
+  // analyzer gate and every device (through FleetContext::app). An unknown
+  // app is refused here, before any device runs.
   StatusOr<std::shared_ptr<const AppGraph>> app = sweep::AppTemplate(spec.app);
   if (!app.ok()) {
     return app.status();
@@ -618,13 +618,9 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
     }
   }
 
-  // What the app and artifact fix for every device is derived once here,
-  // not per device.
-  StatusOr<FleetContext> prepared = PrepareFleetContext(spec.app, artifact.value());
-  if (!prepared.ok()) {
-    return prepared.status();
-  }
-  const FleetContext& ctx = prepared.value();
+  FleetContext ctx;
+  ctx.app = spec.app;
+  ctx.artifact = artifact.value();
 
   const int shards = ClampWorkers(spec.shards, static_cast<std::size_t>(std::min<std::uint64_t>(
                                                    spec.devices, 64)));

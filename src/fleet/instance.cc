@@ -12,17 +12,6 @@
 namespace artemis::fleet {
 namespace {
 
-// MonitorSet's per-event charging for the separate-component placement is
-// monitor_call_cycles (the interface crossing) followed by the monitors'
-// StepCycles, one run charge per stretch of equal costs; the compiled
-// backend's StepCycles is flat, so its machines form one run. Capture mode
-// mirrors that exactly.
-std::vector<double> CompiledStepCycles(const SharedSpecArtifact& artifact,
-                                       const CostModel& costs) {
-  return std::vector<double>(artifact.compiled.size(),
-                             static_cast<double>(costs.compiled_step_cycles));
-}
-
 // Mirror of MonitorSet::FramBytes over compiled machines: set bookkeeping
 // plus, per monitor, the state word + variable slots + property_t slot.
 std::size_t MirroredFramBytes(const SharedSpecArtifact& artifact) {
@@ -139,70 +128,34 @@ void CaptureChecker::OnPathRestart(PathId path, Mcu& mcu) {
 
 // ---- DeviceInstance ------------------------------------------------------
 
-namespace {
-
-// What `app` with `artifact` fixes for every device; fails on an unknown
-// app.
-StatusOr<FleetTemplates> DeriveFleetTemplates(const std::string& app,
-                                              const SharedSpecArtifact& artifact) {
-  StatusOr<std::shared_ptr<const AppGraph>> graph = sweep::AppTemplate(app);
-  if (!graph.ok()) {
-    return graph.status();
-  }
-  return FleetTemplates{
-      .graph = std::move(graph).value(),
-      .capture_runs = StepRuns(CompiledStepCycles(artifact, DefaultCostModel())),
-      .capture_fram_bytes = MirroredFramBytes(artifact)};
-}
-
-}  // namespace
-
-StatusOr<FleetContext> PrepareFleetContext(const std::string& app,
-                                           SharedSpecArtifactPtr artifact) {
-  StatusOr<FleetTemplates> templates = DeriveFleetTemplates(app, *artifact);
-  if (!templates.ok()) {
-    return templates.status();
-  }
-  return FleetContext{.app = app,
-                      .artifact = std::move(artifact),
-                      .templates = std::move(templates).value()};
-}
-
 DeviceInstance::DeviceInstance(const FleetContext& ctx, const DeviceConfig& config)
     : ctx_(ctx), config_(config) {}
 
 DeviceResult DeviceInstance::RunScalar() { return Run(nullptr); }
 
 DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
-  return Run(records);
-}
-
-DeviceResult DeviceInstance::Run(std::vector<CapturedRecord>* records) {
-  std::optional<FleetTemplates> derived;
-  if (!ctx_.templates.has_value()) {
-    StatusOr<FleetTemplates> templates = DeriveFleetTemplates(ctx_.app, *ctx_.artifact);
-    if (!templates.ok()) {
-      if (records != nullptr) {
-        records->clear();
-      }
-      DeviceResult r;
-      r.error = templates.status().ToString();
-      return r;
-    }
-    derived = std::move(templates).value();
-  }
-  const FleetTemplates& templates = derived.has_value() ? *derived : *ctx_.templates;
-  if (records == nullptr) {
-    return Run(templates, nullptr);
-  }
-  CaptureChecker checker(templates.capture_runs, templates.capture_fram_bytes,
-                         std::move(*records));
-  DeviceResult r = Run(templates, &checker);
+  // MonitorSet's per-event charging for the separate-component placement is
+  // monitor_call_cycles (the interface crossing) followed by the monitors'
+  // StepCycles, one run charge per stretch of equal costs; the compiled
+  // backend's StepCycles is flat, so its machines form one run (none when
+  // there are no machines). Capture mode mirrors that exactly.
+  const SharedSpecArtifact& artifact = *ctx_.artifact;
+  const StepRun run{.cycles = static_cast<double>(DefaultCostModel().compiled_step_cycles),
+                    .end = artifact.compiled.size()};
+  CaptureChecker checker(std::span<const StepRun>(&run, artifact.compiled.empty() ? 0 : 1),
+                         MirroredFramBytes(artifact), std::move(*records));
+  DeviceResult r = Run(&checker);
   *records = checker.TakeRecords();
   return r;
 }
 
-DeviceResult DeviceInstance::Run(const FleetTemplates& templates, CaptureChecker* capture) {
+DeviceResult DeviceInstance::Run(CaptureChecker* capture) {
+  StatusOr<std::shared_ptr<const AppGraph>> graph = sweep::AppTemplate(ctx_.app);
+  if (!graph.ok()) {
+    DeviceResult r;
+    r.error = graph.status().ToString();
+    return r;
+  }
   // The obs bus and its aggregator exist only when the device reports obs
   // counts.
   std::optional<obs::EventBus> bus;
@@ -213,7 +166,7 @@ DeviceResult DeviceInstance::Run(const FleetTemplates& templates, CaptureChecker
     bus->AddSink(&aggregator.emplace());
     recipe.observer = &*bus;
   }
-  recipe.graph = templates.graph;
+  recipe.graph = std::move(graph).value();
   recipe.charge = config_.charge;
   recipe.budget = config_.budget;
   if (capture != nullptr) {

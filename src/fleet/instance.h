@@ -34,7 +34,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -107,8 +106,6 @@ struct DeviceResult {
   std::uint64_t obs_total = 0;
   std::uint64_t obs_completed_paths = 0;
   std::uint64_t obs_committed_bytes = 0;
-
-  bool operator==(const DeviceResult&) const = default;
 };
 
 // Captured monitor traffic from one capture-mode device: the events in
@@ -129,10 +126,9 @@ struct CapturedRecord {
 class CaptureChecker final : public PropertyChecker {
  public:
   // `runs` are StepRuns over the monitors' per-event costs, borrowed: they
-  // must outlive the checker (a fleet derives them once, FleetTemplates);
-  // `fram_bytes` the MonitorSet footprint to mirror in the NVM arena image.
-  // Records go into `buffer`, cleared first: handing back an earlier
-  // TakeRecords() reuses its capacity.
+  // must outlive the checker; `fram_bytes` the MonitorSet footprint to
+  // mirror in the NVM arena image. Records go into `buffer`, cleared first:
+  // handing back an earlier TakeRecords() reuses its capacity.
   CaptureChecker(std::span<const StepRun> runs, std::size_t fram_bytes,
                  std::vector<CapturedRecord> buffer = {});
   // As above, from `step_cycles[i]`, monitor i's per-event cost; the
@@ -169,32 +165,14 @@ class CaptureChecker final : public PropertyChecker {
   std::uint64_t events_captured_ = 0;
 };
 
-// What a fleet's app and spec artifact fix for every one of its devices.
-struct FleetTemplates {
-  // The app's template graph (sweep::AppTemplate).
-  std::shared_ptr<const AppGraph> graph;
-  // Capture mode: the step runs of the artifact's compiled monitors and the
-  // MonitorSet FRAM footprint the checker mirrors.
-  std::vector<StepRun> capture_runs;
-  std::size_t capture_fram_bytes = 0;
-};
-
-// Read-only state shared by every instance of one fleet run: the app name,
-// the compiled artifact and, once PrepareFleetContext has derived them, the
-// fleet's templates. All of it is immutable and shared across all shards; a
-// device owns only its Mcu, kernel and monitor state. A context with only
-// `app` and `artifact` set works too: each device then derives the
-// templates for itself, with the same results.
+// Read-only state shared by every instance of one fleet run: the app's
+// template graph, which each instance finds by name (sweep::AppTemplate),
+// and the compiled artifact. Both are immutable and shared across all
+// shards; a device owns only its Mcu, kernel and monitor state.
 struct FleetContext {
   std::string app = "health";
   SharedSpecArtifactPtr artifact;
-  std::optional<FleetTemplates> templates;
 };
-
-// The context RunFleet runs its devices in: `app` and `artifact` with the
-// templates derived once. Fails on an unknown app.
-StatusOr<FleetContext> PrepareFleetContext(const std::string& app,
-                                           SharedSpecArtifactPtr artifact);
 
 class DeviceInstance {
  public:
@@ -212,10 +190,9 @@ class DeviceInstance {
 
  private:
   // Assembles the device as a DeviceRun (src/core/device.h) — with the
-  // artifact's MonitorSet, or with a CaptureChecker recording into
-  // `records` when set — runs it, and reduces the run to a DeviceResult.
-  DeviceResult Run(std::vector<CapturedRecord>* records);
-  DeviceResult Run(const FleetTemplates& templates, CaptureChecker* capture);
+  // artifact's MonitorSet, or with `capture` as its checker when set — runs
+  // it, and reduces the run to a DeviceResult.
+  DeviceResult Run(CaptureChecker* capture);
 
   const FleetContext& ctx_;
   DeviceConfig config_;

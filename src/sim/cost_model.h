@@ -88,8 +88,6 @@ struct CostModel {
   constexpr double CommitCycles(std::size_t bytes) const {
     return nvm_commit_cycles_per_byte * static_cast<double>(bytes) + kernel_boundary_cycles;
   }
-
-  bool operator==(const CostModel&) const = default;
 };
 
 // Calibrated default used by benches/tests.

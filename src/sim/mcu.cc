@@ -1,9 +1,7 @@
 #include "src/sim/mcu.h"
 
 #include <memory>
-#include <mutex>
 #include <numeric>
-#include <vector>
 
 namespace artemis {
 
@@ -57,29 +55,9 @@ CycleChargeTable::CycleChargeTable(const CostModel& costs) : costs_(costs) {
   }
 }
 
-const CycleChargeTable& CycleChargeTable::Shared(const CostModel& costs) {
-  // DefaultCostModel() is one immutable object, so its address names its
-  // table: nearly every Mcu finds it without the registry's lock.
-  if (&costs == &DefaultCostModel()) {
-    static const CycleChargeTable& default_table = Registered(costs);
-    return default_table;
-  }
-  return Registered(costs);
-}
-
-const CycleChargeTable& CycleChargeTable::Registered(const CostModel& costs) {
-  // An Mcu anywhere may point into a table, so they live as long as the
-  // process.
-  static std::mutex mu;
-  static auto* const tables = new std::vector<std::unique_ptr<const CycleChargeTable>>();
-  const std::lock_guard<std::mutex> lock(mu);
-  for (const std::unique_ptr<const CycleChargeTable>& table : *tables) {
-    if (table->costs_ == costs) {
-      return *table;
-    }
-  }
-  tables->push_back(std::make_unique<const CycleChargeTable>(costs));
-  return *tables->back();
+const CycleChargeTable& CycleChargeTable::Default() {
+  static const CycleChargeTable table(DefaultCostModel());
+  return table;
 }
 
 CycleCharge CycleChargeTable::Compute(double cycles) const {
@@ -100,7 +78,11 @@ CycleCharge CycleChargeTable::ChargeForSlow(double cycles) const {
 }
 
 Mcu::Mcu(std::unique_ptr<PowerModel> power, const CostModel& costs)
-    : power_(std::move(power)), costs_(costs), charges_(&CycleChargeTable::Shared(costs)) {
+    : power_(std::move(power)),
+      costs_(costs),
+      own_charges_(&costs == &DefaultCostModel() ? nullptr
+                                                 : std::make_unique<const CycleChargeTable>(costs)),
+      charges_(own_charges_ != nullptr ? own_charges_.get() : &CycleChargeTable::Default()) {
   power_->NotifyReboot(0);
 }
 

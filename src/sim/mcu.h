@@ -13,8 +13,8 @@
 // charge, and every charge on a model that does not opt in, goes through
 // PowerModel::Consume and, when it fails, the outage path. Both routes give
 // bit-identical results. The duration and energy of each per-operation
-// cycle constant come from a CycleChargeTable built once per cost model and
-// shared by every Mcu on it, so such a charge does no division.
+// cycle constant come from a CycleChargeTable, so such a charge does no
+// division; every Mcu on the default cost model shares one table.
 #ifndef SRC_SIM_MCU_H_
 #define SRC_SIM_MCU_H_
 
@@ -73,18 +73,18 @@ struct CycleCharge {
 // The charge of every per-operation cycle constant of one CostModel (the
 // kernel's, the monitors', Mayfly's, the flight recorder's and hot swap's)
 // and of the commits of small tasks, converted once at the model's clock
-// rate and active power. Shared() builds one table per distinct cost model
-// at its first request; afterwards the table is read-only, so every Mcu on
-// that model, on any thread, charges from it, as every device shares the
-// cost constants of its firmware. Any other cycle count (a large commit, a
-// caller's own count) is converted at its charge; both routes give the
-// same bits.
+// rate and active power. The table is read-only once built. Every Mcu on
+// DefaultCostModel(), on any thread, charges from the one Default() table,
+// as every device shares the cost constants of its firmware; an Mcu on any
+// other model builds a table of its own. Any other cycle count (a large
+// commit, a caller's own count) is converted at its charge; both routes
+// give the same bits.
 class CycleChargeTable {
  public:
   explicit CycleChargeTable(const CostModel& costs);
 
-  // The table of `costs`, shared by every caller with the same charges.
-  static const CycleChargeTable& Shared(const CostModel& costs);
+  // The table of DefaultCostModel(), built at its first use.
+  static const CycleChargeTable& Default();
 
   CycleCharge ChargeFor(double cycles) const {
     const auto key = std::bit_cast<std::uint64_t>(cycles);
@@ -99,9 +99,6 @@ class CycleChargeTable {
   CycleCharge Compute(double cycles) const;
 
  private:
-  // The registry behind Shared(): one table per distinct CostModel.
-  static const CycleChargeTable& Registered(const CostModel& costs);
-
   // Open-addressed by the cycle count's bits. NaN cycles never reach it
   // (CyclesToTime cannot convert them), so a NaN pattern marks a free slot.
   static constexpr int kSlotBits = 6;
@@ -201,6 +198,9 @@ class Mcu : public flight::FlightPort {
 
   std::unique_ptr<PowerModel> power_;
   CostModel costs_;
+  // Set only when `costs` is not DefaultCostModel(); `charges_` points at
+  // it or at CycleChargeTable::Default().
+  std::unique_ptr<const CycleChargeTable> own_charges_;
   const CycleChargeTable* charges_;
   PersistentClock clock_;
   NvmArena nvm_;

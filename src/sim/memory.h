@@ -22,7 +22,7 @@ namespace artemis {
 
 // Component tags used for the Table 2 breakdown.
 enum class MemOwner { kRuntime, kMonitor, kApp, kKernel, kFlight };
-inline constexpr int kNumMemOwners = 5;
+inline constexpr int kNumMemOwners = static_cast<int>(MemOwner::kFlight) + 1;
 
 const char* MemOwnerName(MemOwner owner);
 

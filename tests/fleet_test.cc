@@ -7,7 +7,6 @@
 // the batch fleet goldens under tests/golden/fleet/.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -354,83 +353,6 @@ TEST(FleetBatchParityTest, BatchVerdictsMatchScalarMonitorsOnCapturedStreams) {
   EXPECT_GT(violations, 0u);
   EXPECT_EQ(batch.value().agg.monitor_events, events);
   EXPECT_EQ(batch.value().agg.violations, violations);
-}
-
-// ------------------------------------------ unprepared fleet contexts ----
-
-void ExpectSameRecords(const std::vector<CapturedRecord>& a,
-                       const std::vector<CapturedRecord>& b, const std::string& where) {
-  ASSERT_EQ(a.size(), b.size()) << where;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const MonitorEvent& x = a[i].event;
-    const MonitorEvent& y = b[i].event;
-    EXPECT_EQ(a[i].kind, b[i].kind) << where << " record " << i;
-    EXPECT_EQ(a[i].restart_path, b[i].restart_path) << where << " record " << i;
-    EXPECT_EQ(x.kind, y.kind) << where << " record " << i;
-    EXPECT_EQ(x.timestamp, y.timestamp) << where << " record " << i;
-    EXPECT_EQ(x.task, y.task) << where << " record " << i;
-    EXPECT_EQ(x.path, y.path) << where << " record " << i;
-    EXPECT_EQ(x.seq, y.seq) << where << " record " << i;
-    EXPECT_EQ(x.has_dep_data, y.has_dep_data) << where << " record " << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.dep_data), std::bit_cast<std::uint64_t>(y.dep_data))
-        << where << " record " << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.energy_fraction),
-              std::bit_cast<std::uint64_t>(y.energy_fraction))
-        << where << " record " << i;
-  }
-}
-
-// A context holding only `app` and `artifact` (how perfbench's traced pass
-// and FleetBatchParityTest build one) makes each device derive the fleet
-// templates for itself; RunFleet's prepared context derives them once. A
-// device must not be able to tell the two apart, in either mode.
-TEST(FleetContextTest, UnpreparedContextRunsDevicesLikeThePreparedOne) {
-  // Each app's budget makes its outage devices fail power and still finish.
-  const struct {
-    std::string app;
-    EnergyUj budget;
-  } kApps[] = {{"health", 19'500.0}, {"greenhouse", 300.0}, {"ar", 1'200.0}};
-  for (const auto& [app, budget] : kApps) {
-    FleetSpec spec;
-    spec.app = app;
-    spec.devices = 6;
-    spec.seed = 3;
-    spec.charges = {0, kMinute, 6 * kMinute};
-    spec.budgets = {budget};
-    spec.iterations = 2;
-    StatusOr<std::string> spec_text = sweep::DefaultSpecForApp(app);
-    ASSERT_TRUE(spec_text.ok());
-    StatusOr<SharedSpecArtifactPtr> artifact = BuildSpecArtifact(
-        spec_text.value(), sweep::BuildAppGraphByName(app), SpecArtifactStage::kCompiled);
-    ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-    FleetContext bare;
-    bare.app = app;
-    bare.artifact = artifact.value();
-    StatusOr<FleetContext> prepared = PrepareFleetContext(app, artifact.value());
-    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-    ASSERT_TRUE(prepared.value().templates.has_value());
-
-    std::uint64_t reboots = 0;
-    for (std::uint64_t i = 0; i < spec.devices; ++i) {
-      const DeviceConfig config = ConfigForDevice(spec, i);
-      const std::string where = app + " device " + std::to_string(i);
-      const DeviceResult scalar = DeviceInstance(bare, config).RunScalar();
-      ASSERT_TRUE(scalar.ok) << where << ": " << scalar.error;
-      EXPECT_EQ(scalar, DeviceInstance(prepared.value(), config).RunScalar()) << where;
-      reboots += scalar.reboots;
-
-      std::vector<CapturedRecord> bare_records;
-      std::vector<CapturedRecord> prepared_records;
-      const DeviceResult capture = DeviceInstance(bare, config).RunCapture(&bare_records);
-      ASSERT_TRUE(capture.ok) << where << ": " << capture.error;
-      EXPECT_EQ(capture,
-                DeviceInstance(prepared.value(), config).RunCapture(&prepared_records))
-          << where;
-      EXPECT_FALSE(bare_records.empty()) << where;
-      ExpectSameRecords(bare_records, prepared_records, where);
-    }
-    EXPECT_GT(reboots, 0u) << app << ": the outage axes never failed power";
-  }
 }
 
 // ------------------------------------------------------- validation ------

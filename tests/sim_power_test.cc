@@ -9,6 +9,7 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -178,8 +179,8 @@ class ForwardingPowerModel final : public PowerModel {
 };
 
 // Another MCU than the default one: a faster clock, more active power and
-// other step costs. Its cycle counts convert differently, and its charges
-// come from a table of their own.
+// other step costs. Its cycle counts convert differently, and each Mcu on it
+// charges from a table of its own.
 const CostModel& OtherCostModel() {
   static const CostModel kOther = [] {
     CostModel costs;
@@ -394,39 +395,38 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(row.param.name);
     });
 
-// The shared table and the conversion on a miss both give the bits of
-// converting the cycle count directly, on any cost model.
+// The table's hits and the conversion on a miss both give the bits of
+// converting the cycle count directly: on the default model's shared table
+// and on a table of another model.
 TEST(CycleChargeTableTest, ChargesAreTheDirectConversion) {
-  for (const CostModel* costs : {&DefaultCostModel(), &OtherCostModel()}) {
-    const CycleChargeTable& table = CycleChargeTable::Shared(*costs);
-    EXPECT_EQ(&table, &CycleChargeTable::Shared(CostModel(*costs)));
+  const CycleChargeTable other(OtherCostModel());
+  for (const auto& [costs, table] :
+       {std::pair<const CostModel*, const CycleChargeTable*>{&DefaultCostModel(),
+                                                             &CycleChargeTable::Default()},
+        {&OtherCostModel(), &other}}) {
     Rng rng(7);
     for (int i = 0; i < 2000; ++i) {
       const double cycles = RandomCycles(rng, *costs);
       const SimDuration duration = costs->CyclesToTime(cycles);
       const EnergyUj energy = EnergyFor(costs->mcu_active_power, duration);
-      for (const CycleCharge charge : {table.ChargeFor(cycles), table.Compute(cycles)}) {
+      for (const CycleCharge charge : {table->ChargeFor(cycles), table->Compute(cycles)}) {
         EXPECT_EQ(charge.duration, duration) << cycles;
         EXPECT_EQ(std::bit_cast<std::uint64_t>(charge.energy), std::bit_cast<std::uint64_t>(energy))
             << cycles;
       }
     }
   }
-  EXPECT_NE(&CycleChargeTable::Shared(DefaultCostModel()),
-            &CycleChargeTable::Shared(OtherCostModel()));
 }
 
-// Mcus on several threads build one cost model's table at their first
-// charge and then charge from it at once; each ends exactly as the same
-// Mcu run alone does. tools/ci.sh stage 9 runs this under ThreadSanitizer.
-TEST(CycleChargeTableTest, McusOnSeveralThreadsChargeFromOneTable) {
-  CostModel costs = OtherCostModel();
-  costs.clock_hz = 3'000'000;  // a model no other test has used
-  const auto run = [&costs](std::uint64_t seed, McuStats* stats) {
-    Mcu mcu(std::make_unique<FixedChargePowerModel>(900.0, kSecond), costs);
+// Mcus on several threads charge from the default cost model's one table at
+// once; each ends exactly as the same Mcu run alone does. tools/ci.sh stage
+// 9 runs this under ThreadSanitizer.
+TEST(CycleChargeTableTest, McusOnSeveralThreadsChargeFromTheDefaultTable) {
+  const auto run = [](std::uint64_t seed, McuStats* stats) {
+    Mcu mcu(std::make_unique<FixedChargePowerModel>(900.0, kSecond), DefaultCostModel());
     Rng rng(seed);
     for (int op = 0; op < 4000; ++op) {
-      const double cycles = RandomCycles(rng, costs);
+      const double cycles = RandomCycles(rng, DefaultCostModel());
       const auto tag = static_cast<CostTag>(rng.UniformU64(0, kNumCostTags - 1));
       (void)mcu.ExecuteCyclesRun(cycles, tag, rng.UniformU64(1, 40));
     }
