@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/spec/parser.h"
 #include "src/ir/codegen_c.h"
@@ -35,7 +34,7 @@ int main() {
   for (const MonitorPlacement placement :
        {MonitorPlacement::kSeparate, MonitorPlacement::kInlined, MonitorPlacement::kRemote}) {
     HealthApp run_app = BuildHealthApp();
-    auto mcu = PlatformBuilder().WithContinuousPower().Build();
+    auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
     ArtemisConfig config;
     config.placement = placement;
     auto runtime = ArtemisRuntime::Create(&run_app.graph, HealthAppSpec(), mcu.get(), config);

@@ -8,7 +8,6 @@
 // like checkpointing at task granularity with data-flow-sized commits.
 #include <cstdio>
 
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/kernel/checkpoint.h"
@@ -26,7 +25,7 @@ void SpacingSweep(EnergyUj budget) {
   std::printf("  %-10s %-14s %-12s %-14s %-12s\n", "spacing", "total time", "checkpoints",
               "re-executed", "energy");
   for (const std::uint32_t spacing : {1u, 2u, 4u, 8u, 16u, 64u}) {
-    auto mcu = PlatformBuilder().WithFixedCharge(budget, 2 * kSecond).Build();
+    auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(budget, 2 * kSecond));
     // A 16 KB snapshot (full SRAM-class state): checkpointing is no longer
     // free, which is what creates the classic U-shaped trade-off.
     const CheckpointProgram program =
@@ -65,7 +64,7 @@ int main() {
     }));
   }
   graph.AddPath(tasks);
-  auto mcu = PlatformBuilder().WithFixedCharge(1'500.0, 2 * kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(1'500.0, 2 * kSecond));
   NullChecker checker;
   KernelOptions options;
   options.max_wall_time = 4 * kHour;

@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/ir/codegen_c.h"
 #include "src/ir/compile.h"
@@ -221,9 +220,7 @@ std::vector<MonitorEvent> HealthEventCycle(const HealthApp& app, SimTime base,
 void BM_MonitorStepSweep(benchmark::State& state, MonitorBackend backend) {
   HealthApp app = BuildHealthApp();
   auto parsed = SpecParser::Parse(HealthAppSpec());
-  auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, backend, {},
-                                       ArbitrationPolicy::kSeverity))
-                 .value();
+  auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, backend)).value();
   // Sixteen path cycles with monotonic timestamps, replayed every iteration
   // (the backward time jump at the replay seam hits all backends equally).
   std::uint64_t seq = 0;
@@ -271,7 +268,7 @@ BENCHMARK(BM_BuiltinMonitorStep);
 void BM_HealthAppContinuousRun(benchmark::State& state) {
   for (auto _ : state) {
     HealthApp app = BuildHealthApp();
-    auto mcu = PlatformBuilder().WithContinuousPower().Build();
+    auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
     ArtemisConfig config;
     auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
     auto result = runtime.value()->Run();
@@ -283,7 +280,8 @@ BENCHMARK(BM_HealthAppContinuousRun);
 void BM_HealthAppIntermittentRun(benchmark::State& state) {
   for (auto _ : state) {
     HealthApp app = BuildHealthApp();
-    auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, 5 * kMinute).Build();
+    auto mcu =
+        std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(19'500.0, 5 * kMinute));
     ArtemisConfig config;
     config.kernel.max_wall_time = 8 * kHour;
     auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
@@ -296,9 +294,8 @@ BENCHMARK(BM_HealthAppIntermittentRun);
 void BM_MonitorSetDispatch(benchmark::State& state) {
   HealthApp app = BuildHealthApp();
   auto parsed = SpecParser::Parse(HealthAppSpec());
-  auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kBuiltin,
-                                       {}, ArbitrationPolicy::kSeverity))
-                 .value();
+  auto set =
+      std::move(BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kBuiltin)).value();
   Mcu mcu(std::make_unique<AlwaysOnPowerModel>(), DefaultCostModel());
   set->HardReset(mcu);
   std::uint64_t seq = 0;

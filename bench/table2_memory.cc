@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/mayfly/mayfly.h"
 #include "src/spec/parser.h"
@@ -35,7 +34,7 @@ int main() {
   }
 
   // --- Mayfly: run it so its fused state registers in the arena. ---------
-  auto mayfly_mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mayfly_mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto mayfly = MayflyRuntime::Create(&app.graph, parsed.value(), mayfly_mcu.get(), {});
   mayfly.value()->Run();
   const MemoryReport mayfly_nvm = mayfly_mcu->nvm().Report();
@@ -43,7 +42,7 @@ int main() {
 
   // --- ARTEMIS: run, then split runtime vs monitor ownership. ------------
   HealthApp app2 = BuildHealthApp();
-  auto artemis_mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto artemis_mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto artemis = ArtemisRuntime::Create(&app2.graph, HealthAppSpec(), artemis_mcu.get(), {});
   artemis.value()->Run();
   const MemoryReport artemis_nvm = artemis_mcu->nvm().Report();

@@ -7,7 +7,6 @@
 //   $ ./examples/energy_aware
 #include <cstdio>
 
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/kernel/channel.h"
@@ -50,7 +49,7 @@ Outcome RunWith(const char* spec) {
   AppGraph graph = MakeApp();
   // Deliberately undersized budget: the burst (6.6 mJ) barely fits the
   // 7 mJ on-period, so attempting it with a half-empty buffer power-fails.
-  auto mcu = PlatformBuilder().WithFixedCharge(7'000.0, 10 * kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(7'000.0, 10 * kSecond));
   ArtemisConfig config;
   config.kernel.max_wall_time = kHour;
   config.kernel.record_trace = true;

@@ -6,10 +6,10 @@
 #include <cstdio>
 
 #include "src/apps/greenhouse_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/obs/jsonl_sink.h"
+#include "src/sim/power_model.h"
 
 using namespace artemis;  // Example code; library code never does this.
 
@@ -20,10 +20,8 @@ int main() {
   // every 3 s. The device browns out mid-path and recharges repeatedly.
   CapacitorConfig cap;
   cap.capacitance_f = 47e-6;
-  std::unique_ptr<Mcu> mcu =
-      PlatformBuilder()
-          .WithCapacitor(cap, std::make_unique<PulseHarvester>(4.0, 3 * kSecond, 1 * kSecond))
-          .Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<CapacitorPowerModel>(
+      cap, std::make_unique<PulseHarvester>(4.0, 3 * kSecond, 1 * kSecond)));
 
   ArtemisConfig config;
   config.kernel.max_wall_time = 30 * kMinute;

@@ -8,10 +8,10 @@
 #include <cstdlib>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/obs/jsonl_sink.h"
+#include "src/sim/power_model.h"
 
 using namespace artemis;  // Example code; library code never does this.
 
@@ -22,12 +22,9 @@ int main(int argc, char** argv) {
   // 19.5 mJ per on-period: enough to finish `accel` after one retry but
   // never accel+filter+send (~19.95 mJ) in one go — the Section 5.1 failure
   // pattern. The 1 s boot margin is documented in EXPERIMENTS.md.
-  std::unique_ptr<Mcu> mcu =
-      PlatformBuilder()
-          .WithFixedCharge(/*on_budget=*/19'500.0,
-                           /*charge_time=*/static_cast<SimDuration>(minutes) * kMinute -
-                               1 * kSecond)
-          .Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(
+      /*on_budget=*/19'500.0,
+      /*charge_time=*/static_cast<SimDuration>(minutes) * kMinute - 1 * kSecond));
 
   ArtemisConfig config;
   config.kernel.max_wall_time = 4 * kHour;

@@ -6,7 +6,6 @@
 //   $ ./examples/periodic_sensing
 #include <cstdio>
 
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/kernel/channel.h"
@@ -39,7 +38,7 @@ int main() {
 
   // 195 uJ per on-period: the sample (180 uJ) fits, the log task dies, and
   // the 9 s recharge blows the 6 s cadence budget for the next round.
-  auto mcu = PlatformBuilder().WithFixedCharge(195.0, 9 * kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(195.0, 9 * kSecond));
 
   ArtemisConfig config;
   config.kernel.app_iterations = 12;             // A dozen sampling rounds.

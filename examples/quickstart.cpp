@@ -8,11 +8,11 @@
 //   $ ./examples/quickstart
 #include <cstdio>
 
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/kernel/channel.h"
 #include "src/obs/jsonl_sink.h"
+#include "src/sim/power_model.h"
 
 using namespace artemis;  // Example code; library code never does this.
 
@@ -44,9 +44,8 @@ int main() {
 
   // 3. Build the simulated platform: each on-period delivers 5 mJ, and
   // recharging after a power failure takes 3 seconds.
-  std::unique_ptr<Mcu> mcu =
-      PlatformBuilder().WithFixedCharge(/*on_budget=*/5'000.0, /*charge_time=*/3 * kSecond)
-          .Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(
+      /*on_budget=*/5'000.0, /*charge_time=*/3 * kSecond));
 
   // 4. Assemble and run, keeping the kernel's events for the printout.
   ArtemisConfig config;

@@ -52,8 +52,8 @@ HealthApp BuildHealthApp(const HealthAppOptions& options = {});
 std::string HealthAppSpec();
 
 // Spec variant without the maxAttempt escape on the MITD property — i.e.
-// what ARTEMIS would do if it only matched Mayfly's semantics. Used by the
-// ablation bench.
+// what ARTEMIS would do if it only matched Mayfly's semantics. Only tests
+// use it.
 std::string HealthAppSpecNoMaxAttempt();
 
 }  // namespace artemis

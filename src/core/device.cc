@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "src/sim/cost_model.h"
-
 namespace artemis {
 namespace {
 
@@ -18,7 +16,7 @@ std::unique_ptr<PowerModel> MakePowerModel(const DeviceRecipe& recipe) {
 }  // namespace
 
 DeviceRun::DeviceRun(DeviceRecipe recipe)
-    : graph_(std::move(recipe.graph)), mcu_(MakePowerModel(recipe), DefaultCostModel()) {
+    : graph_(std::move(recipe.graph)), mcu_(MakePowerModel(recipe)) {
   status_ = graph_ == nullptr ? Status::Invalid("device recipe has no app graph")
                               : Assemble(recipe);
 }
@@ -76,7 +74,6 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
     installed.artifact = recipe.artifact;
     swap_ = std::make_unique<HotSwapController>(&artemis_->monitors(), std::move(installed),
                                                 graph_.get());
-    swap_->set_flight(recorder_.get());
     if (Status queued = swap_->RequestSwap(std::move(*recipe.swap_image), recipe.swap_at);
         !queued.ok()) {
       return queued;

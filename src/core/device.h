@@ -61,8 +61,8 @@ struct DeviceRecipe {
   MonitorBackend backend = MonitorBackend::kBuiltin;  // kArtemis
   PropertyChecker* checker = nullptr;                 // kExternal; outlives the run
 
-  // Seed, horizon and trace recording. DeviceRun fills in the flight and
-  // swap_hook fields from the ones below.
+  // Seed, horizon and trace recording. DeviceRun fills in the flight field
+  // from the ones below.
   KernelOptions kernel;
   // The MCU's bus (Mcu::set_observer); the kernel and monitors publish into
   // it too. nullptr = off.

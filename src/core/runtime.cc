@@ -21,18 +21,8 @@ StatusOr<std::unique_ptr<ArtemisRuntime>> ArtemisRuntime::Create(const AppGraph*
                                                                  std::string_view spec_source,
                                                                  Mcu* mcu,
                                                                  const ArtemisConfig& config) {
-  StatusOr<SharedSpecArtifactPtr> artifact = BuildSpecArtifact(
-      std::string(spec_source), *graph, StageForBackend(config.backend), config.lowering);
-  if (!artifact.ok()) {
-    return artifact.status();
-  }
-  return CreateFromArtifact(graph, artifact.value(), mcu, config);
-}
-
-StatusOr<std::unique_ptr<ArtemisRuntime>> ArtemisRuntime::CreateFromAst(
-    const AppGraph* graph, const SpecAst& spec, Mcu* mcu, const ArtemisConfig& config) {
   StatusOr<SharedSpecArtifactPtr> artifact =
-      BuildSpecArtifactFromAst(spec, *graph, StageForBackend(config.backend), config.lowering);
+      BuildSpecArtifact(std::string(spec_source), *graph, StageForBackend(config.backend));
   if (!artifact.ok()) {
     return artifact.status();
   }
@@ -48,16 +38,10 @@ StatusOr<std::unique_ptr<ArtemisRuntime>> ArtemisRuntime::CreateFromArtifact(
   if (artifact == nullptr) {
     return Status::Invalid("null spec artifact");
   }
-  // Validation ran when the artifact was built; only the strictness policy
-  // is re-applied here (it is a per-run config knob, not pipeline work).
-  if (config.warnings_are_errors && !artifact->validation_warnings.empty()) {
-    return Status::FailedPrecondition("spec has validation warnings: " +
-                                      artifact->validation_warnings.front());
-  }
-  const MonitorSetOptions monitor_options{
-      .policy = config.arbitration, .placement = config.placement, .radio = config.radio};
-  StatusOr<std::unique_ptr<MonitorSet>> monitors = BuildMonitorSetFromArtifact(
-      artifact, *graph, config.backend, config.lowering, monitor_options);
+  const MonitorSetOptions monitor_options{.policy = config.arbitration,
+                                          .placement = config.placement};
+  StatusOr<std::unique_ptr<MonitorSet>> monitors =
+      BuildMonitorSetFromArtifact(artifact, *graph, config.backend, monitor_options);
   if (!monitors.ok()) {
     return monitors.status();
   }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/ir/lowering.h"
 #include "src/kernel/app_graph.h"
 #include "src/kernel/kernel.h"
 #include "src/monitor/monitor_set.h"
@@ -25,11 +24,7 @@ struct ArtemisConfig {
   ArbitrationPolicy arbitration = ArbitrationPolicy::kSeverity;
   // Where the monitors execute (Section 7 implementation alternatives).
   MonitorPlacement placement = MonitorPlacement::kSeparate;
-  RadioProfile radio;  // For MonitorPlacement::kRemote.
-  LoweringOptions lowering;
   KernelOptions kernel;
-  // Reject specs with validation warnings (strict mode for CI-style use).
-  bool warnings_are_errors = false;
 };
 
 class ArtemisRuntime {
@@ -43,11 +38,6 @@ class ArtemisRuntime {
                                                           std::string_view spec_source,
                                                           Mcu* mcu,
                                                           const ArtemisConfig& config = {});
-
-  // As above but from an already-parsed AST (used by builders and tests).
-  static StatusOr<std::unique_ptr<ArtemisRuntime>> CreateFromAst(const AppGraph* graph,
-                                                                 const SpecAst& spec, Mcu* mcu,
-                                                                 const ArtemisConfig& config);
 
   // The one construction path. From a pre-built shared spec artifact
   // (src/monitor/shared_spec.h): no parse / validate / lower / compile work

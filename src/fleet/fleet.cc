@@ -548,13 +548,9 @@ DeviceConfig ConfigForDevice(const FleetSpec& spec, std::uint64_t index) {
   config.backend = spec.backend;
   config.iterations = spec.iterations;
   config.horizon = spec.horizon;
-  if (spec.max_steps != 0) {
-    config.max_steps = spec.max_steps;
-  } else {
-    // Sweep-parity default for finite runs; horizon mode is bounded by
-    // simulated time, so the step valve moves out of the way.
-    config.max_steps = spec.iterations == 0 ? (1ull << 62) : 2'000'000;
-  }
+  // Sweep-parity step valve for finite runs; horizon mode is bounded by
+  // simulated time, so the valve moves out of the way.
+  config.max_steps = spec.iterations == 0 ? (1ull << 62) : 2'000'000;
   config.collect_obs = spec.collect_obs;
   return config;
 }

@@ -60,9 +60,6 @@ struct FleetSpec {
   // iterations == 0 loops until `horizon` simulated time.
   std::uint64_t iterations = 1;
   SimDuration horizon = 8 * kHour;
-  // Kernel step safety valve; 0 = auto (sweep-parity 2M for finite
-  // iterations, effectively unbounded for horizon mode).
-  std::uint64_t max_steps = 0;
   // Devices batched per monitor tile in "batch" mode (bounds host memory:
   // one captured event stream per in-flight device).
   std::uint32_t tile = 256;

@@ -1,6 +1,6 @@
 #include "src/kernel/app_graph.h"
 
-#include <sstream>
+#include <utility>
 
 namespace artemis {
 
@@ -65,22 +65,6 @@ Status AppGraph::Validate() const {
     }
   }
   return Status::Ok();
-}
-
-std::string AppGraph::ToDot() const {
-  std::ostringstream out;
-  out << "digraph app {\n  rankdir=LR;\n";
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    out << "  t" << i << " [label=\"" << tasks_[i].name << "\", shape=box];\n";
-  }
-  for (std::size_t p = 0; p < paths_.size(); ++p) {
-    const auto& path = paths_[p];
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      out << "  t" << path[i] << " -> t" << path[i + 1] << " [label=\"P" << (p + 1) << "\"];\n";
-    }
-  }
-  out << "}\n";
-  return out.str();
 }
 
 }  // namespace artemis

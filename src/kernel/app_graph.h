@@ -42,9 +42,6 @@ class AppGraph {
   // one path.
   Status Validate() const;
 
-  // Graphviz dump of paths and tasks, for docs/examples.
-  std::string ToDot() const;
-
  private:
   std::vector<TaskDef> tasks_;
   std::vector<std::vector<TaskId>> paths_;

@@ -2,12 +2,6 @@
 
 namespace artemis {
 
-ImmortalContext::ImmortalContext(NvmArena* nvm, MemOwner owner, const std::string& label) {
-  if (nvm != nullptr) {
-    nvm->Allocate(owner, sizeof(item_) + sizeof(cursor_) + sizeof(in_progress_), label);
-  }
-}
-
 std::uint32_t ImmortalContext::Begin(std::uint64_t id) {
   if (in_progress_ && item_ == id) {
     return cursor_;  // Resume the interrupted item.

@@ -11,17 +11,11 @@
 #define SRC_KERNEL_IMMORTAL_H_
 
 #include <cstdint>
-#include <string>
-
-#include "src/sim/memory.h"
 
 namespace artemis {
 
 class ImmortalContext {
  public:
-  // Registers the persistent cursor with the NVM arena for accounting.
-  ImmortalContext(NvmArena* nvm, MemOwner owner, const std::string& label);
-
   // Starts (or resumes) processing of work item `id`. Returns the index of
   // the first step that still needs to run (0 for a fresh item).
   std::uint32_t Begin(std::uint64_t id);

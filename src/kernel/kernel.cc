@@ -34,7 +34,7 @@ IntermittentKernel::IntermittentKernel(const AppGraph* graph, PropertyChecker* c
                "channel-store");
   // The runtime needs only a pair of volatile scratch bytes (loop cursor),
   // matching the paper's 2-byte RAM figure for both runtimes.
-  mcu_->ram().Allocate(MemOwner::kRuntime, 2, "loop-scratch");
+  mcu_->ram().Allocate(MemOwner::kRuntime, 2);
 }
 
 TaskId IntermittentKernel::current_task() const {
@@ -135,9 +135,8 @@ ExecStatus IntermittentKernel::Step() {
   // and commits here, between transitions; a power failure inside the hook
   // aborts this step like any other charged work and the hook re-runs at
   // the next boundary.
-  if (options_.swap_hook != nullptr && !event_pending_ &&
-      cur_status_ == TaskStatus::kReady) {
-    const ExecStatus swap = options_.swap_hook->AtQuiescence(*mcu_);
+  if (swap_hook_ != nullptr && !event_pending_ && cur_status_ == TaskStatus::kReady) {
+    const ExecStatus swap = swap_hook_->AtQuiescence(*mcu_);
     if (swap != ExecStatus::kOk) {
       return swap;
     }

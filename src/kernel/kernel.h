@@ -70,11 +70,6 @@ struct KernelOptions {
   // power failure; the recorder must already be attached to the MCU
   // (Mcu::AttachFlightRecorder). nullptr = recording off.
   flight::FlightRecorder* flight = nullptr;
-  // Monitor hot-swap delivery (src/swap): when set, the kernel calls the
-  // hook at every task-boundary quiescence point (READY task, no pending
-  // event) before building the StartTask event, so an over-the-air monitor
-  // replacement can stage + commit between transitions. See docs/hotswap.md.
-  SwapHook* swap_hook = nullptr;
 };
 
 // Per-task execution profile (the Section 5.1 measurement that identifies
@@ -107,10 +102,10 @@ class IntermittentKernel {
   // starvation / non-termination).
   KernelRunResult Run();
 
-  // Late wiring for the hot-swap hook: the controller needs the MonitorSet,
-  // which only exists after the runtime is built, so the hook cannot always
-  // be threaded through KernelOptions at construction time.
-  void set_swap_hook(SwapHook* hook) { options_.swap_hook = hook; }
+  // Installs the hot-swap hook (SwapHook above, docs/hotswap.md; nullptr =
+  // none). It is set after construction because the controller needs the
+  // runtime's MonitorSet.
+  void set_swap_hook(SwapHook* hook) { swap_hook_ = hook; }
 
   // The kernel's task/path lifecycle and commit events in publish order,
   // kept when KernelOptions::record_trace is set: the same events it
@@ -121,11 +116,8 @@ class IntermittentKernel {
   ChannelStore& channels() { return channels_; }
   const AppGraph& graph() const { return *graph_; }
   Mcu& mcu() { return *mcu_; }
-
-  // Current position, exposed for tests.
-  PathId current_path() const { return static_cast<PathId>(path_idx_ + 1); }
+  // The task at the current position in the path sequence.
   TaskId current_task() const;
-  bool app_complete() const { return app_complete_; }
 
  private:
   // One iteration of the Figure 8 main loop. Returns kPowerFailure when the
@@ -168,6 +160,7 @@ class IntermittentKernel {
   PropertyChecker* checker_;
   Mcu* mcu_;
   KernelOptions options_;
+  SwapHook* swap_hook_ = nullptr;
   Rng rng_;
 
   // ---- persistent (FRAM) state ----

@@ -44,7 +44,6 @@ inline constexpr std::size_t kMayflyRuleFramBytes = 72;
 class MayflyChecker : public PropertyChecker {
  public:
   void AddRule(MayflyRule rule);
-  std::size_t rule_count() const { return rules_.size(); }
 
   // PropertyChecker: fused checks, charged to CostTag::kRuntime.
   void HardReset(Mcu& mcu) override;

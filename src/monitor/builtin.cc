@@ -88,9 +88,6 @@ bool CollectMonitor::Step(const MonitorEvent& event, MonitorVerdict* verdict) {
       // again because consumption happens at commit, not at start.
       return false;
     }
-    if (reset_on_fail_) {
-      have_ = 0;
-    }
     FillVerdict(verdict, action_);
     return true;
   }
@@ -174,8 +171,7 @@ bool MinEnergyMonitor::Step(const MonitorEvent& event, MonitorVerdict* verdict) 
 
 StatusOr<std::unique_ptr<Monitor>> MakeBuiltinMonitor(const PropertyAst& property,
                                                       const std::string& task_name,
-                                                      const AppGraph& graph,
-                                                      bool collect_reset_on_fail) {
+                                                      const AppGraph& graph) {
   const std::optional<TaskId> anchor = graph.FindTask(task_name);
   if (!anchor.has_value()) {
     return Status::Internal("MakeBuiltinMonitor: unknown task '" + task_name + "'");
@@ -202,8 +198,7 @@ StatusOr<std::unique_ptr<Monitor>> MakeBuiltinMonitor(const PropertyAst& propert
       break;
     case PropertyKind::kCollect:
       monitor = std::make_unique<CollectMonitor>(label, *anchor, dep, property.count,
-                                                 property.on_fail, property.path,
-                                                 collect_reset_on_fail, scope);
+                                                 property.on_fail, property.path, scope);
       break;
     case PropertyKind::kMitd:
       monitor = std::make_unique<MitdMonitor>(label, *anchor, dep, property.duration,

@@ -101,17 +101,15 @@ class MaxDurationMonitor : public BuiltinMonitor {
 };
 
 // collect: the dependent task must have completed `count` times before the
-// anchor task starts. Accumulates across failures by default (see
-// ir/lowering.h for the Figure 7 deviation note).
+// anchor task starts. Accumulates across failures (see ir/lowering.h for
+// the Figure 7 deviation note).
 class CollectMonitor : public BuiltinMonitor {
  public:
   CollectMonitor(std::string label, TaskId task, TaskId dep, std::uint64_t count,
-                 ActionType action, PathId target_path, bool reset_on_fail,
-                 PathId scope_path = kNoPath)
+                 ActionType action, PathId target_path, PathId scope_path = kNoPath)
       : BuiltinMonitor(std::move(label), task, action, target_path, scope_path),
         dep_(dep),
-        count_(count),
-        reset_on_fail_(reset_on_fail) {}
+        count_(count) {}
 
   bool Step(const MonitorEvent& event, MonitorVerdict* verdict) override;
   bool Reacts(EventKind kind, TaskId task) const override {
@@ -125,7 +123,6 @@ class CollectMonitor : public BuiltinMonitor {
  private:
   TaskId dep_;
   std::uint64_t count_;
-  bool reset_on_fail_;
   std::uint64_t have_ = 0;  // FRAM
 };
 
@@ -236,8 +233,7 @@ class MinEnergyMonitor : public BuiltinMonitor {
 // Builds the builtin monitor for one validated property.
 StatusOr<std::unique_ptr<Monitor>> MakeBuiltinMonitor(const PropertyAst& property,
                                                       const std::string& task_name,
-                                                      const AppGraph& graph,
-                                                      bool collect_reset_on_fail = false);
+                                                      const AppGraph& graph);
 
 }  // namespace artemis
 

@@ -150,12 +150,14 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
       break;
     case MonitorPlacement::kInlined:
       break;
-    case MonitorPlacement::kRemote:
-      call = mcu.Execute(radio_.tx_time, radio_.tx_power, CostTag::kMonitor);
+    case MonitorPlacement::kRemote: {
+      constexpr RadioProfile kRadio{};
+      call = mcu.Execute(kRadio.tx_time, kRadio.tx_power, CostTag::kMonitor);
       if (call == ExecStatus::kOk) {
-        call = mcu.Execute(radio_.rx_time, radio_.rx_power, CostTag::kMonitor);
+        call = mcu.Execute(kRadio.rx_time, kRadio.rx_power, CostTag::kMonitor);
       }
       break;
+    }
   }
   if (call != ExecStatus::kOk) {
     outcome.status = static_cast<int>(call);
@@ -304,21 +306,13 @@ void MonitorSet::OnPathRestart(PathId path, Mcu& mcu) {
 
 StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
                                                       MonitorBackend backend,
-                                                      const LoweringOptions& lowering,
-                                                      ArbitrationPolicy policy) {
-  return BuildMonitorSet(spec, graph, backend, lowering, MonitorSetOptions{.policy = policy});
-}
-
-StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
-                                                      MonitorBackend backend,
-                                                      const LoweringOptions& lowering,
                                                       const MonitorSetOptions& options) {
   StatusOr<SharedSpecArtifactPtr> artifact =
-      BuildSpecArtifactFromAst(spec, graph, StageForBackend(backend), lowering);
+      BuildSpecArtifactFromAst(spec, graph, StageForBackend(backend));
   if (!artifact.ok()) {
     return artifact.status();
   }
-  return BuildMonitorSetFromArtifact(artifact.value(), graph, backend, lowering, options);
+  return BuildMonitorSetFromArtifact(artifact.value(), graph, backend, options);
 }
 
 }  // namespace artemis

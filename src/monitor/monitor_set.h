@@ -30,7 +30,6 @@
 
 #include "src/base/status.h"
 #include "src/flight/recorder.h"
-#include "src/ir/lowering.h"
 #include "src/kernel/app_graph.h"
 #include "src/kernel/checker.h"
 #include "src/kernel/immortal.h"
@@ -75,6 +74,7 @@ std::vector<StepRun> StepRuns(const std::vector<double>& step_cycles);
 // FRAM column does not depend on the host's standard library.
 inline constexpr std::size_t kVerdictCacheFramBytes = 40;
 
+// The radio round trip MonitorPlacement::kRemote charges per event.
 struct RadioProfile {
   // Transmitting one MonitorEvent_t to the external monitor.
   SimDuration tx_time = 4 * kMillisecond;
@@ -87,15 +87,12 @@ struct RadioProfile {
 struct MonitorSetOptions {
   ArbitrationPolicy policy = ArbitrationPolicy::kSeverity;
   MonitorPlacement placement = MonitorPlacement::kSeparate;
-  RadioProfile radio{};  // Used by kRemote only.
 };
 
 class MonitorSet : public PropertyChecker {
  public:
-  explicit MonitorSet(ArbitrationPolicy policy = ArbitrationPolicy::kSeverity)
-      : MonitorSet(MonitorSetOptions{.policy = policy}) {}
   explicit MonitorSet(const MonitorSetOptions& options)
-      : policy_(options.policy), placement_(options.placement), radio_(options.radio) {}
+      : policy_(options.policy), placement_(options.placement) {}
 
   void Add(std::unique_ptr<Monitor> monitor);
   std::size_t size() const { return monitors_.size(); }
@@ -148,7 +145,6 @@ class MonitorSet : public PropertyChecker {
  private:
   ArbitrationPolicy policy_;
   MonitorPlacement placement_ = MonitorPlacement::kSeparate;
-  RadioProfile radio_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
   flight::FlightRecorder* flight_ = nullptr;
 
@@ -176,7 +172,7 @@ class MonitorSet : public PropertyChecker {
   const std::vector<std::uint32_t>& Reactors(EventKind kind, TaskId task);
 
   // ---- FRAM-resident progress state (ImmortalThreads-backed) ----
-  ImmortalContext continuation_{nullptr, MemOwner::kMonitor, "monitor-continuation"};
+  ImmortalContext continuation_;
   std::vector<MonitorVerdict> pending_;  // failures gathered for the in-flight event
   std::uint64_t done_seq_ = 0;           // last fully processed event
   // Explicit cache-valid flag: `done_seq_` alone cannot distinguish "no
@@ -198,15 +194,7 @@ class MonitorSet : public PropertyChecker {
 // slot-indexed bytecode (src/ir/compile.h) — see docs/monitor-backends.md.
 StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
                                                       MonitorBackend backend,
-                                                      const LoweringOptions& lowering = {},
-                                                      ArbitrationPolicy policy =
-                                                          ArbitrationPolicy::kSeverity);
-
-// Full-options variant (placement alternatives).
-StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
-                                                      MonitorBackend backend,
-                                                      const LoweringOptions& lowering,
-                                                      const MonitorSetOptions& options);
+                                                      const MonitorSetOptions& options = {});
 
 }  // namespace artemis
 

@@ -37,8 +37,7 @@ const char* SpecArtifactStageName(SpecArtifactStage stage) {
 namespace {
 
 StatusOr<SharedSpecArtifactPtr> Finish(std::string spec_text, SpecAst ast,
-                                       const AppGraph& graph, SpecArtifactStage stage,
-                                       const LoweringOptions& lowering) {
+                                       const AppGraph& graph, SpecArtifactStage stage) {
   auto artifact = std::make_shared<SharedSpecArtifact>();
   artifact->spec_text = std::move(spec_text);
   artifact->ast = std::move(ast);
@@ -49,7 +48,7 @@ StatusOr<SharedSpecArtifactPtr> Finish(std::string spec_text, SpecAst ast,
   }
   artifact->validation_warnings = std::move(validation.warnings);
   if (stage != SpecArtifactStage::kAst) {
-    StatusOr<std::vector<StateMachine>> machines = LowerSpec(artifact->ast, graph, lowering);
+    StatusOr<std::vector<StateMachine>> machines = LowerSpec(artifact->ast, graph);
     if (!machines.ok()) {
       return machines.status();
     }
@@ -71,25 +70,23 @@ StatusOr<SharedSpecArtifactPtr> Finish(std::string spec_text, SpecAst ast,
 }  // namespace
 
 StatusOr<SharedSpecArtifactPtr> BuildSpecArtifact(std::string spec_text, const AppGraph& graph,
-                                                  SpecArtifactStage stage,
-                                                  const LoweringOptions& lowering) {
+                                                  SpecArtifactStage stage) {
   StatusOr<SpecAst> parsed = SpecParser::Parse(spec_text);
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return Finish(std::move(spec_text), std::move(parsed).value(), graph, stage, lowering);
+  return Finish(std::move(spec_text), std::move(parsed).value(), graph, stage);
 }
 
 StatusOr<SharedSpecArtifactPtr> BuildSpecArtifactFromAst(const SpecAst& spec,
                                                          const AppGraph& graph,
-                                                         SpecArtifactStage stage,
-                                                         const LoweringOptions& lowering) {
-  return Finish("", spec, graph, stage, lowering);
+                                                         SpecArtifactStage stage) {
+  return Finish("", spec, graph, stage);
 }
 
 StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSetFromArtifact(
     const SharedSpecArtifactPtr& artifact, const AppGraph& graph, MonitorBackend backend,
-    const LoweringOptions& lowering, const MonitorSetOptions& options) {
+    const MonitorSetOptions& options) {
   if (artifact == nullptr) {
     return Status::Invalid("null spec artifact");
   }
@@ -104,7 +101,7 @@ StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSetFromArtifact(
     for (const TaskBlockAst& block : artifact->ast.blocks) {
       for (const PropertyAst& property : block.properties) {
         StatusOr<std::unique_ptr<Monitor>> monitor =
-            MakeBuiltinMonitor(property, block.task, graph, lowering.collect_reset_on_fail);
+            MakeBuiltinMonitor(property, block.task, graph);
         if (!monitor.ok()) {
           return monitor.status();
         }

@@ -53,14 +53,12 @@ using SharedSpecArtifactPtr = std::shared_ptr<const SharedSpecArtifact>;
 // requires. The returned artifact is immutable and safe to share across
 // threads.
 StatusOr<SharedSpecArtifactPtr> BuildSpecArtifact(std::string spec_text, const AppGraph& graph,
-                                                  SpecArtifactStage stage,
-                                                  const LoweringOptions& lowering = {});
+                                                  SpecArtifactStage stage);
 
 // As above, from an already-parsed AST (skips the parse step).
 StatusOr<SharedSpecArtifactPtr> BuildSpecArtifactFromAst(const SpecAst& spec,
                                                          const AppGraph& graph,
-                                                         SpecArtifactStage stage,
-                                                         const LoweringOptions& lowering = {});
+                                                         SpecArtifactStage stage);
 
 // Builds a fresh MonitorSet (per-run mutable state) over the artifact's
 // shared immutable programs. Performs no parsing, lowering, analysis, or
@@ -70,7 +68,7 @@ StatusOr<SharedSpecArtifactPtr> BuildSpecArtifactFromAst(const SpecAst& spec,
 // cannot serve kInterpreted/kCompiled).
 StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSetFromArtifact(
     const SharedSpecArtifactPtr& artifact, const AppGraph& graph, MonitorBackend backend,
-    const LoweringOptions& lowering = {}, const MonitorSetOptions& options = {});
+    const MonitorSetOptions& options = {});
 
 }  // namespace artemis
 

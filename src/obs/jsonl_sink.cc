@@ -82,7 +82,6 @@ JsonlSink::JsonlSink(std::ostream& out, JsonlOptions options)
 
 void JsonlSink::OnEvent(const Event& event) {
   out_ << EventLine(event, options_.task_names) << '\n';
-  ++lines_;
 }
 
 void JsonlSink::Flush() { out_.flush(); }

@@ -44,8 +44,6 @@ class JsonlSink : public Sink {
   void OnEvent(const Event& event) override;
   void Flush() override;
 
-  std::uint64_t lines_written() const { return lines_; }
-
   // Renders one event as its JSONL line (no trailing newline). Exposed so
   // tests can assert on single-event serialization.
   static std::string EventLine(const Event& event,
@@ -54,7 +52,6 @@ class JsonlSink : public Sink {
  private:
   std::ostream& out_;
   JsonlOptions options_;
-  std::uint64_t lines_ = 0;
 };
 
 }  // namespace artemis::obs

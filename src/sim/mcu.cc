@@ -144,7 +144,6 @@ ExecStatus Mcu::ExecuteInternal(SimDuration duration, Milliwatts power, CostTag 
   }
   const SimTime device_death_time = clock_.Read();
   clock_.NotifyPowerFailure();
-  ram_.LosePower();
   const SimTime died_at = clock_.TrueNow();
   const SimDuration outage = res.restart_at > died_at ? res.restart_at - died_at : 0;
   if (obs_ != nullptr) {

@@ -4,8 +4,8 @@
 // Every piece of simulated work — application task bodies, kernel
 // bookkeeping, monitor property checks, reboot restoration — flows through
 // Mcu::Execute*, which advances time, drains the power model, and on a power
-// failure performs the full outage: clock drift, SRAM loss, charging delay,
-// and boot-time restore cost.
+// failure performs the full outage: clock drift, charging delay, and
+// boot-time restore cost.
 //
 // Charges complete inline, in this header, whenever the power model's
 // inline budget covers them (PowerModel, src/sim/power_model.h): that is a
@@ -122,7 +122,8 @@ class CycleChargeTable {
 
 class Mcu : public flight::FlightPort {
  public:
-  Mcu(std::unique_ptr<PowerModel> power, const CostModel& costs);
+  explicit Mcu(std::unique_ptr<PowerModel> power,
+               const CostModel& costs = DefaultCostModel());
 
   // Runs `duration` of work drawing `power` mW, attributed to `tag`.
   // On power failure the outage is fully simulated before returning:

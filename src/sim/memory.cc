@@ -1,7 +1,6 @@
 #include "src/sim/memory.h"
 
 #include <string>
-#include <utility>
 
 namespace artemis {
 
@@ -53,20 +52,9 @@ Status NvmArena::Allocate(MemOwner owner, std::size_t bytes, std::string_view la
 
 MemoryReport NvmArena::Report() const { return ReportOf(by_owner_, used_); }
 
-bool RamArena::Allocate(MemOwner owner, std::size_t bytes, std::string_view /*label*/,
-                        std::function<void()> reset) {
+void RamArena::Allocate(MemOwner owner, std::size_t bytes) {
   by_owner_[static_cast<std::size_t>(owner)] += bytes;
   used_ += bytes;
-  if (reset) {
-    resets_.push_back(std::move(reset));
-  }
-  return used_ <= capacity_;
-}
-
-void RamArena::LosePower() {
-  for (const std::function<void()>& reset : resets_) {
-    reset();
-  }
 }
 
 MemoryReport RamArena::Report() const { return ReportOf(by_owner_, used_); }

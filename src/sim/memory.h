@@ -1,19 +1,16 @@
 // FRAM / SRAM memory models with per-component byte accounting.
 //
 // The MSP430FR5994 pairs 256 KB of non-volatile FRAM with 4 KB of volatile
-// SRAM. Objects placed in the NVM arena persist across simulated power
-// failures; objects in the RAM arena are reset to their initial value on
-// every reboot. Byte accounting per component tag feeds the Table 2
-// memory-requirements experiment.
+// SRAM. Both arenas only count bytes: registration records which state the
+// design keeps in FRAM or SRAM and what it costs. Byte accounting per
+// component tag feeds the Table 2 memory-requirements experiment.
 #ifndef SRC_SIM_MEMORY_H_
 #define SRC_SIM_MEMORY_H_
 
 #include <array>
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <string_view>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/base/time.h"
@@ -55,72 +52,17 @@ class NvmArena {
   std::array<std::size_t, kNumMemOwners> by_owner_{};
 };
 
-// Volatile arena: per-owner totals, plus the reset hooks of the regions
-// that have one, invoked on every reboot so "SRAM" state actually loses its
-// contents in the simulation.
+// Volatile arena: per-owner totals of the SRAM the design uses.
 class RamArena {
  public:
-  explicit RamArena(std::size_t capacity_bytes = 4 * 1024) : capacity_(capacity_bytes) {}
-
-  // Records `bytes` for `owner` under `label`; false once the arena is
-  // over capacity. A region with a `reset` hook is restored by it on every
-  // reboot.
-  bool Allocate(MemOwner owner, std::size_t bytes, std::string_view label,
-                std::function<void()> reset = {});
-
-  // Invokes every reset hook; called by the MCU on each reboot.
-  void LosePower();
+  // Records `bytes` for `owner`.
+  void Allocate(MemOwner owner, std::size_t bytes);
 
   MemoryReport Report() const;
-  std::size_t used() const { return used_; }
-  std::size_t capacity() const { return capacity_; }
 
  private:
-  std::size_t capacity_;
   std::size_t used_ = 0;
   std::array<std::size_t, kNumMemOwners> by_owner_{};
-  std::vector<std::function<void()>> resets_;
-};
-
-// A value of type T registered with the volatile arena: reset to its initial
-// value whenever the device reboots.
-template <typename T>
-class Volatile {
- public:
-  Volatile(RamArena* arena, MemOwner owner, std::string_view label, T initial = T{})
-      : initial_(initial), value_(initial) {
-    if (arena != nullptr) {
-      arena->Allocate(owner, sizeof(T), label, [this] { value_ = initial_; });
-    }
-  }
-
-  T& get() { return value_; }
-  const T& get() const { return value_; }
-  void set(const T& v) { value_ = v; }
-
- private:
-  T initial_;
-  T value_;
-};
-
-// A value of type T registered with the non-volatile arena. Persistence is
-// implicit; registration exists for byte accounting and design clarity.
-template <typename T>
-class Persistent {
- public:
-  Persistent(NvmArena* arena, MemOwner owner, std::string_view label, T initial = T{})
-      : value_(initial) {
-    if (arena != nullptr) {
-      (void)arena->Allocate(owner, sizeof(T), label);
-    }
-  }
-
-  T& get() { return value_; }
-  const T& get() const { return value_; }
-  void set(const T& v) { value_ = v; }
-
- private:
-  T value_;
 };
 
 }  // namespace artemis

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/analysis/system_passes.h"
 #include "src/flight/record.h"
@@ -53,7 +54,6 @@ Status HotSwapController::RequestSwap(MonitorImage next, SimTime not_before) {
   }
   DiagnosticEngine engine;
   MigrationPlan plan = PlanMigration(installed_, next, *graph_, &engine);
-  plan_diags_ = engine.diagnostics();
   if (engine.HasErrors()) {
     return Status::FailedPrecondition("migration plan has " +
                                       std::to_string(engine.ErrorCount()) +
@@ -71,10 +71,10 @@ ExecStatus HotSwapController::AtQuiescence(Mcu& mcu) {
     return ExecStatus::kOk;
   }
   McuSwapPort port(mcu);
-  return TryApply(port);
+  return TryApply(port, mcu.flight_recorder());
 }
 
-ExecStatus HotSwapController::TryApply(SwapPort& port) {
+ExecStatus HotSwapController::TryApply(SwapPort& port, flight::FlightRecorder* flight) {
   if (!pending_ || !set_->quiescent()) {
     return ExecStatus::kOk;
   }
@@ -120,16 +120,16 @@ ExecStatus HotSwapController::TryApply(SwapPort& port) {
   }
 
   // ---- 3. commit: one durable byte decides old vs new --------------------
-  if (flight_ != nullptr && flight_->level() != flight::FlightLevel::kOff) {
-    const std::uint64_t sealed_before = flight_->stats().records_sealed;
-    if (!flight_->AppendSwapEpoch(installed_.header.spec_hash, next_.header.spec_hash,
-                                  next_.header.epoch)) {
+  if (flight != nullptr && flight->level() != flight::FlightLevel::kOff) {
+    const std::uint64_t sealed_before = flight->stats().records_sealed;
+    if (!flight->AppendSwapEpoch(installed_.header.spec_hash, next_.header.spec_hash,
+                                 next_.header.epoch)) {
       // Power failed somewhere inside the append. The seal byte was never
       // written, so the record is invisible and the old image stays active.
       ++stats_.attempts_failed;
       return ExecStatus::kPowerFailure;
     }
-    if (flight_->stats().records_sealed == sealed_before) {
+    if (flight->stats().records_sealed == sealed_before) {
       // The ring dropped the record (capacity); fall back to the control
       // byte so the swap still has a durable commit point.
       if (!port.ChargeControl()) {

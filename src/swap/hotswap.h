@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/analysis/analyzer.h"
 #include "src/analysis/diagnostics.h"
@@ -72,45 +71,39 @@ class HotSwapController : public SwapHook {
   HotSwapController(MonitorSet* set, MonitorImage installed, const AppGraph* graph)
       : set_(set), installed_(std::move(installed)), graph_(graph) {}
 
-  // Flight recorder whose swap-epoch seal serves as the commit point.
-  // nullptr (or FlightLevel::kOff) falls back to a control-byte commit.
-  void set_flight(flight::FlightRecorder* flight) { flight_ = flight; }
-
   // Queues `next` for installation at the first quiescence point at or
   // after `not_before` (device time). Plans the migration immediately and
   // refuses — leaving the old image untouched — when the image is not
-  // strictly newer or the plan has ART015 errors. Warnings are kept in
-  // plan_diagnostics() and do not block.
+  // strictly newer or the plan has ART015 errors. Warnings do not block.
   Status RequestSwap(MonitorImage next, SimTime not_before = 0);
 
   // SwapHook: called by the kernel between transitions. Applies a pending
-  // swap; charging failures propagate as kPowerFailure so the kernel
-  // reboots exactly as for any other interrupted work.
+  // swap over `mcu`, committing through the flight recorder attached to it;
+  // charging failures propagate as kPowerFailure so the kernel reboots
+  // exactly as for any other interrupted work.
   ExecStatus AtQuiescence(Mcu& mcu) override;
 
   // One swap attempt over an explicit port (test seam, no Mcu involved).
-  // Returns kOk when the new image committed, kPowerFailure when a charge
-  // failed mid-window (old image still active).
-  ExecStatus TryApply(SwapPort& port);
+  // The seal of `flight`'s swap-epoch record is the commit point; nullptr
+  // (or FlightLevel::kOff) falls back to a control-byte commit. Returns kOk
+  // when the new image committed, kPowerFailure when a charge failed
+  // mid-window (old image still active).
+  ExecStatus TryApply(SwapPort& port, flight::FlightRecorder* flight);
 
   bool pending() const { return pending_; }
   const MonitorImageHeader& installed() const { return installed_.header; }
   const MonitorImage& installed_image() const { return installed_; }
   const SwapStats& stats() const { return stats_; }
-  // Diagnostics from the most recent RequestSwap's planning pass.
-  const std::vector<Diagnostic>& plan_diagnostics() const { return plan_diags_; }
 
  private:
   MonitorSet* set_;
   MonitorImage installed_;
   const AppGraph* graph_;
-  flight::FlightRecorder* flight_ = nullptr;
 
   bool pending_ = false;
   MonitorImage next_;
   MigrationPlan plan_;
   SimTime not_before_ = 0;
-  std::vector<Diagnostic> plan_diags_;
   SwapStats stats_;
 };
 

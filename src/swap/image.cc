@@ -15,13 +15,12 @@ std::uint64_t SpecHash(const std::string& spec_text) {
 }
 
 StatusOr<MonitorImage> BuildMonitorImage(std::string spec_text, const AppGraph& graph,
-                                         std::uint32_t epoch,
-                                         const LoweringOptions& lowering) {
+                                         std::uint32_t epoch) {
   MonitorImage image;
   image.header.spec_hash = SpecHash(spec_text);
   image.header.epoch = epoch;
-  StatusOr<SharedSpecArtifactPtr> artifact = BuildSpecArtifact(
-      std::move(spec_text), graph, SpecArtifactStage::kCompiled, lowering);
+  StatusOr<SharedSpecArtifactPtr> artifact =
+      BuildSpecArtifact(std::move(spec_text), graph, SpecArtifactStage::kCompiled);
   if (!artifact.ok()) {
     return artifact.status();
   }

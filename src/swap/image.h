@@ -19,7 +19,6 @@
 #include <string>
 
 #include "src/base/status.h"
-#include "src/ir/lowering.h"
 #include "src/kernel/app_graph.h"
 #include "src/monitor/shared_spec.h"
 
@@ -46,8 +45,7 @@ struct MonitorImage {
 // and stamps the header. Fails on any pipeline error; the returned image is
 // immutable and safe to share across threads.
 StatusOr<MonitorImage> BuildMonitorImage(std::string spec_text, const AppGraph& graph,
-                                         std::uint32_t epoch,
-                                         const LoweringOptions& lowering = {});
+                                         std::uint32_t epoch);
 
 }  // namespace artemis
 

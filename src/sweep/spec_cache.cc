@@ -7,14 +7,11 @@ namespace artemis {
 StatusOr<SharedSpecArtifactPtr> CompiledSpecCache::Get(const std::string& key_scope,
                                                        const std::string& spec_text,
                                                        const AppGraph& graph,
-                                                       SpecArtifactStage stage,
-                                                       const LoweringOptions& lowering) {
+                                                       SpecArtifactStage stage) {
   // The text is the last part of the key, so the lookup compares it whole.
   std::string key = key_scope;
   key += '\x1f';
   key += SpecArtifactStageName(stage);
-  key += '\x1f';
-  key += lowering.collect_reset_on_fail ? '1' : '0';
   key += '\x1f';
   key += spec_text;
 
@@ -47,8 +44,7 @@ StatusOr<SharedSpecArtifactPtr> CompiledSpecCache::Get(const std::string& key_sc
   if (builder) {
     // Pipeline runs outside the lock so unrelated keys build in parallel;
     // waiters for this key block on ready_cv_.
-    StatusOr<SharedSpecArtifactPtr> built =
-        BuildSpecArtifact(spec_text, graph, stage, lowering);
+    StatusOr<SharedSpecArtifactPtr> built = BuildSpecArtifact(spec_text, graph, stage);
     std::lock_guard<std::mutex> lock(mu_);
     if (built.ok()) {
       entry->artifact = std::move(built).value();

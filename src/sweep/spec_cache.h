@@ -2,13 +2,12 @@
 // artifacts (src/monitor/shared_spec.h) keyed by spec text. A sweep over a
 // grid of power schedules re-uses the same handful of property specs for
 // hundreds of points; the cache guarantees the parse -> validate -> lower ->
-// bytecode-compile pipeline runs exactly once per unique
-// (spec text, stage, lowering options) key, no matter how many workers
-// request it concurrently — losers of the build race block until the
-// winner's artifact is ready and then share it.
+// bytecode-compile pipeline runs exactly once per unique (spec text, stage)
+// key, no matter how many workers request it concurrently — losers of the
+// build race block until the winner's artifact is ready and then share it.
 //
-// The key is the scope, stage and lowering flags followed by the full spec
-// text, so two different specs can never share an entry.
+// The key is the scope and stage followed by the full spec text, so two
+// different specs can never share an entry.
 #ifndef SRC_SWEEP_SPEC_CACHE_H_
 #define SRC_SWEEP_SPEC_CACHE_H_
 
@@ -27,15 +26,14 @@ namespace artemis {
 
 class CompiledSpecCache {
  public:
-  // Returns the artifact for (spec_text, stage, lowering), building it on
-  // first use. `graph` must describe the same application for every request
-  // with the same key (the sweep engine guarantees this by folding the app
-  // name into `key_scope`). Thread-safe; concurrent requests for the same
-  // key coalesce into one pipeline run.
+  // Returns the artifact for (spec_text, stage), building it on first use.
+  // `graph` must describe the same application for every request with the
+  // same key (the sweep engine guarantees this by folding the app name into
+  // `key_scope`). Thread-safe; concurrent requests for the same key
+  // coalesce into one pipeline run.
   StatusOr<SharedSpecArtifactPtr> Get(const std::string& key_scope,
                                       const std::string& spec_text, const AppGraph& graph,
-                                      SpecArtifactStage stage,
-                                      const LoweringOptions& lowering = {});
+                                      SpecArtifactStage stage);
 
   // ---- statistics ------------------------------------------------------
   // Deterministic regardless of worker interleaving: `builds` counts unique

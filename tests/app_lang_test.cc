@@ -2,8 +2,9 @@
 // construction, synthetic effects, and end-to-end execution.
 #include <gtest/gtest.h>
 
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/spec/app_lang.h"
 
 namespace artemis {
@@ -45,7 +46,7 @@ TEST(AppLangTest, PathsKeepDeclarationOrder) {
 TEST(AppLangTest, RunsEndToEndWithProperties) {
   auto app = ParseAppDescription(kSensorApp);
   ASSERT_TRUE(app.ok());
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto runtime = ArtemisRuntime::Create(
       &app.value().graph, "radio: { maxTries: 3 onFail: skipPath; }", mcu.get(), {});
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
@@ -68,7 +69,7 @@ app tiny {
 }
 )");
   ASSERT_TRUE(app.ok());
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   NullChecker checker;
   IntermittentKernel kernel(&app.value().graph, &checker, mcu.get(), {});
   ASSERT_TRUE(kernel.Run().completed);

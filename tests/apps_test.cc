@@ -6,8 +6,9 @@
 #include "src/apps/ar_app.h"
 #include "src/apps/greenhouse_app.h"
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/spec/parser.h"
 #include "src/spec/validator.h"
 
@@ -30,7 +31,7 @@ TEST(HealthAppTest, ForceFeverShiftsTemperature) {
   HealthAppOptions options;
   options.force_fever = true;
   HealthApp app = BuildHealthApp(options);
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   NullChecker checker;
   KernelOptions kernel_options;
   IntermittentKernel kernel(&app.graph, &checker, mcu.get(), kernel_options);
@@ -83,7 +84,7 @@ TEST(ArAppTest, StructureAndSpecValidate) {
 
 TEST(ArAppTest, CollectDrivesFourWindowsPerReport) {
   ArApp app = BuildArApp();
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto runtime = ArtemisRuntime::Create(&app.graph, ArAppSpec(), mcu.get(), {});
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
   const KernelRunResult result = runtime.value()->Run();
@@ -101,7 +102,7 @@ TEST(ArAppTest, ClassifierSeparatesTheClasses) {
   ArAppOptions options;
   options.moving_fraction = 1.0;
   ArApp app = BuildArApp(options);
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto runtime = ArtemisRuntime::Create(&app.graph, ArAppSpec(), mcu.get(), {});
   ASSERT_TRUE(runtime.ok());
   ASSERT_TRUE(runtime.value()->Run().completed);
@@ -115,7 +116,7 @@ TEST(ArAppTest, AllStillMixStaysInRange) {
   ArAppOptions options;
   options.moving_fraction = 0.0;
   ArApp app = BuildArApp(options);
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto runtime = ArtemisRuntime::Create(&app.graph, ArAppSpec(), mcu.get(), {});
   ASSERT_TRUE(runtime.ok());
   ASSERT_TRUE(runtime.value()->Run().completed);
@@ -128,7 +129,7 @@ TEST(ArAppTest, AllStillMixStaysInRange) {
 TEST(ArAppTest, SurvivesIntermittentPower) {
   ArApp app = BuildArApp();
   // sampleWindow needs ~1 mJ; 3 mJ per period with 5 s recharges.
-  auto mcu = PlatformBuilder().WithFixedCharge(3'000.0, 5 * kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(3'000.0, 5 * kSecond));
   ArtemisConfig config;
   config.kernel.max_wall_time = kHour;
   auto runtime = ArtemisRuntime::Create(&app.graph, ArAppSpec(), mcu.get(), config);
@@ -140,7 +141,7 @@ TEST(ArAppTest, SurvivesIntermittentPower) {
 
 TEST(ArAppTest, CrossPathRestartTargetsProducerPath) {
   ArApp app = BuildArApp();
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   ArtemisConfig config;
   config.kernel.record_trace = true;
   auto runtime = ArtemisRuntime::Create(&app.graph, ArAppSpec(), mcu.get(), config);

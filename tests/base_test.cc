@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/base/json.h"
-#include "src/base/log.h"
 #include "src/base/rng.h"
 #include "src/base/status.h"
 #include "src/base/units.h"
@@ -466,40 +465,6 @@ TEST(JsonWriterTest, RandomDocumentsRoundTripThroughTheGridReader) {
       EXPECT_TRUE(SameTree(*tree, *parsed.value())) << text;
     }
   }
-}
-
-// ------------------------------------------------------------------ log --
-
-std::string* g_captured = nullptr;
-
-void CaptureSink(LogLevel, const std::string& message) {
-  if (g_captured != nullptr) {
-    *g_captured += message + "\n";
-  }
-}
-
-TEST(LogTest, RespectsLevelThreshold) {
-  std::string captured;
-  g_captured = &captured;
-  SetLogSink(&CaptureSink);
-  SetLogLevel(LogLevel::kWarn);
-  ARTEMIS_INFO() << "hidden";
-  ARTEMIS_WARN() << "visible " << 42;
-  SetLogSink(nullptr);
-  g_captured = nullptr;
-  EXPECT_EQ(captured, "visible 42\n");
-}
-
-TEST(LogTest, OffSilencesEverything) {
-  std::string captured;
-  g_captured = &captured;
-  SetLogSink(&CaptureSink);
-  SetLogLevel(LogLevel::kOff);
-  ARTEMIS_WARN() << "nope";
-  SetLogSink(nullptr);
-  SetLogLevel(LogLevel::kWarn);
-  g_captured = nullptr;
-  EXPECT_TRUE(captured.empty());
 }
 
 }  // namespace

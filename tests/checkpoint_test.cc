@@ -1,14 +1,15 @@
 // Tests for the checkpointing-class substrate (Section 2 background).
 #include <gtest/gtest.h>
 
-#include "src/core/builder.h"
 #include "src/kernel/checkpoint.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 
 namespace artemis {
 namespace {
 
 TEST(CheckpointTest, CompletesOnContinuousPower) {
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   const CheckpointProgram program = MakeUniformProgram(10, 10 * kMillisecond, 1.0);
   const CheckpointRunResult result = RunCheckpointed(program, {}, mcu.get());
   EXPECT_TRUE(result.completed);
@@ -17,7 +18,7 @@ TEST(CheckpointTest, CompletesOnContinuousPower) {
 }
 
 TEST(CheckpointTest, SpacingReducesCheckpointCount) {
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   const CheckpointProgram program = MakeUniformProgram(16, kMillisecond, 1.0);
   CheckpointOptions options;
   options.spacing = 4;
@@ -27,7 +28,7 @@ TEST(CheckpointTest, SpacingReducesCheckpointCount) {
 }
 
 TEST(CheckpointTest, FinalBlockAlwaysCheckpointed) {
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   // 10 blocks with spacing 4: checkpoints after 4, 8, and the end.
   const CheckpointProgram program = MakeUniformProgram(10, kMillisecond, 1.0);
   CheckpointOptions options;
@@ -39,7 +40,7 @@ TEST(CheckpointTest, FinalBlockAlwaysCheckpointed) {
 
 TEST(CheckpointTest, ReplaysFromLastSnapshotAfterFailure) {
   // 10 blocks of 0.3 mJ; 2 mJ per on-period: ~6 blocks per period.
-  auto mcu = PlatformBuilder().WithFixedCharge(2'000.0, kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(2'000.0, kSecond));
   const CheckpointProgram program = MakeUniformProgram(10, 50 * kMillisecond, 6.0);
   CheckpointOptions options;
   options.spacing = 2;
@@ -55,13 +56,13 @@ TEST(CheckpointTest, ReplaysFromLastSnapshotAfterFailure) {
 TEST(CheckpointTest, SparseSpacingReexecutesMore) {
   CheckpointRunResult dense, sparse;
   {
-    auto mcu = PlatformBuilder().WithFixedCharge(2'000.0, kSecond).Build();
+    auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(2'000.0, kSecond));
     CheckpointOptions options;
     options.spacing = 1;
     dense = RunCheckpointed(MakeUniformProgram(20, 50 * kMillisecond, 6.0), options, mcu.get());
   }
   {
-    auto mcu = PlatformBuilder().WithFixedCharge(2'000.0, kSecond).Build();
+    auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(2'000.0, kSecond));
     CheckpointOptions options;
     options.spacing = 5;
     sparse =
@@ -76,7 +77,7 @@ TEST(CheckpointTest, SparseSpacingReexecutesMore) {
 TEST(CheckpointTest, UncompletableSpacingTimesOut) {
   // One on-period delivers ~6 blocks; with spacing 64 no snapshot is ever
   // reached, so the program cannot progress.
-  auto mcu = PlatformBuilder().WithFixedCharge(2'000.0, kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(2'000.0, kSecond));
   const CheckpointProgram program = MakeUniformProgram(64, 50 * kMillisecond, 6.0);
   CheckpointOptions options;
   options.spacing = 64;
@@ -87,7 +88,7 @@ TEST(CheckpointTest, UncompletableSpacingTimesOut) {
 }
 
 TEST(CheckpointTest, StarvedDeviceReported) {
-  auto mcu = PlatformBuilder().WithFixedCharge(0.5, kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(0.5, kSecond));
   const CheckpointProgram program = MakeUniformProgram(4, 50 * kMillisecond, 6.0);
   const CheckpointRunResult result = RunCheckpointed(program, {}, mcu.get());
   EXPECT_FALSE(result.completed);
@@ -104,11 +105,11 @@ TEST(CheckpointTest, TotalWorkSumsBlocks) {
 TEST(CheckpointTest, SnapshotSizeRaisesOverhead) {
   CheckpointRunResult small, large;
   {
-    auto mcu = PlatformBuilder().WithContinuousPower().Build();
+    auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
     small = RunCheckpointed(MakeUniformProgram(32, kMillisecond, 1.0, 128), {}, mcu.get());
   }
   {
-    auto mcu = PlatformBuilder().WithContinuousPower().Build();
+    auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
     large = RunCheckpointed(MakeUniformProgram(32, kMillisecond, 1.0, 32768), {}, mcu.get());
   }
   EXPECT_GT(large.stats.busy_time[static_cast<int>(CostTag::kRuntime)],

@@ -7,13 +7,14 @@
 #include <vector>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/device.h"
 #include "src/core/obs_stats.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/mayfly/mayfly.h"
 #include "src/monitor/shared_spec.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/spec/parser.h"
 
 namespace artemis {
@@ -21,14 +22,14 @@ namespace {
 
 TEST(ArtemisRuntimeTest, CreateRejectsBadSpecSyntax) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto runtime = ArtemisRuntime::Create(&app.graph, "send: { huh }", mcu.get(), {});
   EXPECT_FALSE(runtime.ok());
 }
 
 TEST(ArtemisRuntimeTest, CreateRejectsSemanticErrors) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto runtime = ArtemisRuntime::Create(
       &app.graph, "ghost: { maxTries: 1 onFail: skipPath; }", mcu.get(), {});
   EXPECT_FALSE(runtime.ok());
@@ -36,31 +37,14 @@ TEST(ArtemisRuntimeTest, CreateRejectsSemanticErrors) {
 
 TEST(ArtemisRuntimeTest, CreateRejectsEmptyGraph) {
   AppGraph graph;
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto runtime = ArtemisRuntime::Create(&graph, "", mcu.get(), {});
   EXPECT_FALSE(runtime.ok());
 }
 
-TEST(ArtemisRuntimeTest, WarningsAreErrorsMode) {
-  HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
-  ArtemisConfig config;
-  config.warnings_are_errors = true;
-  // maxDuration below accel's work time triggers a warning.
-  auto runtime = ArtemisRuntime::Create(
-      &app.graph, "accel: { maxDuration: 1ms onFail: skipTask; }", mcu.get(), config);
-  EXPECT_FALSE(runtime.ok());
-  // Default mode keeps the warning but succeeds.
-  auto mcu2 = PlatformBuilder().WithContinuousPower().Build();
-  auto lenient = ArtemisRuntime::Create(
-      &app.graph, "accel: { maxDuration: 1ms onFail: skipTask; }", mcu2.get(), {});
-  ASSERT_TRUE(lenient.ok());
-  EXPECT_FALSE(lenient.value()->validation_warnings().empty());
-}
-
 TEST(ArtemisRuntimeTest, RunsHealthAppOnContinuousPower) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), {});
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
   const KernelRunResult result = runtime.value()->Run();
@@ -80,7 +64,7 @@ TEST(ArtemisRuntimeTest, BackendsProduceIdenticalExecution) {
     for (const MonitorBackend backend :
          {MonitorBackend::kBuiltin, MonitorBackend::kCompiled, MonitorBackend::kInterpreted}) {
       HealthApp app = BuildHealthApp();
-      auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, charge).Build();
+      auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(19'500.0, charge));
       ArtemisConfig config;
       config.backend = backend;
       config.kernel.max_wall_time = 2 * kHour;
@@ -112,7 +96,7 @@ TEST(ArtemisRuntimeTest, FeverTriggersCompletePath) {
   HealthAppOptions options;
   options.force_fever = true;
   HealthApp app = BuildHealthApp(options);
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   ArtemisConfig config;
   config.kernel.record_trace = true;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
@@ -132,46 +116,43 @@ TEST(ArtemisRuntimeTest, FeverTriggersCompletePath) {
 }
 
 // Create(text) is BuildSpecArtifact + CreateFromArtifact: both paths must
-// run the same monitors, with and without warnings_are_errors.
+// run the same monitors.
 TEST(ArtemisRuntimeTest, CreateMatchesCreateFromArtifact) {
   // The second spec carries a validation warning (maxDuration below accel's
-  // work time).
+  // work time), which the runtime keeps and still runs.
   for (const std::string& spec :
        {HealthAppSpec(), std::string("accel: { maxDuration: 1ms onFail: skipTask; }")}) {
+    const bool warns = spec != HealthAppSpec();
     for (const MonitorBackend backend :
          {MonitorBackend::kBuiltin, MonitorBackend::kInterpreted, MonitorBackend::kCompiled}) {
-      for (const bool strict : {false, true}) {
-        ArtemisConfig config;
-        config.backend = backend;
-        config.kernel.max_wall_time = 8 * kHour;
-        config.warnings_are_errors = strict;
-        HealthApp direct_app = BuildHealthApp();
-        auto direct_mcu = PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute).Build();
-        auto direct = ArtemisRuntime::Create(&direct_app.graph, spec, direct_mcu.get(), config);
-        HealthApp shared_app = BuildHealthApp();
-        auto shared_mcu = PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute).Build();
-        auto artifact = BuildSpecArtifact(spec, shared_app.graph, StageForBackend(backend));
-        ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-        auto shared = ArtemisRuntime::CreateFromArtifact(&shared_app.graph, artifact.value(),
-                                                         shared_mcu.get(), config);
-        ASSERT_EQ(direct.ok(), shared.ok()) << MonitorBackendName(backend);
-        if (!direct.ok()) {
-          EXPECT_TRUE(strict);
-          EXPECT_EQ(direct.status().ToString(), shared.status().ToString());
-          continue;
-        }
-        EXPECT_EQ(direct.value()->validation_warnings(), shared.value()->validation_warnings());
-        const KernelRunResult a = direct.value()->Run();
-        const KernelRunResult b = shared.value()->Run();
-        EXPECT_EQ(a.completed, b.completed);
-        EXPECT_EQ(a.finished_at, b.finished_at);
-        EXPECT_EQ(a.stats.reboots, b.stats.reboots);
-        EXPECT_EQ(a.stats.TotalEnergy(), b.stats.TotalEnergy());
-        EXPECT_EQ(direct.value()->monitors().events_processed(),
-                  shared.value()->monitors().events_processed());
-        EXPECT_EQ(direct.value()->monitors().violations_reported(),
-                  shared.value()->monitors().violations_reported());
-      }
+      ArtemisConfig config;
+      config.backend = backend;
+      config.kernel.max_wall_time = 8 * kHour;
+      HealthApp direct_app = BuildHealthApp();
+      auto direct_mcu =
+          std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(19'500.0, 6 * kMinute));
+      auto direct = ArtemisRuntime::Create(&direct_app.graph, spec, direct_mcu.get(), config);
+      HealthApp shared_app = BuildHealthApp();
+      auto shared_mcu =
+          std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(19'500.0, 6 * kMinute));
+      auto artifact = BuildSpecArtifact(spec, shared_app.graph, StageForBackend(backend));
+      ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+      auto shared = ArtemisRuntime::CreateFromArtifact(&shared_app.graph, artifact.value(),
+                                                       shared_mcu.get(), config);
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+      EXPECT_EQ(direct.value()->validation_warnings().empty(), !warns);
+      EXPECT_EQ(direct.value()->validation_warnings(), shared.value()->validation_warnings());
+      const KernelRunResult a = direct.value()->Run();
+      const KernelRunResult b = shared.value()->Run();
+      EXPECT_EQ(a.completed, b.completed);
+      EXPECT_EQ(a.finished_at, b.finished_at);
+      EXPECT_EQ(a.stats.reboots, b.stats.reboots);
+      EXPECT_EQ(a.stats.TotalEnergy(), b.stats.TotalEnergy());
+      EXPECT_EQ(direct.value()->monitors().events_processed(),
+                shared.value()->monitors().events_processed());
+      EXPECT_EQ(direct.value()->monitors().violations_reported(),
+                shared.value()->monitors().violations_reported());
     }
   }
 }
@@ -183,7 +164,7 @@ TEST(ArtemisRuntimeTest, CreateMatchesCreateFromArtifact) {
 TEST(DeviceRunTest, MayflyObserverMatchesHandWiring) {
   constexpr SimDuration kCharge = 2 * kMinute - kSecond;
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, kCharge).Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(19'500.0, kCharge));
   obs::EventBus hand_bus;
   ObsStatsAggregator hand;
   hand_bus.AddSink(&hand);
@@ -258,7 +239,8 @@ TEST(DeviceRunTest, KernelTraceEqualsTheBusKernelEvents) {
 // MonitorSet on an MCU with only Mcu::set_observer publish every layer.
 TEST(DeviceRunTest, HandWiredDevicePublishesEveryLayerThroughTheMcu) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute - kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(
+      std::make_unique<FixedChargePowerModel>(19'500.0, 6 * kMinute - kSecond));
   obs::EventBus bus;
   obs::CollectingSink sink;
   bus.AddSink(&sink);
@@ -280,47 +262,6 @@ TEST(DeviceRunTest, HandWiredDevicePublishesEveryLayerThroughTheMcu) {
                                obs::Kind::kMonitorDelivery, obs::Kind::kMonitorVerdict}) {
     EXPECT_EQ(published.count(kind), 1u) << obs::KindName(kind);
   }
-}
-
-// ---------------------------------------------------------------- builder --
-
-TEST(PlatformBuilderTest, SelectsPowerModels) {
-  EXPECT_EQ(PlatformBuilder().WithContinuousPower().Build()->power_model().Name(),
-            "always-on");
-  EXPECT_EQ(PlatformBuilder().WithFixedCharge(1000.0, kSecond).Build()->power_model().Name(),
-            "fixed-charge");
-  EXPECT_EQ(PlatformBuilder()
-                .WithCapacitor(CapacitorConfig{}, std::make_unique<ConstantHarvester>(1.0))
-                .Build()
-                ->power_model()
-                .Name(),
-            "capacitor");
-  EXPECT_EQ(PlatformBuilder().WithPowerTrace({{0, kSecond}}).Build()->power_model().Name(),
-            "trace");
-  EXPECT_EQ(
-      PlatformBuilder().WithStochasticPower(kSecond, kSecond, 1).Build()->power_model().Name(),
-      "stochastic");
-}
-
-TEST(PlatformBuilderTest, ClockDriftConfigured) {
-  auto mcu = PlatformBuilder()
-                 .WithFixedCharge(100.0, kSecond)
-                 .WithClockDrift(50 * kMillisecond)
-                 .Build();
-  // Induce outages; the device clock may now diverge from true time.
-  for (int i = 0; i < 5; ++i) {
-    (void)mcu->Execute(kSecond, 10.0, CostTag::kApp);
-  }
-  EXPECT_EQ(mcu->clock().outage_count(), 5u);
-}
-
-TEST(PlatformBuilderTest, ReusableAfterBuild) {
-  PlatformBuilder builder;
-  builder.WithFixedCharge(1000.0, kSecond);
-  auto first = builder.Build();
-  auto second = builder.Build();  // Falls back to the default supply.
-  EXPECT_EQ(first->power_model().Name(), "fixed-charge");
-  EXPECT_EQ(second->power_model().Name(), "always-on");
 }
 
 // ------------------------------------------------------------------ stats --

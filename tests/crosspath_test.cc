@@ -5,12 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/ir/lowering.h"
 #include "src/monitor/builtin.h"
 #include "src/monitor/interp.h"
 #include "src/base/units.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/spec/lexer.h"
 #include "src/spec/parser.h"
 #include "src/spec/validator.h"
@@ -75,7 +76,7 @@ TEST(CrossPathTest, LoweredMachineHasTargetButNoScope) {
 
 TEST(CrossPathTest, RestartTargetsProducerPathEndToEnd) {
   AppGraph graph = CrossPathGraph();
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto runtime = ArtemisRuntime::Create(
       &graph, "consumer: { collect: 3 dpTask: producer onFail: restartPath Path: 1; }",
       mcu.get(), {});
@@ -92,7 +93,7 @@ TEST(CrossPathTest, BothBackendsAgreeOnCrossPathCollect) {
   auto parsed = SpecParser::Parse(
       "consumer: { collect: 2 dpTask: producer onFail: restartPath Path: 1; }");
   const PropertyAst& property = parsed.value().blocks[0].properties[0];
-  auto builtin = std::move(MakeBuiltinMonitor(property, "consumer", graph, false)).value();
+  auto builtin = std::move(MakeBuiltinMonitor(property, "consumer", graph)).value();
   auto machine = LowerProperty(property, "consumer", graph, {});
   InterpretedMonitor interp(std::move(machine).value());
 

@@ -18,10 +18,11 @@
 #include <set>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/kernel/kernel.h"
 #include "src/monitor/monitor_set.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/spec/parser.h"
 
 namespace artemis {
@@ -88,15 +89,12 @@ TEST_P(FailureInjectionTest, KernelInvariantsUnderRandomPower) {
     sink: { maxTries: 6 onFail: skipPath; }
   )");
   ASSERT_TRUE(parsed.ok());
-  auto monitors = std::move(BuildMonitorSet(parsed.value(), graph, MonitorBackend::kBuiltin,
-                                            {}, ArbitrationPolicy::kSeverity))
-                      .value();
+  auto monitors =
+      std::move(BuildMonitorSet(parsed.value(), graph, MonitorBackend::kBuiltin)).value();
   RecordingChecker recorder(monitors.get());
 
-  auto mcu = PlatformBuilder()
-                 .WithStochasticPower(/*mean_on=*/600 * kMillisecond,
-                                      /*mean_charge=*/2 * kSecond, seed)
-                 .Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<StochasticPowerModel>(
+      /*mean_on=*/600 * kMillisecond, /*mean_charge=*/2 * kSecond, seed));
   KernelOptions options;
   options.seed = seed;
   options.max_wall_time = kHour;
@@ -144,10 +142,8 @@ class HealthFailureSweepTest : public ::testing::TestWithParam<std::uint64_t> {}
 
 TEST_P(HealthFailureSweepTest, HealthAppDataIntegrityUnderRandomPower) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder()
-                 .WithStochasticPower(/*mean_on=*/3 * kSecond, /*mean_charge=*/10 * kSecond,
-                                      GetParam())
-                 .Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<StochasticPowerModel>(
+      /*mean_on=*/3 * kSecond, /*mean_charge=*/10 * kSecond, GetParam()));
   ArtemisConfig config;
   config.kernel.seed = GetParam();
   config.kernel.max_wall_time = 12 * kHour;

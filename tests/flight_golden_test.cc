@@ -21,11 +21,12 @@
 #include <vector>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/flight/decoder.h"
 #include "src/flight/forensics.h"
 #include "src/flight/recorder.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 
 namespace artemis {
 namespace {
@@ -41,7 +42,8 @@ namespace {
 std::string RunHealthDump(const std::string& schedule, SimDuration charge_bin,
                           std::size_t ring_bytes) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, charge_bin - 1 * kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(
+      std::make_unique<FixedChargePowerModel>(19'500.0, charge_bin - 1 * kSecond));
   flight::FlightRecorder recorder(ring_bytes, flight::FlightLevel::kFull);
   EXPECT_TRUE(mcu->AttachFlightRecorder(&recorder).ok());
 

@@ -19,12 +19,13 @@
 #include <vector>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/flight/decoder.h"
 #include "src/flight/forensics.h"
 #include "src/flight/recorder.h"
 #include "src/obs/bus.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 
 namespace artemis::flight {
 namespace {
@@ -194,8 +195,8 @@ TEST(FlightTortureTest, BootAppendSurvivesFailureAtEveryChargeOffset) {
 // obs-bus capture of the same run.
 TEST(FlightTortureTest, HealthAppUnderOutagesDecodesAndAudits) {
   HealthApp app = BuildHealthApp();
-  auto mcu =
-      PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute - 1 * kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(
+      std::make_unique<FixedChargePowerModel>(19'500.0, 6 * kMinute - 1 * kSecond));
   FlightRecorder recorder(1024, FlightLevel::kFull);
   ASSERT_TRUE(mcu->AttachFlightRecorder(&recorder).ok());
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/ir/lowering.h"
+#include "src/monitor/shared_spec.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/spec/mayfly_frontend.h"
 #include "src/spec/validator.h"
 
@@ -65,8 +67,11 @@ TEST(MayflyFrontendTest, RunsEndToEndThroughArtemisRuntime) {
   HealthApp app = BuildHealthApp();
   auto spec = MayflyFrontend::Parse("collect(bodyTemp -> calcAvg, 10);");
   ASSERT_TRUE(spec.ok());
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
-  auto runtime = ArtemisRuntime::CreateFromAst(&app.graph, spec.value(), mcu.get(), {});
+  auto artifact =
+      BuildSpecArtifactFromAst(spec.value(), app.graph, StageForBackend(MonitorBackend::kBuiltin));
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
+  auto runtime = ArtemisRuntime::CreateFromArtifact(&app.graph, artifact.value(), mcu.get(), {});
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
   EXPECT_TRUE(runtime.value()->Run().completed);
   EXPECT_EQ(runtime.value()->kernel().channels().CompletionCount(app.body_temp), 10u);
@@ -94,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(Syntax, MayflyFrontendRejectTest,
 
 KernelRunResult RunWithPlacement(MonitorPlacement placement, McuStats* stats_out) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   ArtemisConfig config;
   config.placement = placement;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);

@@ -10,12 +10,13 @@
 #include <vector>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/monitor/builtin.h"
 #include "src/monitor/compiled.h"
 #include "src/monitor/interp.h"
 #include "src/monitor/shared_spec.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/spec/parser.h"
 #include "src/swap/hotswap.h"
 #include "src/swap/image.h"
@@ -303,7 +304,8 @@ TEST(HotSwapControllerTest, RefusesStaleEpochsAndBrokenPlans) {
 
 TEST(HotSwapControllerTest, KernelDrivenSwapOnTheHealthApp) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute - 1 * kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(
+      std::make_unique<FixedChargePowerModel>(19'500.0, 6 * kMinute - 1 * kSecond));
 
   MonitorImage v1 = MustImage(HealthAppSpec(), app.graph, 1);
   const std::string v2_text = HealthAppSpec() + "\n// image v2\n";

@@ -5,9 +5,10 @@
 
 #include "src/apps/greenhouse_app.h"
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/mayfly/mayfly.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/spec/parser.h"
 
 namespace artemis {
@@ -17,6 +18,12 @@ constexpr EnergyUj kOnBudget = 19'500.0;
 
 SimDuration Charge(int minutes) {
   return static_cast<SimDuration>(minutes) * kMinute - kSecond;
+}
+
+// kOnBudget per on-period, recharging for Charge(minutes).
+std::unique_ptr<Mcu> ChargedMcu(int minutes) {
+  return std::make_unique<Mcu>(
+      std::make_unique<FixedChargePowerModel>(kOnBudget, Charge(minutes)));
 }
 
 KernelRunResult RunArtemisHealth(std::unique_ptr<Mcu> mcu, SimDuration max_wall,
@@ -61,11 +68,9 @@ class ChargingSweepTest : public ::testing::TestWithParam<ChargeCase> {};
 TEST_P(ChargingSweepTest, CompletionMatchesPaperShape) {
   const ChargeCase& c = GetParam();
   const SimDuration give_up = 8 * kHour;
-  const KernelRunResult artemis_result = RunArtemisHealth(
-      PlatformBuilder().WithFixedCharge(kOnBudget, Charge(c.minutes)).Build(), give_up);
+  const KernelRunResult artemis_result = RunArtemisHealth(ChargedMcu(c.minutes), give_up);
   EXPECT_EQ(artemis_result.completed, c.artemis_completes) << c.minutes << "min";
-  const KernelRunResult mayfly_result = RunMayflyHealth(
-      PlatformBuilder().WithFixedCharge(kOnBudget, Charge(c.minutes)).Build(), give_up);
+  const KernelRunResult mayfly_result = RunMayflyHealth(ChargedMcu(c.minutes), give_up);
   EXPECT_EQ(mayfly_result.completed, c.mayfly_completes) << c.minutes << "min";
   if (!c.mayfly_completes) {
     EXPECT_TRUE(mayfly_result.timed_out);
@@ -80,10 +85,8 @@ INSTANTIATE_TEST_SUITE_P(Figure12, ChargingSweepTest,
                                            ChargeCase{10, true, false}));
 
 TEST(Figure12Test, ArtemisTimeGrowsWithChargingDelay) {
-  const KernelRunResult at6 = RunArtemisHealth(
-      PlatformBuilder().WithFixedCharge(kOnBudget, Charge(6)).Build(), 8 * kHour);
-  const KernelRunResult at10 = RunArtemisHealth(
-      PlatformBuilder().WithFixedCharge(kOnBudget, Charge(10)).Build(), 8 * kHour);
+  const KernelRunResult at6 = RunArtemisHealth(ChargedMcu(6), 8 * kHour);
+  const KernelRunResult at10 = RunArtemisHealth(ChargedMcu(10), 8 * kHour);
   ASSERT_TRUE(at6.completed);
   ASSERT_TRUE(at10.completed);
   EXPECT_GT(at10.finished_at, at6.finished_at);
@@ -93,9 +96,7 @@ TEST(Figure12Test, ArtemisTimeGrowsWithChargingDelay) {
 
 TEST(Figure13Test, ThreeAttemptsThenSkip) {
   std::vector<obs::Event> trace;
-  const KernelRunResult result = RunArtemisHealth(
-      PlatformBuilder().WithFixedCharge(kOnBudget, Charge(6)).Build(), 8 * kHour, nullptr,
-      &trace);
+  const KernelRunResult result = RunArtemisHealth(ChargedMcu(6), 8 * kHour, nullptr, &trace);
   ASSERT_TRUE(result.completed);
   int mitd_violations = 0;
   int skips = 0;
@@ -113,9 +114,9 @@ TEST(Figure13Test, ThreeAttemptsThenSkip) {
 
 TEST(Figure16Test, EnergyParityAndBoundedGrowth) {
   const KernelRunResult continuous =
-      RunArtemisHealth(PlatformBuilder().WithContinuousPower().Build(), 0);
+      RunArtemisHealth(std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>()), 0);
   const KernelRunResult mayfly_continuous =
-      RunMayflyHealth(PlatformBuilder().WithContinuousPower().Build(), 0);
+      RunMayflyHealth(std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>()), 0);
   ASSERT_TRUE(continuous.completed);
   ASSERT_TRUE(mayfly_continuous.completed);
   // Continuous power: near-parity (within 2%).
@@ -123,8 +124,7 @@ TEST(Figure16Test, EnergyParityAndBoundedGrowth) {
               0.02);
 
   // Long outages: ARTEMIS completes at a bounded multiple of continuous.
-  const KernelRunResult at10 = RunArtemisHealth(
-      PlatformBuilder().WithFixedCharge(kOnBudget, Charge(10)).Build(), 8 * kHour);
+  const KernelRunResult at10 = RunArtemisHealth(ChargedMcu(10), 8 * kHour);
   ASSERT_TRUE(at10.completed);
   const double ratio = at10.stats.TotalEnergy() / continuous.stats.TotalEnergy();
   EXPECT_GT(ratio, 1.8);
@@ -139,10 +139,8 @@ TEST_P(StochasticTerminationTest, ArtemisAlwaysTerminatesUnderRandomPower) {
   // Under arbitrary exponential on/charge times, the maxTries + maxAttempt
   // properties must keep the application terminating (completion), as long
   // as the device is not literally starved.
-  auto mcu = PlatformBuilder()
-                 .WithStochasticPower(/*mean_on=*/4 * kSecond, /*mean_charge=*/20 * kSecond,
-                                      /*seed=*/GetParam())
-                 .Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<StochasticPowerModel>(
+      /*mean_on=*/4 * kSecond, /*mean_charge=*/20 * kSecond, /*seed=*/GetParam()));
   HealthApp app = BuildHealthApp();
   ArtemisConfig config;
   config.kernel.max_wall_time = 12 * kHour;
@@ -158,10 +156,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StochasticTerminationTest,
 class DriftRobustnessTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DriftRobustnessTest, TimekeepingErrorDoesNotBreakTermination) {
-  auto mcu = PlatformBuilder()
-                 .WithFixedCharge(kOnBudget, Charge(6))
-                 .WithClockDrift(200 * kMillisecond)
-                 .Build();
+  auto mcu = ChargedMcu(6);
+  mcu->clock().SetMaxDriftPerOutage(200 * kMillisecond);
   // Perturb the drift RNG stream per test parameter by pre-spinning outages.
   for (std::uint64_t i = 0; i < GetParam(); ++i) {
     mcu->clock().NotifyPowerFailure();
@@ -183,10 +179,8 @@ TEST(GreenhouseTest, CompletesOnCapacitorSupply) {
   GreenhouseApp app = BuildGreenhouseApp();
   CapacitorConfig cap;
   cap.capacitance_f = 47e-6;
-  auto mcu = PlatformBuilder()
-                 .WithCapacitor(cap, std::make_unique<PulseHarvester>(4.0, 3 * kSecond,
-                                                                      1 * kSecond))
-                 .Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<CapacitorPowerModel>(
+      cap, std::make_unique<PulseHarvester>(4.0, 3 * kSecond, 1 * kSecond)));
   ArtemisConfig config;
   config.kernel.max_wall_time = kHour;
   auto runtime = ArtemisRuntime::Create(&app.graph, GreenhouseSpec(), mcu.get(), config);
@@ -199,7 +193,7 @@ TEST(GreenhouseTest, MinEnergySkipsReportOnDrainedBuffer) {
   // By the time `report` starts, the earlier tasks have drained the
   // on-period budget below the 0.9 threshold (but the report would still
   // fit — the property is a policy, not a physics guard).
-  auto mcu = PlatformBuilder().WithFixedCharge(2'400.0, 5 * kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(2'400.0, 5 * kSecond));
   ArtemisConfig config;
   config.kernel.max_wall_time = kHour;
   config.kernel.record_trace = true;
@@ -229,13 +223,13 @@ TEST(Table2Test, FramCellsMatchExperiments) {
     return it != report.by_owner.end() ? it->second : 0u;
   };
   HealthApp mayfly_app = BuildHealthApp();
-  auto mayfly_mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto mayfly_mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto mayfly = MayflyRuntime::Create(&mayfly_app.graph, SpecParser::Parse(HealthAppSpec()).value(),
                                       mayfly_mcu.get(), {});
   ASSERT_TRUE(mayfly.ok());
   ASSERT_TRUE(mayfly.value()->Run().completed);
   HealthApp artemis_app = BuildHealthApp();
-  auto artemis_mcu = PlatformBuilder().WithContinuousPower().Build();
+  auto artemis_mcu = std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>());
   auto artemis =
       ArtemisRuntime::Create(&artemis_app.graph, HealthAppSpec(), artemis_mcu.get(), {});
   ASSERT_TRUE(artemis.ok());
@@ -249,18 +243,18 @@ TEST(CrossSystemTest, IdenticalAppTimeOnContinuousPower) {
   // Section 5.3: with continuous power the task execution flow is identical
   // in both systems, so app-logic time must match exactly.
   const KernelRunResult artemis_result =
-      RunArtemisHealth(PlatformBuilder().WithContinuousPower().Build(), 0);
+      RunArtemisHealth(std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>()), 0);
   const KernelRunResult mayfly_result =
-      RunMayflyHealth(PlatformBuilder().WithContinuousPower().Build(), 0);
+      RunMayflyHealth(std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>()), 0);
   EXPECT_EQ(artemis_result.stats.busy_time[static_cast<int>(CostTag::kApp)],
             mayfly_result.stats.busy_time[static_cast<int>(CostTag::kApp)]);
 }
 
 TEST(CrossSystemTest, ArtemisOverheadHigherButComparable) {
   const KernelRunResult artemis_result =
-      RunArtemisHealth(PlatformBuilder().WithContinuousPower().Build(), 0);
+      RunArtemisHealth(std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>()), 0);
   const KernelRunResult mayfly_result =
-      RunMayflyHealth(PlatformBuilder().WithContinuousPower().Build(), 0);
+      RunMayflyHealth(std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>()), 0);
   const SimDuration artemis_overhead =
       artemis_result.stats.busy_time[static_cast<int>(CostTag::kRuntime)] +
       artemis_result.stats.busy_time[static_cast<int>(CostTag::kMonitor)];
@@ -276,8 +270,7 @@ TEST(CrossSystemTest, SendsTransmittedEvenWhenPathSkipped) {
   // Section 5.1: "ARTEMIS allows the application to complete and transmit
   // the remaining data, even if some data is missing."
   std::uint64_t sends = 0;
-  const KernelRunResult result = RunArtemisHealth(
-      PlatformBuilder().WithFixedCharge(kOnBudget, Charge(6)).Build(), 8 * kHour, &sends);
+  const KernelRunResult result = RunArtemisHealth(ChargedMcu(6), 8 * kHour, &sends);
   ASSERT_TRUE(result.completed);
   EXPECT_GE(sends, 2u);  // Paths #1 and #3 delivered their transmissions.
 }

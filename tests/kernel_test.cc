@@ -147,16 +147,6 @@ TEST(AppGraphTest, AddPathByNamesResolves) {
   EXPECT_FALSE(graph.AddPathByNames({"x", "nope"}).ok());
 }
 
-TEST(AppGraphTest, DotContainsTasksAndEdges) {
-  AppGraph graph;
-  const TaskId a = graph.AddTask(SimpleTask("alpha"));
-  const TaskId b = graph.AddTask(SimpleTask("beta"));
-  graph.AddPath({a, b});
-  const std::string dot = graph.ToDot();
-  EXPECT_NE(dot.find("alpha"), std::string::npos);
-  EXPECT_NE(dot.find("t0 -> t1"), std::string::npos);
-}
-
 // ------------------------------------------------------------- channels --
 
 TEST(ChannelStoreTest, CommitTracksCompletionsAndSamples) {
@@ -196,7 +186,7 @@ TEST(TaskContextTest, StagesWithoutMutatingCommitted) {
 // ------------------------------------------------------------- immortal --
 
 TEST(ImmortalContextTest, FreshItemStartsAtZero) {
-  ImmortalContext ctx(nullptr, MemOwner::kMonitor, "t");
+  ImmortalContext ctx;
   EXPECT_EQ(ctx.Begin(1), 0u);
   ctx.CompleteSteps(2);
   ctx.Finish();
@@ -204,7 +194,7 @@ TEST(ImmortalContextTest, FreshItemStartsAtZero) {
 }
 
 TEST(ImmortalContextTest, ResumesInterruptedItem) {
-  ImmortalContext ctx(nullptr, MemOwner::kMonitor, "t");
+  ImmortalContext ctx;
   ctx.Begin(7);
   ctx.CompleteSteps(1);
   ctx.CompleteSteps(2);
@@ -216,7 +206,7 @@ TEST(ImmortalContextTest, ResumesInterruptedItem) {
 }
 
 TEST(ImmortalContextTest, DifferentItemResetsCursor) {
-  ImmortalContext ctx(nullptr, MemOwner::kMonitor, "t");
+  ImmortalContext ctx;
   ctx.Begin(1);
   ctx.CompleteSteps(1);
   EXPECT_EQ(ctx.Begin(2), 0u);

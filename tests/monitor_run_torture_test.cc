@@ -157,7 +157,7 @@ void PrintTo(const Config& config, std::ostream* os) { *os << config.name; }
 
 std::unique_ptr<MonitorSet> Monitors(const SpecAst& spec, const AppGraph& graph,
                                      const Config& config) {
-  return std::move(BuildMonitorSet(spec, graph, config.backend, {},
+  return std::move(BuildMonitorSet(spec, graph, config.backend,
                                    MonitorSetOptions{.placement = config.placement}))
       .value();
 }

@@ -71,7 +71,7 @@ BothBackends Build(const std::string& block) {
   const PropertyAst& property = parsed.value().blocks[0].properties[0];
   const std::string& task = parsed.value().blocks[0].task;
   BothBackends out;
-  out.builtin = std::move(MakeBuiltinMonitor(property, task, graph, false)).value();
+  out.builtin = std::move(MakeBuiltinMonitor(property, task, graph)).value();
   auto machine = LowerProperty(property, task, graph, {});
   EXPECT_TRUE(machine.ok()) << machine.status().ToString();
   auto compiled = CompileStateMachine(machine.value());
@@ -471,9 +471,7 @@ std::unique_ptr<Mcu> TestMcu(EnergyUj budget = 1e9) {
 std::unique_ptr<MonitorSet> HealthMonitors(MonitorBackend backend) {
   HealthApp app = BuildHealthApp();
   auto parsed = SpecParser::Parse(HealthAppSpec());
-  return std::move(BuildMonitorSet(parsed.value(), app.graph, backend, {},
-                                   ArbitrationPolicy::kSeverity))
-      .value();
+  return std::move(BuildMonitorSet(parsed.value(), app.graph, backend)).value();
 }
 
 TEST(MonitorSetTest, BuildsOneMonitorPerProperty) {
@@ -524,9 +522,8 @@ TEST(MonitorSetTest, ResumesAfterPowerFailureWithoutDoubleStepping) {
   // maxTries counter must still advance exactly once per event.
   HealthApp app = BuildHealthApp();
   auto parsed = SpecParser::Parse("accel: { maxTries: 3 onFail: skipPath; }");
-  auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kBuiltin, {},
-                                       ArbitrationPolicy::kSeverity))
-                 .value();
+  auto set =
+      std::move(BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kBuiltin)).value();
   auto mcu = TestMcu(/*budget=*/2.0);  // A couple of microjoules per period.
   set->HardReset(*mcu);
   MonitorEvent e = Start(app.accel, kSecond);
@@ -562,9 +559,8 @@ TEST(MonitorSetTest, SeverityArbitrationAcrossMonitors) {
   graph.AddPath({0});
   auto parsed = SpecParser::Parse(
       "t: { maxTries: 1 onFail: skipTask; minEnergy: 0.99 onFail: completePath; }");
-  auto set = std::move(BuildMonitorSet(parsed.value(), graph, MonitorBackend::kBuiltin, {},
-                                       ArbitrationPolicy::kSeverity))
-                 .value();
+  auto set =
+      std::move(BuildMonitorSet(parsed.value(), graph, MonitorBackend::kBuiltin)).value();
   auto mcu = TestMcu();
   set->HardReset(*mcu);
   MonitorEvent first = Start(0, 1);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/obs_stats.h"
 #include "src/core/runtime.h"
 #include "src/kernel/kernel.h"
@@ -21,6 +20,7 @@
 #include "src/obs/perfetto_sink.h"
 #include "src/obs/trace_diff.h"
 #include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 
 namespace artemis {
 namespace {
@@ -93,7 +93,8 @@ TEST(JsonlSinkTest, HeaderCarriesSchemaAndMetadata) {
 
 std::string RunHealthJsonl() {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithFixedCharge(kOnBudgetUj, kCharge6Min).Build();
+  auto mcu =
+      std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(kOnBudgetUj, kCharge6Min));
   std::ostringstream out;
   std::vector<std::string> names;
   for (TaskId t = 0; t < app.graph.task_count(); ++t) {
@@ -152,7 +153,8 @@ TEST(TraceDiffTest, ReportsChangedAndExtraLines) {
 
 TEST(PerfettoSinkTest, ExportsProcessMetadataSlicesAndCounters) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithFixedCharge(kOnBudgetUj, kCharge6Min).Build();
+  auto mcu =
+      std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(kOnBudgetUj, kCharge6Min));
   std::ostringstream out;
   std::vector<std::string> names;
   for (TaskId t = 0; t < app.graph.task_count(); ++t) {
@@ -208,7 +210,8 @@ TEST(ObsStatsTest, HistogramTracksMomentsAndBuckets) {
 
 TEST(ObsStatsTest, AggregatorCountsEventsAndAttributesPathEnergy) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithFixedCharge(kOnBudgetUj, kCharge6Min).Build();
+  auto mcu =
+      std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(kOnBudgetUj, kCharge6Min));
   obs::EventBus bus;
   ObsStatsAggregator agg;
   obs::CollectingSink collected;

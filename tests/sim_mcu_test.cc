@@ -74,30 +74,6 @@ TEST(NvmArenaTest, ReportsExhaustion) {
   EXPECT_EQ(arena.used(), 200u);  // Still recorded for the report.
 }
 
-TEST(RamArenaTest, LosePowerRunsResetHooks) {
-  RamArena arena(128);
-  int value = 42;
-  arena.Allocate(MemOwner::kApp, sizeof(int), "v", [&value] { value = 0; });
-  value = 99;
-  arena.LosePower();
-  EXPECT_EQ(value, 0);
-}
-
-TEST(VolatileTest, ResetsToInitialOnPowerLoss) {
-  RamArena arena(128);
-  Volatile<int> counter(&arena, MemOwner::kApp, "counter", 7);
-  counter.set(123);
-  arena.LosePower();
-  EXPECT_EQ(counter.get(), 7);
-}
-
-TEST(PersistentTest, RegistersBytes) {
-  NvmArena arena(128);
-  Persistent<double> value(&arena, MemOwner::kMonitor, "x", 1.5);
-  EXPECT_EQ(arena.used(), sizeof(double));
-  EXPECT_DOUBLE_EQ(value.get(), 1.5);
-}
-
 // ------------------------------------------------------------------ mcu --
 
 TEST(McuTest, ExecuteAdvancesClockAndAccountsTag) {
@@ -118,14 +94,6 @@ TEST(McuTest, PowerFailureRunsFullOutageSequence) {
   EXPECT_GT(mcu->TrueNow(), 10 * kSecond + 500 * kMillisecond);
   EXPECT_GT(mcu->stats().busy_time[static_cast<int>(CostTag::kReboot)], 0u);
   EXPECT_EQ(mcu->stats().charging_time, 10 * kSecond);
-}
-
-TEST(McuTest, RamClearedOnPowerFailure) {
-  auto mcu = FixedChargeMcu(500.0, kSecond);
-  Volatile<int> scratch(&mcu->ram(), MemOwner::kApp, "scratch", 0);
-  scratch.set(55);
-  (void)mcu->Execute(kSecond, 1.0, CostTag::kApp);
-  EXPECT_EQ(scratch.get(), 0);
 }
 
 TEST(McuTest, StarvesWhenBudgetCannotBoot) {

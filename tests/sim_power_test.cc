@@ -151,6 +151,16 @@ TEST(StochasticModelTest, EventuallyFails) {
   EXPECT_TRUE(failed);
 }
 
+TEST(PowerModelTest, EachModelNamesItself) {
+  EXPECT_EQ(AlwaysOnPowerModel().Name(), "always-on");
+  EXPECT_EQ(FixedChargePowerModel(1000.0, kSecond).Name(), "fixed-charge");
+  EXPECT_EQ(
+      CapacitorPowerModel(CapacitorConfig{}, std::make_unique<ConstantHarvester>(1.0)).Name(),
+      "capacitor");
+  EXPECT_EQ(TracePowerModel({{0, kSecond}}).Name(), "trace");
+  EXPECT_EQ(StochasticPowerModel(kSecond, kSecond, 1).Name(), "stochastic");
+}
+
 // ------------------------------------------------- charge-path differential --
 // Mcu completes a charge inline when the power model's budget covers it
 // (fixed-charge, always-on) and sends every other charge to Consume. The

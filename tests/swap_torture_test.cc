@@ -158,10 +158,9 @@ std::uint64_t BaselineCharges(const std::string& spec1, const std::string& spec2
     for (int i = 0; i < prelude_records; ++i) {
       EXPECT_TRUE(recorder->AppendTaskStart(static_cast<std::uint64_t>(i), 1, 1, 1));
     }
-    rig->swap->set_flight(recorder.get());
   }
   const std::uint64_t before = port.charges_done;
-  EXPECT_EQ(rig->swap->TryApply(port), ExecStatus::kOk);
+  EXPECT_EQ(rig->swap->TryApply(port, recorder.get()), ExecStatus::kOk);
   return port.charges_done - before;
 }
 
@@ -190,14 +189,13 @@ void TortureSwapAtEveryOffset(const std::string& spec1, const std::string& spec2
       for (int i = 0; i < prelude_records; ++i) {
         ASSERT_TRUE(recorder->AppendTaskStart(static_cast<std::uint64_t>(i), 1, 1, 1));
       }
-      rig->swap->set_flight(recorder.get());
     }
     if (!live_machine.empty()) {
       InstallLiveState(*rig, live_machine, live_state, live_slot);
     }
 
     port.fail_at = port.charges_done + k;
-    const ExecStatus status = rig->swap->TryApply(port);
+    const ExecStatus status = rig->swap->TryApply(port, recorder.get());
 
     // The one invariant that matters: the device is on exactly the old or
     // exactly the new image, never anything in between.
@@ -235,7 +233,7 @@ void TortureSwapAtEveryOffset(const std::string& spec1, const std::string& spec2
     // monitors and must commit.
     port.Refuel();
     if (k < total) {
-      EXPECT_EQ(rig->swap->TryApply(port), ExecStatus::kOk) << "offset " << k;
+      EXPECT_EQ(rig->swap->TryApply(port, recorder.get()), ExecStatus::kOk) << "offset " << k;
     }
     EXPECT_EQ(rig->swap->installed().epoch, 2u) << "offset " << k;
     EXPECT_EQ(rig->swap->stats().swaps_applied, 1u) << "offset " << k;
@@ -312,8 +310,7 @@ TEST(SwapTortureTest, UndersizedRingFallsBackToControlByteCommit) {
   flight::FlightRecorder recorder(flight::FlightRecorder::kMinCapacityBytes,
                                   flight::FlightLevel::kFull);
   recorder.set_port(&port);
-  rig->swap->set_flight(&recorder);
-  ASSERT_EQ(rig->swap->TryApply(port), ExecStatus::kOk);
+  ASSERT_EQ(rig->swap->TryApply(port, &recorder), ExecStatus::kOk);
   EXPECT_EQ(rig->swap->installed().epoch, 2u);
   EXPECT_EQ(rig->swap->stats().fallback_commits, 1u);
   EXPECT_TRUE(SealedSwapRecords(recorder).empty());
@@ -336,10 +333,10 @@ TEST(SwapTortureTest, BackToBackSwapsSurviveAnOutageBetweenAndWithin) {
     std::unique_ptr<SwapRig> rig = MakeRig(spec1, spec2);
     TortureSwapPort port;
     InstallLiveState(*rig, "maxTries_micSense", "Started", 5.0);
-    ASSERT_EQ(rig->swap->TryApply(port), ExecStatus::kOk);
+    ASSERT_EQ(rig->swap->TryApply(port, nullptr), ExecStatus::kOk);
     ASSERT_TRUE(rig->swap->RequestSwap(v3.value()).ok());
     const std::uint64_t before = port.charges_done;
-    ASSERT_EQ(rig->swap->TryApply(port), ExecStatus::kOk);
+    ASSERT_EQ(rig->swap->TryApply(port, nullptr), ExecStatus::kOk);
     total = port.charges_done - before;
   }
   ASSERT_GT(total, 0u);
@@ -348,12 +345,12 @@ TEST(SwapTortureTest, BackToBackSwapsSurviveAnOutageBetweenAndWithin) {
     std::unique_ptr<SwapRig> rig = MakeRig(spec1, spec2);
     TortureSwapPort port;
     InstallLiveState(*rig, "maxTries_micSense", "Started", 5.0);
-    ASSERT_EQ(rig->swap->TryApply(port), ExecStatus::kOk);
+    ASSERT_EQ(rig->swap->TryApply(port, nullptr), ExecStatus::kOk);
     ASSERT_EQ(rig->swap->installed().epoch, 2u);
     ASSERT_TRUE(rig->swap->RequestSwap(v3.value()).ok());
 
     port.fail_at = port.charges_done + k;
-    const ExecStatus status = rig->swap->TryApply(port);
+    const ExecStatus status = rig->swap->TryApply(port, nullptr);
     if (k == total) {
       EXPECT_EQ(status, ExecStatus::kOk) << "offset " << k;
       EXPECT_EQ(rig->swap->installed().epoch, 3u) << "offset " << k;
@@ -365,7 +362,7 @@ TEST(SwapTortureTest, BackToBackSwapsSurviveAnOutageBetweenAndWithin) {
 
     port.Refuel();
     if (k < total) {
-      EXPECT_EQ(rig->swap->TryApply(port), ExecStatus::kOk) << "offset " << k;
+      EXPECT_EQ(rig->swap->TryApply(port, nullptr), ExecStatus::kOk) << "offset " << k;
     }
     EXPECT_EQ(rig->swap->installed().epoch, 3u) << "offset " << k;
     EXPECT_EQ(rig->swap->installed().spec_hash, SpecHash(spec3)) << "offset " << k;

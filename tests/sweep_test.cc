@@ -23,10 +23,11 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/device.h"
 #include "src/core/runtime.h"
 #include "src/mayfly/mayfly.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/spec/parser.h"
 #include "src/sweep/grid_json.h"
 #include "src/sweep/spec_cache.h"
@@ -268,7 +269,7 @@ TEST(SweepEngineTest, RowsMatchDirectSerialRuns) {
 
     HealthApp app = BuildHealthApp();
     std::unique_ptr<Mcu> mcu =
-        PlatformBuilder().WithFixedCharge(point.budget, point.charge).Build();
+        std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(point.budget, point.charge));
     KernelRunResult expected;
     if (point.system == "artemis") {
       ArtemisConfig config;

@@ -4,9 +4,10 @@
 #include <memory>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/sim/clock.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/sim/timekeeper.h"
 
 namespace artemis {
@@ -84,10 +85,8 @@ TEST(ClockTimekeeperIntegrationTest, TimekeeperSupersedesUniformDrift) {
 }
 
 TEST(ClockTimekeeperIntegrationTest, McuRoutesOutagesThroughTimekeeper) {
-  PlatformBuilder builder;
-  builder.WithFixedCharge(500.0, 2 * kMinute)
-      .WithTimekeeper(std::make_unique<RemanenceTimekeeper>(10 * kSecond, 0.0));
-  auto mcu = builder.Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(500.0, 2 * kMinute));
+  mcu->clock().SetTimekeeper(std::make_unique<RemanenceTimekeeper>(10 * kSecond, 0.0));
   // Force one outage (budget covers 0.5 s at 1 mW; we ask for 1 s).
   (void)mcu->Execute(kSecond, 1.0, CostTag::kApp);
   ASSERT_EQ(mcu->stats().reboots, 1u);
@@ -102,10 +101,9 @@ TEST(ClockTimekeeperIntegrationTest, SaturatingTimekeeperMasksMitd) {
   // End-to-end: with a saturating timekeeper the MITD property cannot see
   // 6-minute outages, so it never fires (the ablation_timekeeper story).
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder()
-                 .WithFixedCharge(19'500.0, 6 * kMinute - kSecond)
-                 .WithTimekeeper(std::make_unique<RemanenceTimekeeper>(30 * kSecond, 0.0))
-                 .Build();
+  auto mcu = std::make_unique<Mcu>(
+      std::make_unique<FixedChargePowerModel>(19'500.0, 6 * kMinute - kSecond));
+  mcu->clock().SetTimekeeper(std::make_unique<RemanenceTimekeeper>(30 * kSecond, 0.0));
   ArtemisConfig config;
   config.kernel.max_wall_time = 8 * kHour;
   config.kernel.record_trace = true;
@@ -123,7 +121,7 @@ TEST(ClockTimekeeperIntegrationTest, SaturatingTimekeeperMasksMitd) {
 
 TEST(TraceTrueTimeTest, TrueTimeTracksSimulation) {
   HealthApp app = BuildHealthApp();
-  auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, kMinute).Build();
+  auto mcu = std::make_unique<Mcu>(std::make_unique<FixedChargePowerModel>(19'500.0, kMinute));
   ArtemisConfig config;
   config.kernel.max_wall_time = 2 * kHour;
   config.kernel.record_trace = true;

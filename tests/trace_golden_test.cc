@@ -18,12 +18,13 @@
 #include <vector>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/obs/bus.h"
 #include "src/obs/jsonl_sink.h"
 #include "src/obs/perfetto_sink.h"
 #include "src/obs/trace_diff.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 
 namespace artemis {
 namespace {
@@ -42,8 +43,8 @@ struct Health6MinTraces {
 // the 1 s boot margin), same header metadata, same task-name table.
 Health6MinTraces RunHealth6Min() {
   HealthApp app = BuildHealthApp();
-  auto mcu =
-      PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute - 1 * kSecond).Build();
+  auto mcu = std::make_unique<Mcu>(
+      std::make_unique<FixedChargePowerModel>(19'500.0, 6 * kMinute - 1 * kSecond));
   std::vector<std::string> names;
   for (TaskId t = 0; t < app.graph.task_count(); ++t) {
     names.push_back(app.graph.TaskName(t));

@@ -5,9 +5,10 @@
 #include <memory>
 
 #include "src/apps/health_app.h"
-#include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/sim/harvester.h"
+#include "src/sim/mcu.h"
+#include "src/sim/power_model.h"
 #include "src/sim/tracegen.h"
 
 namespace artemis {
@@ -115,9 +116,8 @@ TEST_P(TraceDrivenRunTest, HealthAppSurvivesGeneratedEnvironment) {
   cap.v_max = 5.0;
   cap.v_on = 3.2;
   cap.v_off = 1.8;
-  auto mcu = PlatformBuilder()
-                 .WithCapacitor(cap, std::make_unique<TraceHarvester>(trace))
-                 .Build();
+  auto mcu = std::make_unique<Mcu>(
+      std::make_unique<CapacitorPowerModel>(cap, std::make_unique<TraceHarvester>(trace)));
   ArtemisConfig runtime_config;
   runtime_config.kernel.max_wall_time = 5 * kHour;
   auto runtime =

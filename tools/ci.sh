@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Full CI pipeline:
 #   1. Release build + tier-1 ctest suite. Every ctest run (stages 1, 2
-#      and 9) also runs the six examples/ programs as `example_*` tests,
+#      and 9) also diffs the stdout of the six examples/ programs
+#      (`example_*`) and of the paper tables, figures and ablations
+#      (`bench_*`: fig12-16, table2, the four ablations,
+#      background_checkpoint and flight_overhead) against
+#      tests/golden/examples/ and tests/golden/bench/, runs
 #      tools_test's analyzer fixture table (`artemisc check --json`
 #      over every shipped example spec and every examples/specs/bad/
 #      fixture, each under the deployment axes that trigger its headline
