@@ -1,7 +1,7 @@
 #include "src/analysis/analyzer.h"
 
-#include <algorithm>
 #include <deque>
+#include <limits>
 #include <sstream>
 
 #include "src/analysis/system_passes.h"
@@ -54,21 +54,6 @@ std::string GuardRangesText(const Expr& expr, const IntervalEnv& env) {
     first = false;
   }
   return out.str();
-}
-
-Diagnostic MakeDiagnostic(const char* code, DiagSeverity severity, const StateMachine& m) {
-  Diagnostic d;
-  d.code = code;
-  d.severity = severity;
-  d.machine = m.name;
-  d.property = m.property_label;
-  d.span = m.source;
-  return d;
-}
-
-int StateIndex(const StateMachine& m, const std::string& state) {
-  const auto it = std::find(m.states.begin(), m.states.end(), state);
-  return it == m.states.end() ? -1 : static_cast<int>(it - m.states.begin());
 }
 
 // Can events matching transition `a` also match transition `b`? kAnyEvent
@@ -140,7 +125,7 @@ void EvalStmtsAbstract(const std::vector<StmtPtr>& body, IntervalEnv* env) {
 std::vector<bool> ReachableStates(const StateMachine& m, const std::vector<bool>& producible,
                                   const std::vector<TriBool>& guard) {
   std::vector<bool> reachable(m.states.size(), false);
-  const int initial = StateIndex(m, m.initial);
+  const int initial = m.StateIndex(m.initial);
   if (initial < 0) return reachable;
   std::deque<int> queue{initial};
   reachable[initial] = true;
@@ -151,7 +136,7 @@ std::vector<bool> ReachableStates(const StateMachine& m, const std::vector<bool>
       const Transition& t = m.transitions[i];
       if (!producible[i] || guard[i] == TriBool::kFalse) continue;
       if (t.from != m.states[state]) continue;
-      const int to = StateIndex(m, t.to);
+      const int to = m.StateIndex(t.to);
       if (to >= 0 && !reachable[to]) {
         reachable[to] = true;
         queue.push_back(to);
@@ -161,161 +146,140 @@ std::vector<bool> ReachableStates(const StateMachine& m, const std::vector<bool>
   return reachable;
 }
 
-// ---- pass 1: reachability ------------------------------------------------
+// ---- 1. reachability (ART001, ART002) -----------------------------------
 
-class ReachabilityPass : public AnalysisPass {
- public:
-  const char* name() const override { return "reachability"; }
-
-  void Run(const AnalysisContext& ctx, DiagnosticEngine* engine) override {
-    const AppGraph& graph = ctx.graph;
-    for (std::size_t mi = 0; mi < ctx.machines.size(); ++mi) {
-      const StateMachine& m = ctx.machines[mi];
-      const MachineFacts& f = ctx.facts[mi];
-      for (std::size_t si = 0; si < m.states.size(); ++si) {
-        if (f.reachable_state[si]) continue;
-        Diagnostic d = MakeDiagnostic(diag::kUnreachableState, DiagSeverity::kError, m);
-        d.state = m.states[si];
-        d.message = "state '" + m.states[si] + "' is unreachable from initial state '" +
-                    m.initial + "'";
-        d.note = "no producible event sequence leads here; " + ScopeText(m, f, graph);
-        engine->Report(std::move(d));
-      }
-      for (std::size_t ti = 0; ti < m.transitions.size(); ++ti) {
-        const Transition& t = m.transitions[ti];
-        const int from = StateIndex(m, t.from);
-        // Unproducible trigger on an otherwise-live state: the app graph can
-        // never emit a matching event. Transitions from dead states are
-        // already covered by ART001; provably-false guards by ART003.
-        if (f.producible[ti] || from < 0 || !f.reachable_state[from]) continue;
-        Diagnostic d = MakeDiagnostic(diag::kDeadTransition, DiagSeverity::kWarning, m);
-        d.state = t.from;
-        d.transition = static_cast<int>(ti);
-        d.message = "transition " + std::to_string(ti) + " ('" + t.from + "' -> '" + t.to +
-                    "' on " + TriggerText(t, graph) + ") can never fire: the event is not " +
-                    "producible";
-        d.note = ScopeText(m, f, graph);
-        engine->Report(std::move(d));
-      }
+void CheckReachability(const AnalysisContext& ctx, DiagnosticEngine* engine) {
+  const AppGraph& graph = ctx.graph;
+  for (std::size_t mi = 0; mi < ctx.machines.size(); ++mi) {
+    const StateMachine& m = ctx.machines[mi];
+    const MachineFacts& f = ctx.facts[mi];
+    for (std::size_t si = 0; si < m.states.size(); ++si) {
+      if (f.reachable_state[si]) continue;
+      Diagnostic d = MakeDiagnostic(diag::kUnreachableState, DiagSeverity::kError, m);
+      d.state = m.states[si];
+      d.message = "state '" + m.states[si] + "' is unreachable from initial state '" +
+                  m.initial + "'";
+      d.note = "no producible event sequence leads here; " + ScopeText(m, f, graph);
+      engine->Report(std::move(d));
+    }
+    for (std::size_t ti = 0; ti < m.transitions.size(); ++ti) {
+      const Transition& t = m.transitions[ti];
+      const int from = m.StateIndex(t.from);
+      // Unproducible trigger on an otherwise-live state: the app graph can
+      // never emit a matching event. Transitions from dead states are
+      // already covered by ART001; provably-false guards by ART003.
+      if (f.producible[ti] || from < 0 || !f.reachable_state[from]) continue;
+      Diagnostic d = MakeDiagnostic(diag::kDeadTransition, DiagSeverity::kWarning, m);
+      d.state = t.from;
+      d.transition = static_cast<int>(ti);
+      d.message = "transition " + std::to_string(ti) + " ('" + t.from + "' -> '" + t.to +
+                  "' on " + TriggerText(t, graph) + ") can never fire: the event is not " +
+                  "producible";
+      d.note = ScopeText(m, f, graph);
+      engine->Report(std::move(d));
     }
   }
-};
-
-// ---- pass 2: guard satisfiability ---------------------------------------
-
-class GuardSatisfiabilityPass : public AnalysisPass {
- public:
-  const char* name() const override { return "guard-satisfiability"; }
-
-  void Run(const AnalysisContext& ctx, DiagnosticEngine* engine) override {
-    const AppGraph& graph = ctx.graph;
-    for (std::size_t mi = 0; mi < ctx.machines.size(); ++mi) {
-      const StateMachine& m = ctx.machines[mi];
-      const MachineFacts& f = ctx.facts[mi];
-      for (std::size_t ti = 0; ti < m.transitions.size(); ++ti) {
-        const Transition& t = m.transitions[ti];
-        const int from = StateIndex(m, t.from);
-        if (!f.producible[ti] || from < 0 || !f.reachable_state[from]) continue;
-        if (t.guard == nullptr) continue;
-        if (f.guard[ti] == TriBool::kFalse) {
-          Diagnostic d = MakeDiagnostic(diag::kUnsatisfiableGuard, DiagSeverity::kError, m);
-          d.state = t.from;
-          d.transition = static_cast<int>(ti);
-          d.message = "guard '" + ExprToText(*t.guard) + "' on transition " +
-                      std::to_string(ti) + " ('" + t.from + "' -> '" + t.to +
-                      "') is always false";
-          const std::string ranges = GuardRangesText(*t.guard, f.env);
-          d.note = ranges.empty() ? std::string("the guard is constant-false")
-                                  : "provable variable ranges: " + ranges;
-          engine->Report(std::move(d));
-          continue;
-        }
-        if (f.guard[ti] != TriBool::kTrue) continue;
-        // Statically-true guard: only interesting when it shadows a later
-        // live transition the first-match dispatcher would otherwise reach.
-        for (std::size_t tj = ti + 1; tj < m.transitions.size(); ++tj) {
-          const Transition& other = m.transitions[tj];
-          if (other.from != t.from || !f.producible[tj]) continue;
-          if (f.guard[tj] == TriBool::kFalse) continue;
-          if (!TriggerCovers(t, other)) continue;
-          Diagnostic d = MakeDiagnostic(diag::kShadowingGuard, DiagSeverity::kWarning, m);
-          d.state = t.from;
-          d.transition = static_cast<int>(ti);
-          d.message = "guard '" + ExprToText(*t.guard) + "' on transition " +
-                      std::to_string(ti) + " from '" + t.from +
-                      "' is always true and shadows transition " + std::to_string(tj) +
-                      " (" + TriggerText(other, graph) + ")";
-          d.note = "the dispatcher takes the first matching transition, so transition " +
-                   std::to_string(tj) + " never fires";
-          engine->Report(std::move(d));
-          break;  // one shadowing report per always-true guard
-        }
-      }
-    }
-  }
-};
-
-// ---- pass 3: determinism -------------------------------------------------
-
-class DeterminismPass : public AnalysisPass {
- public:
-  const char* name() const override { return "determinism"; }
-
-  void Run(const AnalysisContext& ctx, DiagnosticEngine* engine) override {
-    const AppGraph& graph = ctx.graph;
-    for (std::size_t mi = 0; mi < ctx.machines.size(); ++mi) {
-      const StateMachine& m = ctx.machines[mi];
-      const MachineFacts& f = ctx.facts[mi];
-      for (std::size_t ti = 0; ti < m.transitions.size(); ++ti) {
-        const Transition& a = m.transitions[ti];
-        const int from = StateIndex(m, a.from);
-        if (!f.producible[ti] || from < 0 || !f.reachable_state[from]) continue;
-        if (f.guard[ti] == TriBool::kFalse) continue;
-        // A non-null always-true guard already got ART004 for everything it
-        // shadows; re-reporting the same pairs as ART005 would be noise.
-        if (a.guard != nullptr && f.guard[ti] == TriBool::kTrue) continue;
-        for (std::size_t tj = ti + 1; tj < m.transitions.size(); ++tj) {
-          const Transition& b = m.transitions[tj];
-          if (b.from != a.from || !f.producible[tj]) continue;
-          if (f.guard[tj] == TriBool::kFalse) continue;
-          if (!TriggersIntersect(a, b)) continue;
-          if (ProvablyDisjoint(a.guard, b.guard)) continue;
-          Diagnostic d =
-              MakeDiagnostic(diag::kOverlappingTransitions, DiagSeverity::kError, m);
-          d.state = a.from;
-          d.transition = static_cast<int>(ti);
-          d.message = "transitions " + std::to_string(ti) + " and " + std::to_string(tj) +
-                      " from state '" + a.from + "' both match " + TriggerText(b, graph) +
-                      " and their guards are not provably disjoint";
-          d.note = std::string("guards: ") +
-                   (a.guard ? "'" + ExprToText(*a.guard) + "'" : "(none)") + " vs " +
-                   (b.guard ? "'" + ExprToText(*b.guard) + "'" : "(none)") +
-                   "; the dispatcher silently picks transition " + std::to_string(ti);
-          engine->Report(std::move(d));
-        }
-      }
-    }
-  }
-};
-
-// ---- pass 4: variable liveness ------------------------------------------
-
-void CollectExprReads(const Expr& e, std::set<std::string>* reads) {
-  if (e.kind == ExprKind::kVar) reads->insert(e.var);
-  if (e.lhs != nullptr) CollectExprReads(*e.lhs, reads);
-  if (e.rhs != nullptr) CollectExprReads(*e.rhs, reads);
 }
 
-void CollectStmtAccesses(const std::vector<StmtPtr>& body, std::set<std::string>* reads,
+// ---- 2. guard satisfiability (ART003, ART004) ---------------------------
+
+void CheckGuards(const AnalysisContext& ctx, DiagnosticEngine* engine) {
+  const AppGraph& graph = ctx.graph;
+  for (std::size_t mi = 0; mi < ctx.machines.size(); ++mi) {
+    const StateMachine& m = ctx.machines[mi];
+    const MachineFacts& f = ctx.facts[mi];
+    for (std::size_t ti = 0; ti < m.transitions.size(); ++ti) {
+      const Transition& t = m.transitions[ti];
+      const int from = m.StateIndex(t.from);
+      if (!f.producible[ti] || from < 0 || !f.reachable_state[from]) continue;
+      if (t.guard == nullptr) continue;
+      if (f.guard[ti] == TriBool::kFalse) {
+        Diagnostic d = MakeDiagnostic(diag::kUnsatisfiableGuard, DiagSeverity::kError, m);
+        d.state = t.from;
+        d.transition = static_cast<int>(ti);
+        d.message = "guard '" + ExprToText(*t.guard) + "' on transition " +
+                    std::to_string(ti) + " ('" + t.from + "' -> '" + t.to +
+                    "') is always false";
+        const std::string ranges = GuardRangesText(*t.guard, f.env);
+        d.note = ranges.empty() ? std::string("the guard is constant-false")
+                                : "provable variable ranges: " + ranges;
+        engine->Report(std::move(d));
+        continue;
+      }
+      if (f.guard[ti] != TriBool::kTrue) continue;
+      // Statically-true guard: only interesting when it shadows a later
+      // live transition the first-match dispatcher would otherwise reach.
+      for (std::size_t tj = ti + 1; tj < m.transitions.size(); ++tj) {
+        const Transition& other = m.transitions[tj];
+        if (other.from != t.from || !f.producible[tj]) continue;
+        if (f.guard[tj] == TriBool::kFalse) continue;
+        if (!TriggerCovers(t, other)) continue;
+        Diagnostic d = MakeDiagnostic(diag::kShadowingGuard, DiagSeverity::kWarning, m);
+        d.state = t.from;
+        d.transition = static_cast<int>(ti);
+        d.message = "guard '" + ExprToText(*t.guard) + "' on transition " +
+                    std::to_string(ti) + " from '" + t.from +
+                    "' is always true and shadows transition " + std::to_string(tj) +
+                    " (" + TriggerText(other, graph) + ")";
+        d.note = "the dispatcher takes the first matching transition, so transition " +
+                 std::to_string(tj) + " never fires";
+        engine->Report(std::move(d));
+        break;  // one shadowing report per always-true guard
+      }
+    }
+  }
+}
+
+// ---- 3. determinism (ART005) --------------------------------------------
+
+void CheckDeterminism(const AnalysisContext& ctx, DiagnosticEngine* engine) {
+  const AppGraph& graph = ctx.graph;
+  for (std::size_t mi = 0; mi < ctx.machines.size(); ++mi) {
+    const StateMachine& m = ctx.machines[mi];
+    const MachineFacts& f = ctx.facts[mi];
+    for (std::size_t ti = 0; ti < m.transitions.size(); ++ti) {
+      const Transition& a = m.transitions[ti];
+      const int from = m.StateIndex(a.from);
+      if (!f.producible[ti] || from < 0 || !f.reachable_state[from]) continue;
+      if (f.guard[ti] == TriBool::kFalse) continue;
+      // A non-null always-true guard already got ART004 for everything it
+      // shadows; re-reporting the same pairs as ART005 would be noise.
+      if (a.guard != nullptr && f.guard[ti] == TriBool::kTrue) continue;
+      for (std::size_t tj = ti + 1; tj < m.transitions.size(); ++tj) {
+        const Transition& b = m.transitions[tj];
+        if (b.from != a.from || !f.producible[tj]) continue;
+        if (f.guard[tj] == TriBool::kFalse) continue;
+        if (!TriggersIntersect(a, b)) continue;
+        if (ProvablyDisjoint(a.guard, b.guard)) continue;
+        Diagnostic d =
+            MakeDiagnostic(diag::kOverlappingTransitions, DiagSeverity::kError, m);
+        d.state = a.from;
+        d.transition = static_cast<int>(ti);
+        d.message = "transitions " + std::to_string(ti) + " and " + std::to_string(tj) +
+                    " from state '" + a.from + "' both match " + TriggerText(b, graph) +
+                    " and their guards are not provably disjoint";
+        d.note = std::string("guards: ") +
+                 (a.guard ? "'" + ExprToText(*a.guard) + "'" : "(none)") + " vs " +
+                 (b.guard ? "'" + ExprToText(*b.guard) + "'" : "(none)") +
+                 "; the dispatcher silently picks transition " + std::to_string(ti);
+        engine->Report(std::move(d));
+      }
+    }
+  }
+}
+
+// ---- 4. variable liveness (ART006, ART007) ------------------------------
+
+void CollectStmtAccesses(const std::vector<StmtPtr>& body, std::map<std::string, int>* reads,
                          std::set<std::string>* writes) {
   for (const StmtPtr& s : body) {
     switch (s->kind) {
       case StmtKind::kAssign:
         writes->insert(s->var);
-        CollectExprReads(*s->value, reads);
+        CollectVars(*s->value, reads);
         break;
       case StmtKind::kIf:
-        CollectExprReads(*s->cond, reads);
+        CollectVars(*s->cond, reads);
         CollectStmtAccesses(s->then_body, reads, writes);
         CollectStmtAccesses(s->else_body, reads, writes);
         break;
@@ -325,48 +289,43 @@ void CollectStmtAccesses(const std::vector<StmtPtr>& body, std::set<std::string>
   }
 }
 
-class LivenessPass : public AnalysisPass {
- public:
-  const char* name() const override { return "liveness"; }
+std::string CostNote(const std::string& name, bool written) {
+  const CostModel& costs = DefaultCostModel();
+  constexpr std::size_t kBytesPerVar = sizeof(double);
+  const double commit_cycles = costs.nvm_commit_cycles_per_byte * kBytesPerVar;
+  std::ostringstream out;
+  out << "dropping '" << name << "' saves " << kBytesPerVar << " bytes of FRAM state and ~"
+      << costs.text_per_variable << " bytes of .text";
+  if (written) {
+    out << ", plus " << commit_cycles << " NVM commit cycles per write";
+  }
+  return out.str();
+}
 
-  void Run(const AnalysisContext& ctx, DiagnosticEngine* engine) override {
-    const AnalysisOptions& options = ctx.options;
-    for (const StateMachine& m : ctx.machines) {
-      std::set<std::string> reads, writes;
-      for (const Transition& t : m.transitions) {
-        if (t.guard != nullptr) CollectExprReads(*t.guard, &reads);
-        CollectStmtAccesses(t.body, &reads, &writes);
-      }
-      for (const auto& [name, initial] : m.variables) {
-        (void)initial;
-        if (reads.count(name) != 0) continue;  // read vars are live
-        const bool written = writes.count(name) != 0;
-        Diagnostic d = MakeDiagnostic(written ? diag::kDeadWrite : diag::kUnusedVariable,
-                                      DiagSeverity::kWarning, m);
-        d.message = written
-                        ? "variable '" + name + "' is written but never read"
-                        : "variable '" + name + "' is declared but never referenced";
-        d.note = CostNote(name, written, options.costs);
-        engine->Report(std::move(d));
-      }
+void CheckLiveness(const AnalysisContext& ctx, DiagnosticEngine* engine) {
+  for (const StateMachine& m : ctx.machines) {
+    std::map<std::string, int> reads;
+    std::set<std::string> writes;
+    for (const Transition& t : m.transitions) {
+      if (t.guard != nullptr) CollectVars(*t.guard, &reads);
+      CollectStmtAccesses(t.body, &reads, &writes);
+    }
+    for (const auto& [name, initial] : m.variables) {
+      (void)initial;
+      if (reads.count(name) != 0) continue;  // read vars are live
+      const bool written = writes.count(name) != 0;
+      Diagnostic d = MakeDiagnostic(written ? diag::kDeadWrite : diag::kUnusedVariable,
+                                    DiagSeverity::kWarning, m);
+      d.message = written
+                      ? "variable '" + name + "' is written but never read"
+                      : "variable '" + name + "' is declared but never referenced";
+      d.note = CostNote(name, written);
+      engine->Report(std::move(d));
     }
   }
+}
 
- private:
-  static std::string CostNote(const std::string& name, bool written, const CostModel& costs) {
-    constexpr std::size_t kBytesPerVar = sizeof(double);
-    const double commit_cycles = costs.nvm_commit_cycles_per_byte * kBytesPerVar;
-    std::ostringstream out;
-    out << "dropping '" << name << "' saves " << kBytesPerVar << " bytes of FRAM state and ~"
-        << costs.text_per_variable << " bytes of .text";
-    if (written) {
-      out << ", plus " << commit_cycles << " NVM commit cycles per write";
-    }
-    return out.str();
-  }
-};
-
-// ---- pass 5: cross-machine verdict conflict ------------------------------
+// ---- 5. cross-machine verdict conflict (ART008) -------------------------
 
 struct FailSite {
   ActionType action = ActionType::kNone;
@@ -394,69 +353,62 @@ std::string ActionText(const FailSite& site) {
   return out;
 }
 
-class VerdictConflictPass : public AnalysisPass {
- public:
-  const char* name() const override { return "verdict-conflict"; }
-
-  void Run(const AnalysisContext& ctx, DiagnosticEngine* engine) override {
-    // Failure sites per machine, restricted to transitions that can fire.
-    const std::vector<StateMachine>& machines = ctx.machines;
-    std::vector<std::vector<FailSite>> sites(machines.size());
-    for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-      const StateMachine& m = machines[mi];
-      for (std::size_t ti = 0; ti < m.transitions.size(); ++ti) {
-        if (!ctx.facts[mi].reachable_transition[ti]) continue;
-        CollectFailSites(m.transitions[ti].body, static_cast<int>(ti), &sites[mi]);
+void CheckPair(const AnalysisContext& ctx, const std::vector<std::vector<FailSite>>& sites,
+               std::size_t a, std::size_t b, DiagnosticEngine* engine) {
+  const ArbitrationPolicy policy = ctx.options.policy;
+  const StateMachine& ma = ctx.machines[a];
+  const StateMachine& mb = ctx.machines[b];
+  // Both machines must observe the same event: anchored to the same task
+  // and with intersecting path scopes.
+  if (ma.anchor_task != mb.anchor_task || ma.anchor_task == kInvalidTask) return;
+  if (ma.path_scope != kNoPath && mb.path_scope != kNoPath &&
+      ma.path_scope != mb.path_scope) {
+    return;
+  }
+  for (const FailSite& fa : sites[a]) {
+    for (const FailSite& fb : sites[b]) {
+      const Transition& ta = ma.transitions[fa.transition];
+      const Transition& tb = mb.transitions[fb.transition];
+      if (!TriggersIntersect(ta, tb)) continue;
+      if (fa.action == fb.action && fa.target == fb.target) continue;
+      // Under severity arbitration a strict severity order resolves the
+      // pair deterministically; only equal-severity disagreements are
+      // arbitrary. First/last-wins depend on registration order alone.
+      if (policy == ArbitrationPolicy::kSeverity &&
+          ActionSeverity(fa.action) != ActionSeverity(fb.action)) {
+        continue;
       }
-    }
-    for (std::size_t a = 0; a < machines.size(); ++a) {
-      for (std::size_t b = a + 1; b < machines.size(); ++b) {
-        CheckPair(machines, sites, a, b, ctx.graph, ctx.options, engine);
-      }
+      Diagnostic d = MakeDiagnostic(diag::kVerdictConflict, DiagSeverity::kWarning, ma);
+      d.transition = fa.transition;
+      d.message = "machines '" + ma.name + "' and '" + mb.name +
+                  "' can demand conflicting actions (" + ActionText(fa) + " vs " +
+                  ActionText(fb) + ") for one " + TriggerText(ta, ctx.graph) + " event";
+      d.note = std::string("under policy '") + ArbitrationPolicyName(policy) +
+               "' the tie breaks on registration order; scope the properties to disjoint "
+               "paths or align their onFail actions";
+      engine->Report(std::move(d));
+      return;  // one report per machine pair
     }
   }
+}
 
- private:
-  static void CheckPair(const std::vector<StateMachine>& machines,
-                        const std::vector<std::vector<FailSite>>& sites, std::size_t a,
-                        std::size_t b, const AppGraph& graph, const AnalysisOptions& options,
-                        DiagnosticEngine* engine) {
-    const StateMachine& ma = machines[a];
-    const StateMachine& mb = machines[b];
-    // Both machines must observe the same event: anchored to the same task
-    // and with intersecting path scopes.
-    if (ma.anchor_task != mb.anchor_task || ma.anchor_task == kInvalidTask) return;
-    if (ma.path_scope != kNoPath && mb.path_scope != kNoPath &&
-        ma.path_scope != mb.path_scope) {
-      return;
-    }
-    for (const FailSite& fa : sites[a]) {
-      for (const FailSite& fb : sites[b]) {
-        const Transition& ta = ma.transitions[fa.transition];
-        const Transition& tb = mb.transitions[fb.transition];
-        if (!TriggersIntersect(ta, tb)) continue;
-        if (fa.action == fb.action && fa.target == fb.target) continue;
-        // Under severity arbitration a strict severity order resolves the
-        // pair deterministically; only equal-severity disagreements are
-        // arbitrary. First/last-wins depend on registration order alone.
-        if (options.policy == ArbitrationPolicy::kSeverity &&
-            ActionSeverity(fa.action) != ActionSeverity(fb.action)) {
-          continue;
-        }
-        Diagnostic d = MakeDiagnostic(diag::kVerdictConflict, DiagSeverity::kWarning, ma);
-        d.transition = fa.transition;
-        d.message = "machines '" + ma.name + "' and '" + mb.name +
-                    "' can demand conflicting actions (" + ActionText(fa) + " vs " +
-                    ActionText(fb) + ") for one " + TriggerText(ta, graph) + " event";
-        d.note = std::string("under policy '") + ArbitrationPolicyName(options.policy) +
-                 "' the tie breaks on registration order; scope the properties to disjoint "
-                 "paths or align their onFail actions";
-        engine->Report(std::move(d));
-        return;  // one report per machine pair
-      }
+void CheckVerdictConflicts(const AnalysisContext& ctx, DiagnosticEngine* engine) {
+  // Failure sites per machine, restricted to transitions that can fire.
+  const std::vector<StateMachine>& machines = ctx.machines;
+  std::vector<std::vector<FailSite>> sites(machines.size());
+  for (std::size_t mi = 0; mi < machines.size(); ++mi) {
+    const StateMachine& m = machines[mi];
+    for (std::size_t ti = 0; ti < m.transitions.size(); ++ti) {
+      if (!ctx.facts[mi].reachable_transition[ti]) continue;
+      CollectFailSites(m.transitions[ti].body, static_cast<int>(ti), &sites[mi]);
     }
   }
-};
+  for (std::size_t a = 0; a < machines.size(); ++a) {
+    for (std::size_t b = a + 1; b < machines.size(); ++b) {
+      CheckPair(ctx, sites, a, b, engine);
+    }
+  }
+}
 
 }  // namespace
 
@@ -499,7 +451,7 @@ MachineFacts ComputeMachineFacts(const StateMachine& machine, const AppGraph& gr
     for (std::size_t i = 0; i < n; ++i) {
       const Transition& t = machine.transitions[i];
       if (!facts.producible[i] || guard[i] == TriBool::kFalse) continue;
-      const int from = StateIndex(machine, t.from);
+      const int from = machine.StateIndex(t.from);
       if (from < 0 || !reachable[from]) continue;
       IntervalEnv local = RefineByGuard(env, t.guard);
       EvalStmtsAbstract(t.body, &local);
@@ -527,28 +479,40 @@ MachineFacts ComputeMachineFacts(const StateMachine& machine, const AppGraph& gr
   facts.reachable_state = ReachableStates(machine, facts.producible, facts.guard);
   facts.reachable_transition.resize(n, false);
   for (std::size_t i = 0; i < n; ++i) {
-    const int from = StateIndex(machine, machine.transitions[i].from);
+    const int from = machine.StateIndex(machine.transitions[i].from);
     facts.reachable_transition[i] = from >= 0 && facts.reachable_state[from] &&
                                     facts.producible[i] && facts.guard[i] != TriBool::kFalse;
   }
   return facts;
 }
 
-std::vector<std::unique_ptr<AnalysisPass>> DefaultAnalysisPasses() {
-  std::vector<std::unique_ptr<AnalysisPass>> passes;
-  passes.push_back(std::make_unique<ReachabilityPass>());
-  passes.push_back(std::make_unique<GuardSatisfiabilityPass>());
-  passes.push_back(std::make_unique<DeterminismPass>());
-  passes.push_back(std::make_unique<LivenessPass>());
-  passes.push_back(std::make_unique<VerdictConflictPass>());
-  for (auto& pass : SystemAnalysisPasses()) {
-    passes.push_back(std::move(pass));
-  }
-  return passes;
+Diagnostic MakeDiagnostic(const char* code, DiagSeverity severity, const StateMachine& m) {
+  Diagnostic d;
+  d.code = code;
+  d.severity = severity;
+  d.machine = m.name;
+  d.property = m.property_label;
+  d.span = m.source;
+  return d;
 }
 
 DiagnosticEngine AnalyzeMachines(const std::vector<StateMachine>& machines,
                                  const AppGraph& graph, const AnalysisOptions& options) {
+  // The checks in report order (DiagnosticEngine keeps it); analyzer.h
+  // says what each one finds.
+  using Check = void (*)(const AnalysisContext&, DiagnosticEngine*);
+  static constexpr Check kChecks[] = {
+      CheckReachability,         // ART001, ART002
+      CheckGuards,               // ART003, ART004
+      CheckDeterminism,          // ART005
+      CheckLiveness,             // ART006, ART007
+      CheckVerdictConflicts,     // ART008
+      CheckTaskAttempts,         // ART009
+      CheckTimeBounds,           // ART010
+      CheckProductReachability,  // ART011, ART012
+      CheckWarHazards,           // ART013
+      CheckFlightRing,           // ART014
+  };
   DiagnosticEngine engine(options.werror);
   std::vector<MachineFacts> facts;
   facts.reserve(machines.size());
@@ -556,8 +520,8 @@ DiagnosticEngine AnalyzeMachines(const std::vector<StateMachine>& machines,
     facts.push_back(ComputeMachineFacts(m, graph));
   }
   const AnalysisContext ctx{machines, facts, graph, options};
-  for (const auto& pass : DefaultAnalysisPasses()) {
-    pass->Run(ctx, &engine);
+  for (const Check check : kChecks) {
+    check(ctx, &engine);
   }
   return engine;
 }

@@ -1,7 +1,8 @@
 // Static analysis over lowered FSM IR (the src/analysis tentpole).
 //
-// A pass manager runs a fixed pipeline over the machines produced by
-// lowering, before they reach the interpreter or the C code generator:
+// AnalyzeMachines runs a fixed list of checks over the machines produced by
+// lowering, before they reach the interpreter or the C code generator. The
+// list order is the report order:
 //
 //   1. Reachability       — states/transitions dead under the app graph's
 //                           producible event alphabet (ART001, ART002).
@@ -17,30 +18,29 @@
 //                           actions for one event and the active arbitration
 //                           policy resolves the tie arbitrarily (ART008).
 //
-// Whole-system passes (6..8, src/analysis/system_passes.h) additionally
-// fold the AppGraph's task costs, the CostModel, and the deployment's
+// The whole-system checks (6..10, src/analysis/system_passes.h) also fold
+// the AppGraph's task costs, the default CostModel and the deployment's
 // charge-budget axes through the machines:
 //
-//   6. Energy feasibility — a task's atomic per-attempt energy vs every
-//                           supplied budget (ART009); an MITD/maxDuration
-//                           bound vs the best-case delay once forced
-//                           outages are packed in (ART010).
-//   7. Product reachability — machine x app-position product automaton:
+//   6. Task attempts      — a task's atomic per-attempt energy vs every
+//                           supplied budget (ART009).
+//   7. Time bounds        — an MITD/maxDuration bound vs the best-case delay
+//                           once forced outages are packed in (ART010).
+//   8. Product reachability — machine x app-position product automaton:
 //                           every violating verdict dead (ART011) or a
 //                           violation inevitable on every complete run
 //                           (ART012).
-//   8. Re-execution hazard — WAR self-updates without two-phase commit
-//                           (ART013); flight-recorder ring too small for a
-//                           worst-case record (ART014).
+//   9. WAR hazards        — self-updates without two-phase commit (ART013).
+//  10. Flight ring        — flight-recorder ring too small for a worst-case
+//                           record (ART014).
 //
 // Facts (producibility, guard truth, reachability, variable ranges) are
-// computed once per machine and shared by all passes through an
+// computed once per machine and shared by all checks through an
 // AnalysisContext.
 #ifndef SRC_ANALYSIS_ANALYZER_H_
 #define SRC_ANALYSIS_ANALYZER_H_
 
 #include <cstddef>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -52,7 +52,6 @@
 #include "src/ir/state_machine.h"
 #include "src/kernel/app_graph.h"
 #include "src/monitor/arbitration.h"
-#include "src/sim/cost_model.h"
 
 namespace artemis {
 
@@ -62,10 +61,7 @@ struct AnalysisOptions {
   ArbitrationPolicy policy = ArbitrationPolicy::kSeverity;
   // --Werror: promote every warning to an error.
   bool werror = false;
-  // Cost model used to price dead variables in the liveness pass and to
-  // fold kernel/monitor overheads into the energy-feasibility pass.
-  CostModel costs = DefaultCostModel();
-  // Deployment axes for the whole-system passes. A task (or bound) that is
+  // Deployment axes for the whole-system checks. A task (or bound) that is
   // infeasible under every axis combination is an error; infeasible under
   // only some combinations is a warning.
   std::vector<EnergyUj> budgets = {19'500.0};
@@ -81,7 +77,7 @@ struct AnalysisOptions {
   std::size_t flight_bytes = 1024;
 };
 
-// Per-machine facts shared by the passes.
+// Per-machine facts shared by the checks.
 struct MachineFacts {
   // Tasks whose start/end events the machine can observe: the tasks of its
   // scoped path, or of every path when unscoped.
@@ -103,9 +99,8 @@ struct MachineFacts {
 
 MachineFacts ComputeMachineFacts(const StateMachine& machine, const AppGraph& graph);
 
-// Everything a pass may consult, bundled so new inputs (cost model, charge
-// budgets, deployment flags) reach every pass without signature churn.
-// References stay valid for the duration of AnalyzeMachines.
+// Everything a check may consult. References stay valid for the duration
+// of AnalyzeMachines.
 struct AnalysisContext {
   const std::vector<StateMachine>& machines;
   const std::vector<MachineFacts>& facts;
@@ -113,17 +108,11 @@ struct AnalysisContext {
   const AnalysisOptions& options;
 };
 
-class AnalysisPass {
- public:
-  virtual ~AnalysisPass() = default;
-  virtual const char* name() const = 0;
-  virtual void Run(const AnalysisContext& ctx, DiagnosticEngine* engine) = 0;
-};
+// A finding anchored at machine `m`: its name, property label and source
+// span.
+Diagnostic MakeDiagnostic(const char* code, DiagSeverity severity, const StateMachine& m);
 
-// The eight passes above, in pipeline order.
-std::vector<std::unique_ptr<AnalysisPass>> DefaultAnalysisPasses();
-
-// Computes facts, runs the default pipeline, returns the filled engine.
+// Computes facts, runs the checks above in order, returns the filled engine.
 DiagnosticEngine AnalyzeMachines(const std::vector<StateMachine>& machines,
                                  const AppGraph& graph, const AnalysisOptions& options = {});
 

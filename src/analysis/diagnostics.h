@@ -23,17 +23,17 @@ const char* DiagSeverityName(DiagSeverity severity);
 // Stable diagnostic codes. Never renumber; retire codes instead.
 namespace diag {
 // `artemisc check --json`: the spec failed to parse, validate or lower, or
-// the swap gate could not build an image, so no pass ran.
+// the swap gate could not build an image, so no check ran.
 inline constexpr char kFrontHalfFailure[] = "ART000";
-inline constexpr char kUnreachableState[] = "ART001";   // reachability pass
-inline constexpr char kDeadTransition[] = "ART002";     // reachability pass
-inline constexpr char kUnsatisfiableGuard[] = "ART003"; // guard-sat pass
-inline constexpr char kShadowingGuard[] = "ART004";     // guard-sat pass
-inline constexpr char kOverlappingTransitions[] = "ART005";  // determinism pass
-inline constexpr char kDeadWrite[] = "ART006";          // liveness pass
-inline constexpr char kUnusedVariable[] = "ART007";     // liveness pass
-inline constexpr char kVerdictConflict[] = "ART008";    // cross-machine pass
-// Whole-system passes (src/analysis/system_passes.cc): these need the
+inline constexpr char kUnreachableState[] = "ART001";   // reachability check
+inline constexpr char kDeadTransition[] = "ART002";     // reachability check
+inline constexpr char kUnsatisfiableGuard[] = "ART003"; // guard-sat check
+inline constexpr char kShadowingGuard[] = "ART004";     // guard-sat check
+inline constexpr char kOverlappingTransitions[] = "ART005";  // determinism check
+inline constexpr char kDeadWrite[] = "ART006";          // liveness check
+inline constexpr char kUnusedVariable[] = "ART007";     // liveness check
+inline constexpr char kVerdictConflict[] = "ART008";    // cross-machine check
+// Whole-system checks (src/analysis/system_passes.cc): these need the
 // AppGraph, CostModel, and charge/budget axes from the AnalysisContext.
 inline constexpr char kEnergyInfeasibleTask[] = "ART009";   // energy-feasibility
 inline constexpr char kTimeBoundInfeasible[] = "ART010";    // energy-feasibility
@@ -41,10 +41,10 @@ inline constexpr char kDeadViolation[] = "ART011";          // product reachabil
 inline constexpr char kInevitableViolation[] = "ART012";    // product reachability
 inline constexpr char kReExecutionWarHazard[] = "ART013";   // re-execution hazard
 inline constexpr char kFlightRingHazard[] = "ART014";       // re-execution hazard
-// Hot-swap passes (src/swap/migration.cc, src/swap/hotswap.cc): run over an
+// Hot-swap checks (src/swap/migration.cc, src/swap/hotswap.cc): run over an
 // (old image, new image, migrate block) triple before a live replacement.
 inline constexpr char kMigrationMismatch[] = "ART015";      // migration planner
-inline constexpr char kSwapWindowInfeasible[] = "ART016";   // swap-energy pass
+inline constexpr char kSwapWindowInfeasible[] = "ART016";   // swap-energy check
 }  // namespace diag
 
 struct Diagnostic {

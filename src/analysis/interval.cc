@@ -114,24 +114,6 @@ bool IsComparison(BinOp op) {
   }
 }
 
-const char* BinOpText(BinOp op) {
-  switch (op) {
-    case BinOp::kAdd: return "+";
-    case BinOp::kSub: return "-";
-    case BinOp::kMul: return "*";
-    case BinOp::kDiv: return "/";
-    case BinOp::kLt: return "<";
-    case BinOp::kLe: return "<=";
-    case BinOp::kGt: return ">";
-    case BinOp::kGe: return ">=";
-    case BinOp::kEq: return "==";
-    case BinOp::kNe: return "!=";
-    case BinOp::kAnd: return "&&";
-    case BinOp::kOr: return "||";
-  }
-  return "?";
-}
-
 const char* EventFieldText(EventField field) {
   switch (field) {
     case EventField::kTimestamp: return "ts";
@@ -401,7 +383,7 @@ std::string ExprToText(const Expr& expr) {
     case ExprKind::kEventField:
       return EventFieldText(expr.field);
     case ExprKind::kBinary:
-      return "(" + ExprToText(*expr.lhs) + " " + BinOpText(expr.bin) + " " +
+      return "(" + ExprToText(*expr.lhs) + " " + BinOpToken(expr.bin) + " " +
              ExprToText(*expr.rhs) + ")";
     case ExprKind::kUnary:
       return (expr.un == UnOp::kNot ? "!" : "-") + ExprToText(*expr.lhs);

@@ -1,6 +1,6 @@
 // Interval abstract domain for the FSM IR static analyzer.
 //
-// Three capabilities, shared by the analysis passes:
+// Three capabilities, shared by the analysis checks:
 //   * interval evaluation of guard/body expressions over per-variable value
 //     ranges (variables from their initial values + body updates, event
 //     fields from their physical ranges, e.g. energy fraction in [0, 1]);

@@ -1,112 +1,11 @@
 #include "src/ir/compile.h"
 
+#include <algorithm>
 #include <map>
-#include <sstream>
+#include <utility>
 
 namespace artemis {
 namespace {
-
-const char* OpName(OpCode op) {
-  switch (op) {
-    case OpCode::kPushConst:
-      return "push_const";
-    case OpCode::kPushSlot:
-      return "push_slot";
-    case OpCode::kPushField:
-      return "push_field";
-    case OpCode::kAdd:
-      return "add";
-    case OpCode::kSub:
-      return "sub";
-    case OpCode::kMul:
-      return "mul";
-    case OpCode::kDiv:
-      return "div";
-    case OpCode::kLt:
-      return "lt";
-    case OpCode::kLe:
-      return "le";
-    case OpCode::kGt:
-      return "gt";
-    case OpCode::kGe:
-      return "ge";
-    case OpCode::kEq:
-      return "eq";
-    case OpCode::kNe:
-      return "ne";
-    case OpCode::kAnd:
-      return "and";
-    case OpCode::kOr:
-      return "or";
-    case OpCode::kNot:
-      return "not";
-    case OpCode::kNeg:
-      return "neg";
-    case OpCode::kStoreSlot:
-      return "store_slot";
-    case OpCode::kStoreField:
-      return "store_field";
-    case OpCode::kFieldMinusSlot:
-      return "field_minus_slot";
-    case OpCode::kAddConstSlot:
-      return "add_const_slot";
-    case OpCode::kJumpIfZero:
-      return "jz";
-    case OpCode::kJump:
-      return "jmp";
-    case OpCode::kJumpIfNotLt:
-      return "jnlt";
-    case OpCode::kJumpIfNotLe:
-      return "jnle";
-    case OpCode::kJumpIfNotGt:
-      return "jngt";
-    case OpCode::kJumpIfNotGe:
-      return "jnge";
-    case OpCode::kJumpIfNotEq:
-      return "jneq";
-    case OpCode::kJumpIfNotNe:
-      return "jnne";
-    case OpCode::kJumpIfNotAnd:
-      return "jnand";
-    case OpCode::kJumpIfNotOr:
-      return "jnor";
-    case OpCode::kJumpIfNotElapsedLt:
-      return "jne_lt";
-    case OpCode::kJumpIfNotElapsedLe:
-      return "jne_le";
-    case OpCode::kJumpIfNotElapsedGt:
-      return "jne_gt";
-    case OpCode::kJumpIfNotElapsedGe:
-      return "jne_ge";
-    case OpCode::kJumpIfNotElapsedEq:
-      return "jne_eq";
-    case OpCode::kJumpIfNotElapsedNe:
-      return "jne_ne";
-    case OpCode::kStoreFieldCommit:
-      return "store_field_commit";
-    case OpCode::kGuardCommitElapsedLt:
-      return "gc_lt";
-    case OpCode::kGuardCommitElapsedLe:
-      return "gc_le";
-    case OpCode::kGuardCommitElapsedGt:
-      return "gc_gt";
-    case OpCode::kGuardCommitElapsedGe:
-      return "gc_ge";
-    case OpCode::kGuardCommitElapsedEq:
-      return "gc_eq";
-    case OpCode::kGuardCommitElapsedNe:
-      return "gc_ne";
-    case OpCode::kExtend:
-      return "ext";
-    case OpCode::kFail:
-      return "fail";
-    case OpCode::kCommit:
-      return "commit";
-    case OpCode::kNoMatch:
-      return "no_match";
-  }
-  return "?";
-}
 
 OpCode BinOpCode(BinOp op) {
   switch (op) {
@@ -183,15 +82,8 @@ class Compiler {
                                                                 : SlotType::kCounter);
     }
 
-    // Transition metadata rides along index-aligned with src_.transitions;
-    // the executable code is emitted per dispatch bucket in BuildDispatch.
     for (const Transition& t : src_.transitions) {
-      CompiledTransition ct;
-      ct.from = state_ids_.at(t.from);
-      ct.to = state_ids_.at(t.to);
-      ct.trigger = t.trigger;
-      ct.task = t.task;
-      m_.transitions.push_back(ct);
+      edges_.push_back(Edge{state_ids_.at(t.from), state_ids_.at(t.to), t.trigger, t.task});
     }
     BuildDispatch();
     return std::move(m_);
@@ -435,7 +327,7 @@ class Compiler {
       }
       const std::uint32_t body_at = Pc();
       EmitStmts(t.body);
-      const std::uint32_t commit_at = Emit(OpCode::kCommit, m_.transitions[i].to);
+      const std::uint32_t commit_at = Emit(OpCode::kCommit, edges_[i].to);
       // Whole-transition peepholes: fold the commit into the preceding
       // instruction so the two dominant transition shapes run in a single
       // dispatch. Word counts are unchanged, so no patch target moves.
@@ -466,85 +358,78 @@ class Compiler {
     return trigger == TriggerKind::kStartTask ? EventKind::kStartTask : EventKind::kEndTask;
   }
 
+  // Emits every state's handlers and fills the dense dispatch table: each
+  // (state, kind, task) entry holds the state's handler for that pair, or
+  // its kAnyEvent fallback.
   void BuildDispatch() {
-    m_.buckets.resize(m_.state_names.size());
-    m_.any_handler.resize(m_.state_names.size(), kNoProgram);
-    for (std::uint16_t s = 0; s < m_.state_names.size(); ++s) {
-      // Transitions leaving `s`, in declaration order.
-      std::vector<std::uint32_t> local;
-      for (std::uint32_t i = 0; i < m_.transitions.size(); ++i) {
-        if (m_.transitions[i].from == s) {
-          local.push_back(i);
-        }
-      }
-      // One bucket per distinct (kind, task) a start/end trigger names.
-      for (const std::uint32_t i : local) {
-        const CompiledTransition& t = m_.transitions[i];
-        if (t.trigger == TriggerKind::kAnyEvent) {
-          continue;
-        }
-        const EventKind kind = TriggerEventKind(t.trigger);
-        bool seen = false;
-        for (const CompiledMachine::Bucket& b : m_.buckets[s]) {
-          seen = seen || (b.kind == kind && b.task == t.task);
-        }
-        if (seen) {
-          continue;
-        }
-        std::vector<std::uint32_t> candidates;
-        for (const std::uint32_t j : local) {
-          const CompiledTransition& c = m_.transitions[j];
-          const bool matches = c.trigger == TriggerKind::kAnyEvent ||
-                               (TriggerEventKind(c.trigger) == kind && c.task == t.task);
-          if (matches) {
-            candidates.push_back(j);
-          }
-        }
-        CompiledMachine::Bucket bucket;
-        bucket.kind = kind;
-        bucket.task = t.task;
-        bucket.candidates = static_cast<std::uint32_t>(candidates.size());
-        bucket.handler_pc = EmitHandler(candidates);
-        m_.buckets[s].push_back(bucket);
-      }
-      // Fallback for events no bucket covers: only kAnyEvent can match.
-      std::vector<std::uint32_t> any_candidates;
-      for (const std::uint32_t j : local) {
-        if (m_.transitions[j].trigger == TriggerKind::kAnyEvent) {
-          any_candidates.push_back(j);
-        }
-      }
-      m_.any_handler[s] = EmitHandler(any_candidates);
-    }
-    BuildDenseTable();
-  }
-
-  // Flattens the buckets into the O(1) [state][kind][task] table, with
-  // every uncovered entry pre-filled with that state's fallback handler.
-  void BuildDenseTable() {
     m_.max_task = 0;
-    for (const CompiledTransition& t : m_.transitions) {
+    for (const Edge& t : edges_) {
       if (t.trigger != TriggerKind::kAnyEvent && t.task > m_.max_task) {
         m_.max_task = t.task;
       }
     }
     const std::uint32_t tasks = m_.max_task + 1;
     m_.dispatch.assign(m_.state_names.size() * 2u * tasks, kNoProgram);
+    m_.any_handler.resize(m_.state_names.size(), kNoProgram);
     for (std::uint16_t s = 0; s < m_.state_names.size(); ++s) {
-      for (std::uint32_t kind = 0; kind < 2; ++kind) {
-        for (std::uint32_t task = 0; task < tasks; ++task) {
-          m_.dispatch[(s * 2u + kind) * tasks + task] = m_.any_handler[s];
+      // Transitions leaving `s`, in declaration order.
+      std::vector<std::uint32_t> local;
+      for (std::uint32_t i = 0; i < edges_.size(); ++i) {
+        if (edges_[i].from == s) {
+          local.push_back(i);
         }
       }
-      for (const CompiledMachine::Bucket& b : m_.buckets[s]) {
-        const std::uint32_t kind = static_cast<std::uint32_t>(b.kind);
-        m_.dispatch[(s * 2u + kind) * tasks + b.task] = b.handler_pc;
+      // One handler per distinct (kind, task) a start/end trigger names, as
+      // (dispatch entry, handler pc).
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> handlers;
+      for (const std::uint32_t i : local) {
+        const Edge& t = edges_[i];
+        if (t.trigger == TriggerKind::kAnyEvent) {
+          continue;
+        }
+        const EventKind kind = TriggerEventKind(t.trigger);
+        const std::uint32_t entry = (s * 2u + static_cast<std::uint32_t>(kind)) * tasks + t.task;
+        if (std::any_of(handlers.begin(), handlers.end(),
+                        [entry](const auto& handler) { return handler.first == entry; })) {
+          continue;
+        }
+        std::vector<std::uint32_t> candidates;
+        for (const std::uint32_t j : local) {
+          const Edge& c = edges_[j];
+          if (c.trigger == TriggerKind::kAnyEvent ||
+              (TriggerEventKind(c.trigger) == kind && c.task == t.task)) {
+            candidates.push_back(j);
+          }
+        }
+        handlers.emplace_back(entry, EmitHandler(candidates));
+      }
+      // Fallback for events no handler covers: only kAnyEvent can match.
+      std::vector<std::uint32_t> any_candidates;
+      for (const std::uint32_t j : local) {
+        if (edges_[j].trigger == TriggerKind::kAnyEvent) {
+          any_candidates.push_back(j);
+        }
+      }
+      m_.any_handler[s] = EmitHandler(any_candidates);
+      const auto row = m_.dispatch.begin() + s * 2u * tasks;
+      std::fill(row, row + 2u * tasks, m_.any_handler[s]);
+      for (const auto& [entry, pc] : handlers) {
+        m_.dispatch[entry] = pc;
       }
     }
   }
 
+  // A source transition with its states interned.
+  struct Edge {
+    std::uint16_t from;
+    std::uint16_t to;
+    TriggerKind trigger;
+    TaskId task;
+  };
+
   const StateMachine& src_;
   CompiledMachine m_;
+  std::vector<Edge> edges_;  // index-aligned with src_.transitions
   std::map<std::string, std::uint16_t> state_ids_;
   std::map<std::string, std::uint32_t> slot_ids_;
   std::map<double, std::uint32_t> const_ids_;
@@ -565,92 +450,6 @@ bool CompiledMachine::Reacts(EventKind kind, TaskId task) const {
 
 StatusOr<CompiledMachine> CompileStateMachine(const StateMachine& machine) {
   return Compiler(machine).Run();
-}
-
-std::string Disassemble(const CompiledMachine& machine) {
-  std::ostringstream out;
-  out << "compiled " << machine.name << " (" << machine.property_label << ")\n";
-  out << "  states: " << machine.state_names.size() << " initial: "
-      << machine.state_names[machine.initial] << '\n';
-  for (std::size_t i = 0; i < machine.var_names.size(); ++i) {
-    out << "  slot " << i << ": " << machine.var_names[i] << " = "
-        << machine.initial_slots[i] << '\n';
-  }
-  for (std::size_t i = 0; i < machine.transitions.size(); ++i) {
-    const CompiledTransition& t = machine.transitions[i];
-    out << "  t" << i << ": " << machine.state_names[t.from] << " -> "
-        << machine.state_names[t.to] << " : " << TriggerKindName(t.trigger);
-    if (t.trigger != TriggerKind::kAnyEvent) {
-      out << "(task#" << t.task << ")";
-    }
-    out << '\n';
-  }
-  for (std::size_t s = 0; s < machine.buckets.size(); ++s) {
-    for (const CompiledMachine::Bucket& b : machine.buckets[s]) {
-      out << "  " << machine.state_names[s] << " / "
-          << (b.kind == EventKind::kStartTask ? "start" : "end") << "(task#" << b.task
-          << ") -> handler@" << b.handler_pc << " (" << b.candidates << " candidates)\n";
-    }
-    out << "  " << machine.state_names[s] << " / * -> handler@" << machine.any_handler[s]
-        << '\n';
-  }
-  for (std::size_t pc = 0; pc < machine.code.size(); ++pc) {
-    const Instr& in = machine.code[pc];
-    out << "  " << pc << ": " << OpName(in.op);
-    switch (in.op) {
-      case OpCode::kPushConst:
-        out << ' ' << machine.const_pool[in.operand];
-        break;
-      case OpCode::kPushSlot:
-      case OpCode::kStoreSlot:
-        out << ' ' << machine.var_names[in.operand];
-        break;
-      case OpCode::kStoreField:
-      case OpCode::kFieldMinusSlot:
-      case OpCode::kJumpIfNotElapsedLt:
-      case OpCode::kJumpIfNotElapsedLe:
-      case OpCode::kJumpIfNotElapsedGt:
-      case OpCode::kJumpIfNotElapsedGe:
-      case OpCode::kJumpIfNotElapsedEq:
-      case OpCode::kJumpIfNotElapsedNe:
-      case OpCode::kStoreFieldCommit:
-      case OpCode::kGuardCommitElapsedLt:
-      case OpCode::kGuardCommitElapsedLe:
-      case OpCode::kGuardCommitElapsedGt:
-      case OpCode::kGuardCommitElapsedGe:
-      case OpCode::kGuardCommitElapsedEq:
-      case OpCode::kGuardCommitElapsedNe:
-        out << " field:" << (in.operand >> 16) << ' '
-            << machine.var_names[in.operand & 0xFFFF];
-        break;
-      case OpCode::kAddConstSlot:
-        out << ' ' << machine.var_names[in.operand & 0xFFFF] << " += "
-            << machine.const_pool[in.operand >> 16];
-        break;
-      case OpCode::kCommit:
-        out << ' ' << machine.state_names[in.operand];
-        break;
-      case OpCode::kPushField:
-      case OpCode::kJumpIfZero:
-      case OpCode::kJump:
-      case OpCode::kJumpIfNotLt:
-      case OpCode::kJumpIfNotLe:
-      case OpCode::kJumpIfNotGt:
-      case OpCode::kJumpIfNotGe:
-      case OpCode::kJumpIfNotEq:
-      case OpCode::kJumpIfNotNe:
-      case OpCode::kJumpIfNotAnd:
-      case OpCode::kJumpIfNotOr:
-      case OpCode::kExtend:
-      case OpCode::kFail:
-        out << ' ' << in.operand;
-        break;
-      default:
-        break;
-    }
-    out << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace artemis

@@ -123,15 +123,6 @@ struct FailRecord {
 // Sentinel program counter: "no guard" / "empty body".
 inline constexpr std::uint32_t kNoProgram = 0xFFFFFFFFu;
 
-// Metadata about one source transition, kept for introspection and
-// disassembly; the executable form lives in the fused handler programs.
-struct CompiledTransition {
-  std::uint16_t from = 0;
-  std::uint16_t to = 0;
-  TriggerKind trigger = TriggerKind::kAnyEvent;
-  TaskId task = kInvalidTask;
-};
-
 struct CompiledMachine {
   std::string name;
   std::string property_label;
@@ -148,9 +139,9 @@ struct CompiledMachine {
   // different types (ART015).
   std::vector<SlotType> slot_types;
 
-  // All handler programs, concatenated. Each bucket points at one program
-  // that inlines every candidate transition in declaration order:
-  //   <guard>  kJumpIfZero next; <body>  kSetState to; kHandled
+  // All handler programs, concatenated. A handler program inlines every
+  // candidate transition in declaration order:
+  //   <guard>  jump-if-false next; <body>  commit to
   // and ends with kNoMatch if no candidate fired (implicit self-loop).
   std::vector<Instr> code;
   std::vector<double> const_pool;
@@ -158,27 +149,18 @@ struct CompiledMachine {
   // Max operand-stack depth over all programs (for one-time allocation).
   std::uint32_t max_stack = 0;
 
-  std::vector<CompiledTransition> transitions;
-
   // ---- dispatch index -------------------------------------------------
-  // For each state, transitions are bucketed by the exact (event kind,
-  // task id) pairs that can match them. A bucket's handler program inlines
-  // its candidate transitions in declaration order (interleaving kAnyEvent
-  // transitions), so running a handler is equivalent to scanning the whole
-  // transition list. Events whose (kind, task) has no dedicated bucket can
-  // only match kAnyEvent transitions and fall back to `any_handler`.
-  struct Bucket {
-    EventKind kind = EventKind::kStartTask;
-    TaskId task = kInvalidTask;
-    std::uint32_t handler_pc = kNoProgram;
-    std::uint32_t candidates = 0;  // transitions inlined (introspection)
-  };
-  std::vector<std::vector<Bucket>> buckets;  // indexed by state id
-  std::vector<std::uint32_t> any_handler;    // indexed by state id; a pc
+  // Each state has one handler per exact (event kind, task id) pair that a
+  // start/end trigger leaving it names. The handler inlines the pair's
+  // candidate transitions in declaration order (interleaving kAnyEvent
+  // transitions), so running it is equivalent to scanning the whole
+  // transition list. Events whose (kind, task) has no handler of its own
+  // can only match kAnyEvent transitions and fall back to `any_handler`.
+  std::vector<std::uint32_t> any_handler;  // indexed by state id; a pc
 
   // Dense O(1) dispatch: handler pc for every (state, kind, task) with
-  // task <= max_task, any_handler defaults pre-filled. Laid out
-  // [state][kind][task] so one multiply-add reaches the entry.
+  // task <= max_task, any_handler filling the pairs without a handler.
+  // Laid out [state][kind][task] so one multiply-add reaches the entry.
   std::uint32_t max_task = 0;
   std::vector<std::uint32_t> dispatch;
 
@@ -208,9 +190,6 @@ struct CompiledMachine {
 // bytecode's index ranges (65k states/slots, 4G instructions) or that fail
 // StateMachine::Validate().
 StatusOr<CompiledMachine> CompileStateMachine(const StateMachine& machine);
-
-// Human-readable disassembly for debugging and golden tests.
-std::string Disassemble(const CompiledMachine& machine);
 
 }  // namespace artemis
 

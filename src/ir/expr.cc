@@ -1,7 +1,6 @@
 #include "src/ir/expr.h"
 
 namespace artemis {
-namespace {
 
 const char* BinOpToken(BinOp op) {
   switch (op) {
@@ -32,6 +31,8 @@ const char* BinOpToken(BinOp op) {
   }
   return "?";
 }
+
+namespace {
 
 const char* FieldName(EventField field) {
   switch (field) {

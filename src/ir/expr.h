@@ -95,6 +95,10 @@ StmtPtr Fail(ActionType action, PathId target_path, std::string property);
 bool ExecStmts(const std::vector<StmtPtr>& body, VarEnv* env, const MonitorEvent& event,
                MonitorVerdict* verdict);
 
+// Source spelling of a binary operator ("+", "<=", "&&", ...), shared by
+// the C and text renderings.
+const char* BinOpToken(BinOp op);
+
 // Free variables referenced by an expression / statement list (for
 // validation).
 void CollectVars(const Expr& expr, std::map<std::string, int>* vars);

@@ -1,6 +1,5 @@
 #include "src/ir/lowering.h"
 
-#include <algorithm>
 #include <cctype>
 
 namespace artemis {
@@ -324,16 +323,9 @@ StatusOr<StateMachine> LowerProperty(const PropertyAst& property, const std::str
   machine.property_label = label;
   machine.source = property.Span();
   machine.anchor_task = *anchor;
-  // The Path qualifier scopes events only when the anchor actually lies on
-  // that path (path merging); for cross-path dependencies it is solely the
-  // fail target already baked into the Fail statements.
-  machine.path_scope = kNoPath;
-  if (property.path != kNoPath) {
-    const auto& scoped = graph.path(property.path);
-    if (std::find(scoped.begin(), scoped.end(), *anchor) != scoped.end()) {
-      machine.path_scope = property.path;
-    }
-  }
+  // For cross-path dependencies the Path qualifier is solely the fail
+  // target already baked into the Fail statements.
+  machine.path_scope = graph.ScopeFor(property.path, *anchor);
   if (const Status status = machine.Validate(); !status.ok()) {
     return status;
   }

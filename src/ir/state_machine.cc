@@ -41,8 +41,9 @@ std::size_t SlotTypeWidth(SlotType type) {
   return 8;
 }
 
-bool StateMachine::HasState(const std::string& state) const {
-  return std::find(states.begin(), states.end(), state) != states.end();
+int StateMachine::StateIndex(const std::string& state) const {
+  const auto it = std::find(states.begin(), states.end(), state);
+  return it == states.end() ? -1 : static_cast<int>(it - states.begin());
 }
 
 Status StateMachine::Validate() const {

@@ -74,7 +74,9 @@ struct StateMachine {
   // change (implicit self-transition, Section 3.3) — always true in this IR;
   // kept as documentation.
 
-  bool HasState(const std::string& state) const;
+  // Index of `state` in `states`, or -1 when it is not declared.
+  int StateIndex(const std::string& state) const;
+  bool HasState(const std::string& state) const { return StateIndex(state) >= 0; }
 
   // Structural checks: initial/from/to states exist, transition guards and
   // bodies only reference declared variables, at most one kFail per body

@@ -1,5 +1,6 @@
 #include "src/kernel/app_graph.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace artemis {
@@ -47,6 +48,14 @@ std::vector<PathId> AppGraph::PathsContaining(TaskId task) const {
     }
   }
   return out;
+}
+
+PathId AppGraph::ScopeFor(PathId qualifier, TaskId anchor) const {
+  if (qualifier == kNoPath || qualifier > paths_.size()) {
+    return kNoPath;
+  }
+  const std::vector<TaskId>& tasks = paths_[qualifier - 1];
+  return std::find(tasks.begin(), tasks.end(), anchor) != tasks.end() ? qualifier : kNoPath;
 }
 
 Status AppGraph::Validate() const {

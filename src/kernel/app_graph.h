@@ -38,6 +38,12 @@ class AppGraph {
   // Paths (1-based numbers) that contain the given task.
   std::vector<PathId> PathsContaining(TaskId task) const;
 
+  // Table 1's path merging: a property's `Path` qualifier scopes its events
+  // only when the anchor task lies on that path. Otherwise (a cross-path
+  // dependency) the path is only the target of the property's actions, and
+  // the events are unscoped (kNoPath).
+  PathId ScopeFor(PathId qualifier, TaskId anchor) const;
+
   // Validation: every path non-empty, every referenced task exists, at least
   // one path.
   Status Validate() const;

@@ -1,7 +1,5 @@
 #include "src/mayfly/mayfly.h"
 
-#include <algorithm>
-
 namespace artemis {
 
 void MayflyChecker::AddRule(MayflyRule rule) {
@@ -121,16 +119,9 @@ StatusOr<MayflySpec> MayflyFromSpec(const SpecAst& spec, const AppGraph& graph) 
           rule.expiry = p.duration;
           rule.count = p.count;
           rule.path = p.path;
-          // Scope only when the consumer itself lies on the named path
-          // (path merging); cross-path dependencies keep the path purely as
-          // the restart target.
-          rule.scope = kNoPath;
-          if (p.path != kNoPath) {
-            const auto& scoped = graph.path(p.path);
-            if (std::find(scoped.begin(), scoped.end(), *task) != scoped.end()) {
-              rule.scope = p.path;
-            }
-          }
+          // Cross-path dependencies keep the path purely as the restart
+          // target.
+          rule.scope = graph.ScopeFor(p.path, *task);
           rule.label = "mayfly:" + label;
           out.rules.push_back(std::move(rule));
           if (p.max_attempt != 0) {

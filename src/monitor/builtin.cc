@@ -1,22 +1,6 @@
 #include "src/monitor/builtin.h"
 
-#include <algorithm>
-
 namespace artemis {
-namespace {
-
-// The Path qualifier is an event scope only when the anchor task actually
-// lies on that path (path merging); otherwise it is purely the action
-// target (cross-path dependencies).
-PathId ScopeFor(const AppGraph& graph, PathId qualifier, TaskId anchor) {
-  if (qualifier == kNoPath) {
-    return kNoPath;
-  }
-  const auto& path = graph.path(qualifier);
-  return std::find(path.begin(), path.end(), anchor) != path.end() ? qualifier : kNoPath;
-}
-
-}  // namespace
 
 bool MaxTriesMonitor::Step(const MonitorEvent& event, MonitorVerdict* verdict) {
   if (!InScope(event) || event.task != task_) {
@@ -185,7 +169,7 @@ StatusOr<std::unique_ptr<Monitor>> MakeBuiltinMonitor(const PropertyAst& propert
     dep = *found;
   }
   const std::string label = property.Label(task_name);
-  const PathId scope = ScopeFor(graph, property.path, *anchor);
+  const PathId scope = graph.ScopeFor(property.path, *anchor);
   std::unique_ptr<Monitor> monitor;
   switch (property.kind) {
     case PropertyKind::kMaxTries:

@@ -4,23 +4,20 @@
 
 namespace artemis {
 
-std::size_t InterpretedMonitor::StateIndex(const std::string& state) const {
-  const auto it = std::find(machine_->states.begin(), machine_->states.end(), state);
-  return it != machine_->states.end()
-             ? static_cast<std::size_t>(it - machine_->states.begin())
-             : 0;
-}
-
 InterpretedMonitor::InterpretedMonitor(std::shared_ptr<const StateMachine> machine)
     : machine_(std::move(machine)), env_(machine_->variables) {
-  initial_index_ = StateIndex(machine_->initial);
+  // An undeclared state (a machine that skipped Validate) maps to state 0.
+  const auto index = [this](const std::string& state) {
+    return static_cast<std::size_t>(std::max(machine_->StateIndex(state), 0));
+  };
+  initial_index_ = index(machine_->initial);
   current_ = initial_index_;
   by_state_.resize(machine_->states.size());
   to_index_.reserve(machine_->transitions.size());
   for (std::uint32_t i = 0; i < machine_->transitions.size(); ++i) {
     const Transition& t = machine_->transitions[i];
-    by_state_[StateIndex(t.from)].push_back(i);
-    to_index_.push_back(StateIndex(t.to));
+    by_state_[index(t.from)].push_back(i);
+    to_index_.push_back(index(t.to));
   }
 }
 

@@ -47,7 +47,6 @@ class InterpretedMonitor final : public Monitor {
 
  private:
   static bool TriggerMatches(const Transition& t, EventKind kind, TaskId task);
-  std::size_t StateIndex(const std::string& state) const;
 
   std::shared_ptr<const StateMachine> machine_;
   // Transition indices leaving each state (index == position of the state

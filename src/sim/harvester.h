@@ -7,7 +7,6 @@
 #define SRC_SIM_HARVESTER_H_
 
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,7 +20,6 @@ class Harvester {
   virtual ~Harvester() = default;
   // Instantaneous harvested power at absolute simulated time `t`.
   virtual Milliwatts PowerAt(SimTime t) const = 0;
-  virtual std::string Name() const = 0;
 
   // Average power over [t, t + d]; default integrates in 1 ms steps, exact
   // overrides exist for analytic sources.
@@ -34,7 +32,6 @@ class ConstantHarvester : public Harvester {
   explicit ConstantHarvester(Milliwatts power) : power_(power) {}
   Milliwatts PowerAt(SimTime) const override { return power_; }
   EnergyUj EnergyOver(SimTime, SimDuration d) const override { return EnergyFor(power_, d); }
-  std::string Name() const override { return "constant"; }
 
  private:
   Milliwatts power_;
@@ -47,7 +44,6 @@ class PulseHarvester : public Harvester {
  public:
   PulseHarvester(Milliwatts on_power, SimDuration period, SimDuration on);
   Milliwatts PowerAt(SimTime t) const override;
-  std::string Name() const override { return "pulse"; }
 
  private:
   Milliwatts on_power_;
@@ -61,7 +57,6 @@ class TraceHarvester : public Harvester {
  public:
   explicit TraceHarvester(std::vector<std::pair<SimTime, Milliwatts>> steps);
   Milliwatts PowerAt(SimTime t) const override;
-  std::string Name() const override { return "trace"; }
 
  private:
   std::vector<std::pair<SimTime, Milliwatts>> steps_;
@@ -75,7 +70,6 @@ class NoisyHarvester : public Harvester {
   NoisyHarvester(Milliwatts mean_power, double relative_stddev, SimDuration interval,
                  std::uint64_t seed);
   Milliwatts PowerAt(SimTime t) const override;
-  std::string Name() const override { return "noisy"; }
 
  private:
   Milliwatts mean_power_;

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
 
 #include "src/base/rng.h"
 #include "src/base/time.h"
@@ -28,15 +27,12 @@ class OutageTimekeeper {
   // Returns the outage duration the device *believes* elapsed, given the
   // true duration. Deterministic under the provided RNG stream.
   virtual SimDuration MeasureOutage(SimDuration actual, Rng& rng) = 0;
-
-  virtual std::string Name() const = 0;
 };
 
 // Perfect timekeeping (an always-powered RTC with no drift).
 class IdealTimekeeper : public OutageTimekeeper {
  public:
   SimDuration MeasureOutage(SimDuration actual, Rng&) override { return actual; }
-  std::string Name() const override { return "ideal"; }
 };
 
 // RTC-backed timekeeper: unbounded range, small multiplicative Gaussian
@@ -49,7 +45,6 @@ class RtcTimekeeper : public OutageTimekeeper {
     const double factor = std::max(0.0, rng.Gaussian(1.0, relative_error_));
     return static_cast<SimDuration>(static_cast<double>(actual) * factor);
   }
-  std::string Name() const override { return "rtc"; }
 
  private:
   double relative_error_;
@@ -77,7 +72,6 @@ class RemanenceTimekeeper : public OutageTimekeeper {
         static_cast<SimDuration>(static_cast<double>(actual) * factor);
     return std::min(measured, max_measurable_);
   }
-  std::string Name() const override { return "remanence"; }
 
   SimDuration max_measurable() const { return max_measurable_; }
 

@@ -8,15 +8,16 @@
 namespace artemis {
 namespace {
 
-class Parser {
+class Parser : private TokenCursor {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(TokenCursor tokens) : TokenCursor(std::move(tokens)) {}
 
   StatusOr<AppDescription> Run() {
     AppDescription app;
-    if (Status status = ExpectKeyword("app"); !status.ok()) {
-      return status;
+    if (!CheckWord("app")) {
+      return ErrorAt(Peek(), "expected 'app'");
     }
+    Advance();
     if (!Check(TokenKind::kIdentifier)) {
       return ErrorAt(Peek(), "expected the application name");
     }
@@ -72,47 +73,29 @@ class Parser {
       if (Status status = Expect(TokenKind::kColon); !status.ok()) {
         return status;
       }
+      Status status = Status::Ok();
       if (attr.text == "duration") {
-        if (!Check(TokenKind::kDuration) && !Check(TokenKind::kNumber)) {
-          return ErrorAt(Peek(), "expected a duration");
-        }
-        const Token token = Advance();
-        def.work.duration =
-            token.kind == TokenKind::kDuration
-                ? token.duration
-                : static_cast<SimDuration>(token.number * static_cast<double>(kMillisecond));
+        status = ReadDuration(attr, "expected a duration", &def.work.duration);
       } else if (attr.text == "power") {
-        if (!Check(TokenKind::kPower) && !Check(TokenKind::kNumber)) {
-          return ErrorAt(Peek(), "expected a power (e.g. 9mW)");
+        status = ReadPower(attr, "expected a power (e.g. 9mW)", &def.work.power);
+      } else if (attr.text == "value" && CheckWord("gaussian")) {
+        Advance();
+        status = Expect(TokenKind::kLParen);
+        if (status.ok()) {
+          status = ReadNumber("expected the gaussian mean", &value_mean);
         }
-        const Token token = Advance();
-        def.work.power = token.kind == TokenKind::kPower ? token.power : token.number;
+        if (status.ok()) {
+          status = Expect(TokenKind::kComma);
+        }
+        if (status.ok()) {
+          status = ReadNumber("expected the gaussian stddev", &value_stddev);
+        }
+        if (status.ok()) {
+          status = Expect(TokenKind::kRParen);
+        }
       } else if (attr.text == "value") {
-        if (Check(TokenKind::kNumber)) {
-          value_mean = Advance().number;
-          value_stddev = 0.0;
-        } else if (Check(TokenKind::kIdentifier) && Peek().text == "gaussian") {
-          Advance();
-          if (Status status = Expect(TokenKind::kLParen); !status.ok()) {
-            return status;
-          }
-          if (!Check(TokenKind::kNumber)) {
-            return ErrorAt(Peek(), "expected the gaussian mean");
-          }
-          value_mean = Advance().number;
-          if (Status status = Expect(TokenKind::kComma); !status.ok()) {
-            return status;
-          }
-          if (!Check(TokenKind::kNumber)) {
-            return ErrorAt(Peek(), "expected the gaussian stddev");
-          }
-          value_stddev = Advance().number;
-          if (Status status = Expect(TokenKind::kRParen); !status.ok()) {
-            return status;
-          }
-        } else {
-          return ErrorAt(Peek(), "expected a number or gaussian(mean, stddev)");
-        }
+        value_stddev = 0.0;
+        status = ReadNumber("expected a number or gaussian(mean, stddev)", &value_mean);
       } else if (attr.text == "monitors") {
         if (!Check(TokenKind::kIdentifier)) {
           return ErrorAt(Peek(), "expected a variable name");
@@ -121,7 +104,10 @@ class Parser {
       } else {
         return ErrorAt(attr, "unknown task attribute '" + attr.text + "'");
       }
-      if (Status status = Expect(TokenKind::kSemicolon); !status.ok()) {
+      if (status.ok()) {
+        status = Expect(TokenKind::kSemicolon);
+      }
+      if (!status.ok()) {
         return status;
       }
     }
@@ -144,10 +130,10 @@ class Parser {
 
   Status ParsePath(AppDescription* app) {
     const Token keyword = Advance();  // 'path'
-    if (!Check(TokenKind::kNumber)) {
-      return ErrorAt(Peek(), "expected the path number");
+    PathId number = kNoPath;
+    if (Status status = ReadUint32(keyword, "expected the path number", &number); !status.ok()) {
+      return status;
     }
-    const PathId number = static_cast<PathId>(Advance().number);
     if (number != app->graph.path_count() + 1) {
       return ErrorAt(keyword, "paths must be declared in order; expected path " +
                                   std::to_string(app->graph.path_count() + 1));
@@ -161,10 +147,9 @@ class Parser {
         return ErrorAt(Peek(), "expected a task name in the path");
       }
       names.push_back(Advance().text);
-      if (!Check(TokenKind::kArrow)) {
+      if (!Match(TokenKind::kArrow)) {
         break;
       }
-      Advance();
     }
     if (Status status = Expect(TokenKind::kSemicolon); !status.ok()) {
       return status;
@@ -176,44 +161,16 @@ class Parser {
     }
     return Status::Ok();
   }
-
-  const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Advance() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
-  bool Check(TokenKind kind) const { return Peek().kind == kind; }
-  Status Expect(TokenKind kind) {
-    if (Check(kind)) {
-      Advance();
-      return Status::Ok();
-    }
-    return ErrorAt(Peek(), std::string("expected ") + TokenKindName(kind) + ", found " +
-                               Peek().Describe());
-  }
-  Status ExpectKeyword(const std::string& word) {
-    if (Check(TokenKind::kIdentifier) && Peek().text == word) {
-      Advance();
-      return Status::Ok();
-    }
-    return ErrorAt(Peek(), "expected '" + word + "'");
-  }
-  Status ErrorAt(const Token& token, const std::string& message) const {
-    return Status::Invalid("line " + std::to_string(token.line) + ":" +
-                           std::to_string(token.column) + ": " + message);
-  }
-
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace
 
 StatusOr<AppDescription> ParseAppDescription(std::string_view source) {
-  std::vector<Token> tokens = Lexer(source).Tokenize();
-  if (!tokens.empty() && tokens.back().kind == TokenKind::kError) {
-    const Token& bad = tokens.back();
-    return Status::Invalid("lex error at line " + std::to_string(bad.line) + ": unexpected '" +
-                           bad.text + "'");
+  StatusOr<TokenCursor> tokens = TokenCursor::Lex(source);
+  if (!tokens.ok()) {
+    return tokens.status();
   }
-  return Parser(std::move(tokens)).Run();
+  return Parser(std::move(tokens).value()).Run();
 }
 
 }  // namespace artemis

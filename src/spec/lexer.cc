@@ -1,6 +1,10 @@
 #include "src/spec/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <limits>
+#include <optional>
 
 #include "src/base/units.h"
 
@@ -19,12 +23,12 @@ bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)) != 0; 
 
 Lexer::Lexer(std::string_view source) : source_(source) {}
 
-char Lexer::Peek(int ahead) const {
+char Lexer::PeekChar(int ahead) const {
   const std::size_t at = pos_ + static_cast<std::size_t>(ahead);
   return at < source_.size() ? source_[at] : '\0';
 }
 
-char Lexer::Advance() {
+char Lexer::AdvanceChar() {
   const char c = source_[pos_++];
   if (c == '\n') {
     ++line_;
@@ -37,22 +41,22 @@ char Lexer::Advance() {
 
 void Lexer::SkipWhitespaceAndComments() {
   while (!AtEnd()) {
-    const char c = Peek();
+    const char c = PeekChar();
     if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      Advance();
-    } else if (c == '#' || (c == '/' && Peek(1) == '/')) {
-      while (!AtEnd() && Peek() != '\n') {
-        Advance();
+      AdvanceChar();
+    } else if (c == '#' || (c == '/' && PeekChar(1) == '/')) {
+      while (!AtEnd() && PeekChar() != '\n') {
+        AdvanceChar();
       }
-    } else if (c == '/' && Peek(1) == '*') {
-      Advance();
-      Advance();
-      while (!AtEnd() && !(Peek() == '*' && Peek(1) == '/')) {
-        Advance();
+    } else if (c == '/' && PeekChar(1) == '*') {
+      AdvanceChar();
+      AdvanceChar();
+      while (!AtEnd() && !(PeekChar() == '*' && PeekChar(1) == '/')) {
+        AdvanceChar();
       }
       if (!AtEnd()) {
-        Advance();
-        Advance();
+        AdvanceChar();
+        AdvanceChar();
       }
     } else {
       break;
@@ -76,7 +80,7 @@ Token Lexer::Next() {
   if (AtEnd()) {
     return Make(TokenKind::kEndOfInput, "");
   }
-  const char c = Advance();
+  const char c = AdvanceChar();
   switch (c) {
     case ':':
       return Make(TokenKind::kColon, ":");
@@ -97,8 +101,8 @@ Token Lexer::Next() {
     case ',':
       return Make(TokenKind::kComma, ",");
     case '-':
-      if (Peek() == '>') {
-        Advance();
+      if (PeekChar() == '>') {
+        AdvanceChar();
         return Make(TokenKind::kArrow, "->");
       }
       break;  // Falls through to the number path ("-3").
@@ -108,25 +112,25 @@ Token Lexer::Next() {
 
   if (IsIdentStart(c)) {
     std::string text(1, c);
-    while (!AtEnd() && IsIdentChar(Peek())) {
-      text += Advance();
+    while (!AtEnd() && IsIdentChar(PeekChar())) {
+      text += AdvanceChar();
     }
     return Make(TokenKind::kIdentifier, std::move(text));
   }
 
-  if (IsDigit(c) || (c == '-' && IsDigit(Peek()))) {
+  if (IsDigit(c) || (c == '-' && IsDigit(PeekChar()))) {
     std::string text(1, c);
     bool seen_dot = false;
-    while (!AtEnd() && (IsDigit(Peek()) || (Peek() == '.' && !seen_dot))) {
-      seen_dot = seen_dot || Peek() == '.';
-      text += Advance();
+    while (!AtEnd() && (IsDigit(PeekChar()) || (PeekChar() == '.' && !seen_dot))) {
+      seen_dot = seen_dot || PeekChar() == '.';
+      text += AdvanceChar();
     }
     // A unit suffix glued to the number makes it a duration or power
     // literal.
-    if (!AtEnd() && IsIdentStart(Peek())) {
+    if (!AtEnd() && IsIdentStart(PeekChar())) {
       std::string unit;
-      while (!AtEnd() && IsIdentChar(Peek())) {
-        unit += Advance();
+      while (!AtEnd() && IsIdentChar(PeekChar())) {
+        unit += AdvanceChar();
       }
       if (const std::optional<SimDuration> d = ParseDuration(text + unit); d.has_value()) {
         Token token = Make(TokenKind::kDuration, text + unit);
@@ -140,8 +144,13 @@ Token Lexer::Next() {
       }
       return Make(TokenKind::kError, text + unit);
     }
+    double number = 0.0;
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), number);
+    if (error != std::errc() || end != text.data() + text.size()) {
+      return Make(TokenKind::kError, text);  // Past double range.
+    }
     Token token = Make(TokenKind::kNumber, text);
-    token.number = std::stod(text);
+    token.number = number;
     return token;
   }
 
@@ -160,6 +169,107 @@ std::vector<Token> Lexer::Tokenize() {
     }
   }
   return tokens;
+}
+
+StatusOr<TokenCursor> TokenCursor::Lex(std::string_view source) {
+  std::vector<Token> tokens = Lexer(source).Tokenize();
+  if (tokens.back().kind == TokenKind::kError) {
+    const Token& bad = tokens.back();
+    return Status::Invalid("lex error at line " + std::to_string(bad.line) + ":" +
+                           std::to_string(bad.column) + ": unexpected '" + bad.text + "'");
+  }
+  return TokenCursor(std::move(tokens));
+}
+
+bool TokenCursor::Match(TokenKind kind) {
+  if (Check(kind)) {
+    Advance();
+    return true;
+  }
+  return false;
+}
+
+Status TokenCursor::Expect(TokenKind kind, const std::string& context) {
+  if (Match(kind)) {
+    return Status::Ok();
+  }
+  return ErrorAt(Peek(), "expected " + std::string(TokenKindName(kind)) +
+                             (context.empty() ? "" : " " + context) + ", found " +
+                             Peek().Describe());
+}
+
+Status TokenCursor::ErrorAt(const Token& token, const std::string& message) {
+  return Status::Invalid("line " + std::to_string(token.line) + ":" +
+                         std::to_string(token.column) + ": " + message);
+}
+
+template <typename T>
+Status TokenCursor::ReadWhole(const Token& key, const std::string& name, T max,
+                              const std::string& missing, T* out) {
+  if (!Check(TokenKind::kNumber)) {
+    return ErrorAt(Peek(), missing);
+  }
+  const double value = Advance().number;
+  if (value < 0 || value != std::floor(value)) {
+    return ErrorAt(key, name + " must be a non-negative integer");
+  }
+  if (value > static_cast<double>(max)) {
+    return ErrorAt(key, name + " must be at most " + std::to_string(max));
+  }
+  *out = static_cast<T>(value);
+  return Status::Ok();
+}
+
+Status TokenCursor::ReadCount(const Token& key, const std::string& missing,
+                              std::uint64_t* out) {
+  return ReadWhole(key, "count", std::uint64_t{1} << 53, missing, out);
+}
+
+Status TokenCursor::ReadUint32(const Token& key, const std::string& missing,
+                               std::uint32_t* out) {
+  return ReadWhole(key, key.text, std::numeric_limits<std::uint32_t>::max(), missing, out);
+}
+
+Status TokenCursor::ReadDuration(const Token& key, const std::string& missing,
+                                 SimDuration* out) {
+  if (Check(TokenKind::kDuration)) {
+    *out = Advance().duration;
+    return Status::Ok();
+  }
+  if (!Check(TokenKind::kNumber)) {
+    return ErrorAt(Peek(), missing);
+  }
+  // Bare numbers are milliseconds (ParseDuration's convention and bound).
+  const std::optional<SimDuration> duration = ParseDuration(Advance().text);
+  if (!duration.has_value()) {
+    return ErrorAt(key, "duration must be between 0 and 1.8e16 milliseconds");
+  }
+  *out = *duration;
+  return Status::Ok();
+}
+
+Status TokenCursor::ReadPower(const Token& key, const std::string& missing, Milliwatts* out) {
+  if (Check(TokenKind::kPower)) {
+    *out = Advance().power;
+    return Status::Ok();
+  }
+  double value = 0.0;
+  if (Status status = ReadNumber(missing, &value); !status.ok()) {
+    return status;
+  }
+  if (value < 0) {
+    return ErrorAt(key, "power must not be negative");  // Bare milliwatts.
+  }
+  *out = value;
+  return Status::Ok();
+}
+
+Status TokenCursor::ReadNumber(const std::string& missing, double* out) {
+  if (!Check(TokenKind::kNumber)) {
+    return ErrorAt(Peek(), missing);
+  }
+  *out = Advance().number;
+  return Status::Ok();
 }
 
 }  // namespace artemis

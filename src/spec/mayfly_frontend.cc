@@ -8,9 +8,9 @@
 namespace artemis {
 namespace {
 
-class Parser {
+class Parser : private TokenCursor {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(TokenCursor tokens) : TokenCursor(std::move(tokens)) {}
 
   StatusOr<SpecAst> Run() {
     // Gather properties per consuming task, then emit one block per task in
@@ -54,33 +54,22 @@ class Parser {
       if (Status status = Expect(TokenKind::kComma); !status.ok()) {
         return status;
       }
-      if (property.kind == PropertyKind::kMitd) {
-        if (Check(TokenKind::kDuration)) {
-          property.duration = Advance().duration;
-        } else if (Check(TokenKind::kNumber)) {
-          property.duration = static_cast<SimDuration>(Advance().number *
-                                                       static_cast<double>(kMillisecond));
-        } else {
-          return ErrorAt(Peek(), "expected an expiration window");
-        }
-      } else {
-        if (!Check(TokenKind::kNumber)) {
-          return ErrorAt(Peek(), "expected a sample count");
-        }
-        property.count = static_cast<std::uint64_t>(Advance().number);
-      }
-      if (Status status = Expect(TokenKind::kRParen); !status.ok()) {
-        return status;
+      Status status =
+          property.kind == PropertyKind::kMitd
+              ? ReadDuration(keyword, "expected an expiration window", &property.duration)
+              : ReadCount(keyword, "expected a sample count", &property.count);
+      if (status.ok()) {
+        status = Expect(TokenKind::kRParen);
       }
       // Optional: "path N".
-      if (Check(TokenKind::kIdentifier) && Peek().text == "path") {
-        Advance();
-        if (!Check(TokenKind::kNumber)) {
-          return ErrorAt(Peek(), "expected a path number");
-        }
-        property.path = static_cast<PathId>(Advance().number);
+      if (status.ok() && CheckWord("path")) {
+        const Token path = Advance();
+        status = ReadUint32(path, "expected a path number", &property.path);
       }
-      if (Status status = Expect(TokenKind::kSemicolon); !status.ok()) {
+      if (status.ok()) {
+        status = Expect(TokenKind::kSemicolon);
+      }
+      if (!status.ok()) {
         return status;
       }
 
@@ -99,38 +88,16 @@ class Parser {
     }
     return spec;
   }
-
- private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Advance() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
-  bool Check(TokenKind kind) const { return Peek().kind == kind; }
-  Status Expect(TokenKind kind) {
-    if (Check(kind)) {
-      Advance();
-      return Status::Ok();
-    }
-    return ErrorAt(Peek(), std::string("expected ") + TokenKindName(kind) + ", found " +
-                               Peek().Describe());
-  }
-  Status ErrorAt(const Token& token, const std::string& message) const {
-    return Status::Invalid("line " + std::to_string(token.line) + ":" +
-                           std::to_string(token.column) + ": " + message);
-  }
-
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace
 
 StatusOr<SpecAst> MayflyFrontend::Parse(std::string_view source) {
-  std::vector<Token> tokens = Lexer(source).Tokenize();
-  if (!tokens.empty() && tokens.back().kind == TokenKind::kError) {
-    const Token& bad = tokens.back();
-    return Status::Invalid("lex error at line " + std::to_string(bad.line) + ": unexpected '" +
-                           bad.text + "'");
+  StatusOr<TokenCursor> tokens = TokenCursor::Lex(source);
+  if (!tokens.ok()) {
+    return tokens.status();
   }
-  return Parser(std::move(tokens)).Run();
+  return Parser(std::move(tokens).value()).Run();
 }
 
 }  // namespace artemis

@@ -1,9 +1,5 @@
 #include "src/spec/parser.h"
 
-#include <cmath>
-
-#include "src/spec/lexer.h"
-
 namespace artemis {
 namespace {
 
@@ -31,35 +27,11 @@ bool PropertyKeyFromName(const std::string& name, PropertyKind* out) {
 }  // namespace
 
 StatusOr<SpecAst> SpecParser::Parse(std::string_view source) {
-  std::vector<Token> tokens = Lexer(source).Tokenize();
-  if (!tokens.empty() && tokens.back().kind == TokenKind::kError) {
-    const Token& bad = tokens.back();
-    return Status::Invalid("lex error at line " + std::to_string(bad.line) + ":" +
-                           std::to_string(bad.column) + ": unexpected '" + bad.text + "'");
+  StatusOr<TokenCursor> tokens = TokenCursor::Lex(source);
+  if (!tokens.ok()) {
+    return tokens.status();
   }
-  return SpecParser(std::move(tokens)).ParseSpec();
-}
-
-bool SpecParser::Match(TokenKind kind) {
-  if (Check(kind)) {
-    Advance();
-    return true;
-  }
-  return false;
-}
-
-Status SpecParser::Expect(TokenKind kind, const std::string& context) {
-  if (Check(kind)) {
-    Advance();
-    return Status::Ok();
-  }
-  return ErrorAt(Peek(), "expected " + std::string(TokenKindName(kind)) + " " + context +
-                             ", found " + Peek().Describe());
-}
-
-Status SpecParser::ErrorAt(const Token& token, const std::string& message) const {
-  return Status::Invalid("line " + std::to_string(token.line) + ":" +
-                         std::to_string(token.column) + ": " + message);
+  return SpecParser(std::move(tokens).value()).ParseSpec();
 }
 
 StatusOr<SpecAst> SpecParser::ParseSpec() {
@@ -67,9 +39,7 @@ StatusOr<SpecAst> SpecParser::ParseSpec() {
   while (!Check(TokenKind::kEndOfInput)) {
     // `migrate` is reserved at the top level: it opens the hot-swap
     // migration-override block instead of a task block (docs/hotswap.md).
-    const Status status = Check(TokenKind::kIdentifier) && Peek().text == "migrate"
-                              ? ParseMigrate(&spec)
-                              : ParseBlock(&spec);
+    const Status status = CheckWord("migrate") ? ParseMigrate(&spec) : ParseBlock(&spec);
     if (!status.ok()) {
       return status;
     }
@@ -179,49 +149,33 @@ Status SpecParser::ParseProperty(TaskBlockAst* block) {
   }
 
   // Main value.
+  Status value = Status::Ok();
   switch (property.kind) {
     case PropertyKind::kMaxTries:
-    case PropertyKind::kCollect: {
-      if (!Check(TokenKind::kNumber)) {
-        return ErrorAt(Peek(), "expected a count, found " + Peek().Describe());
-      }
-      const double value = Advance().number;
-      if (value < 0 || value != std::floor(value)) {
-        return ErrorAt(key, "count must be a non-negative integer");
-      }
-      property.count = static_cast<std::uint64_t>(value);
+    case PropertyKind::kCollect:
+      value = ReadCount(key, "expected a count, found " + Peek().Describe(), &property.count);
       break;
-    }
     case PropertyKind::kMaxDuration:
     case PropertyKind::kMitd:
-    case PropertyKind::kPeriod: {
-      if (Check(TokenKind::kDuration)) {
-        property.duration = Advance().duration;
-      } else if (Check(TokenKind::kNumber)) {
-        // Bare numbers default to milliseconds (ParseDuration convention).
-        property.duration =
-            static_cast<SimDuration>(Advance().number * static_cast<double>(kMillisecond));
-      } else {
-        return ErrorAt(Peek(), "expected a duration, found " + Peek().Describe());
-      }
+    case PropertyKind::kPeriod:
+      value = ReadDuration(key, "expected a duration, found " + Peek().Describe(),
+                           &property.duration);
       break;
-    }
-    case PropertyKind::kDpData: {
+    case PropertyKind::kDpData:
       if (!Check(TokenKind::kIdentifier)) {
         return ErrorAt(Peek(), "expected a variable name, found " + Peek().Describe());
       }
       property.dp_data_var = Advance().text;
       break;
-    }
-    case PropertyKind::kMinEnergy: {
-      if (!Check(TokenKind::kNumber)) {
-        return ErrorAt(Peek(), "expected an energy fraction, found " + Peek().Describe());
-      }
-      property.min_energy = Advance().number;
+    case PropertyKind::kMinEnergy:
+      value = ReadNumber("expected an energy fraction, found " + Peek().Describe(),
+                         &property.min_energy);
       break;
-    }
   }
 
+  if (!value.ok()) {
+    return value;
+  }
   if (Status status = ParseModifiers(&property); !status.ok()) {
     return status;
   }
@@ -265,43 +219,40 @@ Status SpecParser::ParseModifiers(PropertyAst* property) {
         return ErrorAt(action, "duplicate onFail");
       }
     } else if (word.text == "maxAttempt") {
-      if (!Check(TokenKind::kNumber)) {
-        return ErrorAt(Peek(), "expected a count after maxAttempt");
+      if (Status status =
+              ReadUint32(word, "expected a count after maxAttempt", &property->max_attempt);
+          !status.ok()) {
+        return status;
       }
-      property->max_attempt = static_cast<std::uint32_t>(Advance().number);
       seen_max_attempt = true;
     } else if (word.text == "Path") {
-      if (!Check(TokenKind::kNumber)) {
-        return ErrorAt(Peek(), "expected a path number after Path");
+      if (Status status = ReadUint32(word, "expected a path number after Path", &property->path);
+          !status.ok()) {
+        return status;
       }
-      property->path = static_cast<PathId>(Advance().number);
     } else if (word.text == "Range") {
       if (Status status = Expect(TokenKind::kLBracket, "to open Range"); !status.ok()) {
         return status;
       }
-      if (!Check(TokenKind::kNumber)) {
-        return ErrorAt(Peek(), "expected the Range lower bound");
+      if (Status status = ReadNumber("expected the Range lower bound", &property->range_lo);
+          !status.ok()) {
+        return status;
       }
-      property->range_lo = Advance().number;
       if (Status status = Expect(TokenKind::kComma, "between Range bounds"); !status.ok()) {
         return status;
       }
-      if (!Check(TokenKind::kNumber)) {
-        return ErrorAt(Peek(), "expected the Range upper bound");
+      if (Status status = ReadNumber("expected the Range upper bound", &property->range_hi);
+          !status.ok()) {
+        return status;
       }
-      property->range_hi = Advance().number;
       if (Status status = Expect(TokenKind::kRBracket, "to close Range"); !status.ok()) {
         return status;
       }
       property->has_range = true;
     } else if (word.text == "jitter") {
-      if (Check(TokenKind::kDuration)) {
-        property->jitter = Advance().duration;
-      } else if (Check(TokenKind::kNumber)) {
-        property->jitter =
-            static_cast<SimDuration>(Advance().number * static_cast<double>(kMillisecond));
-      } else {
-        return ErrorAt(Peek(), "expected a duration after jitter");
+      if (Status status = ReadDuration(word, "expected a duration after jitter", &property->jitter);
+          !status.ok()) {
+        return status;
       }
     } else {
       return ErrorAt(word, "unknown modifier '" + word.text + "'");

@@ -23,40 +23,28 @@
 #ifndef SRC_SPEC_PARSER_H_
 #define SRC_SPEC_PARSER_H_
 
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/spec/ast.h"
-#include "src/spec/token.h"
+#include "src/spec/lexer.h"
 
 namespace artemis {
 
-class SpecParser {
+class SpecParser : private TokenCursor {
  public:
   // Parses a whole specification; the returned status carries the first
   // syntax error with line/column info.
   static StatusOr<SpecAst> Parse(std::string_view source);
 
  private:
-  explicit SpecParser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit SpecParser(TokenCursor tokens) : TokenCursor(std::move(tokens)) {}
 
   StatusOr<SpecAst> ParseSpec();
   Status ParseBlock(SpecAst* spec);
   Status ParseMigrate(SpecAst* spec);
   Status ParseProperty(TaskBlockAst* block);
   Status ParseModifiers(PropertyAst* property);
-
-  const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Advance() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
-  bool Check(TokenKind kind) const { return Peek().kind == kind; }
-  bool Match(TokenKind kind);
-  Status Expect(TokenKind kind, const std::string& context);
-  Status ErrorAt(const Token& token, const std::string& message) const;
-
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace artemis

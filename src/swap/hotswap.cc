@@ -183,7 +183,7 @@ DiagnosticEngine AnalyzeSwap(const MonitorImage& old_image, const MonitorImage& 
   // commit write (swap-epoch record when flight is on, control byte when
   // off) — must fit one on-period together with the boot restore that
   // starts it.
-  const CostModel& costs = options.costs;
+  const CostModel& costs = DefaultCostModel();
   const std::size_t staged = plan.StagedBytes();
   double cycles = costs.swap_control_cycles +
                   static_cast<double>(staged) * costs.swap_nvm_write_cycles_per_byte;

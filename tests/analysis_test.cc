@@ -499,8 +499,7 @@ TEST(EnergyFeasibilityPassTest, BudgetBoundaryAroundAttemptCost) {
     facts.push_back(ComputeMachineFacts(m, app.graph));
   }
   const TaskId accel = *app.graph.FindTask("accel");
-  const EnergyUj attempt =
-      TaskAttemptEnergy(app.graph, accel, machines, facts, DefaultCostModel());
+  const EnergyUj attempt = TaskAttemptEnergy(app.graph, accel, facts, DefaultCostModel());
   // accel (an 18 ms peripheral burst) dominates every other health task, so
   // a budget at exactly its attempt cost clears the whole graph.
   AnalysisOptions options;
@@ -529,8 +528,7 @@ TEST(EnergyFeasibilityPassTest, PartialBudgetCoverageIsAWarning) {
     facts.push_back(ComputeMachineFacts(m, app.graph));
   }
   const TaskId accel = *app.graph.FindTask("accel");
-  const EnergyUj attempt =
-      TaskAttemptEnergy(app.graph, accel, machines, facts, DefaultCostModel());
+  const EnergyUj attempt = TaskAttemptEnergy(app.graph, accel, facts, DefaultCostModel());
   AnalysisOptions options;
   options.budgets = {attempt - 0.01, attempt + 1.0};
   const std::vector<Diagnostic> diags =

@@ -2,6 +2,8 @@
 // construction, synthetic effects, and end-to-end execution.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/runtime.h"
 #include "src/sim/mcu.h"
 #include "src/sim/power_model.h"
@@ -77,29 +79,48 @@ app tiny {
 }
 
 struct BadApp {
-  const char* source;
+  std::string source;
   const char* why;
+  std::string error;  // The exact Status, code and message.
 };
 
 class AppLangRejectTest : public ::testing::TestWithParam<BadApp> {};
 
 TEST_P(AppLangRejectTest, Rejects) {
   auto app = ParseAppDescription(GetParam().source);
-  EXPECT_FALSE(app.ok()) << GetParam().why;
+  ASSERT_FALSE(app.ok()) << GetParam().why;
+  EXPECT_EQ(app.status().ToString(), GetParam().error) << GetParam().why;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Syntax, AppLangRejectTest,
     ::testing::Values(
-        BadApp{"task t { }", "missing app header"},
-        BadApp{"app x { task t { duration: fast; } path 1: t; }", "bad duration"},
-        BadApp{"app x { task t { power: 5kg; } path 1: t; }", "bad power unit"},
-        BadApp{"app x { task t { }; }", "stray semicolon / no path"},
-        BadApp{"app x { task t { } path 2: t; }", "path numbers out of order"},
-        BadApp{"app x { task t { } path 1: ghost; }", "unknown task in path"},
-        BadApp{"app x { task t { } task t { } path 1: t; }", "duplicate task"},
-        BadApp{"app x { task t { wat: 1; } path 1: t; }", "unknown attribute"},
-        BadApp{"app x { }", "no paths at all"}));
+        BadApp{"task t { }", "missing app header", "INVALID_ARGUMENT: line 1:1: expected 'app'"},
+        BadApp{"app x { task t { duration: fast; } path 1: t; }", "bad duration",
+               "INVALID_ARGUMENT: line 1:28: expected a duration"},
+        BadApp{"app x { task t { power: 5kg; } path 1: t; }", "bad power unit",
+               "INVALID_ARGUMENT: lex error at line 1:25: unexpected '5kg'"},
+        BadApp{"app x { task t { }; }", "stray semicolon / no path",
+               "INVALID_ARGUMENT: line 1:19: expected 'task' or 'path'"},
+        BadApp{"app x { task t { } path 2: t; }", "path numbers out of order",
+               "INVALID_ARGUMENT: line 1:20: paths must be declared in order; expected path 1"},
+        BadApp{"app x { task t { } path 1: ghost; }", "unknown task in path",
+               "NOT_FOUND: line 1: no task named 'ghost'"},
+        BadApp{"app x { task t { } task t { } path 1: t; }", "duplicate task",
+               "INVALID_ARGUMENT: line 1:25: duplicate task 't'"},
+        BadApp{"app x { task t { wat: 1; } path 1: t; }", "unknown attribute",
+               "INVALID_ARGUMENT: line 1:18: unknown task attribute 'wat'"},
+        BadApp{"app x { }", "no paths at all", "FAILED_PRECONDITION: application has no paths"},
+        BadApp{"app x { task t { duration: " + std::string(400, '9') + "; } path 1: t; }",
+               "literal past double range",
+               "INVALID_ARGUMENT: lex error at line 1:28: unexpected '" + std::string(400, '9') +
+                   "'"},
+        BadApp{"app x { task t { duration: -5; } path 1: t; }", "negative bare duration",
+               "INVALID_ARGUMENT: line 1:18: duration must be between 0 and 1.8e16 milliseconds"},
+        BadApp{"app x { task t { power: -3; } path 1: t; }", "negative bare power",
+               "INVALID_ARGUMENT: line 1:18: power must not be negative"},
+        BadApp{"app x { task t { } path 4294967297: t; }", "path number past 2^32-1",
+               "INVALID_ARGUMENT: line 1:20: path must be at most 4294967295"}));
 
 TEST(AppLangTest, PowerLiteralUnits) {
   auto app = ParseAppDescription(R"(

@@ -1,6 +1,6 @@
 // Tests for the compiled (bytecode) monitor backend: compilation-pass
-// structure (interning, dispatch index, disassembly), semantics of the
-// executor against hand-built machines, and — the load-bearing part — a
+// structure (interning, dispatch index), semantics of the executor against
+// hand-built machines, and — the load-bearing part — a
 // differential fuzz harness that replays thousands of randomized event
 // traces through interpreted and compiled monitors in lockstep for all
 // three example apps' specs, asserting identical verdicts, states, and
@@ -70,22 +70,31 @@ TEST(CompileTest, InternsStatesAndSlots) {
   EXPECT_EQ(m.initial, 0);
   EXPECT_EQ(m.var_names, (std::vector<std::string>{"i"}));
   EXPECT_EQ(m.initial_slots, (std::vector<double>{0.0}));
-  EXPECT_EQ(m.transitions.size(), 3u);
-  // Both S0 transitions share one (start, task 0) bucket, fused into a
-  // single handler program in declaration order.
-  ASSERT_EQ(m.buckets[0].size(), 1u);
-  EXPECT_EQ(m.buckets[0][0].candidates, 2u);
-  EXPECT_NE(m.buckets[0][0].handler_pc, kNoProgram);
-  // S1 has no specific trigger; its anyEvent transition is the fallback.
-  EXPECT_TRUE(m.buckets[1].empty());
-  EXPECT_NE(m.any_handler[1], kNoProgram);
-  // S0 has no anyEvent transition; its fallback is the shared kNoMatch
-  // program, which both handlers' fall-through paths also hit.
+  // Both S0 transitions share the (start, task 0) handler, fused into one
+  // program in declaration order: the bump commits to S0, then the fire
+  // fails and commits to S1, before the program's own kNoMatch.
+  std::vector<std::uint32_t> commits;
+  std::uint32_t pc = m.HandlerFor(0, EventKind::kStartTask, 0);
+  for (; m.code[pc].op != OpCode::kNoMatch; ++pc) {
+    if (m.code[pc].op == OpCode::kCommit) {
+      commits.push_back(m.code[pc].operand);
+    }
+    if (m.code[pc].op == OpCode::kFail) {
+      EXPECT_EQ(commits, (std::vector<std::uint32_t>{0})) << "fail after the bump";
+    }
+  }
+  EXPECT_EQ(commits, (std::vector<std::uint32_t>{0, 1}));
+  // S1 has no specific trigger; every event falls back to its anyEvent
+  // handler, which commits straight back to S0.
+  EXPECT_EQ(m.HandlerFor(1, EventKind::kStartTask, 0), m.any_handler[1]);
+  EXPECT_EQ(m.HandlerFor(1, EventKind::kEndTask, 5), m.any_handler[1]);
+  EXPECT_EQ(m.code[m.any_handler[1]].op, OpCode::kCommit);
+  // S0 has no anyEvent transition: its fallback, which uncovered (kind,
+  // task) pairs reach, is the shared kNoMatch program.
   EXPECT_EQ(m.code[m.any_handler[0]].op, OpCode::kNoMatch);
-  // Dispatch on an uncovered (kind, task) lands on the empty fallback.
+  EXPECT_EQ(m.HandlerFor(0, EventKind::kEndTask, 0), m.any_handler[0]);
   EXPECT_EQ(m.HandlerFor(0, EventKind::kEndTask, 5), m.any_handler[0]);
   EXPECT_GE(m.max_stack, 2u);
-  EXPECT_FALSE(Disassemble(m).empty());
 }
 
 TEST(CompileTest, RejectsInvalidMachine) {

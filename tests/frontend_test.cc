@@ -2,6 +2,8 @@
 // frontend and the monitor placement options.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/apps/health_app.h"
 #include "src/core/runtime.h"
 #include "src/ir/lowering.h"
@@ -78,22 +80,41 @@ TEST(MayflyFrontendTest, RunsEndToEndThroughArtemisRuntime) {
 }
 
 struct BadMayfly {
-  const char* source;
+  std::string source;
+  std::string error;  // The exact Status, code and message.
 };
 
 class MayflyFrontendRejectTest : public ::testing::TestWithParam<BadMayfly> {};
 
 TEST_P(MayflyFrontendRejectTest, Rejects) {
-  EXPECT_FALSE(MayflyFrontend::Parse(GetParam().source).ok());
+  auto parsed = MayflyFrontend::Parse(GetParam().source);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().ToString(), GetParam().error);
 }
 
-INSTANTIATE_TEST_SUITE_P(Syntax, MayflyFrontendRejectTest,
-                         ::testing::Values(BadMayfly{"explode(a -> b, 1);"},
-                                           BadMayfly{"expires(a b, 1min);"},
-                                           BadMayfly{"expires(a -> b 1min);"},
-                                           BadMayfly{"expires(a -> b, 1min)"},
-                                           BadMayfly{"collect(a -> b, fast);"},
-                                           BadMayfly{"expires(a -> b, 1min) path;"}));
+INSTANTIATE_TEST_SUITE_P(
+    Syntax, MayflyFrontendRejectTest,
+    ::testing::Values(
+        BadMayfly{"explode(a -> b, 1);", "INVALID_ARGUMENT: line 1:1: unknown construct 'explode'"},
+        BadMayfly{"expires(a b, 1min);",
+                  "INVALID_ARGUMENT: line 1:11: expected '->', found identifier 'b'"},
+        BadMayfly{"expires(a -> b 1min);",
+                  "INVALID_ARGUMENT: line 1:16: expected ',', found duration '1min'"},
+        BadMayfly{"expires(a -> b, 1min)",
+                  "INVALID_ARGUMENT: line 1:22: expected ';', found end of input"},
+        BadMayfly{"collect(a -> b, fast);", "INVALID_ARGUMENT: line 1:17: expected a sample count"},
+        BadMayfly{"expires(a -> b, 1min) path;",
+                  "INVALID_ARGUMENT: line 1:27: expected a path number"},
+        BadMayfly{"expires(accel -> send, " + std::string(400, '9') + ");",
+                  "INVALID_ARGUMENT: lex error at line 1:24: unexpected '" +
+                      std::string(400, '9') + "'"},
+        BadMayfly{"expires(a -> b, -5);",
+                  "INVALID_ARGUMENT: line 1:1: duration must be between 0 and 1.8e16 "
+                  "milliseconds"},
+        BadMayfly{"collect(a -> b, 3.5);",
+                  "INVALID_ARGUMENT: line 1:1: count must be a non-negative integer"},
+        BadMayfly{"expires(a -> b, 1min) path 4294967297;",
+                  "INVALID_ARGUMENT: line 1:23: path must be at most 4294967295"}));
 
 // ------------------------------------------------------ monitor placement --
 

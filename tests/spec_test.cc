@@ -2,6 +2,8 @@
 // round-trip, and semantic validation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/apps/greenhouse_app.h"
 #include "src/apps/health_app.h"
 #include "src/spec/lexer.h"
@@ -144,33 +146,69 @@ TEST(ParserTest, MinEnergyExtension) {
 }
 
 struct BadSpec {
-  const char* source;
+  std::string source;
   const char* why;
+  std::string error;  // The exact Status, code and message.
 };
 
 class ParserRejectTest : public ::testing::TestWithParam<BadSpec> {};
 
 TEST_P(ParserRejectTest, RejectsWithDiagnostic) {
   auto parsed = SpecParser::Parse(GetParam().source);
-  EXPECT_FALSE(parsed.ok()) << GetParam().why;
+  ASSERT_FALSE(parsed.ok()) << GetParam().why;
+  EXPECT_EQ(parsed.status().ToString(), GetParam().error) << GetParam().why;
 }
+
+// A literal past double range: the lexer used to throw std::out_of_range.
+const std::string kHugeLiteral(400, '9');
 
 INSTANTIATE_TEST_SUITE_P(
     Syntax, ParserRejectTest,
     ::testing::Values(
-        BadSpec{"send: { maxTries 10; }", "missing colon after key"},
-        BadSpec{"send: { maxTries: ten; }", "count must be a number"},
-        BadSpec{"send: { frobnicate: 1; }", "unknown property"},
-        BadSpec{"send: { maxTries: 10 onFail: explode; }", "unknown action"},
-        BadSpec{"send: { maxTries: 10 onFail: skipPath }", "missing semicolon"},
-        BadSpec{"send: maxTries: 10;", "missing braces"},
-        BadSpec{"send: { maxTries: 3.5; }", "fractional count"},
-        BadSpec{"send: { MITD: fast; }", "not a duration"},
-        BadSpec{"send: { dpData: v Range: [5, ] onFail: skipTask; }", "bad range"},
+        BadSpec{"send: { maxTries 10; }", "missing colon after key",
+                "INVALID_ARGUMENT: line 1:18: expected ':' after property key, found number '10'"},
+        BadSpec{"send: { maxTries: ten; }", "count must be a number",
+                "INVALID_ARGUMENT: line 1:19: expected a count, found identifier 'ten'"},
+        BadSpec{"send: { frobnicate: 1; }", "unknown property",
+                "INVALID_ARGUMENT: line 1:9: unknown property 'frobnicate'"},
+        BadSpec{"send: { maxTries: 10 onFail: explode; }", "unknown action",
+                "INVALID_ARGUMENT: line 1:30: unknown action 'explode'"},
+        BadSpec{"send: { maxTries: 10 onFail: skipPath }", "missing semicolon",
+                "INVALID_ARGUMENT: line 1:39: expected ';' to end the property, found '}'"},
+        BadSpec{"send: maxTries: 10;", "missing braces",
+                "INVALID_ARGUMENT: line 1:7: expected '{' to open task block 'send', found "
+                "identifier 'maxTries'"},
+        BadSpec{"send: { maxTries: 3.5; }", "fractional count",
+                "INVALID_ARGUMENT: line 1:9: count must be a non-negative integer"},
+        BadSpec{"send: { MITD: fast; }", "not a duration",
+                "INVALID_ARGUMENT: line 1:15: expected a duration, found identifier 'fast'"},
+        BadSpec{"send: { dpData: v Range: [5, ] onFail: skipTask; }", "bad range",
+                "INVALID_ARGUMENT: line 1:30: expected the Range upper bound"},
         BadSpec{"send: { maxTries: 10 onFail: skipPath onFail: skipTask; }",
-                "duplicate onFail without maxAttempt"},
-        BadSpec{"{ maxTries: 1; }", "missing task name"},
-        BadSpec{"send: { maxTries: 10 wat: 2; }", "unknown modifier"}));
+                "duplicate onFail without maxAttempt",
+                "INVALID_ARGUMENT: line 1:47: duplicate onFail"},
+        BadSpec{"{ maxTries: 1; }", "missing task name",
+                "INVALID_ARGUMENT: line 1:1: expected a task name, found '{'"},
+        BadSpec{"send: { maxTries: 10 wat: 2; }", "unknown modifier",
+                "INVALID_ARGUMENT: line 1:22: unknown modifier 'wat'"},
+        BadSpec{"send: { maxTries: " + kHugeLiteral + "; }", "literal past double range",
+                "INVALID_ARGUMENT: lex error at line 1:19: unexpected '" + kHugeLiteral + "'"},
+        BadSpec{"send: { MITD: 5min dpTask: accel onFail: restartPath maxAttempt: -2 onFail: "
+                "skipPath; }",
+                "negative attempt bound",
+                "INVALID_ARGUMENT: line 1:54: maxAttempt must be a non-negative integer"},
+        BadSpec{"send: { maxTries: 3 onFail: skipPath maxAttempt: 1.5 onFail: skipPath; }",
+                "fractional attempt bound",
+                "INVALID_ARGUMENT: line 1:38: maxAttempt must be a non-negative integer"},
+        BadSpec{"send: { maxTries: 99999999999999999999; }", "count past 2^53",
+                "INVALID_ARGUMENT: line 1:9: count must be at most 9007199254740992"},
+        BadSpec{"send: { MITD: 5min dpTask: accel onFail: restartPath Path: 4294967297; }",
+                "path number past 2^32-1",
+                "INVALID_ARGUMENT: line 1:54: Path must be at most 4294967295"},
+        BadSpec{"send: { MITD: -5; }", "negative bare duration",
+                "INVALID_ARGUMENT: line 1:9: duration must be between 0 and 1.8e16 milliseconds"},
+        BadSpec{"send: { MITD: 20000000000000000; }", "bare duration past ParseDuration's bound",
+                "INVALID_ARGUMENT: line 1:9: duration must be between 0 and 1.8e16 milliseconds"}));
 
 TEST(PrettyTest, RoundTripsThroughParser) {
   auto parsed = SpecParser::Parse(HealthAppSpec());

@@ -216,23 +216,66 @@ TEST(ArtemiscTest, CodegenNoAnalyzeOverridesTheGate) {
   EXPECT_NE(result.output.find("callMonitor"), std::string::npos);
 }
 
-TEST(ArtemiscTest, DotShadesDeadStatesAndFails) {
-  // micSense runs on path 3, so a machine scoped to path 2 can never see
-  // end(micSense): WaitStartA is dead and rendered gray.
-  const std::string spec = WriteTempSpec(
-      "an_dot.prop", "send: { MITD: 5min dpTask: micSense onFail: restartPath Path: 2; }\n");
-  const RunResult result = RunCli("dot " + spec);
-  EXPECT_EQ(result.exit_code, 1);
-  EXPECT_NE(result.output.find("fillcolor=\"gray88\""), std::string::npos);
-  EXPECT_NE(result.output.find("digraph"), std::string::npos);
+// `dot` and `pretty` print whole documents: each must equal its golden
+// byte for byte (tests/golden/cli/), with its exit code. dead_state.prop's
+// dot exits 1 (ART001) and shades the dead state gray.
+TEST(ArtemiscTest, DotAndPrettyMatchGoldens) {
+  const struct {
+    std::string args;
+    const char* golden;
+    int exit_code;
+  } kRows[] = {
+      {"dot " + kSpecs + "/health.prop", "dot_health.dot", 0},
+      {"dot " + kSpecs + "/bad/dead_state.prop", "dot_bad_dead_state.dot", 1},
+      {"dot " + kSpecs + "/sensornet.prop --app-file " + kSpecs + "/sensornet.app",
+       "dot_sensornet.dot", 0},
+      {"pretty " + kSpecs + "/health.prop", "pretty_health.txt", 0},
+      {"pretty " + kSpecs + "/health.mayfly --mayfly-lang", "pretty_health_mayfly.txt", 0},
+  };
+  for (const auto& row : kRows) {
+    const RunResult result = RunCli(row.args, /*stdout_only=*/true);
+    EXPECT_EQ(result.exit_code, row.exit_code) << row.args;
+    std::ifstream in(std::string(ARTEMIS_SOURCE_DIR) + "/tests/golden/cli/" + row.golden);
+    ASSERT_TRUE(in.good()) << row.golden;
+    const std::string golden((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    EXPECT_EQ(result.output, golden) << row.args;
+  }
 }
 
-TEST(ArtemiscTest, PrettyRoundTrips) {
-  const std::string spec = WriteTempSpec(
-      "p.prop", "send: { MITD: 5min dpTask: accel onFail: restartPath Path: 2; }\n");
-  const RunResult result = RunCli("pretty " + spec);
-  EXPECT_EQ(result.exit_code, 0);
-  EXPECT_NE(result.output.find("MITD: 5min"), std::string::npos);
+// Numbers the languages cannot hold fail as input that does not parse,
+// with each subcommand's exit code for it: a literal past double range used
+// to abort every tool with std::out_of_range (exit 134), and a negative
+// attempt bound used to wrap to 4294967294.
+TEST(ArtemiscTest, OutOfRangeNumbersFailCleanly) {
+  const std::string huge(400, '9');
+  const std::string spec = WriteTempSpec("huge.prop", "send: { maxTries: " + huge + "; }\n");
+  const std::string wrapped = WriteTempSpec(
+      "wrapped.prop",
+      "send: { MITD: 5min dpTask: accel onFail: restartPath maxAttempt: -2 onFail: skipPath; }\n");
+  const std::string mayfly =
+      WriteTempSpec("huge.mayfly", "expires(accel -> send, " + huge + ");\n");
+  const std::string app = WriteTempSpec(
+      "huge.app", "app x { task t { duration: " + huge + "; power: 1mW; } path 1: t; }\n");
+  const struct {
+    std::string args;
+    int exit_code;
+    const char* expect;
+  } kRows[] = {
+      {"check " + spec + " --app health", 1, "lex error at line 1:19"},
+      {"check " + wrapped + " --app health", 1, "maxAttempt must be a non-negative integer"},
+      {"check " + mayfly + " --mayfly-lang", 1, "lex error at line 1:24"},
+      {"sweep --spec " + spec + " --format json", 1, "\"status\": \"error\""},
+      {"sweep --spec " + spec + " --format json --no-analyze", 1, "\"status\": \"error\""},
+      {"fleet --spec " + spec + " --devices 2", 2, "lex error at line 1:19"},
+      {"profile --app-file " + app, 2, "lex error at line 1:28"},
+  };
+  for (const auto& row : kRows) {
+    const RunResult result = RunCli(row.args);
+    EXPECT_EQ(result.exit_code, row.exit_code) << row.args << "\n" << result.output;
+    EXPECT_NE(result.output.find(row.expect), std::string::npos) << row.args << "\n"
+                                                                 << result.output;
+  }
 }
 
 TEST(ArtemiscTest, CodegenEmitsCallMonitor) {
@@ -242,14 +285,6 @@ TEST(ArtemiscTest, CodegenEmitsCallMonitor) {
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_NE(result.output.find("callMonitor"), std::string::npos);
   EXPECT_NE(result.output.find("__fram"), std::string::npos);
-}
-
-TEST(ArtemiscTest, DotEmitsDigraph) {
-  const std::string spec =
-      WriteTempSpec("d.prop", "accel: { maxTries: 10 onFail: skipPath; }\n");
-  const RunResult result = RunCli("dot " + spec);
-  EXPECT_EQ(result.exit_code, 0);
-  EXPECT_NE(result.output.find("digraph"), std::string::npos);
 }
 
 TEST(ArtemiscTest, SimulateHealthContinuous) {

@@ -303,7 +303,7 @@ StatusOr<SpecAst> ParseSpec(const Args& args, const std::string& source) {
   return SpecParser::Parse(source);
 }
 
-// Deployment axes for the whole-system analyzer passes (ART009-ART014),
+// Deployment axes for the whole-system analyzer checks (ART009-ART014),
 // from the shared --charges/--budgets/--flight/--no-immortal flags.
 // Defaults: the single --budget value, continuous power, two-phase commit
 // on, flight recorder off.

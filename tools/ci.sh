@@ -12,8 +12,8 @@
 #      ART0xx code), and the allocation-budget suite
 #      (tests/alloc_budget_test.cc: heap allocations per device of
 #      perfbench's fleet-fresh, fleet-outage and sweep-grid shapes).
-#   2. Sanitize build (ASan + UBSan) + tier-1 ctest suite, via
-#      tools/run_sanitized_tests.sh.
+#   2. Sanitize build (ASan + UBSan, float-cast-overflow included) +
+#      tier-1 ctest suite, via tools/run_sanitized_tests.sh.
 #   3. Golden-trace gate: `artemisc trace` of the health app under 6-minute
 #      charging must be byte-identical to tests/golden/trace/health_6min.jsonl
 #      (checked with `artemisc trace diff`), and its Perfetto export to

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Builds the tree with CMAKE_BUILD_TYPE=Sanitize (ASan + UBSan, see the
-# top-level CMakeLists.txt) and runs the tier-1 ctest suite under it.
-# Exercises the compiled-monitor VM — raw stack-pointer arithmetic, packed
-# operands, multi-word instructions — under full checking.
+# Builds the tree with CMAKE_BUILD_TYPE=Sanitize (ASan + UBSan, with
+# float-cast-overflow, which GCC's UBSan leaves out; see the top-level
+# CMakeLists.txt) and runs the tier-1 ctest suite under it. Exercises the
+# compiled-monitor VM — raw stack-pointer arithmetic, packed operands,
+# multi-word instructions — and every double-to-integer conversion under
+# full checking.
 #
 # Usage: tools/run_sanitized_tests.sh [build-dir]   (default: build-sanitize)
 set -euo pipefail
