@@ -7,7 +7,7 @@
 // monitor system, the kernel, and an optional hot-swap controller — and
 // owns every piece for the length of the run, the Mcu inline. What a device
 // only reads it shares: the app graph, the spec artifact and the default
-// cost model's cycle-charge pairs (CycleChargeTable::Default) are immutable
+// cost model's cycle charges (CycleCharges::Default) are immutable
 // templates that any number of devices, on any threads, run from at once
 // (the app graph is firmware .text; TaskEffect's contract in
 // src/kernel/task.h).

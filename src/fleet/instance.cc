@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/core/device.h"
-#include "src/sim/cost_model.h"
 #include "src/sweep/sweep.h"
 
 namespace artemis::fleet {
@@ -41,43 +40,35 @@ std::uint64_t DeviceSeed(std::uint64_t fleet_seed, std::uint64_t device_index) {
 
 // ---- CaptureChecker ------------------------------------------------------
 
-CaptureChecker::CaptureChecker(std::span<const StepRun> runs, std::size_t fram_bytes,
+CaptureChecker::CaptureChecker(std::size_t machines, std::size_t fram_bytes,
                                std::vector<CapturedRecord> buffer)
-    : runs_(runs), fram_bytes_(fram_bytes), records_(std::move(buffer)) {
+    : machines_(machines), fram_bytes_(fram_bytes), records_(std::move(buffer)) {
   records_.clear();
 }
 
 CaptureChecker::CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes,
                                std::vector<CapturedRecord> buffer)
-    : own_runs_(StepRuns(step_cycles)),
-      runs_(own_runs_),
-      fram_bytes_(fram_bytes),
-      records_(std::move(buffer)) {
-  records_.clear();
-}
+    : CaptureChecker(step_cycles.size(), fram_bytes, std::move(buffer)) {}
 
 void CaptureChecker::HardReset(Mcu& mcu) {
   if (!arena_registered_) {
     mcu.nvm().Allocate(MemOwner::kMonitor, fram_bytes_, "monitor-set");
     arena_registered_ = true;
   }
-  in_progress_ = false;
-  cursor_seq_ = 0;
-  cursor_ = 0;
+  continuation_.Finish();
   has_done_ = false;
   done_seq_ = 0;
 }
 
 void CaptureChecker::Finalize(Mcu& mcu) {
-  if (in_progress_) {
-    mcu.ExecuteCycles(mcu.costs().timestamp_read_cycles, CostTag::kMonitor);
+  if (continuation_.InProgress()) {
+    mcu.ExecuteCharge(mcu.charges().timestamp_read, CostTag::kMonitor);
   }
 }
 
 CheckOutcome CaptureChecker::OnEvent(const MonitorEvent& event, Mcu& mcu) {
   CheckOutcome outcome;
-  const ExecStatus call =
-      mcu.ExecuteCycles(mcu.costs().monitor_call_cycles, CostTag::kMonitor);
+  const ExecStatus call = mcu.ExecuteCharge(mcu.charges().monitor_call, CostTag::kMonitor);
   if (call != ExecStatus::kOk) {
     outcome.status = static_cast<int>(call);
     return outcome;
@@ -87,39 +78,29 @@ CheckOutcome CaptureChecker::OnEvent(const MonitorEvent& event, Mcu& mcu) {
   if (has_done_ && event.seq == done_seq_) {
     return outcome;
   }
-  if (!in_progress_ || cursor_seq_ != event.seq) {
-    in_progress_ = true;
-    cursor_seq_ = event.seq;
-    cursor_ = 0;
-  }
-  for (const StepRun& run : runs_) {
-    if (run.end <= cursor_) {
-      continue;
-    }
-    const RunStatus charged =
-        mcu.ExecuteCyclesRun(run.cycles, CostTag::kMonitor, run.end - cursor_);
-    cursor_ += charged.done;
-    if (charged.status != ExecStatus::kOk) {
-      // Power failed before monitor `cursor_` durably consumed the event;
-      // the cursor still points at it, so the re-delivered event resumes
-      // there.
-      outcome.status = static_cast<int>(charged.status);
-      return outcome;
-    }
+  const std::size_t next = continuation_.Begin(event.seq);
+  const RunStatus charged =
+      mcu.ExecuteChargeRun(mcu.charges().compiled_step, CostTag::kMonitor, machines_ - next);
+  continuation_.CompleteSteps(static_cast<std::uint32_t>(charged.done));
+  if (charged.status != ExecStatus::kOk) {
+    // Power failed before a machine durably consumed the event; the cursor
+    // still points at it, so the re-delivered event resumes there.
+    outcome.status = static_cast<int>(charged.status);
+    return outcome;
   }
   CapturedRecord record;
   record.kind = CapturedRecord::Kind::kEvent;
   record.event = event;
   records_.push_back(std::move(record));
   ++events_captured_;
-  in_progress_ = false;
+  continuation_.Finish();
   done_seq_ = event.seq;
   has_done_ = true;
   return outcome;
 }
 
 void CaptureChecker::OnPathRestart(PathId path, Mcu& mcu) {
-  mcu.ExecuteCycles(mcu.costs().action_apply_cycles, CostTag::kMonitor);
+  mcu.ExecuteCharge(mcu.charges().action_apply, CostTag::kMonitor);
   CapturedRecord record;
   record.kind = CapturedRecord::Kind::kPathRestart;
   record.restart_path = path;
@@ -134,16 +115,10 @@ DeviceInstance::DeviceInstance(const FleetContext& ctx, const DeviceConfig& conf
 DeviceResult DeviceInstance::RunScalar() { return Run(nullptr); }
 
 DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
-  // MonitorSet's per-event charging for the separate-component placement is
-  // monitor_call_cycles (the interface crossing) followed by the monitors'
-  // StepCycles, one run charge per stretch of equal costs; the compiled
-  // backend's StepCycles is flat, so its machines form one run (none when
-  // there are no machines). Capture mode mirrors that exactly.
+  // Capture mode charges as the compiled MonitorSet of the scalar mode does.
   const SharedSpecArtifact& artifact = *ctx_.artifact;
-  const StepRun run{.cycles = static_cast<double>(DefaultCostModel().compiled_step_cycles),
-                    .end = artifact.compiled.size()};
-  CaptureChecker checker(std::span<const StepRun>(&run, artifact.compiled.empty() ? 0 : 1),
-                         MirroredFramBytes(artifact), std::move(*records));
+  CaptureChecker checker(artifact.compiled.size(), MirroredFramBytes(artifact),
+                         std::move(*records));
   DeviceResult r = Run(&checker);
   *records = checker.TakeRecords();
   return r;

@@ -34,7 +34,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -44,6 +43,7 @@
 #include "src/core/runtime.h"
 #include "src/kernel/app_graph.h"
 #include "src/kernel/checker.h"
+#include "src/kernel/immortal.h"
 #include "src/kernel/kernel.h"
 #include "src/monitor/monitor_set.h"
 #include "src/monitor/shared_spec.h"
@@ -118,21 +118,22 @@ struct CapturedRecord {
   PathId restart_path = kNoPath;  // kPathRestart
 };
 
-// PropertyChecker that charges exactly the cycles MonitorSet would charge
-// (interface crossing, one Mcu::ExecuteCyclesRun per run of monitors with
-// equal step cycles, resume-after-outage continuation, path-restart
+// PropertyChecker that charges exactly what a separate compiled MonitorSet
+// charges (interface crossing, the machines' compiled steps as one
+// Mcu::ExecuteChargeRun, resume-after-outage continuation, path-restart
 // application) but records the event stream instead of stepping monitors.
 // Never returns a verdict.
 class CaptureChecker final : public PropertyChecker {
  public:
-  // `runs` are StepRuns over the monitors' per-event costs, borrowed: they
-  // must outlive the checker; `fram_bytes` the MonitorSet footprint to
-  // mirror in the NVM arena image. Records go into `buffer`, cleared first:
-  // handing back an earlier TakeRecords() reuses its capacity.
-  CaptureChecker(std::span<const StepRun> runs, std::size_t fram_bytes,
+  // Charges `machines` compiled machines; `fram_bytes` is the MonitorSet
+  // footprint to mirror in the NVM arena image. Records go into `buffer`,
+  // cleared first: handing back an earlier TakeRecords() reuses its
+  // capacity.
+  CaptureChecker(std::size_t machines, std::size_t fram_bytes,
                  std::vector<CapturedRecord> buffer = {});
-  // As above, from `step_cycles[i]`, monitor i's per-event cost; the
-  // checker keeps the runs itself.
+  // As above, one machine per entry of `step_cycles`. Each entry must be the
+  // Mcu cost model's compiled_step_cycles: every machine is charged the
+  // Mcu's compiled step, which is what those cycles convert to.
   CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes,
                  std::vector<CapturedRecord> buffer = {});
   CaptureChecker(const CaptureChecker&) = delete;
@@ -149,15 +150,12 @@ class CaptureChecker final : public PropertyChecker {
   std::uint64_t events_captured() const { return events_captured_; }
 
  private:
-  std::vector<StepRun> own_runs_;  // the step_cycles constructor's runs
-  std::span<const StepRun> runs_;
+  std::size_t machines_ = 0;
   std::size_t fram_bytes_ = 0;
   bool arena_registered_ = false;
 
   // Mirror of MonitorSet's FRAM-resident progress state.
-  bool in_progress_ = false;
-  std::uint64_t cursor_seq_ = 0;
-  std::size_t cursor_ = 0;
+  ImmortalContext continuation_;
   bool has_done_ = false;
   std::uint64_t done_seq_ = 0;
 

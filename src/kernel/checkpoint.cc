@@ -21,9 +21,9 @@ CheckpointRunResult RunCheckpointed(const CheckpointProgram& program,
   mcu->nvm().Allocate(MemOwner::kRuntime, sizeof(resume_at) + program.snapshot_bytes,
                       "checkpoint-area");
 
-  const double checkpoint_cycles =
+  const CycleCharge checkpoint = mcu->charges().Of(
       mcu->costs().kernel_boundary_cycles +
-      mcu->costs().nvm_commit_cycles_per_byte * static_cast<double>(program.snapshot_bytes);
+      mcu->costs().nvm_commit_cycles_per_byte * static_cast<double>(program.snapshot_bytes));
 
   while (resume_at < program.blocks.size()) {
     if (mcu->starved()) {
@@ -56,7 +56,7 @@ CheckpointRunResult RunCheckpointed(const CheckpointProgram& program,
       ++block;
       const bool due = (block - resume_at) % spacing == 0 || block == program.blocks.size();
       if (due) {
-        const ExecStatus saved = mcu->ExecuteCycles(checkpoint_cycles, CostTag::kRuntime);
+        const ExecStatus saved = mcu->ExecuteCharge(checkpoint, CostTag::kRuntime);
         if (saved != ExecStatus::kOk) {
           result.reexecuted_work += run_since_snapshot;
           failed = true;

@@ -162,11 +162,11 @@ ExecStatus IntermittentKernel::EnsureStartEvent(TaskId task) {
   if (event_pending_ && event_.kind == EventKind::kStartTask && event_.task == task) {
     return ExecStatus::kOk;  // Resume the interrupted delivery (same seq).
   }
-  ExecStatus status = mcu_->ExecuteCycles(mcu_->costs().event_build_cycles, CostTag::kRuntime);
+  ExecStatus status = mcu_->ExecuteCharge(mcu_->charges().event_build, CostTag::kRuntime);
   if (status != ExecStatus::kOk) {
     return status;
   }
-  status = mcu_->ExecuteCycles(mcu_->costs().timestamp_read_cycles, CostTag::kRuntime);
+  status = mcu_->ExecuteCharge(mcu_->charges().timestamp_read, CostTag::kRuntime);
   if (status != ExecStatus::kOk) {
     return status;
   }
@@ -186,8 +186,7 @@ ExecStatus IntermittentKernel::EnsureEndEvent(TaskId task) {
   if (event_pending_ && event_.kind == EventKind::kEndTask && event_.task == task) {
     return ExecStatus::kOk;
   }
-  const ExecStatus status =
-      mcu_->ExecuteCycles(mcu_->costs().event_build_cycles, CostTag::kRuntime);
+  const ExecStatus status = mcu_->ExecuteCharge(mcu_->charges().event_build, CostTag::kRuntime);
   if (status != ExecStatus::kOk) {
     return status;
   }
@@ -209,7 +208,7 @@ ExecStatus IntermittentKernel::EnsureEndEvent(TaskId task) {
 }
 
 ExecStatus IntermittentKernel::HandleReady(TaskId task) {
-  ExecStatus status = mcu_->ExecuteCycles(mcu_->costs().kernel_boundary_cycles, CostTag::kRuntime);
+  ExecStatus status = mcu_->ExecuteCharge(mcu_->charges().kernel_boundary, CostTag::kRuntime);
   if (status != ExecStatus::kOk) {
     return status;
   }
@@ -263,7 +262,7 @@ ExecStatus IntermittentKernel::RunTaskBody(TaskId task) {
 ExecStatus IntermittentKernel::CommitTask(TaskId task) {
   const std::size_t bytes = staging_.samples.size() * sizeof(double) + kCommitRecordBytes;
   const ExecStatus status =
-      mcu_->ExecuteCycles(mcu_->costs().CommitCycles(bytes), CostTag::kRuntime);
+      mcu_->ExecuteCharge(mcu_->charges().Commit(staging_.samples.size()), CostTag::kRuntime);
   if (status != ExecStatus::kOk) {
     return status;  // Pre-commit failure: the whole task re-executes.
   }
@@ -291,7 +290,7 @@ ExecStatus IntermittentKernel::CommitTask(TaskId task) {
 }
 
 ExecStatus IntermittentKernel::HandleFinished(TaskId task) {
-  ExecStatus status = mcu_->ExecuteCycles(mcu_->costs().kernel_boundary_cycles, CostTag::kRuntime);
+  ExecStatus status = mcu_->ExecuteCharge(mcu_->charges().kernel_boundary, CostTag::kRuntime);
   if (status != ExecStatus::kOk) {
     return status;
   }
@@ -324,8 +323,7 @@ ExecStatus IntermittentKernel::RunUnmonitored() {
     MarkAppComplete();
     return ExecStatus::kOk;
   }
-  const ExecStatus status =
-      mcu_->ExecuteCycles(mcu_->costs().kernel_boundary_cycles, CostTag::kRuntime);
+  const ExecStatus status = mcu_->ExecuteCharge(mcu_->charges().kernel_boundary, CostTag::kRuntime);
   if (status != ExecStatus::kOk) {
     return status;
   }
@@ -393,7 +391,7 @@ ExecStatus IntermittentKernel::ApplyAction(const MonitorVerdict& verdict, EventK
       }
       break;
   }
-  return mcu_->ExecuteCycles(mcu_->costs().action_apply_cycles, CostTag::kRuntime);
+  return mcu_->ExecuteCharge(mcu_->charges().action_apply, CostTag::kRuntime);
 }
 
 void IntermittentKernel::AdvanceTask() {

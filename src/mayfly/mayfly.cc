@@ -30,8 +30,7 @@ void MayflyChecker::Finalize(Mcu&) {
 
 CheckOutcome MayflyChecker::OnEvent(const MonitorEvent& event, Mcu& mcu) {
   CheckOutcome outcome;
-  const ExecStatus charge =
-      mcu.ExecuteCycles(mcu.costs().mayfly_check_cycles, CostTag::kRuntime);
+  const ExecStatus charge = mcu.ExecuteCharge(mcu.charges().mayfly_check, CostTag::kRuntime);
   if (charge != ExecStatus::kOk) {
     outcome.status = static_cast<int>(charge);
     return outcome;

@@ -32,9 +32,6 @@ class BuiltinMonitor : public Monitor {
         scope_path_(scope_path) {}
 
   const std::string& label() const override { return label_; }
-  double StepCycles(const CostModel& costs) const override {
-    return costs.builtin_step_cycles;
-  }
   void OnPathRestart(PathId) override {}
 
  protected:

@@ -27,10 +27,6 @@ void CompiledMonitor::OnPathRestart(PathId path) {
   // state re-initializes.
 }
 
-double CompiledMonitor::StepCycles(const CostModel& costs) const {
-  return costs.compiled_step_cycles;
-}
-
 std::size_t CompiledMonitor::FramBytes() const {
   // Same persistent state as the interpreter: current-state word plus one
   // double per machine variable (the bytecode itself is .text, not FRAM).

@@ -43,7 +43,6 @@ class CompiledMonitor final : public Monitor {
   void HardReset() override;
   void OnPathRestart(PathId path) override;
   const std::string& label() const override { return machine_->property_label; }
-  double StepCycles(const CostModel& costs) const override;
   std::size_t FramBytes() const override;
 
   // Test hooks, mirroring InterpretedMonitor's.

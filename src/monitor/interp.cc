@@ -80,10 +80,6 @@ bool InterpretedMonitor::Step(const MonitorEvent& event, MonitorVerdict* verdict
   return false;  // Implicit self-transition.
 }
 
-double InterpretedMonitor::StepCycles(const CostModel& costs) const {
-  return costs.interp_step_cycles;
-}
-
 std::size_t InterpretedMonitor::FramBytes() const {
   // Current-state word plus one double per machine variable.
   return sizeof(std::uint16_t) + machine_->variables.size() * sizeof(double);

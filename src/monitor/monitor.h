@@ -1,10 +1,11 @@
-// The per-property monitor interface shared by the two backends:
+// The per-property monitor interface shared by the three backends:
 //  * InterpretedMonitor executes an intermediate-language state machine
 //    (what the generated C code would do, kept as data);
+//  * CompiledMonitor runs the machine flattened into bytecode (compiled.h);
 //  * the builtin monitors in builtin.h mirror Figure 10's hand-laid-out
 //    property_t structures for the fast path.
-// Both are driven by MonitorSet, which owns persistence and cycle
-// accounting.
+// All three are driven by MonitorSet, which owns persistence and cycle
+// accounting: it charges every machine its backend's one step cost.
 #ifndef SRC_MONITOR_MONITOR_H_
 #define SRC_MONITOR_MONITOR_H_
 
@@ -12,7 +13,6 @@
 #include <string>
 
 #include "src/kernel/checker.h"
-#include "src/sim/cost_model.h"
 
 namespace artemis {
 
@@ -43,9 +43,6 @@ class Monitor {
   virtual void OnPathRestart(PathId path) = 0;
 
   virtual const std::string& label() const = 0;
-
-  // Simulated cycle cost of one Step call.
-  virtual double StepCycles(const CostModel& costs) const = 0;
 
   // Persistent (FRAM) footprint in bytes, for Table 2.
   virtual std::size_t FramBytes() const = 0;

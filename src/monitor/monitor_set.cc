@@ -39,21 +39,21 @@ std::size_t MonitorSet::InlinedTextBytes(std::size_t separate_text_bytes,
   return shared + (separate_text_bytes - shared) * (call_sites == 0 ? 1 : call_sites);
 }
 
-std::vector<StepRun> StepRuns(const std::vector<double>& step_cycles) {
-  std::vector<StepRun> runs;
-  for (std::size_t i = 0; i < step_cycles.size(); ++i) {
-    if (runs.empty() || step_cycles[i] != runs.back().cycles) {
-      runs.push_back(StepRun{.cycles = step_cycles[i], .end = i + 1});
-    } else {
-      runs.back().end = i + 1;
-    }
+const CycleCharge& StepCharge(MonitorBackend backend, const CycleCharges& charges) {
+  switch (backend) {
+    case MonitorBackend::kInterpreted:
+      return charges.interp_step;
+    case MonitorBackend::kBuiltin:
+      return charges.builtin_step;
+    case MonitorBackend::kCompiled:
+      break;
   }
-  return runs;
+  return charges.compiled_step;
 }
 
 void MonitorSet::Add(std::unique_ptr<Monitor> monitor) {
   monitors_.push_back(std::move(monitor));
-  runs_stale_ = true;
+  reactors_.clear();
 }
 
 void MonitorSet::ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors) {
@@ -68,7 +68,7 @@ void MonitorSet::ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors)
     retired_.push_back(std::move(old));
   }
   monitors_ = std::move(monitors);
-  runs_stale_ = true;
+  reactors_.clear();
   pending_.clear();
 }
 
@@ -125,7 +125,7 @@ void MonitorSet::Finalize(Mcu& mcu) {
   // the pending event and OnEvent resumes from the saved cursor. The boot
   // pass just pays the bookkeeping read.
   if (continuation_.InProgress()) {
-    mcu.ExecuteCycles(mcu.costs().timestamp_read_cycles, CostTag::kMonitor);
+    mcu.ExecuteCharge(mcu.charges().timestamp_read, CostTag::kMonitor);
   }
 }
 
@@ -146,7 +146,7 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
   ExecStatus call = ExecStatus::kOk;
   switch (placement_) {
     case MonitorPlacement::kSeparate:
-      call = mcu.ExecuteCycles(mcu.costs().monitor_call_cycles, CostTag::kMonitor);
+      call = mcu.ExecuteCharge(mcu.charges().monitor_call, CostTag::kMonitor);
       break;
     case MonitorPlacement::kInlined:
       break;
@@ -185,16 +185,6 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
                             .detail = EventKindName(event.kind)});
   }
 
-  if (runs_stale_) {
-    std::vector<double> cycles;
-    cycles.reserve(monitors_.size());
-    for (const auto& monitor : monitors_) {
-      cycles.push_back(monitor->StepCycles(mcu.costs()));
-    }
-    runs_ = StepRuns(cycles);
-    reactors_.clear();
-    runs_stale_ = false;
-  }
   std::size_t next = continuation_.Begin(event.seq);
   if (next == 0) {
     pending_.clear();
@@ -225,19 +215,15 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
     // Inlined checks are runtime time.
     const CostTag step_tag =
         placement_ == MonitorPlacement::kInlined ? CostTag::kRuntime : CostTag::kMonitor;
-    for (const StepRun& run : runs_) {
-      if (run.end <= next) {
-        continue;
-      }
-      const RunStatus charged = mcu.ExecuteCyclesRun(run.cycles, step_tag, run.end - next);
-      step_to(next + charged.done);
-      if (charged.status != ExecStatus::kOk) {
-        // Power failed before monitor `next` durably consumed the event; the
-        // continuation cursor still points at it, so the re-delivered event
-        // resumes there.
-        outcome.status = static_cast<int>(charged.status);
-        return outcome;
-      }
+    const RunStatus charged = mcu.ExecuteChargeRun(StepCharge(backend_, mcu.charges()),
+                                                   step_tag, monitors_.size() - next);
+    step_to(next + charged.done);
+    if (charged.status != ExecStatus::kOk) {
+      // Power failed before monitor `next` durably consumed the event; the
+      // continuation cursor still points at it, so the re-delivered event
+      // resumes there.
+      outcome.status = static_cast<int>(charged.status);
+      return outcome;
     }
   }
 
@@ -291,7 +277,7 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
 void MonitorSet::OnPathRestart(PathId path, Mcu& mcu) {
   const CostTag tag =
       placement_ == MonitorPlacement::kInlined ? CostTag::kRuntime : CostTag::kMonitor;
-  mcu.ExecuteCycles(mcu.costs().action_apply_cycles, tag);
+  mcu.ExecuteCharge(mcu.charges().action_apply, tag);
   for (const auto& monitor : monitors_) {
     monitor->OnPathRestart(path);
   }

@@ -3,9 +3,9 @@
 // Implements the kernel's PropertyChecker interface over a collection of
 // per-property monitors. Responsibilities:
 //  * cycle accounting under CostTag::kMonitor (Figure 15's "monitor
-//    overhead" bar): the interface crossing, then each run of monitors with
-//    equal step cycles as one Mcu::ExecuteCyclesRun, which is bit-identical
-//    to charging the monitors one by one;
+//    overhead" bar): the interface crossing, then the event's monitors as
+//    one Mcu::ExecuteChargeRun of the backend's step charge (StepCharge),
+//    which is bit-identical to charging the monitors one by one;
 //  * stepping, within the charged prefix, only the monitors whose Step can
 //    react to the event's (kind, task) (Monitor::Reacts); the others are
 //    charged as on the device but not run on the host;
@@ -36,6 +36,7 @@
 #include "src/monitor/arbitration.h"
 #include "src/monitor/monitor.h"
 #include "src/obs/bus.h"
+#include "src/sim/cost_model.h"
 #include "src/spec/ast.h"
 
 namespace artemis {
@@ -58,16 +59,8 @@ enum class MonitorPlacement { kSeparate, kInlined, kRemote };
 
 const char* MonitorPlacementName(MonitorPlacement placement);
 
-// A maximal stretch of consecutive monitors whose steps cost the same
-// cycles; it ends before monitor `end` and starts where the previous run
-// ends. An event's monitors are charged one Mcu::ExecuteCyclesRun per run.
-struct StepRun {
-  double cycles = 0.0;
-  std::size_t end = 0;
-};
-
-// Splits per-monitor step costs into maximal runs of equal cycles.
-std::vector<StepRun> StepRuns(const std::vector<double>& step_cycles);
+// The charge of one monitor step on `backend`.
+const CycleCharge& StepCharge(MonitorBackend backend, const CycleCharges& charges);
 
 // Table 2's FRAM record for the set's cached verdict (action, target path
 // and property label). A fixed layout, not sizeof(MonitorVerdict), so the
@@ -91,8 +84,10 @@ struct MonitorSetOptions {
 
 class MonitorSet : public PropertyChecker {
  public:
-  explicit MonitorSet(const MonitorSetOptions& options)
-      : policy_(options.policy), placement_(options.placement) {}
+  // Every monitor added runs on `backend`, so each step costs its
+  // StepCharge.
+  MonitorSet(MonitorBackend backend, const MonitorSetOptions& options)
+      : backend_(backend), policy_(options.policy), placement_(options.placement) {}
 
   void Add(std::unique_ptr<Monitor> monitor);
   std::size_t size() const { return monitors_.size(); }
@@ -143,6 +138,7 @@ class MonitorSet : public PropertyChecker {
   void ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors);
 
  private:
+  MonitorBackend backend_;
   ArbitrationPolicy policy_;
   MonitorPlacement placement_ = MonitorPlacement::kSeparate;
   std::vector<std::unique_ptr<Monitor>> monitors_;
@@ -152,14 +148,9 @@ class MonitorSet : public PropertyChecker {
   // view a label they own or keep alive.
   std::vector<std::unique_ptr<Monitor>> retired_;
 
-  // Runs of equal step cycles over monitors_, built from the Mcu's cost
-  // model at the first event after Add or ReplaceMonitors, which also
-  // clears the reactor columns.
-  std::vector<StepRun> runs_;
-  bool runs_stale_ = true;
-
   // The monitors that react to one (event kind, task), ascending, built
-  // from Monitor::Reacts on the column's first event.
+  // from Monitor::Reacts on the column's first event; Add and
+  // ReplaceMonitors clear them.
   struct ReactorColumn {
     bool built = false;
     std::vector<std::uint32_t> monitors;

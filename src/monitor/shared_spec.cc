@@ -96,7 +96,7 @@ StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSetFromArtifact(
         std::string("spec artifact stage '") + SpecArtifactStageName(artifact->stage) +
         "' cannot serve backend '" + MonitorBackendName(backend) + "'");
   }
-  auto set = std::make_unique<MonitorSet>(options);
+  auto set = std::make_unique<MonitorSet>(backend, options);
   if (backend == MonitorBackend::kBuiltin) {
     for (const TaskBlockAst& block : artifact->ast.blocks) {
       for (const PropertyAst& property : block.properties) {

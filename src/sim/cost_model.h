@@ -9,6 +9,7 @@
 #ifndef SRC_SIM_COST_MODEL_H_
 #define SRC_SIM_COST_MODEL_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -92,6 +93,49 @@ struct CostModel {
 
 // Calibrated default used by benches/tests.
 const CostModel& DefaultCostModel();
+
+// One charge of a cycle count at the active power.
+struct CycleCharge {
+  SimDuration duration = 0;
+  EnergyUj energy = 0.0;
+};
+
+// A CostModel converted at its clock rate and active power: one charge per
+// cycle constant, and the commits of tasks that stage fewer than
+// kCommitCharges samples. Each holds the bits Of() gives for its count.
+// Read-only once built: every Mcu on DefaultCostModel(), on any thread,
+// charges from the one Default() set, as every device shares the cost
+// constants of its firmware; an Mcu on another model converts its own.
+struct CycleCharges {
+  static constexpr std::size_t kCommitCharges = 16;
+
+  explicit CycleCharges(const CostModel& costs);
+
+  // The set of DefaultCostModel(), built at its first use.
+  static const CycleCharges& Default();
+
+  // Any other cycle count.
+  CycleCharge Of(double cycles) const {
+    const SimDuration duration = model.CyclesToTime(cycles);
+    return CycleCharge{.duration = duration,
+                       .energy = EnergyFor(model.mcu_active_power, duration)};
+  }
+
+  // The commit of a task that staged `samples` samples.
+  CycleCharge Commit(std::size_t samples) const {
+    return samples < kCommitCharges
+               ? commits[samples]
+               : Of(model.CommitCycles(kCommitRecordBytes + samples * sizeof(double)));
+  }
+
+  CostModel model;
+  CycleCharge kernel_boundary, event_build, timestamp_read, monitor_call;
+  CycleCharge interp_step, builtin_step, compiled_step;
+  CycleCharge mayfly_check, action_apply, reboot_restore;
+  CycleCharge flight_record_build, flight_byte, flight_control;
+  CycleCharge swap_control, swap_byte;
+  std::array<CycleCharge, kCommitCharges> commits;
+};
 
 }  // namespace artemis
 

@@ -29,60 +29,11 @@ EnergyUj McuStats::TotalEnergy() const {
   return std::accumulate(energy.begin(), energy.end(), EnergyUj{0.0});
 }
 
-CycleChargeTable::CycleChargeTable(const CostModel& costs) : costs_(costs) {
-  const auto insert = [this](double cycles) {
-    const auto key = std::bit_cast<std::uint64_t>(cycles);
-    std::size_t i = Home(key);
-    while (slots_[i].key != key && slots_[i].key != kFreeSlot) {
-      i = (i + 1) % kSlots;
-    }
-    slots_[i] = Slot{.key = key, .charge = Compute(cycles)};
-  };
-  // Every per-operation constant (the outage path converts
-  // reboot_restore_cycles itself) and the commits of up to 16 samples.
-  for (const std::uint32_t cycles :
-       {costs.kernel_boundary_cycles, costs.event_build_cycles, costs.timestamp_read_cycles,
-        costs.monitor_call_cycles, costs.interp_step_cycles, costs.builtin_step_cycles,
-        costs.compiled_step_cycles, costs.mayfly_check_cycles, costs.action_apply_cycles,
-        costs.flight_record_build_cycles, costs.flight_control_write_cycles,
-        costs.swap_control_cycles}) {
-    insert(cycles);
-  }
-  insert(costs.flight_nvm_write_cycles_per_byte);
-  insert(costs.swap_nvm_write_cycles_per_byte);
-  for (std::size_t samples = 0; samples < 16; ++samples) {
-    insert(costs.CommitCycles(kCommitRecordBytes + samples * sizeof(double)));
-  }
-}
-
-const CycleChargeTable& CycleChargeTable::Default() {
-  static const CycleChargeTable table(DefaultCostModel());
-  return table;
-}
-
-CycleCharge CycleChargeTable::Compute(double cycles) const {
-  const SimDuration duration = costs_.CyclesToTime(cycles);
-  return CycleCharge{.duration = duration,
-                     .energy = EnergyFor(costs_.mcu_active_power, duration)};
-}
-
-CycleCharge CycleChargeTable::ChargeForSlow(double cycles) const {
-  const auto key = std::bit_cast<std::uint64_t>(cycles);
-  for (std::size_t i = (Home(key) + 1) % kSlots; slots_[i].key != kFreeSlot;
-       i = (i + 1) % kSlots) {
-    if (slots_[i].key == key) {
-      return slots_[i].charge;
-    }
-  }
-  return Compute(cycles);
-}
-
 Mcu::Mcu(std::unique_ptr<PowerModel> power, const CostModel& costs)
     : power_(std::move(power)),
-      costs_(costs),
       own_charges_(&costs == &DefaultCostModel() ? nullptr
-                                                 : std::make_unique<const CycleChargeTable>(costs)),
-      charges_(own_charges_ != nullptr ? own_charges_.get() : &CycleChargeTable::Default()) {
+                                                 : std::make_unique<const CycleCharges>(costs)),
+      charges_(own_charges_ != nullptr ? own_charges_.get() : &CycleCharges::Default()) {
   power_->NotifyReboot(0);
 }
 
@@ -105,17 +56,15 @@ Status Mcu::AttachFlightRecorder(flight::FlightRecorder* recorder) {
 }
 
 bool Mcu::ChargeRecordBuild() {
-  return ExecuteCycles(costs_.flight_record_build_cycles, CostTag::kFlight) ==
-         ExecStatus::kOk;
+  return ExecuteCharge(charges_->flight_record_build, CostTag::kFlight) == ExecStatus::kOk;
 }
 
 std::size_t Mcu::ChargeWriteBytes(std::size_t count) {
-  return ExecuteCyclesRun(costs_.flight_nvm_write_cycles_per_byte, CostTag::kFlight, count).done;
+  return ExecuteChargeRun(charges_->flight_byte, CostTag::kFlight, count).done;
 }
 
 bool Mcu::ChargeControlWrite() {
-  return ExecuteCycles(costs_.flight_control_write_cycles, CostTag::kFlight) ==
-         ExecStatus::kOk;
+  return ExecuteCharge(charges_->flight_control, CostTag::kFlight) == ExecStatus::kOk;
 }
 
 ExecStatus Mcu::ExecuteInternal(SimDuration duration, Milliwatts power, CostTag tag,
@@ -176,9 +125,9 @@ ExecStatus Mcu::ExecuteInternal(SimDuration duration, Milliwatts power, CostTag 
     starved_ = true;
     return ExecStatus::kStarved;
   }
-  const SimDuration restore = costs_.CyclesToTime(costs_.reboot_restore_cycles);
-  const ExecStatus boot =
-      ExecuteInternal(restore, costs_.mcu_active_power, CostTag::kReboot, depth + 1);
+  const ExecStatus boot = ExecuteInternal(charges_->reboot_restore.duration,
+                                          charges_->model.mcu_active_power, CostTag::kReboot,
+                                          depth + 1);
   if (boot == ExecStatus::kStarved) {
     return ExecStatus::kStarved;
   }

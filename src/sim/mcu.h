@@ -12,17 +12,15 @@
 // compare, a subtract and the accounting, with no virtual call. Any other
 // charge, and every charge on a model that does not opt in, goes through
 // PowerModel::Consume and, when it fails, the outage path. Both routes give
-// bit-identical results. The duration and energy of each per-operation
-// cycle constant come from a CycleChargeTable, so such a charge does no
-// division; every Mcu on the default cost model shares one table.
+// bit-identical results. A cycle charge arrives resolved: its caller names
+// it in the Mcu's CycleCharges (src/sim/cost_model.h), so no charge converts
+// cycles; every Mcu on the default cost model shares one set.
 #ifndef SRC_SIM_MCU_H_
 #define SRC_SIM_MCU_H_
 
 #include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -64,62 +62,6 @@ struct McuStats {
   EnergyUj TotalEnergy() const;
 };
 
-// One charge of a cycle count at the active power.
-struct CycleCharge {
-  SimDuration duration = 0;
-  EnergyUj energy = 0.0;
-};
-
-// The charge of every per-operation cycle constant of one CostModel (the
-// kernel's, the monitors', Mayfly's, the flight recorder's and hot swap's)
-// and of the commits of small tasks, converted once at the model's clock
-// rate and active power. The table is read-only once built. Every Mcu on
-// DefaultCostModel(), on any thread, charges from the one Default() table,
-// as every device shares the cost constants of its firmware; an Mcu on any
-// other model builds a table of its own. Any other cycle count (a large
-// commit, a caller's own count) is converted at its charge; both routes
-// give the same bits.
-class CycleChargeTable {
- public:
-  explicit CycleChargeTable(const CostModel& costs);
-
-  // The table of DefaultCostModel(), built at its first use.
-  static const CycleChargeTable& Default();
-
-  CycleCharge ChargeFor(double cycles) const {
-    const auto key = std::bit_cast<std::uint64_t>(cycles);
-    const Slot& home = slots_[Home(key)];
-    if (home.key == key) [[likely]] {
-      return home.charge;
-    }
-    return ChargeForSlow(cycles);
-  }
-
-  // Converts `cycles` without the table.
-  CycleCharge Compute(double cycles) const;
-
- private:
-  // Open-addressed by the cycle count's bits. NaN cycles never reach it
-  // (CyclesToTime cannot convert them), so a NaN pattern marks a free slot.
-  static constexpr int kSlotBits = 6;
-  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
-  static constexpr std::uint64_t kFreeSlot =
-      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN());
-  struct Slot {
-    std::uint64_t key = kFreeSlot;
-    CycleCharge charge;
-  };
-  // Fibonacci hashing: the product's top bits depend on every key bit.
-  static std::size_t Home(std::uint64_t key) {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits));
-  }
-  // Probes past the home slot; computes the charge when no slot holds it.
-  CycleCharge ChargeForSlow(double cycles) const;
-
-  CostModel costs_;
-  std::array<Slot, kSlots> slots_{};
-};
-
 class Mcu : public flight::FlightPort {
  public:
   explicit Mcu(std::unique_ptr<PowerModel> power,
@@ -132,17 +74,18 @@ class Mcu : public flight::FlightPort {
   // sequence (e.g. undersized capacitor), after a bounded number of retries.
   ExecStatus Execute(SimDuration duration, Milliwatts power, CostTag tag);
 
-  // Convenience: runs `cycles` CPU cycles at the MCU active power.
-  ExecStatus ExecuteCycles(double cycles, CostTag tag);
+  // Runs one `charge` (a named entry of charges(), or its Of()) at the MCU
+  // active power.
+  ExecStatus ExecuteCharge(const CycleCharge& charge, CostTag tag);
 
-  // Bit-identical to `count` ExecuteCycles(cycles, tag) calls that stop at
+  // Bit-identical to `count` ExecuteCharge(charge, tag) calls that stop at
   // the first one not returning kOk. The prefix the power model's budget
   // covers completes inline, each operation with its own subtraction and
   // its own energy +=, so the doubles round exactly as per-operation
   // charging does. The first operation not covered goes through the
   // ordinary charge path, so a failure takes the unchanged outage, reboot
   // and boot-record path.
-  RunStatus ExecuteCyclesRun(double cycles, CostTag tag, std::size_t count);
+  RunStatus ExecuteChargeRun(const CycleCharge& charge, CostTag tag, std::size_t count);
 
   // Device clock read without cost (for assertions / logging).
   SimTime Now() const { return clock_.Read(); }
@@ -157,7 +100,8 @@ class Mcu : public flight::FlightPort {
   NvmArena& nvm() { return nvm_; }
   RamArena& ram() { return ram_; }
   PowerModel& power_model() { return *power_; }
-  const CostModel& costs() const { return costs_; }
+  const CostModel& costs() const { return charges_->model; }
+  const CycleCharges& charges() const { return *charges_; }
   const McuStats& stats() const { return stats_; }
   bool starved() const { return starved_; }
 
@@ -181,10 +125,9 @@ class Mcu : public flight::FlightPort {
   Status AttachFlightRecorder(flight::FlightRecorder* recorder);
   flight::FlightRecorder* flight_recorder() const { return flight_; }
 
-  // flight::FlightPort — charges map to the CostModel's flight_* constants.
+  // flight::FlightPort — the charges' flight_* entries, under CostTag::kFlight.
   bool ChargeRecordBuild() override;
-  // One ExecuteCyclesRun of flight_nvm_write_cycles_per_byte under
-  // CostTag::kFlight.
+  // One ExecuteChargeRun of flight_byte.
   std::size_t ChargeWriteBytes(std::size_t count) override;
   bool ChargeControlWrite() override;
   SimTime DeviceNow() override { return clock_.Read(); }
@@ -198,11 +141,10 @@ class Mcu : public flight::FlightPort {
   ExecStatus ExecuteInternal(SimDuration duration, Milliwatts power, CostTag tag, int depth);
 
   std::unique_ptr<PowerModel> power_;
-  CostModel costs_;
   // Set only when `costs` is not DefaultCostModel(); `charges_` points at
-  // it or at CycleChargeTable::Default().
-  std::unique_ptr<const CycleChargeTable> own_charges_;
-  const CycleChargeTable* charges_;
+  // it or at CycleCharges::Default().
+  std::unique_ptr<const CycleCharges> own_charges_;
+  const CycleCharges* charges_;
   PersistentClock clock_;
   NvmArena nvm_;
   RamArena ram_;
@@ -245,19 +187,19 @@ inline ExecStatus Mcu::Execute(SimDuration duration, Milliwatts power, CostTag t
   return ExecuteInternal(duration, power, tag, 0);
 }
 
-inline ExecStatus Mcu::ExecuteCycles(double cycles, CostTag tag) {
-  return ExecuteCyclesRun(cycles, tag, 1).status;
+inline ExecStatus Mcu::ExecuteCharge(const CycleCharge& charge, CostTag tag) {
+  return ExecuteChargeRun(charge, tag, 1).status;
 }
 
-inline RunStatus Mcu::ExecuteCyclesRun(double cycles, CostTag tag, std::size_t count) {
-  const CycleCharge charge = charges_->ChargeFor(cycles);
+inline RunStatus Mcu::ExecuteChargeRun(const CycleCharge& charge, CostTag tag,
+                                       std::size_t count) {
   RunStatus run;
   while (true) {
     run.done += CompleteInline(charge.duration, charge.energy, tag, count - run.done);
     if (run.done == count) {
       return run;
     }
-    run.status = ExecuteInternal(charge.duration, costs_.mcu_active_power, tag, 0);
+    run.status = ExecuteInternal(charge.duration, charges_->model.mcu_active_power, tag, 0);
     if (run.status != ExecStatus::kOk) {
       return run;
     }

@@ -87,8 +87,12 @@ class Parser : private TokenCursor {
         if (status.ok()) {
           status = Expect(TokenKind::kComma);
         }
+        const Token spread = Peek();
         if (status.ok()) {
           status = ReadNumber("expected the gaussian stddev", &value_stddev);
+        }
+        if (status.ok() && value_stddev < 0) {
+          status = ErrorAt(spread, "gaussian stddev must not be negative");
         }
         if (status.ok()) {
           status = Expect(TokenKind::kRParen);

@@ -20,11 +20,10 @@ class McuSwapPort final : public SwapPort {
  public:
   explicit McuSwapPort(Mcu& mcu) : mcu_(mcu) {}
   bool ChargeStageByte() override {
-    return mcu_.ExecuteCycles(mcu_.costs().swap_nvm_write_cycles_per_byte,
-                              CostTag::kRuntime) == ExecStatus::kOk;
+    return mcu_.ExecuteCharge(mcu_.charges().swap_byte, CostTag::kRuntime) == ExecStatus::kOk;
   }
   bool ChargeControl() override {
-    return mcu_.ExecuteCycles(mcu_.costs().swap_control_cycles, CostTag::kRuntime) ==
+    return mcu_.ExecuteCharge(mcu_.charges().swap_control, CostTag::kRuntime) ==
            ExecStatus::kOk;
   }
 

@@ -119,6 +119,9 @@ INSTANTIATE_TEST_SUITE_P(
                "INVALID_ARGUMENT: line 1:18: duration must be between 0 and 1.8e16 milliseconds"},
         BadApp{"app x { task t { power: -3; } path 1: t; }", "negative bare power",
                "INVALID_ARGUMENT: line 1:18: power must not be negative"},
+        BadApp{"app x { task t { duration: 5ms; power: 1mW; value: gaussian(1, -2); } path 1: t; }",
+               "negative gaussian spread",
+               "INVALID_ARGUMENT: line 1:64: gaussian stddev must not be negative"},
         BadApp{"app x { task t { } path 4294967297: t; }", "path number past 2^32-1",
                "INVALID_ARGUMENT: line 1:20: path must be at most 4294967295"}));
 

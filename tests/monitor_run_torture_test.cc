@@ -1,7 +1,7 @@
 // Torture test for run charging in the monitor machine loop.
 //
-// MonitorSet and the fleet's CaptureChecker charge each run of machines
-// with equal step cycles with one Mcu::ExecuteCyclesRun, then step only the
+// MonitorSet and the fleet's CaptureChecker charge an event's machines with
+// one Mcu::ExecuteChargeRun of the backend's step charge, then step only the
 // charged prefix, and of it only the machines that can react to the event.
 // Against the per-machine loop that charges and steps every machine, a
 // power failure at every machine offset of a health event, before and after
@@ -46,13 +46,15 @@
 namespace artemis {
 namespace {
 
-// The per-machine loop: charge one machine with ExecuteCycles, then step
-// it. Around the loop it mirrors MonitorSet::OnEvent without the bus and
-// flight hooks; `machines` only lends its monitors.
+// The per-machine loop: charge one machine its backend's step with
+// ExecuteCharge, then step it. Around the loop it mirrors
+// MonitorSet::OnEvent without the bus and flight hooks; `machines` only
+// lends its monitors.
 class PerMachineReference {
  public:
-  PerMachineReference(std::unique_ptr<MonitorSet> machines, MonitorPlacement placement)
-      : machines_(std::move(machines)), placement_(placement) {}
+  PerMachineReference(std::unique_ptr<MonitorSet> machines, MonitorBackend backend,
+                      MonitorPlacement placement)
+      : machines_(std::move(machines)), backend_(backend), placement_(placement) {}
 
   CheckOutcome OnEvent(const MonitorEvent& event, Mcu& mcu) {
     CheckOutcome outcome;
@@ -75,7 +77,7 @@ class PerMachineReference {
     for (; cursor_ < machines_->size(); ++cursor_) {
       Monitor& machine = machines_->monitor(cursor_);
       if (placement_ != MonitorPlacement::kRemote) {
-        const ExecStatus step = mcu.ExecuteCycles(machine.StepCycles(mcu.costs()), tag);
+        const ExecStatus step = mcu.ExecuteCharge(StepCharge(backend_, mcu.charges()), tag);
         if (step != ExecStatus::kOk) {
           outcome.status = static_cast<int>(step);
           return outcome;
@@ -97,14 +99,14 @@ class PerMachineReference {
 
   void Finalize(Mcu& mcu) const {
     if (in_progress_) {
-      mcu.ExecuteCycles(mcu.costs().timestamp_read_cycles, CostTag::kMonitor);
+      mcu.ExecuteCharge(mcu.charges().timestamp_read, CostTag::kMonitor);
     }
   }
 
   void OnPathRestart(PathId path, Mcu& mcu) {
     const CostTag tag =
         placement_ == MonitorPlacement::kInlined ? CostTag::kRuntime : CostTag::kMonitor;
-    mcu.ExecuteCycles(mcu.costs().action_apply_cycles, tag);
+    mcu.ExecuteCharge(mcu.charges().action_apply, tag);
     for (std::size_t i = 0; i < machines_->size(); ++i) {
       machines_->monitor(i).OnPathRestart(path);
     }
@@ -120,7 +122,7 @@ class PerMachineReference {
     const RadioProfile radio{};
     switch (placement_) {
       case MonitorPlacement::kSeparate:
-        return mcu.ExecuteCycles(mcu.costs().monitor_call_cycles, CostTag::kMonitor);
+        return mcu.ExecuteCharge(mcu.charges().monitor_call, CostTag::kMonitor);
       case MonitorPlacement::kInlined:
         return ExecStatus::kOk;
       case MonitorPlacement::kRemote:
@@ -132,6 +134,7 @@ class PerMachineReference {
   }
 
   std::unique_ptr<MonitorSet> machines_;
+  MonitorBackend backend_;
   MonitorPlacement placement_;
   bool in_progress_ = false;
   std::uint64_t item_ = 0;
@@ -171,11 +174,9 @@ std::unique_ptr<MonitorSet> HealthMonitors(const HealthApp& app, const Config& c
   return Monitors(HealthSpec(), app.graph, config);
 }
 
-// Step cycles of the health set's machines under `config`, which are the
-// same for all eight.
-double HealthStepCycles(const Config& config) {
-  const std::unique_ptr<MonitorSet> set = HealthMonitors(BuildHealthApp(), config);
-  return set->monitor(0).StepCycles(DefaultCostModel());
+// The charge of one machine step under `config` on the default cost model.
+const CycleCharge& Step(const Config& config) {
+  return StepCharge(config.backend, CycleCharges::Default());
 }
 
 EnergyUj CyclesEnergy(double cycles) {
@@ -207,7 +208,8 @@ struct Rig {
   Rig(const Config& config, const SpecAst& spec, const AppGraph* graph,
       std::unique_ptr<PowerModel> run_power, std::unique_ptr<PowerModel> ref_power)
       : app(BuildHealthApp()),
-        ref(Monitors(spec, graph != nullptr ? *graph : app.graph, config), config.placement),
+        ref(Monitors(spec, graph != nullptr ? *graph : app.graph, config), config.backend,
+            config.placement),
         run_mcu(std::make_unique<Mcu>(std::move(run_power), DefaultCostModel())),
         ref_mcu(std::make_unique<Mcu>(std::move(ref_power), DefaultCostModel())) {
     set = Monitors(spec, graph != nullptr ? *graph : app.graph, config);
@@ -334,14 +336,9 @@ class MachineLoopTortureTest : public ::testing::TestWithParam<Config> {};
 TEST_P(MachineLoopTortureTest, PowerFailsAtEveryMachineOffsetLikePerMachineCharging) {
   const Config& config = GetParam();
   const CostModel& costs = DefaultCostModel();
-  const std::unique_ptr<MonitorSet> probe = HealthMonitors(BuildHealthApp(), config);
-  const std::size_t machines = probe->size();
+  const std::size_t machines = HealthMonitors(BuildHealthApp(), config)->size();
   ASSERT_EQ(machines, 8u);
-  const double step_cycles = probe->monitor(0).StepCycles(costs);
-  for (std::size_t i = 1; i < machines; ++i) {
-    ASSERT_EQ(probe->monitor(i).StepCycles(costs), step_cycles) << "one run per event";
-  }
-  const EnergyUj step = CyclesEnergy(step_cycles);
+  const EnergyUj step = Step(config).energy;
   const EnergyUj boot = CyclesEnergy(costs.reboot_restore_cycles) +
                         CyclesEnergy(costs.timestamp_read_cycles);
   const EnergyUj crossing = CrossingEnergy(config.placement);
@@ -401,7 +398,7 @@ TEST_P(MachineLoopTortureTest, ModelWithoutRunsChargesLikePerMachineCharging) {
   const Config& config = GetParam();
   const CostModel& costs = DefaultCostModel();
   const SimDuration event =
-      CrossingTime(config.placement) + 8 * costs.CyclesToTime(HealthStepCycles(config));
+      CrossingTime(config.placement) + 8 * Step(config).duration;
   const SimDuration mean_on = costs.CyclesToTime(costs.reboot_restore_cycles) + 4 * event;
   std::uint64_t reboots = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -424,7 +421,7 @@ TEST_P(MachineLoopTortureTest, BudgetBelowBootRestoreStarvesLikePerMachineChargi
   const EnergyUj budget =
       config.placement == MonitorPlacement::kRemote
           ? 0.5 * restore
-          : CrossingEnergy(config.placement) + 2.5 * CyclesEnergy(HealthStepCycles(config));
+          : CrossingEnergy(config.placement) + 2.5 * Step(config).energy;
   ASSERT_LT(budget, restore);
   Rig rig(config, std::make_unique<FixedChargePowerModel>(budget, kMinute),
           std::make_unique<FixedChargePowerModel>(budget, kMinute));
@@ -743,8 +740,7 @@ TEST_P(ReactingOracleTest, SteppingOnlyReactingMachinesMatchesSteppingAll) {
       std::unique_ptr<PowerModel> run_power = std::make_unique<AlwaysOnPowerModel>();
       std::unique_ptr<PowerModel> ref_power = std::make_unique<AlwaysOnPowerModel>();
       if (seed % 2 == 1) {
-        const std::unique_ptr<MonitorSet> probe = Monitors(shipped.spec, graph, config);
-        const EnergyUj step = CyclesEnergy(probe->monitor(0).StepCycles(costs));
+        const EnergyUj step = Step(config).energy;
         const EnergyUj boot = CyclesEnergy(costs.reboot_restore_cycles) +
                               CyclesEnergy(costs.timestamp_read_cycles) +
                               CyclesEnergy(costs.action_apply_cycles);

@@ -109,9 +109,9 @@ TEST(McuTest, StarvesWhenBudgetCannotBoot) {
   EXPECT_EQ(mcu->Execute(kSecond, 1.0, CostTag::kApp), ExecStatus::kStarved);
 }
 
-TEST(McuTest, ExecuteCyclesUsesCostModelClock) {
+TEST(McuTest, CycleChargeUsesCostModelClock) {
   auto mcu = FixedChargeMcu(1e9, kSecond);
-  EXPECT_EQ(mcu->ExecuteCycles(1000, CostTag::kRuntime), ExecStatus::kOk);
+  EXPECT_EQ(mcu->ExecuteCharge(mcu->charges().Of(1000), CostTag::kRuntime), ExecStatus::kOk);
   // 1000 cycles at 1 MHz = 1000 us.
   EXPECT_EQ(mcu->stats().busy_time[static_cast<int>(CostTag::kRuntime)], 1000u);
 }

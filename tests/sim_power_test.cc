@@ -6,17 +6,24 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <ostream>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/apps/health_app.h"
 #include "src/base/rng.h"
 #include "src/flight/recorder.h"
+#include "src/kernel/kernel.h"
+#include "src/mayfly/mayfly.h"
+#include "src/monitor/monitor_set.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/mcu.h"
 #include "src/sim/power_model.h"
+#include "src/spec/parser.h"
 
 namespace artemis {
 namespace {
@@ -190,18 +197,40 @@ class ForwardingPowerModel final : public PowerModel {
 
 // Another MCU than the default one: a faster clock, more active power and
 // other step costs. Its cycle counts convert differently, and each Mcu on it
-// charges from a table of its own.
+// converts a set of charges of its own. No charge of it lasts as long as a
+// charge of the default model (ChargeSourceTest relies on that).
 const CostModel& OtherCostModel() {
   static const CostModel kOther = [] {
     CostModel costs;
     costs.clock_hz = 4'000'000;
     costs.mcu_active_power = 1.8;
-    costs.kernel_boundary_cycles = 210;
+    costs.kernel_boundary_cycles = 400;
     costs.compiled_step_cycles = 23;
+    costs.mayfly_check_cycles = 60;
     costs.nvm_commit_cycles_per_byte = 0.75;
     return costs;
   }();
   return kOther;
+}
+
+// Every named charge of `charges`, with the cycle count it converts.
+std::vector<std::pair<CycleCharge, double>> NamedCharges(const CycleCharges& charges) {
+  const CostModel& c = charges.model;
+  return {{charges.kernel_boundary, c.kernel_boundary_cycles},
+          {charges.event_build, c.event_build_cycles},
+          {charges.timestamp_read, c.timestamp_read_cycles},
+          {charges.monitor_call, c.monitor_call_cycles},
+          {charges.interp_step, c.interp_step_cycles},
+          {charges.builtin_step, c.builtin_step_cycles},
+          {charges.compiled_step, c.compiled_step_cycles},
+          {charges.mayfly_check, c.mayfly_check_cycles},
+          {charges.action_apply, c.action_apply_cycles},
+          {charges.reboot_restore, c.reboot_restore_cycles},
+          {charges.flight_record_build, c.flight_record_build_cycles},
+          {charges.flight_byte, c.flight_nvm_write_cycles_per_byte},
+          {charges.flight_control, c.flight_control_write_cycles},
+          {charges.swap_control, c.swap_control_cycles},
+          {charges.swap_byte, c.swap_nvm_write_cycles_per_byte}};
 }
 
 struct ChargeScenario {
@@ -271,27 +300,27 @@ void ExpectSameMcu(ChargePair& pair, const std::string& where) {
   }
 }
 
-// Cycle counts the engine charges on `c` (CycleChargeTable holds them), a
-// commit of any size and a few odd values (converted at the charge).
-double RandomCycles(Rng& rng, const CostModel& c) {
-  const double pool[] = {0.0,
-                         c.flight_nvm_write_cycles_per_byte,
-                         1.0 * c.flight_control_write_cycles,
-                         1.0 * c.builtin_step_cycles,
-                         1.0 * c.compiled_step_cycles,
-                         1.0 * c.timestamp_read_cycles,
-                         1.0 * c.flight_record_build_cycles,
-                         1.0 * c.interp_step_cycles,
-                         1.0 * c.event_build_cycles,
-                         1.0 * c.monitor_call_cycles,
-                         1.0 * c.action_apply_cycles,
-                         1.0 * c.kernel_boundary_cycles,
-                         1.0 * c.reboot_restore_cycles,
-                         0.37,
-                         2500.25};
+// A charge the engine makes on `charges`: a named one, or Of() of a commit
+// of any size or of a few odd cycle counts.
+CycleCharge RandomCharge(Rng& rng, const CycleCharges& charges) {
+  const CycleCharge pool[] = {charges.Of(0.0),
+                              charges.flight_byte,
+                              charges.flight_control,
+                              charges.builtin_step,
+                              charges.compiled_step,
+                              charges.timestamp_read,
+                              charges.flight_record_build,
+                              charges.interp_step,
+                              charges.event_build,
+                              charges.monitor_call,
+                              charges.action_apply,
+                              charges.kernel_boundary,
+                              charges.reboot_restore,
+                              charges.Of(0.37),
+                              charges.Of(2500.25)};
   const std::uint64_t pick = rng.UniformU64(0, std::size(pool));
   if (pick == std::size(pool)) {
-    return c.CommitCycles(rng.UniformU64(8, 400));
+    return charges.Of(charges.model.CommitCycles(rng.UniformU64(8, 400)));
   }
   return pool[pick];
 }
@@ -326,18 +355,19 @@ TEST_P(ChargePathDifferentialTest, InlineChargesAreBitIdenticalToConsume) {
         case 2:
         case 3:
         case 4: {
-          const double cycles = RandomCycles(rng, *scenario.costs);
-          EXPECT_EQ(pair.bare.ExecuteCycles(cycles, tag), pair.wrapped.ExecuteCycles(cycles, tag))
+          const CycleCharge cycle_charge = RandomCharge(rng, pair.bare.charges());
+          EXPECT_EQ(pair.bare.ExecuteCharge(cycle_charge, tag),
+                    pair.wrapped.ExecuteCharge(cycle_charge, tag))
               << where;
           break;
         }
         case 5:
         case 6:
         case 7: {
-          const double cycles = RandomCycles(rng, *scenario.costs);
+          const CycleCharge cycle_charge = RandomCharge(rng, pair.bare.charges());
           const std::size_t count = rng.UniformU64(0, 300);
-          const RunStatus a = pair.bare.ExecuteCyclesRun(cycles, tag, count);
-          const RunStatus b = pair.wrapped.ExecuteCyclesRun(cycles, tag, count);
+          const RunStatus a = pair.bare.ExecuteChargeRun(cycle_charge, tag, count);
+          const RunStatus b = pair.wrapped.ExecuteChargeRun(cycle_charge, tag, count);
           EXPECT_EQ(a.done, b.done) << where;
           EXPECT_EQ(a.status, b.status) << where;
           break;
@@ -405,40 +435,49 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(row.param.name);
     });
 
-// The table's hits and the conversion on a miss both give the bits of
-// converting the cycle count directly: on the default model's shared table
-// and on a table of another model.
-TEST(CycleChargeTableTest, ChargesAreTheDirectConversion) {
-  const CycleChargeTable other(OtherCostModel());
-  for (const auto& [costs, table] :
-       {std::pair<const CostModel*, const CycleChargeTable*>{&DefaultCostModel(),
-                                                             &CycleChargeTable::Default()},
-        {&OtherCostModel(), &other}}) {
-    Rng rng(7);
-    for (int i = 0; i < 2000; ++i) {
-      const double cycles = RandomCycles(rng, *costs);
-      const SimDuration duration = costs->CyclesToTime(cycles);
-      const EnergyUj energy = EnergyFor(costs->mcu_active_power, duration);
-      for (const CycleCharge charge : {table->ChargeFor(cycles), table->Compute(cycles)}) {
-        EXPECT_EQ(charge.duration, duration) << cycles;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(charge.energy), std::bit_cast<std::uint64_t>(energy))
+// Every named charge, every commit and Of() give the bits of converting
+// the cycle count directly, on the default model's shared set and on a set
+// of another model; an Mcu on the default model charges from the shared
+// set, and one on another model from a set of its own.
+TEST(CycleChargesTest, ChargesAreTheDirectConversion) {
+  const CycleCharges other(OtherCostModel());
+  for (const CycleCharges* charges : {&CycleCharges::Default(), &other}) {
+    const CostModel& c = charges->model;
+    const auto expect_direct = [&](const CycleCharge& charge, double cycles) {
+      const SimDuration duration = c.CyclesToTime(cycles);
+      const EnergyUj energy = EnergyFor(c.mcu_active_power, duration);
+      for (const CycleCharge got : {charge, charges->Of(cycles)}) {
+        EXPECT_EQ(got.duration, duration) << cycles;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.energy), std::bit_cast<std::uint64_t>(energy))
             << cycles;
       }
+    };
+    for (const auto& [charge, cycles] : NamedCharges(*charges)) {
+      expect_direct(charge, cycles);
+    }
+    // Commit() reads `commits` below kCommitCharges samples.
+    for (std::size_t samples = 0; samples < 40; ++samples) {
+      expect_direct(charges->Commit(samples),
+                    c.CommitCycles(kCommitRecordBytes + samples * sizeof(double)));
     }
   }
+  EXPECT_EQ(&Mcu(std::make_unique<AlwaysOnPowerModel>()).charges(), &CycleCharges::Default());
+  const Mcu on_other(std::make_unique<AlwaysOnPowerModel>(), OtherCostModel());
+  EXPECT_NE(&on_other.charges(), &CycleCharges::Default());
+  EXPECT_EQ(on_other.costs().clock_hz, OtherCostModel().clock_hz);
 }
 
-// Mcus on several threads charge from the default cost model's one table at
+// Mcus on several threads charge from the default cost model's one set at
 // once; each ends exactly as the same Mcu run alone does. tools/ci.sh stage
 // 9 runs this under ThreadSanitizer.
-TEST(CycleChargeTableTest, McusOnSeveralThreadsChargeFromTheDefaultTable) {
+TEST(CycleChargesTest, McusOnSeveralThreadsChargeFromTheDefaultSet) {
   const auto run = [](std::uint64_t seed, McuStats* stats) {
     Mcu mcu(std::make_unique<FixedChargePowerModel>(900.0, kSecond), DefaultCostModel());
     Rng rng(seed);
     for (int op = 0; op < 4000; ++op) {
-      const double cycles = RandomCycles(rng, DefaultCostModel());
+      const CycleCharge charge = RandomCharge(rng, mcu.charges());
       const auto tag = static_cast<CostTag>(rng.UniformU64(0, kNumCostTags - 1));
-      (void)mcu.ExecuteCyclesRun(cycles, tag, rng.UniformU64(1, 40));
+      (void)mcu.ExecuteChargeRun(charge, tag, rng.UniformU64(1, 40));
     }
     *stats = mcu.stats();
   };
@@ -484,13 +523,104 @@ TEST(ChargePathTest, DecoratorSeesEveryChargeAndBareModelNone) {
   ForwardingPowerModel* const wrapped_calls = forwarding.get();
   Mcu wrapped(std::move(forwarding), DefaultCostModel());
   for (Mcu* mcu : {&bare, &wrapped}) {
-    EXPECT_EQ(mcu->ExecuteCycles(85, CostTag::kMonitor), ExecStatus::kOk);
-    EXPECT_EQ(mcu->ExecuteCyclesRun(18, CostTag::kMonitor, 8).done, 8u);
+    EXPECT_EQ(mcu->ExecuteCharge(mcu->charges().monitor_call, CostTag::kMonitor),
+              ExecStatus::kOk);
+    EXPECT_EQ(mcu->ExecuteChargeRun(mcu->charges().compiled_step, CostTag::kMonitor, 8).done, 8u);
     EXPECT_EQ(mcu->Execute(kMillisecond, 24.0, CostTag::kApp), ExecStatus::kOk);
   }
   EXPECT_EQ(bare_calls->consume_calls, 0u);
   EXPECT_EQ(wrapped_calls->consume_calls, 10u);
   EXPECT_EQ(std::bit_cast<StatsBytes>(bare.stats()), std::bit_cast<StatsBytes>(wrapped.stats()));
+}
+
+// ------------------------------------------------ charges come from the Mcu --
+// Every call site charges from its Mcu's set, never from the default one. A
+// health device on another cost model, with a flight ring, per checker (a
+// monitor set of each backend, and Mayfly), asks its power model only for
+// durations of a task's work or of a charge of that model. No charge of the
+// default model lasts as long as any of those, so a call site charging from
+// CycleCharges::Default() would show.
+
+// Records the duration of every Consume and forwards everything; keeps the
+// NaN budget, so every charge reaches Consume.
+class RecordingPowerModel final : public PowerModel {
+ public:
+  RecordingPowerModel(std::unique_ptr<PowerModel> inner, std::set<SimDuration>* durations)
+      : inner_(std::move(inner)), durations_(durations) {}
+
+  ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override {
+    durations_->insert(duration);
+    return inner_->Consume(now, duration, power);
+  }
+  void NotifyReboot(SimTime now) override { inner_->NotifyReboot(now); }
+  double StoredEnergyFraction() const override { return inner_->StoredEnergyFraction(); }
+  std::string Name() const override { return inner_->Name(); }
+
+ private:
+  std::unique_ptr<PowerModel> inner_;
+  std::set<SimDuration>* durations_;
+};
+
+// The durations of the charges of `charges`: the named ones and the commits.
+std::set<SimDuration> ChargeDurations(const CycleCharges& charges) {
+  std::set<SimDuration> durations;
+  for (const auto& [charge, cycles] : NamedCharges(charges)) {
+    durations.insert(charge.duration);
+  }
+  for (const CycleCharge& commit : charges.commits) {
+    durations.insert(commit.duration);
+  }
+  return durations;
+}
+
+TEST(ChargeSourceTest, EveryChargeOnAnotherModelIsOneOfThatModels) {
+  const HealthApp app = BuildHealthApp();
+  const SpecAst spec = SpecParser::Parse(HealthAppSpec()).value();
+  std::set<SimDuration> allowed = ChargeDurations(CycleCharges(OtherCostModel()));
+  for (TaskId task = 0; task < app.graph.task_count(); ++task) {
+    allowed.insert(app.graph.task(task).work.duration);
+  }
+  for (const SimDuration duration : ChargeDurations(CycleCharges::Default())) {
+    EXPECT_EQ(allowed.count(duration), 0u)
+        << "a default charge of " << duration << " us looks like the other device's";
+  }
+  // A monitor set of each backend, then Mayfly.
+  for (const std::optional<MonitorBackend> backend :
+       {std::optional(MonitorBackend::kInterpreted), std::optional(MonitorBackend::kBuiltin),
+        std::optional(MonitorBackend::kCompiled), std::optional<MonitorBackend>()}) {
+    const std::string checker = backend.has_value() ? MonitorBackendName(*backend) : "mayfly";
+    std::set<SimDuration> durations;
+    Mcu mcu(std::make_unique<RecordingPowerModel>(
+                std::make_unique<FixedChargePowerModel>(6'000.0, 6 * kMinute), &durations),
+            OtherCostModel());
+    flight::FlightRecorder recorder(512, flight::FlightLevel::kFull);
+    ASSERT_TRUE(mcu.AttachFlightRecorder(&recorder).ok());
+    KernelOptions options;
+    options.max_wall_time = 3 * kHour;  // Mayfly does not complete the app.
+    options.flight = &recorder;
+    std::uint64_t violations = 0;
+    KernelRunResult run;
+    if (backend.has_value()) {
+      std::unique_ptr<MonitorSet> set = BuildMonitorSet(spec, app.graph, *backend).value();
+      set->set_flight(&recorder);
+      IntermittentKernel kernel(&app.graph, set.get(), &mcu, options);
+      run = kernel.Run();
+      violations = set->violations_reported();
+    } else {
+      StatusOr<std::unique_ptr<MayflyRuntime>> mayfly =
+          MayflyRuntime::Create(&app.graph, spec, &mcu, options);
+      ASSERT_TRUE(mayfly.ok()) << mayfly.status().ToString();
+      run = mayfly.value()->Run();
+    }
+    EXPECT_GT(run.stats.reboots, 0u) << checker;
+    EXPECT_GT(recorder.stats().records_sealed, 0u) << checker;
+    if (backend.has_value()) {
+      EXPECT_GT(violations, 0u) << checker;
+    }
+    for (const SimDuration duration : durations) {
+      EXPECT_EQ(allowed.count(duration), 1u) << checker << " charged " << duration << " us";
+    }
+  }
 }
 
 }  // namespace

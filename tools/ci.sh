@@ -62,8 +62,12 @@
 #   7. Benchmark smoke: perfbench/ (the repo's benchmark, its own CMake
 #      package over src/) must build against the engine's public API, pass
 #      `run.py --self-test`, and each workload's smoke-size traced run must
-#      pass its digest and parity checks — so a refactor that breaks the
-#      API perfbench compiles against fails here, not in the benchmark.
+#      pass its digest and parity checks. The tier-1 suite of stages 1, 2
+#      and 9 already builds the same harness sources against the engine
+#      (tests/CMakeLists.txt, `perfbench_harness`) and runs its self-test
+#      (`perfbench_self_test`), so a refactor that breaks an API perfbench
+#      compiles against fails there; this stage adds perfbench's own
+#      Release package, run.py and the traced smoke runs.
 #   8. clang-tidy (bugprone-*/performance-*/concurrency-*, .clang-tidy at
 #      the repo root) over src/ and tools/; skipped with a notice when
 #      clang-tidy is not installed.
