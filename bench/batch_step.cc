@@ -131,9 +131,10 @@ int main(int argc, char** argv) {
       path_watched[static_cast<std::size_t>(m.machine().path_scope)] = 1u;
     }
   }
-  // Machine-pass elision masks, exactly as the fleet's TileStepper builds
-  // them: one live-column bitmask per machine, checked against the columns
-  // present in each pass.
+  // Machine-pass elision masks, as the fleet's TileStepper builds its
+  // column sets (one 64-bit word holds the health mix's columns): one
+  // live-column bitmask per machine, checked against the columns present
+  // in each pass.
   std::uint32_t mix_max_task = 0;
   for (const BatchCompiledMonitor& m : machines) {
     mix_max_task = std::max(mix_max_task, m.machine().max_task);

@@ -26,17 +26,33 @@ double Ratio(std::uint64_t num, std::uint64_t den) {
 
 // One shard's batch-mode monitor engine: lanes over every compiled
 // machine of the artifact, stepped tile by tile.
+//
+// Skipping rests on the compiler's reacts tables (CompiledMachine::Reacts):
+// a machine can only move on the (kind, task) columns it reacts to, and
+// only sees events on its path scope. Columns are numbered in one fleet
+// layout, bit kind * cols_ + min(task, cols_ - 1) with cols_ taken from the
+// widest machine (a narrower machine's any-task column repeats up to the
+// edge), and each column set is words_ 64-bit words. Every machine gets
+// the set of columns it reacts to, and every path slot the union over the
+// machines that see its events: slot 0 holds the unscoped machines and
+// serves events on unwatched paths, and each watched path's slot adds the
+// machines scoped to it. RunTile consumes an event outside its path's set
+// at feed time, and skips a machine's whole pass when none of the columns
+// on its lane list is in the machine's set.
 class TileStepper {
  public:
   TileStepper(const SharedSpecArtifactPtr& artifact, std::uint32_t lanes,
               ArbitrationPolicy policy)
-      : policy_(policy), lanes_(lanes) {
+      : policy_(policy) {
     machines_.reserve(artifact->compiled.size());
+    std::size_t paths = 1;
     for (const CompiledMachine& machine : artifact->compiled) {
       // Aliasing share: the batch monitors borrow the artifact's immutable
       // machine storage, exactly like scalar CompiledMonitor instances do.
       machines_.emplace_back(
           std::shared_ptr<const CompiledMachine>(artifact, &machine), lanes);
+      cols_ = std::max(cols_, machine.max_task + 2u);
+      paths = std::max(paths, static_cast<std::size_t>(machine.path_scope) + 1u);
     }
     failures_.resize(machines_.size());
     high_water_.resize(machines_.size(), 0);
@@ -44,111 +60,56 @@ class TileStepper {
     cursors_.resize(lanes);
     events_.resize(lanes);
 
-    // Fleet-level dead-column tables, sized by the widest machine's task
-    // range (ColumnDead clamps narrower machines' task ids onto their
-    // any-task row, matching their dispatch). An event is a provable no-op
-    // for a machine when its column self-loops in every state — or when
-    // the machine is path-scoped to a different path, in which case its
-    // lane list never holds the lane anyway. So the check
-    // is per event path: the base table ANDs the unscoped machines, and
-    // each scoped path gets a refinement table that additionally ANDs the
-    // machines watching that path. RunTile consumes all-dead events at
-    // feed time, so they never cost a batch-VM pass.
-    max_task_ = 0;
-    for (const BatchCompiledMonitor& m : machines_) {
-      max_task_ = std::max(max_task_, m.machine().max_task);
-    }
-    const std::uint32_t cols = max_task_ + 2u;
-    base_dead_.assign(2u * cols, machines_.empty() ? 0u : 1u);
-    for (const BatchCompiledMonitor& m : machines_) {
-      if (m.machine().path_scope != kNoPath) {
-        continue;
-      }
-      AndColumnsInto(m, &base_dead_);
-    }
-    for (const BatchCompiledMonitor& m : machines_) {
-      const PathId scope = m.machine().path_scope;
-      if (scope == kNoPath) {
-        continue;
-      }
-      const auto p = static_cast<std::size_t>(scope);
-      if (scope_dead_.size() <= p) {
-        scope_dead_.resize(p + 1);
-      }
-      if (scope_dead_[p].empty()) {
-        scope_dead_[p] = base_dead_;
-      }
-      AndColumnsInto(m, &scope_dead_[p]);
-    }
-    live_lanes_.reserve(lanes);
-    for (const BatchCompiledMonitor& m : machines_) {
-      const PathId scope = m.machine().path_scope;
-      if (scope == kNoPath) {
-        continue;
-      }
-      const auto p = static_cast<std::size_t>(scope);
-      if (path_lanes_.size() <= p) {
-        path_lanes_.resize(p + 1);
-        path_watched_.resize(p + 1, 0u);
-      }
-      path_watched_[p] = 1u;
-      path_lanes_[p].reserve(lanes);
-    }
-    // Per-machine live-column bitmask (fleet layout, bit = kind*cols + t):
-    // the dynamic complement of the dead tables above. The feed loop ORs
-    // the columns actually present among a pass's live lanes into a pass
-    // mask; a machine whose live columns miss that mask entirely is proven
-    // all-self-loop for the WHOLE pass and skips its step pass outright —
-    // dead-column elision at machine-pass granularity, catching event
-    // mixes that are only dead for SOME machines and so survive EventDead.
-    // Masks need 2*cols bits; monitors with task ranges beyond 64 bits of
-    // columns simply forgo the skip (column_mask_ok_ false).
-    column_mask_ok_ = 2u * cols <= 64u;
-    if (column_mask_ok_) {
-      live_col_mask_.assign(machines_.size(), 0u);
-      for (std::size_t m = 0; m < machines_.size(); ++m) {
-        for (std::uint32_t kind = 0; kind < 2; ++kind) {
-          for (std::uint32_t t = 0; t < cols; ++t) {
-            if (!machines_[m].ColumnDead(static_cast<EventKind>(kind),
-                                         static_cast<TaskId>(t))) {
-              live_col_mask_[m] |= std::uint64_t{1} << (kind * cols + t);
-            }
-          }
+    words_ = (2u * cols_ + 63u) / 64u;
+    reacts_.assign(machines_.size() * words_, 0u);
+    live_.assign(paths * words_, 0u);
+    pass_cols_.assign(paths * words_, 0u);
+    watched_.assign(paths, 0u);
+    lane_lists_.resize(paths);
+    lane_lists_[0].reserve(lanes);
+    for (std::size_t m = 0; m < machines_.size(); ++m) {
+      const CompiledMachine& machine = machines_[m].machine();
+      const auto slot = static_cast<std::size_t>(machine.path_scope);
+      for (std::uint32_t bit = 0; bit < 2u * cols_; ++bit) {
+        if (machine.Reacts(static_cast<EventKind>(bit / cols_), bit % cols_)) {
+          Add(reacts_.data() + m * words_, bit);
         }
       }
-    }
-    path_masks_.resize(path_watched_.size(), 0u);
-    // Reported static elision facts use the strict scope-blind AND over
-    // every machine — the columns no event can ever touch, whatever its
-    // path. (The runtime elision rate is usually higher, because scoped
-    // machines only constrain events on their own path.)
-    for (std::uint32_t kind = 0; kind < 2; ++kind) {
-      for (std::uint32_t t = 0; t < cols; ++t) {
-        bool dead = !machines_.empty();
-        for (const BatchCompiledMonitor& m : machines_) {
-          if (!m.ColumnDead(static_cast<EventKind>(kind), static_cast<TaskId>(t))) {
-            dead = false;
-            break;
-          }
-        }
-        dead_columns_ += dead ? 1u : 0u;
+      for (std::uint32_t w = 0; w < words_; ++w) {
+        live_[slot * words_ + w] |= reacts_[m * words_ + w];
       }
+      if (slot != 0) {
+        watched_[slot] = 1u;
+        lane_lists_[slot].reserve(lanes);
+      }
+    }
+    for (std::size_t slot = 1; slot < paths; ++slot) {
+      if (watched_[slot] == 0u) {
+        continue;
+      }
+      for (std::uint32_t w = 0; w < words_; ++w) {
+        live_[slot * words_ + w] |= live_[w];
+      }
+    }
+    // A set with no machines proves nothing dead: every event counts as
+    // live, and no column is reported dead.
+    if (machines_.empty()) {
+      std::fill(live_.begin(), live_.end(), ~std::uint64_t{0});
+    }
+    // Reported static elision facts: the columns no machine reacts to,
+    // whatever the event's path. (The runtime elision rate is usually
+    // higher, because scoped machines only see events on their own path.)
+    for (std::uint32_t bit = 0; bit < 2u * cols_; ++bit) {
+      bool dead = true;
+      for (std::size_t slot = 0; slot < paths; ++slot) {
+        dead = dead && !Has(live_.data() + slot * words_, bit);
+      }
+      dead_columns_ += dead ? 1u : 0u;
     }
   }
 
-  // Is (kind, task, path) a provable no-op for every machine of the set?
-  bool EventDead(const MonitorEvent& e) const {
-    const std::uint32_t cols = max_task_ + 2u;
-    const auto t = std::min(static_cast<std::uint32_t>(e.task), cols - 1u);
-    const auto p = static_cast<std::size_t>(e.path);
-    const std::vector<std::uint8_t>& table =
-        e.path != kNoPath && p < scope_dead_.size() && !scope_dead_[p].empty()
-            ? scope_dead_[p]
-            : base_dead_;
-    return table[static_cast<std::uint32_t>(e.kind) * cols + t] != 0;
-  }
   std::uint32_t dead_columns() const { return dead_columns_; }
-  std::uint32_t total_columns() const { return 2u * (max_task_ + 2u); }
+  std::uint32_t total_columns() const { return 2u * cols_; }
 
   void EnableTraffic() {
     traffic_on_ = true;  // disables the machine-pass skip: the measured
@@ -211,20 +172,19 @@ class TileStepper {
       // consume dead-column events inline (they count as monitor events but
       // provably cannot change any machine's lane state or verdicts), then
       // expose the next live event (or mark the lane exhausted). The same
-      // walk builds this pass's lane lists — live lanes, plus per watched
-      // path the lanes whose event is on it — so the per-lane liveness and
-      // path decode happens ONCE here instead of once per machine inside
-      // every step pass.
-      live_lanes_.clear();
-      for (auto& list : path_lanes_) {
+      // walk builds this pass's lane lists and their column sets — slot 0
+      // every live lane, and each watched path the live lanes whose event
+      // is on it — so the per-lane liveness and path decode happens ONCE
+      // here instead of once per machine inside every step pass.
+      for (auto& list : lane_lists_) {
         list.clear();
       }
-      const std::uint32_t cols = max_task_ + 2u;
-      std::uint64_t pass_mask = 0;
-      std::fill(path_masks_.begin(), path_masks_.end(), std::uint64_t{0});
+      std::fill(pass_cols_.begin(), pass_cols_.end(), std::uint64_t{0});
       for (std::uint32_t lane = 0; lane < n; ++lane) {
         const std::vector<CapturedRecord>& stream = streams[lane];
         std::size_t& cur = cursors_[lane];
+        std::size_t slot = 0;
+        std::uint32_t bit = 0;
         while (cur < stream.size()) {
           const CapturedRecord& rec = stream[cur];
           if (rec.kind == CapturedRecord::Kind::kPathRestart) {
@@ -234,7 +194,9 @@ class TileStepper {
             ++cur;
             continue;
           }
-          if (EventDead(rec.event)) {
+          slot = SlotOf(rec.event.path);
+          bit = BitOf(rec.event);
+          if (!Has(live_.data() + slot * words_, bit)) {
             ++results[lane].monitor_events;
             ++results[lane].monitor_events_elided;
             ++cur;
@@ -242,25 +204,19 @@ class TileStepper {
           }
           break;
         }
-        if (cur < stream.size()) {
-          const MonitorEvent& event = stream[cur].event;
-          events_[lane] = &event;
-          live_lanes_.push_back(lane);
-          const std::uint64_t col_bit =
-              std::uint64_t{1}
-              << (static_cast<std::uint32_t>(event.kind) * cols +
-                  std::min(static_cast<std::uint32_t>(event.task), cols - 1u));
-          pass_mask |= col_bit;
-          const auto p = static_cast<std::size_t>(event.path);
-          if (p < path_watched_.size() && path_watched_[p] != 0u) {
-            path_lanes_[p].push_back(lane);
-            path_masks_[p] |= col_bit;
-          }
-        } else {
+        if (cur == stream.size()) {
           events_[lane] = nullptr;
+          continue;
+        }
+        events_[lane] = &stream[cur].event;
+        lane_lists_[0].push_back(lane);
+        Add(pass_cols_.data(), bit);
+        if (slot != 0) {
+          lane_lists_[slot].push_back(lane);
+          Add(pass_cols_.data() + slot * words_, bit);
         }
       }
-      if (live_lanes_.empty()) {
+      if (lane_lists_[0].empty()) {
         return;
       }
       // One SoA pass per machine over its lane list; failures come back
@@ -269,9 +225,8 @@ class TileStepper {
       // from reallocating mid-pass once a burst has been seen once.
       for (std::size_t m = 0; m < machines_.size(); ++m) {
         failures_[m].clear();
-        const PathId scope = machines_[m].machine().path_scope;
-        const std::vector<std::uint32_t>& list =
-            scope == kNoPath ? live_lanes_ : path_lanes_[static_cast<std::size_t>(scope)];
+        const auto slot = static_cast<std::size_t>(machines_[m].machine().path_scope);
+        const std::vector<std::uint32_t>& list = lane_lists_[slot];
         if (list.empty()) {
           continue;  // Nothing on this machine's path this pass.
         }
@@ -280,12 +235,9 @@ class TileStepper {
         // resolve to kSelfLoop — provably no state change, no failure.
         // Skipped under --stats so the traffic profile stays the true
         // dispatch mix.
-        if (column_mask_ok_ && !traffic_on_) {
-          const std::uint64_t mask =
-              scope == kNoPath ? pass_mask : path_masks_[static_cast<std::size_t>(scope)];
-          if ((mask & live_col_mask_[m]) == 0u) {
-            continue;
-          }
+        if (!traffic_on_ && !Meets(pass_cols_.data() + slot * words_,
+                                   reacts_.data() + m * words_)) {
+          continue;
         }
         if (failures_[m].capacity() < high_water_[m]) {
           failures_[m].reserve(high_water_[m]);
@@ -328,48 +280,53 @@ class TileStepper {
   }
 
  private:
-  // ANDs machine m's dead-column verdicts into `table` (fleet layout).
-  void AndColumnsInto(const BatchCompiledMonitor& m, std::vector<std::uint8_t>* table) const {
-    const std::uint32_t cols = max_task_ + 2u;
-    for (std::uint32_t kind = 0; kind < 2; ++kind) {
-      for (std::uint32_t t = 0; t < cols; ++t) {
-        if (!m.ColumnDead(static_cast<EventKind>(kind), static_cast<TaskId>(t))) {
-          (*table)[kind * cols + t] = 0u;
-        }
+  // The slot of an event's path: the path itself when some machine is
+  // scoped to it, else 0.
+  std::size_t SlotOf(PathId path) const {
+    const auto p = static_cast<std::size_t>(path);
+    return p < watched_.size() && watched_[p] != 0u ? p : 0;
+  }
+  std::uint32_t BitOf(const MonitorEvent& e) const {
+    return static_cast<std::uint32_t>(e.kind) * cols_ +
+           std::min(static_cast<std::uint32_t>(e.task), cols_ - 1u);
+  }
+  static bool Has(const std::uint64_t* set, std::uint32_t bit) {
+    return ((set[bit / 64u] >> (bit % 64u)) & 1u) != 0u;
+  }
+  static void Add(std::uint64_t* set, std::uint32_t bit) {
+    set[bit / 64u] |= std::uint64_t{1} << (bit % 64u);
+  }
+  bool Meets(const std::uint64_t* a, const std::uint64_t* b) const {
+    for (std::uint32_t w = 0; w < words_; ++w) {
+      if ((a[w] & b[w]) != 0u) {
+        return true;
       }
     }
+    return false;
   }
 
   ArbitrationPolicy policy_;
-  std::uint32_t lanes_ = 0;
-  std::uint32_t max_task_ = 0;           // widest machine's task range
-  std::uint32_t dead_columns_ = 0;       // strict scope-blind AND, for reporting
-  std::vector<std::uint8_t> base_dead_;  // [kind][task], AND over unscoped machines
-  // [path] -> base ANDed with the machines scoped to that path; empty
-  // vector = no machine watches the path, fall back to base.
-  std::vector<std::vector<std::uint8_t>> scope_dead_;
+  std::uint32_t cols_ = 2;   // columns per kind: widest machine's max_task + 2
+  std::uint32_t words_ = 0;  // 64-bit words per column set
+  std::uint32_t dead_columns_ = 0;  // columns no machine reacts to, for reporting
   std::vector<BatchCompiledMonitor> machines_;
+  std::vector<std::uint64_t> reacts_;  // [machine][word]: columns it reacts to
+  std::vector<std::uint64_t> live_;    // [slot][word]: columns its machines react to
+  std::vector<std::uint8_t> watched_;  // [path]: 1 = some machine's scope
   std::vector<std::vector<BatchFailure>> failures_;   // [machine], reused
   std::vector<std::size_t> high_water_;               // [machine] max failures seen
   std::vector<std::vector<MonitorVerdict>> pending_;  // [lane], cleared after use
   std::vector<std::uint32_t> touched_;                // lanes with pending verdicts
   std::vector<std::size_t> cursors_;                  // [lane]
   std::vector<const MonitorEvent*> events_;           // [lane]
-  // Per-pass lane lists (ascending by construction of the feed loop):
-  // every live lane, and — for each path some machine is scoped to — the
-  // live lanes whose current event is on that path. Unscoped machines
-  // step the live list (skipping exhausted lanes without a per-machine
-  // null test); a scoped machine steps only its path's list, so its pass
-  // cost tracks the traffic it can actually see instead of the tile width.
-  std::vector<std::uint32_t> live_lanes_;
-  std::vector<std::vector<std::uint32_t>> path_lanes_;  // [path], filled if watched
-  std::vector<std::uint8_t> path_watched_;              // [path], 1 = some machine's scope
-  // Machine-pass elision state: per-machine live-column bitmask plus the
-  // per-pass masks of columns actually present (fleet layout bits).
-  bool column_mask_ok_ = false;
+  // Per-pass lane lists (ascending by construction of the feed loop) and
+  // the columns present on each: slot 0 holds every live lane, which the
+  // unscoped machines step; a watched path's slot holds the live lanes
+  // whose current event is on it, so a scoped machine's pass cost tracks
+  // the traffic it can actually see instead of the tile width.
+  std::vector<std::vector<std::uint32_t>> lane_lists_;  // [slot]
+  std::vector<std::uint64_t> pass_cols_;                // [slot][word]
   bool traffic_on_ = false;
-  std::vector<std::uint64_t> live_col_mask_;  // [machine]
-  std::vector<std::uint64_t> path_masks_;     // [path], per-pass scratch
 };
 
 }  // namespace
@@ -582,8 +539,8 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
   }
   const AppGraph& template_graph = *app.value();
 
-  std::string spec_text = spec.spec_text;
-  if (spec_text.empty()) {
+  std::string spec_text = spec.spec_text.value_or("");
+  if (!spec.spec_text.has_value()) {
     StatusOr<std::string> fallback = sweep::DefaultSpecForApp(spec.app);
     if (!fallback.ok()) {
       return fallback.status();

@@ -30,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,8 +43,9 @@ namespace artemis::fleet {
 
 struct FleetSpec {
   std::string app = "health";  // health | greenhouse | ar
-  // Property spec text; empty = the app's embedded default spec.
-  std::string spec_text;
+  // Property spec text; absent = the app's embedded default spec, empty =
+  // a spec with no properties.
+  std::optional<std::string> spec_text;
   std::string spec_label = "default";
   MonitorBackend backend = MonitorBackend::kCompiled;
   // "scalar" (in-loop MonitorSet) or "batch" (captured streams + SoA VM;

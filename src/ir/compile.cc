@@ -358,9 +358,9 @@ class Compiler {
     return trigger == TriggerKind::kStartTask ? EventKind::kStartTask : EventKind::kEndTask;
   }
 
-  // Emits every state's handlers and fills the dense dispatch table: each
+  // Emits every state's handlers and fills the dense dispatch table (each
   // (state, kind, task) entry holds the state's handler for that pair, or
-  // its kAnyEvent fallback.
+  // its kAnyEvent fallback) and the per-column reacts table.
   void BuildDispatch() {
     m_.max_task = 0;
     for (const Edge& t : edges_) {
@@ -368,9 +368,9 @@ class Compiler {
         m_.max_task = t.task;
       }
     }
-    const std::uint32_t tasks = m_.max_task + 1;
-    m_.dispatch.assign(m_.state_names.size() * 2u * tasks, kNoProgram);
-    m_.any_handler.resize(m_.state_names.size(), kNoProgram);
+    const std::uint32_t span = m_.max_task + 2;
+    m_.dispatch.assign(m_.state_names.size() * 2u * span, kNoProgram);
+    m_.reacts.assign(2u * span, 0);
     for (std::uint16_t s = 0; s < m_.state_names.size(); ++s) {
       // Transitions leaving `s`, in declaration order.
       std::vector<std::uint32_t> local;
@@ -388,7 +388,7 @@ class Compiler {
           continue;
         }
         const EventKind kind = TriggerEventKind(t.trigger);
-        const std::uint32_t entry = (s * 2u + static_cast<std::uint32_t>(kind)) * tasks + t.task;
+        const std::uint32_t entry = m_.Entry(s, kind, t.task);
         if (std::any_of(handlers.begin(), handlers.end(),
                         [entry](const auto& handler) { return handler.first == entry; })) {
           continue;
@@ -410,11 +410,15 @@ class Compiler {
           any_candidates.push_back(j);
         }
       }
-      m_.any_handler[s] = EmitHandler(any_candidates);
-      const auto row = m_.dispatch.begin() + s * 2u * tasks;
-      std::fill(row, row + 2u * tasks, m_.any_handler[s]);
+      const auto row = m_.dispatch.begin() + s * 2u * span;
+      std::fill(row, row + 2u * span, EmitHandler(any_candidates));
       for (const auto& [entry, pc] : handlers) {
         m_.dispatch[entry] = pc;
+      }
+      for (std::uint32_t col = 0; col < 2u * span; ++col) {
+        if (m_.code[row[col]].op != OpCode::kNoMatch) {
+          m_.reacts[col] = 1;
+        }
       }
     }
   }
@@ -438,15 +442,6 @@ class Compiler {
 };
 
 }  // namespace
-
-bool CompiledMachine::Reacts(EventKind kind, TaskId task) const {
-  for (std::size_t state = 0; state < state_names.size(); ++state) {
-    if (code[HandlerFor(static_cast<std::uint16_t>(state), kind, task)].op != OpCode::kNoMatch) {
-      return true;
-    }
-  }
-  return false;
-}
 
 StatusOr<CompiledMachine> CompileStateMachine(const StateMachine& machine) {
   return Compiler(machine).Run();

@@ -11,7 +11,9 @@
 //    constant-pool operands;
 //  * a per-(state, trigger-kind, task) dispatch index lets Step jump
 //    straight to candidate transitions instead of scanning the whole
-//    transition list.
+//    transition list, and a per-(kind, task) `reacts` table says which
+//    events can move the machine at all; the scalar VM, the batch VM and
+//    the fleet's event elision all read these two tables.
 //
 // The compiled form is semantically identical to the interpreter (the
 // differential fuzz test in tests/compiled_monitor_test.cc enforces this);
@@ -19,6 +21,7 @@
 #ifndef SRC_IR_COMPILE_H_
 #define SRC_IR_COMPILE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -155,34 +158,43 @@ struct CompiledMachine {
   // candidate transitions in declaration order (interleaving kAnyEvent
   // transitions), so running it is equivalent to scanning the whole
   // transition list. Events whose (kind, task) has no handler of its own
-  // can only match kAnyEvent transitions and fall back to `any_handler`.
-  std::vector<std::uint32_t> any_handler;  // indexed by state id; a pc
-
-  // Dense O(1) dispatch: handler pc for every (state, kind, task) with
-  // task <= max_task, any_handler filling the pairs without a handler.
-  // Laid out [state][kind][task] so one multiply-add reaches the entry.
+  // can only match kAnyEvent transitions and run the state's any-task
+  // handler.
+  //
+  // Dense O(1) dispatch: handler pc per entry, laid out
+  // [state][kind][column] with max_task + 2 columns. Column t <= max_task
+  // holds the state's handler for task t (its any-task handler where it
+  // has none); the last column holds the any-task handler, and every
+  // larger task id clamps onto it, so any task id reaches an entry with
+  // one min and one multiply-add.
   std::uint32_t max_task = 0;
   std::vector<std::uint32_t> dispatch;
+  // Per [kind][column]: 1 when some state's handler for the column is more
+  // than the shared kNoMatch program (a handler with candidates never
+  // starts with kNoMatch), i.e. an event there can fire a transition.
+  std::vector<std::uint8_t> reacts;
 
   // Runtime policy knobs carried over from the StateMachine.
   TaskId anchor_task = kInvalidTask;
   PathId path_scope = kNoPath;
   bool reset_on_path_restart = false;
 
-  // Whether an event of `kind` on `task` can fire a transition: some
-  // state's handler for it is more than the shared kNoMatch program (a
-  // handler with candidates never starts with kNoMatch).
-  bool Reacts(EventKind kind, TaskId task) const;
-
+  std::uint32_t Column(TaskId task) const {
+    return std::min<std::uint32_t>(task, max_task + 1u);
+  }
+  // Index of (state, kind, task) in `dispatch`.
+  std::uint32_t Entry(std::uint16_t state, EventKind kind, TaskId task) const {
+    return (static_cast<std::uint32_t>(state) * 2u + static_cast<std::uint32_t>(kind)) *
+               (max_task + 2u) +
+           Column(task);
+  }
+  // Whether an event of `kind` on `task` can fire a transition in some state.
+  bool Reacts(EventKind kind, TaskId task) const {
+    return reacts[static_cast<std::uint32_t>(kind) * (max_task + 2u) + Column(task)] != 0;
+  }
   // Entry pc of the handler program for (state, event kind, task).
-  inline std::uint32_t HandlerFor(std::uint16_t state, EventKind kind, TaskId task) const {
-    const auto t = static_cast<std::uint32_t>(task);
-    if (t > max_task) {
-      return any_handler[state];
-    }
-    const std::uint32_t row =
-        (static_cast<std::uint32_t>(state) * 2u + static_cast<std::uint32_t>(kind));
-    return dispatch[row * (max_task + 1u) + t];
+  std::uint32_t HandlerFor(std::uint16_t state, EventKind kind, TaskId task) const {
+    return dispatch[Entry(state, kind, task)];
   }
 };
 

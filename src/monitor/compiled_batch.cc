@@ -18,33 +18,9 @@ BatchCompiledMonitor::BatchCompiledMonitor(std::shared_ptr<const CompiledMachine
   for (std::uint32_t lane = 0; lane < lanes; ++lane) {
     HardResetLane(lane);
   }
-
-  // Padded per-entry tables: [state][kind][max_task + 2], the last column
-  // of every (state, kind) row repeating the state's any-task handler.
-  const std::uint32_t span = machine_->max_task + 2u;
-  const auto rows = static_cast<std::uint32_t>(machine_->any_handler.size()) * 2u;
-  class_of_.resize(static_cast<std::size_t>(rows) * span);
-  pc_of_.resize(class_of_.size());
-  for (std::uint32_t row = 0; row < rows; ++row) {
-    for (std::uint32_t t = 0; t < span; ++t) {
-      const std::uint32_t pc = t + 1u < span ? machine_->dispatch[row * (span - 1u) + t]
-                                             : machine_->any_handler[row / 2u];
-      class_of_[row * span + t] = static_cast<std::uint8_t>(Classify(pc));
-      pc_of_[row * span + t] = pc;
-    }
-  }
-
-  // Dead-column table: (kind, task) is dead when the machine cannot react
-  // to it (CompiledMachine::Reacts), i.e. no event on that column can ever
-  // change any lane. One extra task slot, past max_task, holds the any-task
-  // row's verdict, so ColumnDead stays a single load.
-  dead_cols_.resize(2u * span);
-  for (std::uint32_t kind = 0; kind < 2; ++kind) {
-    for (std::uint32_t t = 0; t < span; ++t) {
-      dead_cols_[kind * span + t] =
-          machine_->Reacts(static_cast<EventKind>(kind), static_cast<TaskId>(t)) ? 0u : 1u;
-      dead_column_count_ += dead_cols_[kind * span + t];
-    }
+  class_of_.reserve(machine_->dispatch.size());
+  for (const std::uint32_t pc : machine_->dispatch) {
+    class_of_.push_back(static_cast<std::uint8_t>(Classify(pc)));
   }
 }
 
@@ -90,9 +66,8 @@ void BatchCompiledMonitor::StepLanes(const MonitorEvent* const* events,
                                      const std::uint32_t* lane_list, std::uint32_t count,
                                      std::vector<BatchFailure>* failures) {
   const CompiledMachine& m = *machine_;
-  const std::uint32_t span = m.max_task + 2u;
   const std::uint8_t* const class_of = class_of_.data();
-  const std::uint32_t* const pc_of = pc_of_.data();
+  const std::uint32_t* const dispatch = m.dispatch.data();
   std::uint16_t* const current = current_.data();
   double* const slots = slots_.data();
   double* const stack = stack_.data();
@@ -100,7 +75,7 @@ void BatchCompiledMonitor::StepLanes(const MonitorEvent* const* events,
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t lane = lane_list[i];
     const MonitorEvent& e = *events[lane];
-    const std::uint32_t entry = PaddedEntry(span, current[lane], e.kind, e.task);
+    const std::uint32_t entry = m.Entry(current[lane], e.kind, e.task);
     if constexpr (kTraffic) {
       ++traffic_[entry];
     }
@@ -108,7 +83,7 @@ void BatchCompiledMonitor::StepLanes(const MonitorEvent* const* events,
       continue;  // No-op event: lane state untouched.
     }
     VmFailure failure;
-    if (RunCompiledHandler(m, pc_of[entry], e, current + lane, slots + lane * stride, stack,
+    if (RunCompiledHandler(m, dispatch[entry], e, current + lane, slots + lane * stride, stack,
                            &failure)) {
       const FailRecord& fail = m.fail_pool[failure.fail_index];
       failures->push_back(
@@ -167,9 +142,12 @@ double BatchCompiledMonitor::LaneVarValue(std::uint32_t lane, const std::string&
 }
 
 std::vector<std::uint64_t> BatchCompiledMonitor::ClassHistogram() const {
+  const std::uint32_t span = machine_->max_task + 2u;
   std::vector<std::uint64_t> counts(kNumClasses, 0);
-  for (const std::uint32_t pc : machine_->dispatch) {
-    ++counts[static_cast<std::size_t>(Classify(pc))];
+  for (std::size_t entry = 0; entry < class_of_.size(); ++entry) {
+    if (entry % span != span - 1u) {
+      ++counts[class_of_[entry]];
+    }
   }
   return counts;
 }

@@ -12,13 +12,14 @@
 //   (bytecode/dispatch shared)  read-only, hot in L1 across all lanes
 //
 // — and a step is one pass over the caller's lane list. Each lane resolves
-// its (state, kind, task) to a padded dispatch entry and reads that entry's
-// 1-byte handler class: a lane whose handler is a bare kNoMatch (the bulk
-// of fleet traffic) is dropped on the spot, and every other lane runs its
-// handler program through the shared bytecode core (vm_core.h) right
-// there, in list order, so failures append exactly as the scalar path
-// would emit them. A lane's semantics are CompiledMonitor's: same
-// dispatch, same programs, same reset rules.
+// its (state, kind, task) to an entry of the compiler's dispatch table
+// (CompiledMachine::Entry) and reads that entry's 1-byte handler class: a
+// lane whose handler is a bare kNoMatch (the bulk of fleet traffic) is
+// dropped on the spot, and every other lane runs its handler program
+// through the shared bytecode core (vm_core.h) right there, in list
+// order, so failures append exactly as the scalar path would emit them.
+// A lane's semantics are CompiledMonitor's: same dispatch, same programs,
+// same reset rules.
 //
 // Handler classes are a static fact about each entry's program, reported
 // by ClassOf / ClassHistogram / EntryClass and the traffic counters below
@@ -34,14 +35,13 @@
 //                       time-window transition
 //   kGeneral            anything else
 //
-// Because classification is per (EventKind, TaskId) *column*, the VM also
-// knows statically which columns are self-loops in EVERY state —
-// ColumnDead below, the negation of CompiledMachine::Reacts, which is also
-// how the scalar MonitorSet skips machines. src/fleet consults it (across
-// all machines of a spec) to elide monitor-irrelevant fleet traffic before
-// it ever reaches a lane: the paper's adaptability story means most
-// monitors ignore most events, and a dead column is proof the event cannot
-// touch lane state.
+// Which (EventKind, TaskId) columns are self-loops in EVERY state is a
+// static fact the compiler tabulates: ColumnDead below is the negation of
+// CompiledMachine::Reacts, which is also how the scalar MonitorSet skips
+// machines. src/fleet reads the same table (across all machines of a spec)
+// to elide monitor-irrelevant fleet traffic before it ever reaches a lane:
+// the paper's adaptability story means most monitors ignore most events,
+// and a dead column is proof the event cannot touch lane state.
 //
 // Optional runtime traffic counters (EnableTraffic) count events per
 // dispatch entry, answering "which columns are actually hot on this
@@ -116,16 +116,18 @@ class BatchCompiledMonitor {
   // A (kind, task) column is dead when EVERY state's handler for it is
   // kSelfLoop (!CompiledMachine::Reacts): an event on that column provably
   // cannot change any lane's state, slots, or verdicts. Task ids above the
-  // machine's dispatch range resolve to the shared any-task row, exactly
-  // like dispatch does.
-  bool ColumnDead(EventKind kind, TaskId task) const {
-    const std::uint32_t cols = machine_->max_task + 2u;
-    const auto t = std::min(static_cast<std::uint32_t>(task), cols - 1u);
-    return dead_cols_[static_cast<std::uint32_t>(kind) * cols + t] != 0;
-  }
+  // machine's dispatch range clamp onto the any-task column, exactly like
+  // dispatch does.
+  bool ColumnDead(EventKind kind, TaskId task) const { return !machine_->Reacts(kind, task); }
   // Dead / total (kind, task) columns, for static elision-rate reporting.
-  std::uint32_t dead_column_count() const { return dead_column_count_; }
-  std::uint32_t column_count() const { return static_cast<std::uint32_t>(dead_cols_.size()); }
+  std::uint32_t dead_column_count() const {
+    return column_count() -
+           static_cast<std::uint32_t>(
+               std::count(machine_->reacts.begin(), machine_->reacts.end(), std::uint8_t{1}));
+  }
+  std::uint32_t column_count() const {
+    return static_cast<std::uint32_t>(machine_->reacts.size());
+  }
 
   // ---- runtime traffic profiling ---------------------------------------
   // Off by default (the step pass pays one predictable branch when off).
@@ -141,11 +143,10 @@ class BatchCompiledMonitor {
   // EntryTraffic. All zeros when disabled.
   std::vector<std::uint64_t> ClassTraffic() const;
 
-  // Entry introspection for traffic reports. Entry ids index the PADDED
-  // table [state][kind][max_task + 2], the trailing column standing in for
-  // the state's any-task handler (task == -1 here; the kind is the one the
-  // event actually carried). The padding makes the step pass branch-free:
-  // any task id clamps onto a valid column with one min.
+  // Entry introspection for traffic reports. Entry ids index the
+  // compiler's dispatch table (CompiledMachine::Entry), whose trailing
+  // column holds the state's any-task handler (task == -1 here; the kind
+  // is the one the event actually carried).
   struct EntryInfo {
     std::uint16_t state = 0;
     int kind = 0;
@@ -163,19 +164,13 @@ class BatchCompiledMonitor {
   }
   double LaneVarValue(std::uint32_t lane, const std::string& name) const;
   HandlerClass ClassOf(std::uint16_t state, EventKind kind, TaskId task) const {
-    return EntryClass(PaddedEntry(machine_->max_task + 2u, state, kind, task));
+    return EntryClass(machine_->Entry(state, kind, task));
   }
-  // Dispatch-table entries per class, in HandlerClass order.
+  // Dispatch-table entries per class, in HandlerClass order; the trailing
+  // any-task column is not counted.
   std::vector<std::uint64_t> ClassHistogram() const;
 
  private:
-  // Entry id of (state, kind, task) in the padded table; `span` is
-  // max_task + 2.
-  static std::uint32_t PaddedEntry(std::uint32_t span, std::uint16_t state, EventKind kind,
-                                   TaskId task) {
-    const auto t = std::min(static_cast<std::uint32_t>(task), span - 1u);  // any-task column
-    return (static_cast<std::uint32_t>(state) * 2u + static_cast<std::uint32_t>(kind)) * span + t;
-  }
   HandlerClass Classify(std::uint32_t pc) const;
 
   // The step pass, instantiated with and without traffic counting so the
@@ -189,14 +184,9 @@ class BatchCompiledMonitor {
 
   std::shared_ptr<const CompiledMachine> machine_;
   std::uint32_t stride_ = 0;  // doubles per lane slot block (>= 1)
-  // Per padded entry: the handler's class byte (all the step pass reads
-  // for a self-loop lane) and its program entry.
+  // Per dispatch entry: the handler's class byte (all the step pass reads
+  // for a self-loop lane).
   std::vector<std::uint8_t> class_of_;
-  std::vector<std::uint32_t> pc_of_;
-  // Per (kind, task) column: 1 when every state self-loops. Laid out
-  // [kind][task] with one extra task slot for the any-task row.
-  std::vector<std::uint8_t> dead_cols_;
-  std::uint32_t dead_column_count_ = 0;
   std::vector<std::uint16_t> current_;  // [lane]
   std::vector<double> slots_;           // [lane * stride_ + slot]
   std::vector<double> stack_;           // bytecode-core scratch

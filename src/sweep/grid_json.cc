@@ -50,6 +50,10 @@ JsonValuePtr JsonValue::MakeObject(std::map<std::string, JsonValuePtr> members) 
 
 namespace {
 
+// How deep containers may nest; a grid file needs 3. The bound keeps the
+// recursive descent's stack depth fixed whatever the input.
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -110,11 +114,14 @@ class Parser {
       return Error("unexpected end of input");
     }
     const char c = text_[pos_];
-    if (c == '{') {
-      return ParseObject();
-    }
-    if (c == '[') {
-      return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        return Error("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      StatusOr<JsonValuePtr> container = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return container;
     }
     if (c == '"') {
       StatusOr<std::string> s = ParseString();
@@ -265,6 +272,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open around pos_
 };
 
 }  // namespace

@@ -276,9 +276,14 @@ class GridDecoder {
 
   std::size_t points() const { return points_; }
   std::size_t stride(Axis axis) const { return strides_[axis]; }
+  // Grid point `index`'s coordinate on `axis`.
+  std::size_t Coordinate(std::size_t index, Axis axis) const {
+    return index / strides_[axis] % sizes_[axis];
+  }
   // The text spec source `source` resolves to: its own, or the app's default.
   const std::string& SpecText(std::size_t source) const {
-    return spec_->specs[source].text.empty() ? default_text_ : spec_->specs[source].text;
+    const std::optional<std::string>& text = spec_->specs[source].text;
+    return text.has_value() ? *text : default_text_;
   }
   // Overwrites `point` with grid point `index`, reusing its string buffers.
   void Decode(std::size_t index, SweepPoint* point) const;
@@ -338,7 +343,7 @@ StatusOr<GridDecoder> GridDecoder::Make(const SweepSpec& spec) {
       return Status::Invalid("sweep: every spec source needs a label");
     }
   }
-  if (!spec.spec2.text.empty()) {
+  if (spec.spec2.text.has_value()) {
     // The swap axis needs a versioned on-device image: the artemis system
     // with the compiled backend is the only pairing that has one.
     for (const std::string& system : spec.systems) {
@@ -371,20 +376,19 @@ StatusOr<GridDecoder> GridDecoder::Make(const SweepSpec& spec) {
 }
 
 void GridDecoder::Decode(std::size_t index, SweepPoint* point) const {
-  const auto at = [&](Axis axis) { return index / strides_[axis] % sizes_[axis]; };
-  const std::size_t source = at(kSpecAxis);
-  const std::size_t backend = at(kBackendAxis);
+  const std::size_t source = Coordinate(index, kSpecAxis);
+  const std::size_t backend = Coordinate(index, kBackendAxis);
   point->index = index;
   point->app = spec_->app;
-  point->system = spec_->systems[at(kSystemAxis)];
+  point->system = spec_->systems[Coordinate(index, kSystemAxis)];
   point->spec_label = spec_->specs[source].label;
   point->spec_text = SpecText(source);
   point->backend_name = spec_->backends[backend];
   point->backend = backends_[backend];
-  point->timekeeper = spec_->timekeepers[at(kTimekeeperAxis)];
-  point->budget = spec_->budgets[at(kBudgetAxis)];
-  point->charge = spec_->charges[at(kChargeAxis)];
-  point->seed = spec_->seeds[at(kSeedAxis)];
+  point->timekeeper = spec_->timekeepers[Coordinate(index, kTimekeeperAxis)];
+  point->budget = spec_->budgets[Coordinate(index, kBudgetAxis)];
+  point->charge = spec_->charges[Coordinate(index, kChargeAxis)];
+  point->seed = spec_->seeds[Coordinate(index, kSeedAxis)];
 }
 
 }  // namespace
@@ -463,13 +467,13 @@ Status SetUpDevice(const SweepPoint& point, const SweepSpec& spec, CompiledSpecC
 
   // Hot-swap axis: queue spec2 as the epoch-2 replacement image before the
   // first boot; the kernel delivers it at quiescence (docs/hotswap.md).
-  if (!spec.spec2.text.empty()) {
-    StatusOr<SharedSpecArtifactPtr> next = cache.Get(point.app, spec.spec2.text, *recipe->graph,
+  if (spec.spec2.text.has_value()) {
+    StatusOr<SharedSpecArtifactPtr> next = cache.Get(point.app, *spec.spec2.text, *recipe->graph,
                                                      SpecArtifactStage::kCompiled);
     if (!next.ok()) {
       return next.status();
     }
-    recipe->swap_image = MonitorImage{{SpecHash(spec.spec2.text), 2}, next.value()};
+    recipe->swap_image = MonitorImage{{SpecHash(*spec.spec2.text), 2}, next.value()};
     recipe->swap_at = spec.swap_at;
   }
   return Status::Ok();
@@ -561,7 +565,8 @@ struct DeviceClass {
   }
 };
 
-// The device classes of a grid (docs/sweep.md, "Device classes"):
+// The device class grid point `index` leads, or nullopt when the point is
+// a member of another point's class (docs/sweep.md, "Device classes"):
 //  * Mayfly ignores the backend: DeviceRecipe::backend is read only for the
 //    ARTEMIS system, and every Mayfly point requests the same kAst artifact.
 //  * Continuous power ignores the budget: DeviceRun passes the budget only to
@@ -571,86 +576,33 @@ struct DeviceClass {
 //    path. A class folds every timekeeper, and RunClass splits it per
 //    timekeeper when its first run had an outage.
 // Seeds never fold (the seed reaches the kernel's Rng), and a post_run grid
-// folds nothing: the hook reads each point's own device. Classes are
-// numbered in the order of their first points, by index arithmetic over the
-// grid's strides, so folding allocates nothing per point.
-class DeviceClasses {
- public:
-  DeviceClasses(const SweepSpec& spec, const GridDecoder& grid)
-      : spec_(spec), grid_(grid), fold_(!spec.post_run) {
-    // Every charge leads a class with the first budget; under folding a
-    // continuous charge leads with no other.
-    for (std::size_t c = 0; c < spec.charges.size(); ++c) {
-      if (!fold_ || spec.charges[c] != 0) {
-        every_budget_.push_back(c);
-      }
+// folds nothing: the hook reads each point's own device. A point leads its
+// class when it sits at coordinate 0 on every axis the class folds.
+std::optional<DeviceClass> ClassLedBy(std::size_t index, const GridDecoder& grid,
+                                      const SweepSpec& spec) {
+  DeviceClass cls;
+  cls.first = index;
+  cls.backend_stride = grid.stride(kBackendAxis);
+  cls.timekeeper_stride = grid.stride(kTimekeeperAxis);
+  cls.budget_stride = grid.stride(kBudgetAxis);
+  if (!spec.post_run) {
+    if (spec.systems[grid.Coordinate(index, kSystemAxis)] == "mayfly") {
+      cls.backends = spec.backends.size();
     }
-    const std::size_t pairs =
-        spec.charges.size() + (spec.budgets.size() - 1) * every_budget_.size();
-    per_timekeeper_ = pairs * spec.seeds.size();
-    per_backend_ = (fold_ ? 1 : spec.timekeepers.size()) * per_timekeeper_;
-    for (std::size_t system = 0; system < spec.systems.size(); ++system) {
-      per_spec_ += PerSystem(system);
+    cls.timekeepers = spec.timekeepers.size();
+    if (spec.charges[grid.Coordinate(index, kChargeAxis)] == 0) {
+      cls.budgets = spec.budgets.size();
     }
   }
-
-  std::size_t size() const { return spec_.specs.size() * per_spec_; }
-
-  DeviceClass operator[](std::size_t index) const {
-    const std::size_t source = index / per_spec_;
-    std::size_t rest = index % per_spec_;
-    std::size_t system = 0;
-    while (rest >= PerSystem(system)) {
-      rest -= PerSystem(system);
-      ++system;
-    }
-    const std::size_t backend = rest / per_backend_;
-    rest %= per_backend_;
-    const std::size_t timekeeper = rest / per_timekeeper_;
-    rest %= per_timekeeper_;
-    const std::size_t seed = rest % spec_.seeds.size();
-    // (budget, charge) pairs in index order: the first budget with every
-    // charge, then each later budget with the every_budget_ charges.
-    std::size_t pair = rest / spec_.seeds.size();
-    std::size_t budget = 0;
-    std::size_t charge = pair;
-    if (pair >= spec_.charges.size()) {
-      pair -= spec_.charges.size();
-      budget = 1 + pair / every_budget_.size();
-      charge = every_budget_[pair % every_budget_.size()];
-    }
-
-    DeviceClass cls;
-    cls.first = source * grid_.stride(kSpecAxis) + system * grid_.stride(kSystemAxis) +
-                backend * grid_.stride(kBackendAxis) +
-                timekeeper * grid_.stride(kTimekeeperAxis) + budget * grid_.stride(kBudgetAxis) +
-                charge * grid_.stride(kChargeAxis) + seed * grid_.stride(kSeedAxis);
-    cls.backends = FoldsBackend(system) ? spec_.backends.size() : 1;
-    cls.timekeepers = fold_ ? spec_.timekeepers.size() : 1;
-    cls.budgets = fold_ && spec_.charges[charge] == 0 ? spec_.budgets.size() : 1;
-    cls.backend_stride = grid_.stride(kBackendAxis);
-    cls.timekeeper_stride = grid_.stride(kTimekeeperAxis);
-    cls.budget_stride = grid_.stride(kBudgetAxis);
+  const auto leads = [&](Axis axis, std::size_t folded) {
+    return folded == 1 || grid.Coordinate(index, axis) == 0;
+  };
+  if (leads(kBackendAxis, cls.backends) && leads(kTimekeeperAxis, cls.timekeepers) &&
+      leads(kBudgetAxis, cls.budgets)) {
     return cls;
   }
-
- private:
-  bool FoldsBackend(std::size_t system) const {
-    return fold_ && spec_.systems[system] == "mayfly";
-  }
-  std::size_t PerSystem(std::size_t system) const {
-    return (FoldsBackend(system) ? 1 : spec_.backends.size()) * per_backend_;
-  }
-
-  const SweepSpec& spec_;
-  const GridDecoder& grid_;
-  bool fold_;
-  std::vector<std::size_t> every_budget_;  // charges that lead with every budget
-  // Classes per spec / system / backend / timekeeper value.
-  std::size_t per_spec_ = 0;
-  std::size_t per_backend_ = 0;
-  std::size_t per_timekeeper_ = 0;
-};
+  return std::nullopt;
+}
 
 // Runs one device class into its members' rows and returns how many
 // devices ran. Every member does its own setup. The first run serves every
@@ -778,9 +730,9 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
     }
     // Swap gate: the replacement spec must analyze clean on its own, and
     // every (running spec -> spec2) migration must pass ART015/ART016.
-    if (!spec.spec2.text.empty()) {
+    if (spec.spec2.text.has_value()) {
       const Status gate =
-          PreAnalyzeSpec("sweep", spec.spec2.label, spec.spec2.text, graph,
+          PreAnalyzeSpec("sweep", spec.spec2.label, *spec.spec2.text, graph,
                          spec.budgets, spec.charges, spec.flight, spec.flight_bytes);
       if (!gate.ok()) {
         return gate;
@@ -789,7 +741,7 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
           GateOptions(spec.budgets, spec.charges, spec.flight, spec.flight_bytes);
       for (const std::string* text : seen) {
         StatusOr<MonitorImage> old_image = BuildMonitorImage(*text, graph, 1);
-        StatusOr<MonitorImage> new_image = BuildMonitorImage(spec.spec2.text, graph, 2);
+        StatusOr<MonitorImage> new_image = BuildMonitorImage(*spec.spec2.text, graph, 2);
         if (!old_image.ok() || !new_image.ok()) {
           continue;  // Unbuildable specs become per-point error rows.
         }
@@ -817,15 +769,16 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
   SweepOutcome outcome;
   outcome.rows.resize(grid.points());
 
-  const DeviceClasses classes(spec, grid);
-  jobs = ClampWorkers(jobs, classes.size());
+  jobs = ClampWorkers(jobs, grid.points());
   std::atomic<std::uint64_t> devices_run{0};
-  // Each worker claims the next unclaimed device class and writes each
-  // member's row into the slot owned by that member's index: no two workers
-  // touch the same row, and the collected table is independent of claim
-  // order.
-  ParallelFor(jobs, classes.size(), [&](std::size_t c) {
-    devices_run += RunClass(classes[c], grid, spec, shared, outcome.rows);
+  // Each worker claims the next unclaimed grid point; a point that leads a
+  // device class runs it and writes each member's row into the slot owned
+  // by that member's index: no two workers touch the same row, and the
+  // collected table is independent of claim order.
+  ParallelFor(jobs, grid.points(), [&](std::size_t index) {
+    if (const std::optional<DeviceClass> cls = ClassLedBy(index, grid, spec)) {
+      devices_run += RunClass(*cls, grid, spec, shared, outcome.rows);
+    }
   });
   outcome.devices_run = devices_run;
 
@@ -1200,7 +1153,7 @@ StatusOr<SweepSpec> ParseGridJson(
           }
           source.text = std::move(loaded).value();
         }
-        // Neither key: the app's default spec (source.text stays empty).
+        // Neither key: the app's default spec (source.text stays absent).
         spec.specs.push_back(std::move(source));
       }
     } else if (key == "max_wall") {
@@ -1275,7 +1228,7 @@ StatusOr<SweepSpec> ParseGridJson(
         }
         source.text = std::move(loaded).value();
       }
-      if (source.text.empty()) {
+      if (source.text->empty()) {
         return Status::Invalid("sweep grid: \"spec2\" spec text must be non-empty");
       }
       spec.spec2 = std::move(source);

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,11 +51,12 @@
 
 namespace artemis::sweep {
 
-// One property-spec axis value. Empty `text` selects the app's embedded
-// default spec (resolved when the grid is validated).
+// One property-spec axis value. An absent `text` selects the app's
+// embedded default spec (resolved when the grid is validated); an empty
+// one is a spec with no properties.
 struct SpecSource {
   std::string label = "default";
-  std::string text;
+  std::optional<std::string> text;
 };
 
 struct SweepPoint;
@@ -95,7 +97,7 @@ struct SweepSpec {
   // Footprint numbers land in the SweepRow flight_* fields.
   std::string flight = "off";
   std::size_t flight_bytes = 1024;
-  // Hot-swap axis (docs/hotswap.md): when spec2.text is non-empty, every
+  // Hot-swap axis (docs/hotswap.md): when spec2.text is present, every
   // point additionally queues spec2 as a replacement monitor image (epoch 2
   // over the running spec's epoch 1) to be hot-swapped at the first
   // task-boundary quiescence point at or after `swap_at` device time. Swap
@@ -103,7 +105,7 @@ struct SweepSpec {
   // backend with a versioned on-device image); the grid is rejected
   // otherwise. Swap bookkeeping lands in SweepRow::metrics under
   // swap_applied / swap_attempts / swap_staged_bytes.
-  SpecSource spec2 = {"v2", ""};
+  SpecSource spec2 = {"v2", std::nullopt};
   SimDuration swap_at = 0;
   // Fail-fast static-analysis gate: before any point runs, every unique
   // spec in the grid is pushed through the whole-system analyzer

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "src/monitor/compiled_batch.h"
 #include "src/monitor/interp.h"
 #include "src/monitor/monitor_set.h"
+#include "src/spec/app_lang.h"
 #include "src/spec/parser.h"
 #include "src/spec/validator.h"
 
@@ -86,14 +90,16 @@ TEST(CompileTest, InternsStatesAndSlots) {
   EXPECT_EQ(commits, (std::vector<std::uint32_t>{0, 1}));
   // S1 has no specific trigger; every event falls back to its anyEvent
   // handler, which commits straight back to S0.
-  EXPECT_EQ(m.HandlerFor(1, EventKind::kStartTask, 0), m.any_handler[1]);
-  EXPECT_EQ(m.HandlerFor(1, EventKind::kEndTask, 5), m.any_handler[1]);
-  EXPECT_EQ(m.code[m.any_handler[1]].op, OpCode::kCommit);
+  const std::uint32_t any1 = m.HandlerFor(1, EventKind::kStartTask, kInvalidTask);
+  EXPECT_EQ(m.HandlerFor(1, EventKind::kStartTask, 0), any1);
+  EXPECT_EQ(m.HandlerFor(1, EventKind::kEndTask, 5), any1);
+  EXPECT_EQ(m.code[any1].op, OpCode::kCommit);
   // S0 has no anyEvent transition: its fallback, which uncovered (kind,
   // task) pairs reach, is the shared kNoMatch program.
-  EXPECT_EQ(m.code[m.any_handler[0]].op, OpCode::kNoMatch);
-  EXPECT_EQ(m.HandlerFor(0, EventKind::kEndTask, 0), m.any_handler[0]);
-  EXPECT_EQ(m.HandlerFor(0, EventKind::kEndTask, 5), m.any_handler[0]);
+  const std::uint32_t any0 = m.HandlerFor(0, EventKind::kEndTask, kInvalidTask);
+  EXPECT_EQ(m.code[any0].op, OpCode::kNoMatch);
+  EXPECT_EQ(m.HandlerFor(0, EventKind::kEndTask, 0), any0);
+  EXPECT_EQ(m.HandlerFor(0, EventKind::kEndTask, 5), any0);
   EXPECT_GE(m.max_stack, 2u);
 }
 
@@ -312,12 +318,14 @@ TEST_P(BatchDifferentialFuzzTest, BatchLanesEquivalentToScalarCompiled) {
         scalar.push_back(std::make_unique<CompiledMonitor>(std::move(c2).value()));
       }
 
-      // Every dispatch entry lands in exactly one handler class.
+      // Every dispatch entry but the any-task column lands in exactly one
+      // handler class.
       std::uint64_t classified = 0;
       for (const std::uint64_t n : batch.ClassHistogram()) {
         classified += n;
       }
-      EXPECT_EQ(classified, shared->dispatch.size()) << app.name << "/" << machine.name;
+      EXPECT_EQ(classified, shared->state_names.size() * 2u * (shared->max_task + 1u))
+          << app.name << "/" << machine.name;
 
       std::vector<Rng> rng;
       for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
@@ -636,6 +644,132 @@ TEST(BatchTrafficTest, CountersAttributeEventsToDispatchColumns) {
     total += n;
   }
   EXPECT_EQ(total, 6u);  // every stepped event attributed exactly once
+}
+
+// ------------------------------------------ reacts table vs interpreter --
+//
+// The compiler tabulates which (kind, task) columns each machine reacts to;
+// the batch VM, the fleet's elision and MonitorSet's reactor columns read
+// that table. It must agree with the interpreter's Reacts, which scans the
+// transition list, on every task id up to three past the dispatch range
+// and on kInvalidTask, and every task id past the range must dispatch to
+// the last (any-task) column.
+
+void ExpectReactsMatchesInterpreter(const StateMachine& machine, const std::string& where) {
+  StatusOr<CompiledMachine> compiled = CompileStateMachine(machine);
+  ASSERT_TRUE(compiled.ok()) << where << ": " << compiled.status().ToString();
+  const CompiledMachine& m = compiled.value();
+  const InterpretedMonitor interp{StateMachine(machine)};
+  std::vector<TaskId> tasks = {kInvalidTask};
+  for (TaskId task = 0; task <= m.max_task + 3u; ++task) {
+    tasks.push_back(task);
+  }
+  const std::uint32_t span = m.max_task + 2u;
+  for (const EventKind kind : {EventKind::kStartTask, EventKind::kEndTask}) {
+    for (const TaskId task : tasks) {
+      EXPECT_EQ(m.Reacts(kind, task), interp.Reacts(kind, task))
+          << where << " " << EventKindName(kind) << " task " << task;
+      if (task <= m.max_task) {
+        continue;
+      }
+      for (std::uint16_t state = 0; state < m.state_names.size(); ++state) {
+        const std::uint32_t row = state * 2u + static_cast<std::uint32_t>(kind);
+        const std::uint32_t last = row * span + span - 1u;
+        EXPECT_EQ(m.HandlerFor(state, kind, task), m.dispatch[last])
+            << where << " state " << state << " " << EventKindName(kind) << " task " << task;
+      }
+    }
+  }
+}
+
+std::string ReadExample(const std::string& relative) {
+  std::ifstream in(std::filesystem::path(ARTEMIS_SOURCE_DIR) / "examples/specs" / relative);
+  EXPECT_TRUE(in.good()) << relative;
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Lowers `spec_text` against `graph`; an empty list when the spec does not
+// parse, validate or lower.
+std::vector<StateMachine> Lowered(const std::string& spec_text, const AppGraph& graph) {
+  StatusOr<SpecAst> parsed = SpecParser::Parse(spec_text);
+  if (!parsed.ok() || !SpecValidator::Validate(parsed.value(), graph).ok()) {
+    return {};
+  }
+  StatusOr<std::vector<StateMachine>> machines = LowerSpec(parsed.value(), graph, {});
+  return machines.ok() ? std::move(machines).value() : std::vector<StateMachine>{};
+}
+
+// Up to four states and ten guard-free transitions, each triggered by the
+// start or end of a task in [0, 9] or by any event.
+StateMachine RandomMachine(Rng& rng, int id) {
+  StateMachine m;
+  m.name = "random" + std::to_string(id);
+  m.property_label = m.name;
+  const std::uint64_t states = rng.UniformU64(1, 4);
+  for (std::uint64_t s = 0; s < states; ++s) {
+    m.states.push_back("S" + std::to_string(s));
+  }
+  m.initial = "S0";
+  const std::uint64_t transitions = rng.UniformU64(0, 10);
+  for (std::uint64_t i = 0; i < transitions; ++i) {
+    Transition t;
+    t.from = m.states[rng.UniformU64(0, states - 1)];
+    t.to = m.states[rng.UniformU64(0, states - 1)];
+    const std::uint64_t trigger = rng.UniformU64(0, 4);
+    t.trigger = trigger == 0   ? TriggerKind::kAnyEvent
+                : trigger % 2 ? TriggerKind::kStartTask
+                              : TriggerKind::kEndTask;
+    if (t.trigger != TriggerKind::kAnyEvent) {
+      t.task = static_cast<TaskId>(rng.UniformU64(0, 9));
+    }
+    m.transitions.push_back(std::move(t));
+  }
+  return m;
+}
+
+TEST(CompiledReactsTest, ReactsTableMatchesInterpreter) {
+  std::size_t machines = 0;
+  const auto check = [&machines](const std::vector<StateMachine>& lowered,
+                                 const std::string& where) {
+    for (const StateMachine& machine : lowered) {
+      ExpectReactsMatchesInterpreter(machine, where + "/" + machine.name);
+      ++machines;
+    }
+  };
+  for (FuzzApp& app : FuzzApps()) {
+    const std::vector<StateMachine> lowered = Lowered(app.spec, app.graph);
+    EXPECT_FALSE(lowered.empty()) << app.name;
+    check(lowered, app.name);
+  }
+  const AppGraph health = BuildHealthApp().graph;
+  check(Lowered(ReadExample("health.prop"), health), "health.prop");
+  StatusOr<AppDescription> sensornet = ParseAppDescription(ReadExample("sensornet.app"));
+  ASSERT_TRUE(sensornet.ok()) << sensornet.status().ToString();
+  check(Lowered(ReadExample("sensornet.prop"), sensornet.value().graph), "sensornet.prop");
+  std::size_t bad_lowered = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::filesystem::path(ARTEMIS_SOURCE_DIR) /
+                                           "examples/specs/bad")) {
+    const std::string name = "bad/" + entry.path().filename().string();
+    const std::vector<StateMachine> lowered = Lowered(ReadExample(name), health);
+    bad_lowered += lowered.empty() ? 0 : 1;
+    check(lowered, name);
+  }
+  EXPECT_GT(bad_lowered, 0u);
+  const StateMachine synthetic[] = {CounterMachine(), CommitMachine(), StoreFieldMachine(),
+                                    GuardElapsedMachine()};
+  for (const StateMachine& machine : synthetic) {
+    ExpectReactsMatchesInterpreter(machine, machine.name);
+    ++machines;
+  }
+  Rng rng(0x5EAC75);
+  for (int i = 0; i < 500; ++i) {
+    ExpectReactsMatchesInterpreter(RandomMachine(rng, i), "random " + std::to_string(i));
+    ++machines;
+  }
+  EXPECT_GT(machines, 500u);
 }
 
 // The MonitorSet-level view: the compiled backend builds one monitor per

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -436,6 +437,73 @@ TEST(FleetValidationTest, BatchOutcomeReportsHandlerClasses) {
   // The speedup story rests on most dispatch entries summarizing into the
   // fast classes; the health spec must keep some there.
   EXPECT_GT(fast, 0u);
+}
+
+// ------------------------------------------------------------ elision --
+
+// The rendered `aggregates` block of a fleet's JSON.
+std::string AggregatesBlock(const FleetSpec& spec, const FleetOutcome& outcome) {
+  const std::string json = RenderFleetJson(spec, outcome);
+  const std::size_t begin = json.find("\"aggregates\"");
+  EXPECT_NE(begin, std::string::npos);
+  return json.substr(begin, json.find('}', begin) - begin);
+}
+
+// A machine skips a pass when none of the columns on its lane list is one
+// it reacts to. collect_traffic turns the skip off, and must not change a
+// result.
+TEST(FleetElisionTest, MachinePassSkipNeverChangesAResult) {
+  const std::vector<SimDuration> charge_sets[] = {{0}, {kMinute - kSecond, 6 * kMinute - kSecond}};
+  for (const std::string app : {"health", "greenhouse", "ar"}) {
+    for (const std::vector<SimDuration>& charges : charge_sets) {
+      FleetSpec spec;
+      spec.app = app;
+      spec.devices = 24;
+      spec.tile = 8;
+      spec.charges = charges;
+      const StatusOr<FleetOutcome> skipping = RunFleet(spec);
+      ASSERT_TRUE(skipping.ok()) << app << ": " << skipping.status().ToString();
+      spec.collect_traffic = true;
+      const StatusOr<FleetOutcome> stepping = RunFleet(spec);
+      ASSERT_TRUE(stepping.ok()) << app << ": " << stepping.status().ToString();
+      EXPECT_EQ(AggregatesBlock(spec, stepping.value()), AggregatesBlock(spec, skipping.value()))
+          << app << " charges=" << charges.size();
+    }
+  }
+}
+
+// A spec with no properties compiles to no machines, and a batch fleet
+// over it proves nothing dead: no event is elided and no column is
+// reported dead.
+TEST(FleetElisionTest, NoMachinesSkipNothing) {
+  FleetSpec spec;
+  spec.spec_text = "accel: {\n}\n";
+  spec.devices = 4;
+  spec.charges = {0, kMinute - kSecond};
+  const StatusOr<FleetOutcome> outcome = RunFleet(spec);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_GT(outcome.value().agg.monitor_events, 0u);
+  EXPECT_EQ(outcome.value().agg.monitor_events_elided, 0u);
+  EXPECT_EQ(outcome.value().agg.violations, 0u);
+  EXPECT_EQ(outcome.value().dead_columns, 0u);
+  EXPECT_EQ(outcome.value().total_columns, 4u);
+}
+
+// Only an absent spec text selects the app's default spec; an empty one is
+// a spec with no properties.
+TEST(FleetValidationTest, EmptySpecHasNoPropertiesAndAbsentSpecIsTheDefault) {
+  FleetSpec spec;
+  spec.devices = 4;
+  spec.spec_text = "accel: {\n}\n";
+  const StatusOr<FleetOutcome> none = RunFleet(spec);
+  spec.spec_text = "";
+  const StatusOr<FleetOutcome> empty = RunFleet(spec);
+  spec.spec_text = std::nullopt;
+  const StatusOr<FleetOutcome> fallback = RunFleet(spec);
+  ASSERT_TRUE(none.ok() && empty.ok() && fallback.ok());
+  EXPECT_EQ(AggregatesBlock(spec, empty.value()), AggregatesBlock(spec, none.value()));
+  EXPECT_EQ(empty.value().agg.violations, 0u);
+  EXPECT_GT(fallback.value().agg.violations, 0u);
 }
 
 // ------------------------------------------------------------ rendering --

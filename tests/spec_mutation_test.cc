@@ -8,10 +8,16 @@
 // Mutations: delete a token, duplicate one, swap two, or replace one with
 // an extreme literal (400 digits, -1, 2^32+1, 1e-7). Deterministic: the
 // mutants depend only on the seed.
+//
+// Sweep grid files get byte-level mutants instead (delete, duplicate or
+// replace a byte, or insert deep brackets or an out-of-range number), plus
+// hand-made deep nesting and out-of-range numbers: each must end in a
+// grid or an error Status from ParseGridJson.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -28,6 +34,7 @@
 #include "src/spec/mayfly_frontend.h"
 #include "src/spec/parser.h"
 #include "src/spec/validator.h"
+#include "src/sweep/sweep.h"
 
 namespace artemis {
 namespace {
@@ -38,10 +45,14 @@ namespace {
 
 constexpr int kMutantsPerSource = 300;
 
-std::string ReadExample(const std::string& name) {
-  std::ifstream in(std::string(ARTEMIS_SOURCE_DIR) + "/examples/specs/" + name);
-  EXPECT_TRUE(in.good()) << name;
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
   return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+std::string ReadExample(const std::string& name) {
+  return ReadFile(std::filesystem::path(ARTEMIS_SOURCE_DIR) / "examples/specs" / name);
 }
 
 // The source's token spellings, comments dropped.
@@ -81,6 +92,32 @@ std::string Mutate(std::vector<std::string> tokens, Rng& rng) {
     out += token + " ";
   }
   return out;
+}
+
+std::string MutateBytes(std::string text, Rng& rng) {
+  static const std::string kInserts[] = {std::string(100, '['), std::string(100, '{'),
+                                         std::string(400, '9'), "1e999", "-1e999",
+                                         "18446744073709551616", "\\u00ff", "\""};
+  static const std::string kBytes = "{}[]\",:-.eE0 \\tfn";
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.UniformU64(0, n - 1));
+  };
+  const std::size_t at = pick(text.size());
+  switch (pick(4)) {
+    case 0:
+      text.erase(at, 1);
+      break;
+    case 1:
+      text.insert(at, 1, text[at]);
+      break;
+    case 2:
+      text[at] = kBytes[pick(kBytes.size())];
+      break;
+    default:
+      text.insert(at, kInserts[pick(std::size(kInserts))]);
+      break;
+  }
+  return text;
 }
 
 // Validate -> lower -> compile -> analyze, stopping at the first error.
@@ -126,6 +163,53 @@ TEST(SpecMutationTest, EveryMutantEndsInOkOrAnErrorStatus) {
       RunBackHalf(SpecParser::Parse(sensornet_spec), app.value().graph);
     }
   });
+}
+
+TEST(SpecMutationTest, EveryGridMutantEndsInAGridOrAnErrorStatus) {
+  const std::filesystem::path root(ARTEMIS_SOURCE_DIR);
+  std::vector<std::filesystem::path> grids = {root /
+                                              "tests/golden/sweep/health_errors.grid.json"};
+  for (const auto& entry : std::filesystem::directory_iterator(root / "examples/sweeps")) {
+    grids.push_back(entry.path());
+  }
+  const auto parse = [](const std::string& name, const std::string& text) {
+    try {
+      (void)sweep::ParseGridJson(text, [](const std::string&) -> StatusOr<std::string> {
+        return std::string("accel: {}");
+      });
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << name << " threw " << e.what() << ":\n" << text;
+    }
+  };
+  Rng rng(20261019);
+  for (const std::filesystem::path& grid : grids) {
+    const std::string text = ReadFile(grid);
+    ASSERT_FALSE(text.empty()) << grid;
+    for (int i = 0; i < kMutantsPerSource; ++i) {
+      parse(grid.filename().string() + " mutant " + std::to_string(i), MutateBytes(text, rng));
+    }
+  }
+  const std::size_t kDeep = 50'000;
+  const std::string extremes[] = {
+      std::string(kDeep, '['),
+      "{\"seeds\": " + std::string(kDeep, '[') + std::string(kDeep, ']') + "}",
+      [] {
+        std::string nested;
+        for (std::size_t i = 0; i < kDeep; ++i) {
+          nested += "{\"a\": ";
+        }
+        return nested;
+      }(),
+      R"({"seeds": [1e400]})",
+      R"({"seeds": [-1e400]})",
+      R"({"budgets": [1e400, -1e400, 1e-400]})",
+      R"({"flight_bytes": 1e400})",
+      R"({"flight_bytes": 18446744073709551616})",
+      R"({"seeds": [)" + std::string(400, '9') + "]}",
+  };
+  for (const std::string& text : extremes) {
+    parse("extreme grid", text);
+  }
 }
 
 }  // namespace

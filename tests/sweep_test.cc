@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -93,7 +94,7 @@ TEST(SweepGridTest, ExpandsCartesianProductInDocumentedOrder) {
   ASSERT_EQ(all.value().size(), 2u * 2 * 3 * 2 * 2 * 3 * 3);
   std::size_t index = 0;
   for (const sweep::SpecSource& source : grid.specs) {
-    const std::string text = source.text.empty() ? HealthAppSpec() : source.text;
+    const std::string text = source.text.value_or(HealthAppSpec());
     for (const std::string& system : grid.systems) {
       for (const auto& [backend_name, backend] : backends) {
         for (const std::string& timekeeper : grid.timekeepers) {
@@ -364,7 +365,7 @@ TEST(SpecCacheTest, ParseFailureIsCachedAsStatus) {
 
 TEST(SweepEngineTest, BadSpecBecomesErrorRowsNotProcessDeath) {
   sweep::SweepSpec grid;
-  grid.specs = {{"good", ""}, {"broken", "not a spec at all {"}};
+  grid.specs = {{"good", std::nullopt}, {"broken", "not a spec at all {"}};
   grid.charges = {Charge(1)};
   grid.budgets = {kBudget};
   grid.max_wall = 8 * kHour;
@@ -378,6 +379,29 @@ TEST(SweepEngineTest, BadSpecBecomesErrorRowsNotProcessDeath) {
   // Error rows render, with the error text carried through.
   const std::string json = sweep::RenderJson(grid, outcome.value());
   EXPECT_NE(json.find("\"status\": \"error\""), std::string::npos);
+}
+
+// Only an absent spec text selects the app's default spec; an empty one is
+// a spec with no properties, in a grid built in C++ or read from JSON.
+TEST(SweepEngineTest, EmptySpecHasNoPropertiesAndAbsentSpecIsTheDefault) {
+  StatusOr<sweep::SweepSpec> parsed = sweep::ParseGridJson(
+      R"({"specs": [{"label": "empty", "text": ""}, {"label": "none", "text": "accel: {}"},)"
+      R"( {"label": "default"}]})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  sweep::SweepSpec grid = parsed.value();
+  ASSERT_EQ(grid.specs[0].text, std::optional<std::string>(""));
+  ASSERT_FALSE(grid.specs[2].text.has_value());
+  StatusOr<sweep::SweepOutcome> outcome = sweep::RunSweep(grid, 2);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const std::vector<sweep::SweepRow>& rows = outcome.value().rows;
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_TRUE(outcome.value().AllOk());
+  EXPECT_GT(rows[1].monitor_events, 0u);
+  EXPECT_EQ(rows[0].monitor_events, rows[1].monitor_events);
+  EXPECT_EQ(rows[0].violations, 0u);
+  EXPECT_EQ(rows[1].violations, 0u);
+  EXPECT_GT(rows[2].monitor_events, rows[1].monitor_events);
+  EXPECT_GT(rows[2].violations, 0u);
 }
 
 TEST(SweepEngineTest, AnalyzerGateFailsFastOnInfeasibleDeployment) {
@@ -489,6 +513,25 @@ TEST(SweepGridJsonTest, RejectsUnknownKeysAndBadTypes) {
       [](const std::string&) -> StatusOr<std::string> { return std::string("accel: {}"); });
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().specs[0].text, "accel: {}");
+}
+
+// Containers nest at most 64 deep: deeper input is refused with its
+// position instead of exhausting the parser's stack.
+TEST(SweepGridJsonTest, RefusesNestingDeeperThan64) {
+  const auto nested = [](std::size_t depth) {
+    return "{\"seeds\": " + std::string(depth, '[') + std::string(depth, ']') + "}";
+  };
+  for (const std::size_t depth : {std::size_t{64}, std::size_t{50'000}}) {
+    const StatusOr<sweep::SweepSpec> grid = sweep::ParseGridJson(nested(depth));
+    ASSERT_FALSE(grid.ok()) << depth;
+    EXPECT_EQ(grid.status().message(), "json: nesting deeper than 64 at line 1, column 74")
+        << depth;
+  }
+  // 64 levels parse; the grid then refuses the nested seeds by type.
+  const StatusOr<sweep::SweepSpec> within = sweep::ParseGridJson(nested(63));
+  ASSERT_FALSE(within.ok());
+  EXPECT_NE(within.status().message().find("\"seeds\""), std::string::npos)
+      << within.status().ToString();
 }
 
 // JSON numbers are doubles: seeds and byte counts must be whole numbers no
@@ -646,8 +689,8 @@ TEST(SweepFoldTest, FoldedRowsEqualPointsRunAlone) {
   ExpectFoldMatchesPointRuns(grid, 1, 88);  // of 288 points
 }
 
-// Class numbering is index arithmetic over the axis order, so irregular
-// axes must fold too: Mayfly listed first and twice, two continuous charges
+// A class is led by the point at coordinate 0 on every axis it folds, so
+// irregular axes must fold too: Mayfly listed first and twice, two continuous charges
 // that are not first, three budgets. Per system entry: 2 continuous
 // devices, and per charged schedule 1 device for each outage-free budget
 // (10^8 and 5x10^7 uJ) plus 3 timekeepers at 19,500 uJ; ARTEMIS runs that
@@ -726,6 +769,77 @@ TEST(SweepFoldTest, PostRunGridKeepsOneDevicePerPoint) {
                            point.system == "mayfly"}),
               4u)
         << point.index;
+  }
+}
+
+// ------------------------------------------------------- sweep goldens --
+
+std::string ReadRepoFile(const std::string& relative) {
+  std::ifstream in(std::filesystem::path(ARTEMIS_SOURCE_DIR) / relative, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << relative;
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// The grids tools/ci.sh stage 5 runs through `artemisc sweep`, with its
+// axes and spec labels, each with the golden it must render.
+std::vector<std::pair<std::string, sweep::SweepSpec>> GoldenGrids() {
+  std::vector<std::pair<std::string, sweep::SweepSpec>> grids;
+  // --app <app> --systems artemis,mayfly --backends builtin,interpreted,compiled
+  // --charges continuous,1min,6min --seeds 1,2,3 --flight full
+  sweep::SweepSpec all;
+  all.systems = {"artemis", "mayfly"};
+  all.backends = {"builtin", "interpreted", "compiled"};
+  all.charges = {0, Charge(1), Charge(6)};
+  all.seeds = {1, 2, 3};
+  all.flight = "full";
+  for (const std::string app : {"greenhouse", "ar"}) {
+    all.app = app;
+    grids.emplace_back(app + ".json", all);
+  }
+  // The same for health with --timekeepers default,ideal,rtc:0.01,
+  // remanence:30s:0.1 --budgets 19500,100000000 --seeds 1,2 --stats.
+  sweep::SweepSpec fold = all;
+  fold.app = "health";
+  fold.timekeepers = {"default", "ideal", "rtc:0.01", "remanence:30s:0.1"};
+  fold.budgets = {kBudget, 1e8};
+  fold.seeds = {1, 2};
+  fold.collect_stats = true;
+  grids.emplace_back("health_fold.json", fold);
+  // --app health --systems artemis --backends compiled --charges continuous,6min
+  // --timekeepers default,rtc:0.01 --seeds 1,2 --spec examples/specs/health.prop
+  // --spec2 examples/specs/health.prop --swap-at 2min --flight full
+  const std::string health = "examples/specs/health.prop";
+  sweep::SweepSpec swap;
+  swap.specs = {{health, ReadRepoFile(health)}};
+  swap.backends = {"compiled"};
+  swap.charges = {0, Charge(6)};
+  swap.timekeepers = {"default", "rtc:0.01"};
+  swap.seeds = {1, 2};
+  swap.spec2 = {health, ReadRepoFile(health)};
+  swap.swap_at = 2 * kMinute;
+  swap.flight = "full";
+  grids.emplace_back("health_swap.json", swap);
+  // tests/golden/sweep/health_errors.grid.json: an unparsable spec's error row.
+  StatusOr<sweep::SweepSpec> errors =
+      sweep::ParseGridJson(ReadRepoFile("tests/golden/sweep/health_errors.grid.json"));
+  EXPECT_TRUE(errors.ok()) << errors.status().ToString();
+  if (errors.ok()) {
+    grids.emplace_back("health_errors.json", errors.value());
+  }
+  return grids;
+}
+
+TEST(SweepGoldenTest, GridsRenderTheirGoldensForAnyJobCount) {
+  for (const auto& [golden, grid] : GoldenGrids()) {
+    const std::string expected = ReadRepoFile("tests/golden/sweep/" + golden);
+    for (const int jobs : {1, 4}) {
+      StatusOr<sweep::SweepOutcome> outcome = sweep::RunSweep(grid, jobs);
+      ASSERT_TRUE(outcome.ok()) << golden << ": " << outcome.status().ToString();
+      EXPECT_EQ(sweep::RenderJson(grid, outcome.value()), expected)
+          << golden << " jobs=" << jobs;
+    }
   }
 }
 

@@ -9,7 +9,10 @@
 #      tools_test's analyzer fixture table (`artemisc check --json`
 #      over every shipped example spec and every examples/specs/bad/
 #      fixture, each under the deployment axes that trigger its headline
-#      ART0xx code), and the allocation-budget suite
+#      ART0xx code), renders the five sweep grids of stage 5 in process
+#      and diffs them against tests/golden/sweep/ (sweep_test's
+#      SweepGoldenTest) and the batch fleet goldens of stage 6
+#      (fleet_test's FleetGoldenTest), and runs the allocation-budget suite
 #      (tests/alloc_budget_test.cc: heap allocations per device of
 #      perfbench's fleet-fresh, fleet-outage and sweep-grid shapes).
 #   2. Sanitize build (ASan + UBSan, float-cast-overflow included) +
