@@ -28,6 +28,9 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
   mcu_.set_observer(recipe.observer);
 
   if (recipe.flight != flight::FlightLevel::kOff) {
+    if (Status fits = mcu_.CheckFlightRing(recipe.flight_bytes); !fits.ok()) {
+      return fits;
+    }
     recorder_ = std::make_unique<flight::FlightRecorder>(recipe.flight_bytes, recipe.flight);
     if (Status attached = mcu_.AttachFlightRecorder(recorder_.get()); !attached.ok()) {
       return attached;
@@ -62,6 +65,9 @@ Status DeviceRun::Assemble(DeviceRecipe& recipe) {
     }
     case MonitorSystem::kExternal:
       kernel_ = &external_kernel_.emplace(graph_.get(), recipe.checker, &mcu_, options);
+      if (const Status& fits = mcu_.nvm().exhaustion(); !fits.ok()) {
+        return fits;
+      }
       break;
   }
 

@@ -15,7 +15,10 @@
 // Assembly order reaches simulated state, so it is fixed here: the
 // timekeeper is installed when the MCU is built, the flight ring takes its
 // NVM arena slot before the monitors and kernel register theirs, and the
-// observer is attached before the first boot.
+// observer is attached before the first boot. The FRAM a device needs is
+// registered while it is assembled, and a device that does not fit is
+// refused with the arena's first exhaustion (kResourceExhausted) before
+// it runs; a ring the arena cannot hold is refused before it is allocated.
 #ifndef SRC_CORE_DEVICE_H_
 #define SRC_CORE_DEVICE_H_
 

@@ -38,15 +38,18 @@ StatusOr<std::unique_ptr<ArtemisRuntime>> ArtemisRuntime::CreateFromArtifact(
   if (artifact == nullptr) {
     return Status::Invalid("null spec artifact");
   }
-  const MonitorSetOptions monitor_options{.policy = config.arbitration,
-                                          .placement = config.placement};
   StatusOr<std::unique_ptr<MonitorSet>> monitors =
-      BuildMonitorSetFromArtifact(artifact, *graph, config.backend, monitor_options);
+      BuildMonitorSetFromArtifact(artifact, *graph, config.backend, config.placement);
   if (!monitors.ok()) {
     return monitors.status();
   }
-  return std::unique_ptr<ArtemisRuntime>(
+  mcu->nvm().Allocate(MemOwner::kMonitor, monitors.value()->FramBytes(), "monitor-set");
+  std::unique_ptr<ArtemisRuntime> runtime(
       new ArtemisRuntime(graph, artifact, mcu, std::move(monitors).value(), config));
+  if (const Status& fits = mcu->nvm().exhaustion(); !fits.ok()) {
+    return fits;
+  }
+  return runtime;
 }
 
 KernelRunResult ArtemisRuntime::Run() { return kernel_->Run(); }

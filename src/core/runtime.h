@@ -21,7 +21,6 @@ namespace artemis {
 
 struct ArtemisConfig {
   MonitorBackend backend = MonitorBackend::kBuiltin;
-  ArbitrationPolicy arbitration = ArbitrationPolicy::kSeverity;
   // Where the monitors execute (Section 7 implementation alternatives).
   MonitorPlacement placement = MonitorPlacement::kSeparate;
   KernelOptions kernel;
@@ -43,7 +42,9 @@ class ArtemisRuntime {
   // (src/monitor/shared_spec.h): no parse / validate / lower / compile work
   // happens here — the monitors are per-run state over the artifact's
   // immutable programs, and the runtime shares the artifact instead of
-  // copying it. Cost is arena allocation, not pipeline.
+  // copying it. Cost is arena allocation, not pipeline: the monitor set
+  // registers its FRAM, then the kernel its own, and the arena's first
+  // exhaustion (kResourceExhausted) refuses the runtime.
   static StatusOr<std::unique_ptr<ArtemisRuntime>> CreateFromArtifact(
       const AppGraph* graph, const SharedSpecArtifactPtr& artifact, Mcu* mcu,
       const ArtemisConfig& config);

@@ -41,9 +41,7 @@ double Ratio(std::uint64_t num, std::uint64_t den) {
 // on its lane list is in the machine's set.
 class TileStepper {
  public:
-  TileStepper(const SharedSpecArtifactPtr& artifact, std::uint32_t lanes,
-              ArbitrationPolicy policy)
-      : policy_(policy) {
+  TileStepper(const SharedSpecArtifactPtr& artifact, std::uint32_t lanes) {
     machines_.reserve(artifact->compiled.size());
     std::size_t paths = 1;
     for (const CompiledMachine& machine : artifact->compiled) {
@@ -270,7 +268,7 @@ class TileStepper {
         ++cursors_[lane];
       }
       for (const std::uint32_t lane : touched_) {
-        const MonitorVerdict verdict = Arbitrate(pending_[lane], policy_);
+        const MonitorVerdict verdict = Arbitrate(pending_[lane], ArbitrationPolicy::kSeverity);
         if (verdict.violated()) {
           ++results[lane].violations;
         }
@@ -305,7 +303,6 @@ class TileStepper {
     return false;
   }
 
-  ArbitrationPolicy policy_;
   std::uint32_t cols_ = 2;   // columns per kind: widest machine's max_task + 2
   std::uint32_t words_ = 0;  // 64-bit words per column set
   std::uint32_t dead_columns_ = 0;  // columns no machine reacts to, for reporting
@@ -594,15 +591,18 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
     // traffic), advance all their monitors together, fold, reuse the
     // tile buffers for the next slice of the range. Each lane keeps its
     // capture stream across tiles: a device's run clears it and appends
-    // into the capacity the lane's earlier devices grew.
-    TileStepper stepper(ctx.artifact, spec.tile, ArbitrationPolicy::kSeverity);
+    // into the capacity the lane's earlier devices grew. A tile wider than
+    // the shard only sizes lanes no device uses, so it is clamped.
+    const auto tile = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(spec.tile, range.end - range.begin));
+    TileStepper stepper(ctx.artifact, tile);
     if (spec.collect_traffic) {
       stepper.EnableTraffic();
     }
-    std::vector<DeviceResult> results(spec.tile);
-    std::vector<std::vector<CapturedRecord>> streams(spec.tile);
-    for (std::uint64_t begin = range.begin; begin < range.end; begin += spec.tile) {
-      const std::uint64_t end = std::min<std::uint64_t>(begin + spec.tile, range.end);
+    std::vector<DeviceResult> results(tile);
+    std::vector<std::vector<CapturedRecord>> streams(tile);
+    for (std::uint64_t begin = range.begin; begin < range.end; begin += tile) {
+      const std::uint64_t end = std::min<std::uint64_t>(begin + tile, range.end);
       const std::uint32_t n = static_cast<std::uint32_t>(end - begin);
       for (std::uint32_t lane = 0; lane < n; ++lane) {
         DeviceInstance instance(ctx, ConfigForDevice(spec, begin + lane));
@@ -625,7 +625,7 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
     outcome.agg.MergeFrom(partial);
   }
   if (spec.monitor == "batch") {
-    TileStepper probe(ctx.artifact, 1, ArbitrationPolicy::kSeverity);
+    TileStepper probe(ctx.artifact, 1);
     outcome.handler_classes = probe.ClassHistogram();
     outcome.dead_columns = probe.dead_columns();
     outcome.total_columns = probe.total_columns();

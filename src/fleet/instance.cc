@@ -6,20 +6,19 @@
 #include <utility>
 
 #include "src/core/device.h"
+#include "src/monitor/compiled.h"
 #include "src/sweep/sweep.h"
 
 namespace artemis::fleet {
 namespace {
 
-// Mirror of MonitorSet::FramBytes over compiled machines: set bookkeeping
-// plus, per monitor, the state word + variable slots + property_t slot.
+// MonitorSet::FramBytes of the artifact's compiled monitors.
 std::size_t MirroredFramBytes(const SharedSpecArtifact& artifact) {
-  std::size_t bytes = sizeof(std::uint64_t) + kVerdictCacheFramBytes + 16;
+  std::size_t state_bytes = 0;
   for (const CompiledMachine& machine : artifact.compiled) {
-    bytes += sizeof(std::uint16_t) + machine.initial_slots.size() * sizeof(double);
-    bytes += 24;
+    state_bytes += CompiledStateFramBytes(machine);
   }
-  return bytes;
+  return MonitorSetFramBytes(artifact.compiled.size(), state_bytes);
 }
 
 std::uint64_t EnergyNj(EnergyUj uj) {

@@ -13,11 +13,7 @@ std::size_t MayflyChecker::FramBytes() const {
   return rules_.size() * (sizeof(RuleState) + kMayflyRuleFramBytes) + 96;
 }
 
-void MayflyChecker::HardReset(Mcu& mcu) {
-  if (!arena_registered_) {
-    mcu.nvm().Allocate(MemOwner::kRuntime, FramBytes(), "mayfly-fused-state");
-    arena_registered_ = true;
-  }
+void MayflyChecker::HardReset(Mcu&) {
   for (RuleState& state : states_) {
     state = RuleState{};
   }
@@ -147,6 +143,7 @@ MayflyRuntime::MayflyRuntime(const AppGraph* graph, MayflySpec spec, Mcu* mcu,
   for (MayflyRule& rule : spec.rules) {
     checker_->AddRule(std::move(rule));
   }
+  mcu->nvm().Allocate(MemOwner::kRuntime, checker_->FramBytes(), "mayfly-fused-state");
   kernel_ = std::make_unique<IntermittentKernel>(graph, checker_.get(), mcu, options);
 }
 
@@ -160,8 +157,12 @@ StatusOr<std::unique_ptr<MayflyRuntime>> MayflyRuntime::Create(const AppGraph* g
   if (!rules.ok()) {
     return rules.status();
   }
-  return std::unique_ptr<MayflyRuntime>(
+  std::unique_ptr<MayflyRuntime> runtime(
       new MayflyRuntime(graph, std::move(rules).value(), mcu, options));
+  if (const Status& fits = mcu->nvm().exhaustion(); !fits.ok()) {
+    return fits;
+  }
+  return runtime;
 }
 
 std::size_t MayflyRuntime::RuntimeTextBytes() {

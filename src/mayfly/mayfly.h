@@ -45,7 +45,8 @@ class MayflyChecker : public PropertyChecker {
  public:
   void AddRule(MayflyRule rule);
 
-  // PropertyChecker: fused checks, charged to CostTag::kRuntime.
+  // PropertyChecker: fused checks, charged to CostTag::kRuntime. HardReset
+  // resets state only: MayflyRuntime registers the FRAM when it is built.
   void HardReset(Mcu& mcu) override;
   void Finalize(Mcu& mcu) override;
   CheckOutcome OnEvent(const MonitorEvent& event, Mcu& mcu) override;
@@ -64,7 +65,6 @@ class MayflyChecker : public PropertyChecker {
 
   std::vector<MayflyRule> rules_;
   std::vector<RuleState> states_;  // FRAM
-  bool arena_registered_ = false;
 };
 
 // Derives the Mayfly rule set from an ARTEMIS spec, keeping only what Mayfly
@@ -80,6 +80,8 @@ StatusOr<MayflySpec> MayflyFromSpec(const SpecAst& spec, const AppGraph& graph);
 // Thin wrapper pairing the checker with a kernel, mirroring ArtemisRuntime.
 class MayflyRuntime {
  public:
+  // The checker registers its FRAM, then the kernel its own; the arena's
+  // first exhaustion (kResourceExhausted) refuses the runtime.
   static StatusOr<std::unique_ptr<MayflyRuntime>> Create(const AppGraph* graph,
                                                          const SpecAst& spec, Mcu* mcu,
                                                          KernelOptions options = {});

@@ -27,11 +27,7 @@ void CompiledMonitor::OnPathRestart(PathId path) {
   // state re-initializes.
 }
 
-std::size_t CompiledMonitor::FramBytes() const {
-  // Same persistent state as the interpreter: current-state word plus one
-  // double per machine variable (the bytecode itself is .text, not FRAM).
-  return sizeof(std::uint16_t) + slots_.size() * sizeof(double);
-}
+std::size_t CompiledMonitor::FramBytes() const { return CompiledStateFramBytes(*machine_); }
 
 double CompiledMonitor::VarValue(const std::string& name) const {
   for (std::size_t i = 0; i < machine_->var_names.size(); ++i) {

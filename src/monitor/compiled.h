@@ -21,6 +21,12 @@
 
 namespace artemis {
 
+// FRAM bytes of one machine's state (Table 2): the current-state word plus
+// one double per variable slot; the bytecode itself is .text.
+inline std::size_t CompiledStateFramBytes(const CompiledMachine& machine) {
+  return sizeof(std::uint16_t) + machine.initial_slots.size() * sizeof(double);
+}
+
 class CompiledMonitor final : public Monitor {
  public:
   explicit CompiledMonitor(CompiledMachine machine)

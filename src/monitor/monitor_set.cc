@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/monitor/arbitration.h"
 #include "src/monitor/shared_spec.h"
 #include "src/sim/mcu.h"
 
@@ -51,9 +52,18 @@ const CycleCharge& StepCharge(MonitorBackend backend, const CycleCharges& charge
   return charges.compiled_step;
 }
 
-void MonitorSet::Add(std::unique_ptr<Monitor> monitor) {
-  monitors_.push_back(std::move(monitor));
-  reactors_.clear();
+std::size_t MonitorSetFramBytes(std::size_t monitors, std::size_t state_bytes) {
+  constexpr std::size_t kDoneSeq = 8;
+  constexpr std::size_t kContinuation = 16;
+  constexpr std::size_t kPropertySlot = 24;
+  return kDoneSeq + kVerdictCacheFramBytes + kContinuation + state_bytes +
+         monitors * kPropertySlot;
+}
+
+MonitorSet::MonitorSet(MonitorBackend backend, MonitorPlacement placement,
+                       std::vector<std::unique_ptr<Monitor>> monitors, std::size_t tasks)
+    : backend_(backend), placement_(placement), tasks_(tasks), monitors_(std::move(monitors)) {
+  IndexReactors();
 }
 
 void MonitorSet::ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors) {
@@ -68,47 +78,47 @@ void MonitorSet::ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors)
     retired_.push_back(std::move(old));
   }
   monitors_ = std::move(monitors);
-  reactors_.clear();
+  IndexReactors();
   pending_.clear();
 }
 
-const std::vector<std::uint32_t>& MonitorSet::Reactors(EventKind kind, TaskId task) {
-  ReactorColumn* column = &uncached_;
-  if (task < kReactorTasks) {
-    const std::size_t at = static_cast<std::size_t>(task) * 2 + static_cast<std::size_t>(kind);
-    if (at >= reactors_.size()) {
-      reactors_.resize(at + 1);
-    }
-    column = &reactors_[at];
-    if (column->built) {
-      return column->monitors;
-    }
-    column->built = true;
-  }
-  column->monitors.clear();
-  for (std::uint32_t i = 0; i < monitors_.size(); ++i) {
-    if (monitors_[i]->Reacts(kind, task)) {
-      column->monitors.push_back(i);
+void MonitorSet::IndexReactors() {
+  // Column tasks_ answers for every task id at or past it: builtin and
+  // interpreted monitors compare the task only with in-graph ids, and a
+  // compiled machine clamps every id past its max_task, which is below
+  // tasks_, onto one column. Counted first, so each vector is sized once.
+  const std::size_t columns = (tasks_ + 1) * 2;
+  const auto reacts = [this](std::size_t column, std::size_t i) {
+    return monitors_[i]->Reacts(static_cast<EventKind>(column % 2),
+                                static_cast<TaskId>(column / 2));
+  };
+  column_begin_.assign(columns + 1, 0);
+  for (std::size_t column = 0; column < columns; ++column) {
+    column_begin_[column + 1] = column_begin_[column];
+    for (std::size_t i = 0; i < monitors_.size(); ++i) {
+      column_begin_[column + 1] += reacts(column, i) ? 1 : 0;
     }
   }
-  return column->monitors;
+  reactors_.resize(column_begin_[columns]);
+  std::size_t at = 0;
+  for (std::size_t column = 0; column < columns; ++column) {
+    for (std::uint32_t i = 0; i < monitors_.size(); ++i) {
+      if (reacts(column, i)) {
+        reactors_[at++] = i;
+      }
+    }
+  }
 }
 
 std::size_t MonitorSet::FramBytes() const {
-  // Per-monitor state plus the set's own continuation + verdict cache.
-  std::size_t bytes = sizeof(done_seq_) + kVerdictCacheFramBytes + 16 /* continuation */;
+  std::size_t state_bytes = 0;
   for (const auto& monitor : monitors_) {
-    bytes += monitor->FramBytes();
-    bytes += 24;  // property_t slot: action/path/task plumbing (Figure 10).
+    state_bytes += monitor->FramBytes();
   }
-  return bytes;
+  return MonitorSetFramBytes(monitors_.size(), state_bytes);
 }
 
-void MonitorSet::HardReset(Mcu& mcu) {
-  if (!arena_registered_) {
-    mcu.nvm().Allocate(MemOwner::kMonitor, FramBytes(), "monitor-set");
-    arena_registered_ = true;
-  }
+void MonitorSet::HardReset(Mcu&) {
   for (const auto& monitor : monitors_) {
     monitor->HardReset();
   }
@@ -195,11 +205,15 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
   // safe because Monitor::Step reads the event and the machine's own state,
   // never the Mcu. A monitor that cannot react would leave its state as it
   // is, so not stepping it changes nothing.
-  const std::vector<std::uint32_t>& reactors = Reactors(event.kind, event.task);
-  auto reactor = std::lower_bound(reactors.begin(), reactors.end(), next);
+  const std::size_t column = std::min<std::size_t>(event.task, tasks_) * 2 +
+                             static_cast<std::size_t>(event.kind);
+  const std::uint32_t* const reactors = reactors_.data();
+  const std::uint32_t* const reactors_end = reactors + column_begin_[column + 1];
+  const std::uint32_t* reactor =
+      std::lower_bound(reactors + column_begin_[column], reactors_end, next);
   MonitorVerdict failure;
   const auto step_to = [&](std::size_t end) {
-    for (; reactor != reactors.end() && *reactor < end; ++reactor) {
+    for (; reactor != reactors_end && *reactor < end; ++reactor) {
       if (monitors_[*reactor]->Step(event, &failure)) {
         pending_.push_back(failure);
       }
@@ -229,7 +243,7 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
 
   MonitorVerdict verdict;
   if (!pending_.empty()) {
-    verdict = Arbitrate(pending_, policy_);
+    verdict = Arbitrate(pending_, ArbitrationPolicy::kSeverity);
   }
   if (verdict.violated()) {
     ++violations_reported_;
@@ -292,13 +306,13 @@ void MonitorSet::OnPathRestart(PathId path, Mcu& mcu) {
 
 StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
                                                       MonitorBackend backend,
-                                                      const MonitorSetOptions& options) {
+                                                      MonitorPlacement placement) {
   StatusOr<SharedSpecArtifactPtr> artifact =
       BuildSpecArtifactFromAst(spec, graph, StageForBackend(backend));
   if (!artifact.ok()) {
     return artifact.status();
   }
-  return BuildMonitorSetFromArtifact(artifact.value(), graph, backend, options);
+  return BuildMonitorSetFromArtifact(artifact.value(), graph, backend, placement);
 }
 
 }  // namespace artemis

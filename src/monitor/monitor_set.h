@@ -7,8 +7,9 @@
 //    one Mcu::ExecuteChargeRun of the backend's step charge (StepCharge),
 //    which is bit-identical to charging the monitors one by one;
 //  * stepping, within the charged prefix, only the monitors whose Step can
-//    react to the event's (kind, task) (Monitor::Reacts); the others are
-//    charged as on the device but not run on the host;
+//    react to the event's (kind, task) (Monitor::Reacts), looked up in a
+//    reactor table the constructor builds; the others are charged as on
+//    the device but not run on the host;
 //  * power-failure-resilient event processing: the ImmortalThreads-style
 //    local continuation persists which monitors have already consumed the
 //    current event, so a re-delivered event (same seq) resumes instead of
@@ -17,8 +18,9 @@
 //    against the seq, so the kernel can retry boundary transitions
 //    idempotently; the cached verdict's label views monitor-owned storage,
 //    so monitors replaced by a hot swap stay alive until the cache moves on;
-//  * verdict arbitration across simultaneously failing properties;
-//  * FRAM byte accounting under MemOwner::kMonitor for Table 2;
+//  * severity arbitration across simultaneously failing properties;
+//  * its FRAM footprint for Table 2 (FramBytes), which its owner registers
+//    under MemOwner::kMonitor when it assembles the device;
 //  * publishing event deliveries, arbitrated verdicts (with per-event
 //    cycle cost) and path resets on the MCU's bus (Mcu::observer).
 #ifndef SRC_MONITOR_MONITOR_SET_H_
@@ -33,7 +35,6 @@
 #include "src/kernel/app_graph.h"
 #include "src/kernel/checker.h"
 #include "src/kernel/immortal.h"
-#include "src/monitor/arbitration.h"
 #include "src/monitor/monitor.h"
 #include "src/obs/bus.h"
 #include "src/sim/cost_model.h"
@@ -67,6 +68,12 @@ const CycleCharge& StepCharge(MonitorBackend backend, const CycleCharges& charge
 // FRAM column does not depend on the host's standard library.
 inline constexpr std::size_t kVerdictCacheFramBytes = 40;
 
+// Table 2's FRAM bytes of a set of `monitors` monitors whose states take
+// `state_bytes` in all: the set's done seq, verdict cache and continuation,
+// then each monitor's state and its 24-byte property_t slot (action, path
+// and task plumbing, Figure 10).
+std::size_t MonitorSetFramBytes(std::size_t monitors, std::size_t state_bytes);
+
 // The radio round trip MonitorPlacement::kRemote charges per event.
 struct RadioProfile {
   // Transmitting one MonitorEvent_t to the external monitor.
@@ -77,24 +84,20 @@ struct RadioProfile {
   Milliwatts rx_power = 18.0;
 };
 
-struct MonitorSetOptions {
-  ArbitrationPolicy policy = ArbitrationPolicy::kSeverity;
-  MonitorPlacement placement = MonitorPlacement::kSeparate;
-};
-
 class MonitorSet : public PropertyChecker {
  public:
-  // Every monitor added runs on `backend`, so each step costs its
-  // StepCharge.
-  MonitorSet(MonitorBackend backend, const MonitorSetOptions& options)
-      : backend_(backend), policy_(options.policy), placement_(options.placement) {}
+  // Every monitor runs on `backend`, so each step costs its StepCharge.
+  // `tasks` is the app's task count: every monitor reacts only to in-graph
+  // task ids, so one reactor column serves all task ids at or past it.
+  MonitorSet(MonitorBackend backend, MonitorPlacement placement,
+             std::vector<std::unique_ptr<Monitor>> monitors, std::size_t tasks);
 
-  void Add(std::unique_ptr<Monitor> monitor);
   std::size_t size() const { return monitors_.size(); }
   const Monitor& monitor(std::size_t i) const { return *monitors_[i]; }
   Monitor& monitor(std::size_t i) { return *monitors_[i]; }
 
-  // PropertyChecker implementation.
+  // PropertyChecker implementation. HardReset resets state only: the set's
+  // FRAM is registered when the device is assembled.
   void HardReset(Mcu& mcu) override;
   void Finalize(Mcu& mcu) override;
   CheckOutcome OnEvent(const MonitorEvent& event, Mcu& mcu) override;
@@ -139,8 +142,8 @@ class MonitorSet : public PropertyChecker {
 
  private:
   MonitorBackend backend_;
-  ArbitrationPolicy policy_;
-  MonitorPlacement placement_ = MonitorPlacement::kSeparate;
+  MonitorPlacement placement_;
+  std::size_t tasks_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
   flight::FlightRecorder* flight_ = nullptr;
 
@@ -148,19 +151,13 @@ class MonitorSet : public PropertyChecker {
   // view a label they own or keep alive.
   std::vector<std::unique_ptr<Monitor>> retired_;
 
-  // The monitors that react to one (event kind, task), ascending, built
-  // from Monitor::Reacts on the column's first event; Add and
-  // ReplaceMonitors clear them.
-  struct ReactorColumn {
-    bool built = false;
-    std::vector<std::uint32_t> monitors;
-  };
-  // Columns are kept for tasks below kReactorTasks, at task * 2 + kind;
-  // an event on a larger task id rebuilds `uncached_` each time.
-  static constexpr TaskId kReactorTasks = 1024;
-  std::vector<ReactorColumn> reactors_;
-  ReactorColumn uncached_;
-  const std::vector<std::uint32_t>& Reactors(EventKind kind, TaskId task);
+  // The reactor table, filled by the constructor and ReplaceMonitors from
+  // Monitor::Reacts: column min(task, tasks_) * 2 + kind lists, ascending,
+  // the monitors that react to an event of that kind on that task, as
+  // reactors_[column_begin_[column] .. column_begin_[column + 1]).
+  std::vector<std::uint32_t> reactors_;
+  std::vector<std::uint32_t> column_begin_;
+  void IndexReactors();
 
   // ---- FRAM-resident progress state (ImmortalThreads-backed) ----
   ImmortalContext continuation_;
@@ -170,7 +167,6 @@ class MonitorSet : public PropertyChecker {
   // event processed yet" from a processed event with seq == 0.
   bool has_cached_verdict_ = false;
   MonitorVerdict cached_verdict_;        // its arbitrated verdict
-  bool arena_registered_ = false;
 
   std::uint64_t events_processed_ = 0;
   std::uint64_t violations_reported_ = 0;
@@ -183,9 +179,9 @@ class MonitorSet : public PropertyChecker {
 // machine and interprets it; kBuiltin instantiates the Figure 10 style
 // structures; kCompiled lowers and then flattens each machine into
 // slot-indexed bytecode (src/ir/compile.h) — see docs/monitor-backends.md.
-StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
-                                                      MonitorBackend backend,
-                                                      const MonitorSetOptions& options = {});
+StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(
+    const SpecAst& spec, const AppGraph& graph, MonitorBackend backend,
+    MonitorPlacement placement = MonitorPlacement::kSeparate);
 
 }  // namespace artemis
 

@@ -86,7 +86,7 @@ StatusOr<SharedSpecArtifactPtr> BuildSpecArtifactFromAst(const SpecAst& spec,
 
 StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSetFromArtifact(
     const SharedSpecArtifactPtr& artifact, const AppGraph& graph, MonitorBackend backend,
-    const MonitorSetOptions& options) {
+    MonitorPlacement placement) {
   if (artifact == nullptr) {
     return Status::Invalid("null spec artifact");
   }
@@ -96,7 +96,7 @@ StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSetFromArtifact(
         std::string("spec artifact stage '") + SpecArtifactStageName(artifact->stage) +
         "' cannot serve backend '" + MonitorBackendName(backend) + "'");
   }
-  auto set = std::make_unique<MonitorSet>(backend, options);
+  std::vector<std::unique_ptr<Monitor>> monitors;
   if (backend == MonitorBackend::kBuiltin) {
     for (const TaskBlockAst& block : artifact->ast.blocks) {
       for (const PropertyAst& property : block.properties) {
@@ -105,24 +105,26 @@ StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSetFromArtifact(
         if (!monitor.ok()) {
           return monitor.status();
         }
-        set->Add(std::move(monitor).value());
+        monitors.push_back(std::move(monitor).value());
       }
     }
-    return set;
-  }
-  // Aliasing shared_ptrs: each monitor shares ownership of the whole
-  // artifact but points at one machine slot, so the immutable programs are
-  // never copied per run.
-  for (std::size_t i = 0; i < artifact->machines.size(); ++i) {
-    if (backend == MonitorBackend::kCompiled) {
-      set->Add(std::make_unique<CompiledMonitor>(
-          std::shared_ptr<const CompiledMachine>(artifact, &artifact->compiled[i])));
-    } else {
-      set->Add(std::make_unique<InterpretedMonitor>(
-          std::shared_ptr<const StateMachine>(artifact, &artifact->machines[i])));
+  } else {
+    // Aliasing shared_ptrs: each monitor shares ownership of the whole
+    // artifact but points at one machine slot, so the immutable programs
+    // are never copied per run.
+    monitors.reserve(artifact->machines.size());
+    for (std::size_t i = 0; i < artifact->machines.size(); ++i) {
+      if (backend == MonitorBackend::kCompiled) {
+        monitors.push_back(std::make_unique<CompiledMonitor>(
+            std::shared_ptr<const CompiledMachine>(artifact, &artifact->compiled[i])));
+      } else {
+        monitors.push_back(std::make_unique<InterpretedMonitor>(
+            std::shared_ptr<const StateMachine>(artifact, &artifact->machines[i])));
+      }
     }
   }
-  return set;
+  return std::make_unique<MonitorSet>(backend, placement, std::move(monitors),
+                                      graph.task_count());
 }
 
 }  // namespace artemis

@@ -68,7 +68,7 @@ StatusOr<SharedSpecArtifactPtr> BuildSpecArtifactFromAst(const SpecAst& spec,
 // cannot serve kInterpreted/kCompiled).
 StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSetFromArtifact(
     const SharedSpecArtifactPtr& artifact, const AppGraph& graph, MonitorBackend backend,
-    const MonitorSetOptions& options = {});
+    MonitorPlacement placement = MonitorPlacement::kSeparate);
 
 }  // namespace artemis
 

@@ -1,5 +1,7 @@
 #include "src/sim/mcu.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 
@@ -37,16 +39,31 @@ Mcu::Mcu(std::unique_ptr<PowerModel> power, const CostModel& costs)
   power_->NotifyReboot(0);
 }
 
+namespace {
+
+// The NVM bytes of a flight ring of `capacity` bytes: the ring, clamped as
+// the recorder clamps it, plus the persistent control words (head, epoch,
+// head time base) the crash-recovery protocol needs. Saturates, so that a
+// ring of SIZE_MAX bytes is refused instead of wrapping to a small one.
+std::size_t FlightNvmBytes(std::size_t capacity) {
+  constexpr std::size_t kControlBytes = 16;
+  const std::size_t ring = std::max(capacity, flight::FlightRecorder::kMinCapacityBytes);
+  return ring > SIZE_MAX - kControlBytes ? SIZE_MAX : ring + kControlBytes;
+}
+
+}  // namespace
+
+Status Mcu::CheckFlightRing(std::size_t capacity) const {
+  return nvm_.Check(MemOwner::kFlight, FlightNvmBytes(capacity), "flight-recorder");
+}
+
 Status Mcu::AttachFlightRecorder(flight::FlightRecorder* recorder) {
   if (recorder == nullptr) {
     flight_ = nullptr;
     return Status::Ok();
   }
-  // Ring bytes plus the persistent control words (head, epoch, head time
-  // base) the crash-recovery protocol needs.
-  constexpr std::size_t kControlBytes = 16;
-  Status status = nvm_.Allocate(MemOwner::kFlight, recorder->capacity() + kControlBytes,
-                                "flight-recorder");
+  Status status =
+      nvm_.Allocate(MemOwner::kFlight, FlightNvmBytes(recorder->capacity()), "flight-recorder");
   if (!status.ok()) {
     return status;
   }

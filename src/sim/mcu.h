@@ -123,6 +123,10 @@ class Mcu : public flight::FlightPort {
   // CostTag::kFlight. Returns the arena's structured error when the ring
   // budget does not fit. nullptr detaches (no cycles charged anywhere).
   Status AttachFlightRecorder(flight::FlightRecorder* recorder);
+  // What AttachFlightRecorder would return for a ring of `capacity` bytes,
+  // without registering anything. The recorder zero-fills its ring when
+  // built, so a device asks this first and refuses a ring that does not fit.
+  Status CheckFlightRing(std::size_t capacity) const;
   flight::FlightRecorder* flight_recorder() const { return flight_; }
 
   // flight::FlightPort — the charges' flight_* entries, under CostTag::kFlight.

@@ -37,17 +37,25 @@ MemoryReport ReportOf(const std::array<std::size_t, kNumMemOwners>& by_owner,
 
 }  // namespace
 
-Status NvmArena::Allocate(MemOwner owner, std::size_t bytes, std::string_view label) {
+Status NvmArena::Check(MemOwner owner, std::size_t bytes, std::string_view label) const {
+  if (used_ <= capacity_ && bytes <= capacity_ - used_) {
+    return Status::Ok();
+  }
   const std::size_t remaining = capacity_ > used_ ? capacity_ - used_ : 0;
+  return Status::ResourceExhausted(
+      "NVM arena exhausted: '" + std::string(label) + "' (" + MemOwnerName(owner) +
+      ") requested " + std::to_string(bytes) + " bytes with only " +
+      std::to_string(remaining) + " of " + std::to_string(capacity_) + " remaining");
+}
+
+Status NvmArena::Allocate(MemOwner owner, std::size_t bytes, std::string_view label) {
+  Status status = Check(owner, bytes, label);
   by_owner_[static_cast<std::size_t>(owner)] += bytes;
   used_ += bytes;
-  if (used_ > capacity_) {
-    return Status::ResourceExhausted(
-        "NVM arena exhausted: '" + std::string(label) + "' (" + MemOwnerName(owner) +
-        ") requested " + std::to_string(bytes) + " bytes with only " +
-        std::to_string(remaining) + " of " + std::to_string(capacity_) + " remaining");
+  if (!status.ok() && exhaustion_.ok()) {
+    exhaustion_ = status;
   }
-  return Status::Ok();
+  return status;
 }
 
 MemoryReport NvmArena::Report() const { return ReportOf(by_owner_, used_); }

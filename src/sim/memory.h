@@ -41,6 +41,11 @@ class NvmArena {
   // the requesting subsystem and the bytes that remained (the allocation is
   // still recorded so reports show the overflow).
   Status Allocate(MemOwner owner, std::size_t bytes, std::string_view label);
+  // What Allocate would return, without recording anything: lets a caller
+  // refuse a region before building it.
+  Status Check(MemOwner owner, std::size_t bytes, std::string_view label) const;
+  // The first exhaustion Allocate returned; Ok while everything fits.
+  const Status& exhaustion() const { return exhaustion_; }
 
   MemoryReport Report() const;
   std::size_t used() const { return used_; }
@@ -50,6 +55,7 @@ class NvmArena {
   std::size_t capacity_;
   std::size_t used_ = 0;
   std::array<std::size_t, kNumMemOwners> by_owner_{};
+  Status exhaustion_;
 };
 
 // Volatile arena: per-owner totals of the SRAM the design uses.

@@ -111,8 +111,8 @@ TEST(AllocBudgetTest, FleetOutageScalarDevice) {
   spec.charges = Charges({"1min", "3min", "6min", "10min"});
   spec.shards = 2;
   const double per_device = FleetAllocationsPerDevice(spec, 8);
-  Report("fleet-outage", per_device, 200);
-  EXPECT_LE(per_device, 200.0);
+  Report("fleet-outage", per_device, 110);
+  EXPECT_LE(per_device, 110.0);
 }
 
 TEST(AllocBudgetTest, SweepGridDeviceRun) {
@@ -141,8 +141,8 @@ TEST(AllocBudgetTest, SweepGridDeviceRun) {
   ASSERT_GT(large_runs, small_runs);
   const double per_device =
       static_cast<double>(large - small) / static_cast<double>(large_runs - small_runs);
-  Report("sweep-grid", per_device, 110);
-  EXPECT_LE(per_device, 110.0);
+  Report("sweep-grid", per_device, 81);
+  EXPECT_LE(per_device, 81.0);
 }
 
 }  // namespace

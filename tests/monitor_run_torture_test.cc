@@ -160,9 +160,7 @@ void PrintTo(const Config& config, std::ostream* os) { *os << config.name; }
 
 std::unique_ptr<MonitorSet> Monitors(const SpecAst& spec, const AppGraph& graph,
                                      const Config& config) {
-  return std::move(BuildMonitorSet(spec, graph, config.backend,
-                                   MonitorSetOptions{.placement = config.placement}))
-      .value();
+  return std::move(BuildMonitorSet(spec, graph, config.backend, config.placement)).value();
 }
 
 const SpecAst& HealthSpec() {
@@ -587,19 +585,21 @@ const std::vector<ShippedSpec>& ShippedSpecs() {
   return specs;
 }
 
-// A task id far past every app and past MonitorSet's cached reactor
-// columns.
-constexpr TaskId kFarTask = 5000;
+// Task ids far past every app. MonitorSet looks every task id at or past
+// the app's task count up in one reactor column.
+constexpr TaskId kFarTasks[] = {1023, 1024, 5000, kInvalidTask};
 
-// Every (kind, task) column an app's events can land on, plus one task id
-// just past the app and kFarTask.
+// Every (kind, task) column an app's events can land on, plus the two task
+// ids just past the app and kFarTasks.
 std::vector<std::pair<EventKind, TaskId>> Columns(const AppGraph& graph) {
   std::vector<std::pair<EventKind, TaskId>> columns;
   for (const EventKind kind : {EventKind::kStartTask, EventKind::kEndTask}) {
-    for (TaskId task = 0; task <= graph.task_count(); ++task) {
+    for (TaskId task = 0; task <= graph.task_count() + 1; ++task) {
       columns.emplace_back(kind, task);
     }
-    columns.emplace_back(kind, kFarTask);
+    for (const TaskId task : kFarTasks) {
+      columns.emplace_back(kind, task);
+    }
   }
   return columns;
 }

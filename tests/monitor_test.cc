@@ -7,8 +7,10 @@
 #include <memory>
 
 #include "src/apps/health_app.h"
+#include "src/core/runtime.h"
 #include "src/ir/compile.h"
 #include "src/ir/lowering.h"
+#include "src/mayfly/mayfly.h"
 #include "src/monitor/arbitration.h"
 #include "src/monitor/builtin.h"
 #include "src/monitor/compiled.h"
@@ -621,14 +623,41 @@ TEST(MonitorSetTest, InterpretedBackendCostsMoreCycles) {
             mcu_b->stats().busy_time[static_cast<int>(CostTag::kMonitor)]);
 }
 
-TEST(MonitorSetTest, RegistersFramOnHardResetOnce) {
+// A checker's FRAM is registered when its runtime is built, so a device
+// that does not fit is refused before it runs: HardReset registers nothing,
+// and running a factory-built runtime leaves its arena report as it was.
+TEST(MonitorSetTest, RegistersFramAtAssembly) {
   auto set = HealthMonitors(MonitorBackend::kBuiltin);
   auto mcu = TestMcu();
   set->HardReset(*mcu);
-  const std::size_t used = mcu->nvm().used();
-  EXPECT_GT(used, 0u);
-  set->HardReset(*mcu);
-  EXPECT_EQ(mcu->nvm().used(), used);  // No duplicate registration.
+  EXPECT_EQ(mcu->nvm().used(), 0u);
+
+  const HealthApp app = BuildHealthApp();
+  const StatusOr<SpecAst> parsed = SpecParser::Parse(HealthAppSpec());
+  ASSERT_TRUE(parsed.ok());
+  const auto expect_run_keeps_report = [](Mcu& device, auto& runtime, const char* name) {
+    const MemoryReport built = device.nvm().Report();
+    EXPECT_GT(built.total, 0u) << name;
+    runtime.Run();
+    const MemoryReport run = device.nvm().Report();
+    EXPECT_EQ(run.total, built.total) << name;
+    EXPECT_EQ(run.by_owner, built.by_owner) << name;
+  };
+  for (const MonitorBackend backend :
+       {MonitorBackend::kBuiltin, MonitorBackend::kInterpreted, MonitorBackend::kCompiled}) {
+    auto run_mcu = TestMcu();
+    ArtemisConfig config;
+    config.backend = backend;
+    StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
+        ArtemisRuntime::Create(&app.graph, HealthAppSpec(), run_mcu.get(), config);
+    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+    expect_run_keeps_report(*run_mcu, *runtime.value(), MonitorBackendName(backend));
+  }
+  auto run_mcu = TestMcu();
+  StatusOr<std::unique_ptr<MayflyRuntime>> mayfly =
+      MayflyRuntime::Create(&app.graph, parsed.value(), run_mcu.get());
+  ASSERT_TRUE(mayfly.ok()) << mayfly.status().ToString();
+  expect_run_keeps_report(*run_mcu, *mayfly.value(), "mayfly");
 }
 
 }  // namespace

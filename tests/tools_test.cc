@@ -257,6 +257,11 @@ TEST(ArtemiscTest, OutOfRangeNumbersFailCleanly) {
       WriteTempSpec("huge.mayfly", "expires(accel -> send, " + huge + ");\n");
   const std::string app = WriteTempSpec(
       "huge.app", "app x { task t { duration: " + huge + "; power: 1mW; } path 1: t; }\n");
+  const std::string health = kSpecs + "/health.prop";
+  // A device that does not fit its FRAM is refused before it runs, and a
+  // ring the arena cannot hold before it is allocated.
+  const std::string swap = "swap " + health + " " + health +
+                           " --app health --schedule 6min --swap-at 2min --flight full";
   const struct {
     std::string args;
     int exit_code;
@@ -269,6 +274,16 @@ TEST(ArtemiscTest, OutOfRangeNumbersFailCleanly) {
       {"sweep --spec " + spec + " --format json --no-analyze", 1, "\"status\": \"error\""},
       {"fleet --spec " + spec + " --devices 2", 2, "lex error at line 1:19"},
       {"profile --app-file " + app, 2, "lex error at line 1:28"},
+      {"forensics dump --app health --schedule 6min --flight-bytes 262100", 2,
+       "NVM arena exhausted: 'monitor-set'"},
+      {"forensics dump --app health --schedule 6min --flight-bytes 18446744073709551615", 2,
+       "NVM arena exhausted: 'flight-recorder'"},
+      {"sweep --app health --charges 6min --flight full --flight-bytes 1000000000000 "
+       "--format json",
+       1, "NVM arena exhausted: 'flight-recorder'"},
+      {swap + " --flight-bytes 1000000000000", 2, "NVM arena exhausted: 'flight-recorder'"},
+      // The tile is clamped to the devices a shard runs.
+      {"fleet --devices 10 --tile 4294967295", 0, "completed=10"},
   };
   for (const auto& row : kRows) {
     const RunResult result = RunCli(row.args);
